@@ -6,6 +6,15 @@ For real orders the headline class number is the wide (module) count,
 obtained by merging reduction cycles that are GL2(Z)-equivalent; the
 proper (form class / narrow) count is carried alongside, since the two
 differ exactly when every unit has norm +1.
+
+Conductor matching needs only class numbers, and takes them from the
+class-number formula for orders (Cox, *Primes of the form x^2+ny^2*,
+Thm 7.24; Buchmann-Vollmer, *Binary Quadratic Forms*, for real orders):
+
+    h(O_f) = h(O_K) f / [O_K^*:O_f^*] prod_{p | f} (1 - (d_K/p)/p).
+
+Forms are enumerated only for h(O_K) and the given order; the callers
+enumerate the two matched orders for their representatives.
 """
 
 from __future__ import annotations
@@ -14,7 +23,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import BoundExceeded, DomainError, NoMatchWithinBound
-from .quadfield import OrderDescriptor, QuadraticIrrational, sl2_equivalent
+from .quadfield import (OrderDescriptor, QuadraticIrrational, _in_order,
+                        fundamental_unit, sl2_equivalent)
 
 DEFAULT_DISC_LIMIT = 10**8
 
@@ -195,6 +205,12 @@ def reduced_form_count(disc: int) -> int:
     return len(_indefinite_reduced_forms(disc))
 
 
+def _check_disc_limit(order: OrderDescriptor, disc_limit: int) -> None:
+    disc = order.discriminant
+    if abs(disc) > disc_limit:
+        raise BoundExceeded(f"|disc|={abs(disc)} exceeds limit {disc_limit}")
+
+
 def class_group(order: OrderDescriptor,
                 disc_limit: int = DEFAULT_DISC_LIMIT) -> ClassGroupSummary:
     """Class number and one reduced representative per class.
@@ -203,9 +219,8 @@ def class_group(order: OrderDescriptor,
     h is the number of GL2-merged cycle classes (module classes); h_proper
     counts the cycles themselves.
     """
+    _check_disc_limit(order, disc_limit)
     disc = order.discriminant
-    if abs(disc) > disc_limit:
-        raise BoundExceeded(f"|disc|={abs(disc)} exceeds limit {disc_limit}")
     if order.field_kind == "imaginary":
         forms = _definite_reduced_forms(disc)
         return ClassGroupSummary(order, len(forms), forms, len(forms))
@@ -279,33 +294,113 @@ def pseudo_lattice_reps(order: OrderDescriptor,
     """One theta per module class of the order, principal class first.
 
     Each theta is the larger root of a reduced indefinite representative
-    with positive leading coefficient, so it lies in (0, 1); distinct
-    representatives are pairwise GL2- (hence SL2-) inequivalent.
+    with positive leading coefficient (the representatives of
+    ``class_group``), so it lies in (0, 1); distinct representatives are
+    pairwise GL2- (hence SL2-) inequivalent.
     """
     if order.field_kind != "real":
         raise DomainError("pseudo-lattices live on the real side")
-    disc = order.discriminant
-    if abs(disc) > disc_limit:
-        raise BoundExceeded(f"|disc|={abs(disc)} exceeds limit {disc_limit}")
-    cycles = _indefinite_cycles(_indefinite_reduced_forms(disc))
-    merged = _merge_wide(cycles)
-    principal_cycle = _cycle_of_principal(cycles, disc)
     reps = []
-    for grp in _order_groups(merged, principal_cycle):
-        form = _group_representative(grp, principal_cycle)
+    for form in class_group(order, disc_limit).representatives:
         theta = form.theta()
-        assert theta > 0 and theta < 1
+        if not 0 < theta < 1:
+            raise DomainError(f"theta of {form.to_json()} is not in (0, 1)")
         reps.append(PseudoLatticeRep(theta, form))
     return reps
 
 
+def _prime_divisors(n: int) -> list[int]:
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _kronecker(disc: int, p: int) -> int:
+    """Kronecker symbol (disc/p) for a prime p."""
+    if p == 2:
+        if disc % 2 == 0:
+            return 0
+        return 1 if disc % 8 in (1, 7) else -1
+    r = pow(disc, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def _unit_group_quotient(order: OrderDescriptor) -> int:
+    """f prod_{p | f} (1 - (d_K/p)/p), the order of (O_K/f)^* / (Z/f)^*."""
+    f = order.conductor
+    size = f
+    for p in _prime_divisors(f):
+        size = size // p * (p - _kronecker(order.fundamental_discriminant, p))
+    return size
+
+
+def unit_index(order: OrderDescriptor,
+               unit: QuadraticIrrational | None = None) -> int:
+    """[O_K^*:O_f^*] for the order O_f of conductor f in K.
+
+    Imaginary side: 3 for d_K = -3, 2 for d_K = -4, 1 otherwise (1 at
+    f = 1). Real side: the least k with unit**k in O_f, where unit must be
+    the fundamental unit of O_K; k divides the order of
+    (O_K/f)^* / (Z/f)^*, which bounds the search.
+    """
+    if order.conductor == 1:
+        return 1
+    if order.field_kind == "imaginary":
+        return {-3: 3, -4: 2}.get(order.fundamental_discriminant, 1)
+    if unit is None:
+        raise DomainError("a real order's unit index needs the fundamental "
+                          "unit of the maximal order")
+    power = unit
+    for k in range(1, _unit_group_quotient(order) + 1):
+        if _in_order(power, order):
+            return k
+        power = power * unit
+    raise DomainError(f"no power of {unit!r} lies in the order {order.to_json()}")
+
+
+def order_class_number(order: OrderDescriptor, h_max: int,
+                       unit: QuadraticIrrational | None = None) -> int:
+    """h(O_f) from h_max = h(O_K) by the class-number formula for orders.
+
+    h(O_f) = h(O_K) f / [O_K^*:O_f^*] prod_{p | f} (1 - (d_K/p)/p); see
+    Cox, *Primes of the form x^2+ny^2*, Thm 7.24, and Buchmann-Vollmer,
+    *Binary Quadratic Forms*, for real orders, where h is the wide count.
+    ``unit`` is passed on to ``unit_index``.
+    """
+    h, rest = divmod(h_max * _unit_group_quotient(order),
+                     unit_index(order, unit))
+    if rest:
+        raise DomainError(f"class-number formula is not integral for "
+                          f"{order.to_json()} with h(O_K)={h_max}")
+    return h
+
+
 def match_conductor(given: OrderDescriptor, search_bound: int = 100,
                     disc_limit: int = DEFAULT_DISC_LIMIT) -> ConductorMatch:
-    """Least conductor on the opposite side with the same class number."""
+    """Least conductor on the opposite side with the same class number.
+
+    Reduced forms are enumerated for the given order and the opposite
+    maximal order only; every other candidate's class number comes from
+    ``order_class_number``.
+    """
     h_given = class_group(given, disc_limit).h
     for f in range(1, search_bound + 1):
         other = given.opposite(f)
-        if class_group(other, disc_limit).h == h_given:
+        if f == 1:
+            h_max = class_group(other, disc_limit).h
+            unit = (fundamental_unit(other).value
+                    if other.field_kind == "real" else None)
+        else:
+            _check_disc_limit(other, disc_limit)
+        if order_class_number(other, h_max, unit) == h_given:
             return ConductorMatch(given.field_kind, given.conductor, f, h_given)
     raise NoMatchWithinBound(
         f"no conductor <= {search_bound} matches h={h_given}", search_bound)

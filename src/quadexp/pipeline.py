@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import sklyanin
 from .classforms import class_group, match_conductor, pseudo_lattice_reps
-from .errors import (NoMatchWithinBound, NotSquareFree,
+from .errors import (DomainError, NoMatchWithinBound, NotSquareFree,
                      PrecisionInsufficient, QuadexpError)
 from .modular import hcf_generator
 from .quadfield import OrderDescriptor, fundamental_unit, is_squarefree
@@ -185,8 +185,7 @@ def _match(d: int, params: CaseParams, report: CaseReport):
     elif params.conductor_direction == "imag-to-real":
         given = OrderDescriptor("imaginary", d, params.given_conductor)
     else:
-        raise NotSquareFree(f"bad direction {params.conductor_direction}")
-    summary_given = class_group(given)
+        raise DomainError(f"bad direction {params.conductor_direction}")
     try:
         match = match_conductor(given, params.search_bound)
         matched = match.matched_conductor

@@ -400,7 +400,8 @@ def fundamental_unit(order: OrderDescriptor) -> UnitElement:
         raise DomainError(f"unit computation produced norm {n}")
     if eps.cmp(1) <= 0:
         raise DomainError("unit computation produced a value <= 1")
-    assert _in_order(eps, order), "unit must lie in the order"
+    if not _in_order(eps, order):
+        raise DomainError("unit computation left the order")
     return UnitElement(eps, int(n))
 
 

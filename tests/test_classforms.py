@@ -1,8 +1,11 @@
 import pytest
 
-from oracles import definite_class_number_orbit
-from quadexp.classforms import (BinaryQuadraticForm, class_group,
-                                match_conductor, pseudo_lattice_reps)
+from oracles import definite_class_number_orbit, min_unit_power_in_suborder
+from quadexp import classforms
+from quadexp.classforms import (BinaryQuadraticForm, ClassGroupSummary,
+                                class_group, match_conductor,
+                                order_class_number, pseudo_lattice_reps,
+                                unit_index)
 from quadexp.errors import BoundExceeded, DomainError, NoMatchWithinBound
 from quadexp.quadfield import (OrderDescriptor, QuadraticIrrational,
                                fundamental_unit, is_squarefree, sl2_equivalent)
@@ -135,6 +138,65 @@ class TestPseudoLattices:
         with pytest.raises(DomainError):
             pseudo_lattice_reps(OrderDescriptor("imaginary", 15, 1))
 
+    def test_theta_outside_unit_interval_is_typed(self, monkeypatch):
+        order = OrderDescriptor("real", 5, 1)
+        bad = BinaryQuadraticForm(1, -3, 1)  # larger root (3+sqrt5)/2 > 1
+        monkeypatch.setattr(classforms, "class_group",
+                            lambda o, disc_limit: ClassGroupSummary(o, 1, [bad], 1))
+        with pytest.raises(DomainError):
+            pseudo_lattice_reps(order)
+
+
+def _maximal(kind, d):
+    o = OrderDescriptor(kind, d, 1)
+    unit = fundamental_unit(o).value if kind == "real" else None
+    return class_group(o).h, unit
+
+
+class TestClassNumberFormula:
+    def test_agrees_with_enumeration(self):
+        checked = 0
+        for kind, first in (("imaginary", 1), ("real", 2)):
+            for d in range(first, 80):
+                if not is_squarefree(d):
+                    continue
+                h_max, unit = _maximal(kind, d)
+                for f in range(1, 16):
+                    o = OrderDescriptor(kind, d, f)
+                    assert order_class_number(o, h_max, unit) == \
+                        class_group(o).h, (kind, d, f)
+                    checked += 1
+        assert checked > 1400
+
+    def test_imaginary_unit_index(self):
+        for d, index in ((1, 2), (3, 3), (15, 1)):
+            assert unit_index(OrderDescriptor("imaginary", d, 1)) == 1
+            for f in (2, 3, 6):
+                assert unit_index(OrderDescriptor("imaginary", d, f)) == index
+
+    def test_imaginary_against_orbit_oracle(self):
+        for d, f in ((1, 5), (3, 7), (15, 4), (5, 6), (23, 3)):
+            o = OrderDescriptor("imaginary", d, f)
+            h_max, _ = _maximal("imaginary", d)
+            assert order_class_number(o, h_max) == \
+                definite_class_number_orbit(o.discriminant), (d, f)
+
+    def test_real_unit_index_oracle(self):
+        for d in (2, 3, 5, 13, 15, 26, 29):
+            eps = fundamental_unit(OrderDescriptor("real", d, 1)).value
+            for f in (2, 3, 5, 7, 12):
+                o = OrderDescriptor("real", d, f)
+                k = unit_index(o, eps)
+                assert eps**k == min_unit_power_in_suborder(eps, o), (d, f)
+        with pytest.raises(DomainError):
+            unit_index(OrderDescriptor("real", 2, 3))  # no unit given
+
+    def test_non_integral_result_is_typed(self):
+        # sqrt(3) is no unit: its "index" 2 does not divide 3 = |(O_K/3)^*/(Z/3)^*|
+        with pytest.raises(DomainError):
+            order_class_number(OrderDescriptor("real", 3, 3), 1,
+                               QuadraticIrrational.sqrt_of(3))
+
 
 class TestConductorMatch:
     def test_d15_both_directions(self):
@@ -142,6 +204,14 @@ class TestConductorMatch:
         assert (m.matched_conductor, m.h_common) == (1, 2)
         m = match_conductor(OrderDescriptor("imaginary", 15, 1), 50)
         assert (m.matched_conductor, m.h_common) == (1, 2)
+
+    def test_disc_limit(self):
+        # h(Q(sqrt5)) = 1 but h(-20 f^2) > 1: the scan reaches f = 6, where
+        # |disc| = 720 first exceeds the limit
+        with pytest.raises(BoundExceeded, match=r"\|disc\|=720 exceeds limit 500"):
+            match_conductor(OrderDescriptor("real", 5, 1), 100, disc_limit=500)
+        with pytest.raises(BoundExceeded, match=r"\|disc\|=20 exceeds limit 10"):
+            match_conductor(OrderDescriptor("real", 5, 1), 100, disc_limit=10)
 
     def test_degenerate_bound(self):
         with pytest.raises(NoMatchWithinBound):

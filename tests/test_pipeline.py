@@ -62,6 +62,11 @@ class TestRunCase:
                                     conductor_direction="imag-to-real"))
         assert r.conductors["frak_f"] == 1 and r.conductors["f"] == 1
 
+    def test_bad_direction_recorded(self):
+        r = run_case(15, CaseParams(precision_bits=256, recognition=False,
+                                    conductor_direction="sideways"))
+        assert r.errors == ["DomainError: bad direction sideways"]
+
     def test_no_match_recorded(self):
         r = run_case(15, CaseParams(precision_bits=256, recognition=False,
                                     search_bound=0))

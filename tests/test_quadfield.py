@@ -142,6 +142,12 @@ class TestFundamentalUnit:
         with pytest.raises(DomainError):
             fundamental_unit(OrderDescriptor("imaginary", 15, 1))
 
+    def test_unit_outside_order_is_typed(self, monkeypatch):
+        import quadexp.quadfield as quadfield
+        monkeypatch.setattr(quadfield, "_in_order", lambda x, order: False)
+        with pytest.raises(DomainError):
+            fundamental_unit(OrderDescriptor("real", 15, 1))
+
 
 class TestOrderDescriptor:
     def test_discriminants(self):
