@@ -9,9 +9,8 @@ generators), recognition (J evaluation and LLL-based algebraicity tests),
 sklyanin (symbolic relation-system checking), pipeline (case runner + CLI).
 """
 
-from ._core import BACKEND as KERNEL_BACKEND
 from .errors import QuadexpError
 
 __version__ = "0.1.0"
 
-__all__ = ["KERNEL_BACKEND", "QuadexpError", "__version__"]
+__all__ = ["QuadexpError", "__version__"]

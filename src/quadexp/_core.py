@@ -1,12 +1,14 @@
-"""Exact integer LLL kernel, pure Python reference implementation.
+"""Exact integer LLL kernel.
 
 Integral variant maintaining the Gram determinants d[i] and scaled
 Gram-Schmidt coefficients lam[i][j] = d[j] * mu_ij, so every division below
-is exact and no floating point is involved. The compiled kernel in
-_lll_cy.pyx implements the identical algorithm; both must stay in lockstep.
+is exact and no floating point is involved.
 """
 
 from __future__ import annotations
+
+# Read by the environment block of perfbench/run.py.
+BACKEND = "python"
 
 
 def lll_reduce_rows(rows, delta_num=99, delta_den=100, progressive=True):

@@ -195,16 +195,6 @@ def _principal_form(disc: int) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(1, b, (b * b - disc) // 4)
 
 
-def reduced_form_count(disc: int) -> int:
-    """Primitive reduced forms: the definite count is the class number,
-    the indefinite count sums cycle lengths (not the class number)."""
-    if disc % 4 not in (0, 1):
-        raise DomainError("discriminant must be 0 or 1 mod 4")
-    if disc < 0:
-        return len(_definite_reduced_forms(disc))
-    return len(_indefinite_reduced_forms(disc))
-
-
 def _check_disc_limit(order: OrderDescriptor, disc_limit: int) -> None:
     disc = order.discriminant
     if abs(disc) > disc_limit:
@@ -289,19 +279,18 @@ def _merge_wide(cycles) -> list[list[list[BinaryQuadraticForm]]]:
     return [[cycles[i] for i in grp] for grp in groups]
 
 
-def pseudo_lattice_reps(order: OrderDescriptor,
-                        disc_limit: int = DEFAULT_DISC_LIMIT) -> list[PseudoLatticeRep]:
-    """One theta per module class of the order, principal class first.
+def pseudo_lattice_reps(summary: ClassGroupSummary) -> list[PseudoLatticeRep]:
+    """One theta per module class of a real order, principal class first.
 
-    Each theta is the larger root of a reduced indefinite representative
-    with positive leading coefficient (the representatives of
-    ``class_group``), so it lies in (0, 1); distinct representatives are
-    pairwise GL2- (hence SL2-) inequivalent.
+    ``summary`` is the order's ``class_group``. Each theta is the larger
+    root of one of its reduced indefinite representatives, which have
+    positive leading coefficient, so it lies in (0, 1); distinct
+    representatives are pairwise GL2- (hence SL2-) inequivalent.
     """
-    if order.field_kind != "real":
+    if summary.order.field_kind != "real":
         raise DomainError("pseudo-lattices live on the real side")
     reps = []
-    for form in class_group(order, disc_limit).representatives:
+    for form in summary.representatives:
         theta = form.theta()
         if not 0 < theta < 1:
             raise DomainError(f"theta of {form.to_json()} is not in (0, 1)")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
+import traceback
 
 import click
 
@@ -53,6 +54,13 @@ def _params(precision_bits, deg_bound, height_bound, conductor_direction,
                       recognition=not skip_recognition)
 
 
+def _internal_error(exc: Exception):
+    if not isinstance(exc, QuadexpError):  # a bug: keep its traceback
+        traceback.print_exc()
+    click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+    sys.exit(2)
+
+
 @click.group()
 def main():
     """Arithmetic verification runs for exponential values on quadratic fields."""
@@ -68,9 +76,8 @@ def case(d, json_path, **opts):
     except NotSquareFree as exc:
         click.echo(f"input error: {exc}", err=True)
         sys.exit(1)
-    except QuadexpError as exc:
-        click.echo(f"internal error: {exc}", err=True)
-        sys.exit(2)
+    except Exception as exc:
+        _internal_error(exc)
     payload = report.dumps()
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
@@ -92,9 +99,8 @@ def range_cmd(d_min, d_max, workers, csv_path, json_path, **opts):
     """Run all square-free d in [D_MIN, D_MAX]."""
     try:
         summary = run_range(d_min, d_max, _params(**opts), workers=workers)
-    except QuadexpError as exc:
-        click.echo(f"internal error: {exc}", err=True)
-        sys.exit(2)
+    except Exception as exc:
+        _internal_error(exc)
     if json_path:
         blob = [r.to_json() for r in summary.reports]
         with open(json_path, "w", encoding="utf-8") as fh:
@@ -117,9 +123,8 @@ def symbolic(suite, json_path):
     """Run one of the fixed symbolic verification suites."""
     try:
         checks = verify_symbolic(suite)
-    except QuadexpError as exc:
-        click.echo(f"internal error: {exc}", err=True)
-        sys.exit(2)
+    except Exception as exc:
+        _internal_error(exc)
     for c in checks:
         click.echo(f"{'PASS' if c.passed else 'FAIL'}  {c.name}")
     if json_path:

@@ -29,12 +29,10 @@ class NoMatchWithinBound(QuadexpError):
         self.search_bound = search_bound
 
 
-class PrecisionInsufficient(QuadexpError):
-    """Working precision too low to certify the result (modular layer)."""
-
-
 class InsufficientPrecision(QuadexpError):
-    """Input value carries too little trusted precision (recognition layer)."""
+    """Too little precision to certify a result: the working precision of a
+    class-polynomial computation (modular layer) or the trusted precision of
+    an input value (recognition layer)."""
 
 
 class DegenerateBasis(QuadexpError):

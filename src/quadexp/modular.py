@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import sympy
 
 from .classforms import class_group
-from .errors import DomainError, PrecisionInsufficient
+from .errors import DomainError, InsufficientPrecision
 from .numerics import (FixedComplex, FixedReal, GUARD_BITS, exp_cis,
                        exp_fixed, pi_fixed, sqrt_fixed, _ceil_div)
 from .quadfield import OrderDescriptor
@@ -248,9 +248,9 @@ def ring_class_polynomial_detailed(d: int, f: int, p: int,
             _cache_write(cache_dir, d, f, order.discriminant, summary.h,
                          result.polynomial, work)
             return result
-        except PrecisionInsufficient:
+        except InsufficientPrecision:
             work *= 2
-    raise PrecisionInsufficient(
+    raise InsufficientPrecision(
         f"class polynomial for (d={d}, f={f}) did not certify at {work} bits")
 
 
@@ -276,7 +276,7 @@ def _class_poly_attempt(forms, work: int, p: int) -> ClassPolynomialResult:
     for c in coeffs:
         val, gap = _certified_integer(c, work)
         if gap < ROUNDING_GAP_BITS:
-            raise PrecisionInsufficient("rounding gap too small")
+            raise InsufficientPrecision("rounding gap too small")
         gap_bits = min(gap_bits, gap)
         ints.append(val)
     poly = IntegerPolynomial(tuple(ints))
@@ -362,7 +362,7 @@ class ClassFieldDescriptor:
     def embedding_at(self, p: int) -> FixedComplex:
         if p <= self.precision_bits:
             return self.generator_embedding.rescale(p)
-        raise PrecisionInsufficient(
+        raise InsufficientPrecision(
             f"descriptor holds {self.precision_bits} bits, {p} requested")
 
     def to_json(self) -> dict:
@@ -397,7 +397,7 @@ def hcf_generator(d: int, f: int, p: int,
             emb = _gamma_embedding(detail, t, f, d, p)
             return ClassFieldDescriptor(d, f, cand.normalized(), emb,
                                         2 * h, hj, t, p)
-    raise PrecisionInsufficient("no squarefree translate found below 64")
+    raise InsufficientPrecision("no squarefree translate found below 64")
 
 
 def _gamma_embedding(detail: ClassPolynomialResult, t: int, f: int, d: int,

@@ -188,14 +188,8 @@ class FixedReal:
     def definitely_positive(self) -> bool:
         return self.mantissa > self.err_ulps
 
-    def definitely_negative(self) -> bool:
-        return self.mantissa < -self.err_ulps
-
     def abs_upper_ulps(self) -> int:
         return abs(self.mantissa) + self.err_ulps
-
-    def abs_lower_ulps(self) -> int:
-        return max(0, abs(self.mantissa) - self.err_ulps)
 
     def log2_abs_upper(self) -> int:
         """Smallest k with |value| + err <= 2**k, or a very negative sentinel."""
@@ -312,10 +306,6 @@ def _log2_mantissa(w: int) -> int:
         with _cache_lock:
             _log2_cache[w] = man
     return man
-
-
-def log2_fixed(p: int) -> FixedReal:
-    return FixedReal(_log2_mantissa(p), p, 2)
 
 
 # -- square root ---------------------------------------------------------------

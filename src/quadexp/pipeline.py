@@ -17,8 +17,7 @@ from fractions import Fraction
 
 from . import sklyanin
 from .classforms import class_group, match_conductor, pseudo_lattice_reps
-from .errors import (DomainError, NoMatchWithinBound, NotSquareFree,
-                     PrecisionInsufficient, QuadexpError)
+from .errors import DomainError, NoMatchWithinBound, NotSquareFree, QuadexpError
 from .modular import hcf_generator
 from .quadfield import OrderDescriptor, fundamental_unit, is_squarefree
 from .recognition import (DEFAULT_HEIGHT_BOUND, conjugacy_classes, evaluate_J,
@@ -154,14 +153,13 @@ def run_case(d: int, params: CaseParams = CaseParams()) -> CaseReport:
     digits = _digits_for(p)
     try:
         t0 = time.perf_counter()
-        frak_f, f_imag, h_common = _match(d, params, report)
+        f_imag, real_summary = _match(d, params, report)
         report.timing["conductor_s"] = time.perf_counter() - t0
 
-        real_order = OrderDescriptor("real", d, frak_f)
         t0 = time.perf_counter()
-        eps = fundamental_unit(real_order)
+        eps = fundamental_unit(real_summary.order)
         report.epsilon = eps.to_json()
-        thetas = pseudo_lattice_reps(real_order)
+        thetas = pseudo_lattice_reps(real_summary)
         report.theta_list = [r.to_json() for r in thetas]
         report.timing["lattices_s"] = time.perf_counter() - t0
 
@@ -180,6 +178,11 @@ def run_case(d: int, params: CaseParams = CaseParams()) -> CaseReport:
 
 
 def _match(d: int, params: CaseParams, report: CaseReport):
+    """Record the matched conductors and class numbers in the report.
+
+    Returns the imaginary conductor (None without a match) and the real
+    order's ``class_group``, which the pseudo-lattices are built from.
+    """
     if params.conductor_direction == "real-to-imag":
         given = OrderDescriptor("real", d, params.given_conductor)
     elif params.conductor_direction == "imag-to-real":
@@ -213,7 +216,7 @@ def _match(d: int, params: CaseParams, report: CaseReport):
         "real_representatives": [q.to_json() for q in real_summary.representatives],
         "imag_representatives": ([q.to_json() for q in imag_summary.representatives]
                                  if imag_summary else None)}
-    return frak_f, f_imag, h_common
+    return f_imag, real_summary
 
 
 def _recognition_stage(d, f_imag, jvals, params, report):
@@ -222,7 +225,7 @@ def _recognition_stage(d, f_imag, jvals, params, report):
     try:
         descriptor = hcf_generator(d, f_imag, 2 * p, params.cache_dir)
         report.field_descriptor = descriptor.to_json()
-    except (PrecisionInsufficient, QuadexpError) as exc:
+    except QuadexpError as exc:
         report.errors.append(f"{type(exc).__name__}: {exc}")
         descriptor = None
     report.timing["class_field_s"] = time.perf_counter() - t0

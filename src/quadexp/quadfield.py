@@ -469,6 +469,11 @@ def _moebius(mat, x: QuadraticIrrational) -> QuadraticIrrational:
     return (x * a + b) / (x * c + d)
 
 
+def _check_witness(mat, theta, theta2) -> None:
+    if _moebius(mat, theta) != theta2:
+        raise DomainError(f"witness {mat} does not map {theta!r} to {theta2!r}")
+
+
 def _mat_mul(m1, m2):
     a, b, c, d = m1
     e, f, g, h = m2
@@ -504,7 +509,7 @@ def sl2_equivalent(theta: QuadraticIrrational,
     w = _mat_mul(m2, _adjugate(m1))
     det = (-1) ** (i1 + i2)
     if det == 1:
-        assert _moebius(w, theta) == theta2
+        _check_witness(w, theta, theta2)
         return EquivalenceResult(True, True, witness=w, witness_gl2=w)
     if l1 % 2 == 1:
         # going once more around the cycle flips the parity
@@ -512,7 +517,7 @@ def sl2_equivalent(theta: QuadraticIrrational,
                for j in range(i2 + l1)]
         m2b = _convergent_matrix(ext)
         w2 = _mat_mul(m2b, _adjugate(m1))
-        assert _moebius(w2, theta) == theta2
+        _check_witness(w2, theta, theta2)
         return EquivalenceResult(True, True, witness=w2, witness_gl2=w)
-    assert _moebius(w, theta) == theta2
+    _check_witness(w, theta, theta2)
     return EquivalenceResult(False, True, witness_gl2=w)

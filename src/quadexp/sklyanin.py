@@ -322,13 +322,6 @@ class RelationSystem:
             out.extend(rel.rewrites(f"{self.name}.{i + 1}"))
         return sorted(out, key=lambda r: deglex_key(r.lhs), reverse=True)
 
-    def unit_rules(self) -> list[RewriteRule]:
-        return [r for r in self.rewrites if r.is_unit_rule]
-
-    def non_unit_relations(self) -> list[Relation]:
-        return [rel for rel in self.relations
-                if not all(len(w) == 0 for w in rel.rhs.terms)]
-
     def to_json(self):
         return {"name": self.name,
                 "relations": [{"lhs": [word_str(w) for w in rel.lhs_words],

@@ -1,7 +1,6 @@
 import pytest
 
 from oracles import definite_class_number_orbit, min_unit_power_in_suborder
-from quadexp import classforms
 from quadexp.classforms import (BinaryQuadraticForm, ClassGroupSummary,
                                 class_group, match_conductor,
                                 order_class_number, pseudo_lattice_reps,
@@ -102,7 +101,7 @@ class TestReducedForms:
 
 class TestPseudoLattices:
     def test_d15_two_reps_principal_sqrt15(self):
-        reps = pseudo_lattice_reps(OrderDescriptor("real", 15, 1))
+        reps = pseudo_lattice_reps(class_group(OrderDescriptor("real", 15, 1)))
         assert len(reps) == 2
         r15 = QuadraticIrrational.sqrt_of(15)
         flags = [sl2_equivalent(r.theta, r15).sl2 for r in reps]
@@ -110,19 +109,20 @@ class TestPseudoLattices:
         assert not sl2_equivalent(reps[0].theta, reps[1].theta).gl2
 
     def test_d2_single(self):
-        reps = pseudo_lattice_reps(OrderDescriptor("real", 2, 1))
+        reps = pseudo_lattice_reps(class_group(OrderDescriptor("real", 2, 1)))
         assert len(reps) == 1
         assert sl2_equivalent(reps[0].theta, QuadraticIrrational.sqrt_of(2)).sl2
 
     def test_d5_golden(self):
-        reps = pseudo_lattice_reps(OrderDescriptor("real", 5, 1))
+        reps = pseudo_lattice_reps(class_group(OrderDescriptor("real", 5, 1)))
         assert len(reps) == 1
         golden = QuadraticIrrational(1, 1, 2, 5)
         assert sl2_equivalent(reps[0].theta, golden).sl2
 
     def test_root_consistency(self):
         for d in (15, 79, 82):
-            for rep in pseudo_lattice_reps(OrderDescriptor("real", d, 1)):
+            cg = class_group(OrderDescriptor("real", d, 1))
+            for rep in pseudo_lattice_reps(cg):
                 f = rep.source_form
                 th = rep.theta
                 val = th * th * f.a + th * f.b + f.c
@@ -131,20 +131,18 @@ class TestPseudoLattices:
 
     def test_count_matches_wide_h(self):
         for d in (15, 34, 79, 82, 105):
-            o = OrderDescriptor("real", d, 1)
-            assert len(pseudo_lattice_reps(o)) == class_group(o).h, d
+            cg = class_group(OrderDescriptor("real", d, 1))
+            assert len(pseudo_lattice_reps(cg)) == cg.h, d
 
     def test_imaginary_rejected(self):
         with pytest.raises(DomainError):
-            pseudo_lattice_reps(OrderDescriptor("imaginary", 15, 1))
+            pseudo_lattice_reps(class_group(OrderDescriptor("imaginary", 15, 1)))
 
-    def test_theta_outside_unit_interval_is_typed(self, monkeypatch):
+    def test_theta_outside_unit_interval_is_typed(self):
         order = OrderDescriptor("real", 5, 1)
         bad = BinaryQuadraticForm(1, -3, 1)  # larger root (3+sqrt5)/2 > 1
-        monkeypatch.setattr(classforms, "class_group",
-                            lambda o, disc_limit: ClassGroupSummary(o, 1, [bad], 1))
         with pytest.raises(DomainError):
-            pseudo_lattice_reps(order)
+            pseudo_lattice_reps(ClassGroupSummary(order, 1, [bad], 1))
 
 
 def _maximal(kind, d):

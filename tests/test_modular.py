@@ -5,9 +5,10 @@ import mpmath as mp
 import pytest
 
 from quadexp.classforms import class_group
-from quadexp.errors import DomainError
+from quadexp.errors import DomainError, InsufficientPrecision
 from quadexp.modular import (IntegerPolynomial, ROUNDING_GAP_BITS,
-                             hcf_generator, j_invariant, ring_class_polynomial,
+                             _class_poly_attempt, hcf_generator, j_invariant,
+                             ring_class_polynomial,
                              ring_class_polynomial_detailed, tau_from_form)
 from quadexp.numerics import FixedComplex, FixedReal, sqrt_fixed
 from quadexp.quadfield import OrderDescriptor
@@ -130,11 +131,8 @@ class TestPrecisionEscalation:
     def test_attempt_fails_below_certificate(self):
         # at starved precision the rounding gap cannot certify; the public
         # entry point escalates instead of silently rounding
-        from quadexp.classforms import class_group
-        from quadexp.errors import PrecisionInsufficient
-        from quadexp.modular import _class_poly_attempt
         forms = class_group(OrderDescriptor("imaginary", 23, 1)).representatives
-        with pytest.raises(PrecisionInsufficient):
+        with pytest.raises(InsufficientPrecision):
             _class_poly_attempt(forms, 64, 64)
         poly = ring_class_polynomial(23, 1, 64)
         assert poly.degree == 3  # h(-23) = 3, certified after escalation
@@ -146,6 +144,13 @@ class TestGenerator:
         assert desc.generator_minpoly.coefficients == (3, 0, 1)
         assert desc.degree == 2
         assert desc.translate == 1
+
+    def test_embedding_beyond_precision_is_typed(self):
+        # the modular layer raises the same precision error as recognition
+        desc = hcf_generator(3, 1, 256)
+        assert desc.embedding_at(128).re.scale_bits == 128
+        with pytest.raises(InsufficientPrecision):
+            desc.embedding_at(512)
 
     def test_d15_degree_four(self):
         desc = hcf_generator(15, 1, 512)

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from quadexp import cli
 from quadexp.cli import main
 from quadexp.errors import NotSquareFree
 from quadexp.pipeline import (CSV_HEADER, CaseParams, EXCLUDED_D, run_case,
@@ -168,3 +169,17 @@ class TestCLI:
         res = CliRunner().invoke(main, ["symbolic", "remark1"])
         assert res.exit_code == 0
         assert res.output.count("PASS") == 4
+
+    def test_unexpected_exception_exit2(self, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_case", crash)
+        monkeypatch.setattr(cli, "run_range", crash)
+        monkeypatch.setattr(cli, "verify_symbolic", crash)
+        for args in (["case", "15"], ["range", "13", "15"],
+                     ["symbolic", "jacobi"]):
+            res = CliRunner().invoke(main, args)
+            assert res.exit_code == 2, (args, res.output)
+            assert "internal error: RuntimeError: boom" in res.output
+            assert "Traceback" in res.output

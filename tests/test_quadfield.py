@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadexp import quadfield
 from quadexp.errors import DomainError, InputRational
 from quadexp.quadfield import (OrderDescriptor, QuadraticIrrational,
                                cf_expand, fundamental_unit, is_squarefree,
@@ -194,6 +195,19 @@ class TestEquivalence:
     def test_rational_rejected(self):
         with pytest.raises(InputRational):
             sl2_equivalent(QuadraticIrrational.from_rational(1), sqrtq(2))
+
+    @pytest.mark.parametrize("d, theta2", [
+        (3, lambda th: (th + 1) / (th + 2)),  # shift parity gives det +1
+        (2, lambda th: th + 1),               # odd period flips the parity
+        (15, lambda th: -th),                 # even period: GL2 witness only
+    ])
+    def test_wrong_witness_is_typed(self, monkeypatch, d, theta2):
+        th = sqrtq(d)
+        assert sl2_equivalent(th, theta2(th)).gl2
+        monkeypatch.setattr(quadfield, "_moebius",
+                            lambda mat, x: QuadraticIrrational.from_rational(0))
+        with pytest.raises(DomainError):
+            sl2_equivalent(th, theta2(th))
 
     def _random_sl2_image(self, rng, theta):
         mats = [(1, 1, 0, 1), (1, -1, 0, 1), (0, -1, 1, 0)]
