@@ -11,7 +11,7 @@ from __future__ import annotations
 BACKEND = "python"
 
 
-def lll_reduce_rows(rows, delta_num=99, delta_den=100, progressive=True):
+def lll_reduce_rows(rows, delta_num=99, delta_den=100):
     """Reduce integer basis rows in place semantics-free (a copy is made).
 
     Returns (reduced_rows, transform) where transform is the unimodular
@@ -19,9 +19,10 @@ def lll_reduce_rows(rows, delta_num=99, delta_den=100, progressive=True):
     rows are linearly dependent. delta_num/delta_den is the Lovász
     parameter, required to lie in (1/4, 1).
 
-    With progressive=True the reduction runs a ladder of increasing delta
-    values ending at the requested one; the final basis satisfies the
-    requested Lovász condition exactly, the ladder only saves swaps.
+    The reduction runs a ladder of increasing delta values, 3/4 and 9/10
+    where they lie below the requested one, ending at the requested one;
+    the final basis satisfies the requested Lovász condition exactly, the
+    ladder only saves swaps.
     """
     if not (0 < delta_num < delta_den and 4 * delta_num > delta_den):
         raise ValueError("delta must lie in (1/4, 1)")
@@ -49,10 +50,9 @@ def lll_reduce_rows(rows, delta_num=99, delta_den=100, progressive=True):
         raise ValueError("dependent rows (zero vector)")
     kmax = 1
 
-    ladder = [(3, 4), (9, 10), (delta_num, delta_den)] if progressive else []
-    ladder = [t for t in ladder if t[0] * delta_den <= delta_num * t[1]]
-    if not ladder or ladder[-1] != (delta_num, delta_den):
-        ladder.append((delta_num, delta_den))
+    ladder = [(num, den) for num, den in ((3, 4), (9, 10))
+              if num * delta_den < delta_num * den]
+    ladder.append((delta_num, delta_den))
 
     for num, den in ladder:
         k = 2

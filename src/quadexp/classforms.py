@@ -2,10 +2,11 @@
 
 Definite class numbers come from the |b| <= a <= c reduced-form box;
 indefinite ones from cycles of reduced forms under the reduction step.
-For real orders the headline class number is the wide (module) count,
-obtained by merging reduction cycles that are GL2(Z)-equivalent; the
-proper (form class / narrow) count is carried alongside, since the two
-differ exactly when every unit has norm +1.
+For real orders the headline class number is the wide (module) count.
+The narrow-to-wide map has kernel {1, [-1]}, so a wide class is a
+reduction cycle C together with its negative -C, the cycle of the forms
+(-a, b, -c); C = -C exactly when a unit of norm -1 exists. The proper
+(form class / narrow) count, the number of cycles, is carried alongside.
 
 Conductor matching needs only class numbers, and takes them from the
 class-number formula for orders (Cox, *Primes of the form x^2+ny^2*,
@@ -13,8 +14,9 @@ Thm 7.24; Buchmann-Vollmer, *Binary Quadratic Forms*, for real orders):
 
     h(O_f) = h(O_K) f / [O_K^*:O_f^*] prod_{p | f} (1 - (d_K/p)/p).
 
-Forms are enumerated only for h(O_K) and the given order; the callers
-enumerate the two matched orders for their representatives.
+Forms are enumerated only for h(O_K) and the given order; both summaries
+come back with the match, so a caller enumerates a matched order again
+only when its conductor is above 1.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from math import gcd, isqrt
 
 from .errors import BoundExceeded, DomainError, NoMatchWithinBound
 from .quadfield import (OrderDescriptor, QuadraticIrrational, _in_order,
-                        fundamental_unit, sl2_equivalent)
+                        fundamental_unit)
 
 DEFAULT_DISC_LIMIT = 10**8
 
@@ -182,6 +184,9 @@ class ConductorMatch:
     given_conductor: int
     matched_conductor: int
     h_common: int
+    # the two class groups the match enumerated; not part of the report
+    given_classes: ClassGroupSummary
+    opposite_maximal_classes: ClassGroupSummary
 
     def to_json(self) -> dict:
         return {"given_side": self.given_side,
@@ -206,8 +211,9 @@ def class_group(order: OrderDescriptor,
     """Class number and one reduced representative per class.
 
     Imaginary side: count of primitive reduced definite forms. Real side:
-    h is the number of GL2-merged cycle classes (module classes); h_proper
-    counts the cycles themselves.
+    h_proper counts the reduction cycles, and h counts the module (wide)
+    classes, each a cycle paired with its negative (see ``_wide_classes``).
+    Representatives come principal class first, then by (a, b, c).
     """
     _check_disc_limit(order, disc_limit)
     disc = order.discriminant
@@ -215,68 +221,50 @@ def class_group(order: OrderDescriptor,
         forms = _definite_reduced_forms(disc)
         return ClassGroupSummary(order, len(forms), forms, len(forms))
     cycles = _indefinite_cycles(_indefinite_reduced_forms(disc))
-    merged = _merge_wide(cycles)
-    principal_cycle = _cycle_of_principal(cycles, disc)
-    ordered = _order_groups(merged, principal_cycle)
-    reps = [_group_representative(grp, principal_cycle) for grp in ordered]
-    return ClassGroupSummary(order, len(merged), reps, len(cycles))
+    reps = _wide_classes(cycles, disc)
+    return ClassGroupSummary(order, len(reps), reps, len(cycles))
 
 
-def _has_cycle(group, cycle) -> bool:
-    return any(c is cycle for c in group)
+def _wide_classes(cycles, disc) -> list[BinaryQuadraticForm]:
+    """One representative per pair {C, -C} of cycles, principal pair first.
+
+    The narrow-to-wide map has kernel {1, [-1]} (Buchmann-Vollmer, *Binary
+    Quadratic Forms*), and [-1][f] is the class of -f = (-a, b, -c). Since
+    reduced-ness depends only on |a| and b, and rho(-f) = -rho(f), the
+    negatives of a cycle's forms make up a cycle again. A pair keeps the
+    principal cycle's representative when it holds that cycle, and the
+    lower-index cycle's otherwise.
+    """
+    index = {q: i for i, cyc in enumerate(cycles) for q in cyc}
+
+    def cycle_of(q: BinaryQuadraticForm) -> int:
+        if q not in index:
+            raise DomainError(f"form {q.to_json()} lies on no reduced cycle "
+                              f"of discriminant {disc}")
+        return index[q]
+
+    principal = cycle_of(_reduced_principal_form(disc))
+    partner = [cycle_of(BinaryQuadraticForm(-q.a, q.b, -q.c))
+               for q in (cyc[0] for cyc in cycles)]
+    others = [_cycle_representative(cycles[i]) for i, j in enumerate(partner)
+              if principal not in (i, j) and i <= j]
+    return ([_cycle_representative(cycles[principal])]
+            + sorted(others, key=lambda f: (f.a, f.b, f.c)))
 
 
-def _group_representative(group, principal_cycle) -> BinaryQuadraticForm:
-    for cyc in group:
-        if cyc is principal_cycle:
-            return _cycle_representative(cyc)
-    return _cycle_representative(group[0])
-
-
-def _order_groups(merged, principal_cycle):
-    def key(grp):
-        f = _group_representative(grp, principal_cycle)
-        return (not _has_cycle(grp, principal_cycle), f.a, f.b, f.c)
-
-    return sorted(merged, key=key)
-
-
-def _cycle_of_principal(cycles, disc):
-    pf = _principal_form(disc)
+def _reduced_principal_form(disc) -> BinaryQuadraticForm:
     # the principal form may not be reduced; walk it into the reduced set
-    f = pf
+    f = _principal_form(disc)
     for _ in range(4 * (isqrt(abs(disc)) + 2)):
         if f.is_reduced_indefinite():
             break
         f = f.rho()
-    for cyc in cycles:
-        if f in cyc:
-            return cyc
-    raise DomainError("principal cycle not found")
+    return f
 
 
 def _cycle_representative(cycle) -> BinaryQuadraticForm:
     pos = [f for f in cycle if f.a > 0]
     return sorted(pos, key=lambda f: (f.a, f.b, f.c))[0]
-
-
-def _merge_wide(cycles) -> list[list[list[BinaryQuadraticForm]]]:
-    """Group proper cycles into GL2(Z) (module) classes via theta tails."""
-    thetas = [_cycle_representative(c).theta() for c in cycles]
-    n = len(cycles)
-    groups: list[list[int]] = []
-    assigned = [False] * n
-    for i in range(n):
-        if assigned[i]:
-            continue
-        grp = [i]
-        assigned[i] = True
-        for j in range(i + 1, n):
-            if not assigned[j] and sl2_equivalent(thetas[i], thetas[j]).gl2:
-                grp.append(j)
-                assigned[j] = True
-        groups.append(grp)
-    return [[cycles[i] for i in grp] for grp in groups]
 
 
 def pseudo_lattice_reps(summary: ClassGroupSummary) -> list[PseudoLatticeRep]:
@@ -377,19 +365,21 @@ def match_conductor(given: OrderDescriptor, search_bound: int = 100,
     """Least conductor on the opposite side with the same class number.
 
     Reduced forms are enumerated for the given order and the opposite
-    maximal order only; every other candidate's class number comes from
-    ``order_class_number``.
+    maximal order only, and both summaries are returned with the match;
+    every other candidate's class number comes from ``order_class_number``.
     """
-    h_given = class_group(given, disc_limit).h
+    given_classes = class_group(given, disc_limit)
+    h_given = given_classes.h
     for f in range(1, search_bound + 1):
         other = given.opposite(f)
         if f == 1:
-            h_max = class_group(other, disc_limit).h
+            maximal_classes = class_group(other, disc_limit)
             unit = (fundamental_unit(other).value
                     if other.field_kind == "real" else None)
         else:
             _check_disc_limit(other, disc_limit)
-        if order_class_number(other, h_max, unit) == h_given:
-            return ConductorMatch(given.field_kind, given.conductor, f, h_given)
+        if order_class_number(other, maximal_classes.h, unit) == h_given:
+            return ConductorMatch(given.field_kind, given.conductor, f, h_given,
+                                  given_classes, maximal_classes)
     raise NoMatchWithinBound(
         f"no conductor <= {search_bound} matches h={h_given}", search_bound)

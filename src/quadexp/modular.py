@@ -99,12 +99,6 @@ class IntegerPolynomial:
         p = self._sympy()
         return sympy.gcd(p, p.diff()).degree() == 0
 
-    def derivative(self) -> "IntegerPolynomial":
-        c = self.coefficients
-        if len(c) == 1:
-            return IntegerPolynomial((0,))
-        return IntegerPolynomial(tuple(i * c[i] for i in range(1, len(c))))
-
     def discriminant(self) -> int:
         return int(self._sympy().discriminant())
 

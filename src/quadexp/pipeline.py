@@ -20,8 +20,8 @@ from .classforms import class_group, match_conductor, pseudo_lattice_reps
 from .errors import DomainError, NoMatchWithinBound, NotSquareFree, QuadexpError
 from .modular import hcf_generator
 from .quadfield import OrderDescriptor, fundamental_unit, is_squarefree
-from .recognition import (DEFAULT_HEIGHT_BOUND, conjugacy_classes, evaluate_J,
-                          member_of_field, min_poly)
+from .recognition import (DEFAULT_DELTA, DEFAULT_HEIGHT_BOUND, conjugacy_classes,
+                          evaluate_J, member_of_field, min_poly)
 from .sklyanin import (Involution, NCPolynomial, ONE, RelationSystem, ZETA_C,
                        ZETA_INV, MU_C, build_system, check_derivation,
                        jacobi_coefficients, star_invariance_constraints,
@@ -42,7 +42,6 @@ class CaseParams:
     cache_dir: str | None = None
     given_conductor: int = 1
     recognition: bool = True
-    delta: Fraction = Fraction(99, 100)
 
     def to_json(self) -> dict:
         return {"precision_bits": self.precision_bits,
@@ -52,7 +51,7 @@ class CaseParams:
                 "search_bound": self.search_bound,
                 "given_conductor": self.given_conductor,
                 "recognition": self.recognition,
-                "delta": [self.delta.numerator, self.delta.denominator]}
+                "delta": [DEFAULT_DELTA.numerator, DEFAULT_DELTA.denominator]}
 
 
 @dataclass
@@ -195,16 +194,15 @@ def _match(d: int, params: CaseParams, report: CaseReport):
         h_common = match.h_common
     except NoMatchWithinBound as exc:
         report.errors.append(f"NoMatchWithinBound: {exc}")
-        matched = None
-        h_common = None
+        match = matched = h_common = None
     if given.field_kind == "real":
         frak_f, f_imag = given.conductor, matched
     else:
         frak_f, f_imag = matched, given.conductor
     if frak_f is None:
         raise NoMatchWithinBound("no real conductor matched", params.search_bound)
-    real_summary = class_group(OrderDescriptor("real", d, frak_f))
-    imag_summary = (class_group(OrderDescriptor("imaginary", d, f_imag))
+    real_summary = _summary(match, OrderDescriptor("real", d, frak_f))
+    imag_summary = (_summary(match, OrderDescriptor("imaginary", d, f_imag))
                     if f_imag is not None else None)
     report.conductors = {"frak_f": frak_f, "f": f_imag,
                          "direction": params.conductor_direction}
@@ -217,6 +215,16 @@ def _match(d: int, params: CaseParams, report: CaseReport):
         "imag_representatives": ([q.to_json() for q in imag_summary.representatives]
                                  if imag_summary else None)}
     return f_imag, real_summary
+
+
+def _summary(match, order: OrderDescriptor):
+    """The order's ``class_group``, reused from the match when it has it."""
+    if match is not None:
+        if order.field_kind == match.given_side:
+            return match.given_classes
+        if order.conductor == 1:
+            return match.opposite_maximal_classes
+    return class_group(order)
 
 
 def _recognition_stage(d, f_imag, jvals, params, report):

@@ -310,7 +310,6 @@ class Relation:
 class RelationSystem:
     name: str
     relations: list[Relation]
-    generator_labels: tuple[str, str, str, str] = ("x1", "x2", "x3", "x4")
 
     def __len__(self):
         return len(self.relations)
@@ -347,8 +346,7 @@ def build_system(kind: str) -> RelationSystem:
         rows = _scaled_rows(ZETA_C, ZETA_C, ZETA_INV, ZETA_INV)
         rows.append(_rel([(2, 1), (1, 2)], NCPolynomial.unit()))
         rows.append(_rel([(4, 3), (3, 4)], NCPolynomial.unit()))
-        labels = ("u", "u*", "v", "v*") if kind == "torus_eq2" else ("x1", "x2", "x3", "x4")
-        return RelationSystem(kind, rows, labels)
+        return RelationSystem(kind, rows)
     if kind in ("sklyanin_eq9", "sklyanin_eq14"):
         rows = _scaled_rows(MU_C * ZETA_C, MU_INV * ZETA_C,
                             MU_C * ZETA_INV, MU_INV * ZETA_INV)
@@ -459,7 +457,6 @@ class OverlapFinding:
 class CompletedSystem:
     rules: list[RewriteRule]
     findings: list[OverlapFinding]
-    source: str
 
     @property
     def nonconfluent(self) -> list[OverlapFinding]:
@@ -560,7 +557,7 @@ def complete(system: RelationSystem, degree_bound: int = 6,
         enqueue_pairs(len(rules) - 1)
         queue[qi:] = sorted(queue[qi:], key=lambda t: (deglex_key(t[0]), t[1], t[2]))
     rules.sort(key=lambda r: deglex_key(r.lhs), reverse=True)
-    return CompletedSystem(rules, findings, system.name)
+    return CompletedSystem(rules, findings)
 
 
 def _find_sub(w: Word, sub: Word, prefer_late: bool = False):
@@ -793,7 +790,7 @@ def substitute_coefficients(system: RelationSystem,
                      NCPolynomial({w: sub_coeff(c)
                                    for w, c in rel.rhs.terms.items()}))
             for rel in system.relations]
-    return RelationSystem(f"{system.name}|subst", rels, system.generator_labels)
+    return RelationSystem(f"{system.name}|subst", rels)
 
 
 def systems_identical(a: RelationSystem, b: RelationSystem) -> bool:

@@ -1,9 +1,12 @@
 """Independent reference implementations used only to cross-check results.
 
-Nothing here shares code paths with the library: class numbers come from
-union-find orbit closure under the elementary substitutions, units from a
-direct Pell scan, Lovasz conditions from rational Gram-Schmidt, and short
-vectors from exhaustive enumeration.
+Almost nothing here shares code paths with the library: class numbers come
+from union-find orbit closure under the elementary substitutions, units from
+a direct Pell scan, Lovasz conditions from rational Gram-Schmidt, and short
+vectors from exhaustive enumeration. The exception is ``wide_classes_gl2``:
+it reuses the library's reduced forms, reduction cycles and continued-fraction
+equivalence test, and only its grouping of cycles into module classes (a
+pairwise GL2(Z) merge) is independent of ``class_group``'s.
 """
 
 from __future__ import annotations
@@ -85,6 +88,50 @@ def min_unit_power_in_suborder(eps1, order) -> object:
             return value
         value = value * eps1
     raise AssertionError("no unit power landed in the suborder below 64")
+
+
+def wide_classes_gl2(cycles, disc: int) -> list:
+    """Module (wide) class representatives of a real order by GL2(Z) merging.
+
+    ``cycles`` are the reduction cycles of discriminant disc > 0. Two cycles
+    share a class when the larger roots of their least positive-a forms are
+    GL2(Z)-equivalent (``sl2_equivalent``), tested for every pair. A class
+    takes the representative of the principal cycle when it holds it, of its
+    lowest-index cycle otherwise; the principal class comes first, the rest
+    sorted by (a, b, c).
+    """
+    from quadexp.classforms import BinaryQuadraticForm
+    from quadexp.quadfield import sl2_equivalent
+
+    def key(form):
+        return (form.a, form.b, form.c)
+
+    def representative(cycle):
+        return min((form for form in cycle if form.a > 0), key=key)
+
+    thetas = [representative(cycle).theta() for cycle in cycles]
+    groups, assigned = [], set()
+    for i in range(len(cycles)):
+        if i in assigned:
+            continue
+        group = [i] + [j for j in range(i + 1, len(cycles)) if j not in assigned
+                       and sl2_equivalent(thetas[i], thetas[j]).gl2]
+        assigned.update(group)
+        groups.append(group)
+
+    members = {form: i for i, cycle in enumerate(cycles) for form in cycle}
+    b = disc & 1
+    form = BinaryQuadraticForm(1, b, (b * b - disc) // 4)
+    for _ in range(4 * (isqrt(disc) + 2)):
+        if form in members:
+            break
+        form = form.rho()
+    principal = members[form]
+
+    reps = [representative(cycles[principal if principal in group else group[0]])
+            for group in groups]
+    first = next(k for k, group in enumerate(groups) if principal in group)
+    return [reps[first]] + sorted(reps[:first] + reps[first + 1:], key=key)
 
 
 def gram_schmidt_mu(rows):

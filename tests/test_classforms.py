@@ -1,13 +1,24 @@
 import pytest
 
-from oracles import definite_class_number_orbit, min_unit_power_in_suborder
+from oracles import (definite_class_number_orbit, min_unit_power_in_suborder,
+                     wide_classes_gl2)
 from quadexp.classforms import (BinaryQuadraticForm, ClassGroupSummary,
-                                class_group, match_conductor,
+                                _indefinite_cycles, _indefinite_reduced_forms,
+                                _wide_classes, class_group, match_conductor,
                                 order_class_number, pseudo_lattice_reps,
                                 unit_index)
 from quadexp.errors import BoundExceeded, DomainError, NoMatchWithinBound
 from quadexp.quadfield import (OrderDescriptor, QuadraticIrrational,
                                fundamental_unit, is_squarefree, sl2_equivalent)
+
+
+def _real_orders(d_max=60, f_max=10):
+    return [OrderDescriptor("real", d, f) for d in range(2, d_max)
+            if is_squarefree(d) for f in range(1, f_max + 1)]
+
+
+def _negated(q):
+    return BinaryQuadraticForm(-q.a, q.b, -q.c)
 
 
 class TestClassGroup:
@@ -35,13 +46,34 @@ class TestClassGroup:
 
     def test_wide_vs_unit_norm(self):
         # h_wide = h_proper iff a norm -1 unit exists, else h_proper / 2
-        for d in (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26):
-            o = OrderDescriptor("real", d, 1)
+        for o in _real_orders():
             cg = class_group(o)
             if fundamental_unit(o).norm == -1:
-                assert cg.h == cg.h_proper, d
+                assert cg.h == cg.h_proper, o
             else:
-                assert 2 * cg.h == cg.h_proper, d
+                assert 2 * cg.h == cg.h_proper, o
+
+    def test_wide_classes_match_gl2_merge_oracle(self):
+        orders = _real_orders()
+        assert len(orders) == 360
+        for o in orders:
+            cycles = _indefinite_cycles(_indefinite_reduced_forms(o.discriminant))
+            reps = wide_classes_gl2(cycles, o.discriminant)
+            cg = class_group(o)
+            assert (cg.h, cg.h_proper, cg.representatives) == \
+                (len(reps), len(cycles), reps), o
+
+    def test_missing_cycle_is_typed(self):
+        cycles = _indefinite_cycles(_indefinite_reduced_forms(60))
+        principal = next(i for i, cyc in enumerate(cycles)
+                         if BinaryQuadraticForm(1, 6, -6) in cyc)
+        partner = next(i for i, cyc in enumerate(cycles)
+                       if _negated(cycles[principal][0]) in cyc)
+        assert partner != principal  # d = 15 has no unit of norm -1
+        with pytest.raises(DomainError, match="lies on no reduced cycle"):
+            _wide_classes([c for i, c in enumerate(cycles) if i != principal], 60)
+        with pytest.raises(DomainError, match="lies on no reduced cycle"):
+            _wide_classes([cycles[principal]], 60)
 
     def test_nonmaximal_orders(self):
         # direct enumeration handles conductor > 1 on both sides
@@ -97,6 +129,16 @@ class TestReducedForms:
             g = g.rho()
         assert all(h.is_reduced_indefinite() for h in cycle)
         assert len(cycle) % 2 == 0
+
+    def test_rho_commutes_with_negation(self):
+        # rho(-q) = -rho(q), so the negatives of a cycle form a cycle
+        checked = 0
+        for o in _real_orders():
+            for q in _indefinite_reduced_forms(o.discriminant):
+                assert _negated(q).is_reduced_indefinite(), q
+                assert _negated(q).rho() == _negated(q.rho()), q
+                checked += 1
+        assert checked > 16000
 
 
 class TestPseudoLattices:

@@ -1,9 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from quadexp import cli
+from quadexp import classforms, cli, pipeline, recognition
 from quadexp.cli import main
 from quadexp.errors import NotSquareFree
 from quadexp.pipeline import (CSV_HEADER, CaseParams, EXCLUDED_D, run_case,
@@ -67,6 +68,35 @@ class TestRunCase:
         r = run_case(15, CaseParams(precision_bits=256, recognition=False,
                                     conductor_direction="sideways"))
         assert r.errors == ["DomainError: bad direction sideways"]
+
+    @pytest.mark.parametrize("direction", ["real-to-imag", "imag-to-real"])
+    def test_each_order_enumerated_once(self, monkeypatch, direction):
+        seen = []
+        original = classforms.class_group
+
+        def counting(order, *args, **kwargs):
+            seen.append((order.field_kind, order.d, order.conductor))
+            return original(order, *args, **kwargs)
+
+        monkeypatch.setattr(classforms, "class_group", counting)
+        monkeypatch.setattr(pipeline, "class_group", counting)
+        r = run_case(15, CaseParams(recognition=False,
+                                    conductor_direction=direction))
+        assert not r.errors
+        assert sorted(seen) == [("imaginary", 15, 1), ("real", 15, 1)]
+
+    def test_lll_runs_at_reported_delta(self, monkeypatch):
+        deltas = []
+        original = recognition.lll_reduce
+
+        def spy(basis, delta=recognition.DEFAULT_DELTA, check_transform=None):
+            deltas.append(delta)
+            return original(basis, delta, check_transform)
+
+        monkeypatch.setattr(recognition, "lll_reduce", spy)
+        r = run_case(15, CaseParams(precision_bits=256))
+        reported = Fraction(*r.to_json()["params"]["delta"])
+        assert deltas and set(deltas) == {reported}
 
     def test_no_match_recorded(self):
         r = run_case(15, CaseParams(precision_bits=256, recognition=False,

@@ -38,15 +38,19 @@ class TestLLL:
         assert lovasz_holds(r.basis, Fraction(99, 100))
 
     def test_exact_lovasz_on_random(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            n = rng.randint(2, 5)
-            rows = [[rng.randint(-999, 999) for _ in range(n + 1)] for _ in range(n)]
-            try:
-                r = lll_reduce(rows)
-            except DegenerateBasis:
-                continue
-            assert lovasz_holds(r.basis, Fraction(99, 100))
+        # deltas below, at and between the kernel's 3/4 and 9/10 ladder rungs
+        for delta in (Fraction(1, 2), Fraction(3, 4), Fraction(9, 10),
+                      Fraction(99, 100)):
+            rng = random.Random(5)
+            for _ in range(20):
+                n = rng.randint(2, 5)
+                rows = [[rng.randint(-999, 999) for _ in range(n + 1)]
+                        for _ in range(n)]
+                try:
+                    r = lll_reduce(rows, delta)
+                except DegenerateBasis:
+                    continue
+                assert lovasz_holds(r.basis, delta), delta
 
     def test_shortest_vector_quality(self):
         rng = random.Random(11)
