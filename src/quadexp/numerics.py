@@ -460,7 +460,7 @@ def exp_cis(theta: FixedReal, p: int) -> FixedComplex:
     o = (mf + (1 << (w - 4))) >> (w - 3)
     r = mf - (o << (w - 3))
     o &= 7
-    pim = _size_pi(w)
+    pim = pi_fixed(w).mantissa
     phi = _rshift_round(2 * pim * r, w)  # |phi| <= 2 pi / 16 < 0.3927
     c, s, serr = _cos_sin_series(phi, w)
     # rotate by o eighths of a turn
@@ -488,11 +488,3 @@ def _rotate_quarters(c: int, s: int, quarters: int):
     if quarters == 2:
         return -c, -s
     return s, -c
-
-
-def _size_pi(w: int) -> int:
-    with _cache_lock:
-        man = _pi_cache.get(w)
-    if man is not None:
-        return man
-    return pi_fixed(w).mantissa

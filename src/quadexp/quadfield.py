@@ -312,11 +312,7 @@ class CFExpansion:
         """Exact value of the expansion; inverse of cf_expand."""
         if not self.period:
             raise DomainError("period must be nonempty")
-        p, pp = 1, 0  # convergent numerators over one period
-        q, qq = 0, 1
-        for a in self.period:
-            p, pp = a * p + pp, p
-            q, qq = a * q + qq, q
+        p, pp, q, qq = _convergent_matrix(self.period)
         # periodic tail y satisfies q y^2 + (qq - p) y - pp = 0; reduce the
         # content first so the radicand to split stays small
         ca, cb, cc = q, qq - p, -pp
@@ -389,11 +385,7 @@ def fundamental_unit(order: OrderDescriptor) -> UnitElement:
     omega = _order_generator(order)
     digits, states, k, ell = _expansion_states(omega)
     xi = states[k]
-    p, pp = 1, 0
-    q, qq = 0, 1
-    for a in digits[k:k + ell]:
-        p, pp = a * p + pp, p
-        q, qq = a * q + qq, q
+    _p, _pp, q, qq = _convergent_matrix(digits[k:k + ell])
     eps = xi * q + qq
     n = eps.norm()
     if n not in (1, -1):

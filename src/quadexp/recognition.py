@@ -4,9 +4,13 @@ J(x, y) = exp(2 pi i x + log log y) is evaluated along two independent
 routes (the product form (log y) e^{2 pi i x} and the exponential form)
 which must agree within their combined error bounds. Recognition builds
 an algdep-style integer lattice from scaled real and imaginary parts of
-powers, reduces it exactly, and only accepts a candidate relation after
-it survives irreducibility, height, and a re-evaluation of the residual
-at doubled working precision.
+the elements, reduces it exactly, and only accepts a candidate relation
+after it survives irreducibility, height, and a certified residual bound,
+evaluated on the same working-precision elements the lattice was built
+from. The residual is certified at that working precision only: a value
+that is correct to fewer bits than it claims cannot be told apart here.
+Evidence at doubled precision comes from the caller re-evaluating the
+value at 2p and searching again (the pipeline's stability stage).
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from .errors import (DegenerateBasis, DomainError, InputRational,
                      InsufficientPrecision)
 from .modular import ClassFieldDescriptor, IntegerPolynomial
 from .numerics import (FixedComplex, FixedReal, GUARD_BITS, _ceil_div,
-                       _log_positive, exp_cis, exp_fixed, log_fixed)
+                       _log_positive, _rshift_round, exp_cis, exp_fixed,
+                       log_fixed)
 from .quadfield import QuadraticIrrational, UnitElement
 
 DEFAULT_DELTA = Fraction(99, 100)
@@ -37,25 +42,27 @@ def _strict_checks() -> bool:
 
 
 def _j_routes(x: FixedReal, y: FixedReal, w: int):
-    """Product and exponential forms of J plus mu = log y, all at scale w."""
+    """J in product form plus mu = log y, both at scale w.
+
+    The exponential form is computed too; disagreement beyond the combined
+    bounds means a numerics bug and raises.
+    """
     mu = log_fixed(y, w)
     phase = exp_cis(x, w)
     product = phase * mu
-    radial = exp_fixed(_log_positive(mu, w), w)
-    expform = phase * radial
-    return product, expform, mu
+    expform = phase * exp_fixed(_log_positive(mu, w), w)
+    if not product.indistinguishable(expform):
+        raise DomainError("independent J evaluation routes disagree")
+    return product, mu
 
 
 def j_function(x: FixedReal, y: FixedReal, p: int) -> FixedComplex:
     """Raw transcendental map for probe arguments; y > 1 required.
 
-    Both evaluation routes are computed; disagreement beyond the combined
-    bounds means a numerics bug and raises.
+    Both evaluation routes are computed and must agree (see ``_j_routes``).
     """
     w = p + GUARD_BITS
-    product, expform, _mu = _j_routes(x.rescale(w), y.rescale(w), w)
-    if not product.indistinguishable(expform):
-        raise DomainError("independent J evaluation routes disagree")
+    product, _mu = _j_routes(x.rescale(w), y.rescale(w), w)
     return product.rescale(p)
 
 
@@ -91,9 +98,7 @@ def evaluate_J(theta: QuadraticIrrational, epsilon: UnitElement, p: int,
     w = p + GUARD_BITS
     x = theta.to_fixed(w)
     y = epsilon.value.to_fixed(w)
-    product, expform, mu = _j_routes(x, y, w)
-    if not product.indistinguishable(expform):
-        raise DomainError("independent J evaluation routes disagree")
+    product, mu = _j_routes(x, y, w)
     value = product.rescale(p)
     jv = JValue(theta, epsilon, mu.rescale(p), value, p)
     # |J| must match mu within bounds (modulus is derived, never stored)
@@ -214,23 +219,14 @@ def _scale_for(deg_bound: int, height_bound: int, trusted: int) -> int:
     return max(64, min(trusted - 8, cap))
 
 
-def _scaled_int(x: FixedReal, s: int) -> int:
-    d = x.scale_bits - s
-    if d >= 0:
-        h = 1 << (d - 1) if d else 0
-        m = x.mantissa
-        return (m + h) >> d if m >= 0 else -((-m + h) >> d)
-    return x.mantissa << (-d)
-
-
 def _power_rows(elements: list[FixedComplex], s: int) -> list[list[int]]:
     n = len(elements)
     rows = []
     for k, z in enumerate(elements):
         row = [0] * n
         row[k] = 1
-        row.append(_scaled_int(z.re, s))
-        row.append(_scaled_int(z.im, s))
+        row.append(_rshift_round(z.re.mantissa, z.re.scale_bits - s))
+        row.append(_rshift_round(z.im.mantissa, z.im.scale_bits - s))
         rows.append(row)
     return rows
 
@@ -242,10 +238,23 @@ def _exclusion_height(first_row: list[int], n: int) -> int:
     return isqrt(max(0, lam2 // max(1, n)))
 
 
-def _residual_upper(value: FixedComplex) -> tuple[int, int]:
-    """(ulps, scale) certified upper bound for |value|, as re+im envelope."""
-    u = value.re.abs_upper_ulps() + value.im.abs_upper_ulps()
-    return u, value.re.scale_bits
+def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
+                     height_bound: int, delta: Fraction):
+    """Exact LLL on the scaled lattice of elements built from z.
+
+    The trusted bits of the p-bit input z set the lattice scale and the
+    acceptance threshold. Returns the coefficient parts of the first (at
+    most six) reduced rows, the threshold in decimal digits (a candidate's
+    residual must fall below 10**-threshold), and the exclusion height
+    implied by the first reduced row.
+    """
+    trusted = _trusted_bits(z, p)
+    threshold_digits = (8 * int(trusted * LOG10_2)) // 10
+    n = len(elements)
+    s = _scale_for(n - 1, height_bound, trusted)
+    basis = lll_reduce(_power_rows(elements, s), delta).basis
+    return ([row[:n] for row in basis[:6]], threshold_digits,
+            _exclusion_height(basis[0], n))
 
 
 def _below_threshold(ulps: int, scale: int, digits10: int) -> bool:
@@ -267,28 +276,20 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
 
     Candidates come from exact LLL on the scaled-power lattice; acceptance
     requires an irreducible polynomial of height at most height_bound whose
-    certified residual at doubled working precision clears the
-    10**(-0.8 digits) threshold.
+    certified residual at z, evaluated at the lattice's working precision
+    (p + GUARD_BITS), clears the 10**(-0.8 digits) threshold.
     """
     if deg_bound < 1:
         raise DomainError("deg_bound must be >= 1")
-    trusted = _trusted_bits(z, p)
-    digits = int(trusted * LOG10_2)
-    threshold_digits = (8 * digits) // 10
-    s = _scale_for(deg_bound, height_bound, trusted)
-
     w = p + GUARD_BITS
     zw = z.rescale(w)
     powers = [FixedComplex.from_int(1, w)]
     for _ in range(deg_bound):
         powers.append(powers[-1] * zw)
-    rows = _power_rows(powers, s)
-    result = lll_reduce(rows, delta)
-    n = deg_bound + 1
+    rows, threshold_digits, excl = _relation_search(
+        z, p, powers, height_bound, delta)
 
-    z2 = z.rescale(2 * p)
-    for row in result.basis[: min(6, len(result.basis))]:
-        coeffs = row[:n]
+    for coeffs in rows:
         if not any(coeffs):
             continue
         candidate = IntegerPolynomial(tuple(coeffs))
@@ -296,13 +297,11 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
             poly = fac.normalized() if fac.leading < 0 else fac
             if poly.height > height_bound:
                 continue
-            val = poly.eval_complex(z2)
-            ulps, scale = _residual_upper(val)
-            if _below_threshold(ulps, scale, threshold_digits):
+            ulps = poly.eval_complex(zw).abs_upper_ulps()
+            if _below_threshold(ulps, w, threshold_digits):
                 return RecognitionResult(
-                    Recognized(poly, _residual_log10(ulps, scale)),
+                    Recognized(poly, _residual_log10(ulps, w)),
                     deg_bound, height_bound, p)
-    excl = _exclusion_height(result.basis[0], n)
     return RecognitionResult(NoRelation(deg_bound, height_bound, excl),
                              deg_bound, height_bound, p)
 
@@ -376,40 +375,30 @@ def member_of_field(z: FixedComplex, field_desc: ClassFieldDescriptor, p: int,
     """Coordinates of z in the power basis of the field generator, if any.
 
     Searches an integer relation among {z, 1, gamma, ..., gamma^(m-1)}; a
-    hit is re-verified at doubled working precision before the exact
-    rational coordinates are returned.
+    hit is accepted when its certified residual, evaluated on those same
+    elements at the lattice's working precision (p + GUARD_BITS), clears the
+    10**(-0.8 digits) threshold, and the exact rational coordinates are
+    returned.
     """
-    trusted = _trusted_bits(z, p)
-    digits = int(trusted * LOG10_2)
-    threshold_digits = (8 * digits) // 10
     m = field_desc.degree
     w = p + GUARD_BITS
     gamma = field_desc.embedding_at(p).rescale(w)
     elements = [z.rescale(w), FixedComplex.from_int(1, w)]
-    gp = FixedComplex.from_int(1, w)
     for _ in range(m - 1):
-        gp = gp * gamma
-        elements.append(gp)
-    s = _scale_for(m, height_bound, trusted)
-    rows = _power_rows(elements, s)
-    result = lll_reduce(rows, delta)
+        elements.append(elements[-1] * gamma)
+    rows, threshold_digits, excl = _relation_search(
+        z, p, elements, height_bound, delta)
 
-    z2 = z.rescale(2 * p)
-    gamma2 = field_desc.embedding_at(p).rescale(2 * p)
-    for row in result.basis[: min(6, len(result.basis))]:
-        vec = row[: m + 1]
+    for vec in rows:
         b = vec[0]
         if b == 0 or any(abs(v) > height_bound for v in vec):
             continue
-        combo = z2 * b
-        gp = FixedComplex.from_int(1, 2 * p)
-        for a in vec[1:]:
-            combo = combo + gp * a
-            gp = gp * gamma2
-        ulps, scale = _residual_upper(combo)
+        combo = elements[0] * b
+        for a, e in zip(vec[1:], elements[1:]):
+            combo = combo + e * a
+        ulps = combo.abs_upper_ulps()
         # need |combo| / |b| below the threshold
-        if _below_threshold(_ceil_div(ulps, abs(b)), scale, threshold_digits):
+        if _below_threshold(_ceil_div(ulps, abs(b)), w, threshold_digits):
             coords = [Fraction(-a, b) for a in vec[1:]]
-            return Membership(coords, _residual_log10(ulps, scale))
-    excl = _exclusion_height(result.basis[0], m + 1)
+            return Membership(coords, _residual_log10(ulps, w))
     return NotFound(height_bound, excl)

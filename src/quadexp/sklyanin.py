@@ -19,6 +19,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+import sympy
+
 from .errors import ConstraintViolated, DomainError, PoleError, StepBoundExceeded
 
 Word = tuple[int, ...]
@@ -455,6 +457,7 @@ class OverlapFinding:
 
 @dataclass
 class CompletedSystem:
+    system: RelationSystem
     rules: list[RewriteRule]
     findings: list[OverlapFinding]
 
@@ -557,7 +560,7 @@ def complete(system: RelationSystem, degree_bound: int = 6,
         enqueue_pairs(len(rules) - 1)
         queue[qi:] = sorted(queue[qi:], key=lambda t: (deglex_key(t[0]), t[1], t[2]))
     rules.sort(key=lambda r: deglex_key(r.lhs), reverse=True)
-    return CompletedSystem(rules, findings)
+    return CompletedSystem(system, rules, findings)
 
 
 def _find_sub(w: Word, sub: Word, prefer_late: bool = False):
@@ -588,19 +591,17 @@ class DerivationResult:
                 "completion": [f.to_json() for f in self.completion_findings]}
 
 
-def check_derivation(premises: RelationSystem, lhs: NCPolynomial,
-                     rhs: NCPolynomial, degree_bound: int = 6,
-                     step_bound: int = 10**4) -> DerivationResult:
+def check_derivation(completed: CompletedSystem, lhs: NCPolynomial,
+                     rhs: NCPolynomial) -> DerivationResult:
     """Does lhs = rhs follow from the premises (bounded ideal membership)?
 
-    The premises are saturated by bounded critical pairs first; the target
-    difference must then rewrite to zero. The trace plus the completion
-    findings form a machine-checkable certificate.
+    The premises come saturated by bounded critical pairs (``complete``);
+    the target difference must then rewrite to zero. The trace plus the
+    completion findings form a machine-checkable certificate.
     """
-    comp = complete(premises, degree_bound, step_bound)
     trace: list[TraceStep] = []
-    nf = reduce(lhs - rhs, comp.rules, step_bound, trace)
-    return DerivationResult(nf.is_zero(), nf, trace, comp.findings)
+    nf = reduce(lhs - rhs, completed.rules, trace=trace)
+    return DerivationResult(nf.is_zero(), nf, trace, completed.findings)
 
 
 @dataclass
@@ -645,12 +646,11 @@ class EquivalenceVerdict:
                 "nonconfluent": [f.to_json() for f in self.nonconfluent]}
 
 
-def _compare_direction(sys_a: RelationSystem, comp_b: CompletedSystem,
-                       step_bound: int):
+def _compare_direction(sys_a: RelationSystem, comp_b: CompletedSystem):
     out = []
     for i, rel in enumerate(sys_a.relations):
         targets = [NCPolynomial.word(w) for w in rel.lhs_words] + [rel.rhs]
-        nfs = [reduce(t, comp_b.rules, step_bound) for t in targets]
+        nfs = [reduce(t, comp_b.rules) for t in targets]
         base = nfs[-1]
         for w, nf in zip(rel.lhs_words, nfs[:-1]):
             shift = nf.mu_shift_from(base)
@@ -659,10 +659,12 @@ def _compare_direction(sys_a: RelationSystem, comp_b: CompletedSystem,
     return out
 
 
-def systems_equivalent(a: RelationSystem, b: RelationSystem,
-                       degree_bound: int = 6,
-                       step_bound: int = 10**4) -> EquivalenceVerdict:
+def systems_equivalent(comp_a: CompletedSystem,
+                       comp_b: CompletedSystem) -> EquivalenceVerdict:
     """Mutual bounded reduction of the defining relations, both senses.
+
+    Each system's relations are reduced under the other's completion
+    (``complete``).
 
     strict requires exact normal-form equality in both directions;
     mod_unit_scale additionally accepts a uniform mu-power discrepancy
@@ -671,10 +673,8 @@ def systems_equivalent(a: RelationSystem, b: RelationSystem,
     verdict carries the separating relations and all non-confluent overlap
     findings rather than hiding them.
     """
-    comp_a = complete(a, degree_bound, step_bound)
-    comp_b = complete(b, degree_bound, step_bound)
-    comps = _compare_direction(a, comp_b, step_bound) + \
-        _compare_direction(b, comp_a, step_bound)
+    a, b = comp_a.system, comp_b.system
+    comps = _compare_direction(a, comp_b) + _compare_direction(b, comp_a)
     strict = all(c.equal for c in comps)
     mod_unit_scale = all(c.mu_shift is not None for c in comps)
     separators = [c for c in comps if c.mu_shift is None]
@@ -818,11 +818,7 @@ class JacobiCoefficients:
 def _is_zero_exact(v) -> bool:
     if isinstance(v, (int, Fraction)):
         return v == 0
-    try:
-        import sympy
-        return bool(sympy.simplify(v) == 0)
-    except ImportError:  # pragma: no cover
-        return v == 0
+    return bool(sympy.simplify(v) == 0)
 
 
 def jacobi_coefficients(alpha, beta, gamma) -> JacobiCoefficients:

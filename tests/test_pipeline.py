@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from quadexp import classforms, cli, pipeline, recognition
+from quadexp import classforms, cli, pipeline, recognition, sklyanin
 from quadexp.cli import main
 from quadexp.errors import NotSquareFree
 from quadexp.pipeline import (CSV_HEADER, CaseParams, EXCLUDED_D, run_case,
@@ -172,6 +172,32 @@ class TestVerifySymbolic:
     def test_jacobi(self):
         checks = verify_symbolic("jacobi")
         assert all(c.passed for c in checks)
+
+    @pytest.mark.parametrize("suite,completions", [("remark1", 1), ("lemma2", 3)])
+    def test_each_system_completed_once(self, monkeypatch, suite, completions):
+        names = []
+        original = sklyanin.complete
+
+        def counting(system, *args, **kwargs):
+            names.append(system.name)
+            return original(system, *args, **kwargs)
+
+        monkeypatch.setattr(sklyanin, "complete", counting)
+        assert all(c.passed for c in verify_symbolic(suite))
+        assert len(names) == completions == len(set(names))
+
+    def test_pole_detection_needs_pole_error(self, monkeypatch):
+        # a crash at the pole is not a detected pole
+        original = pipeline.jacobi_coefficients
+
+        def crash_at_pole(alpha, beta, gamma):
+            if beta == -1:
+                raise ZeroDivisionError("division by zero")
+            return original(alpha, beta, gamma)
+
+        monkeypatch.setattr(pipeline, "jacobi_coefficients", crash_at_pole)
+        with pytest.raises(ZeroDivisionError):
+            verify_symbolic("jacobi")
 
 
 class TestCLI:

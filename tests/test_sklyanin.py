@@ -118,8 +118,8 @@ class TestReduce:
 class TestCheckDerivation:
     def setup_method(self):
         eq2 = build_system("torus_eq2")
-        self.premises = RelationSystem(
-            "eq2_156", [eq2.relations[0], eq2.relations[4], eq2.relations[5]])
+        self.premises = complete(RelationSystem(
+            "eq2_156", [eq2.relations[0], eq2.relations[4], eq2.relations[5]]))
 
     def test_derives_line3(self):
         res = check_derivation(self.premises, W((4, 1)), W((1, 4), ZETA_INV))
@@ -137,8 +137,8 @@ class TestCheckDerivation:
 
     def test_failure_without_units(self):
         eq14 = build_system("sklyanin_eq14")
-        res = check_derivation(eq14, W((2, 1)), NCPolynomial.unit(MU_INV),
-                               degree_bound=4)
+        res = check_derivation(complete(eq14, degree_bound=4), W((2, 1)),
+                               NCPolynomial.unit(MU_INV))
         assert not res.ok
         assert not res.normal_form.is_zero()
 
@@ -150,27 +150,27 @@ class TestCheckDerivation:
             assert step.position >= 0
 
 
+def completed(kind):
+    return complete(build_system(kind))
+
+
 class TestSystemsEquivalent:
     def test_eq13_eq17_mod_unit_scale(self):
-        v = systems_equivalent(build_system("torus_eq13"),
-                               build_system("scaled_eq17"), 6)
+        v = systems_equivalent(completed("torus_eq13"), completed("scaled_eq17"))
         assert v.mod_unit_scale and bool(v)
         assert not v.strict  # mu-power discrepancies are real and reported
         assert all(c.mu_shift is not None for c in v.comparisons)
 
     def test_eq17_eq18_mod_unit_scale(self):
-        v = systems_equivalent(build_system("scaled_eq17"),
-                               build_system("reduced_eq18"), 6)
+        v = systems_equivalent(completed("scaled_eq17"), completed("reduced_eq18"))
         assert v.mod_unit_scale
 
     def test_eq13_eq16_strict(self):
-        v = systems_equivalent(build_system("torus_eq13"),
-                               build_system("reduced_eq16"), 6)
+        v = systems_equivalent(completed("torus_eq13"), completed("reduced_eq16"))
         assert v.strict and v.mod_unit_scale
 
     def test_eq13_vs_unscaled_sklyanin_false(self):
-        v = systems_equivalent(build_system("torus_eq13"),
-                               build_system("sklyanin_eq14"), 6)
+        v = systems_equivalent(completed("torus_eq13"), completed("sklyanin_eq14"))
         assert not v.mod_unit_scale and not v.strict
         separating = {c.rule for c in v.separators}
         assert any("x2 x1" in s or ".5" in s for s in separating)
