@@ -228,14 +228,17 @@ def ring_class_polynomial_detailed(d: int, f: int, p: int,
     summary = class_group(order)
     forms = summary.representatives
 
+    work = max(p, _coefficient_bits_estimate(order.discriminant, forms) + 96)
     cached = _cache_read(cache_dir, d, f, order.discriminant, summary.h)
     if cached is not None:
-        # embeddings still wanted by callers; recompute at requested precision
-        embs = [j_invariant(tau_from_form(q.a, q.b, q.c, p + GUARD_BITS), p)
-                for q in forms]
-        return ClassPolynomialResult(cached, p, ROUNDING_GAP_BITS, embs)
+        # callers still want the embeddings: recompute them at the precision
+        # the entry was certified at, as a miss does; at p alone they can
+        # lose all their bits (j is large where |disc| is)
+        poly, certified_at = cached
+        embs = _j_embeddings(forms, max(work, certified_at))
+        return ClassPolynomialResult(poly, p, ROUNDING_GAP_BITS,
+                                     [e.rescale(p) for e in embs])
 
-    work = max(p, _coefficient_bits_estimate(order.discriminant, forms) + 96)
     for _ in range(max_escalations):
         try:
             result = _class_poly_attempt(forms, work, p)
@@ -255,9 +258,13 @@ def _coefficient_bits_estimate(disc: int, forms) -> int:
     return int(math.pi * math.sqrt(abs(disc)) * s / math.log(2)) + 16 * len(forms)
 
 
-def _class_poly_attempt(forms, work: int, p: int) -> ClassPolynomialResult:
-    embs = [j_invariant(tau_from_form(q.a, q.b, q.c, work + GUARD_BITS), work)
+def _j_embeddings(forms, work: int) -> list[FixedComplex]:
+    return [j_invariant(tau_from_form(q.a, q.b, q.c, work + GUARD_BITS), work)
             for q in forms]
+
+
+def _class_poly_attempt(forms, work: int, p: int) -> ClassPolynomialResult:
+    embs = _j_embeddings(forms, work)
     coeffs = [FixedComplex.from_int(1, work)]
     for j in embs:
         nxt = [FixedComplex.from_int(0, work) for _ in range(len(coeffs) + 1)]
@@ -308,15 +315,18 @@ def _cache_read(cache_dir, d, f, disc, h):
         return None
     with open(path, "r", encoding="ascii") as fh:
         lines = [line.strip() for line in fh if line.strip()]
-    if len(lines) < 2 or not lines[0].startswith(f"quadexp-classpoly {CACHE_VERSION} "):
+    magic = f"quadexp-classpoly {CACHE_VERSION} precision="
+    if len(lines) < 2 or not lines[0].startswith(magic):
         return None
+    precision = lines[0][len(magic):]
     head = lines[1].split()
-    if head[0] != f"disc={disc}" or head[1] != f"degree={h}":
+    if not precision.isdigit() or head[0] != f"disc={disc}" \
+            or head[1] != f"degree={h}":
         return None
     coeffs = tuple(int(v) for v in lines[2:])
     if len(coeffs) != h + 1:
         return None
-    return IntegerPolynomial(coeffs)
+    return IntegerPolynomial(coeffs), int(precision)
 
 
 def _cache_write(cache_dir, d, f, disc, h, poly, precision_bits):

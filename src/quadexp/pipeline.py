@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -249,12 +250,14 @@ def _recognition_stage(d, f_imag, jvals, params, report):
     report.conjugacy = partition.to_json()
     report.timing["recognition_s"] = time.perf_counter() - t0
 
-    # stability: redo each value at doubled precision and compare verdicts
+    # stability: redo each value at doubled precision and compare verdicts;
+    # the 2p search starts from the basis the p search reduced
     t0 = time.perf_counter()
     stability = []
     for jv, res in zip(jvals, partition.results):
         jv2 = evaluate_J(jv.theta, jv.epsilon, 2 * p)
-        res2 = min_poly(jv2.value, deg_bound, params.height_bound, 2 * p)
+        res2 = min_poly(jv2.value, deg_bound, params.height_bound, 2 * p,
+                        start=res.coefficient_basis)
         entry = {"verdict_p": res.to_json()["verdict"],
                  "verdict_2p": res2.to_json()["verdict"]}
         if res.recognized and res2.recognized:
@@ -277,9 +280,19 @@ def _recognition_stage(d, f_imag, jvals, params, report):
         report.timing["membership_s"] = time.perf_counter() - t0
 
 
-def _run_case_worker(args):
-    d, params = args
-    return run_case(d, params)
+def _run_case_isolated(d: int, params: CaseParams) -> CaseReport:
+    """run_case for one d of a range: a failure costs that d only.
+
+    ``run_case`` already records typed failures in its report; anything else
+    is a bug, which becomes an ``error`` report with its traceback on stderr,
+    so the other d of the range still run.
+    """
+    try:
+        return run_case(d, params)
+    except Exception as exc:
+        traceback.print_exc()
+        return CaseReport(d, d in EXCLUDED_D, params,
+                          errors=[f"{type(exc).__name__}: {exc}"])
 
 
 @dataclass
@@ -301,13 +314,16 @@ class RangeSummary:
 
 def run_range(d_min: int, d_max: int, params: CaseParams = CaseParams(),
               workers: int = 1) -> RangeSummary:
-    """All square-free d in [d_min, d_max]; non-square-free values skipped."""
+    """All square-free d in [d_min, d_max]; non-square-free values skipped.
+
+    An unexpected exception in one d becomes that d's ``error`` report.
+    """
     ds = [d for d in range(max(1, d_min), d_max + 1) if is_squarefree(d)]
     if workers > 1 and len(ds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_case_worker, [(d, params) for d in ds]))
+            reports = list(pool.map(_run_case_isolated, ds, [params] * len(ds)))
     else:
-        reports = [run_case(d, params) for d in ds]
+        reports = [_run_case_isolated(d, params) for d in ds]
     return RangeSummary(reports)
 
 

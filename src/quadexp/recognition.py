@@ -16,7 +16,7 @@ value at 2p and searching again (the pipeline's stability stage).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -183,6 +183,9 @@ class RecognitionResult:
     deg_bound: int
     height_bound: int
     precision_bits: int
+    # coefficient parts of all reduced rows: a unimodular matrix, the
+    # transform of the search; a warm start for a search at higher precision
+    coefficient_basis: list[list[int]] = field(repr=False)
 
     @property
     def recognized(self) -> bool:
@@ -239,21 +242,37 @@ def _exclusion_height(first_row: list[int], n: int) -> int:
 
 
 def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
-                     height_bound: int, delta: Fraction):
+                     height_bound: int, delta: Fraction,
+                     start: list[list[int]] | None = None):
     """Exact LLL on the scaled lattice of elements built from z.
 
     The trusted bits of the p-bit input z set the lattice scale and the
-    acceptance threshold. Returns the coefficient parts of the first (at
-    most six) reduced rows, the threshold in decimal digits (a candidate's
-    residual must fall below 10**-threshold), and the exclusion height
-    implied by the first reduced row.
+    acceptance threshold. The lattice has the rows [I | X_s] of
+    ``_power_rows``; a unimodular ``start`` C replaces them by C [I | X_s],
+    another basis of the same lattice. Returns the coefficient parts of all
+    reduced rows (the candidates come first), the threshold in decimal
+    digits (a candidate's residual must fall below 10**-threshold), and the
+    exclusion height implied by the first reduced row.
     """
     trusted = _trusted_bits(z, p)
     threshold_digits = (8 * int(trusted * LOG10_2)) // 10
     n = len(elements)
     s = _scale_for(n - 1, height_bound, trusted)
-    basis = lll_reduce(_power_rows(elements, s), delta).basis
-    return ([row[:n] for row in basis[:6]], threshold_digits,
+    rows = _power_rows(elements, s)
+    if start is not None:
+        # any other matrix spans a sublattice, whose reduction would
+        # overstate the exclusion height
+        if len(start) != n or any(len(row) != n for row in start):
+            raise DegenerateBasis(f"warm start must be {n} x {n}")
+        det = _int_det(start)
+        if det not in (1, -1):
+            raise DegenerateBasis(f"warm start determinant {det}, expected +-1")
+        scaled = [row[n:] for row in rows]
+        rows = [list(coeffs) +
+                [sum(c * x[j] for c, x in zip(coeffs, scaled)) for j in (0, 1)]
+                for coeffs in start]
+    basis = lll_reduce(rows, delta).basis
+    return ([row[:n] for row in basis], threshold_digits,
             _exclusion_height(basis[0], n))
 
 
@@ -271,13 +290,23 @@ def _residual_log10(ulps: int, scale: int) -> float:
 
 
 def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
-             delta: Fraction = DEFAULT_DELTA) -> RecognitionResult:
+             delta: Fraction = DEFAULT_DELTA,
+             start: list[list[int]] | None = None) -> RecognitionResult:
     """Integer minimal polynomial of z, or a bounded exclusion.
 
     Candidates come from exact LLL on the scaled-power lattice; acceptance
     requires an irreducible polynomial of height at most height_bound whose
     certified residual at z, evaluated at the lattice's working precision
     (p + GUARD_BITS), clears the 10**(-0.8 digits) threshold.
+
+    ``start`` (default: the identity) is a unimodular (deg_bound + 1)-square
+    matrix of coefficient rows, typically the ``coefficient_basis`` of a
+    search on a nearby value at lower precision. LLL then reduces the same
+    lattice from that nearly reduced basis, which takes far fewer swaps. The
+    lattice, threshold and exclusion bound are those of a cold search, but an
+    LLL basis is not unique: a genuine relation is found either way, while
+    spurious short vectors (noise at the scale) may differ.
+    ``DegenerateBasis`` is raised when ``start`` is not unimodular.
     """
     if deg_bound < 1:
         raise DomainError("deg_bound must be >= 1")
@@ -286,10 +315,10 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
     powers = [FixedComplex.from_int(1, w)]
     for _ in range(deg_bound):
         powers.append(powers[-1] * zw)
-    rows, threshold_digits, excl = _relation_search(
-        z, p, powers, height_bound, delta)
+    basis, threshold_digits, excl = _relation_search(
+        z, p, powers, height_bound, delta, start)
 
-    for coeffs in rows:
+    for coeffs in basis[:6]:
         if not any(coeffs):
             continue
         candidate = IntegerPolynomial(tuple(coeffs))
@@ -301,9 +330,9 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
             if _below_threshold(ulps, w, threshold_digits):
                 return RecognitionResult(
                     Recognized(poly, _residual_log10(ulps, w)),
-                    deg_bound, height_bound, p)
+                    deg_bound, height_bound, p, basis)
     return RecognitionResult(NoRelation(deg_bound, height_bound, excl),
-                             deg_bound, height_bound, p)
+                             deg_bound, height_bound, p, basis)
 
 
 def _unique(polys):
@@ -386,10 +415,10 @@ def member_of_field(z: FixedComplex, field_desc: ClassFieldDescriptor, p: int,
     elements = [z.rescale(w), FixedComplex.from_int(1, w)]
     for _ in range(m - 1):
         elements.append(elements[-1] * gamma)
-    rows, threshold_digits, excl = _relation_search(
+    basis, threshold_digits, excl = _relation_search(
         z, p, elements, height_bound, delta)
 
-    for vec in rows:
+    for vec in basis[:6]:
         b = vec[0]
         if b == 0 or any(abs(v) > height_bound for v in vec):
             continue

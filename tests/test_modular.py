@@ -118,6 +118,18 @@ class TestCache:
         assert lines[1] == "disc=-15 degree=2"
         assert [int(x) for x in lines[2:]] == [-121287375, 191025, 1]
 
+    def test_hit_matches_miss(self, tmp_path):
+        # j is large at disc -776: evaluated at p + GUARD_BITS, a divisor in
+        # j is not separated from zero, so a hit must work where a miss does
+        cache = str(tmp_path)
+        miss = ring_class_polynomial_detailed(194, 2, 256, cache_dir=cache)
+        hit = ring_class_polynomial_detailed(194, 2, 256, cache_dir=cache)
+        assert hit.polynomial == miss.polynomial
+        assert [(e.re.mantissa, e.re.err_ulps, e.im.mantissa, e.im.err_ulps)
+                for e in hit.j_embeddings] == \
+            [(e.re.mantissa, e.re.err_ulps, e.im.mantissa, e.im.err_ulps)
+             for e in miss.j_embeddings]
+
     def test_corrupt_cache_ignored(self, tmp_path):
         cache = str(tmp_path)
         path = os.path.join(cache, "classpoly_d15_f1.txt")

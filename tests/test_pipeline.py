@@ -98,6 +98,25 @@ class TestRunCase:
         reported = Fraction(*r.to_json()["params"]["delta"])
         assert deltas and set(deltas) == {reported}
 
+    def test_stability_search_starts_from_p_basis(self, monkeypatch):
+        calls = []
+        original = recognition.lll_reduce
+
+        def spy(basis, delta=recognition.DEFAULT_DELTA, check_transform=None):
+            result = original(basis, delta, check_transform)
+            calls.append((basis, result.basis))
+            return result
+
+        monkeypatch.setattr(recognition, "lll_reduce", spy)
+        r = run_case(15, CaseParams(precision_bits=256))
+        n = r.recognition_results[0]["deg_bound"] + 1
+        # two J values: two searches at p, then two at 2p (then membership)
+        searches = [c for c in calls if len(c[0]) == n]
+        assert len(searches) == 4
+        for (_, reduced_p), (input_2p, _) in zip(searches[:2], searches[2:]):
+            assert [row[:n] for row in input_2p] == \
+                [row[:n] for row in reduced_p]
+
     def test_no_match_recorded(self):
         r = run_case(15, CaseParams(precision_bits=256, recognition=False,
                                     search_bound=0))
@@ -135,6 +154,25 @@ class TestRunRange:
         summary = run_range(1, 30, FAST)
         for r in summary.reports:
             assert r.excluded_flag == (r.d in EXCLUDED_D)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unexpected_exception_costs_one_d(self, monkeypatch, workers):
+        original = pipeline.fundamental_unit
+
+        def crash_at_14(order):
+            if order.d == 14:
+                raise ZeroDivisionError("division by zero")
+            return original(order)
+
+        clean = {d: run_case(d, FAST).dumps(with_timing=False) for d in (13, 15)}
+        monkeypatch.setattr(pipeline, "fundamental_unit", crash_at_14)
+        summary = run_range(13, 15, FAST, workers=workers)
+        assert [r.d for r in summary.reports] == [13, 14, 15]
+        r13, r14, r15 = summary.reports
+        assert r14.verdict() == "error"
+        assert r14.errors == ["ZeroDivisionError: division by zero"]
+        assert r13.dumps(with_timing=False) == clean[13]
+        assert r15.dumps(with_timing=False) == clean[15]
 
     def test_workers_match_serial(self):
         serial = run_range(2, 8, FAST)

@@ -8,7 +8,7 @@ from oracles import lovasz_holds, shortest_vector_brute
 from quadexp.errors import (DegenerateBasis, DomainError, InputRational,
                             InsufficientPrecision)
 from quadexp.modular import hcf_generator
-from quadexp.numerics import FixedComplex, FixedReal
+from quadexp.numerics import FixedComplex, FixedReal, sqrt_fixed
 from quadexp.quadfield import OrderDescriptor, QuadraticIrrational, fundamental_unit
 from quadexp.recognition import (LOG10_2, JValue, Membership, NotFound,
                                  _int_det, conjugacy_classes, evaluate_J,
@@ -155,6 +155,47 @@ class TestMinPoly:
         assert r1.verdict.minpoly.coefficients == r2.verdict.minpoly.coefficients
         digits = int(p * 0.30103)
         assert r1.verdict.residual_log10 - r2.verdict.residual_log10 >= 0.5 * digits
+
+    @pytest.mark.parametrize("name,expected", [
+        ("sqrt2+sqrt3", (1, 0, -10, 0, 1)),
+        ("golden", (-1, -1, 1)),
+        ("(1+i sqrt3)/2", (1, -1, 1)),
+    ])
+    def test_warm_start_matches_cold(self, name, expected):
+        # the 2p search from the p-reduced basis finds the genuine relation
+        # of the cold 2p search, with the same certified residual
+        def value(p):
+            if name == "sqrt2+sqrt3":
+                return FixedComplex.from_real(sqrt_fixed(2, p) + sqrt_fixed(3, p))
+            if name == "golden":
+                return FixedComplex.from_real(
+                    QuadraticIrrational(1, 1, 2, 5).to_fixed(p))
+            return FixedComplex(FixedReal.from_ratio(1, 2, p),
+                                sqrt_fixed(3, p).div_int(2))
+
+        p = 384
+        r1 = min_poly(value(p), 6, 10**6, p)
+        assert _int_det(r1.coefficient_basis) in (1, -1)
+        cold = min_poly(value(2 * p), 6, 10**6, 2 * p)
+        warm = min_poly(value(2 * p), 6, 10**6, 2 * p,
+                        start=r1.coefficient_basis)
+        for r in (r1, cold, warm):
+            assert r.recognized
+            assert r.verdict.minpoly.coefficients == expected
+        assert warm.verdict.residual_log10 == cold.verdict.residual_log10
+        assert_certified(warm.verdict.residual_log10, 2 * p)
+
+    def test_warm_start_must_be_unimodular(self):
+        # a start spanning a sublattice would overstate the exclusion height
+        p = 256
+        z = FixedComplex.from_real(QuadraticIrrational.sqrt_of(7).to_fixed(p))
+        identity = [[int(i == j) for j in range(5)] for i in range(5)]
+        doubled = [row[:] for row in identity]
+        doubled[2][2] = 2
+        for start in (identity[:4], [row[:4] for row in identity], doubled):
+            with pytest.raises(DegenerateBasis):
+                min_poly(z, 4, 10**6, p, start=start)
+        assert min_poly(z, 4, 10**6, p, start=identity).recognized
 
     @pytest.mark.xfail(strict=True, reason=(
         "the residual is certified only at the working precision of the "
