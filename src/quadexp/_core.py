@@ -71,8 +71,10 @@ def lll_reduce_rows(rows, delta_num=99, delta_den=100):
                         d[k] = s
             while True:
                 _red(b, u, d, lam, k, k - 1)
-                if den * (d[k] * d[k - 2] + lam[k][k - 1] ** 2) < num * d[k - 1] ** 2:
-                    _swap(b, u, d, lam, k, kmax)
+                # a swap would make d[k-1] = d_num // d[k-1]; _swap reuses it
+                d_num = d[k] * d[k - 2] + lam[k][k - 1] ** 2
+                if den * d_num < num * d[k - 1] ** 2:
+                    _swap(b, u, d, lam, k, kmax, d_num)
                     k = max(2, k - 1)
                 else:
                     for l in range(k - 2, 0, -1):
@@ -110,7 +112,8 @@ def _red(b, u, d, lam, k, l):
         lamk[i] -= q * laml[i]
 
 
-def _swap(b, u, d, lam, k, kmax):
+def _swap(b, u, d, lam, k, kmax, d_num):
+    # d_num = d[k-2] d[k] + lam[k][k-1]**2, from the Lovász test
     b[k - 1], b[k - 2] = b[k - 2], b[k - 1]
     u[k - 1], u[k - 2] = u[k - 2], u[k - 1]
     lamk = lam[k]
@@ -118,7 +121,7 @@ def _swap(b, u, d, lam, k, kmax):
     for j in range(1, k - 1):
         lamk[j], lamk1[j] = lamk1[j], lamk[j]
     lab = lamk[k - 1]
-    bness = (d[k - 2] * d[k] + lab * lab) // d[k - 1]
+    bness = d_num // d[k - 1]
     for i in range(k + 1, kmax + 1):
         lami = lam[i]
         t = lami[k]

@@ -9,6 +9,7 @@ is below the rounding-gap threshold, otherwise precision escalates.
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 
@@ -234,16 +235,16 @@ def ring_class_polynomial_detailed(d: int, f: int, p: int,
         # callers still want the embeddings: recompute them at the precision
         # the entry was certified at, as a miss does; at p alone they can
         # lose all their bits (j is large where |disc| is)
-        poly, certified_at = cached
+        poly, certified_at, gap_bits = cached
         embs = _j_embeddings(forms, max(work, certified_at))
-        return ClassPolynomialResult(poly, p, ROUNDING_GAP_BITS,
+        return ClassPolynomialResult(poly, certified_at, gap_bits,
                                      [e.rescale(p) for e in embs])
 
     for _ in range(max_escalations):
         try:
             result = _class_poly_attempt(forms, work, p)
             _cache_write(cache_dir, d, f, order.discriminant, summary.h,
-                         result.polynomial, work)
+                         result)
             return result
         except InsufficientPrecision:
             work *= 2
@@ -300,7 +301,7 @@ def _certified_integer(c: FixedComplex, w: int) -> tuple[int, int]:
 
 # -- disk cache ----------------------------------------------------------------
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def _cache_path(cache_dir: str, d: int, f: int) -> str:
@@ -308,6 +309,7 @@ def _cache_path(cache_dir: str, d: int, f: int) -> str:
 
 
 def _cache_read(cache_dir, d, f, disc, h):
+    """(polynomial, precision_bits, gap_bits) of a valid entry, else None."""
     if cache_dir is None:
         return None
     path = _cache_path(cache_dir, d, f)
@@ -315,28 +317,27 @@ def _cache_read(cache_dir, d, f, disc, h):
         return None
     with open(path, "r", encoding="ascii") as fh:
         lines = [line.strip() for line in fh if line.strip()]
-    magic = f"quadexp-classpoly {CACHE_VERSION} precision="
-    if len(lines) < 2 or not lines[0].startswith(magic):
+    if len(lines) != h + 3:
         return None
-    precision = lines[0][len(magic):]
-    head = lines[1].split()
-    if not precision.isdigit() or head[0] != f"disc={disc}" \
-            or head[1] != f"degree={h}":
+    magic = re.fullmatch(
+        rf"quadexp-classpoly {CACHE_VERSION} precision=(\d+) gap=(\d+)",
+        lines[0])
+    if not magic or lines[1].split() != [f"disc={disc}", f"degree={h}"] \
+            or not all(re.fullmatch(r"-?\d+", v) for v in lines[2:]):
         return None
     coeffs = tuple(int(v) for v in lines[2:])
-    if len(coeffs) != h + 1:
-        return None
-    return IntegerPolynomial(coeffs), int(precision)
+    return IntegerPolynomial(coeffs), int(magic[1]), int(magic[2])
 
 
-def _cache_write(cache_dir, d, f, disc, h, poly, precision_bits):
+def _cache_write(cache_dir, d, f, disc, h, result: ClassPolynomialResult):
     if cache_dir is None:
         return
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, d, f)
-    body = [f"quadexp-classpoly {CACHE_VERSION} precision={precision_bits}",
+    body = [f"quadexp-classpoly {CACHE_VERSION} "
+            f"precision={result.precision_bits} gap={result.gap_bits}",
             f"disc={disc} degree={h}"]
-    body += [str(c) for c in poly.coefficients]
+    body += [str(c) for c in result.polynomial.coefficients]
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:

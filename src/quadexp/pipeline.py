@@ -251,13 +251,14 @@ def _recognition_stage(d, f_imag, jvals, params, report):
     report.timing["recognition_s"] = time.perf_counter() - t0
 
     # stability: redo each value at doubled precision and compare verdicts;
-    # the 2p search starts from the basis the p search reduced
+    # the 2p search climbs from the basis and scale the p search reduced at
     t0 = time.perf_counter()
     stability = []
     for jv, res in zip(jvals, partition.results):
         jv2 = evaluate_J(jv.theta, jv.epsilon, 2 * p)
         res2 = min_poly(jv2.value, deg_bound, params.height_bound, 2 * p,
-                        start=res.coefficient_basis)
+                        start=res.coefficient_basis,
+                        start_scale=res.scale_bits)
         entry = {"verdict_p": res.to_json()["verdict"],
                  "verdict_2p": res2.to_json()["verdict"]}
         if res.recognized and res2.recognized:

@@ -32,6 +32,8 @@ from .quadfield import QuadraticIrrational, UnitElement
 DEFAULT_DELTA = Fraction(99, 100)
 DEFAULT_HEIGHT_BOUND = 10**40
 LOG10_2 = 0.30102999566398119
+# scale step between the rungs of a warm-started relation search
+RUNG_BITS = 64
 
 
 def _strict_checks() -> bool:
@@ -186,6 +188,8 @@ class RecognitionResult:
     # coefficient parts of all reduced rows: a unimodular matrix, the
     # transform of the search; a warm start for a search at higher precision
     coefficient_basis: list[list[int]] = field(repr=False)
+    # the lattice scale (bits) the coefficient basis was reduced at
+    scale_bits: int = field(repr=False)
 
     @property
     def recognized(self) -> bool:
@@ -243,23 +247,30 @@ def _exclusion_height(first_row: list[int], n: int) -> int:
 
 def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
                      height_bound: int, delta: Fraction,
-                     start: list[list[int]] | None = None):
+                     start: list[list[int]] | None = None,
+                     start_scale: int = 0):
     """Exact LLL on the scaled lattice of elements built from z.
 
-    The trusted bits of the p-bit input z set the lattice scale and the
+    The trusted bits of the p-bit input z set the lattice scale s and the
     acceptance threshold. The lattice has the rows [I | X_s] of
-    ``_power_rows``; a unimodular ``start`` C replaces them by C [I | X_s],
-    another basis of the same lattice. Returns the coefficient parts of all
-    reduced rows (the candidates come first), the threshold in decimal
-    digits (a candidate's residual must fall below 10**-threshold), and the
-    exclusion height implied by the first reduced row.
+    ``_power_rows``. A unimodular ``start`` C, reduced at scale
+    ``start_scale``, turns the search into a climb: rung k reduces
+    C_k [I | X_r] at r = start_scale + k RUNG_BITS below s, then at s
+    itself, with C_1 = C and C_(k+1) the coefficient parts of rung k's
+    reduced rows. Each C_k is unimodular, so the top rung reduces another
+    basis of the cold lattice [I | X_s]. Returns the coefficient parts of all
+    reduced rows (the candidates come first), the threshold in decimal digits
+    (a candidate's residual must fall below 10**-threshold), the exclusion
+    height implied by the first reduced row, and s.
     """
     trusted = _trusted_bits(z, p)
     threshold_digits = (8 * int(trusted * LOG10_2)) // 10
     n = len(elements)
     s = _scale_for(n - 1, height_bound, trusted)
-    rows = _power_rows(elements, s)
-    if start is not None:
+    if start is None:
+        coeffs = [[int(i == j) for j in range(n)] for i in range(n)]
+        rungs = [s]
+    else:
         # any other matrix spans a sublattice, whose reduction would
         # overstate the exclusion height
         if len(start) != n or any(len(row) != n for row in start):
@@ -267,13 +278,16 @@ def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
         det = _int_det(start)
         if det not in (1, -1):
             raise DegenerateBasis(f"warm start determinant {det}, expected +-1")
-        scaled = [row[n:] for row in rows]
-        rows = [list(coeffs) +
-                [sum(c * x[j] for c, x in zip(coeffs, scaled)) for j in (0, 1)]
-                for coeffs in start]
-    basis = lll_reduce(rows, delta).basis
-    return ([row[:n] for row in basis], threshold_digits,
-            _exclusion_height(basis[0], n))
+        coeffs = start
+        rungs = [*range(start_scale + RUNG_BITS, s, RUNG_BITS), s]
+    for r in rungs:
+        scaled = [row[n:] for row in _power_rows(elements, r)]
+        rows = [list(c) + [sum(a * x[j] for a, x in zip(c, scaled))
+                           for j in (0, 1)]
+                for c in coeffs]
+        basis = lll_reduce(rows, delta).basis
+        coeffs = [row[:n] for row in basis]
+    return coeffs, threshold_digits, _exclusion_height(basis[0], n), s
 
 
 def _below_threshold(ulps: int, scale: int, digits10: int) -> bool:
@@ -291,7 +305,8 @@ def _residual_log10(ulps: int, scale: int) -> float:
 
 def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
              delta: Fraction = DEFAULT_DELTA,
-             start: list[list[int]] | None = None) -> RecognitionResult:
+             start: list[list[int]] | None = None,
+             start_scale: int = 0) -> RecognitionResult:
     """Integer minimal polynomial of z, or a bounded exclusion.
 
     Candidates come from exact LLL on the scaled-power lattice; acceptance
@@ -299,13 +314,16 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
     certified residual at z, evaluated at the lattice's working precision
     (p + GUARD_BITS), clears the 10**(-0.8 digits) threshold.
 
-    ``start`` (default: the identity) is a unimodular (deg_bound + 1)-square
-    matrix of coefficient rows, typically the ``coefficient_basis`` of a
-    search on a nearby value at lower precision. LLL then reduces the same
-    lattice from that nearly reduced basis, which takes far fewer swaps. The
-    lattice, threshold and exclusion bound are those of a cold search, but an
-    LLL basis is not unique: a genuine relation is found either way, while
-    spurious short vectors (noise at the scale) may differ.
+    ``start`` (default: the identity, one cold reduction) is a unimodular
+    (deg_bound + 1)-square matrix of coefficient rows reduced at the lattice
+    scale ``start_scale``, typically the ``coefficient_basis`` and
+    ``scale_bits`` of a search on a nearby value at lower precision. The
+    search then climbs to its own scale in rungs of ``RUNG_BITS``: each rung
+    reduces the previous rung's coefficient rows times [I | X_r], a small
+    step from a reduced basis, and the top rung reduces the cold lattice
+    [I | X_s]. The threshold and exclusion bound are those of a cold search,
+    but an LLL basis is not unique: a genuine relation is found either way,
+    while spurious short vectors (noise at the scale) may differ.
     ``DegenerateBasis`` is raised when ``start`` is not unimodular.
     """
     if deg_bound < 1:
@@ -315,8 +333,8 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
     powers = [FixedComplex.from_int(1, w)]
     for _ in range(deg_bound):
         powers.append(powers[-1] * zw)
-    basis, threshold_digits, excl = _relation_search(
-        z, p, powers, height_bound, delta, start)
+    basis, threshold_digits, excl, scale = _relation_search(
+        z, p, powers, height_bound, delta, start, start_scale)
 
     for coeffs in basis[:6]:
         if not any(coeffs):
@@ -330,9 +348,9 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
             if _below_threshold(ulps, w, threshold_digits):
                 return RecognitionResult(
                     Recognized(poly, _residual_log10(ulps, w)),
-                    deg_bound, height_bound, p, basis)
+                    deg_bound, height_bound, p, basis, scale)
     return RecognitionResult(NoRelation(deg_bound, height_bound, excl),
-                             deg_bound, height_bound, p, basis)
+                             deg_bound, height_bound, p, basis, scale)
 
 
 def _unique(polys):
@@ -415,7 +433,7 @@ def member_of_field(z: FixedComplex, field_desc: ClassFieldDescriptor, p: int,
     elements = [z.rescale(w), FixedComplex.from_int(1, w)]
     for _ in range(m - 1):
         elements.append(elements[-1] * gamma)
-    basis, threshold_digits, excl = _relation_search(
+    basis, threshold_digits, excl, _scale = _relation_search(
         z, p, elements, height_bound, delta)
 
     for vec in basis[:6]:

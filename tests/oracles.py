@@ -6,7 +6,9 @@ a direct Pell scan, Lovasz conditions from rational Gram-Schmidt, and short
 vectors from exhaustive enumeration. The exception is ``wide_classes_gl2``:
 it reuses the library's reduced forms, reduction cycles and continued-fraction
 equivalence test, and only its grouping of cycles into module classes (a
-pairwise GL2(Z) merge) is independent of ``class_group``'s.
+pairwise GL2(Z) merge) is independent of ``class_group``'s. ``lll_reference``
+is the library's exact LLL kernel as it stood before its swap reused the
+Lovász test's product, kept so that the kernel can be checked against it.
 """
 
 from __future__ import annotations
@@ -180,3 +182,71 @@ def shortest_vector_brute(rows, coeff_bound: int = 4) -> int:
         if best is None or norm < best:
             best = norm
     return best
+
+
+def lll_reference(rows, delta_num=99, delta_den=100):
+    """(reduced_rows, transform) of exact integer LLL on independent rows.
+
+    The integral Gram-determinant recurrences and delta ladder of
+    ``quadexp._core.lll_reduce_rows``, with the swap recomputing
+    d[k-2] d[k] + lam[k][k-1]**2 instead of taking it from the Lovász test.
+    """
+    n = len(rows)
+    b = [list(map(int, r)) for r in rows]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n < 2:
+        return b, u
+    d = [1] + [0] * n
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+    d[1] = sum(x * x for x in b[0])
+    kmax = 1
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) <= d[l]:
+            return
+        q = (2 * lam[k][l] + d[l]) // (2 * d[l])
+        b[k - 1] = [x - q * y for x, y in zip(b[k - 1], b[l - 1])]
+        u[k - 1] = [x - q * y for x, y in zip(u[k - 1], u[l - 1])]
+        lam[k][l] -= q * d[l]
+        for i in range(1, l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        b[k - 1], b[k - 2] = b[k - 2], b[k - 1]
+        u[k - 1], u[k - 2] = u[k - 2], u[k - 1]
+        for j in range(1, k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lab = lam[k][k - 1]
+        bness = (d[k - 2] * d[k] + lab * lab) // d[k - 1]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k] * lam[i][k - 1] - lab * t) // d[k - 1]
+            lam[i][k - 1] = (bness * t + lab * lam[i][k]) // d[k]
+        d[k - 1] = bness
+
+    ladder = [(a, c) for a, c in ((3, 4), (9, 10)) if a * delta_den < delta_num * c]
+    ladder.append((delta_num, delta_den))
+    for num, den in ladder:
+        k = 2
+        while k <= n:
+            if k > kmax:
+                kmax = k
+                for j in range(1, k + 1):
+                    s = sum(x * y for x, y in zip(b[k - 1], b[j - 1]))
+                    for i in range(1, j):
+                        s = (d[i] * s - lam[k][i] * lam[j][i]) // d[i - 1]
+                    if j < k:
+                        lam[k][j] = s
+                    else:
+                        d[k] = s
+            while True:
+                red(k, k - 1)
+                if den * (d[k] * d[k - 2] + lam[k][k - 1] ** 2) < num * d[k - 1] ** 2:
+                    swap(k)
+                    k = max(2, k - 1)
+                else:
+                    for l in range(k - 2, 0, -1):
+                        red(k, l)
+                    k += 1
+                    break
+    return b, u

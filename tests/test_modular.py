@@ -1,14 +1,16 @@
 import math
 import os
+import re
+from dataclasses import fields
 
 import mpmath as mp
 import pytest
 
 from quadexp.classforms import class_group
 from quadexp.errors import DomainError, InsufficientPrecision
-from quadexp.modular import (IntegerPolynomial, ROUNDING_GAP_BITS,
-                             _class_poly_attempt, hcf_generator, j_invariant,
-                             ring_class_polynomial,
+from quadexp.modular import (ClassPolynomialResult, IntegerPolynomial,
+                             ROUNDING_GAP_BITS, _class_poly_attempt,
+                             hcf_generator, j_invariant, ring_class_polynomial,
                              ring_class_polynomial_detailed, tau_from_form)
 from quadexp.numerics import FixedComplex, FixedReal, sqrt_fixed
 from quadexp.quadfield import OrderDescriptor
@@ -114,7 +116,8 @@ class TestCache:
         ring_class_polynomial(15, 1, 384, cache_dir=cache)
         path = os.path.join(cache, "classpoly_d15_f1.txt")
         lines = open(path).read().splitlines()
-        assert lines[0].startswith("quadexp-classpoly 1 precision=")
+        assert re.fullmatch(r"quadexp-classpoly 2 precision=\d+ gap=\d+",
+                            lines[0])
         assert lines[1] == "disc=-15 degree=2"
         assert [int(x) for x in lines[2:]] == [-121287375, 191025, 1]
 
@@ -124,11 +127,20 @@ class TestCache:
         cache = str(tmp_path)
         miss = ring_class_polynomial_detailed(194, 2, 256, cache_dir=cache)
         hit = ring_class_polynomial_detailed(194, 2, 256, cache_dir=cache)
-        assert hit.polynomial == miss.polynomial
-        assert [(e.re.mantissa, e.re.err_ulps, e.im.mantissa, e.im.err_ulps)
-                for e in hit.j_embeddings] == \
-            [(e.re.mantissa, e.re.err_ulps, e.im.mantissa, e.im.err_ulps)
-             for e in miss.j_embeddings]
+
+        def key(value):
+            if isinstance(value, list):  # j embeddings
+                return [(e.re.mantissa, e.re.scale_bits, e.re.err_ulps,
+                         e.im.mantissa, e.im.scale_bits, e.im.err_ulps)
+                        for e in value]
+            return value
+
+        for f in fields(ClassPolynomialResult):
+            assert key(getattr(hit, f.name)) == key(getattr(miss, f.name)), \
+                f.name
+        # certified at the escalated precision, not at p
+        assert miss.precision_bits > 256
+        assert miss.gap_bits > ROUNDING_GAP_BITS
 
     def test_corrupt_cache_ignored(self, tmp_path):
         cache = str(tmp_path)
@@ -137,6 +149,17 @@ class TestCache:
             fh.write("garbage\n")
         poly = ring_class_polynomial(15, 1, 384, cache_dir=cache)
         assert poly.degree == 2
+
+    def test_non_integer_coefficient_ignored(self, tmp_path):
+        cache = str(tmp_path)
+        ring_class_polynomial(15, 1, 384, cache_dir=cache)
+        path = os.path.join(cache, "classpoly_d15_f1.txt")
+        lines = open(path).read().splitlines()
+        lines[3] = "191025.0"
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        poly = ring_class_polynomial(15, 1, 384, cache_dir=cache)
+        assert poly.coefficients == (-121287375, 191025, 1)
 
 
 class TestPrecisionEscalation:

@@ -99,23 +99,67 @@ class TestRunCase:
         assert deltas and set(deltas) == {reported}
 
     def test_stability_search_starts_from_p_basis(self, monkeypatch):
-        calls = []
-        original = recognition.lll_reduce
+        # each 2p search climbs from the basis the p search reduced: rung k
+        # reduces C_k [I | X_r] at increasing scales r, C_1 is the p search's
+        # reduced rows, and the top rung's lattice is the cold [I | X_2p]
+        events = []
+        power_rows = recognition._power_rows
+        reduce = recognition.lll_reduce
+        search = pipeline.min_poly
 
-        def spy(basis, delta=recognition.DEFAULT_DELTA, check_transform=None):
-            result = original(basis, delta, check_transform)
-            calls.append((basis, result.basis))
+        def rows_spy(elements, s):
+            rows = power_rows(elements, s)
+            events.append(("rows", s, rows))
+            return rows
+
+        def reduce_spy(basis, delta=recognition.DEFAULT_DELTA,
+                       check_transform=None):
+            result = reduce(basis, delta, check_transform)
+            events.append(("reduce", basis, result.basis))
             return result
 
-        monkeypatch.setattr(recognition, "lll_reduce", spy)
+        def search_spy(z, deg_bound, height_bound, p, **kwargs):
+            events.append(("search", z, (deg_bound, height_bound, p)))
+            return search(z, deg_bound, height_bound, p, **kwargs)
+
+        monkeypatch.setattr(recognition, "_power_rows", rows_spy)
+        monkeypatch.setattr(recognition, "lll_reduce", reduce_spy)
+        monkeypatch.setattr(pipeline, "min_poly", search_spy)
         r = run_case(15, CaseParams(precision_bits=256))
         n = r.recognition_results[0]["deg_bound"] + 1
-        # two J values: two searches at p, then two at 2p (then membership)
-        searches = [c for c in calls if len(c[0]) == n]
-        assert len(searches) == 4
-        for (_, reduced_p), (input_2p, _) in zip(searches[:2], searches[2:]):
-            assert [row[:n] for row in input_2p] == \
+
+        def rungs(evs):
+            # (scale, power rows, reduced input, reduced output) per reduction
+            # of an n-row lattice; membership searches have fewer rows
+            evs = [e for e in evs if e[0] != "search" and len(e[2]) == n]
+            return [(s, rows, inp, out) for (_, s, rows), (_, inp, out)
+                    in zip(evs[::2], evs[1::2])]
+
+        marks = [i for i, e in enumerate(events) if e[0] == "search"]
+        # two J values: one cold search each at p, then one climb each at 2p
+        p_searches = rungs(events[:marks[0]])
+        climbs = [(events[mark][1:], rungs(events[mark + 1:end]))
+                  for mark, end in zip(marks, marks[1:] + [len(events)])]
+        assert len(p_searches) == len(climbs) == 2
+        for (s_p, _, _, reduced_p), ((z, args), climb) in zip(p_searches,
+                                                              climbs):
+            scales = [s for s, _, _, _ in climb]
+            assert len(climb) > 1
+            assert all(a < b for a, b in zip([s_p] + scales, scales))
+            assert [row[:n] for row in climb[0][2]] == \
                 [row[:n] for row in reduced_p]
+            for (_, _, _, out), (_, _, inp, _) in zip(climb, climb[1:]):
+                assert [row[:n] for row in inp] == [row[:n] for row in out]
+            # the top rung reduces another basis of the cold 2p lattice
+            events.clear()
+            recognition.min_poly(z, *args)
+            ((s_cold, cold_rows, _, _),) = rungs(events)
+            s_top, _, top, _ = climb[-1]
+            assert s_top == s_cold
+            x_2p = [row[n:] for row in cold_rows]
+            assert [[sum(c * x[j] for c, x in zip(row[:n], x_2p))
+                     for j in (0, 1)] for row in top] == \
+                [row[n:] for row in top]
 
     def test_no_match_recorded(self):
         r = run_case(15, CaseParams(precision_bits=256, recognition=False,

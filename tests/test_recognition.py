@@ -4,7 +4,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oracles import lovasz_holds, shortest_vector_brute
+from oracles import lll_reference, lovasz_holds, shortest_vector_brute
+from quadexp._core import lll_reduce_rows
 from quadexp.errors import (DegenerateBasis, DomainError, InputRational,
                             InsufficientPrecision)
 from quadexp.modular import hcf_generator
@@ -90,6 +91,33 @@ class TestLLL:
     def test_dependent_rows(self):
         with pytest.raises(DegenerateBasis):
             lll_reduce([[1, 2], [2, 4]])
+
+    @pytest.mark.parametrize("delta", [(99, 100), (3, 4), (1, 2)])
+    def test_kernel_matches_reference(self, delta):
+        # the swap reuses the Lovász test's product: same decisions, so the
+        # same basis and transform as the kernel that recomputed it
+        rng = random.Random(17)
+        lattices = []
+        for _ in range(12):
+            n = rng.randint(2, 9)
+            bits = rng.choice((16, 64, 200))
+            lattices.append([[int(i == j) for j in range(n)] +
+                             [rng.getrandbits(bits) - (1 << (bits - 1))
+                              for _ in range(2)] for i in range(n)])
+        for _ in range(12):
+            n = rng.randint(2, 6)
+            m = rng.choice((n, n + 2))
+            lattices.append([[rng.randint(-999, 999) for _ in range(m)]
+                             for _ in range(n)])
+        checked = 0
+        for rows in lattices:
+            try:
+                got = lll_reduce_rows(rows, *delta)
+            except ValueError:
+                continue
+            assert got == lll_reference(rows, *delta)
+            checked += 1
+        assert checked >= 20
 
 
 class TestMinPoly:

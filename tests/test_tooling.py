@@ -1,0 +1,62 @@
+"""The benchmark's span recorder still binds to the program.
+
+``perfbench/spans.py`` wraps quadexp functions by module and name when a
+traced benchmark run starts. A refactor that renames a traced function, or
+leaves an import binding that holds another object, stops that run with a
+``TracerError``; these tests install and uninstall the recorder, running
+nothing, so such a break fails here first.
+"""
+
+import importlib.util
+import sys
+from inspect import signature
+from pathlib import Path
+
+import pytest
+
+from quadexp import _core, modular, pipeline, recognition
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_recorder_installs_and_uninstalls(spans):
+    originals = {
+        (pipeline, "min_poly"): pipeline.min_poly,
+        (recognition, "min_poly"): recognition.min_poly,
+        (recognition, "lll_reduce"): recognition.lll_reduce,
+        (recognition, "lll_reduce_rows"): recognition.lll_reduce_rows,
+        (_core, "lll_reduce_rows"): _core.lll_reduce_rows,
+        (modular, "ring_class_polynomial_detailed"):
+            modular.ring_class_polynomial_detailed,
+    }
+    recorder = spans.Recorder()
+    recorder.install()  # raises TracerError on a lost or shadowed target
+    try:
+        for (module, name), fn in originals.items():
+            wrapper = getattr(module, name)
+            assert wrapper is not fn and wrapper.__wrapped__ is fn, name
+    finally:
+        recorder.uninstall()
+    for (module, name), fn in originals.items():
+        assert getattr(module, name) is fn, name
+    assert recorder.spans == []
+
+
+def test_traced_signatures():
+    # the recorder tells 2p searches apart by min_poly's argument ``p`` and
+    # counts cache hits through modular._cache_path(cache_dir, d, f)
+    assert "p" in signature(recognition.min_poly).parameters
+    assert list(signature(modular._cache_path).parameters) == \
+        ["cache_dir", "d", "f"]
