@@ -233,12 +233,17 @@ def ring_class_polynomial_detailed(d: int, f: int, p: int,
     cached = _cache_read(cache_dir, d, f, order.discriminant, summary.h)
     if cached is not None:
         # callers still want the embeddings: recompute them at the precision
-        # the entry was certified at, as a miss does; at p alone they can
-        # lose all their bits (j is large where |disc| is)
-        poly, certified_at, gap_bits = cached
-        embs = _j_embeddings(forms, max(work, certified_at))
-        return ClassPolynomialResult(poly, certified_at, gap_bits,
-                                     [e.rescale(p) for e in embs])
+        # the entry was certified at, as a miss does (at p alone they can
+        # lose all their bits; j is large where |disc| is), and trust the
+        # entry only if the polynomial rebuilt from them is the file's; any
+        # other entry is a miss, which rewrites it
+        poly, certified_at = cached
+        try:
+            result = _class_poly_attempt(forms, max(work, certified_at), p)
+        except InsufficientPrecision:
+            result = None
+        if result is not None and result.polynomial == poly:
+            return result
 
     for _ in range(max_escalations):
         try:
@@ -309,7 +314,7 @@ def _cache_path(cache_dir: str, d: int, f: int) -> str:
 
 
 def _cache_read(cache_dir, d, f, disc, h):
-    """(polynomial, precision_bits, gap_bits) of a valid entry, else None."""
+    """(polynomial, precision_bits) of a well-formed entry, else None."""
     if cache_dir is None:
         return None
     path = _cache_path(cache_dir, d, f)
@@ -320,13 +325,13 @@ def _cache_read(cache_dir, d, f, disc, h):
     if len(lines) != h + 3:
         return None
     magic = re.fullmatch(
-        rf"quadexp-classpoly {CACHE_VERSION} precision=(\d+) gap=(\d+)",
+        rf"quadexp-classpoly {CACHE_VERSION} precision=(\d+) gap=\d+",
         lines[0])
     if not magic or lines[1].split() != [f"disc={disc}", f"degree={h}"] \
             or not all(re.fullmatch(r"-?\d+", v) for v in lines[2:]):
         return None
     coeffs = tuple(int(v) for v in lines[2:])
-    return IntegerPolynomial(coeffs), int(magic[1]), int(magic[2])
+    return IntegerPolynomial(coeffs), int(magic[1])
 
 
 def _cache_write(cache_dir, d, f, disc, h, result: ClassPolynomialResult):

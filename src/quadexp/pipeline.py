@@ -266,7 +266,9 @@ def _recognition_stage(d, f_imag, jvals, params, report):
                                      res2.verdict.minpoly.coefficients)
             entry["residual_log10_p"] = res.verdict.residual_log10
             entry["residual_log10_2p"] = res2.verdict.residual_log10
-        entry["stable"] = entry["verdict_p"] == entry["verdict_2p"]
+        # two recognized verdicts agree only on the same polynomial
+        entry["stable"] = (entry["verdict_p"] == entry["verdict_2p"]
+                           and entry.get("same_minpoly", True))
         stability.append(entry)
     report.stability = stability
     report.timing["stability_s"] = time.perf_counter() - t0

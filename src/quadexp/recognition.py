@@ -32,7 +32,7 @@ from .quadfield import QuadraticIrrational, UnitElement
 DEFAULT_DELTA = Fraction(99, 100)
 DEFAULT_HEIGHT_BOUND = 10**40
 LOG10_2 = 0.30102999566398119
-# scale step between the rungs of a warm-started relation search
+# scale step between the rungs of a relation search
 RUNG_BITS = 64
 
 
@@ -253,11 +253,13 @@ def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
 
     The trusted bits of the p-bit input z set the lattice scale s and the
     acceptance threshold. The lattice has the rows [I | X_s] of
-    ``_power_rows``. A unimodular ``start`` C, reduced at scale
-    ``start_scale``, turns the search into a climb: rung k reduces
-    C_k [I | X_r] at r = start_scale + k RUNG_BITS below s, then at s
-    itself, with C_1 = C and C_(k+1) the coefficient parts of rung k's
-    reduced rows. Each C_k is unimodular, so the top rung reduces another
+    ``_power_rows``. Every search climbs to it from a unimodular start C
+    reduced at scale ``start_scale`` (default: the identity at scale 0):
+    rung k reduces C_k [I | X_r] at r = start_scale + k RUNG_BITS below s,
+    then at s itself, with C_1 = C and C_(k+1) the coefficient parts of rung
+    k's reduced rows. Each rung starts from a basis reduced at most
+    RUNG_BITS of scale lower, so it needs few swaps on small Gram
+    determinants. Each C_k is unimodular, so the top rung reduces another
     basis of the cold lattice [I | X_s]. Returns the coefficient parts of all
     reduced rows (the candidates come first), the threshold in decimal digits
     (a candidate's residual must fall below 10**-threshold), the exclusion
@@ -269,7 +271,6 @@ def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
     s = _scale_for(n - 1, height_bound, trusted)
     if start is None:
         coeffs = [[int(i == j) for j in range(n)] for i in range(n)]
-        rungs = [s]
     else:
         # any other matrix spans a sublattice, whose reduction would
         # overstate the exclusion height
@@ -279,8 +280,7 @@ def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
         if det not in (1, -1):
             raise DegenerateBasis(f"warm start determinant {det}, expected +-1")
         coeffs = start
-        rungs = [*range(start_scale + RUNG_BITS, s, RUNG_BITS), s]
-    for r in rungs:
+    for r in [*range(start_scale + RUNG_BITS, s, RUNG_BITS), s]:
         scaled = [row[n:] for row in _power_rows(elements, r)]
         rows = [list(c) + [sum(a * x[j] for a, x in zip(c, scaled))
                            for j in (0, 1)]
@@ -314,16 +314,17 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
     certified residual at z, evaluated at the lattice's working precision
     (p + GUARD_BITS), clears the 10**(-0.8 digits) threshold.
 
-    ``start`` (default: the identity, one cold reduction) is a unimodular
-    (deg_bound + 1)-square matrix of coefficient rows reduced at the lattice
-    scale ``start_scale``, typically the ``coefficient_basis`` and
-    ``scale_bits`` of a search on a nearby value at lower precision. The
-    search then climbs to its own scale in rungs of ``RUNG_BITS``: each rung
+    The search climbs to its own scale in rungs of ``RUNG_BITS``: each rung
     reduces the previous rung's coefficient rows times [I | X_r], a small
     step from a reduced basis, and the top rung reduces the cold lattice
-    [I | X_s]. The threshold and exclusion bound are those of a cold search,
-    but an LLL basis is not unique: a genuine relation is found either way,
-    while spurious short vectors (noise at the scale) may differ.
+    [I | X_s]. ``start`` (default: the identity at ``start_scale`` 0) is a
+    unimodular (deg_bound + 1)-square matrix of coefficient rows reduced at
+    the lattice scale ``start_scale``, typically the ``coefficient_basis``
+    and ``scale_bits`` of a search on a nearby value at lower precision.
+    The threshold and exclusion bound are those of one cold reduction of
+    [I | X_s], but an LLL basis is not unique: a genuine relation is found
+    either way, while spurious short vectors (noise at the scale) and the
+    exclusion height read from the first row may differ.
     ``DegenerateBasis`` is raised when ``start`` is not unimodular.
     """
     if deg_bound < 1:
@@ -421,11 +422,12 @@ def member_of_field(z: FixedComplex, field_desc: ClassFieldDescriptor, p: int,
                     delta: Fraction = DEFAULT_DELTA) -> Membership | NotFound:
     """Coordinates of z in the power basis of the field generator, if any.
 
-    Searches an integer relation among {z, 1, gamma, ..., gamma^(m-1)}; a
-    hit is accepted when its certified residual, evaluated on those same
-    elements at the lattice's working precision (p + GUARD_BITS), clears the
-    10**(-0.8 digits) threshold, and the exact rational coordinates are
-    returned.
+    Searches an integer relation among {z, 1, gamma, ..., gamma^(m-1)},
+    climbing from the identity at scale 0 in rungs of ``RUNG_BITS`` as
+    ``min_poly`` does; a hit is accepted when its certified residual,
+    evaluated on those same elements at the lattice's working precision
+    (p + GUARD_BITS), clears the 10**(-0.8 digits) threshold, and the exact
+    rational coordinates are returned.
     """
     m = field_desc.degree
     w = p + GUARD_BITS

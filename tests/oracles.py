@@ -9,6 +9,9 @@ equivalence test, and only its grouping of cycles into module classes (a
 pairwise GL2(Z) merge) is independent of ``class_group``'s. ``lll_reference``
 is the library's exact LLL kernel as it stood before its swap reused the
 Lovász test's product, kept so that the kernel can be checked against it.
+``cold_relation_basis`` is the relation search's lattice reduced in one jump
+at its full scale, with that kernel: the search as it stood before it
+climbed to the scale in rungs.
 """
 
 from __future__ import annotations
@@ -250,3 +253,25 @@ def lll_reference(rows, delta_num=99, delta_den=100):
                     k += 1
                     break
     return b, u
+
+
+def cold_relation_basis(elements, s: int, delta_num=99, delta_den=100):
+    """Coefficient rows of [I | X_s] reduced in one LLL call, from scratch.
+
+    ``elements`` are fixed-point complex numbers (``.re`` and ``.im`` with
+    ``mantissa`` and ``scale_bits``); X_s holds their real and imaginary
+    parts times 2**s, rounded to the nearest integer (ties away from zero).
+    """
+    def scaled(part):
+        shift = part.scale_bits - s
+        if shift <= 0:
+            return part.mantissa << -shift
+        q, r = divmod(abs(part.mantissa), 1 << shift)
+        q += 2 * r >= 1 << shift
+        return q if part.mantissa >= 0 else -q
+
+    n = len(elements)
+    rows = [[int(i == j) for j in range(n)] + [scaled(z.re), scaled(z.im)]
+            for i, z in enumerate(elements)]
+    reduced, _ = lll_reference(rows, delta_num, delta_den)
+    return [row[:n] for row in reduced]

@@ -161,6 +161,20 @@ class TestCache:
         poly = ring_class_polynomial(15, 1, 384, cache_dir=cache)
         assert poly.coefficients == (-121287375, 191025, 1)
 
+    def test_wrong_coefficient_rejected(self, tmp_path):
+        # a well-formed entry is trusted only if the embeddings rebuild it;
+        # a wrong one is a miss, which rewrites the file
+        cache = str(tmp_path)
+        ring_class_polynomial(15, 1, 384, cache_dir=cache)
+        path = os.path.join(cache, "classpoly_d15_f1.txt")
+        lines = open(path).read().splitlines()
+        lines[2] = "-121287374"
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        poly = ring_class_polynomial(15, 1, 384, cache_dir=cache)
+        assert poly.coefficients == (-121287375, 191025, 1)
+        assert open(path).read().splitlines()[2] == "-121287375"
+
 
 class TestPrecisionEscalation:
     def test_attempt_fails_below_certificate(self):

@@ -7,9 +7,11 @@ from click.testing import CliRunner
 from quadexp import classforms, cli, pipeline, recognition, sklyanin
 from quadexp.cli import main
 from quadexp.errors import NotSquareFree
+from quadexp.modular import IntegerPolynomial
 from quadexp.pipeline import (CSV_HEADER, CaseParams, EXCLUDED_D, run_case,
                               run_range, verify_symbolic)
 from quadexp.quadfield import QuadraticIrrational, sl2_equivalent
+from quadexp.recognition import RecognitionResult, Recognized
 
 FAST = CaseParams(precision_bits=256, recognition=False)
 
@@ -99,13 +101,13 @@ class TestRunCase:
         assert deltas and set(deltas) == {reported}
 
     def test_stability_search_starts_from_p_basis(self, monkeypatch):
-        # each 2p search climbs from the basis the p search reduced: rung k
-        # reduces C_k [I | X_r] at increasing scales r, C_1 is the p search's
-        # reduced rows, and the top rung's lattice is the cold [I | X_2p]
+        # every search climbs: each p search from the identity at scale 0,
+        # each 2p search from the basis its p search reduced; rung k reduces
+        # C_k [I | X_r] at increasing scales r, C_(k+1) is rung k's reduced
+        # coefficient rows, and the top rung's lattice is the cold [I | X_s]
         events = []
         power_rows = recognition._power_rows
         reduce = recognition.lll_reduce
-        search = pipeline.min_poly
 
         def rows_spy(elements, s):
             rows = power_rows(elements, s)
@@ -118,13 +120,24 @@ class TestRunCase:
             events.append(("reduce", basis, result.basis))
             return result
 
-        def search_spy(z, deg_bound, height_bound, p, **kwargs):
-            events.append(("search", z, (deg_bound, height_bound, p)))
-            return search(z, deg_bound, height_bound, p, **kwargs)
+        results = []
+
+        def search_spy(search):
+            def spy(z, deg_bound, height_bound, p, **kwargs):
+                events.append(("search", z, (deg_bound, height_bound, p)))
+                results.append(search(z, deg_bound, height_bound, p,
+                                      **kwargs))
+                return results[-1]
+            return spy
 
         monkeypatch.setattr(recognition, "_power_rows", rows_spy)
         monkeypatch.setattr(recognition, "lll_reduce", reduce_spy)
-        monkeypatch.setattr(pipeline, "min_poly", search_spy)
+        # p searches run through conjugacy_classes, 2p searches through
+        # the pipeline's own binding
+        monkeypatch.setattr(recognition, "min_poly",
+                            search_spy(recognition.min_poly))
+        monkeypatch.setattr(pipeline, "min_poly",
+                            search_spy(pipeline.min_poly))
         r = run_case(15, CaseParams(precision_bits=256))
         n = r.recognition_results[0]["deg_bound"] + 1
 
@@ -135,31 +148,65 @@ class TestRunCase:
             return [(s, rows, inp, out) for (_, s, rows), (_, inp, out)
                     in zip(evs[::2], evs[1::2])]
 
+        def chained(ladder):
+            for (_, _, _, out), (_, _, inp, _) in zip(ladder, ladder[1:]):
+                assert [row[:n] for row in inp] == [row[:n] for row in out]
+
         marks = [i for i, e in enumerate(events) if e[0] == "search"]
-        # two J values: one cold search each at p, then one climb each at 2p
-        p_searches = rungs(events[:marks[0]])
-        climbs = [(events[mark][1:], rungs(events[mark + 1:end]))
-                  for mark, end in zip(marks, marks[1:] + [len(events)])]
+        searches = [(events[mark][1:], rungs(events[mark + 1:end]))
+                    for mark, end in zip(marks, marks[1:] + [len(events)])]
+        # two J values: one search each at p, then one climb each at 2p
+        p_searches, climbs = searches[:2], searches[2:]
         assert len(p_searches) == len(climbs) == 2
-        for (s_p, _, _, reduced_p), ((z, args), climb) in zip(p_searches,
-                                                              climbs):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        for ((_, p_args), ladder), ((z, args), climb), result in zip(
+                p_searches, climbs, results):
+            # the p search climbs from the identity at scale RUNG_BITS up
+            # to the p scale
+            p_scales = [s for s, _, _, _ in ladder]
+            assert p_args[2] == 256 and args[2] == 512
+            assert p_scales[0] == recognition.RUNG_BITS
+            assert [row[:n] for row in ladder[0][2]] == identity
+            assert all(a < b for a, b in zip(p_scales, p_scales[1:]))
+            assert p_scales[-1] == result.scale_bits
+            chained(ladder)
+            s_p, _, _, reduced_p = ladder[-1]
+            # the 2p search climbs from the p search's last rung
             scales = [s for s, _, _, _ in climb]
             assert len(climb) > 1
             assert all(a < b for a, b in zip([s_p] + scales, scales))
             assert [row[:n] for row in climb[0][2]] == \
                 [row[:n] for row in reduced_p]
-            for (_, _, _, out), (_, _, inp, _) in zip(climb, climb[1:]):
-                assert [row[:n] for row in inp] == [row[:n] for row in out]
+            chained(climb)
             # the top rung reduces another basis of the cold 2p lattice
             events.clear()
             recognition.min_poly(z, *args)
-            ((s_cold, cold_rows, _, _),) = rungs(events)
+            s_cold, cold_rows, _, _ = rungs(events)[-1]
             s_top, _, top, _ = climb[-1]
             assert s_top == s_cold
             x_2p = [row[n:] for row in cold_rows]
             assert [[sum(c * x[j] for c, x in zip(row[:n], x_2p))
                      for j in (0, 1)] for row in top] == \
                 [row[n:] for row in top]
+
+    @pytest.mark.parametrize("poly_2p,stable", [((-2, 0, 1), True),
+                                                ((-3, 0, 1), False)])
+    def test_stable_compares_polynomials(self, monkeypatch, poly_2p, stable):
+        # two recognized verdicts are stable only with the same polynomial
+        def recognizes(coefficients):
+            def search(z, deg_bound, height_bound, p, **kwargs):
+                found = Recognized(IntegerPolynomial(coefficients), -100.0)
+                return RecognitionResult(found, deg_bound, height_bound, p,
+                                         [], 0)
+            return search
+
+        monkeypatch.setattr(recognition, "min_poly", recognizes((-2, 0, 1)))
+        monkeypatch.setattr(pipeline, "min_poly", recognizes(poly_2p))
+        r = run_case(15, CaseParams(precision_bits=256))
+        assert [(e["verdict_p"], e["verdict_2p"]) for e in r.stability] == \
+            [("recognized", "recognized")] * 2
+        assert [e["same_minpoly"] for e in r.stability] == [stable] * 2
+        assert [e["stable"] for e in r.stability] == [stable] * 2
 
     def test_no_match_recorded(self):
         r = run_case(15, CaseParams(precision_bits=256, recognition=False,

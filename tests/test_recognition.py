@@ -4,17 +4,19 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oracles import lll_reference, lovasz_holds, shortest_vector_brute
+from oracles import (cold_relation_basis, lll_reference, lovasz_holds,
+                     shortest_vector_brute)
+from quadexp import recognition
 from quadexp._core import lll_reduce_rows
 from quadexp.errors import (DegenerateBasis, DomainError, InputRational,
                             InsufficientPrecision)
-from quadexp.modular import hcf_generator
+from quadexp.modular import IntegerPolynomial, hcf_generator
 from quadexp.numerics import FixedComplex, FixedReal, sqrt_fixed
 from quadexp.quadfield import OrderDescriptor, QuadraticIrrational, fundamental_unit
-from quadexp.recognition import (LOG10_2, JValue, Membership, NotFound,
-                                 _int_det, conjugacy_classes, evaluate_J,
-                                 j_function, lll_reduce, member_of_field,
-                                 min_poly)
+from quadexp.recognition import (LOG10_2, RUNG_BITS, JValue, Membership,
+                                 NotFound, _int_det, conjugacy_classes,
+                                 evaluate_J, j_function, lll_reduce,
+                                 member_of_field, min_poly)
 
 
 def real_probe(value_str: str, p: int, digits: int) -> FixedComplex:
@@ -28,6 +30,46 @@ def real_probe(value_str: str, p: int, digits: int) -> FixedComplex:
 def assert_certified(residual_log10: float, p: int) -> None:
     """The reported residual is below the 10**(-0.8 digits) threshold."""
     assert residual_log10 < -0.8 * int(p * LOG10_2)
+
+
+ALGEBRAIC_PROBES = [
+    ("sqrt2+sqrt3", (1, 0, -10, 0, 1)),
+    ("golden", (-1, -1, 1)),
+    ("(1+i sqrt3)/2", (1, -1, 1)),
+]
+
+
+def probe_value(name: str, p: int) -> FixedComplex:
+    """An algebraic probe of ``ALGEBRAIC_PROBES`` at p bits."""
+    if name == "sqrt2+sqrt3":
+        return FixedComplex.from_real(sqrt_fixed(2, p) + sqrt_fixed(3, p))
+    if name == "golden":
+        return FixedComplex.from_real(
+            QuadraticIrrational(1, 1, 2, 5).to_fixed(p))
+    return FixedComplex(FixedReal.from_ratio(1, 2, p),
+                        sqrt_fixed(3, p).div_int(2))
+
+
+@pytest.fixture
+def rungs(monkeypatch):
+    """(elements, scale) of every lattice the relation searches build."""
+    calls = []
+    power_rows = recognition._power_rows
+
+    def spy(elements, s):
+        calls.append((elements, s))
+        return power_rows(elements, s)
+
+    monkeypatch.setattr(recognition, "_power_rows", spy)
+    return calls
+
+
+def assert_identity_ladder(rungs) -> None:
+    """One search's rungs: RUNG_BITS steps from scale 0, then its own scale."""
+    scales = [s for _, s in rungs]
+    assert len(scales) > 1
+    assert scales == [*range(RUNG_BITS, scales[-1], RUNG_BITS), scales[-1]]
+    assert all(elements is rungs[0][0] for elements, _ in rungs)
 
 
 class TestLLL:
@@ -184,28 +226,31 @@ class TestMinPoly:
         digits = int(p * 0.30103)
         assert r1.verdict.residual_log10 - r2.verdict.residual_log10 >= 0.5 * digits
 
-    @pytest.mark.parametrize("name,expected", [
-        ("sqrt2+sqrt3", (1, 0, -10, 0, 1)),
-        ("golden", (-1, -1, 1)),
-        ("(1+i sqrt3)/2", (1, -1, 1)),
-    ])
+    @pytest.mark.parametrize("name,expected", ALGEBRAIC_PROBES)
+    def test_ladder_matches_cold_reduction(self, name, expected, rungs):
+        # without a start the search climbs from the identity; it finds the
+        # relation that one cold reduction of its top lattice gives
+        p = 512
+        r = min_poly(probe_value(name, p), 6, 10**6, p)
+        assert_identity_ladder(rungs)
+        elements, top = rungs[-1]
+        assert top == r.scale_bits
+        cold = cold_relation_basis(elements, top)
+        factors = IntegerPolynomial(tuple(cold[0])).factor_irreducible()
+        assert r.recognized
+        assert r.verdict.minpoly.coefficients == expected
+        assert r.verdict.minpoly in [f.normalized() for f in factors]
+        assert_certified(r.verdict.residual_log10, p)
+
+    @pytest.mark.parametrize("name,expected", ALGEBRAIC_PROBES)
     def test_warm_start_matches_cold(self, name, expected):
         # the 2p search from the p-reduced basis finds the genuine relation
-        # of the cold 2p search, with the same certified residual
-        def value(p):
-            if name == "sqrt2+sqrt3":
-                return FixedComplex.from_real(sqrt_fixed(2, p) + sqrt_fixed(3, p))
-            if name == "golden":
-                return FixedComplex.from_real(
-                    QuadraticIrrational(1, 1, 2, 5).to_fixed(p))
-            return FixedComplex(FixedReal.from_ratio(1, 2, p),
-                                sqrt_fixed(3, p).div_int(2))
-
+        # of the 2p search from the identity, with the same certified residual
         p = 384
-        r1 = min_poly(value(p), 6, 10**6, p)
+        r1 = min_poly(probe_value(name, p), 6, 10**6, p)
         assert _int_det(r1.coefficient_basis) in (1, -1)
-        cold = min_poly(value(2 * p), 6, 10**6, 2 * p)
-        warm = min_poly(value(2 * p), 6, 10**6, 2 * p,
+        cold = min_poly(probe_value(name, 2 * p), 6, 10**6, 2 * p)
+        warm = min_poly(probe_value(name, 2 * p), 6, 10**6, 2 * p,
                         start=r1.coefficient_basis)
         for r in (r1, cold, warm):
             assert r.recognized
@@ -358,6 +403,28 @@ class TestMembership:
         assert isinstance(m, Membership)
         assert m.coordinates == [Fraction(3), Fraction(0), Fraction(-2), Fraction(0)]
         assert_certified(m.residual_log10, 512)
+
+    @pytest.mark.parametrize("numerators,denominator", [
+        ([3, 0, -2, 0], 1),  # test_synthesized_combination
+        ([1, 1, 0, 0], 3),   # test_rational_coordinates
+    ])
+    def test_ladder_matches_cold_reduction(self, field15, rungs, numerators,
+                                           denominator):
+        # the membership search climbs from the identity too; the first
+        # candidate of one cold reduction of its top lattice gives the same
+        # coordinates
+        g = field15.generator_embedding
+        z, power = FixedComplex.from_int(0, 512), FixedComplex.from_int(1, 512)
+        for a in numerators:
+            z, power = z + power * a, power * g
+        m = member_of_field(z / denominator, field15, 512)
+        assert isinstance(m, Membership)
+        assert m.coordinates == [Fraction(a, denominator) for a in numerators]
+        assert_identity_ladder(rungs)
+        elements, top = rungs[-1]
+        cold = cold_relation_basis(elements, top)
+        b, *rest = next(row for row in cold if row[0])
+        assert [Fraction(-a, b) for a in rest] == m.coordinates
 
     def test_pi_not_found(self, field15):
         z = real_probe("pi", 499, 150)

@@ -1,13 +1,16 @@
-"""The benchmark's span recorder still binds to the program.
+"""The benchmark still binds to the program and still agrees with it.
 
 ``perfbench/spans.py`` wraps quadexp functions by module and name when a
 traced benchmark run starts. A refactor that renames a traced function, or
 leaves an import binding that holds another object, stops that run with a
 ``TracerError``; these tests install and uninstall the recorder, running
-nothing, so such a break fails here first.
+nothing, so such a break fails here first. ``perfbench/expected.json`` pins
+the outcome of every benchmark case; a change that alters one fails the
+benchmark run, and ``test_benchmark_outcomes`` makes it fail here first.
 """
 
 import importlib.util
+import json
 import sys
 from inspect import signature
 from pathlib import Path
@@ -16,12 +19,13 @@ import pytest
 
 from quadexp import _core, modular, pipeline, recognition
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name: str):
+    """A perfbench module, loaded by path without touching sys.path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look themselves up
     try:
@@ -29,6 +33,11 @@ def spans():
     finally:
         del sys.modules[spec.name]
     return module
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return _load("spans")
 
 
 def test_recorder_installs_and_uninstalls(spans):
@@ -60,3 +69,17 @@ def test_traced_signatures():
     assert "p" in signature(recognition.min_poly).parameters
     assert list(signature(modular._cache_path).parameters) == \
         ["cache_dir", "d", "f"]
+
+
+def test_benchmark_outcomes(tmp_path):
+    # every distinct benchmark case once, checked as the benchmark checks it;
+    # the recognize cases share one class-polynomial cache, as in a pass
+    workloads = _load("workloads")
+    expected = json.loads((PERFBENCH / "expected.json").read_text())["cases"]
+    cases = {case.key: case for workload in workloads.WORKLOADS.values()
+             for case in workload.cases}
+    assert set(cases) == set(expected)
+    for key, case in cases.items():
+        result = case.run(pipeline, str(tmp_path))
+        assert workloads.summarize(case, result) == expected[key]["expect"], \
+            key
