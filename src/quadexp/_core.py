@@ -12,12 +12,13 @@ BACKEND = "python"
 
 
 def lll_reduce_rows(rows, delta_num=99, delta_den=100):
-    """Reduce integer basis rows in place semantics-free (a copy is made).
+    """LLL-reduced copy of the integer basis rows (the input is not changed).
 
-    Returns (reduced_rows, transform) where transform is the unimodular
-    matrix with transform @ input == reduced. Raises ValueError when the
-    rows are linearly dependent. delta_num/delta_den is the Lovász
-    parameter, required to lie in (1/4, 1).
+    Returns the reduced rows only; they are integer combinations of the
+    input rows, and a caller that needs the combination keeps coefficient
+    columns in its lattice. Raises ValueError when the rows are linearly
+    dependent. delta_num/delta_den is the Lovász parameter, required to
+    lie in (1/4, 1).
 
     The reduction runs a ladder of increasing delta values, 3/4 and 9/10
     where they lie below the requested one, ending at the requested one;
@@ -28,16 +29,11 @@ def lll_reduce_rows(rows, delta_num=99, delta_den=100):
         raise ValueError("delta must lie in (1/4, 1)")
     n = len(rows)
     if n == 0:
-        return [], []
+        return []
     m = len(rows[0])
     b = [list(map(int, r)) for r in rows]
     if any(len(r) != m for r in b):
         raise ValueError("ragged basis")
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if n == 1:
-        if not any(b[0]):
-            raise ValueError("dependent rows (zero vector)")
-        return b, u
 
     # d[0..n], lam[i][j] valid for 1 <= j < i <= n (1-based like the
     # classical description; row i of the basis is b[i-1]).
@@ -70,18 +66,18 @@ def lll_reduce_rows(rows, delta_num=99, delta_den=100):
                             raise ValueError("dependent rows")
                         d[k] = s
             while True:
-                _red(b, u, d, lam, k, k - 1)
+                _red(b, d, lam, k, k - 1)
                 # a swap would make d[k-1] = d_num // d[k-1]; _swap reuses it
                 d_num = d[k] * d[k - 2] + lam[k][k - 1] ** 2
                 if den * d_num < num * d[k - 1] ** 2:
-                    _swap(b, u, d, lam, k, kmax, d_num)
+                    _swap(b, d, lam, k, kmax, d_num)
                     k = max(2, k - 1)
                 else:
                     for l in range(k - 2, 0, -1):
-                        _red(b, u, d, lam, k, l)
+                        _red(b, d, lam, k, l)
                     k += 1
                     break
-    return b, u
+    return b
 
 
 def _dot(x, y):
@@ -91,7 +87,7 @@ def _dot(x, y):
     return s
 
 
-def _red(b, u, d, lam, k, l):
+def _red(b, d, lam, k, l):
     lkl = lam[k][l]
     dl = d[l]
     if 2 * abs(lkl) <= dl:
@@ -101,10 +97,6 @@ def _red(b, u, d, lam, k, l):
     bl = b[l - 1]
     for i in range(len(bk)):
         bk[i] -= q * bl[i]
-    uk = u[k - 1]
-    ul = u[l - 1]
-    for i in range(len(uk)):
-        uk[i] -= q * ul[i]
     lam[k][l] = lkl - q * dl
     lamk = lam[k]
     laml = lam[l]
@@ -112,10 +104,9 @@ def _red(b, u, d, lam, k, l):
         lamk[i] -= q * laml[i]
 
 
-def _swap(b, u, d, lam, k, kmax, d_num):
+def _swap(b, d, lam, k, kmax, d_num):
     # d_num = d[k-2] d[k] + lam[k][k-1]**2, from the Lovász test
     b[k - 1], b[k - 2] = b[k - 2], b[k - 1]
-    u[k - 1], u[k - 2] = u[k - 2], u[k - 1]
     lamk = lam[k]
     lamk1 = lam[k - 1]
     for j in range(1, k - 1):

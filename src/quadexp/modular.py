@@ -231,7 +231,9 @@ def ring_class_polynomial_detailed(d: int, f: int, p: int,
 
     work = max(p, _coefficient_bits_estimate(order.discriminant, forms) + 96)
     cached = _cache_read(cache_dir, d, f, order.discriminant, summary.h)
-    if cached is not None:
+    # an entry certified above the most the miss loop reaches is a miss:
+    # its header alone would otherwise set the cost of the hit
+    if cached is not None and cached[1] <= work << (max_escalations - 1):
         # callers still want the embeddings: recompute them at the precision
         # the entry was certified at, as a miss does (at p alone they can
         # lose all their bits; j is large where |disc| is), and trust the

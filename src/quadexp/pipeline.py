@@ -183,6 +183,8 @@ def _match(d: int, params: CaseParams, report: CaseReport):
 
     Returns the imaginary conductor (None without a match) and the real
     order's ``class_group``, which the pseudo-lattices are built from.
+    Without a real conductor the case cannot go on, so the imag-to-real
+    ``NoMatchWithinBound`` propagates.
     """
     if params.conductor_direction == "real-to-imag":
         given = OrderDescriptor("real", d, params.given_conductor)
@@ -195,14 +197,14 @@ def _match(d: int, params: CaseParams, report: CaseReport):
         matched = match.matched_conductor
         h_common = match.h_common
     except NoMatchWithinBound as exc:
+        if given.field_kind == "imaginary":
+            raise  # no real order to go on with; run_case records it
         report.errors.append(f"NoMatchWithinBound: {exc}")
         match = matched = h_common = None
     if given.field_kind == "real":
         frak_f, f_imag = given.conductor, matched
     else:
         frak_f, f_imag = matched, given.conductor
-    if frak_f is None:
-        raise NoMatchWithinBound("no real conductor matched", params.search_bound)
     real_summary = _summary(match, OrderDescriptor("real", d, frak_f))
     imag_summary = (_summary(match, OrderDescriptor("imaginary", d, f_imag))
                     if f_imag is not None else None)

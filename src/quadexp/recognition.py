@@ -15,7 +15,6 @@ value at 2p and searching again (the pipeline's stability stage).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -34,10 +33,6 @@ DEFAULT_HEIGHT_BOUND = 10**40
 LOG10_2 = 0.30102999566398119
 # scale step between the rungs of a relation search
 RUNG_BITS = 64
-
-
-def _strict_checks() -> bool:
-    return bool(os.environ.get("QUADEXP_STRICT"))
 
 
 # -- J evaluation ----------------------------------------------------------------
@@ -112,12 +107,6 @@ def evaluate_J(theta: QuadraticIrrational, epsilon: UnitElement, p: int,
 # -- exact LLL wrapper ------------------------------------------------------------
 
 
-@dataclass
-class LLLResult:
-    basis: list[list[int]]
-    transform: list[list[int]]
-
-
 def _int_det(matrix: list[list[int]]) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(matrix)
@@ -143,24 +132,18 @@ def _int_det(matrix: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def lll_reduce(basis, delta: Fraction = DEFAULT_DELTA,
-               check_transform: bool | None = None) -> LLLResult:
-    """Exact integer LLL; returns the reduced rows and the unimodular map."""
+def lll_reduce(basis, delta: Fraction = DEFAULT_DELTA) -> list[list[int]]:
+    """Exact integer LLL; returns the reduced rows.
+
+    The rows are integer combinations of the input rows; a search that
+    needs the combination reads it from its lattice's coefficient columns.
+    """
     if not (Fraction(1, 4) < delta < 1):
         raise DomainError("delta must lie in (1/4, 1)")
     try:
-        reduced, transform = lll_reduce_rows(
-            [list(map(int, r)) for r in basis],
-            delta.numerator, delta.denominator)
+        return lll_reduce_rows(basis, delta.numerator, delta.denominator)
     except ValueError as exc:
         raise DegenerateBasis(str(exc)) from exc
-    if check_transform is None:
-        check_transform = _strict_checks()
-    if check_transform and transform:
-        det = _int_det(transform)
-        if det not in (1, -1):
-            raise DegenerateBasis(f"transform determinant {det}, expected +-1")
-    return LLLResult(reduced, transform)
 
 
 # -- recognition ----------------------------------------------------------------
@@ -245,6 +228,11 @@ def _exclusion_height(first_row: list[int], n: int) -> int:
     return isqrt(max(0, lam2 // max(1, n)))
 
 
+def _tails(c: list[int], scaled: list[list[int]]) -> list[int]:
+    """Residual columns of the lattice row with coefficient part c."""
+    return [sum(a * x[j] for a, x in zip(c, scaled)) for j in (0, 1)]
+
+
 def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
                      height_bound: int, delta: Fraction,
                      start: list[list[int]] | None = None,
@@ -253,17 +241,25 @@ def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
 
     The trusted bits of the p-bit input z set the lattice scale s and the
     acceptance threshold. The lattice has the rows [I | X_s] of
-    ``_power_rows``. Every search climbs to it from a unimodular start C
+    ``_power_rows``. Every search climbs to it from an n x n start C
     reduced at scale ``start_scale`` (default: the identity at scale 0):
     rung k reduces C_k [I | X_r] at r = start_scale + k RUNG_BITS below s,
     then at s itself, with C_1 = C and C_(k+1) the coefficient parts of rung
     k's reduced rows. Each rung starts from a basis reduced at most
     RUNG_BITS of scale lower, so it needs few swaps on small Gram
-    determinants. Each C_k is unimodular, so the top rung reduces another
-    basis of the cold lattice [I | X_s]. Returns the coefficient parts of all
-    reduced rows (the candidates come first), the threshold in decimal digits
-    (a candidate's residual must fall below 10**-threshold), the exclusion
-    height implied by the first reduced row, and s.
+    determinants.
+
+    The top rung is certified on every search: its reduced rows must be
+    C [I | X_s] for their coefficient parts C, with det C = +-1, so they
+    are a basis of the cold lattice [I | X_s]. Each C_(k+1) is U_k C_k for
+    an integer U_k, so this also proves the start and every rung
+    unimodular. Any other C spans a sublattice, whose reduction would
+    overstate the exclusion height; ``DegenerateBasis`` is raised instead.
+
+    Returns the coefficient parts of all reduced rows (the candidates come
+    first), the threshold in decimal digits (a candidate's residual must
+    fall below 10**-threshold), the exclusion height implied by the first
+    reduced row, and s.
     """
     trusted = _trusted_bits(z, p)
     threshold_digits = (8 * int(trusted * LOG10_2)) // 10
@@ -271,22 +267,21 @@ def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
     s = _scale_for(n - 1, height_bound, trusted)
     if start is None:
         coeffs = [[int(i == j) for j in range(n)] for i in range(n)]
+    elif len(start) != n or any(len(row) != n for row in start):
+        raise DegenerateBasis(f"warm start must be {n} x {n}")
     else:
-        # any other matrix spans a sublattice, whose reduction would
-        # overstate the exclusion height
-        if len(start) != n or any(len(row) != n for row in start):
-            raise DegenerateBasis(f"warm start must be {n} x {n}")
-        det = _int_det(start)
-        if det not in (1, -1):
-            raise DegenerateBasis(f"warm start determinant {det}, expected +-1")
         coeffs = start
     for r in [*range(start_scale + RUNG_BITS, s, RUNG_BITS), s]:
         scaled = [row[n:] for row in _power_rows(elements, r)]
-        rows = [list(c) + [sum(a * x[j] for a, x in zip(c, scaled))
-                           for j in (0, 1)]
-                for c in coeffs]
-        basis = lll_reduce(rows, delta).basis
+        basis = lll_reduce([list(c) + _tails(c, scaled) for c in coeffs],
+                           delta)
         coeffs = [row[:n] for row in basis]
+    if any(row[n:] != _tails(c, scaled) for row, c in zip(basis, coeffs)):
+        raise DegenerateBasis("reduced rows are not C [I | X_s]")
+    det = _int_det(coeffs)
+    if det not in (1, -1):
+        raise DegenerateBasis(f"reduced coefficient determinant {det}, "
+                              "expected +-1")
     return coeffs, threshold_digits, _exclusion_height(basis[0], n), s
 
 
@@ -316,16 +311,18 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
 
     The search climbs to its own scale in rungs of ``RUNG_BITS``: each rung
     reduces the previous rung's coefficient rows times [I | X_r], a small
-    step from a reduced basis, and the top rung reduces the cold lattice
-    [I | X_s]. ``start`` (default: the identity at ``start_scale`` 0) is a
-    unimodular (deg_bound + 1)-square matrix of coefficient rows reduced at
-    the lattice scale ``start_scale``, typically the ``coefficient_basis``
-    and ``scale_bits`` of a search on a nearby value at lower precision.
+    step from a reduced basis, and the top rung reduces a basis of the cold
+    lattice [I | X_s], which every search certifies. ``start`` (default:
+    the identity at ``start_scale`` 0) is a unimodular (deg_bound + 1)-square
+    matrix of coefficient rows reduced at the lattice scale ``start_scale``,
+    typically the ``coefficient_basis`` and ``scale_bits`` of a search on a
+    nearby value at lower precision.
     The threshold and exclusion bound are those of one cold reduction of
     [I | X_s], but an LLL basis is not unique: a genuine relation is found
     either way, while spurious short vectors (noise at the scale) and the
     exclusion height read from the first row may differ.
-    ``DegenerateBasis`` is raised when ``start`` is not unimodular.
+    ``DegenerateBasis`` is raised when the top rung's reduced rows are not
+    certified as a basis of [I | X_s], as when ``start`` is not unimodular.
     """
     if deg_bound < 1:
         raise DomainError("deg_bound must be >= 1")
@@ -423,11 +420,12 @@ def member_of_field(z: FixedComplex, field_desc: ClassFieldDescriptor, p: int,
     """Coordinates of z in the power basis of the field generator, if any.
 
     Searches an integer relation among {z, 1, gamma, ..., gamma^(m-1)},
-    climbing from the identity at scale 0 in rungs of ``RUNG_BITS`` as
-    ``min_poly`` does; a hit is accepted when its certified residual,
-    evaluated on those same elements at the lattice's working precision
-    (p + GUARD_BITS), clears the 10**(-0.8 digits) threshold, and the exact
-    rational coordinates are returned.
+    climbing from the identity at scale 0 in rungs of ``RUNG_BITS`` to a
+    certified basis of its cold lattice, as ``min_poly`` does; a hit is
+    accepted when its certified residual, evaluated on those same elements
+    at the lattice's working precision (p + GUARD_BITS), clears the
+    10**(-0.8 digits) threshold, and the exact rational coordinates are
+    returned.
     """
     m = field_desc.degree
     w = p + GUARD_BITS

@@ -192,7 +192,9 @@ def lll_reference(rows, delta_num=99, delta_den=100):
 
     The integral Gram-determinant recurrences and delta ladder of
     ``quadexp._core.lll_reduce_rows``, with the swap recomputing
-    d[k-2] d[k] + lam[k][k-1]**2 instead of taking it from the Lovász test.
+    d[k-2] d[k] + lam[k][k-1]**2 instead of taking it from the Lovász test,
+    and with the transform (transform @ rows == reduced_rows) that the
+    kernel does not track.
     """
     n = len(rows)
     b = [list(map(int, r)) for r in rows]
@@ -253,6 +255,18 @@ def lll_reference(rows, delta_num=99, delta_den=100):
                     k += 1
                     break
     return b, u
+
+
+def matches_lll_reference(rows, reduced, delta_num=99, delta_den=100) -> bool:
+    """``reduced`` is ``lll_reference``'s basis of rows, and the reference's
+    transform maps rows to it with determinant +-1."""
+    import sympy
+
+    basis, transform = lll_reference(rows, delta_num, delta_den)
+    mapped = [[sum(t * row[j] for t, row in zip(u, rows))
+               for j in range(len(rows[0]))] for u in transform]
+    return (reduced == basis == mapped
+            and abs(sympy.Matrix(transform).det()) == 1)
 
 
 def cold_relation_basis(elements, s: int, delta_num=99, delta_den=100):

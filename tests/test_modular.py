@@ -6,6 +6,7 @@ from dataclasses import fields
 import mpmath as mp
 import pytest
 
+from quadexp import modular
 from quadexp.classforms import class_group
 from quadexp.errors import DomainError, InsufficientPrecision
 from quadexp.modular import (ClassPolynomialResult, IntegerPolynomial,
@@ -101,6 +102,19 @@ class TestRingClassPolynomial:
             assert val.im.abs_upper_ulps() < 1 << (384 - 150)
 
 
+def result_key(result: ClassPolynomialResult) -> dict:
+    """Every field of the result, the j embeddings as plain tuples."""
+    key = {}
+    for f in fields(ClassPolynomialResult):
+        value = getattr(result, f.name)
+        if isinstance(value, list):  # j embeddings
+            value = [(e.re.mantissa, e.re.scale_bits, e.re.err_ulps,
+                      e.im.mantissa, e.im.scale_bits, e.im.err_ulps)
+                     for e in value]
+        key[f.name] = value
+    return key
+
+
 class TestCache:
     def test_roundtrip_and_coherence(self, tmp_path):
         cache = str(tmp_path)
@@ -127,20 +141,35 @@ class TestCache:
         cache = str(tmp_path)
         miss = ring_class_polynomial_detailed(194, 2, 256, cache_dir=cache)
         hit = ring_class_polynomial_detailed(194, 2, 256, cache_dir=cache)
-
-        def key(value):
-            if isinstance(value, list):  # j embeddings
-                return [(e.re.mantissa, e.re.scale_bits, e.re.err_ulps,
-                         e.im.mantissa, e.im.scale_bits, e.im.err_ulps)
-                        for e in value]
-            return value
-
-        for f in fields(ClassPolynomialResult):
-            assert key(getattr(hit, f.name)) == key(getattr(miss, f.name)), \
-                f.name
+        assert result_key(hit) == result_key(miss)
         # certified at the escalated precision, not at p
         assert miss.precision_bits > 256
         assert miss.gap_bits > ROUNDING_GAP_BITS
+
+    def test_header_precision_bounded(self, tmp_path, monkeypatch):
+        # a header naming more precision than the miss loop can reach is a
+        # miss: the file alone must not set the cost of a hit
+        works = []
+        embeddings = modular._j_embeddings
+
+        def spy(forms, work):
+            works.append(work)
+            return embeddings(forms, work)
+
+        monkeypatch.setattr(modular, "_j_embeddings", spy)
+        cache = str(tmp_path)
+        miss = ring_class_polynomial_detailed(15, 1, 384, cache_dir=cache)
+        ceiling = works[0] << 3  # the default max_escalations is 4
+        path = os.path.join(cache, "classpoly_d15_f1.txt")
+        lines = open(path).read().splitlines()
+        lines[0] = re.sub(r"precision=\d+", f"precision={ceiling + 1}",
+                          lines[0])
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        works.clear()
+        again = ring_class_polynomial_detailed(15, 1, 384, cache_dir=cache)
+        assert works and max(works) <= ceiling
+        assert result_key(again) == result_key(miss)
 
     def test_corrupt_cache_ignored(self, tmp_path):
         cache = str(tmp_path)

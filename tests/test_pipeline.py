@@ -91,9 +91,9 @@ class TestRunCase:
         deltas = []
         original = recognition.lll_reduce
 
-        def spy(basis, delta=recognition.DEFAULT_DELTA, check_transform=None):
+        def spy(basis, delta=recognition.DEFAULT_DELTA):
             deltas.append(delta)
-            return original(basis, delta, check_transform)
+            return original(basis, delta)
 
         monkeypatch.setattr(recognition, "lll_reduce", spy)
         r = run_case(15, CaseParams(precision_bits=256))
@@ -114,11 +114,10 @@ class TestRunCase:
             events.append(("rows", s, rows))
             return rows
 
-        def reduce_spy(basis, delta=recognition.DEFAULT_DELTA,
-                       check_transform=None):
-            result = reduce(basis, delta, check_transform)
-            events.append(("reduce", basis, result.basis))
-            return result
+        def reduce_spy(basis, delta=recognition.DEFAULT_DELTA):
+            reduced = reduce(basis, delta)
+            events.append(("reduce", basis, reduced))
+            return reduced
 
         results = []
 
@@ -212,6 +211,14 @@ class TestRunCase:
         r = run_case(15, CaseParams(precision_bits=256, recognition=False,
                                     search_bound=0))
         assert any("NoMatchWithinBound" in e for e in r.errors)
+        assert r.verdict() == "no_match"
+
+    def test_imag_to_real_no_match_reported_once(self):
+        # without a real conductor the case stops at its one failure
+        r = run_case(23, CaseParams(recognition=False,
+                                    conductor_direction="imag-to-real"))
+        assert r.errors == ["NoMatchWithinBound: no conductor <= 100 "
+                            "matches h=3"]
         assert r.verdict() == "no_match"
 
 

@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from oracles import (cold_relation_basis, lll_reference, lovasz_holds,
-                     shortest_vector_brute)
+                     matches_lll_reference, shortest_vector_brute)
 from quadexp import recognition
 from quadexp._core import lll_reduce_rows
 from quadexp.errors import (DegenerateBasis, DomainError, InputRational,
@@ -74,17 +74,18 @@ def assert_identity_ladder(rungs) -> None:
 
 class TestLLL:
     def test_identity(self):
-        r = lll_reduce([[1, 0], [0, 1]])
-        assert r.basis == [[1, 0], [0, 1]]
-        assert r.transform == [[1, 0], [0, 1]]
+        identity = [[1, 0], [0, 1]]
+        assert lll_reduce(identity) == identity
+        assert lll_reference(identity) == (identity, identity)
+        assert matches_lll_reference(identity, lll_reduce(identity))
 
     def test_lovasz_bound_on_skewed_basis(self):
         rows = [[1, 10**6], [0, 1]]
-        r = lll_reduce(rows)
+        reduced = lll_reduce(rows)
         # first vector within the LLL quality bound of det^(1/2)
-        norm2 = sum(x * x for x in r.basis[0])
+        norm2 = sum(x * x for x in reduced[0])
         assert norm2 <= 2 * 10**6  # 2^((n-1)/2) * sqrt(det), squared
-        assert lovasz_holds(r.basis, Fraction(99, 100))
+        assert lovasz_holds(reduced, Fraction(99, 100))
 
     def test_exact_lovasz_on_random(self):
         # deltas below, at and between the kernel's 3/4 and 9/10 ladder rungs
@@ -96,21 +97,21 @@ class TestLLL:
                 rows = [[rng.randint(-999, 999) for _ in range(n + 1)]
                         for _ in range(n)]
                 try:
-                    r = lll_reduce(rows, delta)
+                    reduced = lll_reduce(rows, delta)
                 except DegenerateBasis:
                     continue
-                assert lovasz_holds(r.basis, delta), delta
+                assert lovasz_holds(reduced, delta), delta
 
     def test_shortest_vector_quality(self):
         rng = random.Random(11)
         for _ in range(10):
             rows = [[rng.randint(-1000, 1000) for _ in range(4)] for _ in range(4)]
             try:
-                r = lll_reduce(rows)
+                reduced = lll_reduce(rows)
             except DegenerateBasis:
                 continue
             best = shortest_vector_brute(rows, 4)
-            norm2 = sum(x * x for x in r.basis[0])
+            norm2 = sum(x * x for x in reduced[0])
             assert norm2 <= 8 * best  # (2^(3/2))^2
 
     def test_unimodular_transform(self):
@@ -119,16 +120,11 @@ class TestLLL:
             n = rng.randint(2, 5)
             rows = [[rng.randint(-500, 500) for _ in range(n)] for _ in range(n)]
             try:
-                r = lll_reduce(rows, check_transform=True)
+                reduced = lll_reduce(rows)
             except DegenerateBasis:
                 continue
-            assert _int_det(r.transform) in (1, -1)
-            # transform really maps input to output
-            m = len(rows[0])
-            for i in range(n):
-                got = [sum(r.transform[i][k] * rows[k][j] for k in range(n))
-                       for j in range(m)]
-                assert got == r.basis[i]
+            # the reference's basis, which its transform maps the input to
+            assert matches_lll_reference(rows, reduced)
 
     def test_dependent_rows(self):
         with pytest.raises(DegenerateBasis):
@@ -137,7 +133,8 @@ class TestLLL:
     @pytest.mark.parametrize("delta", [(99, 100), (3, 4), (1, 2)])
     def test_kernel_matches_reference(self, delta):
         # the swap reuses the Lovász test's product: same decisions, so the
-        # same basis and transform as the kernel that recomputed it
+        # same basis as the reference that recomputes it, whose transform
+        # maps the input to that basis
         rng = random.Random(17)
         lattices = []
         for _ in range(12):
@@ -157,7 +154,7 @@ class TestLLL:
                 got = lll_reduce_rows(rows, *delta)
             except ValueError:
                 continue
-            assert got == lll_reference(rows, *delta)
+            assert matches_lll_reference(rows, got, *delta)
             checked += 1
         assert checked >= 20
 
@@ -440,3 +437,40 @@ class TestMembership:
         assert isinstance(m, Membership)
         assert m.coordinates == [Fraction(1, 3), Fraction(1, 3),
                                  Fraction(0), Fraction(0)]
+
+
+def double_last_row(rows):
+    rows[-1] = [2 * v for v in rows[-1]]
+
+
+def shift_last_tail(rows):
+    rows[-1][-1] += 1
+
+
+@pytest.fixture(params=[double_last_row, shift_last_tail])
+def corrupt_kernel(request, monkeypatch):
+    """recognition's LLL kernel, each of its results corrupted one way."""
+    kernel = recognition.lll_reduce_rows
+
+    def corrupted(rows, *delta):
+        reduced = kernel(rows, *delta)
+        request.param(reduced)
+        return reduced
+
+    monkeypatch.setattr(recognition, "lll_reduce_rows", corrupted)
+
+
+class TestCertificate:
+    # every search certifies its top rung as a basis of [I | X_s]: a doubled
+    # row spans a sublattice (det C = +-2), a shifted residual entry is no
+    # lattice vector; either would make the exclusion height unsound
+
+    def test_min_poly(self, corrupt_kernel):
+        p = 256
+        z = FixedComplex.from_real(QuadraticIrrational.sqrt_of(7).to_fixed(p))
+        with pytest.raises(DegenerateBasis):
+            min_poly(z, 4, 10**6, p)
+
+    def test_member_of_field(self, field15, corrupt_kernel):
+        with pytest.raises(DegenerateBasis):
+            member_of_field(field15.generator_embedding, field15, 512)

@@ -67,6 +67,10 @@ def test_traced_signatures():
     # the recorder tells 2p searches apart by min_poly's argument ``p`` and
     # counts cache hits through modular._cache_path(cache_dir, d, f)
     assert "p" in signature(recognition.min_poly).parameters
+    # it reads the lattice of recognition.lll_reduce from args[0] or
+    # kwargs["basis"], and times the kernel through recognition's binding
+    assert next(iter(signature(recognition.lll_reduce).parameters)) == "basis"
+    assert recognition.lll_reduce_rows is _core.lll_reduce_rows
     assert list(signature(modular._cache_path).parameters) == \
         ["cache_dir", "d", "f"]
 
