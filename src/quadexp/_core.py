@@ -11,7 +11,7 @@ from __future__ import annotations
 BACKEND = "python"
 
 
-def lll_reduce_rows(rows, delta_num=99, delta_den=100):
+def lll_reduce_rows(rows, delta_num, delta_den):
     """LLL-reduced copy of the integer basis rows (the input is not changed).
 
     Returns the reduced rows only; they are integer combinations of the

@@ -28,7 +28,7 @@ from .errors import BoundExceeded, DomainError, NoMatchWithinBound
 from .quadfield import (OrderDescriptor, QuadraticIrrational, _in_order,
                         fundamental_unit)
 
-DEFAULT_DISC_LIMIT = 10**8
+DISC_LIMIT = 10**8  # largest |disc| enumerated or matched; read at call time
 
 
 @dataclass(frozen=True)
@@ -200,22 +200,22 @@ def _principal_form(disc: int) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(1, b, (b * b - disc) // 4)
 
 
-def _check_disc_limit(order: OrderDescriptor, disc_limit: int) -> None:
+def _check_disc_limit(order: OrderDescriptor) -> None:
     disc = order.discriminant
-    if abs(disc) > disc_limit:
-        raise BoundExceeded(f"|disc|={abs(disc)} exceeds limit {disc_limit}")
+    if abs(disc) > DISC_LIMIT:
+        raise BoundExceeded(f"|disc|={abs(disc)} exceeds limit {DISC_LIMIT}")
 
 
-def class_group(order: OrderDescriptor,
-                disc_limit: int = DEFAULT_DISC_LIMIT) -> ClassGroupSummary:
+def class_group(order: OrderDescriptor) -> ClassGroupSummary:
     """Class number and one reduced representative per class.
 
     Imaginary side: count of primitive reduced definite forms. Real side:
     h_proper counts the reduction cycles, and h counts the module (wide)
     classes, each a cycle paired with its negative (see ``_wide_classes``).
     Representatives come principal class first, then by (a, b, c).
+    ``BoundExceeded`` is raised when |disc| exceeds ``DISC_LIMIT``.
     """
-    _check_disc_limit(order, disc_limit)
+    _check_disc_limit(order)
     disc = order.discriminant
     if order.field_kind == "imaginary":
         forms = _definite_reduced_forms(disc)
@@ -360,26 +360,29 @@ def order_class_number(order: OrderDescriptor, h_max: int,
     return h
 
 
-def match_conductor(given: OrderDescriptor, search_bound: int = 100,
-                    disc_limit: int = DEFAULT_DISC_LIMIT) -> ConductorMatch:
+def match_conductor(given: OrderDescriptor,
+                    search_bound: int = 100) -> ConductorMatch:
     """Least conductor on the opposite side with the same class number.
 
     Reduced forms are enumerated for the given order and the opposite
     maximal order only, and both summaries are returned with the match;
     every other candidate's class number comes from ``order_class_number``.
+    Without a match inside search_bound, ``NoMatchWithinBound`` carries the
+    given order's summary. Every candidate order is held to ``DISC_LIMIT``
+    (``BoundExceeded``).
     """
-    given_classes = class_group(given, disc_limit)
+    given_classes = class_group(given)
     h_given = given_classes.h
     for f in range(1, search_bound + 1):
         other = given.opposite(f)
         if f == 1:
-            maximal_classes = class_group(other, disc_limit)
+            maximal_classes = class_group(other)
             unit = (fundamental_unit(other).value
                     if other.field_kind == "real" else None)
         else:
-            _check_disc_limit(other, disc_limit)
+            _check_disc_limit(other)
         if order_class_number(other, maximal_classes.h, unit) == h_given:
             return ConductorMatch(given.field_kind, given.conductor, f, h_given,
                                   given_classes, maximal_classes)
     raise NoMatchWithinBound(
-        f"no conductor <= {search_bound} matches h={h_given}", search_bound)
+        f"no conductor <= {search_bound} matches h={h_given}", given_classes)

@@ -13,21 +13,27 @@ import traceback
 import click
 
 from .errors import NotSquareFree, QuadexpError
-from .pipeline import CaseParams, run_case, run_range, verify_symbolic
+from .pipeline import (CaseParams, SYMBOLIC_SUITES, run_case, run_range,
+                       verify_symbolic)
 
+_DEFAULTS = CaseParams()  # each case option defaults to its field here
 _CASE_OPTIONS = [
-    click.option("--precision-bits", type=int, default=512, show_default=True),
-    click.option("--deg-bound", type=int, default=None,
+    click.option("--precision-bits", type=int,
+                 default=_DEFAULTS.precision_bits, show_default=True),
+    click.option("--deg-bound", type=int, default=_DEFAULTS.deg_bound,
                  help="degree bound for recognition (default: twice the field degree)"),
-    click.option("--height-bound", type=int, default=10**40, show_default=False,
+    click.option("--height-bound", type=int, default=_DEFAULTS.height_bound,
+                 show_default=False,
                  help="coefficient height bound for recognition (default 10^40)"),
     click.option("--conductor-direction",
                  type=click.Choice(["real-to-imag", "imag-to-real"]),
-                 default="real-to-imag", show_default=True),
-    click.option("--search-bound", type=int, default=100, show_default=True),
-    click.option("--cache-dir", type=click.Path(), default=None,
+                 default=_DEFAULTS.conductor_direction, show_default=True),
+    click.option("--search-bound", type=int, default=_DEFAULTS.search_bound,
+                 show_default=True),
+    click.option("--cache-dir", type=click.Path(), default=_DEFAULTS.cache_dir,
                  help="class polynomial cache directory"),
-    click.option("--given-conductor", type=int, default=1, show_default=True,
+    click.option("--given-conductor", type=int,
+                 default=_DEFAULTS.given_conductor, show_default=True,
                  help="conductor of the given side of the match"),
     click.option("--skip-recognition", is_flag=True, default=False,
                  help="stop after the arithmetic stage and J evaluation"),
@@ -42,16 +48,8 @@ def _with_case_options(cmd):
     return cmd
 
 
-def _params(precision_bits, deg_bound, height_bound, conductor_direction,
-            search_bound, cache_dir, given_conductor, skip_recognition) -> CaseParams:
-    return CaseParams(precision_bits=precision_bits,
-                      deg_bound=deg_bound,
-                      height_bound=height_bound,
-                      conductor_direction=conductor_direction,
-                      search_bound=search_bound,
-                      cache_dir=cache_dir,
-                      given_conductor=given_conductor,
-                      recognition=not skip_recognition)
+def _params(skip_recognition, **fields) -> CaseParams:
+    return CaseParams(recognition=not skip_recognition, **fields)
 
 
 def _internal_error(exc: Exception):
@@ -117,7 +115,7 @@ def range_cmd(d_min, d_max, workers, csv_path, json_path, **opts):
 
 
 @main.command()
-@click.argument("suite", type=click.Choice(["remark1", "lemma1", "lemma2", "jacobi"]))
+@click.argument("suite", type=click.Choice(sorted(SYMBOLIC_SUITES)))
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def symbolic(suite, json_path):
     """Run one of the fixed symbolic verification suites."""

@@ -24,9 +24,9 @@ class BoundExceeded(QuadexpError):
 class NoMatchWithinBound(QuadexpError):
     """No conductor with matching class number inside the search range."""
 
-    def __init__(self, message, search_bound=None):
+    def __init__(self, message, given_classes):
         super().__init__(message)
-        self.search_bound = search_bound
+        self.given_classes = given_classes
 
 
 class InsufficientPrecision(QuadexpError):

@@ -22,6 +22,7 @@ from .numerics import (FixedComplex, FixedReal, GUARD_BITS, exp_cis,
 from .quadfield import OrderDescriptor
 
 ROUNDING_GAP_BITS = 32
+MAX_ESCALATIONS = 4  # attempts, at doubling precision, before giving up
 _X = sympy.Symbol("x")
 
 
@@ -217,13 +218,12 @@ def ring_class_polynomial(d: int, f: int, p: int,
 
 
 def ring_class_polynomial_detailed(d: int, f: int, p: int,
-                                   cache_dir: str | None = None,
-                                   max_escalations: int = 4) -> ClassPolynomialResult:
+                                   cache_dir: str | None = None) -> ClassPolynomialResult:
     """Monic integer polynomial with roots j(tau_Q) over the class forms.
 
     Rounding is certified: each coefficient (plus its error bound) must sit
     within 2**-ROUNDING_GAP_BITS of an integer or the computation retries at
-    doubled precision.
+    doubled precision, at most ``MAX_ESCALATIONS`` attempts in all.
     """
     order = OrderDescriptor("imaginary", d, f)
     summary = class_group(order)
@@ -233,7 +233,7 @@ def ring_class_polynomial_detailed(d: int, f: int, p: int,
     cached = _cache_read(cache_dir, d, f, order.discriminant, summary.h)
     # an entry certified above the most the miss loop reaches is a miss:
     # its header alone would otherwise set the cost of the hit
-    if cached is not None and cached[1] <= work << (max_escalations - 1):
+    if cached is not None and cached[1] <= work << (MAX_ESCALATIONS - 1):
         # callers still want the embeddings: recompute them at the precision
         # the entry was certified at, as a miss does (at p alone they can
         # lose all their bits; j is large where |disc| is), and trust the
@@ -247,7 +247,7 @@ def ring_class_polynomial_detailed(d: int, f: int, p: int,
         if result is not None and result.polynomial == poly:
             return result
 
-    for _ in range(max_escalations):
+    for _ in range(MAX_ESCALATIONS):
         try:
             result = _class_poly_attempt(forms, work, p)
             _cache_write(cache_dir, d, f, order.discriminant, summary.h,

@@ -2,9 +2,10 @@
 
 A case never asserts the headline algebraicity claim; it records Recognized
 or NoRelation outcomes with all parameters so that either confirmation or
-numeric counter-evidence is a reportable result. Partial failures (no
-conductor match inside the bound, precision ceilings) are recorded in the
-report rather than aborting the run.
+numeric counter-evidence is a reportable result. Typed failures
+(``QuadexpError``: no conductor match inside the bound, precision ceilings)
+are recorded in the report rather than aborting the run; any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def run_case(d: int, params: CaseParams = CaseParams()) -> CaseReport:
 
         if params.recognition and f_imag is not None:
             _recognition_stage(d, f_imag, jvals, params, report)
-    except (QuadexpError, ValueError) as exc:
+    except QuadexpError as exc:
         report.errors.append(f"{type(exc).__name__}: {exc}")
     report.timing["total_s"] = time.perf_counter() - t_start
     return report
@@ -194,19 +195,21 @@ def _match(d: int, params: CaseParams, report: CaseReport):
         raise DomainError(f"bad direction {params.conductor_direction}")
     try:
         match = match_conductor(given, params.search_bound)
-        matched = match.matched_conductor
-        h_common = match.h_common
     except NoMatchWithinBound as exc:
         if given.field_kind == "imaginary":
             raise  # no real order to go on with; run_case records it
         report.errors.append(f"NoMatchWithinBound: {exc}")
-        match = matched = h_common = None
+        matched = h_common = None
+        known = [exc.given_classes]
+    else:
+        matched, h_common = match.matched_conductor, match.h_common
+        known = [match.given_classes, match.opposite_maximal_classes]
     if given.field_kind == "real":
         frak_f, f_imag = given.conductor, matched
     else:
         frak_f, f_imag = matched, given.conductor
-    real_summary = _summary(match, OrderDescriptor("real", d, frak_f))
-    imag_summary = (_summary(match, OrderDescriptor("imaginary", d, f_imag))
+    real_summary = _summary(known, OrderDescriptor("real", d, frak_f))
+    imag_summary = (_summary(known, OrderDescriptor("imaginary", d, f_imag))
                     if f_imag is not None else None)
     report.conductors = {"frak_f": frak_f, "f": f_imag,
                          "direction": params.conductor_direction}
@@ -221,13 +224,11 @@ def _match(d: int, params: CaseParams, report: CaseReport):
     return f_imag, real_summary
 
 
-def _summary(match, order: OrderDescriptor):
-    """The order's ``class_group``, reused from the match when it has it."""
-    if match is not None:
-        if order.field_kind == match.given_side:
-            return match.given_classes
-        if order.conductor == 1:
-            return match.opposite_maximal_classes
+def _summary(known, order: OrderDescriptor):
+    """The order's ``class_group``, reused from the ``known`` summaries."""
+    for summary in known:
+        if summary.order == order:
+            return summary
     return class_group(order)
 
 
@@ -259,8 +260,7 @@ def _recognition_stage(d, f_imag, jvals, params, report):
     for jv, res in zip(jvals, partition.results):
         jv2 = evaluate_J(jv.theta, jv.epsilon, 2 * p)
         res2 = min_poly(jv2.value, deg_bound, params.height_bound, 2 * p,
-                        start=res.coefficient_basis,
-                        start_scale=res.scale_bits)
+                        start=res)
         entry = {"verdict_p": res.to_json()["verdict"],
                  "verdict_2p": res2.to_json()["verdict"]}
         if res.recognized and res2.recognized:

@@ -339,7 +339,7 @@ class UnitElement:
         return {"value": self.value.to_json(), "norm": self.norm}
 
 
-def _expansion_states(theta: QuadraticIrrational, max_steps: int = 100000):
+def _expansion_states(theta: QuadraticIrrational):
     """Partial quotients and complete quotients until the first repeat.
 
     Returns (digits, states, k, ell): states[i] is the i-th complete
@@ -350,7 +350,7 @@ def _expansion_states(theta: QuadraticIrrational, max_steps: int = 100000):
     states: list[QuadraticIrrational] = []
     seen: dict[QuadraticIrrational, int] = {}
     x = theta
-    for i in range(max_steps):
+    for i in range(100000):
         if x in seen:
             k = seen[x]
             return digits, states, k, i - k

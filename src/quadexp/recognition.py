@@ -81,16 +81,17 @@ class JValue:
                 "precision_bits": self.precision}
 
 
-def evaluate_J(theta: QuadraticIrrational, epsilon: UnitElement, p: int,
-               allow_rational_theta: bool = False) -> JValue:
+def evaluate_J(theta: QuadraticIrrational, epsilon: UnitElement,
+               p: int) -> JValue:
     """J(theta, epsilon) with the dual-route consistency check.
 
-    theta must be irrational outside of test probes; epsilon.value > 1 so
-    that log log is defined.
+    theta must be a quadratic irrational (``InputRational`` otherwise; probe
+    arguments go through ``j_function``), and epsilon.value > 1 so that
+    log log is defined.
     """
     if epsilon.value.cmp(1) <= 0:
         raise DomainError("epsilon must exceed 1")
-    if theta.is_rational and not allow_rational_theta:
+    if theta.is_rational:
         raise InputRational("theta must be a quadratic irrational")
     w = p + GUARD_BITS
     x = theta.to_fixed(w)
@@ -157,9 +158,7 @@ class Recognized:
 
 @dataclass
 class NoRelation:
-    deg_bound: int
-    height_bound: int
-    exclusion_height: int = 0
+    exclusion_height: int
 
 
 @dataclass
@@ -234,20 +233,19 @@ def _tails(c: list[int], scaled: list[list[int]]) -> list[int]:
 
 
 def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
-                     height_bound: int, delta: Fraction,
-                     start: list[list[int]] | None = None,
-                     start_scale: int = 0):
-    """Exact LLL on the scaled lattice of elements built from z.
+                     height_bound: int,
+                     start: RecognitionResult | None = None):
+    """Exact LLL at ``DEFAULT_DELTA`` on the scaled lattice of elements.
 
     The trusted bits of the p-bit input z set the lattice scale s and the
     acceptance threshold. The lattice has the rows [I | X_s] of
     ``_power_rows``. Every search climbs to it from an n x n start C
-    reduced at scale ``start_scale`` (default: the identity at scale 0):
-    rung k reduces C_k [I | X_r] at r = start_scale + k RUNG_BITS below s,
-    then at s itself, with C_1 = C and C_(k+1) the coefficient parts of rung
-    k's reduced rows. Each rung starts from a basis reduced at most
-    RUNG_BITS of scale lower, so it needs few swaps on small Gram
-    determinants.
+    reduced at scale s_0: the ``coefficient_basis`` and ``scale_bits`` of
+    ``start``, or the identity at scale 0 without one. Rung k reduces
+    C_k [I | X_r] at r = s_0 + k RUNG_BITS below s, then at s itself, with
+    C_1 = C and C_(k+1) the coefficient parts of rung k's reduced rows.
+    Each rung starts from a basis reduced at most RUNG_BITS of scale lower,
+    so it needs few swaps on small Gram determinants.
 
     The top rung is certified on every search: its reduced rows must be
     C [I | X_s] for their coefficient parts C, with det C = +-1, so they
@@ -266,15 +264,14 @@ def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
     n = len(elements)
     s = _scale_for(n - 1, height_bound, trusted)
     if start is None:
-        coeffs = [[int(i == j) for j in range(n)] for i in range(n)]
-    elif len(start) != n or any(len(row) != n for row in start):
-        raise DegenerateBasis(f"warm start must be {n} x {n}")
+        coeffs, s_0 = [[int(i == j) for j in range(n)] for i in range(n)], 0
     else:
-        coeffs = start
-    for r in [*range(start_scale + RUNG_BITS, s, RUNG_BITS), s]:
+        coeffs, s_0 = start.coefficient_basis, start.scale_bits
+        if len(coeffs) != n or any(len(row) != n for row in coeffs):
+            raise DegenerateBasis(f"warm start must be {n} x {n}")
+    for r in [*range(s_0 + RUNG_BITS, s, RUNG_BITS), s]:
         scaled = [row[n:] for row in _power_rows(elements, r)]
-        basis = lll_reduce([list(c) + _tails(c, scaled) for c in coeffs],
-                           delta)
+        basis = lll_reduce([list(c) + _tails(c, scaled) for c in coeffs])
         coeffs = [row[:n] for row in basis]
     if any(row[n:] != _tails(c, scaled) for row, c in zip(basis, coeffs)):
         raise DegenerateBasis("reduced rows are not C [I | X_s]")
@@ -299,9 +296,7 @@ def _residual_log10(ulps: int, scale: int) -> float:
 
 
 def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
-             delta: Fraction = DEFAULT_DELTA,
-             start: list[list[int]] | None = None,
-             start_scale: int = 0) -> RecognitionResult:
+             start: RecognitionResult | None = None) -> RecognitionResult:
     """Integer minimal polynomial of z, or a bounded exclusion.
 
     Candidates come from exact LLL on the scaled-power lattice; acceptance
@@ -312,17 +307,19 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
     The search climbs to its own scale in rungs of ``RUNG_BITS``: each rung
     reduces the previous rung's coefficient rows times [I | X_r], a small
     step from a reduced basis, and the top rung reduces a basis of the cold
-    lattice [I | X_s], which every search certifies. ``start`` (default:
-    the identity at ``start_scale`` 0) is a unimodular (deg_bound + 1)-square
-    matrix of coefficient rows reduced at the lattice scale ``start_scale``,
-    typically the ``coefficient_basis`` and ``scale_bits`` of a search on a
-    nearby value at lower precision.
+    lattice [I | X_s], which every search certifies. ``start`` is the
+    result of a search with the same deg_bound on a nearby value at lower
+    precision, typically the same value evaluated at half of p; the climb
+    begins from its unimodular ``coefficient_basis`` at its
+    ``scale_bits``. Without it the climb begins from the identity at
+    scale 0.
     The threshold and exclusion bound are those of one cold reduction of
     [I | X_s], but an LLL basis is not unique: a genuine relation is found
     either way, while spurious short vectors (noise at the scale) and the
     exclusion height read from the first row may differ.
     ``DegenerateBasis`` is raised when the top rung's reduced rows are not
-    certified as a basis of [I | X_s], as when ``start`` is not unimodular.
+    certified as a basis of [I | X_s], as when the basis of ``start`` is
+    not unimodular.
     """
     if deg_bound < 1:
         raise DomainError("deg_bound must be >= 1")
@@ -332,7 +329,7 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
     for _ in range(deg_bound):
         powers.append(powers[-1] * zw)
     basis, threshold_digits, excl, scale = _relation_search(
-        z, p, powers, height_bound, delta, start, start_scale)
+        z, p, powers, height_bound, start)
 
     for coeffs in basis[:6]:
         if not any(coeffs):
@@ -347,7 +344,7 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
                 return RecognitionResult(
                     Recognized(poly, _residual_log10(ulps, w)),
                     deg_bound, height_bound, p, basis, scale)
-    return RecognitionResult(NoRelation(deg_bound, height_bound, excl),
+    return RecognitionResult(NoRelation(excl),
                              deg_bound, height_bound, p, basis, scale)
 
 
@@ -415,8 +412,8 @@ class NotFound:
 
 
 def member_of_field(z: FixedComplex, field_desc: ClassFieldDescriptor, p: int,
-                    height_bound: int = DEFAULT_HEIGHT_BOUND,
-                    delta: Fraction = DEFAULT_DELTA) -> Membership | NotFound:
+                    height_bound: int = DEFAULT_HEIGHT_BOUND
+                    ) -> Membership | NotFound:
     """Coordinates of z in the power basis of the field generator, if any.
 
     Searches an integer relation among {z, 1, gamma, ..., gamma^(m-1)},
@@ -434,7 +431,7 @@ def member_of_field(z: FixedComplex, field_desc: ClassFieldDescriptor, p: int,
     for _ in range(m - 1):
         elements.append(elements[-1] * gamma)
     basis, threshold_digits, excl, _scale = _relation_search(
-        z, p, elements, height_bound, delta)
+        z, p, elements, height_bound)
 
     for vec in basis[:6]:
         b = vec[0]

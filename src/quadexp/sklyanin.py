@@ -15,6 +15,7 @@ silently patched.
 
 from __future__ import annotations
 
+import heapq
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,10 @@ Mono = tuple[tuple[str, int], ...]
 
 MU = "mu"
 ZETA = "zeta"
+
+DEGREE_BOUND = 6  # longest lead word of a rule that completion adds
+STEP_BOUND = 10**4  # rewrites one reduction may take
+MAX_RULES = 300  # rules one completion may hold
 
 _CONJ_FIXED = {MU}
 
@@ -118,16 +123,6 @@ class Coeff:
                     d[cs] = d.get(cs, 0) + e
             mono = tuple(sorted((s, e) for s, e in d.items() if e != 0))
             t[mono] = t.get(mono, Fraction(0)) + r
-        return Coeff(t)
-
-    def mu_shift(self, k: int) -> "Coeff":
-        if k == 0:
-            return self
-        t = {}
-        for m, r in self.terms.items():
-            d = dict(m)
-            d[MU] = d.get(MU, 0) + k
-            t[tuple(sorted((s, e) for s, e in d.items() if e != 0))] = r
         return Coeff(t)
 
     def mu_shift_from(self, other: "Coeff") -> int | None:
@@ -246,9 +241,6 @@ class NCPolynomial:
 
     def lead_word(self) -> Word:
         return max(self.terms, key=deglex_key)
-
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def mu_shift_from(self, other: "NCPolynomial") -> int | None:
         """k with self == mu**k * other term-by-term, or None."""
@@ -411,16 +403,22 @@ def _find_redex(word: Word, rules) -> tuple[int, RewriteRule] | None:
     return None
 
 
-def reduce(poly: NCPolynomial, system, step_bound: int = 10**4,
+def _apply_at(word: Word, pos: int, rule: RewriteRule) -> NCPolynomial:
+    prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
+    return NCPolynomial.word(prefix) * rule.rhs * NCPolynomial.word(suffix)
+
+
+def reduce(poly: NCPolynomial, system,
            trace: list | None = None) -> NCPolynomial:
     """Normal form under the system, leftmost-greatest strategy.
 
     system may be a RelationSystem or an explicit rule list (as produced by
-    complete()). Deterministic; raises StepBoundExceeded rather than spin.
+    complete()). Deterministic; raises StepBoundExceeded after STEP_BOUND
+    rewrites rather than spin.
     """
     rules = system.rewrites if isinstance(system, RelationSystem) else list(system)
     current = poly
-    for _ in range(step_bound):
+    for _ in range(STEP_BOUND):
         target = None
         for w in sorted(current.terms, key=deglex_key, reverse=True):
             hit = _find_redex(w, rules)
@@ -430,13 +428,12 @@ def reduce(poly: NCPolynomial, system, step_bound: int = 10**4,
         if target is None:
             return current
         w, coeff, pos, rule = target
-        prefix, suffix = w[:pos], w[pos + len(rule.lhs):]
-        replacement = NCPolynomial.word(prefix) * rule.rhs * NCPolynomial.word(suffix)
+        replacement = _apply_at(w, pos, rule)
         current = current - NCPolynomial.word(w, coeff) + replacement.scale(coeff)
         if trace is not None:
             trace.append(TraceStep(rule.name, pos, word_str(w),
                                    replacement.scale(coeff).to_json()))
-    raise StepBoundExceeded(f"no normal form within {step_bound} steps")
+    raise StepBoundExceeded(f"no normal form within {STEP_BOUND} steps")
 
 
 # -- bounded critical-pair saturation -------------------------------------------
@@ -486,40 +483,32 @@ def _overlap_words(l1: Word, l2: Word):
     return sorted(out, key=deglex_key)
 
 
-def _apply_at(word: Word, pos: int, rule: RewriteRule) -> NCPolynomial:
-    prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
-    return NCPolynomial.word(prefix) * rule.rhs * NCPolynomial.word(suffix)
-
-
-def complete(system: RelationSystem, degree_bound: int = 6,
-             step_bound: int = 10**4, max_rules: int = 300) -> CompletedSystem:
+def complete(system: RelationSystem) -> CompletedSystem:
     """Bounded Knuth-Bendix style saturation of the oriented rules.
 
-    New rules only join critical pairs whose resolvent has monomial leading
-    coefficient and lead word within degree_bound; everything else becomes a
-    reported finding. Every added rule is an exact consequence of the input
-    ideal (each critical pair is formed from two rewrites of one word).
+    Critical pairs are resolved in deglex order of their overlap word, then
+    by the indices of the two rules. New rules only join critical pairs
+    whose resolvent has monomial leading coefficient and lead word of
+    length at most DEGREE_BOUND; everything else becomes a reported
+    finding. Every added rule is an exact consequence of the input ideal
+    (each critical pair is formed from two rewrites of one word). More
+    than MAX_RULES rules raise StepBoundExceeded.
     """
     rules = list(system.rewrites)
     findings: list[OverlapFinding] = []
-    queue: list[tuple[Word, int, int]] = []
+    queue: list[tuple[tuple[int, Word], int, int]] = []
 
-    def enqueue_pairs(idx):
-        for j in range(len(rules)):
-            for w in _overlap_words(rules[idx].lhs, rules[j].lhs):
-                queue.append((w, idx, j))
+    def enqueue(i, j):
+        for w in _overlap_words(rules[i].lhs, rules[j].lhs):
+            heapq.heappush(queue, (deglex_key(w), i, j))
 
     for i in range(len(rules)):
         for j in range(i, len(rules)):
-            for w in _overlap_words(rules[i].lhs, rules[j].lhs):
-                queue.append((w, i, j))
-    queue.sort(key=lambda t: (deglex_key(t[0]), t[1], t[2]))
+            enqueue(i, j)
 
     seen = set()
-    qi = 0
-    while qi < len(queue):
-        w, ia, ib = queue[qi]
-        qi += 1
+    while queue:
+        (_, w), ia, ib = heapq.heappop(queue)
         key = (w, rules[ia].lhs, rules[ib].lhs)
         if key in seen:
             continue
@@ -530,8 +519,8 @@ def complete(system: RelationSystem, degree_bound: int = 6,
         pos_b = _find_sub(w, rb.lhs, prefer_late=True)
         if pos_a is None or pos_b is None:
             continue
-        nf1 = reduce(_apply_at(w, pos_a, ra), rules, step_bound)
-        nf2 = reduce(_apply_at(w, pos_b, rb), rules, step_bound)
+        nf1 = reduce(_apply_at(w, pos_a, ra), rules)
+        nf2 = reduce(_apply_at(w, pos_b, rb), rules)
         if nf1 == nf2:
             findings.append(OverlapFinding(word_str(w), ra.name, rb.name, "joined"))
             continue
@@ -543,10 +532,10 @@ def complete(system: RelationSystem, degree_bound: int = 6,
                 word_str(w), ra.name, rb.name, "unorientable",
                 f"lead {word_str(lead)} has non-invertible coefficient {lead_coeff!r}"))
             continue
-        if len(lead) > degree_bound:
+        if len(lead) > DEGREE_BOUND:
             findings.append(OverlapFinding(
                 word_str(w), ra.name, rb.name, "over_degree",
-                f"lead {word_str(lead)} exceeds degree {degree_bound}"))
+                f"lead {word_str(lead)} exceeds degree {DEGREE_BOUND}"))
             continue
         rest = NCPolynomial({u: c for u, c in g.terms.items() if u != lead})
         rhs = (-rest).scale(lead_coeff.inverse())
@@ -555,10 +544,10 @@ def complete(system: RelationSystem, degree_bound: int = 6,
         rules.append(new_rule)
         findings.append(OverlapFinding(word_str(w), ra.name, rb.name, "new_rule",
                                        f"{word_str(lead)} -> {rhs!r}"))
-        if len(rules) > max_rules:
-            raise StepBoundExceeded(f"completion exceeded {max_rules} rules")
-        enqueue_pairs(len(rules) - 1)
-        queue[qi:] = sorted(queue[qi:], key=lambda t: (deglex_key(t[0]), t[1], t[2]))
+        if len(rules) > MAX_RULES:
+            raise StepBoundExceeded(f"completion exceeded {MAX_RULES} rules")
+        for j in range(len(rules)):
+            enqueue(len(rules) - 1, j)
     rules.sort(key=lambda r: deglex_key(r.lhs), reverse=True)
     return CompletedSystem(system, rules, findings)
 
@@ -686,22 +675,15 @@ def systems_equivalent(comp_a: CompletedSystem,
 # -- involution ------------------------------------------------------------------
 
 
+_STAR = {1: 2, 2: 1, 3: 4, 4: 3}
+
+
 @dataclass(frozen=True)
 class Involution:
     """The star structure x1 <-> x2, x3 <-> x4 with coefficient conjugation."""
 
-    pairing: tuple[tuple[int, int], ...] = ((1, 2), (3, 4))
-
-    def _map(self) -> dict[int, int]:
-        m = {}
-        for i, j in self.pairing:
-            m[i] = j
-            m[j] = i
-        return m
-
     def apply_word(self, w: Word) -> Word:
-        m = self._map()
-        return tuple(m[g] for g in reversed(w))
+        return tuple(_STAR[g] for g in reversed(w))
 
     def apply(self, poly: NCPolynomial) -> NCPolynomial:
         t: dict[Word, Coeff] = {}

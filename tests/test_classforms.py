@@ -2,6 +2,7 @@ import pytest
 
 from oracles import (definite_class_number_orbit, min_unit_power_in_suborder,
                      wide_classes_gl2)
+from quadexp import classforms
 from quadexp.classforms import (BinaryQuadraticForm, ClassGroupSummary,
                                 _indefinite_cycles, _indefinite_reduced_forms,
                                 _wide_classes, class_group, match_conductor,
@@ -82,9 +83,10 @@ class TestClassGroup:
         cg = class_group(OrderDescriptor("imaginary", 15, 2))
         assert cg.h == definite_class_number_orbit(-60)
 
-    def test_bound_exceeded(self):
+    def test_bound_exceeded(self, monkeypatch):
+        monkeypatch.setattr(classforms, "DISC_LIMIT", 10)
         with pytest.raises(BoundExceeded):
-            class_group(OrderDescriptor("imaginary", 15, 1), disc_limit=10)
+            class_group(OrderDescriptor("imaginary", 15, 1))
 
     def test_oracle_agreement_sample(self):
         # fuller sweep lives in the acceptance suite
@@ -245,13 +247,15 @@ class TestConductorMatch:
         m = match_conductor(OrderDescriptor("imaginary", 15, 1), 50)
         assert (m.matched_conductor, m.h_common) == (1, 2)
 
-    def test_disc_limit(self):
+    def test_disc_limit(self, monkeypatch):
         # h(Q(sqrt5)) = 1 but h(-20 f^2) > 1: the scan reaches f = 6, where
         # |disc| = 720 first exceeds the limit
+        monkeypatch.setattr(classforms, "DISC_LIMIT", 500)
         with pytest.raises(BoundExceeded, match=r"\|disc\|=720 exceeds limit 500"):
-            match_conductor(OrderDescriptor("real", 5, 1), 100, disc_limit=500)
+            match_conductor(OrderDescriptor("real", 5, 1), 100)
+        monkeypatch.setattr(classforms, "DISC_LIMIT", 10)
         with pytest.raises(BoundExceeded, match=r"\|disc\|=20 exceeds limit 10"):
-            match_conductor(OrderDescriptor("real", 5, 1), 100, disc_limit=10)
+            match_conductor(OrderDescriptor("real", 5, 1), 100)
 
     def test_degenerate_bound(self):
         with pytest.raises(NoMatchWithinBound):

@@ -159,7 +159,7 @@ class TestCache:
         monkeypatch.setattr(modular, "_j_embeddings", spy)
         cache = str(tmp_path)
         miss = ring_class_polynomial_detailed(15, 1, 384, cache_dir=cache)
-        ceiling = works[0] << 3  # the default max_escalations is 4
+        ceiling = works[0] << (modular.MAX_ESCALATIONS - 1)
         path = os.path.join(cache, "classpoly_d15_f1.txt")
         lines = open(path).read().splitlines()
         lines[0] = re.sub(r"precision=\d+", f"precision={ceiling + 1}",

@@ -71,8 +71,13 @@ class TestRunCase:
                                     conductor_direction="sideways"))
         assert r.errors == ["DomainError: bad direction sideways"]
 
-    @pytest.mark.parametrize("direction", ["real-to-imag", "imag-to-real"])
-    def test_each_order_enumerated_once(self, monkeypatch, direction):
+    @pytest.mark.parametrize("d,direction", [
+        pytest.param(15, "real-to-imag", id="real-to-imag"),
+        pytest.param(15, "imag-to-real", id="imag-to-real"),
+        # no conductor matches: the case goes on with the given order's
+        # summary that the search built
+        pytest.param(41, "real-to-imag", id="no-match")])
+    def test_each_order_enumerated_once(self, monkeypatch, d, direction):
         seen = []
         original = classforms.class_group
 
@@ -82,10 +87,10 @@ class TestRunCase:
 
         monkeypatch.setattr(classforms, "class_group", counting)
         monkeypatch.setattr(pipeline, "class_group", counting)
-        r = run_case(15, CaseParams(recognition=False,
-                                    conductor_direction=direction))
-        assert not r.errors
-        assert sorted(seen) == [("imaginary", 15, 1), ("real", 15, 1)]
+        r = run_case(d, CaseParams(recognition=False,
+                                   conductor_direction=direction))
+        assert r.verdict() == ("no_match" if d == 41 else "arithmetic_only")
+        assert sorted(seen) == [("imaginary", d, 1), ("real", d, 1)]
 
     def test_lll_runs_at_reported_delta(self, monkeypatch):
         deltas = []
@@ -256,21 +261,25 @@ class TestRunRange:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_unexpected_exception_costs_one_d(self, monkeypatch, workers):
         original = pipeline.fundamental_unit
-
-        def crash_at_14(order):
-            if order.d == 14:
-                raise ZeroDivisionError("division by zero")
-            return original(order)
-
         clean = {d: run_case(d, FAST).dumps(with_timing=False) for d in (13, 15)}
-        monkeypatch.setattr(pipeline, "fundamental_unit", crash_at_14)
-        summary = run_range(13, 15, FAST, workers=workers)
-        assert [r.d for r in summary.reports] == [13, 14, 15]
-        r13, r14, r15 = summary.reports
-        assert r14.verdict() == "error"
-        assert r14.errors == ["ZeroDivisionError: division by zero"]
-        assert r13.dumps(with_timing=False) == clean[13]
-        assert r15.dumps(with_timing=False) == clean[15]
+        # run_case records QuadexpError only; anything else is a bug
+        for error in (ZeroDivisionError("division by zero"),
+                      ValueError("bad value")):
+            def crash_at_14(order, error=error):
+                if order.d == 14:
+                    raise error
+                return original(order)
+
+            monkeypatch.setattr(pipeline, "fundamental_unit", crash_at_14)
+            summary = run_range(13, 15, FAST, workers=workers)
+            assert [r.d for r in summary.reports] == [13, 14, 15]
+            r13, r14, r15 = summary.reports
+            assert r14.verdict() == "error"
+            assert r14.errors == [f"{type(error).__name__}: {error}"]
+            # the range's isolation reports it; run_case did not record it
+            assert r14.conductors is None
+            assert r13.dumps(with_timing=False) == clean[13]
+            assert r15.dumps(with_timing=False) == clean[15]
 
     def test_workers_match_serial(self):
         serial = run_range(2, 8, FAST)
@@ -361,6 +370,27 @@ class TestCLI:
         res = CliRunner().invoke(main, ["symbolic", "remark1"])
         assert res.exit_code == 0
         assert res.output.count("PASS") == 4
+
+    def test_options_follow_case_params(self, tmp_path):
+        # every default comes from CaseParams, every suite from the pipeline
+        out = tmp_path / "r.json"
+        res = CliRunner().invoke(main, ["case", "15", "--skip-recognition",
+                                        "--json", str(out)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(out.read_text())["params"] == \
+            CaseParams(recognition=False).to_json()
+        suites = cli.symbolic.params[0].type.choices
+        assert list(suites) == sorted(pipeline.SYMBOLIC_SUITES)
+
+    def test_untyped_failure_exit2(self, monkeypatch):
+        # a ValueError inside a case is a bug, not a recorded failure
+        def crash(order):
+            raise ValueError("bad value")
+
+        monkeypatch.setattr(pipeline, "fundamental_unit", crash)
+        res = CliRunner().invoke(main, ["case", "14"])
+        assert res.exit_code == 2, res.output
+        assert "internal error: ValueError: bad value" in res.output
 
     def test_unexpected_exception_exit2(self, monkeypatch):
         def crash(*args, **kwargs):

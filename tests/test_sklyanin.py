@@ -137,7 +137,7 @@ class TestCheckDerivation:
 
     def test_failure_without_units(self):
         eq14 = build_system("sklyanin_eq14")
-        res = check_derivation(complete(eq14, degree_bound=4), W((2, 1)),
+        res = check_derivation(complete(eq14), W((2, 1)),
                                NCPolynomial.unit(MU_INV))
         assert not res.ok
         assert not res.normal_form.is_zero()
@@ -176,7 +176,7 @@ class TestSystemsEquivalent:
         assert any("x2 x1" in s or ".5" in s for s in separating)
 
     def test_nonconfluence_reported_for_eq17(self):
-        comp = complete(build_system("scaled_eq17"), degree_bound=6)
+        comp = complete(build_system("scaled_eq17"))
         assert comp.nonconfluent, "printed scaling forces unorientable pairs"
 
 
