@@ -44,16 +44,6 @@ class BinaryQuadraticForm:
     def is_primitive(self) -> bool:
         return gcd(gcd(abs(self.a), abs(self.b)), abs(self.c)) == 1
 
-    def is_reduced_definite(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if self.discriminant >= 0 or a <= 0:
-            return False
-        if not (abs(b) <= a <= c):
-            return False
-        if (abs(b) == a or a == c) and b < 0:
-            return False
-        return True
-
     def is_reduced_indefinite(self) -> bool:
         # 0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b
         disc = self.discriminant

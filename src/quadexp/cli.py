@@ -12,7 +12,7 @@ import traceback
 
 import click
 
-from .errors import NotSquareFree, QuadexpError
+from .errors import DomainError, NotSquareFree, QuadexpError
 from .pipeline import (CaseParams, SYMBOLIC_SUITES, run_case, run_range,
                        verify_symbolic)
 
@@ -48,8 +48,16 @@ def _with_case_options(cmd):
     return cmd
 
 
+def _input_error(exc: QuadexpError):
+    click.echo(f"input error: {exc}", err=True)
+    sys.exit(1)
+
+
 def _params(skip_recognition, **fields) -> CaseParams:
-    return CaseParams(recognition=not skip_recognition, **fields)
+    try:
+        return CaseParams(recognition=not skip_recognition, **fields)
+    except DomainError as exc:  # a field out of range: an input error
+        _input_error(exc)
 
 
 def _internal_error(exc: Exception):
@@ -69,11 +77,11 @@ def main():
 @_with_case_options
 def case(d, json_path, **opts):
     """Run the full experiment for one square-free integer D."""
+    params = _params(**opts)
     try:
-        report = run_case(d, _params(**opts))
+        report = run_case(d, params)
     except NotSquareFree as exc:
-        click.echo(f"input error: {exc}", err=True)
-        sys.exit(1)
+        _input_error(exc)
     except Exception as exc:
         _internal_error(exc)
     payload = report.dumps()
@@ -95,8 +103,9 @@ def case(d, json_path, **opts):
 @_with_case_options
 def range_cmd(d_min, d_max, workers, csv_path, json_path, **opts):
     """Run all square-free d in [D_MIN, D_MAX]."""
+    params = _params(**opts)
     try:
-        summary = run_range(d_min, d_max, _params(**opts), workers=workers)
+        summary = run_range(d_min, d_max, params, workers=workers)
     except Exception as exc:
         _internal_error(exc)
     if json_path:

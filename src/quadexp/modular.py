@@ -39,7 +39,6 @@ class IntegerPolynomial:
         if not coeffs:
             coeffs = (0,)
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "_irreducible", None)
 
     @property
     def degree(self) -> int:
@@ -76,17 +75,6 @@ class IntegerPolynomial:
     def _sympy(self):
         return sympy.Poly(list(reversed(self.coefficients)), _X)
 
-    def is_irreducible(self) -> bool:
-        if self._irreducible is None:
-            if self.degree < 1:
-                object.__setattr__(self, "_irreducible", False)
-            else:
-                p = self.normalized()
-                factors = p._sympy().factor_list()[1]
-                irr = len(factors) == 1 and factors[0][1] == 1
-                object.__setattr__(self, "_irreducible", irr)
-        return self._irreducible
-
     def factor_irreducible(self) -> list["IntegerPolynomial"]:
         """Irreducible integer factors of positive degree (content dropped)."""
         out = []
@@ -109,12 +97,6 @@ class IntegerPolynomial:
         acc = FixedComplex.from_int(self.coefficients[-1], p)
         for c in reversed(self.coefficients[:-1]):
             acc = acc * z + FixedComplex.from_int(c, p)
-        return acc
-
-    def eval_int(self, n: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * n + c
         return acc
 
     def to_json(self) -> list[int]:
@@ -210,11 +192,6 @@ class ClassPolynomialResult:
     precision_bits: int
     gap_bits: int  # certified: every coefficient within 2**-gap_bits of an int
     j_embeddings: list[FixedComplex]
-
-
-def ring_class_polynomial(d: int, f: int, p: int,
-                          cache_dir: str | None = None) -> IntegerPolynomial:
-    return ring_class_polynomial_detailed(d, f, p, cache_dir).polynomial
 
 
 def ring_class_polynomial_detailed(d: int, f: int, p: int,

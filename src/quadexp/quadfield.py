@@ -308,25 +308,6 @@ class CFExpansion:
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
 
-    def reconstruct(self) -> QuadraticIrrational:
-        """Exact value of the expansion; inverse of cf_expand."""
-        if not self.period:
-            raise DomainError("period must be nonempty")
-        p, pp, q, qq = _convergent_matrix(self.period)
-        # periodic tail y satisfies q y^2 + (qq - p) y - pp = 0; reduce the
-        # content first so the radicand to split stays small
-        ca, cb, cc = q, qq - p, -pp
-        g = gcd(gcd(ca, abs(cb)), abs(cc))
-        ca, cb, cc = ca // g, cb // g, cc // g
-        disc = cb * cb - 4 * ca * cc
-        plus = QuadraticIrrational(-cb, 1, 2 * ca, disc)
-        y = plus if plus.cmp(1) > 0 else QuadraticIrrational(-cb, -1, 2 * ca, disc)
-        x = y
-        for a in reversed(self.preperiod):
-            x = QuadraticIrrational.from_rational(a) + \
-                QuadraticIrrational.from_rational(1) / x
-        return x
-
 
 @dataclass(frozen=True)
 class UnitElement:

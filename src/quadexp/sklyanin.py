@@ -20,8 +20,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .errors import ConstraintViolated, DomainError, PoleError, StepBoundExceeded
 
 Word = tuple[int, ...]
@@ -64,10 +62,6 @@ class Coeff:
     @classmethod
     def zero(cls) -> "Coeff":
         return cls({})
-
-    @classmethod
-    def one(cls) -> "Coeff":
-        return cls.rational(1)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -127,9 +121,7 @@ class Coeff:
 
     def mu_shift_from(self, other: "Coeff") -> int | None:
         """k with self == mu**k * other, or None."""
-        if self.is_zero() and other.is_zero():
-            return 0
-        if self.is_zero() or other.is_zero() or len(self.terms) != len(other.terms):
+        if len(self.terms) != len(other.terms):
             return None
 
         def strip(mono):
@@ -137,16 +129,8 @@ class Coeff:
 
         mine = sorted((strip(m), r) for m, r in self.terms.items())
         theirs = sorted((strip(m), r) for m, r in other.terms.items())
-        k = None
-        for ((ms, me), mr), ((ts, te), tr) in zip(mine, theirs):
-            if ms != ts or mr != tr:
-                return None
-            shift = me - te
-            if k is None:
-                k = shift
-            elif k != shift:
-                return None
-        return k
+        return _uniform_shift(me - te if (ms, mr) == (ts, tr) else None
+                              for ((ms, me), mr), ((ts, te), tr) in zip(mine, theirs))
 
     def to_json(self):
         out = []
@@ -171,11 +155,20 @@ class Coeff:
         return " + ".join(parts)
 
 
+def _uniform_shift(shifts) -> int | None:
+    """The one value all shifts share (0 if there are none), else None."""
+    distinct = set(shifts)
+    if None in distinct or len(distinct) > 1:
+        return None
+    return distinct.pop() if distinct else 0
+
+
 ZETA_C = Coeff.monomial(1, {ZETA: 1})
 ZETA_INV = Coeff.monomial(1, {ZETA: -1})
 MU_C = Coeff.monomial(1, {MU: 1})
 MU_INV = Coeff.monomial(1, {MU: -1})
-ONE = Coeff.one()
+ONE = Coeff.rational(1)
+ZERO = Coeff.zero()
 
 
 def word_str(w: Word) -> str:
@@ -218,7 +211,7 @@ class NCPolynomial:
     def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
         t = dict(self.terms)
         for w, c in other.terms.items():
-            t[w] = t.get(w, Coeff.zero()) + c
+            t[w] = t.get(w, ZERO) + c
         return NCPolynomial(t)
 
     def __neg__(self) -> "NCPolynomial":
@@ -233,7 +226,7 @@ class NCPolynomial:
             for w2, c2 in other.terms.items():
                 w = w1 + w2
                 prod = c1 * c2
-                t[w] = t.get(w, Coeff.zero()) + prod
+                t[w] = t.get(w, ZERO) + prod
         return NCPolynomial(t)
 
     def scale(self, coeff: Coeff) -> "NCPolynomial":
@@ -246,16 +239,8 @@ class NCPolynomial:
         """k with self == mu**k * other term-by-term, or None."""
         if set(self.terms) != set(other.terms):
             return None
-        k = None
-        for w, c in self.terms.items():
-            shift = c.mu_shift_from(other.terms[w])
-            if shift is None:
-                return None
-            if k is None:
-                k = shift
-            elif k != shift:
-                return None
-        return 0 if k is None else k
+        return _uniform_shift(c.mu_shift_from(other.terms[w])
+                              for w, c in self.terms.items())
 
     def to_json(self):
         return [{"word": word_str(w), "coeff": c.to_json()}
@@ -275,13 +260,17 @@ class RewriteRule:
     lhs: Word
     rhs: NCPolynomial
     name: str = ""
-    is_unit_rule: bool = False  # rhs supported on the empty word
 
     def __post_init__(self):
         for w in self.rhs.terms:
             if deglex_key(w) >= deglex_key(self.lhs):
                 raise DomainError(
                     f"rule {word_str(self.lhs)} -> {self.rhs!r} is not oriented")
+
+    @property
+    def is_unit_rule(self) -> bool:
+        """The rhs is supported on the empty word."""
+        return all(len(w) == 0 for w in self.rhs.terms)
 
     def to_json(self):
         return {"lhs": word_str(self.lhs), "rhs": self.rhs.to_json(),
@@ -296,8 +285,7 @@ class Relation:
     rhs: NCPolynomial
 
     def rewrites(self, name: str) -> list[RewriteRule]:
-        unit = all(len(w) == 0 for w in self.rhs.terms)
-        return [RewriteRule(w, self.rhs, name, unit) for w in self.lhs_words]
+        return [RewriteRule(w, self.rhs, name) for w in self.lhs_words]
 
 
 @dataclass
@@ -389,50 +377,59 @@ class TraceStep:
                 "before": self.before, "after": self.after}
 
 
-def _find_redex(word: Word, rules) -> tuple[int, RewriteRule] | None:
-    """Leftmost position; among matches at a position, the longest lhs."""
-    best = None
+def _find_redex(word: Word, index: dict[Word, RewriteRule],
+                lengths: list[int]) -> tuple[int, RewriteRule] | None:
+    """Leftmost position; at it, the longest lhs (lengths run longest first).
+
+    A slice cut short by the end of word is the longest subword at pos, so
+    a rule it hits is the longest match there too.
+    """
     for pos in range(len(word)):
-        for rule in rules:
-            l = len(rule.lhs)
-            if word[pos:pos + l] == rule.lhs:
-                if best is None or l > len(best[1].lhs):
-                    best = (pos, rule)
-        if best is not None:
-            return best
+        for l in lengths:
+            rule = index.get(word[pos:pos + l])
+            if rule is not None:
+                return pos, rule
     return None
 
 
-def _apply_at(word: Word, pos: int, rule: RewriteRule) -> NCPolynomial:
+def _apply_at(word: Word, pos: int, rule: RewriteRule,
+              coeff: Coeff) -> dict[Word, Coeff]:
+    """The terms replacing coeff * word when rule rewrites word at pos."""
     prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
-    return NCPolynomial.word(prefix) * rule.rhs * NCPolynomial.word(suffix)
+    return {prefix + u + suffix: c * coeff for u, c in rule.rhs.terms.items()}
 
 
-def reduce(poly: NCPolynomial, system,
+def reduce(poly: NCPolynomial, rules,
            trace: list | None = None) -> NCPolynomial:
-    """Normal form under the system, leftmost-greatest strategy.
+    """Normal form under the rules, leftmost-greatest strategy.
 
-    system may be a RelationSystem or an explicit rule list (as produced by
-    complete()). Deterministic; raises StepBoundExceeded after STEP_BOUND
-    rewrites rather than spin.
+    rules is a rule sequence: a RelationSystem's ``rewrites`` or the rules
+    of ``complete()``. The greatest word with a redex is rewritten at its
+    leftmost redex by the longest lhs there, the first such rule on a tie.
+    Deterministic; raises StepBoundExceeded after STEP_BOUND rewrites rather
+    than spin.
     """
-    rules = system.rewrites if isinstance(system, RelationSystem) else list(system)
-    current = poly
+    index: dict[Word, RewriteRule] = {}
+    for rule in rules:
+        index.setdefault(rule.lhs, rule)
+    lengths = sorted({len(lhs) for lhs in index}, reverse=True)
+    terms = dict(poly.terms)
     for _ in range(STEP_BOUND):
-        target = None
-        for w in sorted(current.terms, key=deglex_key, reverse=True):
-            hit = _find_redex(w, rules)
+        for w in sorted(terms, key=deglex_key, reverse=True):
+            hit = _find_redex(w, index, lengths)
             if hit is not None:
-                target = (w, current.terms[w], hit[0], hit[1])
                 break
-        if target is None:
-            return current
-        w, coeff, pos, rule = target
-        replacement = _apply_at(w, pos, rule)
-        current = current - NCPolynomial.word(w, coeff) + replacement.scale(coeff)
+        else:
+            return NCPolynomial(terms)
+        pos, rule = hit
+        added = _apply_at(w, pos, rule, terms.pop(w))
+        for u, c in added.items():
+            terms[u] = terms.get(u, ZERO) + c
+            if terms[u].is_zero():
+                del terms[u]
         if trace is not None:
             trace.append(TraceStep(rule.name, pos, word_str(w),
-                                   replacement.scale(coeff).to_json()))
+                                   NCPolynomial(added).to_json()))
     raise StepBoundExceeded(f"no normal form within {STEP_BOUND} steps")
 
 
@@ -472,14 +469,9 @@ def _overlap_words(l1: Word, l2: Word):
             out.add(l1 + l2[k:])
         if l2[-k:] == l1[:k]:
             out.add(l2 + l1[k:])
-    if len(l1) < len(l2):
-        for pos in range(len(l2) - len(l1) + 1):
-            if l2[pos:pos + len(l1)] == l1:
-                out.add(l2)
-    elif len(l2) < len(l1):
-        for pos in range(len(l1) - len(l2) + 1):
-            if l1[pos:pos + len(l2)] == l2:
-                out.add(l1)
+    short, long = sorted((l1, l2), key=len)
+    if len(short) < len(long) and _find_sub(long, short) is not None:
+        out.add(long)
     return sorted(out, key=deglex_key)
 
 
@@ -519,8 +511,8 @@ def complete(system: RelationSystem) -> CompletedSystem:
         pos_b = _find_sub(w, rb.lhs, prefer_late=True)
         if pos_a is None or pos_b is None:
             continue
-        nf1 = reduce(_apply_at(w, pos_a, ra), rules)
-        nf2 = reduce(_apply_at(w, pos_b, rb), rules)
+        nf1 = reduce(NCPolynomial(_apply_at(w, pos_a, ra, ONE)), rules)
+        nf2 = reduce(NCPolynomial(_apply_at(w, pos_b, rb, ONE)), rules)
         if nf1 == nf2:
             findings.append(OverlapFinding(word_str(w), ra.name, rb.name, "joined"))
             continue
@@ -539,9 +531,7 @@ def complete(system: RelationSystem) -> CompletedSystem:
             continue
         rest = NCPolynomial({u: c for u, c in g.terms.items() if u != lead})
         rhs = (-rest).scale(lead_coeff.inverse())
-        new_rule = RewriteRule(lead, rhs, f"{system.name}.cp{len(rules) + 1}",
-                               all(len(u) == 0 for u in rhs.terms))
-        rules.append(new_rule)
+        rules.append(RewriteRule(lead, rhs, f"{system.name}.cp{len(rules) + 1}"))
         findings.append(OverlapFinding(word_str(w), ra.name, rb.name, "new_rule",
                                        f"{word_str(lead)} -> {rhs!r}"))
         if len(rules) > MAX_RULES:
@@ -565,10 +555,13 @@ def _find_sub(w: Word, sub: Word, prefer_late: bool = False):
 
 @dataclass
 class DerivationResult:
-    ok: bool
     normal_form: NCPolynomial
     trace: list[TraceStep]
     completion_findings: list[OverlapFinding]
+
+    @property
+    def ok(self) -> bool:
+        return self.normal_form.is_zero()
 
     def __bool__(self):
         return self.ok
@@ -590,7 +583,7 @@ def check_derivation(completed: CompletedSystem, lhs: NCPolynomial,
     """
     trace: list[TraceStep] = []
     nf = reduce(lhs - rhs, completed.rules, trace=trace)
-    return DerivationResult(nf.is_zero(), nf, trace, completed.findings)
+    return DerivationResult(nf, trace, completed.findings)
 
 
 @dataclass
@@ -598,8 +591,11 @@ class RuleComparison:
     rule: str
     lhs_nf: NCPolynomial
     rhs_nf: NCPolynomial
-    equal: bool
     mu_shift: int | None
+
+    @property
+    def equal(self) -> bool:
+        return self.lhs_nf == self.rhs_nf
 
     def to_json(self):
         return {"rule": self.rule, "equal": self.equal, "mu_shift": self.mu_shift,
@@ -619,11 +615,20 @@ class EquivalenceVerdict:
 
     system_a: str
     system_b: str
-    strict: bool
-    mod_unit_scale: bool
     comparisons: list[RuleComparison]
-    separators: list[RuleComparison]
     nonconfluent: list[OverlapFinding]
+
+    @property
+    def strict(self) -> bool:
+        return all(c.equal for c in self.comparisons)
+
+    @property
+    def separators(self) -> list[RuleComparison]:
+        return [c for c in self.comparisons if c.mu_shift is None]
+
+    @property
+    def mod_unit_scale(self) -> bool:
+        return not self.separators
 
     def __bool__(self):
         return self.mod_unit_scale
@@ -642,9 +647,8 @@ def _compare_direction(sys_a: RelationSystem, comp_b: CompletedSystem):
         nfs = [reduce(t, comp_b.rules) for t in targets]
         base = nfs[-1]
         for w, nf in zip(rel.lhs_words, nfs[:-1]):
-            shift = nf.mu_shift_from(base)
             out.append(RuleComparison(f"{sys_a.name}.{i + 1}[{word_str(w)}]",
-                                      nf, base, nf == base, shift))
+                                      nf, base, nf.mu_shift_from(base)))
     return out
 
 
@@ -664,66 +668,45 @@ def systems_equivalent(comp_a: CompletedSystem,
     """
     a, b = comp_a.system, comp_b.system
     comps = _compare_direction(a, comp_b) + _compare_direction(b, comp_a)
-    strict = all(c.equal for c in comps)
-    mod_unit_scale = all(c.mu_shift is not None for c in comps)
-    separators = [c for c in comps if c.mu_shift is None]
-    return EquivalenceVerdict(a.name, b.name, strict, mod_unit_scale,
-                              comps, separators,
+    return EquivalenceVerdict(a.name, b.name, comps,
                               comp_a.nonconfluent + comp_b.nonconfluent)
 
 
 # -- involution ------------------------------------------------------------------
 
 
+# The star structure: x1 <-> x2, x3 <-> x4, reversing words and conjugating
+# coefficients.
 _STAR = {1: 2, 2: 1, 3: 4, 4: 3}
 
 
-@dataclass(frozen=True)
-class Involution:
-    """The star structure x1 <-> x2, x3 <-> x4 with coefficient conjugation."""
-
-    def apply_word(self, w: Word) -> Word:
-        return tuple(_STAR[g] for g in reversed(w))
-
-    def apply(self, poly: NCPolynomial) -> NCPolynomial:
-        t: dict[Word, Coeff] = {}
-        for w, c in poly.terms.items():
-            ws = self.apply_word(w)
-            t[ws] = t.get(ws, Coeff.zero()) + c.conjugate()
-        return NCPolynomial(t)
+def star_word(w: Word) -> Word:
+    return tuple(_STAR[g] for g in reversed(w))
 
 
-@dataclass
-class StarConstraint:
-    """Required coefficient identity for star-invariance of one relation."""
-
-    lhs_symbol: str
-    required: Coeff  # the coefficient forced on lhs_symbol by the involution
-
-    def to_json(self):
-        return {"symbol": self.lhs_symbol, "required": self.required.to_json()}
-
-    def __repr__(self):
-        return f"{self.lhs_symbol} = {self.required!r}"
+def star(poly: NCPolynomial) -> NCPolynomial:
+    # star_word is a bijection, so no two terms land on one word
+    return NCPolynomial({star_word(w): c.conjugate() for w, c in poly.terms.items()})
 
 
-def star_invariance_constraints(system: RelationSystem,
-                                inv: Involution) -> list[StarConstraint]:
+def star_invariance_constraints(system: RelationSystem) -> dict[str, Coeff]:
     """Conditions on the coefficients making the relations star-invariant.
 
     Each rule x_i x_j = c x_j x_i is starred and re-oriented; the resulting
     coefficient must agree with the system's own rule for that left side.
+    Returns {symbol: required}: the coefficient the involution forces on
+    the symbol of that rule.
     """
     rules = {r.lhs: r for r in system.rewrites}
-    constraints = []
+    constraints = {}
     for rule in system.rewrites:
         if len(rule.lhs) != 2 or len(rule.rhs.terms) != 1:
             continue
         (rhs_word, coeff), = rule.rhs.terms.items()
         if len(rhs_word) != 2:
             continue
-        lhs_star = inv.apply_word(rule.lhs)
-        rhs_star = inv.apply_word(rhs_word)
+        lhs_star = star_word(rule.lhs)
+        rhs_star = star_word(rhs_word)
         c_star = coeff.conjugate()
         # starred equation: lhs_star = c_star * rhs_star
         if deglex_key(lhs_star) > deglex_key(rhs_star):
@@ -734,8 +717,7 @@ def star_invariance_constraints(system: RelationSystem,
         if own is None:
             raise DomainError(f"no rule with left side {word_str(target)}")
         (own_word, own_coeff), = own.rhs.terms.items()
-        sym = _single_symbol(own_coeff)
-        constraints.append(StarConstraint(sym, required))
+        constraints[_single_symbol(own_coeff)] = required
     return constraints
 
 
@@ -752,7 +734,7 @@ def substitute_coefficients(system: RelationSystem,
     """Replace coefficient symbols by concrete Coeff values."""
 
     def sub_coeff(c: Coeff) -> Coeff:
-        out = Coeff.zero()
+        out = ZERO
         for mono, r in c.terms.items():
             term = Coeff.rational(r)
             for s, e in mono:
@@ -787,44 +769,36 @@ def systems_identical(a: RelationSystem, b: RelationSystem) -> bool:
 
 @dataclass
 class JacobiCoefficients:
-    a_coeff: object  # Fraction or symbolic expression
-    b_coeff: object
-    constraint_value: object
-    constraint_holds: bool
+    a_coeff: Fraction
+    b_coeff: Fraction
+    constraint_value: Fraction
+
+    @property
+    def constraint_holds(self) -> bool:
+        return self.constraint_value == 0
 
     def to_json(self):
         return {"A": str(self.a_coeff), "B": str(self.b_coeff),
                 "constraint_holds": self.constraint_holds}
 
 
-def _is_zero_exact(v) -> bool:
-    if isinstance(v, (int, Fraction)):
-        return v == 0
-    return bool(sympy.simplify(v) == 0)
-
-
-def jacobi_coefficients(alpha, beta, gamma) -> JacobiCoefficients:
+def jacobi_coefficients(alpha: Fraction, beta: Fraction,
+                        gamma: Fraction) -> JacobiCoefficients:
     """Quadric coefficients A = (1-alpha)/(1+beta), B = (1+alpha)/(1-gamma).
 
-    Exact rational (or symbolic) arithmetic; the surface constraint
-    alpha + beta + gamma + alpha*beta*gamma = 0 is checked and reported,
-    violating it only warns since the map itself stays well defined.
+    Exact rational arithmetic on int or Fraction inputs; the surface
+    constraint alpha + beta + gamma + alpha*beta*gamma = 0 is checked and
+    reported, violating it only warns since the map itself stays well
+    defined.
     """
-    if isinstance(alpha, int):
-        alpha = Fraction(alpha)
-    if isinstance(beta, int):
-        beta = Fraction(beta)
-    if isinstance(gamma, int):
-        gamma = Fraction(gamma)
-    if _is_zero_exact(beta + 1):
+    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    if beta == -1:
         raise PoleError("beta = -1 is a pole of the first coefficient")
-    if _is_zero_exact(1 - gamma):
+    if gamma == 1:
         raise PoleError("gamma = 1 is a pole of the second coefficient")
     constraint = alpha + beta + gamma + alpha * beta * gamma
-    holds = _is_zero_exact(constraint)
-    if not holds:
+    if constraint != 0:
         warnings.warn(f"surface constraint violated: {constraint} != 0",
                       ConstraintViolated, stacklevel=2)
     return JacobiCoefficients((1 - alpha) / (1 + beta),
-                              (1 + alpha) / (1 - gamma),
-                              constraint, holds)
+                              (1 + alpha) / (1 - gamma), constraint)

