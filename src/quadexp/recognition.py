@@ -4,7 +4,8 @@ J(x, y) = exp(2 pi i x + log log y) is evaluated along two independent
 routes (the product form (log y) e^{2 pi i x} and the exponential form)
 which must agree within their combined error bounds. Recognition builds
 an algdep-style integer lattice from scaled real and imaginary parts of
-the elements, reduces it exactly, and only accepts a candidate relation
+the elements, reduces it in floating-point rungs and finally with the exact
+kernel (see ``_relation_search``), and only accepts a candidate relation
 after it survives irreducibility, height, and a certified residual bound,
 evaluated on the same working-precision elements the lattice was built
 from. The residual is certified at that working precision only: a value
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from ._core import lll_reduce_rows
+from ._core import FloatBreakdown, lll_reduce_rows, lll_reduce_rows_float
 from .errors import (DegenerateBasis, DomainError, InputRational,
                      InsufficientPrecision)
 from .modular import ClassFieldDescriptor, IntegerPolynomial
@@ -105,7 +106,7 @@ def evaluate_J(theta: QuadraticIrrational, epsilon: UnitElement,
     return jv
 
 
-# -- exact LLL wrapper ------------------------------------------------------------
+# -- LLL wrapper -----------------------------------------------------------------
 
 
 def _int_det(matrix: list[list[int]]) -> int:
@@ -235,7 +236,7 @@ def _tails(c: list[int], scaled: list[list[int]]) -> list[int]:
 def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
                      height_bound: int,
                      start: RecognitionResult | None = None):
-    """Exact LLL at ``DEFAULT_DELTA`` on the scaled lattice of elements.
+    """LLL at ``DEFAULT_DELTA`` on the scaled lattice of elements.
 
     The trusted bits of the p-bit input z set the lattice scale s and the
     acceptance threshold. The lattice has the rows [I | X_s] of
@@ -245,7 +246,15 @@ def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
     C_k [I | X_r] at r = s_0 + k RUNG_BITS below s, then at s itself, with
     C_1 = C and C_(k+1) the coefficient parts of rung k's reduced rows.
     Each rung starts from a basis reduced at most RUNG_BITS of scale lower,
-    so it needs few swaps on small Gram determinants.
+    so it needs few swaps.
+
+    Every rung is reduced by the float kernel ``lll_reduce_rows_float``,
+    which keeps the rows and their Gram matrix exact; a rung on which it
+    breaks down (``FloatBreakdown``) is reduced by the exact kernel
+    instead. The exact kernel, ``lll_reduce``, then reduces the top rung's
+    rows once more, so the final basis meets the Lovász condition at
+    ``DEFAULT_DELTA`` exactly, as ``_exclusion_height`` assumes. On a
+    float-reduced basis that pass makes few or no swaps.
 
     The top rung is certified on every search: its reduced rows must be
     C [I | X_s] for their coefficient parts C, with det C = +-1, so they
@@ -269,17 +278,36 @@ def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
         coeffs, s_0 = start.coefficient_basis, start.scale_bits
         if len(coeffs) != n or any(len(row) != n for row in coeffs):
             raise DegenerateBasis(f"warm start must be {n} x {n}")
+    delta = DEFAULT_DELTA.numerator, DEFAULT_DELTA.denominator
     for r in [*range(s_0 + RUNG_BITS, s, RUNG_BITS), s]:
         scaled = [row[n:] for row in _power_rows(elements, r)]
-        basis = lll_reduce([list(c) + _tails(c, scaled) for c in coeffs])
+        rows = [list(c) + _tails(c, scaled) for c in coeffs]
+        try:
+            basis = lll_reduce_rows_float(rows, *delta)
+        except FloatBreakdown:
+            basis = lll_reduce(rows)
         coeffs = [row[:n] for row in basis]
-    if any(row[n:] != _tails(c, scaled) for row, c in zip(basis, coeffs)):
+    basis = lll_reduce(basis)
+    return (_certified(basis, scaled), threshold_digits,
+            _exclusion_height(basis[0], n), s)
+
+
+def _certified(basis: list[list[int]], scaled: list[list[int]]):
+    """The coefficient parts C of rows proven a basis of [I | X].
+
+    X is given by the tail columns ``scaled``: the rows must be C [I | X],
+    with det C = +-1. ``DegenerateBasis`` is raised otherwise.
+    """
+    n = len(scaled)
+    coeffs = [row[:n] for row in basis]
+    if len(basis) != n or any(row[n:] != _tails(c, scaled)
+                              for row, c in zip(basis, coeffs)):
         raise DegenerateBasis("reduced rows are not C [I | X_s]")
     det = _int_det(coeffs)
     if det not in (1, -1):
         raise DegenerateBasis(f"reduced coefficient determinant {det}, "
                               "expected +-1")
-    return coeffs, threshold_digits, _exclusion_height(basis[0], n), s
+    return coeffs
 
 
 def _below_threshold(ulps: int, scale: int, digits10: int) -> bool:
@@ -299,15 +327,17 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
              start: RecognitionResult | None = None) -> RecognitionResult:
     """Integer minimal polynomial of z, or a bounded exclusion.
 
-    Candidates come from exact LLL on the scaled-power lattice; acceptance
-    requires an irreducible polynomial of height at most height_bound whose
-    certified residual at z, evaluated at the lattice's working precision
+    Candidates come from LLL on the scaled-power lattice, whose final
+    basis the exact kernel reduces and certifies; acceptance requires an
+    irreducible polynomial of height at most height_bound whose certified
+    residual at z, evaluated at the lattice's working precision
     (p + GUARD_BITS), clears the 10**(-0.8 digits) threshold.
 
     The search climbs to its own scale in rungs of ``RUNG_BITS``: each rung
     reduces the previous rung's coefficient rows times [I | X_r], a small
-    step from a reduced basis, and the top rung reduces a basis of the cold
-    lattice [I | X_s], which every search certifies. ``start`` is the
+    step from a reduced basis, in the float kernel, and the top rung
+    reduces a basis of the cold lattice [I | X_s], which the exact kernel
+    then reduces once more and every search certifies. ``start`` is the
     result of a search with the same deg_bound on a nearby value at lower
     precision, typically the same value evaluated at half of p; the climb
     begins from its unimodular ``coefficient_basis`` at its
@@ -417,8 +447,9 @@ def member_of_field(z: FixedComplex, field_desc: ClassFieldDescriptor, p: int,
     """Coordinates of z in the power basis of the field generator, if any.
 
     Searches an integer relation among {z, 1, gamma, ..., gamma^(m-1)},
-    climbing from the identity at scale 0 in rungs of ``RUNG_BITS`` to a
-    certified basis of its cold lattice, as ``min_poly`` does; a hit is
+    climbing from the identity at scale 0 in float-reduced rungs of
+    ``RUNG_BITS`` to a basis of its cold lattice that the exact kernel
+    reduces and certifies, as ``min_poly`` does; a hit is
     accepted when its certified residual, evaluated on those same elements
     at the lattice's working precision (p + GUARD_BITS), clears the
     10**(-0.8 digits) threshold, and the exact rational coordinates are

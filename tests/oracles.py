@@ -2,13 +2,14 @@
 
 Almost nothing here shares code paths with the library: class numbers come
 from union-find orbit closure under the elementary substitutions, units from
-a direct Pell scan, Lovasz conditions from rational Gram-Schmidt, and short
-vectors from exhaustive enumeration. The exception is ``wide_classes_gl2``:
-it reuses the library's reduced forms, reduction cycles and continued-fraction
-equivalence test, and only its grouping of cycles into module classes (a
-pairwise GL2(Z) merge) is independent of ``class_group``'s. ``lll_reference``
-is the library's exact LLL kernel as it stood before its swap reused the
-Lovász test's product, kept so that the kernel can be checked against it.
+a direct Pell scan, Lovasz conditions from rational Gram-Schmidt, bases of
+a lattice from a transform solved over Q, and short vectors from exhaustive
+enumeration. The exception is ``wide_classes_gl2``: it reuses the library's
+reduced forms, reduction cycles and continued-fraction equivalence test, and
+only its grouping of cycles into module classes (a pairwise GL2(Z) merge) is
+independent of ``class_group``'s. ``lll_reference`` is the library's exact
+LLL kernel as it stood before its swap reused the Lovász test's product,
+kept so that the kernel can be checked against it.
 ``cold_relation_basis`` is the relation search's lattice reduced in one jump
 at its full scale, with that kernel: the search as it stood before it
 climbed to the scale in rungs. ``reduce_reference`` is the symbolic layer's
@@ -157,6 +158,22 @@ def gram_schmidt_mu(rows):
             v = [v[k] - mu[i][j] * bstar[j][k] for k in range(len(v))]
         bstar.append(v)
     return bstar, mu
+
+
+def is_basis_of(reduced, rows) -> bool:
+    """``reduced`` = U ``rows`` for an integer U with det U = +-1.
+
+    ``rows`` must be linearly independent; U is solved over Q from the
+    Gram matrix and then checked exactly.
+    """
+    import sympy
+
+    a, b = sympy.Matrix(rows), sympy.Matrix(reduced)
+    if a.shape != b.shape:
+        return False
+    u = b * a.T * (a * a.T).inv()
+    return (all(x.is_integer for x in u) and u * a == b
+            and abs(u.det()) == 1)
 
 
 def lovasz_holds(rows, delta: Fraction) -> bool:

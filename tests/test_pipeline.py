@@ -107,21 +107,23 @@ class TestRunCase:
 
     def test_stability_search_starts_from_p_basis(self, monkeypatch):
         # every search climbs: each p search from the identity at scale 0,
-        # each 2p search from the basis its p search reduced; rung k reduces
+        # each 2p search from the basis its p search returned; rung k reduces
         # C_k [I | X_r] at increasing scales r, C_(k+1) is rung k's reduced
-        # coefficient rows, and the top rung's lattice is the cold [I | X_s]
+        # coefficient rows, and the top rung's lattice is the cold [I | X_s].
+        # The rungs are read through the rung kernel; the exact kernel then
+        # reduces the top rung's rows once more into the search's result
         events = []
         power_rows = recognition._power_rows
-        reduce = recognition.lll_reduce
+        kernel = recognition.lll_reduce_rows_float
 
         def rows_spy(elements, s):
             rows = power_rows(elements, s)
             events.append(("rows", s, rows))
             return rows
 
-        def reduce_spy(basis, delta=recognition.DEFAULT_DELTA):
-            reduced = reduce(basis, delta)
-            events.append(("reduce", basis, reduced))
+        def kernel_spy(rows, *delta):
+            reduced = kernel(rows, *delta)
+            events.append(("reduce", rows, reduced))
             return reduced
 
         results = []
@@ -135,7 +137,7 @@ class TestRunCase:
             return spy
 
         monkeypatch.setattr(recognition, "_power_rows", rows_spy)
-        monkeypatch.setattr(recognition, "lll_reduce", reduce_spy)
+        monkeypatch.setattr(recognition, "lll_reduce_rows_float", kernel_spy)
         # p searches run through conjugacy_classes, 2p searches through
         # the pipeline's own binding
         monkeypatch.setattr(recognition, "min_poly",
@@ -175,12 +177,15 @@ class TestRunCase:
             assert p_scales[-1] == result.scale_bits
             chained(ladder)
             s_p, _, _, reduced_p = ladder[-1]
-            # the 2p search climbs from the p search's last rung
+            # the p result is the exact reduction of its last rung's rows
+            assert result.coefficient_basis == \
+                [row[:n] for row in recognition.lll_reduce(reduced_p)]
+            # the 2p search climbs from the p result
             scales = [s for s, _, _, _ in climb]
             assert len(climb) > 1
             assert all(a < b for a, b in zip([s_p] + scales, scales))
             assert [row[:n] for row in climb[0][2]] == \
-                [row[:n] for row in reduced_p]
+                result.coefficient_basis
             chained(climb)
             # the top rung reduces another basis of the cold 2p lattice
             events.clear()

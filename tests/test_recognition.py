@@ -5,19 +5,22 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oracles import (cold_relation_basis, lll_reference, lovasz_holds,
-                     matches_lll_reference, shortest_vector_brute)
+from oracles import (cold_relation_basis, is_basis_of, lll_reference,
+                     lovasz_holds, matches_lll_reference,
+                     shortest_vector_brute)
 from quadexp import recognition
-from quadexp._core import lll_reduce_rows
+from quadexp._core import FloatBreakdown, lll_reduce_rows, lll_reduce_rows_float
 from quadexp.errors import (DegenerateBasis, DomainError, InputRational,
                             InsufficientPrecision)
 from quadexp.modular import IntegerPolynomial, hcf_generator
 from quadexp.numerics import FixedComplex, FixedReal, log_fixed, sqrt_fixed
+from quadexp.pipeline import CaseParams, run_case
 from quadexp.quadfield import OrderDescriptor, QuadraticIrrational, fundamental_unit
-from quadexp.recognition import (LOG10_2, RUNG_BITS, JValue, Membership,
-                                 NotFound, _int_det, conjugacy_classes,
-                                 evaluate_J, j_function, lll_reduce,
-                                 member_of_field, min_poly)
+from quadexp.recognition import (DEFAULT_DELTA, LOG10_2, RUNG_BITS, JValue,
+                                 Membership, NotFound, _certified, _int_det,
+                                 _tails, conjugacy_classes, evaluate_J,
+                                 j_function, lll_reduce, member_of_field,
+                                 min_poly)
 
 
 def real_probe(value_str: str, p: int, digits: int) -> FixedComplex:
@@ -158,6 +161,131 @@ class TestLLL:
             assert matches_lll_reference(rows, got, *delta)
             checked += 1
         assert checked >= 20
+
+
+def kernel_lattices(seed: int) -> list[list[list[int]]]:
+    """Relation-search shaped lattices [I | 2 tails] and small square ones."""
+    rng = random.Random(seed)
+    lattices = []
+    for _ in range(12):
+        n = rng.randint(2, 9)
+        bits = rng.choice((16, 64, 200, 600))
+        lattices.append([[int(i == j) for j in range(n)] +
+                         [rng.getrandbits(bits) - (1 << (bits - 1))
+                          for _ in range(2)] for i in range(n)])
+    for _ in range(12):
+        n = rng.randint(2, 6)
+        lattices.append([[rng.randint(-999, 999) for _ in range(n)]
+                         for _ in range(n)])
+    return lattices
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Counts of relation searches and of exact reductions among them."""
+    counts = {"searches": 0, "exact": 0}
+    search, reduce = recognition._relation_search, recognition.lll_reduce
+
+    def search_spy(*args, **kwargs):
+        counts["searches"] += 1
+        return search(*args, **kwargs)
+
+    def reduce_spy(basis, delta=DEFAULT_DELTA):
+        counts["exact"] += 1
+        return reduce(basis, delta)
+
+    monkeypatch.setattr(recognition, "_relation_search", search_spy)
+    monkeypatch.setattr(recognition, "lll_reduce", reduce_spy)
+    return counts
+
+
+class TestFloatLLL:
+    # the rung kernel of every relation search: exact rows and Gram matrix,
+    # Gram-Schmidt data in doubles with one exponent per row
+
+    def test_output_is_basis_of_input_lattice(self):
+        checked = 0
+        for rows in kernel_lattices(17):
+            if _int_det([row[:len(rows)] for row in rows]) == 0:
+                continue
+            reduced = lll_reduce_rows_float(rows, 99, 100)
+            assert is_basis_of(reduced, rows)
+            checked += 1
+        assert checked >= 20
+
+    def test_lovasz_holds(self):
+        for rows in kernel_lattices(29):
+            if _int_det([row[:len(rows)] for row in rows]) == 0:
+                continue
+            reduced = lll_reduce_rows_float(rows, 99, 100)
+            assert lovasz_holds(reduced, Fraction(98, 100))
+
+    def test_dependent_rows_break_down(self):
+        with pytest.raises(FloatBreakdown):
+            lll_reduce_rows_float([[1, 2], [2, 4]], 99, 100)
+        with pytest.raises(FloatBreakdown):
+            lll_reduce_rows_float([[0, 0], [1, 0]], 99, 100)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_rows_far_apart_in_scale(self, order):
+        # tails near 2**(64 + 150 i), in ascending or descending order: row
+        # scales 2**1050 apart, far beyond a double's range, so only a
+        # per-row exponent holds them
+        rng = random.Random(3)
+        n = 8
+        tails = [[rng.getrandbits(64 + 150 * i) | 1 << (63 + 150 * i)
+                  for _ in range(2)] for i in range(n)][::order]
+        rows = [[int(i == j) for j in range(n)] + tails[i] for i in range(n)]
+        reduced = lll_reduce_rows_float(rows, 99, 100)
+        assert _int_det(_certified(reduced, tails)) in (1, -1)
+        assert lovasz_holds(reduced, Fraction(98, 100))
+
+    def test_breakdown_falls_back_to_exact_kernel(self, monkeypatch, rungs,
+                                                  searches):
+        def broken(rows, *delta):
+            raise FloatBreakdown("forced")
+
+        monkeypatch.setattr(recognition, "lll_reduce_rows_float", broken)
+        p = 512
+        r = min_poly(probe_value("sqrt2+sqrt3", p), 6, 10**6, p)
+        assert r.recognized
+        assert r.verdict.minpoly.coefficients == (1, 0, -10, 0, 1)
+        assert _int_det(r.coefficient_basis) in (1, -1)
+        # every rung reduced exactly, then the top rung once more
+        assert searches == {"searches": 1, "exact": len(rungs) + 1}
+
+
+class TestRungKernelInPipeline:
+    def test_final_rows_meet_exact_lovasz(self, monkeypatch):
+        # _exclusion_height reads ||b1|| <= 2^((n-1)/2) lambda_1, which needs
+        # the exact Lovász condition at DEFAULT_DELTA on the final rows
+        search = recognition._relation_search
+        checked = []
+
+        def spy(z, p, elements, height_bound, start=None):
+            found = search(z, p, elements, height_bound, start)
+            coeffs, s, n = found[0], found[3], len(elements)
+            scaled = [row[n:] for row in recognition._power_rows(elements, s)]
+            rows = [c + _tails(c, scaled) for c in coeffs]
+            assert lovasz_holds(rows, DEFAULT_DELTA)
+            checked.append(n)
+            return found
+
+        monkeypatch.setattr(recognition, "_relation_search", spy)
+        run_case(15, CaseParams(precision_bits=384))
+        assert len(checked) == 6  # two J values at p and 2p, two memberships
+
+    @pytest.mark.parametrize("d,p,direction", [
+        (15, 512, "real-to-imag"), (15, 384, "real-to-imag"),
+        (14, 256, "imag-to-real"), (15, 1024, "real-to-imag")])
+    def test_no_rung_falls_back(self, searches, d, p, direction):
+        # the benchmark's recognize cases and the 1024-bit case: the float
+        # kernel holds on every rung, so the one exact reduction of each
+        # search is the final one
+        run_case(d, CaseParams(precision_bits=p,
+                               conductor_direction=direction))
+        assert searches["searches"] > 0
+        assert searches["exact"] == searches["searches"]
 
 
 class TestMinPoly:

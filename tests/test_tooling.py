@@ -73,9 +73,12 @@ def test_traced_signatures():
     # counts cache hits through modular._cache_path(cache_dir, d, f)
     assert "p" in signature(recognition.min_poly).parameters
     # it reads the lattice of recognition.lll_reduce from args[0] or
-    # kwargs["basis"], and times the kernel through recognition's binding
+    # kwargs["basis"], and times the exact kernel through recognition's
+    # binding; the float kernel that reduces every rung is bound the same
+    # way, so a tracer can time it there too
     assert next(iter(signature(recognition.lll_reduce).parameters)) == "basis"
     assert recognition.lll_reduce_rows is _core.lll_reduce_rows
+    assert recognition.lll_reduce_rows_float is _core.lll_reduce_rows_float
     assert list(signature(modular._cache_path).parameters) == \
         ["cache_dir", "d", "f"]
 
