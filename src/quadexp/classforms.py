@@ -14,9 +14,13 @@ Thm 7.24; Buchmann-Vollmer, *Binary Quadratic Forms*, for real orders):
 
     h(O_f) = h(O_K) f / [O_K^*:O_f^*] prod_{p | f} (1 - (d_K/p)/p).
 
-Forms are enumerated only for h(O_K) and the given order; both summaries
-come back with the match, so a caller enumerates a matched order again
-only when its conductor is above 1.
+The real unit index is found by stepping the fundamental unit's coordinates
+in integers mod f. Since [O_K^*:O_f^*] divides the order of
+(O_K/f)^*/(Z/f)^*, h(O_K) divides every h(O_f), and a scan whose given
+class number h(O_K) does not divide ends at f = 1. Forms are enumerated
+only for h(O_K) and the given order; both summaries come back with the
+match, so a caller enumerates a matched order again only when its
+conductor is above 1.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import BoundExceeded, DomainError, NoMatchWithinBound
-from .quadfield import (OrderDescriptor, QuadraticIrrational, _in_order,
-                        fundamental_unit)
+from .quadfield import OrderDescriptor, QuadraticIrrational, fundamental_unit
 
 DISC_LIMIT = 10**8  # largest |disc| enumerated or matched; read at call time
 
@@ -314,9 +317,12 @@ def unit_index(order: OrderDescriptor,
     """[O_K^*:O_f^*] for the order O_f of conductor f in K.
 
     Imaginary side: 3 for d_K = -3, 2 for d_K = -4, 1 otherwise (1 at
-    f = 1). Real side: the least k with unit**k in O_f, where unit must be
-    the fundamental unit of O_K; k divides the order of
-    (O_K/f)^* / (Z/f)^*, which bounds the search.
+    f = 1). Real side: the least k with unit**k in O_f = Z + f O_K, where
+    unit must be the fundamental unit of O_K. Written x + y w in the basis
+    (1, w) of O_K, with w^2 = d, or w^2 = w + (d-1)/4 when d = 1 mod 4, a
+    power lies in O_f exactly when its y is 0 mod f, so the powers are
+    stepped in integers mod f. k divides the order of (O_K/f)^* / (Z/f)^*,
+    which bounds the search.
     """
     if order.conductor == 1:
         return 1
@@ -325,11 +331,20 @@ def unit_index(order: OrderDescriptor,
     if unit is None:
         raise DomainError("a real order's unit index needs the fundamental "
                           "unit of the maximal order")
-    power = unit
-    for k in range(1, _unit_group_quotient(order) + 1):
-        if _in_order(power, order):
-            return k
-        power = power * unit
+    d, f = order.d, order.conductor
+    if d % 4 == 1:  # w = (1 + sqrt d)/2: unit = (a - b)/c + (2b/c) w
+        num_x, num_y, t, n = unit.a - unit.b, 2 * unit.b, 1, (d - 1) // 4
+    else:  # w = sqrt d: unit = a/c + (b/c) w
+        num_x, num_y, t, n = unit.a, unit.b, 0, d
+    if num_x % unit.c == 0 and num_y % unit.c == 0:  # else no power is integral
+        x0, y0 = num_x // unit.c % f, num_y // unit.c % f
+        x, y = x0, y0
+        for k in range(1, _unit_group_quotient(order) + 1):
+            if not y:
+                return k
+            # (x + y w)(x0 + y0 w) with w^2 = t w + n
+            x, y = ((x * x0 + n * y * y0) % f,
+                    (x * y0 + y * x0 + t * y * y0) % f)
     raise DomainError(f"no power of {unit!r} lies in the order {order.to_json()}")
 
 
@@ -357,22 +372,38 @@ def match_conductor(given: OrderDescriptor,
     Reduced forms are enumerated for the given order and the opposite
     maximal order only, and both summaries are returned with the match;
     every other candidate's class number comes from ``order_class_number``.
-    Without a match inside search_bound, ``NoMatchWithinBound`` carries the
-    given order's summary. Every candidate order is held to ``DISC_LIMIT``
-    (``BoundExceeded``).
+    Pic(O_f) maps onto Pic(O_K), so h(O_K) divides every h(O_f): the
+    formula's [O_K^*:O_f^*] divides its (O_K/f)^*/(Z/f)^* order. When h(O_K)
+    does not divide the given h, no conductor matches and the scan ends at
+    f = 1. Without a match inside search_bound, ``NoMatchWithinBound``
+    carries the given order's summary. Every candidate order is held to
+    ``DISC_LIMIT`` (``BoundExceeded``), the first one beyond it found in
+    closed form when the scan ends early.
     """
     given_classes = class_group(given)
     h_given = given_classes.h
-    for f in range(1, search_bound + 1):
-        other = given.opposite(f)
-        if f == 1:
-            maximal_classes = class_group(other)
-            unit = (fundamental_unit(other).value
-                    if other.field_kind == "real" else None)
-        else:
-            _check_disc_limit(other)
-        if order_class_number(other, maximal_classes.h, unit) == h_given:
-            return ConductorMatch(given.field_kind, given.conductor, f, h_given,
+    if search_bound >= 1:
+        maximal = given.opposite(1)
+        maximal_classes = class_group(maximal)
+        h_max = maximal_classes.h
+        if h_max == h_given:
+            return ConductorMatch(given.field_kind, given.conductor, 1, h_given,
                                   given_classes, maximal_classes)
+        if h_given % h_max:
+            # the scan would find no match and stop at the least f with
+            # f^2 |d_K| > DISC_LIMIT, if that f is inside the bound
+            f = isqrt(DISC_LIMIT // abs(maximal.discriminant)) + 1
+            if f <= search_bound:
+                _check_disc_limit(given.opposite(f))
+        else:
+            unit = (fundamental_unit(maximal).value
+                    if maximal.field_kind == "real" else None)
+            for f in range(2, search_bound + 1):
+                other = given.opposite(f)
+                _check_disc_limit(other)
+                if order_class_number(other, h_max, unit) == h_given:
+                    return ConductorMatch(given.field_kind, given.conductor, f,
+                                          h_given, given_classes,
+                                          maximal_classes)
     raise NoMatchWithinBound(
         f"no conductor <= {search_bound} matches h={h_given}", given_classes)

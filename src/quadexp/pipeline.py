@@ -46,9 +46,14 @@ class CaseParams:
     recognition: bool = True
 
     def __post_init__(self):
-        if self.precision_bits <= 0:
-            raise DomainError(
-                f"precision_bits must be positive, got {self.precision_bits}")
+        for name in ("precision_bits", "deg_bound", "height_bound",
+                     "given_conductor"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise DomainError(f"{name} must be positive, got {value}")
+        if self.search_bound < 0:
+            raise DomainError(f"search_bound must be nonnegative, "
+                              f"got {self.search_bound}")
 
     def to_json(self) -> dict:
         return {"precision_bits": self.precision_bits,

@@ -13,8 +13,11 @@ kept so that the kernel can be checked against it.
 ``cold_relation_basis`` is the relation search's lattice reduced in one jump
 at its full scale, with that kernel: the search as it stood before it
 climbed to the scale in rungs. ``reduce_reference`` is the symbolic layer's
-normal form as it stood before its rules were indexed by left word. The
-helpers after it (``cf_reconstruct``, ``ring_class_polynomial``,
+normal form as it stood before its rules were indexed by left word.
+``unit_index_reference`` and ``match_conductor_reference`` are the real unit
+index and the conductor scan as they stood before the index was stepped in
+integers mod f and the scan ended at f = 1 when h(O_K) does not divide the
+given class number. The helpers after them (``cf_reconstruct``, ``ring_class_polynomial``,
 ``is_irreducible``, ``eval_int`` and ``is_reduced_definite``) are checks that
 only the tests use.
 """
@@ -355,6 +358,55 @@ def reduce_reference(poly, rules, trace=None):
             trace.append(TraceStep(rule.name, pos, word_str(w),
                                    replacement.to_json()))
     raise StepBoundExceeded(f"no normal form within {STEP_BOUND} steps")
+
+
+def unit_index_reference(order, unit) -> int:
+    """[O_K^*:O_f^*] of a real order by powering ``unit`` as an irrational.
+
+    Each power is tested for membership in O_f exactly; the search stops at
+    the order of (O_K/f)^*/(Z/f)^*, as ``quadexp.classforms.unit_index`` does.
+    """
+    from quadexp.classforms import _unit_group_quotient
+    from quadexp.errors import DomainError
+    from quadexp.quadfield import _in_order
+
+    if order.conductor == 1:
+        return 1
+    power = unit
+    for k in range(1, _unit_group_quotient(order) + 1):
+        if _in_order(power, order):
+            return k
+        power = power * unit
+    raise DomainError(f"no power of {unit!r} lies in the order {order.to_json()}")
+
+
+def match_conductor_reference(given, search_bound: int = 100):
+    """``quadexp.classforms.match_conductor`` by trying every f in turn.
+
+    Each f from 1 to search_bound is held to ``DISC_LIMIT`` and compared
+    by the class-number formula, with no divisibility exit.
+    """
+    from quadexp import classforms
+    from quadexp.errors import NoMatchWithinBound
+    from quadexp.quadfield import fundamental_unit
+
+    given_classes = classforms.class_group(given)
+    h_given = given_classes.h
+    for f in range(1, search_bound + 1):
+        other = given.opposite(f)
+        if f == 1:
+            maximal_classes = classforms.class_group(other)
+            unit = (fundamental_unit(other).value
+                    if other.field_kind == "real" else None)
+        else:
+            classforms._check_disc_limit(other)
+        if classforms.order_class_number(other, maximal_classes.h,
+                                         unit) == h_given:
+            return classforms.ConductorMatch(
+                given.field_kind, given.conductor, f, h_given, given_classes,
+                maximal_classes)
+    raise NoMatchWithinBound(
+        f"no conductor <= {search_bound} matches h={h_given}", given_classes)
 
 
 def cf_reconstruct(expansion):

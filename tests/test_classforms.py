@@ -1,14 +1,16 @@
 import pytest
 
 from oracles import (definite_class_number_orbit, is_reduced_definite,
-                     min_unit_power_in_suborder, wide_classes_gl2)
+                     match_conductor_reference, min_unit_power_in_suborder,
+                     unit_index_reference, wide_classes_gl2)
 from quadexp import classforms
 from quadexp.classforms import (BinaryQuadraticForm, ClassGroupSummary,
                                 _indefinite_cycles, _indefinite_reduced_forms,
                                 _wide_classes, class_group, match_conductor,
                                 order_class_number, pseudo_lattice_reps,
                                 unit_index)
-from quadexp.errors import BoundExceeded, DomainError, NoMatchWithinBound
+from quadexp.errors import (BoundExceeded, DomainError, NoMatchWithinBound,
+                           QuadexpError)
 from quadexp.quadfield import (OrderDescriptor, QuadraticIrrational,
                                fundamental_unit, is_squarefree, sl2_equivalent)
 
@@ -233,11 +235,56 @@ class TestClassNumberFormula:
         with pytest.raises(DomainError):
             unit_index(OrderDescriptor("real", 2, 3))  # no unit given
 
+    def test_real_unit_index_against_reference(self):
+        checked = 0
+        for d in range(2, 120):
+            if not is_squarefree(d):
+                continue
+            eps = fundamental_unit(OrderDescriptor("real", d, 1)).value
+            for f in range(2, 41):
+                o = OrderDescriptor("real", d, f)
+                assert unit_index(o, eps) == unit_index_reference(o, eps), \
+                    (d, f)
+                checked += 1
+        assert checked == 2886
+
+    @pytest.mark.parametrize("d,f,unit", [
+        (3, 5, QuadraticIrrational(1, 1, 2, 3)),  # (1 + sqrt3)/2 not integral
+        (5, 5, QuadraticIrrational(1, 1, 4, 5)),  # (1 + sqrt5)/4 not integral
+        # 7 splits in Q(sqrt2) and 3 + sqrt2 has norm 7: every power is 0
+        # mod one prime over 7 and a unit mod the other, so never in Z + 7 O
+        (2, 7, QuadraticIrrational(3, 1, 1, 2)),
+    ])
+    def test_no_power_in_order_is_typed(self, d, f, unit):
+        o = OrderDescriptor("real", d, f)
+        with pytest.raises(DomainError) as want:
+            unit_index_reference(o, unit)
+        with pytest.raises(DomainError) as got:
+            unit_index(o, unit)
+        assert str(got.value) == str(want.value)
+
     def test_non_integral_result_is_typed(self):
         # sqrt(3) is no unit: its "index" 2 does not divide 3 = |(O_K/3)^*/(Z/3)^*|
         with pytest.raises(DomainError):
             order_class_number(OrderDescriptor("real", 3, 3), 1,
                                QuadraticIrrational.sqrt_of(3))
+
+
+class TestPicardSurjection:
+    def test_maximal_class_number_divides_order_class_number(self):
+        # Pic(O_f) -> Pic(O_K) is onto, so h(O_K) | h(O_f); both class
+        # numbers are counted by enumerating forms, never by the formula
+        checked = 0
+        for kind, first in (("imaginary", 1), ("real", 2)):
+            for d in range(first, 60):
+                if not is_squarefree(d):
+                    continue
+                h_max = class_group(OrderDescriptor(kind, d, 1)).h
+                for f in range(2, 16):
+                    h = class_group(OrderDescriptor(kind, d, f)).h
+                    assert h % h_max == 0, (kind, d, f, h, h_max)
+                    checked += 1
+        assert checked == 1022
 
 
 class TestConductorMatch:
@@ -256,6 +303,34 @@ class TestConductorMatch:
         monkeypatch.setattr(classforms, "DISC_LIMIT", 10)
         with pytest.raises(BoundExceeded, match=r"\|disc\|=20 exceeds limit 10"):
             match_conductor(OrderDescriptor("real", 5, 1), 100)
+
+    @pytest.mark.parametrize("limit", [10, 500, 10**4, None])
+    def test_against_reference(self, monkeypatch, limit):
+        # the same match, or the same exception and message, as trying every f
+        if limit is not None:
+            monkeypatch.setattr(classforms, "DISC_LIMIT", limit)
+
+        def outcome(search, given, bound):
+            try:
+                m = search(given, bound)
+            except QuadexpError as exc:
+                classes = getattr(exc, "given_classes", None)
+                return type(exc).__name__, str(exc), classes and classes.to_json()
+            return (m.to_json(), m.given_classes.to_json(),
+                    m.opposite_maximal_classes.to_json())
+
+        checked = 0
+        for kind, first in (("real", 2), ("imaginary", 1)):
+            for d in range(first, 120):
+                if not is_squarefree(d):
+                    continue
+                given = OrderDescriptor(kind, d, 1)
+                for bound in (0, 1, 7, 100):
+                    assert outcome(match_conductor, given, bound) == \
+                        outcome(match_conductor_reference, given, bound), \
+                        (kind, d, bound)
+                    checked += 1
+        assert checked == 4 * (74 + 75)
 
     def test_degenerate_bound(self):
         with pytest.raises(NoMatchWithinBound):

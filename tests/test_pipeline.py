@@ -403,6 +403,30 @@ class TestCLI:
         with pytest.raises(QuadexpError):
             CaseParams(precision_bits=bits)
 
+    @pytest.mark.parametrize("option,value,least,message", [
+        ("--search-bound", -5, 0, "search_bound must be nonnegative, got -5"),
+        ("--given-conductor", 0, 1, "given_conductor must be positive, got 0"),
+        ("--deg-bound", 0, 1, "deg_bound must be positive, got 0"),
+        ("--height-bound", 0, 1, "height_bound must be positive, got 0"),
+    ])
+    @pytest.mark.parametrize("command", [["case", "15"], ["range", "13", "15"]])
+    def test_bad_bound_exit1(self, monkeypatch, command, option, value, least,
+                             message):
+        # an out-of-domain bound is an input error, found before any work
+        def crash(*args, **kwargs):
+            raise RuntimeError("ran with a bad bound")
+
+        monkeypatch.setattr(cli, "run_case", crash)
+        monkeypatch.setattr(cli, "run_range", crash)
+        res = CliRunner().invoke(main, [*command, option, str(value),
+                                        "--skip-recognition"])
+        assert res.exit_code == 1, res.output
+        assert f"input error: {message}" in res.output
+        field = option[2:].replace("-", "_")
+        with pytest.raises(QuadexpError):
+            CaseParams(**{field: value})
+        CaseParams(**{field: least})
+
     def test_untyped_failure_exit2(self, monkeypatch):
         # a ValueError inside a case is a bug, not a recorded failure
         def crash(order):

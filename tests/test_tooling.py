@@ -7,10 +7,16 @@ leaves an import binding that holds another object, stops that run with a
 nothing, so such a break fails here first. ``perfbench/expected.json`` pins
 the outcome of every benchmark case; a change that alters one fails the
 benchmark run, and ``test_benchmark_outcomes`` makes it fail here first.
+``tests/data/scan_report_digests.json`` holds the sha256 of every scan case's
+report outside its timing block; ``test_scan_reports_unchanged`` holds the
+scans to byte-identical reports. A change that alters a report on purpose
+rewrites that file with ``PYTHONPATH=src python tests/test_tooling.py`` and
+says why.
 The symbolic layer is exact rational arithmetic, so importing it must not
 load sympy, which only the modular layer needs.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -25,6 +31,8 @@ import quadexp
 from quadexp import _core, modular, pipeline, recognition
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DIGESTS = Path(__file__).resolve().parent / "data" / "scan_report_digests.json"
+SCANS = ("scan-real", "scan-imag")
 
 
 def _load(name: str):
@@ -97,9 +105,31 @@ def test_benchmark_outcomes(tmp_path):
             key
 
 
+def _scan_digests() -> dict:
+    """{workload: {case key: sha256 of its report without timing}}."""
+    workloads = _load("workloads")
+    digests = {}
+    for name in SCANS:
+        digests[name] = {}
+        for case in workloads.WORKLOADS[name].cases:
+            text = case.run(pipeline, None).dumps(with_timing=False)
+            digests[name][case.key] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
+def test_scan_reports_unchanged():
+    assert _scan_digests() == json.loads(DIGESTS.read_text())
+
+
 def test_sklyanin_imports_without_sympy():
     src = Path(quadexp.__file__).resolve().parents[1]
     code = "import sys, quadexp.sklyanin; sys.exit('sympy' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], timeout=60,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert res.returncode == 0, "importing quadexp.sklyanin loaded sympy"
+
+
+if __name__ == "__main__":  # rewrite the pinned scan digests
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(_scan_digests(), indent=1, sort_keys=True)
+                       + "\n")
