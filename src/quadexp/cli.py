@@ -106,6 +106,8 @@ def range_cmd(d_min, d_max, workers, csv_path, json_path, **opts):
     params = _params(**opts)
     try:
         summary = run_range(d_min, d_max, params, workers=workers)
+    except DomainError as exc:  # workers below 1: an input error
+        _input_error(exc)
     except Exception as exc:
         _internal_error(exc)
     if json_path:

@@ -4,6 +4,10 @@ j is evaluated from the Eisenstein q-series with a certified truncation
 tail folded into the error bound; class polynomial coefficients are only
 rounded to integers when the certified distance to the nearest integer
 is below the rounding-gap threshold, otherwise precision escalates.
+
+sympy is loaded by ``_load_sympy`` on the first class-field resultant or
+factorization, so importing this module, the scans and the symbolic runs
+never load it.
 """
 
 from __future__ import annotations
@@ -12,8 +16,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
-
-import sympy
+from math import gcd
 
 from .classforms import class_group
 from .errors import DomainError, InsufficientPrecision
@@ -23,7 +26,13 @@ from .quadfield import OrderDescriptor
 
 ROUNDING_GAP_BITS = 32
 MAX_ESCALATIONS = 4  # attempts, at doubling precision, before giving up
-_X = sympy.Symbol("x")
+
+
+def _load_sympy():
+    """The sympy module, imported on first use; later calls find it in
+    ``sys.modules``."""
+    import sympy
+    return sympy
 
 
 @dataclass
@@ -50,7 +59,6 @@ class IntegerPolynomial:
 
     @property
     def content(self) -> int:
-        from math import gcd
         g = 0
         for c in self.coefficients:
             g = gcd(g, abs(c))
@@ -73,7 +81,8 @@ class IntegerPolynomial:
         return p
 
     def _sympy(self):
-        return sympy.Poly(list(reversed(self.coefficients)), _X)
+        sympy = _load_sympy()
+        return sympy.Poly(list(reversed(self.coefficients)), sympy.Symbol("x"))
 
     def factor_irreducible(self) -> list["IntegerPolynomial"]:
         """Irreducible integer factors of positive degree (content dropped)."""
@@ -87,10 +96,7 @@ class IntegerPolynomial:
 
     def is_squarefree(self) -> bool:
         p = self._sympy()
-        return sympy.gcd(p, p.diff()).degree() == 0
-
-    def discriminant(self) -> int:
-        return int(self._sympy().discriminant())
+        return p.gcd(p.diff()).degree() == 0
 
     def eval_complex(self, z: FixedComplex) -> FixedComplex:
         p = z.re.scale_bits
@@ -373,13 +379,14 @@ def hcf_generator(d: int, f: int, p: int,
     detail = ring_class_polynomial_detailed(d, f, p, cache_dir)
     hj = detail.polynomial
     h = hj.degree
-    y = sympy.Symbol("y")
+    sympy = _load_sympy()
+    x, y = sympy.symbols("x y")
     hj_sym = sympy.Poly(list(reversed(hj.coefficients)), y)
     m = f * f * d
     for t in range(1, 64):
-        quad = (_X - y) ** 2 + t * t * m
+        quad = (x - y) ** 2 + t * t * m
         res = sympy.resultant(hj_sym.as_expr(), quad, y)
-        res_poly = sympy.Poly(sympy.expand(res), _X)
+        res_poly = sympy.Poly(sympy.expand(res), x)
         coeffs = [int(c) for c in reversed(res_poly.all_coeffs())]
         cand = IntegerPolynomial(tuple(coeffs))
         if cand.degree == 2 * h and cand.is_squarefree():

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -331,10 +330,16 @@ def run_range(d_min: int, d_max: int, params: CaseParams = CaseParams(),
     """All square-free d in [d_min, d_max]; non-square-free values skipped.
 
     An unexpected exception in one d becomes that d's ``error`` report.
+    With ``workers > 1`` the cases run in a process pool of at most one
+    process per case; ``workers < 1`` raises ``DomainError``.
     """
+    if workers < 1:
+        raise DomainError(f"workers must be positive, got {workers}")
     ds = [d for d in range(max(1, d_min), d_max + 1) if is_squarefree(d)]
     if workers > 1 and len(ds) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # imported here so that serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(workers, len(ds))) as pool:
             reports = list(pool.map(_run_case_isolated, ds, [params] * len(ds)))
     else:
         reports = [_run_case_isolated(d, params) for d in ds]

@@ -18,8 +18,8 @@ normal form as it stood before its rules were indexed by left word.
 index and the conductor scan as they stood before the index was stepped in
 integers mod f and the scan ended at f = 1 when h(O_K) does not divide the
 given class number. The helpers after them (``cf_reconstruct``, ``ring_class_polynomial``,
-``is_irreducible``, ``eval_int`` and ``is_reduced_definite``) are checks that
-only the tests use.
+``is_irreducible``, ``discriminant``, ``eval_int`` and ``is_reduced_definite``)
+are checks that only the tests use.
 """
 
 from __future__ import annotations
@@ -442,6 +442,11 @@ def is_irreducible(poly) -> bool:
         return False
     factors = poly.normalized()._sympy().factor_list()[1]
     return len(factors) == 1 and factors[0][1] == 1
+
+
+def discriminant(poly) -> int:
+    """The discriminant of an ``IntegerPolynomial``."""
+    return int(poly._sympy().discriminant())
 
 
 def eval_int(poly, n: int) -> int:

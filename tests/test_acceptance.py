@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath as mp
 import sympy
 
-from oracles import (definite_class_number_orbit, lovasz_holds,
+from oracles import (definite_class_number_orbit, discriminant, lovasz_holds,
                      matches_lll_reference, min_unit_power_in_suborder)
 from quadexp.classforms import _definite_reduced_forms, class_group
 from quadexp.errors import DegenerateBasis
@@ -104,7 +104,7 @@ def test_criterion_5_j_and_class_polynomial():
     poly = detail.polynomial
     assert poly.degree == 2 and poly.leading == 1
     assert detail.gap_bits >= ROUNDING_GAP_BITS == 32
-    disc = poly.discriminant()
+    disc = discriminant(poly)
     import math
     s = math.isqrt(disc // 5)
     assert disc > 0 and 5 * s * s == disc

@@ -6,7 +6,8 @@ from dataclasses import fields
 import mpmath as mp
 import pytest
 
-from oracles import eval_int, is_irreducible, ring_class_polynomial
+from oracles import (discriminant, eval_int, is_irreducible,
+                     ring_class_polynomial)
 
 from quadexp import modular
 from quadexp.classforms import class_group
@@ -77,7 +78,7 @@ class TestRingClassPolynomial:
         assert poly.degree == 2
         assert poly.leading == 1
         assert detail.gap_bits >= ROUNDING_GAP_BITS
-        disc = poly.discriminant()
+        disc = discriminant(poly)
         s = math.isqrt(disc // 5)
         assert disc > 0 and 5 * s * s == disc  # roots generate Q(sqrt 5)
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from fractions import Fraction
 
@@ -292,6 +293,45 @@ class TestRunRange:
         for a, b in zip(serial.reports, parallel.reports):
             assert a.dumps(with_timing=False) == b.dumps(with_timing=False)
 
+    def test_workers_match_serial_with_recognition(self):
+        # d = 15 takes a resultant and runs the relation searches; the
+        # parallel range runs first, so that in a process that has not loaded
+        # sympy yet the forked workers load it themselves
+        params = CaseParams(precision_bits=256)
+        parallel = run_range(13, 15, params, workers=2)
+        serial = run_range(13, 15, params)
+        assert [r.verdict() for r in serial.reports] == \
+            ["no_match", "no_match", "no_relation"]
+        assert [r.dumps(with_timing=False) for r in parallel.reports] == \
+            [r.dumps(with_timing=False) for r in serial.reports]
+        assert parallel.csv() == serial.csv()
+
+    def test_pool_sized_to_cases(self, monkeypatch):
+        # under fork a pool starts all max_workers processes at its first
+        # submit, so it must hold no more processes than there are cases
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        summary = run_range(13, 15, FAST, workers=8)
+        assert [r.d for r in summary.reports] == [13, 14, 15]
+        run_range(2, 8, FAST, workers=2)  # d = 2, 3, 5, 6, 7
+        run_range(15, 15, FAST, workers=8)  # one case: no pool
+        assert sizes == [3, 2]
+
 
 class TestCacheCoherence:
     def test_cold_warm_equal(self, tmp_path):
@@ -426,6 +466,21 @@ class TestCLI:
         with pytest.raises(QuadexpError):
             CaseParams(**{field: value})
         CaseParams(**{field: least})
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_bad_workers_exit1(self, monkeypatch, workers):
+        # fewer than one worker is an input error, found before any case runs
+        def crash(*args, **kwargs):
+            raise RuntimeError("ran with a bad worker count")
+
+        monkeypatch.setattr(pipeline, "_run_case_isolated", crash)
+        res = CliRunner().invoke(main, ["range", "13", "15", "--workers",
+                                        str(workers), "--skip-recognition"])
+        assert res.exit_code == 1, res.output
+        assert f"input error: workers must be positive, got {workers}" \
+            in res.output
+        with pytest.raises(QuadexpError):
+            run_range(13, 15, FAST, workers=workers)
 
     def test_untyped_failure_exit2(self, monkeypatch):
         # a ValueError inside a case is a bug, not a recorded failure

@@ -13,7 +13,11 @@ scans to byte-identical reports. A change that alters a report on purpose
 rewrites that file with ``PYTHONPATH=src python tests/test_tooling.py`` and
 says why.
 The symbolic layer is exact rational arithmetic, so importing it must not
-load sympy, which only the modular layer needs.
+load sympy. The modular layer loads sympy on the first class-field resultant
+or factorization, and ``run_range`` loads the process pool only for a
+parallel range, so an import, a scan, a serial range and the symbolic suites
+load neither; ``test_light_paths_load_neither_sympy_nor_the_pool`` holds them
+to that.
 """
 
 import hashlib
@@ -121,12 +125,48 @@ def test_scan_reports_unchanged():
     assert _scan_digests() == json.loads(DIGESTS.read_text())
 
 
-def test_sklyanin_imports_without_sympy():
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    """``code`` run in a new interpreter that imports quadexp from here."""
     src = Path(quadexp.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-c", code], timeout=60,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_sklyanin_imports_without_sympy():
     code = "import sys, quadexp.sklyanin; sys.exit('sympy' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], timeout=60,
-                         env={**os.environ, "PYTHONPATH": str(src)})
+    res = _fresh_interpreter(code)
     assert res.returncode == 0, "importing quadexp.sklyanin loaded sympy"
+
+
+LIGHT_PATHS = """
+import sys
+import quadexp.cli
+from quadexp.modular import IntegerPolynomial
+from quadexp.pipeline import (CaseParams, SYMBOLIC_SUITES, run_case, run_range,
+                              verify_symbolic)
+
+run_case(15, CaseParams(recognition=False))
+for direction in ("real-to-imag", "imag-to-real"):
+    run_range(13, 15, CaseParams(conductor_direction=direction,
+                                 recognition=False), workers=1)
+for suite in SYMBOLIC_SUITES:
+    verify_symbolic(suite)
+loaded = [name for name in ("sympy", "concurrent.futures.process")
+          if name in sys.modules]
+if loaded:
+    sys.exit(f"loaded {loaded}")
+IntegerPolynomial((0, -2, 0, 1)).factor_irreducible()
+if "sympy" not in sys.modules:
+    sys.exit("a factorization did not load sympy")
+"""
+
+
+def test_light_paths_load_neither_sympy_nor_the_pool():
+    # the factorization at the end is the control: without it a guard that
+    # looked for the wrong module name would pass whatever was loaded
+    res = _fresh_interpreter(LIGHT_PATHS)
+    assert res.returncode == 0, res.stderr
 
 
 if __name__ == "__main__":  # rewrite the pinned scan digests
