@@ -104,7 +104,13 @@ def _definite_reduced_forms(disc: int) -> list[BinaryQuadraticForm]:
 
 
 def _indefinite_reduced_forms(disc: int) -> list[BinaryQuadraticForm]:
-    """All primitive reduced forms of non-square discriminant disc > 0."""
+    """All primitive reduced forms of non-square discriminant disc > 0.
+
+    A reduced form (a, b, c), s = isqrt(disc), has 0 < b <= s and
+    s - b < 2|a| <= s + b, with |a| |c| = n = (disc - b^2)/4. Both |a| and
+    |c| then exceed (s - b)/2: |c| >= 2n/(s + b) > (s - b)/2 because
+    disc > s^2. So the divisor loop over n starts above (s - b)/2.
+    """
     s = isqrt(disc)
     if s * s == disc:
         raise DomainError("square discriminant")
@@ -112,7 +118,7 @@ def _indefinite_reduced_forms(disc: int) -> list[BinaryQuadraticForm]:
     b = 2 - (disc & 1)
     while b <= s:
         n = (disc - b * b) // 4
-        a = 1
+        a = (s - b) // 2 + 1
         while a * a <= n:
             if n % a == 0:
                 for aa in (a, n // a):

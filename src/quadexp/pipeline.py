@@ -174,13 +174,13 @@ def run_case(d: int, params: CaseParams = CaseParams()) -> CaseReport:
         report.timing["lattices_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        jvals = [evaluate_J(r.theta, eps, p) for r in thetas]
+        jvals = evaluate_J([r.theta for r in thetas], eps, p)
         report.mu = jvals[0].mu.to_decimal(digits) if jvals else None
         report.j_values = [jv.to_json(digits) for jv in jvals]
         report.timing["evaluate_s"] = time.perf_counter() - t0
 
         if params.recognition and f_imag is not None:
-            _recognition_stage(d, f_imag, jvals, params, report)
+            _recognition_stage(d, f_imag, eps, jvals, params, report)
     except QuadexpError as exc:
         report.errors.append(f"{type(exc).__name__}: {exc}")
     report.timing["total_s"] = time.perf_counter() - t_start
@@ -240,7 +240,7 @@ def _summary(known, order: OrderDescriptor):
     return class_group(order)
 
 
-def _recognition_stage(d, f_imag, jvals, params, report):
+def _recognition_stage(d, f_imag, eps, jvals, params, report):
     p = params.precision_bits
     t0 = time.perf_counter()
     try:
@@ -265,8 +265,8 @@ def _recognition_stage(d, f_imag, jvals, params, report):
     # the 2p search climbs from the basis and scale the p search reduced at
     t0 = time.perf_counter()
     stability = []
-    for jv, res in zip(jvals, partition.results):
-        jv2 = evaluate_J(jv.theta, jv.epsilon, 2 * p)
+    jvals2 = evaluate_J([jv.theta for jv in jvals], eps, 2 * p)
+    for jv2, res in zip(jvals2, partition.results):
         res2 = min_poly(jv2.value, deg_bound, params.height_bound, 2 * p,
                         start=res)
         entry = {"verdict_p": res.to_json()["verdict"],

@@ -2,7 +2,10 @@
 
 J(x, y) = exp(2 pi i x + log log y) is evaluated along two independent
 routes (the product form (log y) e^{2 pi i x} and the exponential form)
-which must agree within their combined error bounds. Recognition builds
+which must agree within their combined error bounds. The values of a case
+share y = epsilon, so ``evaluate_J`` takes all their x at once and
+evaluates the unit side (log y and exp(log log y)) once per call; the
+route check still runs for every x. Recognition builds
 an algdep-style integer lattice from scaled real and imaginary parts of
 the elements, reduces it in floating-point rungs and finally with the exact
 kernel (see ``_relation_search``), and only accepts a candidate relation
@@ -39,19 +42,28 @@ RUNG_BITS = 64
 # -- J evaluation ----------------------------------------------------------------
 
 
-def _j_routes(x: FixedReal, y: FixedReal, w: int):
-    """J in product form plus mu = log y, both at scale w.
+def _unit_side(y: FixedReal, w: int) -> tuple[FixedReal, FixedReal]:
+    """mu = log y and E = exp(log mu), both at scale w; y > 1 required.
 
-    The exponential form is computed too; disagreement beyond the combined
-    bounds means a numerics bug and raises.
+    These are the factors of the two J routes that do not depend on x, so
+    values that share y share them.
     """
     mu = log_fixed(y, w)
+    return mu, exp_fixed(_log_positive(mu, w), w)
+
+
+def _j_routes(x: FixedReal, mu: FixedReal, expmu: FixedReal,
+              w: int) -> FixedComplex:
+    """J in product form e^{2 pi i x} mu at scale w, from ``_unit_side``.
+
+    The exponential form e^{2 pi i x} E is computed too; disagreement beyond
+    the combined bounds means a numerics bug and raises.
+    """
     phase = exp_cis(x, w)
     product = phase * mu
-    expform = phase * exp_fixed(_log_positive(mu, w), w)
-    if not product.indistinguishable(expform):
+    if not product.indistinguishable(phase * expmu):
         raise DomainError("independent J evaluation routes disagree")
-    return product, mu
+    return product
 
 
 def j_function(x: FixedReal, y: FixedReal, p: int) -> FixedComplex:
@@ -60,7 +72,7 @@ def j_function(x: FixedReal, y: FixedReal, p: int) -> FixedComplex:
     Both evaluation routes are computed and must agree (see ``_j_routes``).
     """
     w = p + GUARD_BITS
-    product, _mu = _j_routes(x.rescale(w), y.rescale(w), w)
+    product = _j_routes(x.rescale(w), *_unit_side(y.rescale(w), w), w)
     return product.rescale(p)
 
 
@@ -82,28 +94,33 @@ class JValue:
                 "precision_bits": self.precision}
 
 
-def evaluate_J(theta: QuadraticIrrational, epsilon: UnitElement,
-               p: int) -> JValue:
-    """J(theta, epsilon) with the dual-route consistency check.
+def evaluate_J(thetas: list[QuadraticIrrational], epsilon: UnitElement,
+               p: int) -> list[JValue]:
+    """J(theta, epsilon) for each theta, with the dual-route check on each.
 
-    theta must be a quadratic irrational (``InputRational`` otherwise; probe
-    arguments go through ``j_function``), and epsilon.value > 1 so that
-    log log is defined.
+    Every theta must be a quadratic irrational (``InputRational``
+    otherwise; probe arguments go through ``j_function``), and
+    epsilon.value > 1 so that log log is defined. The unit side (log
+    epsilon, exp(log log epsilon) and mu^2) is evaluated once per call, at
+    p + GUARD_BITS; each theta then costs one ``exp_cis``, the two routes
+    and the |J|^2 = mu^2 check.
     """
     if epsilon.value.cmp(1) <= 0:
         raise DomainError("epsilon must exceed 1")
-    if theta.is_rational:
+    if any(theta.is_rational for theta in thetas):
         raise InputRational("theta must be a quadratic irrational")
     w = p + GUARD_BITS
-    x = theta.to_fixed(w)
-    y = epsilon.value.to_fixed(w)
-    product, mu = _j_routes(x, y, w)
-    value = product.rescale(p)
-    jv = JValue(theta, epsilon, mu.rescale(p), value, p)
-    # |J| must match mu within bounds (modulus is derived, never stored)
-    if not jv.value.abs2().indistinguishable(jv.mu * jv.mu):
-        raise DomainError("|J| does not match log epsilon within bounds")
-    return jv
+    mu_w, expmu = _unit_side(epsilon.value.to_fixed(w), w)
+    mu = mu_w.rescale(p)
+    mu2 = mu * mu
+    out = []
+    for theta in thetas:
+        value = _j_routes(theta.to_fixed(w), mu_w, expmu, w).rescale(p)
+        # |J| must match mu within bounds (modulus is derived, never stored)
+        if not value.abs2().indistinguishable(mu2):
+            raise DomainError("|J| does not match log epsilon within bounds")
+        out.append(JValue(theta, epsilon, mu, value, p))
+    return out
 
 
 # -- LLL wrapper -----------------------------------------------------------------

@@ -17,9 +17,14 @@ normal form as it stood before its rules were indexed by left word.
 ``unit_index_reference`` and ``match_conductor_reference`` are the real unit
 index and the conductor scan as they stood before the index was stepped in
 integers mod f and the scan ended at f = 1 when h(O_K) does not divide the
-given class number. The helpers after them (``cf_reconstruct``, ``ring_class_polynomial``,
-``is_irreducible``, ``discriminant``, ``eval_int`` and ``is_reduced_definite``)
-are checks that only the tests use.
+given class number. ``evaluate_J_reference`` evaluates J for one theta
+with the unit side recomputed, as ``evaluate_J`` did before it took every
+theta of a case in one call, and ``indefinite_reduced_forms_reference``
+enumerates reduced indefinite forms trying every divisor from 1, as before
+the loop started above (s - b)/2. The helpers after them
+(``cf_reconstruct``, ``ring_class_polynomial``, ``is_irreducible``,
+``discriminant``, ``eval_int`` and ``is_reduced_definite``) are checks that
+only the tests use.
 """
 
 from __future__ import annotations
@@ -407,6 +412,58 @@ def match_conductor_reference(given, search_bound: int = 100):
                 maximal_classes)
     raise NoMatchWithinBound(
         f"no conductor <= {search_bound} matches h={h_given}", given_classes)
+
+
+def evaluate_J_reference(theta, epsilon, p: int):
+    """One ``JValue`` of ``quadexp.recognition.evaluate_J``, from scratch.
+
+    log epsilon, log log epsilon and exp(log log epsilon) are recomputed
+    for this theta alone, with the same route and |J|^2 = mu^2 checks.
+    """
+    from quadexp.errors import DomainError, InputRational
+    from quadexp.numerics import (GUARD_BITS, _log_positive, exp_cis,
+                                  exp_fixed, log_fixed)
+    from quadexp.recognition import JValue
+
+    if epsilon.value.cmp(1) <= 0:
+        raise DomainError("epsilon must exceed 1")
+    if theta.is_rational:
+        raise InputRational("theta must be a quadratic irrational")
+    w = p + GUARD_BITS
+    mu = log_fixed(epsilon.value.to_fixed(w), w)
+    phase = exp_cis(theta.to_fixed(w), w)
+    product = phase * mu
+    expform = phase * exp_fixed(_log_positive(mu, w), w)
+    if not product.indistinguishable(expform):
+        raise DomainError("independent J evaluation routes disagree")
+    jv = JValue(theta, epsilon, mu.rescale(p), product.rescale(p), p)
+    if not jv.value.abs2().indistinguishable(jv.mu * jv.mu):
+        raise DomainError("|J| does not match log epsilon within bounds")
+    return jv
+
+
+def indefinite_reduced_forms_reference(disc: int):
+    """``quadexp.classforms._indefinite_reduced_forms`` trying every a >= 1.
+
+    Every divisor pair (a, n/a) of n = (disc - b^2)/4 is tried for each b.
+    """
+    from quadexp.classforms import BinaryQuadraticForm
+
+    s = isqrt(disc)
+    assert s * s != disc
+    forms = set()
+    for b in range(2 - (disc & 1), s + 1, 2):
+        n = (disc - b * b) // 4
+        for a in range(1, isqrt(n) + 1):
+            if n % a:
+                continue
+            for aa in {a, n // a}:
+                if s - b < 2 * aa <= s + b:
+                    for f in (BinaryQuadraticForm(aa, b, -(n // aa)),
+                              BinaryQuadraticForm(-aa, b, n // aa)):
+                        if f.is_primitive():
+                            forms.add(f)
+    return sorted(forms, key=lambda f: (f.a, f.b, f.c))
 
 
 def cf_reconstruct(expansion):

@@ -233,10 +233,10 @@ def test_criterion_9_property_suites():
     for d in (2, 5, 15):
         eps = fundamental_unit(OrderDescriptor("real", d, 1))
         theta = QuadraticIrrational.sqrt_of(d)
-        base = evaluate_J(theta, eps, 320).mu
+        base = evaluate_J([theta], eps, 320)[0].mu
         for n in range(1, 11):
             pw = UnitElement(eps.value**n, eps.norm if n % 2 else 1)
-            assert evaluate_J(theta, pw, 320).mu.indistinguishable(base * n)
+            assert evaluate_J([theta], pw, 320)[0].mu.indistinguishable(base * n)
 
     # LLL unimodularity: the reference's basis, by a transform of
     # determinant +-1

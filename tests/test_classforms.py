@@ -1,6 +1,9 @@
+from math import isqrt
+
 import pytest
 
-from oracles import (definite_class_number_orbit, is_reduced_definite,
+from oracles import (definite_class_number_orbit,
+                     indefinite_reduced_forms_reference, is_reduced_definite,
                      match_conductor_reference, min_unit_power_in_suborder,
                      unit_index_reference, wide_classes_gl2)
 from quadexp import classforms
@@ -143,6 +146,16 @@ class TestReducedForms:
                 assert _negated(q).rho() == _negated(q.rho()), q
                 checked += 1
         assert checked > 16000
+
+    def test_enumeration_matches_unbounded_loop(self):
+        # the divisor loop starts above (s - b)/2; the reference tries every
+        # a >= 1. 4 * 26 * 67^2 is the real order d = 26 matches in the scan
+        discs = [disc for disc in range(5, 6001) if disc % 4 in (0, 1)
+                 and isqrt(disc) ** 2 != disc] + [4 * 26 * 67**2]
+        for disc in discs:
+            assert _indefinite_reduced_forms(disc) == \
+                indefinite_reduced_forms_reference(disc), disc
+        assert len(discs) == 2924
 
 
 class TestPseudoLattices:

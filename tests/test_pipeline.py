@@ -13,8 +13,26 @@ from quadexp.pipeline import (CSV_HEADER, CaseParams, EXCLUDED_D, run_case,
                               run_range, verify_symbolic)
 from quadexp.quadfield import QuadraticIrrational, sl2_equivalent
 from quadexp.recognition import RecognitionResult, Recognized
+from test_tooling import _fresh_interpreter
 
 FAST = CaseParams(precision_bits=256, recognition=False)
+
+PARALLEL_THEN_SERIAL = """
+import json, sys
+from quadexp.pipeline import CaseParams, run_range
+
+params = CaseParams(precision_bits=256)
+out = []
+for workers in (2, 1):
+    if "sympy" in sys.modules:
+        sys.exit(f"sympy loaded before the range with {workers} workers")
+    summary = run_range(13, 15, params, workers=workers)
+    out.append({"verdicts": [r.verdict() for r in summary.reports],
+                "reports": [r.dumps(with_timing=False)
+                            for r in summary.reports],
+                "csv": summary.csv()})
+print(json.dumps(out))
+"""
 
 
 class TestRunCase:
@@ -34,6 +52,23 @@ class TestRunCase:
         assert any(sl2_equivalent(t, r15).sl2 for t in thetas)
         assert len(r.j_values) == 2
         assert not r.errors
+
+    @pytest.mark.parametrize("recognize, calls", [(False, 1), (True, 2)])
+    def test_unit_side_once_per_precision(self, monkeypatch, recognize,
+                                          calls):
+        # d = 14's four J values share log epsilon and exp(log log epsilon):
+        # one evaluation at p, and one at 2p for the stability stage
+        counts = {"log_fixed": 0, "exp_fixed": 0}
+        for name in counts:
+            def spy(*args, name=name, original=getattr(recognition, name)):
+                counts[name] += 1
+                return original(*args)
+            monkeypatch.setattr(recognition, name, spy)
+        r = run_case(14, CaseParams(precision_bits=256, recognition=recognize,
+                                    conductor_direction="imag-to-real"))
+        assert len(r.j_values) == 4 and not r.errors
+        assert (r.stability is not None) == recognize
+        assert counts == {"log_fixed": calls, "exp_fixed": calls}
 
     def test_excluded_shortcircuit(self):
         r = run_case(163, FAST)
@@ -294,17 +329,16 @@ class TestRunRange:
             assert a.dumps(with_timing=False) == b.dumps(with_timing=False)
 
     def test_workers_match_serial_with_recognition(self):
-        # d = 15 takes a resultant and runs the relation searches; the
-        # parallel range runs first, so that in a process that has not loaded
-        # sympy yet the forked workers load it themselves
-        params = CaseParams(precision_bits=256)
-        parallel = run_range(13, 15, params, workers=2)
-        serial = run_range(13, 15, params)
-        assert [r.verdict() for r in serial.reports] == \
-            ["no_match", "no_match", "no_relation"]
-        assert [r.dumps(with_timing=False) for r in parallel.reports] == \
-            [r.dumps(with_timing=False) for r in serial.reports]
-        assert parallel.csv() == serial.csv()
+        # d = 15 takes a resultant and runs the relation searches. The ranges
+        # run in a fresh interpreter, since test collection loads sympy here:
+        # that process has not loaded it when the pool starts, nor after the
+        # parallel range, so the forked workers loaded it themselves
+        res = _fresh_interpreter(PARALLEL_THEN_SERIAL)
+        assert res.returncode == 0, res.stderr
+        parallel, serial = json.loads(res.stdout)
+        assert serial["verdicts"] == ["no_match", "no_match", "no_relation"]
+        assert parallel["reports"] == serial["reports"]
+        assert parallel["csv"] == serial["csv"]
 
     def test_pool_sized_to_cases(self, monkeypatch):
         # under fork a pool starts all max_workers processes at its first

@@ -5,13 +5,15 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oracles import (cold_relation_basis, is_basis_of, lll_reference,
-                     lovasz_holds, matches_lll_reference,
+from oracles import (cold_relation_basis, evaluate_J_reference, is_basis_of,
+                     lll_reference, lovasz_holds, matches_lll_reference,
                      shortest_vector_brute)
 from quadexp import recognition
 from quadexp._core import FloatBreakdown, lll_reduce_rows, lll_reduce_rows_float
+from quadexp.classforms import (class_group, match_conductor,
+                                pseudo_lattice_reps)
 from quadexp.errors import (DegenerateBasis, DomainError, InputRational,
-                            InsufficientPrecision)
+                            InsufficientPrecision, NoMatchWithinBound)
 from quadexp.modular import IntegerPolynomial, hcf_generator
 from quadexp.numerics import FixedComplex, FixedReal, log_fixed, sqrt_fixed
 from quadexp.pipeline import CaseParams, run_case
@@ -433,7 +435,7 @@ class TestJEvaluation:
         eps = fundamental_unit(OrderDescriptor("real", 15, 1))
         theta = QuadraticIrrational.from_rational(Fraction(1, 2))
         with pytest.raises(InputRational):
-            evaluate_J(theta, eps, 128)
+            evaluate_J([theta], eps, 128)[0]
         # the probe entry point takes it: e^{pi i} = -1, so J = -log(eps)
         y = eps.value.to_fixed(128)
         J = j_function(theta.to_fixed(128), y, 128)
@@ -444,12 +446,12 @@ class TestJEvaluation:
         eps = fundamental_unit(OrderDescriptor("real", 15, 1))
         small = UnitElement(QuadraticIrrational.from_rational(1), 1)
         with pytest.raises(DomainError):
-            evaluate_J(QuadraticIrrational.sqrt_of(15), small, 128)
+            evaluate_J([QuadraticIrrational.sqrt_of(15)], small, 128)[0]
 
     def test_value_at_sqrt15(self):
         theta = QuadraticIrrational.sqrt_of(15)
         eps = fundamental_unit(OrderDescriptor("real", 15, 1))
-        jv = evaluate_J(theta, eps, 512)
+        jv = evaluate_J([theta], eps, 512)[0]
         assert jv.mu.to_decimal(16).startswith("2.063437068895560")
         mp.mp.dps = 200
         ref = mp.log(4 + mp.sqrt(15)) * mp.expjpi(2 * mp.sqrt(15))
@@ -470,12 +472,42 @@ class TestJEvaluation:
         p = 320
         eps = fundamental_unit(OrderDescriptor("real", 15, 1))
         theta = QuadraticIrrational.sqrt_of(15)
-        base = evaluate_J(theta, eps, p).mu
+        base = evaluate_J([theta], eps, p)[0].mu
         from quadexp.quadfield import UnitElement
         for n in range(1, 11):
             pw = UnitElement(eps.value**n, eps.norm if n % 2 else 1)
-            jn = evaluate_J(theta, pw, p)
+            jn = evaluate_J([theta], pw, p)[0]
             assert jn.mu.indistinguishable(base * n), n
+
+    def test_batch_matches_per_theta_reference(self):
+        # one unit side per call gives, field by field, the values of a
+        # from-scratch evaluation per theta
+        def fields(x):
+            return x.mantissa, x.scale_bits, x.err_ulps
+
+        checked = 0
+        for d in (5, 14, 15, 21, 26, 29):
+            for kind in ("real", "imaginary"):
+                try:
+                    m = match_conductor(OrderDescriptor(kind, d, 1))
+                except NoMatchWithinBound:
+                    continue
+                order = OrderDescriptor(
+                    "real", d, 1 if kind == "real" else m.matched_conductor)
+                eps = fundamental_unit(order)
+                thetas = [r.theta for r in
+                          pseudo_lattice_reps(class_group(order))]
+                for p in (128, 256, 512, 1024):
+                    for jv, theta in zip(evaluate_J(thetas, eps, p), thetas,
+                                         strict=True):
+                        ref = evaluate_J_reference(theta, eps, p)
+                        assert jv.theta is theta and jv.precision == p
+                        for x, y in ((jv.value.re, ref.value.re),
+                                     (jv.value.im, ref.value.im),
+                                     (jv.mu, ref.mu)):
+                            assert fields(x) == fields(y), (d, kind, p)
+                        checked += 1
+        assert checked == 104
 
 
 class TestConjugacy:

@@ -84,6 +84,10 @@ def test_traced_signatures():
     # the recorder tells 2p searches apart by min_poly's argument ``p`` and
     # counts cache hits through modular._cache_path(cache_dir, d, f)
     assert "p" in signature(recognition.min_poly).parameters
+    # it times evaluate_J through the pipeline's binding, one call per case
+    # and precision with every theta of the case
+    assert pipeline.evaluate_J is recognition.evaluate_J
+    assert next(iter(signature(recognition.evaluate_J).parameters)) == "thetas"
     # it reads the lattice of recognition.lll_reduce from args[0] or
     # kwargs["basis"], and times the exact kernel through recognition's
     # binding; the float kernel that reduces every rung is bound the same
