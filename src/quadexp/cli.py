@@ -13,8 +13,8 @@ import traceback
 import click
 
 from .errors import DomainError, NotSquareFree, QuadexpError
-from .pipeline import (CaseParams, SYMBOLIC_SUITES, run_case, run_range,
-                       verify_symbolic)
+from .pipeline import (CaseParams, DIRECTIONS, SYMBOLIC_SUITES, run_case,
+                       run_range, verify_symbolic)
 
 _DEFAULTS = CaseParams()  # each case option defaults to its field here
 _CASE_OPTIONS = [
@@ -26,7 +26,7 @@ _CASE_OPTIONS = [
                  show_default=False,
                  help="coefficient height bound for recognition (default 10^40)"),
     click.option("--conductor-direction",
-                 type=click.Choice(["real-to-imag", "imag-to-real"]),
+                 type=click.Choice(DIRECTIONS),
                  default=_DEFAULTS.conductor_direction, show_default=True),
     click.option("--search-bound", type=int, default=_DEFAULTS.search_bound,
                  show_default=True),

@@ -5,8 +5,9 @@ tail folded into the error bound; class polynomial coefficients are only
 rounded to integers when the certified distance to the nearest integer
 is below the rounding-gap threshold, otherwise precision escalates.
 
-sympy is loaded by ``_load_sympy`` on the first class-field resultant or
-factorization, so importing this module, the scans and the symbolic runs
+The class-field generator is built in exact integers. sympy is imported
+only by ``IntegerPolynomial.factor_irreducible``, on its first call, so
+importing this module, the scans, the symbolic runs and ``hcf_generator``
 never load it.
 """
 
@@ -16,6 +17,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
+from itertools import permutations
 from math import gcd
 
 from .classforms import class_group
@@ -26,13 +28,6 @@ from .quadfield import OrderDescriptor
 
 ROUNDING_GAP_BITS = 32
 MAX_ESCALATIONS = 4  # attempts, at doubling precision, before giving up
-
-
-def _load_sympy():
-    """The sympy module, imported on first use; later calls find it in
-    ``sys.modules``."""
-    import sympy
-    return sympy
 
 
 @dataclass
@@ -80,23 +75,21 @@ class IntegerPolynomial:
             p = IntegerPolynomial(tuple(-c for c in p.coefficients))
         return p
 
-    def _sympy(self):
-        sympy = _load_sympy()
-        return sympy.Poly(list(reversed(self.coefficients)), sympy.Symbol("x"))
-
     def factor_irreducible(self) -> list["IntegerPolynomial"]:
-        """Irreducible integer factors of positive degree (content dropped)."""
+        """Irreducible integer factors of positive degree (content dropped).
+
+        The program's one use of sympy, imported here on the first call.
+        """
+        import sympy
+        sym = sympy.Poly(list(reversed(self.primitive().coefficients)),
+                         sympy.Symbol("x"))
         out = []
-        for fac, mult in self.primitive()._sympy().factor_list()[1]:
+        for fac, mult in sym.factor_list()[1]:
             coeffs = [int(c) for c in reversed(fac.all_coeffs())]
             poly = IntegerPolynomial(tuple(coeffs))
             if poly.degree >= 1:
                 out.extend([poly] * mult)
         return out
-
-    def is_squarefree(self) -> bool:
-        p = self._sympy()
-        return p.gcd(p.diff()).degree() == 0
 
     def eval_complex(self, z: FixedComplex) -> FixedComplex:
         p = z.re.scale_bits
@@ -373,32 +366,40 @@ def hcf_generator(d: int, f: int, p: int,
                   cache_dir: str | None = None) -> ClassFieldDescriptor:
     """gamma = j(tau_1) + t f sqrt(-d) with squarefree degree-2h minpoly.
 
-    The minimal polynomial is the resultant Res_y(Hj(y), (x-y)^2 + t^2 f^2 d),
-    computed exactly; t is the least positive integer making it squarefree.
+    With s = t f sqrt(d), the minimal polynomial is the resultant
+    Res_y(Hj(y), (x-y)^2 + s^2) = Hj(x+is) Hj(x-is), computed exactly by
+    ``_translate_norm``. Its 2h roots are j_k -+ is over the j embeddings
+    j_k, so it is squarefree exactly when no j_k - j_l equals 2is; t is the
+    least positive integer for which the certified embeddings prove every
+    difference apart from 2is.
     """
     detail = ring_class_polynomial_detailed(d, f, p, cache_dir)
-    hj = detail.polynomial
-    h = hj.degree
-    sympy = _load_sympy()
-    x, y = sympy.symbols("x y")
-    hj_sym = sympy.Poly(list(reversed(hj.coefficients)), y)
-    m = f * f * d
+    hj, embs = detail.polynomial, detail.j_embeddings
+    root = sqrt_fixed(d, p)
     for t in range(1, 64):
-        quad = (x - y) ** 2 + t * t * m
-        res = sympy.resultant(hj_sym.as_expr(), quad, y)
-        res_poly = sympy.Poly(sympy.expand(res), x)
-        coeffs = [int(c) for c in reversed(res_poly.all_coeffs())]
-        cand = IntegerPolynomial(tuple(coeffs))
-        if cand.degree == 2 * h and cand.is_squarefree():
-            emb = _gamma_embedding(detail, t, f, d, p)
-            return ClassFieldDescriptor(d, f, cand.normalized(), emb,
-                                        2 * h, hj, t, p)
+        two_is = FixedComplex(FixedReal.zero(p), root * (2 * t * f))
+        if not any((jk - jl).indistinguishable(two_is)
+                   for jk, jl in permutations(embs, 2)):
+            gamma = FixedComplex(embs[0].re, embs[0].im + root * (t * f))
+            return ClassFieldDescriptor(
+                d, f, _translate_norm(hj, t * t * f * f * d), gamma,
+                2 * hj.degree, hj, t, p)
     raise InsufficientPrecision("no squarefree translate found below 64")
 
 
-def _gamma_embedding(detail: ClassPolynomialResult, t: int, f: int, d: int,
-                     p: int) -> FixedComplex:
-    j1 = detail.j_embeddings[0].rescale(p)
-    root = sqrt_fixed(d, p)
-    im = root * (t * f)
-    return FixedComplex(j1.re, j1.im + im)
+def _translate_norm(hj: IntegerPolynomial, m: int) -> IntegerPolynomial:
+    """Hj(x+is) Hj(x-is) = A^2 + m B^2 for s^2 = m, in exact integers.
+
+    A and B, with Hj(x+is) = A(x) + is B(x), come from Horner's rule over
+    Z[is]: (A + isB)(x + is) + c = (xA - mB + c) + is(xB + A).
+    """
+    h = hj.degree
+    a, b = [0] * (h + 1), [0] * (h + 1)  # coefficients of x^0 .. x^h
+    for c in reversed(hj.coefficients):
+        a, b = ([c - m * b[0]] + [a[r - 1] - m * b[r] for r in range(1, h + 1)],
+                [a[0]] + [b[r - 1] + a[r] for r in range(1, h + 1)])
+    norm = [0] * (2 * h + 1)
+    for i in range(h + 1):
+        for k in range(h + 1):
+            norm[i + k] += a[i] * a[k] + m * b[i] * b[k]
+    return IntegerPolynomial(tuple(norm))

@@ -22,8 +22,8 @@ from .errors import (DomainError, NoMatchWithinBound, NotSquareFree, PoleError,
                      QuadexpError)
 from .modular import hcf_generator
 from .quadfield import OrderDescriptor, fundamental_unit, is_squarefree
-from .recognition import (DEFAULT_DELTA, DEFAULT_HEIGHT_BOUND, conjugacy_classes,
-                          evaluate_J, member_of_field, min_poly)
+from .recognition import (DEFAULT_DELTA, DEFAULT_HEIGHT_BOUND, evaluate_J,
+                          member_of_field, min_poly)
 from .sklyanin import (NCPolynomial, ONE, RelationSystem, ZETA_C, ZETA_INV, MU_C,
                        build_system, check_derivation, jacobi_coefficients, star,
                        star_invariance_constraints, substitute_coefficients,
@@ -31,6 +31,7 @@ from .sklyanin import (NCPolynomial, ONE, RelationSystem, ZETA_C, ZETA_INV, MU_C
 
 SCHEMA_VERSION = 1
 EXCLUDED_D = frozenset({1, 2, 3, 7, 11, 19, 43, 67, 163})
+DIRECTIONS = ("real-to-imag", "imag-to-real")
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,10 @@ class CaseParams:
         if self.search_bound < 0:
             raise DomainError(f"search_bound must be nonnegative, "
                               f"got {self.search_bound}")
+        if self.conductor_direction not in DIRECTIONS:
+            raise DomainError(f"conductor_direction must be "
+                              f"{' or '.join(DIRECTIONS)}, "
+                              f"got {self.conductor_direction!r}")
 
     def to_json(self) -> dict:
         return {"precision_bits": self.precision_bits,
@@ -195,12 +200,9 @@ def _match(d: int, params: CaseParams, report: CaseReport):
     Without a real conductor the case cannot go on, so the imag-to-real
     ``NoMatchWithinBound`` propagates.
     """
-    if params.conductor_direction == "real-to-imag":
-        given = OrderDescriptor("real", d, params.given_conductor)
-    elif params.conductor_direction == "imag-to-real":
-        given = OrderDescriptor("imaginary", d, params.given_conductor)
-    else:
-        raise DomainError(f"bad direction {params.conductor_direction}")
+    given = OrderDescriptor(
+        "real" if params.conductor_direction == "real-to-imag" else "imaginary",
+        d, params.given_conductor)
     try:
         match = match_conductor(given, params.search_bound)
     except NoMatchWithinBound as exc:
@@ -256,9 +258,10 @@ def _recognition_stage(d, f_imag, eps, jvals, params, report):
         deg_bound = 2 * (descriptor.degree if descriptor else 4)
 
     t0 = time.perf_counter()
-    partition = conjugacy_classes(jvals, deg_bound, params.height_bound)
-    report.recognition_results = [r.to_json() for r in partition.results]
-    report.conjugacy = partition.to_json()
+    results = [min_poly(jv.value, deg_bound, params.height_bound, p)
+               for jv in jvals]
+    report.recognition_results = [r.to_json() for r in results]
+    report.conjugacy = _conjugacy(results)
     report.timing["recognition_s"] = time.perf_counter() - t0
 
     # stability: redo each value at doubled precision and compare verdicts;
@@ -266,7 +269,7 @@ def _recognition_stage(d, f_imag, eps, jvals, params, report):
     t0 = time.perf_counter()
     stability = []
     jvals2 = evaluate_J([jv.theta for jv in jvals], eps, 2 * p)
-    for jv2, res in zip(jvals2, partition.results):
+    for jv2, res in zip(jvals2, results):
         res2 = min_poly(jv2.value, deg_bound, params.height_bound, 2 * p,
                         start=res)
         entry = {"verdict_p": res.to_json()["verdict"],
@@ -291,6 +294,25 @@ def _recognition_stage(d, f_imag, eps, jvals, params, report):
             membership.append(m.to_json())
         report.membership = membership
         report.timing["membership_s"] = time.perf_counter() - t0
+
+
+def _conjugacy(results: list) -> dict:
+    """Values grouped by a shared recognized minimal polynomial.
+
+    ``classes`` lists each polynomial, in order of its coefficients, with
+    the indices of its values; ``unresolved`` indexes the values without a
+    relation.
+    """
+    buckets: dict[tuple, list[int]] = {}
+    unresolved = []
+    for i, r in enumerate(results):
+        if r.recognized:
+            buckets.setdefault(r.verdict.minpoly.coefficients, []).append(i)
+        else:
+            unresolved.append(i)
+    return {"classes": [{"minpoly": list(k), "members": idx}
+                        for k, idx in sorted(buckets.items())],
+            "unresolved": unresolved}
 
 
 def _run_case_isolated(d: int, params: CaseParams) -> CaseReport:

@@ -227,15 +227,11 @@ def _scale_for(deg_bound: int, height_bound: int, trusted: int) -> int:
 
 
 def _power_rows(elements: list[FixedComplex], s: int) -> list[list[int]]:
-    n = len(elements)
-    rows = []
-    for k, z in enumerate(elements):
-        row = [0] * n
-        row[k] = 1
-        row.append(_rshift_round(z.re.mantissa, z.re.scale_bits - s))
-        row.append(_rshift_round(z.im.mantissa, z.im.scale_bits - s))
-        rows.append(row)
-    return rows
+    """The rows of X_s: each element's real and imaginary part times 2**s,
+    rounded to integers."""
+    return [[_rshift_round(z.re.mantissa, z.re.scale_bits - s),
+             _rshift_round(z.im.mantissa, z.im.scale_bits - s)]
+            for z in elements]
 
 
 def _exclusion_height(first_row: list[int], n: int) -> int:
@@ -256,8 +252,8 @@ def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
     """LLL at ``DEFAULT_DELTA`` on the scaled lattice of elements.
 
     The trusted bits of the p-bit input z set the lattice scale s and the
-    acceptance threshold. The lattice has the rows [I | X_s] of
-    ``_power_rows``. Every search climbs to it from an n x n start C
+    acceptance threshold. The lattice has the rows [I | X_s], with X_s
+    from ``_power_rows``. Every search climbs to it from an n x n start C
     reduced at scale s_0: the ``coefficient_basis`` and ``scale_bits`` of
     ``start``, or the identity at scale 0 without one. Rung k reduces
     C_k [I | X_r] at r = s_0 + k RUNG_BITS below s, then at s itself, with
@@ -297,7 +293,7 @@ def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
             raise DegenerateBasis(f"warm start must be {n} x {n}")
     delta = DEFAULT_DELTA.numerator, DEFAULT_DELTA.denominator
     for r in [*range(s_0 + RUNG_BITS, s, RUNG_BITS), s]:
-        scaled = [row[n:] for row in _power_rows(elements, r)]
+        scaled = _power_rows(elements, r)
         rows = [list(c) + _tails(c, scaled) for c in coeffs]
         try:
             basis = lll_reduce_rows_float(rows, *delta)
@@ -403,37 +399,6 @@ def _unique(polys):
             seen.add(f.coefficients)
             out.append(f)
     return out
-
-
-@dataclass
-class ConjugacyPartition:
-    classes: list[tuple[IntegerPolynomial, list[int]]]
-    unresolved: list[int]
-    results: list[RecognitionResult]
-
-    def to_json(self) -> dict:
-        return {"classes": [{"minpoly": p.to_json(), "members": idx}
-                            for p, idx in self.classes],
-                "unresolved": self.unresolved}
-
-
-def conjugacy_classes(values: list[JValue], deg_bound: int,
-                      height_bound: int) -> ConjugacyPartition:
-    """Group values by a shared recognized minimal polynomial."""
-    precisions = {v.precision for v in values}
-    if len(precisions) > 1:
-        raise DomainError("values must share one precision")
-    results = [min_poly(v.value, deg_bound, height_bound, v.precision)
-               for v in values]
-    buckets: dict[tuple, list[int]] = {}
-    unresolved = []
-    for i, r in enumerate(results):
-        if r.recognized:
-            buckets.setdefault(r.verdict.minpoly.coefficients, []).append(i)
-        else:
-            unresolved.append(i)
-    classes = [(IntegerPolynomial(k), idx) for k, idx in sorted(buckets.items())]
-    return ConjugacyPartition(classes, unresolved, results)
 
 
 @dataclass

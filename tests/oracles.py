@@ -21,7 +21,10 @@ given class number. ``evaluate_J_reference`` evaluates J for one theta
 with the unit side recomputed, as ``evaluate_J`` did before it took every
 theta of a case in one call, and ``indefinite_reduced_forms_reference``
 enumerates reduced indefinite forms trying every divisor from 1, as before
-the loop started above (s - b)/2. The helpers after them
+the loop started above (s - b)/2. ``hcf_generator_reference`` builds the
+class-field generator with a sympy resultant and a squarefree test by gcd
+with the derivative, as before both moved into exact integers and the
+certified j embeddings. The helpers after them
 (``cf_reconstruct``, ``ring_class_polynomial``, ``is_irreducible``,
 ``discriminant``, ``eval_int`` and ``is_reduced_definite``) are checks that
 only the tests use.
@@ -466,6 +469,36 @@ def indefinite_reduced_forms_reference(disc: int):
     return sorted(forms, key=lambda f: (f.a, f.b, f.c))
 
 
+def hcf_generator_reference(d: int, f: int, p: int):
+    """(generator_minpoly, translate, generator_embedding) of
+    ``quadexp.modular.hcf_generator``, by sympy.
+
+    The minimal polynomial is Res_y(Hj(y), (x-y)^2 + t^2 f^2 d) for the
+    least t >= 1 that makes it squarefree of degree 2h. Hj and j(tau_1)
+    come from ``modular.ring_class_polynomial_detailed``, looked up at call
+    time, so a test that replaces it changes both builds alike.
+    """
+    import sympy
+    from quadexp import modular
+    from quadexp.numerics import FixedComplex, sqrt_fixed
+
+    detail = modular.ring_class_polynomial_detailed(d, f, p)
+    hj = detail.polynomial
+    x, y = sympy.symbols("x y")
+    hj_expr = sympy.Poly(list(reversed(hj.coefficients)), y).as_expr()
+    for t in range(1, 64):
+        res = sympy.resultant(hj_expr, (x - y) ** 2 + t * t * f * f * d, y)
+        cand = sympy.Poly(sympy.expand(res), x)
+        if cand.degree() == 2 * hj.degree \
+                and cand.gcd(cand.diff()).degree() == 0:
+            poly = modular.IntegerPolynomial(
+                tuple(int(c) for c in reversed(cand.all_coeffs())))
+            j1 = detail.j_embeddings[0]
+            gamma = FixedComplex(j1.re, j1.im + sqrt_fixed(d, p) * (t * f))
+            return poly.normalized(), t, gamma
+    raise AssertionError("no squarefree translate found below 64")
+
+
 def cf_reconstruct(expansion):
     """Exact value of a ``CFExpansion``; the inverse of ``cf_expand``."""
     from quadexp.quadfield import QuadraticIrrational, _convergent_matrix
@@ -497,13 +530,20 @@ def is_irreducible(poly) -> bool:
     """An ``IntegerPolynomial`` of positive degree irreducible over Q."""
     if poly.degree < 1:
         return False
-    factors = poly.normalized()._sympy().factor_list()[1]
+    factors = _sympy_poly(poly.normalized()).factor_list()[1]
     return len(factors) == 1 and factors[0][1] == 1
 
 
 def discriminant(poly) -> int:
     """The discriminant of an ``IntegerPolynomial``."""
-    return int(poly._sympy().discriminant())
+    return int(_sympy_poly(poly).discriminant())
+
+
+def _sympy_poly(poly):
+    """An ``IntegerPolynomial`` as a sympy ``Poly`` in x."""
+    import sympy
+
+    return sympy.Poly(list(reversed(poly.coefficients)), sympy.Symbol("x"))
 
 
 def eval_int(poly, n: int) -> int:

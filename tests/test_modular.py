@@ -6,8 +6,8 @@ from dataclasses import fields
 import mpmath as mp
 import pytest
 
-from oracles import (discriminant, eval_int, is_irreducible,
-                     ring_class_polynomial)
+from oracles import (discriminant, eval_int, hcf_generator_reference,
+                     is_irreducible, ring_class_polynomial)
 
 from quadexp import modular
 from quadexp.classforms import class_group
@@ -17,7 +17,7 @@ from quadexp.modular import (ClassPolynomialResult, IntegerPolynomial,
                              hcf_generator, j_invariant,
                              ring_class_polynomial_detailed, tau_from_form)
 from quadexp.numerics import FixedComplex, FixedReal, sqrt_fixed
-from quadexp.quadfield import OrderDescriptor
+from quadexp.quadfield import OrderDescriptor, is_squarefree
 
 
 def tau_i(p):
@@ -237,7 +237,7 @@ class TestGenerator:
         desc = hcf_generator(15, 1, 512)
         assert desc.degree == 4
         assert desc.generator_minpoly.degree == 4
-        assert desc.generator_minpoly.is_squarefree()
+        assert discriminant(desc.generator_minpoly) != 0  # squarefree
         val = desc.generator_minpoly.eval_complex(desc.generator_embedding)
         assert val.re.abs_upper_ulps() < 1 << (512 - 256)
         assert val.im.abs_upper_ulps() < 1 << (512 - 256)
@@ -246,6 +246,46 @@ class TestGenerator:
         desc = hcf_generator(163, 1, 512)
         assert desc.degree == 2
         assert desc.generator_minpoly.degree == 2
+
+    def test_matches_sympy_resultant(self):
+        # the exact-integer norm and the embedding separation test give the
+        # resultant, translate and gamma of the sympy build
+        checked = 0
+        for d in range(1, 60):
+            if not is_squarefree(d):
+                continue
+            for f in (1, 2, 3):
+                desc = hcf_generator(d, f, 256)
+                poly, t, gamma = hcf_generator_reference(d, f, 256)
+                assert desc.generator_minpoly == poly, (d, f)
+                assert desc.translate == t, (d, f)
+                for x, y in ((desc.generator_embedding.re, gamma.re),
+                             (desc.generator_embedding.im, gamma.im)):
+                    assert (x.mantissa, x.scale_bits, x.err_ulps) == \
+                        (y.mantissa, y.scale_bits, y.err_ulps), (d, f)
+                checked += 1
+        assert checked == 111
+
+    def test_colliding_embeddings_take_next_translate(self, monkeypatch):
+        # Hj = y^2 + 15 has roots +-i sqrt 15, which differ by 2is at
+        # t = f = 1: Hj(x+is) Hj(x-is) = x^2 (x^2 + 60) is not squarefree,
+        # and t = 2 is the least translate
+        p = 256
+        root = sqrt_fixed(15, p)
+        embs = [FixedComplex(FixedReal.zero(p), root),
+                FixedComplex(FixedReal.zero(p), -root)]
+
+        def colliding(d, f, p, cache_dir=None):
+            return ClassPolynomialResult(IntegerPolynomial((15, 0, 1)), p, p,
+                                         embs)
+
+        monkeypatch.setattr(modular, "ring_class_polynomial_detailed",
+                            colliding)
+        desc = hcf_generator(15, 1, p)
+        poly, t, _ = hcf_generator_reference(15, 1, p)
+        assert desc.translate == t == 2
+        assert desc.generator_minpoly == poly
+        assert discriminant(poly) != 0
 
 
 class TestIntegerPolynomialType:

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from quadexp import classforms, cli, pipeline, recognition, sklyanin
 from quadexp.cli import main
-from quadexp.errors import NotSquareFree, QuadexpError
+from quadexp.errors import DomainError, NotSquareFree, QuadexpError
 from quadexp.modular import IntegerPolynomial
 from quadexp.pipeline import (CSV_HEADER, CaseParams, EXCLUDED_D, run_case,
                               run_range, verify_symbolic)
@@ -102,10 +102,10 @@ class TestRunCase:
                                     conductor_direction="imag-to-real"))
         assert r.conductors["frak_f"] == 1 and r.conductors["f"] == 1
 
-    def test_bad_direction_recorded(self):
-        r = run_case(15, CaseParams(precision_bits=256, recognition=False,
-                                    conductor_direction="sideways"))
-        assert r.errors == ["DomainError: bad direction sideways"]
+    def test_bad_direction_rejected(self):
+        # an input error when the parameters are built, not a report per case
+        with pytest.raises(DomainError, match="got 'sideways'"):
+            CaseParams(conductor_direction="sideways")
 
     @pytest.mark.parametrize("d,direction", [
         pytest.param(15, "real-to-imag", id="real-to-imag"),
@@ -153,7 +153,7 @@ class TestRunCase:
         kernel = recognition.lll_reduce_rows_float
 
         def rows_spy(elements, s):
-            rows = power_rows(elements, s)
+            rows = power_rows(elements, s)  # the rows of X_s
             events.append(("rows", s, rows))
             return rows
 
@@ -174,10 +174,7 @@ class TestRunCase:
 
         monkeypatch.setattr(recognition, "_power_rows", rows_spy)
         monkeypatch.setattr(recognition, "lll_reduce_rows_float", kernel_spy)
-        # p searches run through conjugacy_classes, 2p searches through
-        # the pipeline's own binding
-        monkeypatch.setattr(recognition, "min_poly",
-                            search_spy(recognition.min_poly))
+        # the p and the 2p searches run through the pipeline's binding
         monkeypatch.setattr(pipeline, "min_poly",
                             search_spy(pipeline.min_poly))
         r = run_case(15, CaseParams(precision_bits=256))
@@ -229,8 +226,7 @@ class TestRunCase:
             s_cold, cold_rows, _, _ = rungs(events)[-1]
             s_top, _, top, _ = climb[-1]
             assert s_top == s_cold
-            x_2p = [row[n:] for row in cold_rows]
-            assert [[sum(c * x[j] for c, x in zip(row[:n], x_2p))
+            assert [[sum(c * x[j] for c, x in zip(row[:n], cold_rows))
                      for j in (0, 1)] for row in top] == \
                 [row[n:] for row in top]
 
@@ -238,15 +234,12 @@ class TestRunCase:
                                                 ((-3, 0, 1), False)])
     def test_stable_compares_polynomials(self, monkeypatch, poly_2p, stable):
         # two recognized verdicts are stable only with the same polynomial
-        def recognizes(coefficients):
-            def search(z, deg_bound, height_bound, p, **kwargs):
-                found = Recognized(IntegerPolynomial(coefficients), -100.0)
-                return RecognitionResult(found, deg_bound, height_bound, p,
-                                         [], 0)
-            return search
+        def recognizes(z, deg_bound, height_bound, p, **kwargs):
+            coefficients = (-2, 0, 1) if p == 256 else poly_2p
+            found = Recognized(IntegerPolynomial(coefficients), -100.0)
+            return RecognitionResult(found, deg_bound, height_bound, p, [], 0)
 
-        monkeypatch.setattr(recognition, "min_poly", recognizes((-2, 0, 1)))
-        monkeypatch.setattr(pipeline, "min_poly", recognizes(poly_2p))
+        monkeypatch.setattr(pipeline, "min_poly", recognizes)
         r = run_case(15, CaseParams(precision_bits=256))
         assert [(e["verdict_p"], e["verdict_2p"]) for e in r.stability] == \
             [("recognized", "recognized")] * 2
@@ -329,10 +322,11 @@ class TestRunRange:
             assert a.dumps(with_timing=False) == b.dumps(with_timing=False)
 
     def test_workers_match_serial_with_recognition(self):
-        # d = 15 takes a resultant and runs the relation searches. The ranges
-        # run in a fresh interpreter, since test collection loads sympy here:
-        # that process has not loaded it when the pool starts, nor after the
-        # parallel range, so the forked workers loaded it themselves
+        # d = 15 runs the relation searches, which factor their candidates
+        # with sympy. The ranges run in a fresh interpreter, since test
+        # collection loads sympy here: that process has not loaded it when
+        # the pool starts, nor after the parallel range, so the forked
+        # workers loaded it themselves
         res = _fresh_interpreter(PARALLEL_THEN_SERIAL)
         assert res.returncode == 0, res.stderr
         parallel, serial = json.loads(res.stdout)

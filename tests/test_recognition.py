@@ -16,13 +16,12 @@ from quadexp.errors import (DegenerateBasis, DomainError, InputRational,
                             InsufficientPrecision, NoMatchWithinBound)
 from quadexp.modular import IntegerPolynomial, hcf_generator
 from quadexp.numerics import FixedComplex, FixedReal, log_fixed, sqrt_fixed
-from quadexp.pipeline import CaseParams, run_case
+from quadexp.pipeline import CaseParams, _conjugacy, run_case
 from quadexp.quadfield import OrderDescriptor, QuadraticIrrational, fundamental_unit
-from quadexp.recognition import (DEFAULT_DELTA, LOG10_2, RUNG_BITS, JValue,
+from quadexp.recognition import (DEFAULT_DELTA, LOG10_2, RUNG_BITS,
                                  Membership, NotFound, _certified, _int_det,
-                                 _tails, conjugacy_classes, evaluate_J,
-                                 j_function, lll_reduce, member_of_field,
-                                 min_poly)
+                                 _tails, evaluate_J, j_function, lll_reduce,
+                                 member_of_field, min_poly)
 
 
 def real_probe(value_str: str, p: int, digits: int) -> FixedComplex:
@@ -267,7 +266,7 @@ class TestRungKernelInPipeline:
         def spy(z, p, elements, height_bound, start=None):
             found = search(z, p, elements, height_bound, start)
             coeffs, s, n = found[0], found[3], len(elements)
-            scaled = [row[n:] for row in recognition._power_rows(elements, s)]
+            scaled = recognition._power_rows(elements, s)
             rows = [c + _tails(c, scaled) for c in coeffs]
             assert lovasz_holds(rows, DEFAULT_DELTA)
             checked.append(n)
@@ -511,37 +510,27 @@ class TestJEvaluation:
 
 
 class TestConjugacy:
+    # the pipeline groups its p searches' results by minimal polynomial
     def test_plus_minus_sqrt2(self):
         p = 512
-        eps = fundamental_unit(OrderDescriptor("real", 2, 1))
         r2 = QuadraticIrrational.sqrt_of(2).to_fixed(p)
-        vals = [JValue(QuadraticIrrational.sqrt_of(2), eps, r2,
-                       FixedComplex.from_real(r2), p),
-                JValue(QuadraticIrrational.sqrt_of(2), eps, r2,
-                       FixedComplex.from_real(-r2), p)]
-        part = conjugacy_classes(vals, 4, 10**6)
-        assert len(part.classes) == 1
-        assert part.classes[0][0].coefficients == (-2, 0, 1)
-        assert part.classes[0][1] == [0, 1]
+        conj = _conjugacy([min_poly(FixedComplex.from_real(x), 4, 10**6, p)
+                           for x in (r2, -r2)])
+        assert conj == {"classes": [{"minpoly": [-2, 0, 1], "members": [0, 1]}],
+                        "unresolved": []}
 
     def test_sqrt2_sqrt3_distinct(self):
         p = 512
-        eps = fundamental_unit(OrderDescriptor("real", 2, 1))
-        vals = []
-        for d in (2, 3):
-            x = QuadraticIrrational.sqrt_of(d).to_fixed(p)
-            vals.append(JValue(QuadraticIrrational.sqrt_of(d), eps, x,
-                               FixedComplex.from_real(x), p))
-        part = conjugacy_classes(vals, 4, 10**6)
-        assert len(part.classes) == 2 and not part.unresolved
+        results = [min_poly(FixedComplex.from_real(
+            QuadraticIrrational.sqrt_of(d).to_fixed(p)), 4, 10**6, p)
+            for d in (2, 3)]
+        conj = _conjugacy(results)
+        assert len(conj["classes"]) == 2 and not conj["unresolved"]
 
     def test_pi_unresolved(self):
         p = 499
-        eps = fundamental_unit(OrderDescriptor("real", 2, 1))
-        z = real_probe("pi", p, 150)
-        vals = [JValue(QuadraticIrrational.sqrt_of(2), eps, z.re, z, p)]
-        part = conjugacy_classes(vals, 8, 10**12)
-        assert part.unresolved == [0]
+        conj = _conjugacy([min_poly(real_probe("pi", p, 150), 8, 10**12, p)])
+        assert conj == {"classes": [], "unresolved": [0]}
 
 
 @pytest.fixture(scope="module")

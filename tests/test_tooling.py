@@ -13,11 +13,11 @@ scans to byte-identical reports. A change that alters a report on purpose
 rewrites that file with ``PYTHONPATH=src python tests/test_tooling.py`` and
 says why.
 The symbolic layer is exact rational arithmetic, so importing it must not
-load sympy. The modular layer loads sympy on the first class-field resultant
-or factorization, and ``run_range`` loads the process pool only for a
-parallel range, so an import, a scan, a serial range and the symbolic suites
-load neither; ``test_light_paths_load_neither_sympy_nor_the_pool`` holds them
-to that.
+load sympy. sympy is loaded only by ``IntegerPolynomial.factor_irreducible``,
+on its first call, and ``run_range`` loads the process pool only for a
+parallel range, so an import, a scan, a serial range, the symbolic suites
+and the class-field generator load neither;
+``test_light_paths_load_neither_sympy_nor_the_pool`` holds them to that.
 """
 
 import hashlib
@@ -146,7 +146,7 @@ def test_sklyanin_imports_without_sympy():
 LIGHT_PATHS = """
 import sys
 import quadexp.cli
-from quadexp.modular import IntegerPolynomial
+from quadexp.modular import IntegerPolynomial, hcf_generator
 from quadexp.pipeline import (CaseParams, SYMBOLIC_SUITES, run_case, run_range,
                               verify_symbolic)
 
@@ -156,6 +156,7 @@ for direction in ("real-to-imag", "imag-to-real"):
                                  recognition=False), workers=1)
 for suite in SYMBOLIC_SUITES:
     verify_symbolic(suite)
+hcf_generator(15, 1, 512)
 loaded = [name for name in ("sympy", "concurrent.futures.process")
           if name in sys.modules]
 if loaded:
