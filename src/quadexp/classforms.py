@@ -7,6 +7,9 @@ The narrow-to-wide map has kernel {1, [-1]}, so a wide class is a
 reduction cycle C together with its negative -C, the cycle of the forms
 (-a, b, -c); C = -C exactly when a unit of norm -1 exists. The proper
 (form class / narrow) count, the number of cycles, is carried alongside.
+Reduced indefinite forms, the rho step and the cycles run on plain (a, b, c)
+int triples (Buchmann-Vollmer, ch. 6; Cohen, GTM 138, 5.7), and
+BinaryQuadraticForm objects are built only for the representatives returned.
 
 Conductor matching needs only class numbers, and takes them from the
 class-number formula for orders (Cox, *Primes of the form x^2+ny^2*,
@@ -62,13 +65,8 @@ class BinaryQuadraticForm:
         disc = self.discriminant
         if disc <= 0:
             raise DomainError("rho applies to indefinite forms")
-        s = isqrt(disc)
-        c = self.c
-        two_c = 2 * abs(c)
-        r = (-self.b) % two_c
-        # shift r into (s - 2|c|, s]
-        r += ((s - r) // two_c) * two_c
-        return BinaryQuadraticForm(c, r, (r * r - disc) // (4 * c))
+        return BinaryQuadraticForm(*_rho((self.a, self.b, self.c), disc,
+                                         isqrt(disc)))
 
     def theta(self) -> QuadraticIrrational:
         """Larger root of a x^2 + b x + c (a > 0 required)."""
@@ -103,8 +101,8 @@ def _definite_reduced_forms(disc: int) -> list[BinaryQuadraticForm]:
     return sorted(forms, key=lambda f: (f.a, f.b, f.c))
 
 
-def _indefinite_reduced_forms(disc: int) -> list[BinaryQuadraticForm]:
-    """All primitive reduced forms of non-square discriminant disc > 0.
+def _indefinite_reduced_forms(disc: int) -> list[tuple[int, int, int]]:
+    """All primitive reduced (a, b, c) of non-square discriminant disc > 0.
 
     A reduced form (a, b, c), s = isqrt(disc), has 0 < b <= s and
     s - b < 2|a| <= s + b, with |a| |c| = n = (disc - b^2)/4. Both |a| and
@@ -115,43 +113,41 @@ def _indefinite_reduced_forms(disc: int) -> list[BinaryQuadraticForm]:
     if s * s == disc:
         raise DomainError("square discriminant")
     forms = []
-    b = 2 - (disc & 1)
-    while b <= s:
+    for b in range(2 - (disc & 1), s + 1, 2):
         n = (disc - b * b) // 4
-        a = (s - b) // 2 + 1
-        while a * a <= n:
-            if n % a == 0:
-                for aa in (a, n // a):
-                    if s - b < 2 * aa <= s + b:
-                        for f in (BinaryQuadraticForm(aa, b, -(n // aa)),
-                                  BinaryQuadraticForm(-aa, b, n // aa)):
-                            if f.is_primitive():
-                                forms.append(f)
-                    if a == n // a:
-                        break
-            a += 1
-        b += 2
-    return sorted(set(forms), key=lambda f: (f.a, f.b, f.c))
+        for a in [a for a in range((s - b) // 2 + 1, isqrt(n) + 1)
+                  if n % a == 0]:
+            for aa in {a, n // a}:
+                if s - b < 2 * aa <= s + b and gcd(gcd(aa, b), n // aa) == 1:
+                    forms += [(aa, b, -(n // aa)), (-aa, b, n // aa)]
+    return sorted(forms)
 
 
-def _indefinite_cycles(forms) -> list[list[BinaryQuadraticForm]]:
-    remaining = set(forms)
-    cycles = []
-    for start in forms:
-        if start not in remaining:
+def _rho(form, disc: int, s: int) -> tuple[int, int, int]:
+    """rho of the triple form of discriminant disc > 0, s = isqrt(disc)."""
+    c = form[2]
+    two_c = 2 * abs(c)
+    r = (-form[1]) % two_c
+    # shift r into (s - 2|c|, s]
+    r += ((s - r) // two_c) * two_c
+    return c, r, (r * r - disc) // (4 * c)
+
+
+def _indefinite_cycles(forms, disc: int):
+    """(cycles, index): the rho-cycles through ``forms`` in order of their
+    least member, and each form's cycle number."""
+    s = isqrt(disc)
+    cycles, index = [], {}
+    for q in forms:
+        if q in index:
             continue
-        cyc = []
-        f = start
-        while True:
-            cyc.append(f)
-            remaining.discard(f)
-            f = f.rho()
-            if f == start:
-                break
-            if f not in remaining and f in cyc:
-                break
-        cycles.append(cyc)
-    return cycles
+        cycle = []
+        while q not in index:
+            index[q] = len(cycles)
+            cycle.append(q)
+            q = _rho(q, disc, s)
+        cycles.append(cycle)
+    return cycles, index
 
 
 @dataclass
@@ -194,11 +190,6 @@ class ConductorMatch:
                 "h_common": self.h_common}
 
 
-def _principal_form(disc: int) -> BinaryQuadraticForm:
-    b = disc & 1
-    return BinaryQuadraticForm(1, b, (b * b - disc) // 4)
-
-
 def _check_disc_limit(order: OrderDescriptor) -> None:
     disc = order.discriminant
     if abs(disc) > DISC_LIMIT:
@@ -219,51 +210,49 @@ def class_group(order: OrderDescriptor) -> ClassGroupSummary:
     if order.field_kind == "imaginary":
         forms = _definite_reduced_forms(disc)
         return ClassGroupSummary(order, len(forms), forms, len(forms))
-    cycles = _indefinite_cycles(_indefinite_reduced_forms(disc))
-    reps = _wide_classes(cycles, disc)
+    cycles, index = _indefinite_cycles(_indefinite_reduced_forms(disc), disc)
+    reps = [BinaryQuadraticForm(*q)
+            for q in _wide_classes(cycles, index, disc)]
     return ClassGroupSummary(order, len(reps), reps, len(cycles))
 
 
-def _wide_classes(cycles, disc) -> list[BinaryQuadraticForm]:
+def _wide_classes(cycles, index, disc) -> list[tuple[int, int, int]]:
     """One representative per pair {C, -C} of cycles, principal pair first.
 
-    The narrow-to-wide map has kernel {1, [-1]} (Buchmann-Vollmer, *Binary
+    ``index`` maps each form of ``cycles`` to its cycle number. The
+    narrow-to-wide map has kernel {1, [-1]} (Buchmann-Vollmer, *Binary
     Quadratic Forms*), and [-1][f] is the class of -f = (-a, b, -c). Since
     reduced-ness depends only on |a| and b, and rho(-f) = -rho(f), the
     negatives of a cycle's forms make up a cycle again. A pair keeps the
     principal cycle's representative when it holds that cycle, and the
     lower-index cycle's otherwise.
     """
-    index = {q: i for i, cyc in enumerate(cycles) for q in cyc}
-
-    def cycle_of(q: BinaryQuadraticForm) -> int:
+    def cycle_of(q) -> int:
         if q not in index:
-            raise DomainError(f"form {q.to_json()} lies on no reduced cycle "
+            raise DomainError(f"form {list(q)} lies on no reduced cycle "
                               f"of discriminant {disc}")
         return index[q]
 
-    principal = cycle_of(_reduced_principal_form(disc))
-    partner = [cycle_of(BinaryQuadraticForm(-q.a, q.b, -q.c))
-               for q in (cyc[0] for cyc in cycles)]
+    principal = cycle_of(_reduced_principal_form(disc, index))
+    partner = [cycle_of((-a, b, -c)) for a, b, c in (cyc[0] for cyc in cycles)]
     others = [_cycle_representative(cycles[i]) for i, j in enumerate(partner)
               if principal not in (i, j) and i <= j]
-    return ([_cycle_representative(cycles[principal])]
-            + sorted(others, key=lambda f: (f.a, f.b, f.c)))
+    return [_cycle_representative(cycles[principal])] + sorted(others)
 
 
-def _reduced_principal_form(disc) -> BinaryQuadraticForm:
+def _reduced_principal_form(disc, reduced) -> tuple[int, int, int]:
     # the principal form may not be reduced; walk it into the reduced set
-    f = _principal_form(disc)
-    for _ in range(4 * (isqrt(abs(disc)) + 2)):
-        if f.is_reduced_indefinite():
+    b, s = disc & 1, isqrt(disc)
+    q = (1, b, (b * b - disc) // 4)
+    for _ in range(4 * (s + 2)):
+        if q in reduced:
             break
-        f = f.rho()
-    return f
+        q = _rho(q, disc, s)
+    return q
 
 
-def _cycle_representative(cycle) -> BinaryQuadraticForm:
-    pos = [f for f in cycle if f.a > 0]
-    return sorted(pos, key=lambda f: (f.a, f.b, f.c))[0]
+def _cycle_representative(cycle) -> tuple[int, int, int]:
+    return min(q for q in cycle if q[0] > 0)
 
 
 def pseudo_lattice_reps(summary: ClassGroupSummary) -> list[PseudoLatticeRep]:

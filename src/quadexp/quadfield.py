@@ -1,9 +1,12 @@
 """Exact arithmetic in real quadratic fields.
 
 QuadraticIrrational stores (a + b*sqrt(d))/c in lowest terms with d
-square-free, so equality and hashing are structural. Continued fractions,
-fundamental units of orders, and SL2(Z)/GL2(Z) equivalence of quadratic
-irrationals are built on top of that exact representation.
+square-free, so equality and hashing are structural. Continued fractions
+run on plain integers instead: a complete quotient (P + sqrt D)/Q, with
+Q | D - P^2, is stepped by one integer recurrence. Fundamental units of
+orders and the SL2(Z)/GL2(Z) equivalence of quadratic irrationals are read
+off those expansions; states become QuadraticIrrationals only where
+``sl2_equivalent`` compares two expansions.
 """
 
 from __future__ import annotations
@@ -304,12 +307,6 @@ class OrderDescriptor:
 
 
 @dataclass(frozen=True)
-class CFExpansion:
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class UnitElement:
     """A unit of a real quadratic order, > 1 in the embedding sqrt(d) > 0."""
 
@@ -320,54 +317,46 @@ class UnitElement:
         return {"value": self.value.to_json(), "norm": self.norm}
 
 
-def _expansion_states(theta: QuadraticIrrational):
-    """Partial quotients and complete quotients until the first repeat.
+def _expansion_states(p: int, q: int, disc: int):
+    """Continued fraction of (p + sqrt disc)/q, q | disc - p^2, until the
+    first repeated complete quotient.
 
-    Returns (digits, states, k, ell): states[i] is the i-th complete
-    quotient, states[k] == states[k + ell] is the first repeated state.
+    Returns (digits, states, k, ell): states[i] = (P_i, Q_i) gives the i-th
+    complete quotient (P_i + sqrt disc)/Q_i, and states[k] == states[k + ell]
+    is the first repeat. Each step is a = floor((P + sqrt disc)/Q),
+    P' = aQ - P, Q' = (disc - P'^2)/Q (Buchmann-Vollmer, *Binary Quadratic
+    Forms*, ch. 6; Cohen, GTM 138, 5.7); Q | disc - P^2 is kept throughout.
     """
-    theta._require_irrational()
+    s = isqrt(disc)
     digits: list[int] = []
-    states: list[QuadraticIrrational] = []
-    seen: dict[QuadraticIrrational, int] = {}
-    x = theta
+    seen: dict[tuple[int, int], int] = {}
     for i in range(100000):
-        if x in seen:
-            k = seen[x]
-            return digits, states, k, i - k
-        seen[x] = i
-        states.append(x)
-        a = x.floor()
+        if (p, q) in seen:
+            k = seen[p, q]
+            return digits, list(seen), k, i - k
+        seen[p, q] = i
+        # floor((p + sqrt disc)/q), sqrt disc irrational in (s, s + 1)
+        a = (p + s + (q < 0)) // q
         digits.append(a)
-        frac = x - a
-        x = QuadraticIrrational.from_rational(1) / frac
+        p = a * q - p
+        q = (disc - p * p) // q
     raise DomainError("continued fraction did not cycle within step bound")
 
 
-def cf_expand(theta: QuadraticIrrational) -> CFExpansion:
-    """Eventually periodic continued fraction of a quadratic irrational."""
-    digits, _states, k, ell = _expansion_states(theta)
-    return CFExpansion(tuple(digits[:k]), tuple(digits[k:k + ell]))
-
-
-def _order_generator(order: OrderDescriptor) -> QuadraticIrrational:
-    """omega with Z + Z*omega equal to the order (real case)."""
-    disc = order.discriminant
-    # sqrt(disc) = g * sqrt(d)
-    g = order.conductor * (1 if order.fundamental_discriminant == order.d else 2)
-    b0 = disc % 2
-    return QuadraticIrrational(b0, g, 2, order.d)
-
-
 def fundamental_unit(order: OrderDescriptor) -> UnitElement:
-    """Smallest unit > 1 of the real quadratic order, via the CF period."""
+    """Smallest unit > 1 of the real quadratic order, via the CF period.
+
+    omega = (D mod 2 + sqrt D)/2 generates the order of discriminant D; with
+    xi its first repeated complete quotient and (q, qq) the convergent
+    denominators of one period, the unit is q xi + qq.
+    """
     if order.field_kind != "real":
         raise DomainError("fundamental unit only for real quadratic orders")
-    omega = _order_generator(order)
-    digits, states, k, ell = _expansion_states(omega)
-    xi = states[k]
+    disc = order.discriminant
+    digits, states, k, ell = _expansion_states(disc % 2, 2, disc)
+    pk, qk = states[k]
     _p, _pp, q, qq = _convergent_matrix(digits[k:k + ell])
-    eps = xi * q + qq
+    eps = QuadraticIrrational(pk * q + qq * qk, q, qk, disc)
     n = eps.norm()
     if n not in (1, -1):
         raise DomainError(f"unit computation produced norm {n}")
@@ -458,6 +447,22 @@ def _adjugate(m):
     return (d, -b, -c, a)
 
 
+def _irrational_states(theta: QuadraticIrrational):
+    """``_expansion_states`` of theta, each state as a QuadraticIrrational.
+
+    theta = (p + sqrt disc)/q, scaled by |q| where q does not divide
+    disc - p^2.
+    """
+    theta._require_irrational()
+    sign = 1 if theta.b > 0 else -1
+    p, q, disc = sign * theta.a, sign * theta.c, theta.b * theta.b * theta.d
+    if (disc - p * p) % q:
+        p, q, disc = p * abs(q), q * abs(q), disc * q * q
+    digits, states, k, ell = _expansion_states(p, q, disc)
+    return (digits, [QuadraticIrrational(p, 1, q, disc) for p, q in states],
+            k, ell)
+
+
 def sl2_equivalent(theta: QuadraticIrrational,
                    theta2: QuadraticIrrational) -> EquivalenceResult:
     """Decide theta2 = (a theta + b)/(c theta + d) for SL2(Z) (and GL2(Z)).
@@ -466,10 +471,8 @@ def sl2_equivalent(theta: QuadraticIrrational,
     fixes the determinant, and an odd period length allows flipping it. Both
     verdicts are reported since the wide/proper distinction matters upstream.
     """
-    theta._require_irrational()
-    theta2._require_irrational()
-    d1, s1, k1, l1 = _expansion_states(theta)
-    d2, s2, k2, l2 = _expansion_states(theta2)
+    d1, s1, k1, l1 = _irrational_states(theta)
+    d2, s2, k2, l2 = _irrational_states(theta2)
     cyc1 = s1[k1:k1 + l1]
     cyc2 = s2[k2:k2 + l2]
     if len(cyc1) != len(cyc2) or set(cyc1) != set(cyc2):

@@ -21,10 +21,17 @@ given class number. ``evaluate_J_reference`` evaluates J for one theta
 with the unit side recomputed, as ``evaluate_J`` did before it took every
 theta of a case in one call, and ``indefinite_reduced_forms_reference``
 enumerates reduced indefinite forms trying every divisor from 1, as before
-the loop started above (s - b)/2. ``hcf_generator_reference`` builds the
-class-field generator with a sympy resultant and a squarefree test by gcd
-with the derivative, as before both moved into exact integers and the
-certified j embeddings. The helpers after them
+the loop started above (s - b)/2. ``indefinite_cycles_reference`` walks
+reduction cycles of ``BinaryQuadraticForm`` objects, and
+``class_group_reference`` composes it with those forms and
+``wide_classes_gl2``, as before the real class group ran on int triples.
+``expansion_states_reference`` is the continued fraction stepped on
+``QuadraticIrrational`` objects, with ``cf_expand`` (and its
+``CFExpansion``) and ``fundamental_unit_reference`` built on it, as before
+the expansion ran as the integer (P, Q) recurrence.
+``hcf_generator_reference`` builds the class-field generator with a sympy
+resultant and a squarefree test by gcd with the derivative, as before both
+moved into exact integers and the certified j embeddings. The helpers after them
 (``cf_reconstruct``, ``ring_class_polynomial``, ``is_irreducible``,
 ``discriminant``, ``eval_int`` and ``is_reduced_definite``) are checks that
 only the tests use.
@@ -32,6 +39,7 @@ only the tests use.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -467,6 +475,112 @@ def indefinite_reduced_forms_reference(disc: int):
                         if f.is_primitive():
                             forms.add(f)
     return sorted(forms, key=lambda f: (f.a, f.b, f.c))
+
+
+def indefinite_cycles_reference(forms):
+    """The rho-cycles through ``forms`` as ``BinaryQuadraticForm`` lists.
+
+    Each cycle is walked from its least form with ``BinaryQuadraticForm.rho``
+    until the walk comes back, in the order of ``forms``.
+    """
+    remaining = set(forms)
+    cycles = []
+    for start in forms:
+        if start not in remaining:
+            continue
+        cycle, form = [], start
+        while True:
+            cycle.append(form)
+            remaining.discard(form)
+            form = form.rho()
+            if form == start or (form not in remaining and form in cycle):
+                break
+        cycles.append(cycle)
+    return cycles
+
+
+def class_group_reference(order):
+    """``quadexp.classforms.class_group`` of a real order, from objects.
+
+    Forms from ``indefinite_reduced_forms_reference``, cycles from
+    ``indefinite_cycles_reference`` and module classes from the pairwise
+    GL2(Z) merge of ``wide_classes_gl2``.
+    """
+    from quadexp.classforms import ClassGroupSummary
+
+    assert order.field_kind == "real"
+    disc = order.discriminant
+    cycles = indefinite_cycles_reference(
+        indefinite_reduced_forms_reference(disc))
+    reps = wide_classes_gl2(cycles, disc)
+    return ClassGroupSummary(order, len(reps), reps, len(cycles))
+
+
+def expansion_states_reference(theta):
+    """(digits, states, k, ell) of the continued fraction of theta.
+
+    Each complete quotient x is a ``QuadraticIrrational``, and the next is
+    1/(x - floor x); states[k] == states[k + ell] is the first repeat.
+    """
+    from quadexp.errors import DomainError
+    from quadexp.quadfield import QuadraticIrrational
+
+    theta._require_irrational()
+    digits, states, seen = [], [], {}
+    x = theta
+    for i in range(100000):
+        if x in seen:
+            k = seen[x]
+            return digits, states, k, i - k
+        seen[x] = i
+        states.append(x)
+        a = x.floor()
+        digits.append(a)
+        x = QuadraticIrrational.from_rational(1) / (x - a)
+    raise DomainError("continued fraction did not cycle within step bound")
+
+
+@dataclass(frozen=True)
+class CFExpansion:
+    preperiod: tuple[int, ...]
+    period: tuple[int, ...]
+
+
+def cf_expand(theta) -> CFExpansion:
+    """Eventually periodic continued fraction of a quadratic irrational."""
+    digits, _states, k, ell = expansion_states_reference(theta)
+    return CFExpansion(tuple(digits[:k]), tuple(digits[k:k + ell]))
+
+
+def fundamental_unit_reference(order):
+    """``quadexp.quadfield.fundamental_unit`` from object continued fractions.
+
+    omega = (D mod 2 + sqrt D)/2 is expanded by
+    ``expansion_states_reference``; the unit is xi q + qq, with xi the first
+    repeated complete quotient and (q, qq) one period's convergent
+    denominators.
+    """
+    from quadexp.errors import DomainError
+    from quadexp.quadfield import (QuadraticIrrational, UnitElement,
+                                   _convergent_matrix, _in_order)
+
+    if order.field_kind != "real":
+        raise DomainError("fundamental unit only for real quadratic orders")
+    disc = order.discriminant
+    # sqrt(disc) = g sqrt(d)
+    g = order.conductor * (1 if order.fundamental_discriminant == order.d else 2)
+    omega = QuadraticIrrational(disc % 2, g, 2, order.d)
+    digits, states, k, ell = expansion_states_reference(omega)
+    _p, _pp, q, qq = _convergent_matrix(digits[k:k + ell])
+    eps = states[k] * q + qq
+    n = eps.norm()
+    if n not in (1, -1):
+        raise DomainError(f"unit computation produced norm {n}")
+    if eps.cmp(1) <= 0:
+        raise DomainError("unit computation produced a value <= 1")
+    if not _in_order(eps, order):
+        raise DomainError("unit computation left the order")
+    return UnitElement(eps, int(n))
 
 
 def hcf_generator_reference(d: int, f: int, p: int):

@@ -2,7 +2,7 @@ from math import isqrt
 
 import pytest
 
-from oracles import (definite_class_number_orbit,
+from oracles import (class_group_reference, definite_class_number_orbit,
                      indefinite_reduced_forms_reference, is_reduced_definite,
                      match_conductor_reference, min_unit_power_in_suborder,
                      unit_index_reference, wide_classes_gl2)
@@ -25,6 +25,20 @@ def _real_orders(d_max=60, f_max=10):
 
 def _negated(q):
     return BinaryQuadraticForm(-q.a, q.b, -q.c)
+
+
+def _forms(triples):
+    return [BinaryQuadraticForm(*q) for q in triples]
+
+
+def _cycles(disc):
+    cycles, _ = _indefinite_cycles(_indefinite_reduced_forms(disc), disc)
+    return cycles
+
+
+def _wide(cycles, disc):
+    index = {q: i for i, cycle in enumerate(cycles) for q in cycle}
+    return _wide_classes(cycles, index, disc)
 
 
 class TestClassGroup:
@@ -63,23 +77,47 @@ class TestClassGroup:
         orders = _real_orders()
         assert len(orders) == 360
         for o in orders:
-            cycles = _indefinite_cycles(_indefinite_reduced_forms(o.discriminant))
+            cycles = [_forms(c) for c in _cycles(o.discriminant)]
             reps = wide_classes_gl2(cycles, o.discriminant)
             cg = class_group(o)
             assert (cg.h, cg.h_proper, cg.representatives) == \
                 (len(reps), len(cycles), reps), o
 
     def test_missing_cycle_is_typed(self):
-        cycles = _indefinite_cycles(_indefinite_reduced_forms(60))
-        principal = next(i for i, cyc in enumerate(cycles)
+        cycles = _cycles(60)
+        forms = [_forms(c) for c in cycles]
+        principal = next(i for i, cyc in enumerate(forms)
                          if BinaryQuadraticForm(1, 6, -6) in cyc)
-        partner = next(i for i, cyc in enumerate(cycles)
-                       if _negated(cycles[principal][0]) in cyc)
+        partner = next(i for i, cyc in enumerate(forms)
+                       if _negated(forms[principal][0]) in cyc)
         assert partner != principal  # d = 15 has no unit of norm -1
         with pytest.raises(DomainError, match="lies on no reduced cycle"):
-            _wide_classes([c for i, c in enumerate(cycles) if i != principal], 60)
+            _wide([c for i, c in enumerate(cycles) if i != principal], 60)
         with pytest.raises(DomainError, match="lies on no reduced cycle"):
-            _wide_classes([cycles[principal]], 60)
+            _wide([cycles[principal]], 60)
+
+    def test_real_orders_match_object_reference(self):
+        # every real order with square-free d < 400 and f <= 7, and the
+        # largest real order the benchmark matches (d = 26, f = 67)
+        orders = _real_orders(400, 7) + [OrderDescriptor("real", 26, 67)]
+        assert len(orders) == 1695
+        for o in orders:
+            assert class_group(o).to_json() == \
+                class_group_reference(o).to_json(), o
+
+    def test_real_class_group_builds_representatives_only(self, monkeypatch):
+        # reduced forms and cycles are int triples; only the returned
+        # representatives become BinaryQuadraticForm objects
+        built = []
+        init = BinaryQuadraticForm.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BinaryQuadraticForm, "__init__", counting_init)
+        cg = class_group(OrderDescriptor("real", 26, 67))
+        assert len(built) <= len(cg.representatives) + 2
 
     def test_nonmaximal_orders(self):
         # direct enumeration handles conductor > 1 on both sides
@@ -141,7 +179,7 @@ class TestReducedForms:
         # rho(-q) = -rho(q), so the negatives of a cycle form a cycle
         checked = 0
         for o in _real_orders():
-            for q in _indefinite_reduced_forms(o.discriminant):
+            for q in _forms(_indefinite_reduced_forms(o.discriminant)):
                 assert _negated(q).is_reduced_indefinite(), q
                 assert _negated(q).rho() == _negated(q.rho()), q
                 checked += 1
@@ -153,7 +191,7 @@ class TestReducedForms:
         discs = [disc for disc in range(5, 6001) if disc % 4 in (0, 1)
                  and isqrt(disc) ** 2 != disc] + [4 * 26 * 67**2]
         for disc in discs:
-            assert _indefinite_reduced_forms(disc) == \
+            assert _forms(_indefinite_reduced_forms(disc)) == \
                 indefinite_reduced_forms_reference(disc), disc
         assert len(discs) == 2924
 

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cf_reconstruct
+from oracles import (cf_expand, cf_reconstruct, expansion_states_reference,
+                     fundamental_unit_reference)
 from quadexp import quadfield
 from quadexp.errors import DomainError, InputRational
 from quadexp.quadfield import (OrderDescriptor, QuadraticIrrational,
-                               cf_expand, fundamental_unit, is_squarefree,
+                               _expansion_states, _irrational_states,
+                               fundamental_unit, is_squarefree,
                                pell_min_solution, sl2_equivalent)
 
 SQUAREFREE_200 = [d for d in range(2, 201) if is_squarefree(d)]
@@ -96,6 +98,19 @@ class TestContinuedFractions:
         e = cf_expand(x)
         assert cf_reconstruct(e) == x
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=-50, max_value=50),
+           st.integers(min_value=-30, max_value=30),
+           st.integers(min_value=-30, max_value=30).filter(bool),
+           st.integers(min_value=2, max_value=9999))
+    def test_integer_states_match_object_reference(self, a, b, c, d):
+        # (P, Q) steps from any sign of b and c, scaled where Q does not
+        # divide D - P^2, give the reference's digits and complete quotients
+        x = QuadraticIrrational(a, b, c, d)
+        if x.is_rational:
+            return
+        assert _irrational_states(x) == expansion_states_reference(x)
+
 
 class TestFundamentalUnit:
     def test_unit_d15_classical(self):
@@ -139,6 +154,38 @@ class TestFundamentalUnit:
             for f in (2, 3, 4, 5):
                 uf = fundamental_unit(OrderDescriptor("real", d, f))
                 assert any(uf.value == u1.value**k for k in range(1, 13)), (d, f)
+
+    def test_matches_object_reference(self):
+        # every real order with square-free d < 400 and f <= 7, and the
+        # largest real order the benchmark matches (d = 26, f = 67)
+        orders = [OrderDescriptor("real", d, f) for d in range(2, 400)
+                  if is_squarefree(d) for f in range(1, 8)]
+        orders.append(OrderDescriptor("real", 26, 67))
+        assert len(orders) == 1695
+        for o in orders:
+            assert fundamental_unit(o).to_json() == \
+                fundamental_unit_reference(o).to_json(), o
+
+    def test_builds_one_irrational_whatever_the_period(self, monkeypatch):
+        # the expansion runs on (P, Q) integers; only the unit itself is
+        # built as a QuadraticIrrational
+        short, long = OrderDescriptor("real", 2, 1), OrderDescriptor("real", 94, 7)
+        disc = long.discriminant
+        assert _expansion_states(disc % 2, 2, disc)[3] >= 20
+        built = []
+        init = QuadraticIrrational.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(QuadraticIrrational, "__init__", counting_init)
+        counts = []
+        for o in (short, long):
+            built.clear()
+            fundamental_unit(o)
+            counts.append(len(built))
+        assert counts[0] == counts[1] <= 2
 
     def test_imaginary_rejected(self):
         with pytest.raises(DomainError):
