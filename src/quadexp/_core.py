@@ -15,7 +15,8 @@ double's range. It is faster on large entries, but its result meets the
 Lovász condition only up to rounding, and it may break down; it then raises
 ``FloatBreakdown`` and the caller reduces exactly instead.
 
-Both kernels climb the same delta ladder, ``_delta_ladder``.
+Both kernels climb the constant ``LADDER`` 3/4, 9/10 to the one Lovász
+parameter ``DELTA`` = 99/100; the lower rungs only save swaps.
 """
 
 from __future__ import annotations
@@ -26,23 +27,13 @@ from operator import mul
 # Read by the environment block of perfbench/run.py.
 BACKEND = "python"
 
+# the Lovász parameter (num, den) of every reduction, and the rungs to it
+DELTA = (99, 100)
+LADDER = ((3, 4), (9, 10), DELTA)
+
+
 class FloatBreakdown(ArithmeticError):
     """The float kernel lost its Gram-Schmidt data; reduce exactly instead."""
-
-
-def _delta_ladder(delta_num, delta_den):
-    """Lovász parameters, as (num, den), that a reduction runs in turn.
-
-    3/4 and 9/10 where they lie below the requested delta, ending at the
-    requested one; the final basis is reduced at the requested delta, the
-    ladder only saves swaps.
-    """
-    if not (0 < delta_num < delta_den and 4 * delta_num > delta_den):
-        raise ValueError("delta must lie in (1/4, 1)")
-    ladder = [(num, den) for num, den in ((3, 4), (9, 10))
-              if num * delta_den < delta_num * den]
-    ladder.append((delta_num, delta_den))
-    return ladder
 
 
 def _int_rows(rows):
@@ -52,16 +43,15 @@ def _int_rows(rows):
     return b
 
 
-def lll_reduce_rows(rows, delta_num, delta_den):
+def lll_reduce_rows(rows):
     """LLL-reduced copy of the integer basis rows (the input is not changed).
 
     Returns the reduced rows only; they are integer combinations of the
     input rows, and a caller that needs the combination keeps coefficient
     columns in its lattice. Raises ValueError when the rows are linearly
-    dependent. delta_num/delta_den is the Lovász parameter, required to
-    lie in (1/4, 1); the final basis satisfies it exactly.
+    dependent. The final basis meets the Lovász condition at ``DELTA``
+    exactly.
     """
-    ladder = _delta_ladder(delta_num, delta_den)
     b = _int_rows(rows)
     n = len(b)
     if n == 0:
@@ -78,7 +68,7 @@ def lll_reduce_rows(rows, delta_num, delta_den):
         raise ValueError("dependent rows (zero vector)")
     kmax = 1
 
-    for num, den in ladder:
+    for num, den in LADDER:
         k = 2
         while k <= n:
             if k > kmax:
@@ -162,20 +152,19 @@ def _swap(b, d, lam, k, kmax, d_num):
 # are complete, and rows above it hold at most the columns j < k.
 
 
-def lll_reduce_rows_float(rows, delta_num, delta_den):
+def lll_reduce_rows_float(rows):
     """LLL-reduced copy of the integer rows, Gram-Schmidt data in doubles.
 
     The rows are integer combinations of the input rows, as from
     ``lll_reduce_rows``, size-reduced and meeting the Lovász condition at
-    delta_num/delta_den, both up to rounding. Raises
+    ``DELTA``, both up to rounding. Raises
     ``FloatBreakdown`` when the float data fail: a nonpositive squared
     Gram-Schmidt norm, a division by zero, an overflow, a non-finite
     value, a zero row, or more swaps than an exact reduction could make.
     """
-    ladder = _delta_ladder(delta_num, delta_den)
     b = _int_rows(rows)
     try:
-        _float_lll(b, ladder)
+        _float_lll(b)
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise FloatBreakdown(f"{type(exc).__name__}: {exc}") from exc
     return b
@@ -194,8 +183,8 @@ def _exponent(g):
     return (g.bit_length() + 1) // 2
 
 
-def _float_lll(b, ladder):
-    """Reduce the rows b in place at each Lovász parameter of the ladder."""
+def _float_lll(b):
+    """Reduce the rows b in place at each Lovász parameter of ``LADDER``."""
     n = len(b)
     if n == 0:
         return
@@ -209,7 +198,7 @@ def _float_lll(b, ladder):
     mu = [[] for _ in range(n)]
     r = [[] for _ in range(n)]
     r[0].append(_scaled(G[0][0], 2 * e[0]))
-    for num, den in ladder:
+    for num, den in LADDER:
         delta = num / den
         # each swap lowers the potential prod_i d_i, which is at most
         # 2**(sum_i (n-1-i) log2 ||b_i||^2) and at least 1, by a factor

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import BoundExceeded, DomainError, NoMatchWithinBound
-from .quadfield import OrderDescriptor, QuadraticIrrational, fundamental_unit
+from .quadfield import (OrderDescriptor, QuadraticIrrational, _prime_powers,
+                        fundamental_unit)
 
 DISC_LIMIT = 10**8  # largest |disc| enumerated or matched; read at call time
 
@@ -275,17 +276,7 @@ def pseudo_lattice_reps(summary: ClassGroupSummary) -> list[PseudoLatticeRep]:
 
 
 def _prime_divisors(n: int) -> list[int]:
-    primes = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
-    return primes
+    return [p for p, _ in _prime_powers(n)]
 
 
 def _kronecker(disc: int, p: int) -> int:

@@ -21,7 +21,7 @@ _CASE_OPTIONS = [
     click.option("--precision-bits", type=int,
                  default=_DEFAULTS.precision_bits, show_default=True),
     click.option("--deg-bound", type=int, default=_DEFAULTS.deg_bound,
-                 help="degree bound for recognition (default: twice the field degree)"),
+                 help="degree bound for recognition (default: 4 h_imag, twice the field degree)"),
     click.option("--height-bound", type=int, default=_DEFAULTS.height_bound,
                  show_default=False,
                  help="coefficient height bound for recognition (default 10^40)"),

@@ -7,22 +7,19 @@ are never dropped. Elementary functions evaluate at scale_bits + 64 guard
 bits internally and round once at the end, so their published bounds are a
 handful of ulps.
 
-The only shared mutable state is the per-precision cache of pi and log 2,
-guarded by a lock; everything else is immutable values.
+The only shared state is the per-precision mantissas of pi and log 2, each
+held by ``functools.cache``, which stays coherent under threads without a
+lock here; everything else is immutable values.
 """
 
 from __future__ import annotations
 
-import threading
+from functools import cache
 from math import isqrt
 
 from .errors import DomainError
 
 GUARD_BITS = 64
-
-_cache_lock = threading.Lock()
-_pi_cache: dict[int, int] = {}
-_log2_cache: dict[int, int] = {}
 
 
 def _rshift_round(x: int, s: int) -> int:
@@ -58,17 +55,7 @@ class FixedReal:
     @classmethod
     def from_ratio(cls, num: int, den: int, p: int) -> "FixedReal":
         """num/den rounded to p bits; exact when den is a power of two factor."""
-        if den == 0:
-            raise ZeroDivisionError("from_ratio with zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        scaled = num << p
-        q, r = divmod(scaled, den)
-        if r == 0:
-            return cls(q, p, 0)
-        if 2 * r >= den:
-            q += 1
-        return cls(q, p, 1)
+        return cls(num << p, p).div_int(den)
 
     @classmethod
     def zero(cls, p: int) -> "FixedReal":
@@ -263,49 +250,40 @@ class FixedComplex:
 # -- constants ---------------------------------------------------------------
 
 
-def _atan_inv_mantissa(k: int, w: int) -> int:
-    """arctan(1/k) * 2**w for integer k >= 2, floor error < #terms ulps."""
+def _inv_series(k: int, w: int, alternating: bool) -> int:
+    """arctan(1/k) * 2**w if alternating, else artanh(1/k) * 2**w, k >= 2.
+
+    sum_j (+-1)**j x_j / (2j + 1), x_(j+1) = x_j // k**2; error < #terms ulps.
+    """
     x = (1 << w) // k
     kk = k * k
     total = 0
     j = 0
     while x:
         t = x // (2 * j + 1)
-        total += -t if j & 1 else t
+        total += -t if alternating and j & 1 else t
         x //= kk
         j += 1
     return total
 
 
+@cache
+def _pi_mantissa(p: int) -> int:
+    """pi * 2**p, from 16 arctan(1/5) - 4 arctan(1/239) at 32 guard bits."""
+    w = p + 32
+    man_w = 16 * _inv_series(5, w, True) - 4 * _inv_series(239, w, True)
+    return _rshift_round(man_w, 32)
+
+
 def pi_fixed(p: int) -> FixedReal:
     """pi at p bits; computed once per precision and cached (thread safe)."""
-    with _cache_lock:
-        man = _pi_cache.get(p)
-    if man is None:
-        w = p + 32
-        man_w = 16 * _atan_inv_mantissa(5, w) - 4 * _atan_inv_mantissa(239, w)
-        man = _rshift_round(man_w, 32)
-        with _cache_lock:
-            _pi_cache[p] = man
-    return FixedReal(man, p, 2)
+    return FixedReal(_pi_mantissa(p), p, 2)
 
 
+@cache
 def _log2_mantissa(w: int) -> int:
-    with _cache_lock:
-        man = _log2_cache.get(w)
-    if man is None:
-        ww = w + 32
-        x = (1 << ww) // 3
-        total = 0
-        j = 0
-        while x:
-            total += x // (2 * j + 1)
-            x //= 9
-            j += 1
-        man = _rshift_round(2 * total, 32)
-        with _cache_lock:
-            _log2_cache[w] = man
-    return man
+    """log 2 * 2**w, from 2 artanh(1/3) at 32 guard bits."""
+    return _rshift_round(2 * _inv_series(3, w + 32, False), 32)
 
 
 # -- square root ---------------------------------------------------------------
@@ -450,12 +428,8 @@ def exp_cis(theta: FixedReal, p: int) -> FixedComplex:
     w = p + GUARD_BITS
     q = theta.scale_bits
     frac = theta.mantissa % (1 << q)  # exact reduction mod 1 at mantissa level
-    if q <= w:
-        mf = frac << (w - q)
-        in_err = theta.err_ulps << (w - q)
-    else:
-        mf = _rshift_round(frac, q - w)
-        in_err = _ceil_div(theta.err_ulps, 1 << (q - w)) + 1
+    reduced = FixedReal(frac, q, theta.err_ulps).rescale(w)
+    mf, in_err = reduced.mantissa, reduced.err_ulps
     # nearest eighth: o/8 with remainder |r| <= 1/16
     o = (mf + (1 << (w - 4))) >> (w - 3)
     r = mf - (o << (w - 3))

@@ -37,7 +37,7 @@ DIRECTIONS = ("real-to-imag", "imag-to-real")
 @dataclass(frozen=True)
 class CaseParams:
     precision_bits: int = 512
-    deg_bound: int | None = None  # defaults to twice the field degree
+    deg_bound: int | None = None  # defaults to 4 h_imag of the matched order
     height_bound: int = DEFAULT_HEIGHT_BOUND
     conductor_direction: str = "real-to-imag"
     search_bound: int = 100
@@ -254,8 +254,8 @@ def _recognition_stage(d, f_imag, eps, jvals, params, report):
     report.timing["class_field_s"] = time.perf_counter() - t0
 
     deg_bound = params.deg_bound
-    if deg_bound is None:
-        deg_bound = 2 * (descriptor.degree if descriptor else 4)
+    if deg_bound is None:  # twice the class field's degree 2 h_imag
+        deg_bound = 4 * report.class_numbers["h_imag"]
 
     t0 = time.perf_counter()
     results = [min_poly(jv.value, deg_bound, params.height_bound, p)

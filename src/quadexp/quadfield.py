@@ -19,22 +19,29 @@ from .errors import DomainError, InputRational
 from .numerics import FixedReal, sqrt_fixed
 
 
+def _prime_powers(n: int):
+    """(p, e) for each prime power p**e exactly dividing n > 0, p rising."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
 def _squarefree_split(n: int) -> tuple[int, int]:
     """n = s*s*r with r square-free; returns (s, r). n must be positive."""
     s, r = 1, 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                r *= p
-        p += 1 if p == 2 else 2
-    return s, r * m
+    for p, e in _prime_powers(n):
+        s *= p ** (e // 2)
+        if e % 2:
+            r *= p
+    return s, r
 
 
 def is_squarefree(n: int) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from ._core import FloatBreakdown, lll_reduce_rows, lll_reduce_rows_float
+from ._core import DELTA, FloatBreakdown, lll_reduce_rows, lll_reduce_rows_float
 from .errors import (DegenerateBasis, DomainError, InputRational,
                      InsufficientPrecision)
 from .modular import ClassFieldDescriptor, IntegerPolynomial
@@ -32,7 +32,7 @@ from .numerics import (FixedComplex, FixedReal, GUARD_BITS, _ceil_div,
                        log_fixed)
 from .quadfield import QuadraticIrrational, UnitElement
 
-DEFAULT_DELTA = Fraction(99, 100)
+DEFAULT_DELTA = Fraction(*DELTA)
 DEFAULT_HEIGHT_BOUND = 10**40
 LOG10_2 = 0.30102999566398119
 # scale step between the rungs of a relation search
@@ -151,16 +151,14 @@ def _int_det(matrix: list[list[int]]) -> int:
     return sign * m[-1][-1]
 
 
-def lll_reduce(basis, delta: Fraction = DEFAULT_DELTA) -> list[list[int]]:
-    """Exact integer LLL; returns the reduced rows.
+def lll_reduce(basis) -> list[list[int]]:
+    """Exact integer LLL at ``DEFAULT_DELTA``; returns the reduced rows.
 
     The rows are integer combinations of the input rows; a search that
     needs the combination reads it from its lattice's coefficient columns.
     """
-    if not (Fraction(1, 4) < delta < 1):
-        raise DomainError("delta must lie in (1/4, 1)")
     try:
-        return lll_reduce_rows(basis, delta.numerator, delta.denominator)
+        return lll_reduce_rows(basis)
     except ValueError as exc:
         raise DegenerateBasis(str(exc)) from exc
 
@@ -291,12 +289,11 @@ def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
         coeffs, s_0 = start.coefficient_basis, start.scale_bits
         if len(coeffs) != n or any(len(row) != n for row in coeffs):
             raise DegenerateBasis(f"warm start must be {n} x {n}")
-    delta = DEFAULT_DELTA.numerator, DEFAULT_DELTA.denominator
     for r in [*range(s_0 + RUNG_BITS, s, RUNG_BITS), s]:
         scaled = _power_rows(elements, r)
         rows = [list(c) + _tails(c, scaled) for c in coeffs]
         try:
-            basis = lll_reduce_rows_float(rows, *delta)
+            basis = lll_reduce_rows_float(rows)
         except FloatBreakdown:
             basis = lll_reduce(rows)
         coeffs = [row[:n] for row in basis]

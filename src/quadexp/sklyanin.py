@@ -41,6 +41,11 @@ def _conj_symbol(name: str) -> str:
     return name[:-1] if name.endswith("~") else name + "~"
 
 
+def _mono(exps: dict[str, int]) -> Mono:
+    """The monomial of symbol exponents, in normal form: sorted, no zeros."""
+    return tuple(sorted((s, e) for s, e in exps.items() if e != 0))
+
+
 class Coeff:
     """Formal Laurent polynomial in the coefficient symbols, over Q."""
 
@@ -56,8 +61,7 @@ class Coeff:
 
     @classmethod
     def monomial(cls, r, exps: dict[str, int]) -> "Coeff":
-        mono = tuple(sorted((s, e) for s, e in exps.items() if e != 0))
-        return cls({mono: Fraction(r)})
+        return cls({_mono(exps): Fraction(r)})
 
     @classmethod
     def zero(cls) -> "Coeff":
@@ -95,7 +99,7 @@ class Coeff:
                 d = dict(d1)
                 for s, e in m2:
                     d[s] = d.get(s, 0) + e
-                mono = tuple(sorted((s, e) for s, e in d.items() if e != 0))
+                mono = _mono(d)
                 t[mono] = t.get(mono, Fraction(0)) + r1 * r2
         return Coeff(t)
 
@@ -115,7 +119,7 @@ class Coeff:
                 else:
                     cs = _conj_symbol(s)
                     d[cs] = d.get(cs, 0) + e
-            mono = tuple(sorted((s, e) for s, e in d.items() if e != 0))
+            mono = _mono(d)
             t[mono] = t.get(mono, Fraction(0)) + r
         return Coeff(t)
 

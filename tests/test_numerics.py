@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from quadexp import numerics
 from quadexp.errors import DomainError
 from quadexp.numerics import (FixedComplex, FixedReal, exp_cis, exp_fixed,
-                              log_fixed, pi_fixed, sqrt_fixed, _log_positive)
+                              log_fixed, pi_fixed, sqrt_fixed, _log2_mantissa,
+                              _log_positive)
 
 
 def ulp_of(x: FixedReal) -> int:
@@ -212,6 +215,53 @@ class TestErrorPropagation:
         mine = Fraction(pi_fixed(320).mantissa, 1 << 320)
         ref = Fraction(mp.nstr(mp.pi, 110, strip_zeros=False))
         assert abs(mine - ref) < Fraction(1, 10**95)
+
+    @pytest.mark.parametrize("w", [64, 100, 512, 1088, 2113])
+    def test_log2_digits(self, w):
+        # within the 2 ulps that exp_fixed and _log_mantissa charge per
+        # multiple of log 2
+        with mp.workprec(w + 64):
+            assert abs(_log2_mantissa(w) - mp.ldexp(mp.log(2), w)) < 2
+
+    @pytest.mark.parametrize("constant, cached, series", [
+        (pi_fixed, numerics._pi_mantissa, [(5, True), (239, True)]),
+        (_log2_mantissa, _log2_mantissa, [(3, False)])])
+    def test_series_once_per_precision(self, monkeypatch, constant, cached,
+                                       series):
+        seen = []
+        inv_series = numerics._inv_series
+
+        def spy(k, w, alternating):
+            seen.append((k, w, alternating))
+            return inv_series(k, w, alternating)
+
+        monkeypatch.setattr(numerics, "_inv_series", spy)
+        cached.cache_clear()  # p is fresh
+        p = 1234
+        constant(p), constant(p)
+        assert seen == [(k, p + 32, alternating) for k, alternating in series]
+
+
+class TestFromRatio:
+    @given(st.integers(-10**12, 10**12),
+           st.integers(-10**6, 10**6).filter(bool), st.integers(0, 40))
+    @example(0, 7, 10)
+    @example(0, -3, 0)
+    @example(1, 2, 0)  # ties: x + 1/2 is an integer
+    @example(-1, 2, 0)
+    @example(3, -2, 0)
+    @example(-5, 4, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction(self, num, den, p):
+        x = Fraction(num * 2**p, den)
+        r = FixedReal.from_ratio(num, den, p)
+        assert r.scale_bits == p
+        assert r.mantissa == math.floor(x + Fraction(1, 2))  # half up
+        assert r.err_ulps == (0 if x.denominator == 1 else 1)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            FixedReal.from_ratio(1, 0, 64)
 
 
 class TestConstantCacheConcurrency:

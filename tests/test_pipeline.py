@@ -1,18 +1,19 @@
 import concurrent.futures
 import json
-from fractions import Fraction
+from inspect import signature
 
 import pytest
 from click.testing import CliRunner
 
-from quadexp import classforms, cli, pipeline, recognition, sklyanin
+from quadexp import _core, classforms, cli, pipeline, recognition, sklyanin
 from quadexp.cli import main
-from quadexp.errors import DomainError, NotSquareFree, QuadexpError
+from quadexp.errors import (DomainError, InsufficientPrecision, NotSquareFree,
+                           QuadexpError)
 from quadexp.modular import IntegerPolynomial
 from quadexp.pipeline import (CSV_HEADER, CaseParams, EXCLUDED_D, run_case,
                               run_range, verify_symbolic)
 from quadexp.quadfield import QuadraticIrrational, sl2_equivalent
-from quadexp.recognition import RecognitionResult, Recognized
+from quadexp.recognition import NoRelation, RecognitionResult, Recognized
 from test_tooling import _fresh_interpreter
 
 FAST = CaseParams(precision_bits=256, recognition=False)
@@ -128,18 +129,36 @@ class TestRunCase:
         assert r.verdict() == ("no_match" if d == 41 else "arithmetic_only")
         assert sorted(seen) == [("imaginary", d, 1), ("real", d, 1)]
 
-    def test_lll_runs_at_reported_delta(self, monkeypatch):
-        deltas = []
-        original = recognition.lll_reduce
+    def test_lll_runs_at_reported_delta(self):
+        # no LLL entry point takes a delta, so every reduction runs at the
+        # kernels' constant, which the report states
+        r = run_case(15, FAST)
+        assert tuple(r.to_json()["params"]["delta"]) == _core.DELTA
+        for kernel, params in ((recognition.lll_reduce, ["basis"]),
+                               (_core.lll_reduce_rows, ["rows"]),
+                               (_core.lll_reduce_rows_float, ["rows"])):
+            assert list(signature(kernel).parameters) == params
 
-        def spy(basis, delta=recognition.DEFAULT_DELTA):
-            deltas.append(delta)
-            return original(basis, delta)
+    def test_default_deg_bound_without_field_descriptor(self, monkeypatch):
+        # the default is 4 h_imag, twice the class field's degree, whether
+        # or not the descriptor builds; d = 14 has h_imag = 4
+        def no_descriptor(*args):
+            raise InsufficientPrecision("no descriptor")
 
-        monkeypatch.setattr(recognition, "lll_reduce", spy)
-        r = run_case(15, CaseParams(precision_bits=256))
-        reported = Fraction(*r.to_json()["params"]["delta"])
-        assert deltas and set(deltas) == {reported}
+        bounds = []
+
+        def recorder(z, deg_bound, height_bound, p, start=None):
+            bounds.append(deg_bound)
+            return RecognitionResult(NoRelation(1), deg_bound, height_bound,
+                                     p, [], 0)
+
+        monkeypatch.setattr(pipeline, "hcf_generator", no_descriptor)
+        monkeypatch.setattr(pipeline, "min_poly", recorder)
+        r = run_case(14, CaseParams(precision_bits=256,
+                                    conductor_direction="imag-to-real"))
+        assert r.class_numbers["h_imag"] == 4
+        assert r.field_descriptor is None and r.membership is None
+        assert bounds == [16] * 2 * len(r.j_values)
 
     def test_stability_search_starts_from_p_basis(self, monkeypatch):
         # every search climbs: each p search from the identity at scale 0,
@@ -157,8 +176,8 @@ class TestRunCase:
             events.append(("rows", s, rows))
             return rows
 
-        def kernel_spy(rows, *delta):
-            reduced = kernel(rows, *delta)
+        def kernel_spy(rows):
+            reduced = kernel(rows)
             events.append(("reduce", rows, reduced))
             return reduced
 

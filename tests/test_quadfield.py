@@ -7,17 +7,36 @@ from hypothesis import given, settings, strategies as st
 from oracles import (cf_expand, cf_reconstruct, expansion_states_reference,
                      fundamental_unit_reference)
 from quadexp import quadfield
+from quadexp.classforms import _prime_divisors
 from quadexp.errors import DomainError, InputRational
 from quadexp.quadfield import (OrderDescriptor, QuadraticIrrational,
                                _expansion_states, _irrational_states,
-                               fundamental_unit, is_squarefree,
-                               pell_min_solution, sl2_equivalent)
+                               _squarefree_split, fundamental_unit,
+                               is_squarefree, pell_min_solution,
+                               sl2_equivalent)
 
 SQUAREFREE_200 = [d for d in range(2, 201) if is_squarefree(d)]
 
 
 def sqrtq(d):
     return QuadraticIrrational.sqrt_of(d)
+
+
+class TestTrialDivision:
+    # both callers of the one trial-division loop, against sympy's factorint
+    def test_matches_factorint(self):
+        from sympy import factorint, nextprime, prevprime
+        p, q = prevprime(10**5), nextprime(10**5)
+        near = [p * p, p * q, 2 * prevprime(5 * 10**9), 2**33, 3**21,
+                prevprime(10**10), 7**11, 97**5]
+        for n in [*range(1, 20001), *near]:
+            powers = factorint(n)
+            s = r = 1
+            for prime, e in powers.items():
+                s *= prime ** (e // 2)
+                r *= prime ** (e % 2)
+            assert _squarefree_split(n) == (s, r), n
+            assert _prime_divisors(n) == sorted(powers), n
 
 
 class TestQuadraticIrrational:

@@ -93,19 +93,16 @@ class TestLLL:
         assert lovasz_holds(reduced, Fraction(99, 100))
 
     def test_exact_lovasz_on_random(self):
-        # deltas below, at and between the kernel's 3/4 and 9/10 ladder rungs
-        for delta in (Fraction(1, 2), Fraction(3, 4), Fraction(9, 10),
-                      Fraction(99, 100)):
-            rng = random.Random(5)
-            for _ in range(20):
-                n = rng.randint(2, 5)
-                rows = [[rng.randint(-999, 999) for _ in range(n + 1)]
-                        for _ in range(n)]
-                try:
-                    reduced = lll_reduce(rows, delta)
-                except DegenerateBasis:
-                    continue
-                assert lovasz_holds(reduced, delta), delta
+        rng = random.Random(5)
+        for _ in range(20):
+            n = rng.randint(2, 5)
+            rows = [[rng.randint(-999, 999) for _ in range(n + 1)]
+                    for _ in range(n)]
+            try:
+                reduced = lll_reduce(rows)
+            except DegenerateBasis:
+                continue
+            assert lovasz_holds(reduced, DEFAULT_DELTA)
 
     def test_shortest_vector_quality(self):
         rng = random.Random(11)
@@ -135,8 +132,7 @@ class TestLLL:
         with pytest.raises(DegenerateBasis):
             lll_reduce([[1, 2], [2, 4]])
 
-    @pytest.mark.parametrize("delta", [(99, 100), (3, 4), (1, 2)])
-    def test_kernel_matches_reference(self, delta):
+    def test_kernel_matches_reference(self):
         # the swap reuses the Lovász test's product: same decisions, so the
         # same basis as the reference that recomputes it, whose transform
         # maps the input to that basis
@@ -156,10 +152,10 @@ class TestLLL:
         checked = 0
         for rows in lattices:
             try:
-                got = lll_reduce_rows(rows, *delta)
+                got = lll_reduce_rows(rows)
             except ValueError:
                 continue
-            assert matches_lll_reference(rows, got, *delta)
+            assert matches_lll_reference(rows, got)
             checked += 1
         assert checked >= 20
 
@@ -191,9 +187,9 @@ def searches(monkeypatch):
         counts["searches"] += 1
         return search(*args, **kwargs)
 
-    def reduce_spy(basis, delta=DEFAULT_DELTA):
+    def reduce_spy(basis):
         counts["exact"] += 1
-        return reduce(basis, delta)
+        return reduce(basis)
 
     monkeypatch.setattr(recognition, "_relation_search", search_spy)
     monkeypatch.setattr(recognition, "lll_reduce", reduce_spy)
@@ -209,7 +205,7 @@ class TestFloatLLL:
         for rows in kernel_lattices(17):
             if _int_det([row[:len(rows)] for row in rows]) == 0:
                 continue
-            reduced = lll_reduce_rows_float(rows, 99, 100)
+            reduced = lll_reduce_rows_float(rows)
             assert is_basis_of(reduced, rows)
             checked += 1
         assert checked >= 20
@@ -218,14 +214,14 @@ class TestFloatLLL:
         for rows in kernel_lattices(29):
             if _int_det([row[:len(rows)] for row in rows]) == 0:
                 continue
-            reduced = lll_reduce_rows_float(rows, 99, 100)
+            reduced = lll_reduce_rows_float(rows)
             assert lovasz_holds(reduced, Fraction(98, 100))
 
     def test_dependent_rows_break_down(self):
         with pytest.raises(FloatBreakdown):
-            lll_reduce_rows_float([[1, 2], [2, 4]], 99, 100)
+            lll_reduce_rows_float([[1, 2], [2, 4]])
         with pytest.raises(FloatBreakdown):
-            lll_reduce_rows_float([[0, 0], [1, 0]], 99, 100)
+            lll_reduce_rows_float([[0, 0], [1, 0]])
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_rows_far_apart_in_scale(self, order):
@@ -237,13 +233,13 @@ class TestFloatLLL:
         tails = [[rng.getrandbits(64 + 150 * i) | 1 << (63 + 150 * i)
                   for _ in range(2)] for i in range(n)][::order]
         rows = [[int(i == j) for j in range(n)] + tails[i] for i in range(n)]
-        reduced = lll_reduce_rows_float(rows, 99, 100)
+        reduced = lll_reduce_rows_float(rows)
         assert _int_det(_certified(reduced, tails)) in (1, -1)
         assert lovasz_holds(reduced, Fraction(98, 100))
 
     def test_breakdown_falls_back_to_exact_kernel(self, monkeypatch, rungs,
                                                   searches):
-        def broken(rows, *delta):
+        def broken(rows):
             raise FloatBreakdown("forced")
 
         monkeypatch.setattr(recognition, "lll_reduce_rows_float", broken)
@@ -605,8 +601,8 @@ def corrupt_kernel(request, monkeypatch):
     """recognition's LLL kernel, each of its results corrupted one way."""
     kernel = recognition.lll_reduce_rows
 
-    def corrupted(rows, *delta):
-        reduced = kernel(rows, *delta)
+    def corrupted(rows):
+        reduced = kernel(rows)
         request.param(reduced)
         return reduced
 

@@ -7,9 +7,12 @@ leaves an import binding that holds another object, stops that run with a
 nothing, so such a break fails here first. ``perfbench/expected.json`` pins
 the outcome of every benchmark case; a change that alters one fails the
 benchmark run, and ``test_benchmark_outcomes`` makes it fail here first.
-``tests/data/scan_report_digests.json`` holds the sha256 of every scan case's
-report outside its timing block; ``test_scan_reports_unchanged`` holds the
-scans to byte-identical reports. A change that alters a report on purpose
+``tests/data/scan_report_digests.json`` holds the sha256 of every scan and
+recognize case's report outside its timing block, the recognize cases run in
+benchmark order on one shared cache; ``test_scan_reports_unchanged`` and
+``test_recognize_reports_unchanged`` hold them to byte-identical reports,
+from the results of the one run of every case that
+``test_benchmark_outcomes`` checks. A change that alters a report on purpose
 rewrites that file with ``PYTHONPATH=src python tests/test_tooling.py`` and
 says why.
 The symbolic layer is exact rational arithmetic, so importing it must not
@@ -26,6 +29,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from inspect import signature
 from pathlib import Path
 
@@ -99,34 +103,59 @@ def test_traced_signatures():
         ["cache_dir", "d", "f"]
 
 
-def test_benchmark_outcomes(tmp_path):
-    # every distinct benchmark case once, checked as the benchmark checks it;
-    # the recognize cases share one class-polynomial cache, as in a pass
+def _run_cases(cache_dir: str) -> dict:
+    """{case key: (case, result)}, every distinct benchmark case run once.
+
+    The cases run in benchmark order, so the recognize cases share one
+    class-polynomial cache in ``cache_dir`` as in a pass.
+    """
     workloads = _load("workloads")
-    expected = json.loads((PERFBENCH / "expected.json").read_text())["cases"]
     cases = {case.key: case for workload in workloads.WORKLOADS.values()
              for case in workload.cases}
-    assert set(cases) == set(expected)
-    for key, case in cases.items():
-        result = case.run(pipeline, str(tmp_path))
+    return {key: (case, case.run(pipeline, cache_dir))
+            for key, case in cases.items()}
+
+
+@pytest.fixture(scope="module")
+def results(tmp_path_factory):
+    return _run_cases(str(tmp_path_factory.mktemp("cache")))
+
+
+def test_benchmark_outcomes(results):
+    # every distinct benchmark case once, checked as the benchmark checks it
+    workloads = _load("workloads")
+    expected = json.loads((PERFBENCH / "expected.json").read_text())["cases"]
+    assert set(results) == set(expected)
+    for key, (case, result) in results.items():
         assert workloads.summarize(case, result) == expected[key]["expect"], \
             key
 
 
-def _scan_digests() -> dict:
+def _digests(results: dict, names) -> dict:
     """{workload: {case key: sha256 of its report without timing}}."""
     workloads = _load("workloads")
     digests = {}
-    for name in SCANS:
+    for name in names:
         digests[name] = {}
         for case in workloads.WORKLOADS[name].cases:
-            text = case.run(pipeline, None).dumps(with_timing=False)
+            text = results[case.key][1].dumps(with_timing=False)
             digests[name][case.key] = hashlib.sha256(text.encode()).hexdigest()
     return digests
 
 
-def test_scan_reports_unchanged():
-    assert _scan_digests() == json.loads(DIGESTS.read_text())
+def _pinned(names) -> dict:
+    pinned = json.loads(DIGESTS.read_text())
+    return {name: pinned[name] for name in names}
+
+
+def test_scan_reports_unchanged(results):
+    assert _digests(results, SCANS) == _pinned(SCANS)
+
+
+def test_recognize_reports_unchanged(results):
+    # the recognition, stability, field and membership blocks, which
+    # test_benchmark_outcomes reads only as verdicts and polynomials
+    assert _digests(results, ["recognize"]) == _pinned(["recognize"])
 
 
 def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
@@ -174,7 +203,8 @@ def test_light_paths_load_neither_sympy_nor_the_pool():
     assert res.returncode == 0, res.stderr
 
 
-if __name__ == "__main__":  # rewrite the pinned scan digests
+if __name__ == "__main__":  # rewrite the pinned report digests
+    with tempfile.TemporaryDirectory() as cache_dir:
+        digests = _digests(_run_cases(cache_dir), ("recognize", *SCANS))
     DIGESTS.parent.mkdir(exist_ok=True)
-    DIGESTS.write_text(json.dumps(_scan_digests(), indent=1, sort_keys=True)
-                       + "\n")
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
