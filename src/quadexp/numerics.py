@@ -7,6 +7,10 @@ are never dropped. Elementary functions evaluate at scale_bits + 64 guard
 bits internally and round once at the end, so their published bounds are a
 handful of ulps.
 
+Two series kernels serve the elementary functions: exp's Taylor loop
+(``_exp_series``) for exp, cos and sin, and the artanh/arctan series for
+log (``_log_mantissa``) and for pi and log 2 (``_inv_series``).
+
 The only shared state is the per-precision mantissas of pi and log 2, each
 held by ``functools.cache``, which stays coherent under threads without a
 lock here; everything else is immutable values.
@@ -303,19 +307,27 @@ def sqrt_fixed(n: int, p: int) -> FixedReal:
 # -- exp / log ---------------------------------------------------------------
 
 
-def _exp_series(r: int, w: int) -> tuple[int, int]:
-    """e**(r/2**w) * 2**w for |r| <= 0.75 * 2**w. Returns (mantissa, err_ulps)."""
-    total = 1 << w
+def _exp_series(r: int, w: int) -> tuple[list[int], int]:
+    """Taylor terms of e**x * 2**w, x = r/2**w, |x| <= 0.75, summed by j mod 4.
+
+    Term j is t_j = floor(t_(j-1) x / j), t_0 = 2**w; sums[k] adds the t_j
+    with j = k mod 4, so e**x = sum(sums), cos x = sums[0] - sums[2] and
+    sin x = sums[1] - sums[3]. Returns (sums, J + 2), t_J the first zero term.
+    t_j misses 2**w x**j / j! by at most 1 + |x| / j times t_(j-1)'s miss,
+    so by under 1.21 ulps for |x| <= 0.41 (exp_cis's range), where the tail
+    past t_J is under 1 ulp: cos and sin each sum at most (J + 1)/2 terms
+    and miss by under 1.21 (J + 1)/2 + 1 <= J + 2 ulps. exp_fixed charges
+    J + 2 for e**x both relative to the result and absolutely.
+    """
+    sums = [1 << w, 0, 0, 0]
     term = 1 << w
     j = 1
-    steps = 0
     while term:
         term = (term * r) >> w
         term //= j
-        total += term
+        sums[j & 3] += term
         j += 1
-        steps += 1
-    return total, steps + 2
+    return sums, j + 1
 
 
 def exp_fixed(x: FixedReal, p: int) -> FixedReal:
@@ -327,7 +339,8 @@ def exp_fixed(x: FixedReal, p: int) -> FixedReal:
     if abs(n) > 1 << 24:
         raise DomainError("exp argument magnitude out of supported range")
     r = xs.mantissa - n * ln2  # |r| <= 0.7 * 2**w
-    man, serr = _exp_series(r, w)
+    sums, serr = _exp_series(r, w)
+    man = sum(sums)
     # relative input error: |d exp/dx| = exp(x); n*ln2 error adds |n|*2 ulps
     rel = xs.err_ulps + abs(n) * 2 + serr
     if n >= 0:
@@ -396,31 +409,6 @@ def _log_positive(x: FixedReal, p: int) -> FixedReal:
 # -- exp(2 pi i theta) --------------------------------------------------------
 
 
-def _cos_sin_series(phi: int, w: int) -> tuple[int, int, int]:
-    """cos and sin of phi/2**w for |phi| <= 0.41 * 2**w; (cos, sin, err)."""
-    sign = 1 if phi >= 0 else -1
-    pa = abs(phi)
-    phi2 = (pa * pa) >> w
-    cos_t = 1 << w
-    cos_total = cos_t
-    j = 0
-    while cos_t:
-        cos_t = (cos_t * phi2) >> w
-        cos_t //= (2 * j + 1) * (2 * j + 2)
-        cos_total += -cos_t if j % 2 == 0 else cos_t
-        j += 1
-    steps = j
-    sin_t = pa
-    sin_total = sin_t
-    j = 0
-    while sin_t:
-        sin_t = (sin_t * phi2) >> w
-        sin_t //= (2 * j + 2) * (2 * j + 3)
-        sin_total += -sin_t if j % 2 == 0 else sin_t
-        j += 1
-    return cos_total, sign * sin_total, steps + j + 4
-
-
 def exp_cis(theta: FixedReal, p: int) -> FixedComplex:
     """cos(2 pi theta) + i sin(2 pi theta); theta reduced mod 1 exactly first."""
     if p < 32:
@@ -436,29 +424,17 @@ def exp_cis(theta: FixedReal, p: int) -> FixedComplex:
     o &= 7
     pim = pi_fixed(w).mantissa
     phi = _rshift_round(2 * pim * r, w)  # |phi| <= 2 pi / 16 < 0.3927
-    c, s, serr = _cos_sin_series(phi, w)
-    # rotate by o eighths of a turn
-    if o % 2 == 0:
-        re, im = _rotate_quarters(c, s, o // 2)
-        rot_err = serr + 1
-    else:
+    sums, serr = _exp_series(phi, w)
+    re, im = sums[0] - sums[2], sums[1] - sums[3]  # cos phi, sin phi
+    # rotate by o eighths of a turn: o // 2 quarters, each a product by i
+    for _ in range(o // 2):
+        re, im = -im, re
+    rot_err = serr + 1
+    if o % 2:
         h = isqrt(1 << (2 * w - 1))  # sqrt(1/2) at w bits
-        re0, im0 = _rotate_quarters(c, s, o // 2)
-        re = _rshift_round(h * (re0 - im0), w)
-        im = _rshift_round(h * (re0 + im0), w)
+        re, im = _rshift_round(h * (re - im), w), _rshift_round(h * (re + im), w)
         rot_err = 2 * serr + 6
     # input error: derivative bound |2 pi| < 7
     rot_err += 7 * in_err + 1
     z = FixedComplex(FixedReal(re, w, rot_err), FixedReal(im, w, rot_err))
     return z.rescale(p)
-
-
-def _rotate_quarters(c: int, s: int, quarters: int):
-    quarters &= 3
-    if quarters == 0:
-        return c, s
-    if quarters == 1:
-        return -s, c
-    if quarters == 2:
-        return -c, -s
-    return s, -c

@@ -220,8 +220,12 @@ def _trusted_bits(z: FixedComplex, p: int) -> int:
 
 
 def _scale_for(deg_bound: int, height_bound: int, trusted: int) -> int:
+    """trusted - 8 bits, capped by degree and height; at least 64 or raise."""
+    if trusted - 8 < 64:
+        raise InsufficientPrecision(f"only {trusted} bits trusted; the "
+                                    "lattice needs at least 72")
     cap = (13 * (deg_bound + 1) * (height_bound.bit_length() + 1)) // 10 + 160
-    return max(64, min(trusted - 8, cap))
+    return min(trusted - 8, cap)
 
 
 def _power_rows(elements: list[FixedComplex], s: int) -> list[list[int]]:

@@ -4,7 +4,10 @@ Coefficients are formal Laurent polynomials over Q in the scale symbol mu,
 the phase symbol zeta (conjugation inverts it), and optionally the six
 generic coefficients q12..q34 with their formal conjugates. Working with
 formal coefficients makes every verified identity hold identically in the
-parameters, which is stronger than any numeric specialization.
+parameters, which is stronger than any numeric specialization. Coeff and
+NCPolynomial are both sparse sums over one private base, ``_Sum``, which
+holds their arithmetic; each adds only how its keys multiply (exponent
+addition for monomials, concatenation for words) and its own methods.
 
 Rewriting is oriented by degree-lexicographic order with x1 < x2 < x3 < x4.
 Bounded critical-pair saturation is available because several of the target
@@ -46,62 +49,78 @@ def _mono(exps: dict[str, int]) -> Mono:
     return tuple(sorted((s, e) for s, e in exps.items() if e != 0))
 
 
-class Coeff:
-    """Formal Laurent polynomial in the coefficient symbols, over Q."""
+class _Sum:
+    """A finite sum {key: coefficient} with zero coefficients dropped.
+
+    The arithmetic shared by Coeff (monomials over Fractions) and
+    NCPolynomial (words over Coeffs); a subclass gives ``_key_mul``, the
+    product of two keys.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Mono, Fraction]):
-        self.terms = {m: r for m, r in terms.items() if r != 0}
+    def __init__(self, terms: dict):
+        self.terms = {k: c for k, c in terms.items() if c}
+
+    @classmethod
+    def zero(cls):
+        return cls({})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        t = dict(self.terms)
+        for k, c in other.terms.items():
+            t[k] = t[k] + c if k in t else c
+        return type(self)(t)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        t = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k, c = self._key_mul(k1, k2), c1 * c2
+                t[k] = t[k] + c if k in t else c
+        return type(self)(t)
+
+
+class Coeff(_Sum):
+    """Formal Laurent polynomial in the coefficient symbols, over Q."""
+
+    __slots__ = ()
 
     @classmethod
     def rational(cls, r) -> "Coeff":
-        r = Fraction(r)
-        return cls({(): r} if r else {})
+        return cls({(): Fraction(r)})
 
     @classmethod
     def monomial(cls, r, exps: dict[str, int]) -> "Coeff":
         return cls({_mono(exps): Fraction(r)})
 
-    @classmethod
-    def zero(cls) -> "Coeff":
-        return cls({})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def _key_mul(m1: Mono, m2: Mono) -> Mono:
+        d = dict(m1)
+        for s, e in m2:
+            d[s] = d.get(s, 0) + e
+        return _mono(d)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
-
-    def __eq__(self, other):
-        return isinstance(other, Coeff) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "Coeff") -> "Coeff":
-        t = dict(self.terms)
-        for m, r in other.terms.items():
-            t[m] = t.get(m, Fraction(0)) + r
-        return Coeff(t)
-
-    def __neg__(self) -> "Coeff":
-        return Coeff({m: -r for m, r in self.terms.items()})
-
-    def __sub__(self, other: "Coeff") -> "Coeff":
-        return self + (-other)
-
-    def __mul__(self, other: "Coeff") -> "Coeff":
-        t: dict[Mono, Fraction] = {}
-        for m1, r1 in self.terms.items():
-            d1 = dict(m1)
-            for m2, r2 in other.terms.items():
-                d = dict(d1)
-                for s, e in m2:
-                    d[s] = d.get(s, 0) + e
-                mono = _mono(d)
-                t[mono] = t.get(mono, Fraction(0)) + r1 * r2
-        return Coeff(t)
 
     def inverse(self) -> "Coeff":
         if len(self.terms) != 1:
@@ -183,17 +202,10 @@ def deglex_key(w: Word):
     return (len(w), w)
 
 
-class NCPolynomial:
+class NCPolynomial(_Sum):
     """Finite sum of words with Coeff coefficients; zero terms dropped."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Word, Coeff]):
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
-
-    @classmethod
-    def zero(cls) -> "NCPolynomial":
-        return cls({})
+    __slots__ = ()
 
     @classmethod
     def unit(cls, coeff: Coeff = ONE) -> "NCPolynomial":
@@ -203,35 +215,9 @@ class NCPolynomial:
     def word(cls, w: Word, coeff: Coeff = ONE) -> "NCPolynomial":
         return cls({tuple(w): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, NCPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            t[w] = t.get(w, ZERO) + c
-        return NCPolynomial(t)
-
-    def __neg__(self) -> "NCPolynomial":
-        return NCPolynomial({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "NCPolynomial") -> "NCPolynomial":
-        t: dict[Word, Coeff] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                prod = c1 * c2
-                t[w] = t.get(w, ZERO) + prod
-        return NCPolynomial(t)
+    @staticmethod
+    def _key_mul(w1: Word, w2: Word) -> Word:
+        return w1 + w2
 
     def scale(self, coeff: Coeff) -> "NCPolynomial":
         return NCPolynomial({w: c * coeff for w, c in self.terms.items()})

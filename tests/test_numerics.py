@@ -101,6 +101,49 @@ class TestExpCis:
         assert abs(float(z.im.to_decimal(30)) - float(ref.imag)) < 1e-28
 
 
+def assert_contains(x: FixedReal, exact) -> None:
+    """x's interval, mantissa +- err_ulps at its scale, holds the mpf exact."""
+    p = x.scale_bits
+    assert abs(x.mantissa - mp.ldexp(exact, p)) <= x.err_ulps
+
+
+# remainders of both signs, up to +-1/16, from each eighth of a turn; a
+# remainder of exactly 1/16 rounds to the next eighth
+REMAINDERS = [Fraction(k, 16) - Fraction(1, 2**40) * k for k in (-1, 1)] + [
+    Fraction(k, 37) for k in (-2, -1, 1, 2)] + [
+    Fraction(k, 2**30) for k in (-3, 1)] + [Fraction(0)]
+
+
+class TestSeriesContainment:
+    """Published bounds contain the true value, as mpmath gives it."""
+
+    @pytest.mark.parametrize("p", [64, 160, 512, 1024])
+    def test_exp_cis(self, p):
+        for eighth in range(8):
+            for rem in REMAINDERS:
+                theta = Fraction(eighth, 8) + rem
+                # exact at scale p; -3 checks the reduction mod 1 too
+                for shift in (0, -3):
+                    m = math.floor((theta + shift) * 2**p)
+                    z = exp_cis(FixedReal(m, p), p)
+                    with mp.workprec(p + 128):
+                        angle = 2 * mp.pi * mp.ldexp(m, -p)
+                        assert_contains(z.re, mp.cos(angle))
+                        assert_contains(z.im, mp.sin(angle))
+
+    @pytest.mark.parametrize("p", [64, 160, 512, 1024])
+    @pytest.mark.parametrize("x", [Fraction(-40), Fraction(-73, 10),
+                                   Fraction(-3, 5), Fraction(-1, 7), Fraction(0),
+                                   Fraction(1, 3), Fraction(1, 2), Fraction(22, 7),
+                                   Fraction(25)])
+    def test_exp_fixed(self, p, x):
+        # x = n log 2 + r with n from -58 to 36, negative and positive;
+        # from_ratio rounds x to p bits, and the bound covers that rounding
+        y = exp_fixed(FixedReal.from_ratio(x.numerator, x.denominator, p), p)
+        with mp.workprec(p + 128):
+            assert_contains(y, mp.exp(mp.mpf(x.numerator) / x.denominator))
+
+
 class TestLogExp:
     def test_log_near_one(self):
         p = 128

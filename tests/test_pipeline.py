@@ -446,6 +446,17 @@ class TestCLI:
         blob = json.loads(out.read_text())
         assert blob["schema"] == 1 and blob["d"] == 15
 
+    def test_case_below_lattice_precision_records_error(self, tmp_path):
+        # too few bits for the relation lattice is a typed failure of the
+        # case, recorded in its report, not an input error
+        out = tmp_path / "r.json"
+        res = CliRunner().invoke(main, ["case", "15", "--precision-bits", "40",
+                                        "--json", str(out)])
+        assert res.exit_code == 0, res.output
+        errors = json.loads(out.read_text())["errors"]
+        assert errors and all(e.startswith("InsufficientPrecision: ")
+                              for e in errors)
+
     def test_case_not_squarefree_exit1(self):
         res = CliRunner().invoke(main, ["case", "12"])
         assert res.exit_code == 1

@@ -329,6 +329,21 @@ class TestMinPoly:
         with pytest.raises(InsufficientPrecision):
             min_poly(noisy, 4, 10**6, p)
 
+    @pytest.mark.parametrize("p", [36, 40, 72])
+    def test_below_72_trusted_bits_rejected(self, p):
+        # the lattice scale is 8 bits below the trusted ones and at least
+        # 64; a floor of 64 above them once excluded x^2 - x - 1, of height
+        # 1, up to height 848989 at p = 40
+        z = FixedComplex.from_real(QuadraticIrrational(1, 1, 2, 5).to_fixed(p))
+        with pytest.raises(InsufficientPrecision):
+            min_poly(z, 2, 10**6, p)
+
+    @pytest.mark.parametrize("p", [74, 80])
+    def test_golden_ratio_at_lowest_precisions(self, p):
+        z = FixedComplex.from_real(QuadraticIrrational(1, 1, 2, 5).to_fixed(p))
+        r = min_poly(z, 2, 10**6, p)
+        assert r.verdict.minpoly.coefficients == (-1, -1, 1)
+
     def test_json_shape(self):
         r = min_poly(FixedComplex.from_int(7, 256), 2, 100, 256)
         blob = r.to_json()

@@ -27,6 +27,17 @@ def coeff_st():
         mono)
 
 
+def coeff_sum_st(max_terms=3):
+    """Sums of monomials in mu, zeta and a generic symbol with its conjugate."""
+    mono = st.dictionaries(st.sampled_from(["mu", "zeta", "q13", "q13~"]),
+                           st.integers(-2, 2), max_size=3)
+    term = st.builds(Coeff.monomial,
+                     st.fractions(min_value=Fraction(-3), max_value=Fraction(3)),
+                     mono)
+    return st.lists(term, max_size=max_terms).map(
+        lambda ts: sum(ts, Coeff.zero()))
+
+
 def rules(kind):
     return build_system(kind).rewrites
 
@@ -49,6 +60,12 @@ class TestCoeff:
     def test_conjugate_involutive_on_symbols(self):
         c = Coeff.monomial(Fraction(3, 7), {"q13": 2, "zeta": -1, "mu": 4})
         assert c.conjugate().conjugate() == c
+
+    def test_truth_is_nonzero(self):
+        # __init__ drops the coefficients that test false
+        assert not Coeff.zero() and not ONE - ONE and ONE and MU_C - ONE
+        assert not NCPolynomial.zero() and W((1, 2)) and NCPolynomial.unit()
+        assert NCPolynomial({(1,): ONE - ONE, (2,): ONE}).terms == {(2,): ONE}
 
     def test_mu_shift_detection(self):
         a = MU_C * ZETA_C + Coeff.monomial(2, {"mu": 3})
@@ -263,6 +280,36 @@ class TestRingAxioms:
     def test_additive_group(self, p):
         assert p + (-p) == NCPolynomial.zero()
         assert p + NCPolynomial.zero() == p
+
+
+class TestCoeffRingAxioms:
+    @settings(max_examples=60, deadline=None)
+    @given(coeff_sum_st(), coeff_sum_st(), coeff_sum_st())
+    def test_mul_associative_and_commutative(self, a, b, c):
+        assert (a * b) * c == a * (b * c)
+        assert a * b == b * a
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeff_sum_st(), coeff_sum_st(), coeff_sum_st())
+    def test_distributive(self, a, b, c):
+        assert a * (b + c) == a * b + a * c
+        assert (b + c) * a == b * a + c * a
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeff_sum_st())
+    def test_additive_group_and_zero(self, a):
+        zero = Coeff.zero()
+        assert a + (-a) == zero
+        assert a + zero == a and zero + a == a
+        assert a * zero == zero and (a * zero).is_zero()
+        assert a * ONE == a
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeff_sum_st(), coeff_sum_st())
+    def test_conjugate_multiplicative_and_involutive(self, a, b):
+        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+        assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+        assert a.conjugate().conjugate() == a
 
 
 class TestScaledUnitCollapse:

@@ -9,8 +9,9 @@ the outcome of every benchmark case; a change that alters one fails the
 benchmark run, and ``test_benchmark_outcomes`` makes it fail here first.
 ``tests/data/scan_report_digests.json`` holds the sha256 of every scan and
 recognize case's report outside its timing block, the recognize cases run in
-benchmark order on one shared cache; ``test_scan_reports_unchanged`` and
-``test_recognize_reports_unchanged`` hold them to byte-identical reports,
+benchmark order on one shared cache, and of every symbolic suite's JSON;
+``test_scan_reports_unchanged``, ``test_recognize_reports_unchanged`` and
+``test_symbolic_reports_unchanged`` hold them to byte-identical reports,
 from the results of the one run of every case that
 ``test_benchmark_outcomes`` checks. A change that alters a report on purpose
 rewrites that file with ``PYTHONPATH=src python tests/test_tooling.py`` and
@@ -23,7 +24,6 @@ and the class-field generator load neither;
 ``test_light_paths_load_neither_sympy_nor_the_pool`` holds them to that.
 """
 
-import hashlib
 import importlib.util
 import json
 import os
@@ -132,15 +132,14 @@ def test_benchmark_outcomes(results):
 
 
 def _digests(results: dict, names) -> dict:
-    """{workload: {case key: sha256 of its report without timing}}."""
+    """{workload: {case key: sha256 of its report without timing}}.
+
+    ``workloads.digest`` hashes a symbolic suite's checks as JSON.
+    """
     workloads = _load("workloads")
-    digests = {}
-    for name in names:
-        digests[name] = {}
-        for case in workloads.WORKLOADS[name].cases:
-            text = results[case.key][1].dumps(with_timing=False)
-            digests[name][case.key] = hashlib.sha256(text.encode()).hexdigest()
-    return digests
+    return {name: {case.key: workloads.digest(case, results[case.key][1])
+                   for case in workloads.WORKLOADS[name].cases}
+            for name in names}
 
 
 def _pinned(names) -> dict:
@@ -156,6 +155,12 @@ def test_recognize_reports_unchanged(results):
     # the recognition, stability, field and membership blocks, which
     # test_benchmark_outcomes reads only as verdicts and polynomials
     assert _digests(results, ["recognize"]) == _pinned(["recognize"])
+
+
+def test_symbolic_reports_unchanged(results):
+    # every check of the four suites, whose verdicts alone
+    # test_benchmark_outcomes reads
+    assert _digests(results, ["symbolic"]) == _pinned(["symbolic"])
 
 
 def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
@@ -205,6 +210,7 @@ def test_light_paths_load_neither_sympy_nor_the_pool():
 
 if __name__ == "__main__":  # rewrite the pinned report digests
     with tempfile.TemporaryDirectory() as cache_dir:
-        digests = _digests(_run_cases(cache_dir), ("recognize", *SCANS))
+        digests = _digests(_run_cases(cache_dir),
+                           ("recognize", "symbolic", *SCANS))
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
