@@ -9,7 +9,13 @@ handful of ulps.
 
 Two series kernels serve the elementary functions: exp's Taylor loop
 (``_exp_series``) for exp, cos and sin, and the artanh/arctan series for
-log (``_log_mantissa``) and for pi and log 2 (``_inv_series``).
+log (``_log_mantissa``) and for pi and log 2 (``_inv_series``). exp, cos
+and sin run the Taylor loop on their argument divided by 2**k and square
+the sum k times; log takes k square roots before its artanh sum and
+multiplies it by 2**k. Each works k extra bits, which absorb the error the
+squarings or the multiplication add, and tracks that error step by step in
+integers. The depths k are the module constants EXP_HALVINGS, CIS_HALVINGS
+and LOG_ROOTS; they cut the series to about a third of their terms.
 
 The only shared state is the per-precision mantissas of pi and log 2, each
 held by ``functools.cache``, which stays coherent under threads without a
@@ -24,6 +30,11 @@ from math import isqrt
 from .errors import DomainError
 
 GUARD_BITS = 64
+# argument-reduction depths: exp's and exp_cis's series run on x / 2**k and
+# square back k times; log takes LOG_ROOTS square roots before its series
+EXP_HALVINGS = 14
+CIS_HALVINGS = 8
+LOG_ROOTS = 5
 
 
 def _rshift_round(x: int, s: int) -> int:
@@ -314,10 +325,24 @@ def _exp_series(r: int, w: int) -> tuple[list[int], int]:
     with j = k mod 4, so e**x = sum(sums), cos x = sums[0] - sums[2] and
     sin x = sums[1] - sums[3]. Returns (sums, J + 2), t_J the first zero term.
     t_j misses 2**w x**j / j! by at most 1 + |x| / j times t_(j-1)'s miss,
-    so by under 1.21 ulps for |x| <= 0.41 (exp_cis's range), where the tail
-    past t_J is under 1 ulp: cos and sin each sum at most (J + 1)/2 terms
-    and miss by under 1.21 (J + 1)/2 + 1 <= J + 2 ulps. exp_fixed charges
-    J + 2 for e**x both relative to the result and absolutely.
+    so by under 1.21 ulps for |x| <= 0.41, where the tail past t_J is under
+    1 ulp: e**x misses by under 1.21 J + 1 <= J + 2 ulps, and cos and sin
+    each sum at most (J + 1)/2 terms and miss by under 1.21 (J + 1)/2 + 1
+    <= J + 2 ulps.
+
+    exp_fixed and exp_cis call it at scale v = w + k on r, an argument x
+    of |x| <= 0.79 at scale w, so the series sums e**(x / 2**k) exactly as
+    read, and square the sum k times back to e**x. A squaring of s = E + e,
+    E the exact value at scale v, gives s**2 - E**2 = e (2 s - e): the miss
+    relative to the value doubles, and the floor adds under 1 ulp. After k
+    squarings the miss is 2**k times the series' miss plus under 2**(k+2)
+    ulps, times at most e**|x| for exp (|E| = 1 for cos + i sin). Dropping
+    the k extra bits divides it by 2**k again, so those bits absorb the
+    doubling and the result misses by a few times J ulps. Each caller
+    tracks the miss step by step in integers and publishes what that gives.
+    At w = 640 the series runs 34 terms for exp (k = 14, |x| <= 0.35) and
+    52 for cos and sin (k = 8, |x| <= 0.79), against 96 and 98 without the
+    reduction.
     """
     sums = [1 << w, 0, 0, 0]
     term = 1 << w
@@ -338,9 +363,17 @@ def exp_fixed(x: FixedReal, p: int) -> FixedReal:
     n = _rshift_round((xs.mantissa << w) // ln2, w)
     if abs(n) > 1 << 24:
         raise DomainError("exp argument magnitude out of supported range")
-    r = xs.mantissa - n * ln2  # |r| <= 0.7 * 2**w
-    sums, serr = _exp_series(r, w)
-    man = sum(sums)
+    r = xs.mantissa - n * ln2  # |r| <= (ln 2)/2 * 2**w + 1
+    v = w + EXP_HALVINGS  # r at scale v is (r / 2**w) / 2**EXP_HALVINGS
+    sums, err = _exp_series(r, v)
+    s = sum(sums)
+    for _ in range(EXP_HALVINGS):
+        # s = E + e: s**2 - E**2 = e (2 s - e); 1 ulp for the floor of s**2
+        # and 1 for the floor of the bound
+        err = (((2 * s + err) * err) >> v) + 2
+        s = (s * s) >> v
+    man = _rshift_round(s, EXP_HALVINGS)
+    serr = (err >> EXP_HALVINGS) + 2
     # relative input error: |d exp/dx| = exp(x); n*ln2 error adds |n|*2 ulps
     rel = xs.err_ulps + abs(n) * 2 + serr
     if n >= 0:
@@ -354,7 +387,22 @@ def exp_fixed(x: FixedReal, p: int) -> FixedReal:
 
 
 def _log_mantissa(m: int, w: int) -> tuple[int, int]:
-    """log of m/2**w for m > 0, at scale w. Returns (mantissa, err_ulps)."""
+    """log of m/2**w for m > 0, at scale w. Returns (mantissa, err_ulps).
+
+    m/2**w = 2**k y/2**w with y/2**w in [0.75, 1.5). K = LOG_ROOTS square
+    roots, each an isqrt at scale v = w + K, take y to its 2**K-th root y',
+    within a factor 1.5**(1/2**K) of 1, and log y = 2**K log y' = 2**(K+1)
+    artanh(t), t = (y' - 1)/(y' + 1). A root of a value in [0.75, 1.5)
+    scales its input's miss e by under 1/(2 sqrt 0.75) < 3/4, and its floor
+    adds under 1 ulp, so the root's miss stays under the tracked
+    floor(3 e/4) + 2 <= 5 ulps at scale v. It moves log y' by under e/0.86
+    ulps, charged as 2 e; t and the artanh sum miss by under j + 2 ulps
+    before the doubling, as without the roots. The doubled sum at scale v,
+    read at scale w, is exactly 2**K times its value: the K extra bits
+    absorb the multiplication, and every miss in ulps at scale v is the same
+    number of ulps at scale w. At w = 640 the sum runs 45 terms (K = 5)
+    against 139 without the roots.
+    """
     k = m.bit_length() - 1 - w
     norm_err = 0
     if k > 0:
@@ -369,21 +417,27 @@ def _log_mantissa(m: int, w: int) -> tuple[int, int]:
         y = _rshift_round(y, 1)
         k += 1
         norm_err += 1
-    one = 1 << w
-    t = ((y - one) << w) // (y + one)
+    v = w + LOG_ROOTS
+    y <<= LOG_ROOTS
+    root_err = 0
+    for _ in range(LOG_ROOTS):
+        y = isqrt(y << v)
+        root_err = (3 * root_err >> 2) + 2
+    one = 1 << v
+    t = ((y - one) << v) // (y + one)
     sign = 1 if t >= 0 else -1
     ta = abs(t)
-    tt = (ta * ta) >> w
+    tt = (ta * ta) >> v
     total = ta
     term = ta
     j = 1
     while term:
-        term = (term * tt) >> w
+        term = (term * tt) >> v
         total += term // (2 * j + 1)
         j += 1
     ln2 = _log2_mantissa(w)
     man = sign * 2 * total + k * ln2
-    err = 2 * (j + norm_err + 2) + abs(k) * 2 + 4
+    err = 2 * (j + norm_err + root_err + 2) + abs(k) * 2 + 4
     return man, err
 
 
@@ -418,23 +472,25 @@ def exp_cis(theta: FixedReal, p: int) -> FixedComplex:
     frac = theta.mantissa % (1 << q)  # exact reduction mod 1 at mantissa level
     reduced = FixedReal(frac, q, theta.err_ulps).rescale(w)
     mf, in_err = reduced.mantissa, reduced.err_ulps
-    # nearest eighth: o/8 with remainder |r| <= 1/16
-    o = (mf + (1 << (w - 4))) >> (w - 3)
-    r = mf - (o << (w - 3))
-    o &= 7
+    # nearest quarter: o/4 with remainder |r| <= 1/8
+    o = (mf + (1 << (w - 3))) >> (w - 2)
+    r = mf - (o << (w - 2))
     pim = pi_fixed(w).mantissa
-    phi = _rshift_round(2 * pim * r, w)  # |phi| <= 2 pi / 16 < 0.3927
-    sums, serr = _exp_series(phi, w)
-    re, im = sums[0] - sums[2], sums[1] - sums[3]  # cos phi, sin phi
-    # rotate by o eighths of a turn: o // 2 quarters, each a product by i
-    for _ in range(o // 2):
+    phi = _rshift_round(2 * pim * r, w)  # |phi| <= 2 pi / 8 < 0.7854
+    v = w + CIS_HALVINGS  # phi at scale v is phi / 2**CIS_HALVINGS
+    sums, err = _exp_series(phi, v)
+    c, s = sums[0] - sums[2], sums[1] - sums[3]  # cos, sin of the reduced phi
+    err *= 2  # bounds the miss |dz| of z = c + i s, as |dc| + |ds|
+    for _ in range(CIS_HALVINGS):
+        # |z| = 1: z**2 misses by 2|dz| + |dz|**2; under sqrt 2 ulps for the
+        # floors of c and s, and 1 for the floor of the bound
+        err = 2 * err + ((err * err) >> v) + 3
+        c, s = ((c + s) * (c - s)) >> v, (c * s) >> (v - 1)
+    re, im = _rshift_round(c, CIS_HALVINGS), _rshift_round(s, CIS_HALVINGS)
+    serr = (err >> CIS_HALVINGS) + 2  # the miss of cos phi and of sin phi
+    for _ in range(o & 3):  # rotate by o quarter turns, each a product by i
         re, im = -im, re
-    rot_err = serr + 1
-    if o % 2:
-        h = isqrt(1 << (2 * w - 1))  # sqrt(1/2) at w bits
-        re, im = _rshift_round(h * (re - im), w), _rshift_round(h * (re + im), w)
-        rot_err = 2 * serr + 6
-    # input error: derivative bound |2 pi| < 7
-    rot_err += 7 * in_err + 1
-    z = FixedComplex(FixedReal(re, w, rot_err), FixedReal(im, w, rot_err))
+    # phi misses by under 1 ulp; input error: derivative bound |2 pi| < 7
+    err = serr + 2 + 7 * in_err
+    z = FixedComplex(FixedReal(re, w, err), FixedReal(im, w, err))
     return z.rescale(p)

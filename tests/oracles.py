@@ -31,7 +31,12 @@ reduction cycles of ``BinaryQuadraticForm`` objects, and
 the expansion ran as the integer (P, Q) recurrence.
 ``hcf_generator_reference`` builds the class-field generator with a sympy
 resultant and a squarefree test by gcd with the derivative, as before both
-moved into exact integers and the certified j embeddings. The helpers after them
+moved into exact integers and the certified j embeddings.
+``exp_fixed_reference``, ``exp_cis_reference`` and ``log_positive_reference``
+(with ``_exp_series_reference`` and ``_log_mantissa_reference``) are the
+numerics kernels as they stood before their series ran on reduced arguments:
+full-length series at the working precision, and exp_cis turning by eighths.
+The helpers after them
 (``cf_reconstruct``, ``ring_class_polynomial``, ``is_irreducible``,
 ``discriminant``, ``eval_int`` and ``is_reduced_definite``) are checks that
 only the tests use.
@@ -611,6 +616,142 @@ def hcf_generator_reference(d: int, f: int, p: int):
             gamma = FixedComplex(j1.re, j1.im + sqrt_fixed(d, p) * (t * f))
             return poly.normalized(), t, gamma
     raise AssertionError("no squarefree translate found below 64")
+
+
+def _exp_series_reference(r: int, w: int) -> tuple[list[int], int]:
+    """Taylor terms of e**x * 2**w, x = r/2**w, |x| <= 0.75, summed by j mod 4.
+
+    Term j is t_j = floor(t_(j-1) x / j), t_0 = 2**w; sums[k] adds the t_j
+    with j = k mod 4, so e**x = sum(sums), cos x = sums[0] - sums[2] and
+    sin x = sums[1] - sums[3]. Returns (sums, J + 2), t_J the first zero term.
+    t_j misses 2**w x**j / j! by at most 1 + |x| / j times t_(j-1)'s miss,
+    so by under 1.21 ulps for |x| <= 0.41 (exp_cis's range), where the tail
+    past t_J is under 1 ulp: cos and sin each sum at most (J + 1)/2 terms
+    and miss by under 1.21 (J + 1)/2 + 1 <= J + 2 ulps. exp_fixed charges
+    J + 2 for e**x both relative to the result and absolutely.
+    """
+    sums = [1 << w, 0, 0, 0]
+    term = 1 << w
+    j = 1
+    while term:
+        term = (term * r) >> w
+        term //= j
+        sums[j & 3] += term
+        j += 1
+    return sums, j + 1
+
+
+def exp_fixed_reference(x: FixedReal, p: int) -> FixedReal:
+    """e**x at p bits. Error bound covers the input's own err_ulps."""
+    from quadexp.errors import DomainError
+    from quadexp.numerics import (GUARD_BITS, FixedReal, _log2_mantissa,
+                                  _rshift_round)
+
+    w = p + GUARD_BITS
+    xs = x.rescale(w)
+    ln2 = _log2_mantissa(w)
+    n = _rshift_round((xs.mantissa << w) // ln2, w)
+    if abs(n) > 1 << 24:
+        raise DomainError("exp argument magnitude out of supported range")
+    r = xs.mantissa - n * ln2  # |r| <= 0.7 * 2**w
+    sums, serr = _exp_series_reference(r, w)
+    man = sum(sums)
+    # relative input error: |d exp/dx| = exp(x); n*ln2 error adds |n|*2 ulps
+    rel = xs.err_ulps + abs(n) * 2 + serr
+    if n >= 0:
+        man_out = man << n
+        err_out = ((man_out * rel) >> w) + (serr << n) + 1
+    else:
+        man_out = _rshift_round(man, -n)
+        err_out = ((man * rel) >> (w - n)) + serr + 2
+    res = FixedReal(man_out, w, err_out)
+    return res.rescale(p)
+
+
+def _log_mantissa_reference(m: int, w: int) -> tuple[int, int]:
+    """log of m/2**w for m > 0, at scale w. Returns (mantissa, err_ulps)."""
+    from quadexp.numerics import _log2_mantissa, _rshift_round
+
+    k = m.bit_length() - 1 - w
+    norm_err = 0
+    if k > 0:
+        y = _rshift_round(m, k)
+        norm_err = 1
+    elif k < 0:
+        y = m << (-k)
+    else:
+        y = m
+    # y/2**w in [1, 2]; pull into [0.75, 1.5) so |t| stays below 1/5
+    if 2 * y >= 3 << w:
+        y = _rshift_round(y, 1)
+        k += 1
+        norm_err += 1
+    one = 1 << w
+    t = ((y - one) << w) // (y + one)
+    sign = 1 if t >= 0 else -1
+    ta = abs(t)
+    tt = (ta * ta) >> w
+    total = ta
+    term = ta
+    j = 1
+    while term:
+        term = (term * tt) >> w
+        total += term // (2 * j + 1)
+        j += 1
+    ln2 = _log2_mantissa(w)
+    man = sign * 2 * total + k * ln2
+    err = 2 * (j + norm_err + 2) + abs(k) * 2 + 4
+    return man, err
+
+
+def log_positive_reference(x: FixedReal, p: int) -> FixedReal:
+    """Natural log for any x > 0; internal superset of log_fixed's domain."""
+    from quadexp.errors import DomainError
+    from quadexp.numerics import GUARD_BITS, FixedReal, _ceil_div
+
+    if x.mantissa <= 0 or x.mantissa <= 2 * x.err_ulps:
+        raise DomainError("log of a value not separated from zero")
+    w = p + GUARD_BITS
+    xs = x.rescale(w)
+    man, err = _log_mantissa_reference(xs.mantissa, w)
+    # input error: |d log/dx| = 1/x
+    err += _ceil_div(xs.err_ulps << w, xs.mantissa - xs.err_ulps)
+    return FixedReal(man, w, err).rescale(p)
+
+
+def exp_cis_reference(theta: FixedReal, p: int) -> FixedComplex:
+    """cos(2 pi theta) + i sin(2 pi theta); theta reduced mod 1 exactly first."""
+    from quadexp.errors import DomainError
+    from quadexp.numerics import (GUARD_BITS, FixedComplex, FixedReal,
+                                  _rshift_round, pi_fixed)
+
+    if p < 32:
+        raise DomainError("precision below 32 bits")
+    w = p + GUARD_BITS
+    q = theta.scale_bits
+    frac = theta.mantissa % (1 << q)  # exact reduction mod 1 at mantissa level
+    reduced = FixedReal(frac, q, theta.err_ulps).rescale(w)
+    mf, in_err = reduced.mantissa, reduced.err_ulps
+    # nearest eighth: o/8 with remainder |r| <= 1/16
+    o = (mf + (1 << (w - 4))) >> (w - 3)
+    r = mf - (o << (w - 3))
+    o &= 7
+    pim = pi_fixed(w).mantissa
+    phi = _rshift_round(2 * pim * r, w)  # |phi| <= 2 pi / 16 < 0.3927
+    sums, serr = _exp_series_reference(phi, w)
+    re, im = sums[0] - sums[2], sums[1] - sums[3]  # cos phi, sin phi
+    # rotate by o eighths of a turn: o // 2 quarters, each a product by i
+    for _ in range(o // 2):
+        re, im = -im, re
+    rot_err = serr + 1
+    if o % 2:
+        h = isqrt(1 << (2 * w - 1))  # sqrt(1/2) at w bits
+        re, im = _rshift_round(h * (re - im), w), _rshift_round(h * (re + im), w)
+        rot_err = 2 * serr + 6
+    # input error: derivative bound |2 pi| < 7
+    rot_err += 7 * in_err + 1
+    z = FixedComplex(FixedReal(re, w, rot_err), FixedReal(im, w, rot_err))
+    return z.rescale(p)
 
 
 def cf_reconstruct(expansion):

@@ -6,6 +6,8 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import (exp_cis_reference, exp_fixed_reference,
+                     log_positive_reference)
 from quadexp import numerics
 from quadexp.errors import DomainError
 from quadexp.numerics import (FixedComplex, FixedReal, exp_cis, exp_fixed,
@@ -142,6 +144,96 @@ class TestSeriesContainment:
         y = exp_fixed(FixedReal.from_ratio(x.numerator, x.denominator, p), p)
         with mp.workprec(p + 128):
             assert_contains(y, mp.exp(mp.mpf(x.numerator) / x.denominator))
+
+    @pytest.mark.parametrize("p", [64, 160, 512, 1024])
+    def test_log_fixed(self, p):
+        # (input, exact value it holds); _log_positive takes those below 1
+        ulp = Fraction(1, 2**p)
+        cases = [(FixedReal((1 << p) + 1, p), 1 + ulp),
+                 (FixedReal(1 << (300 + p), p), Fraction(2**300)),
+                 (FixedReal(1, 100), Fraction(1, 2**100)),
+                 (FixedReal.from_ratio(22, 7, p), Fraction(22, 7)),
+                 (sqrt_fixed(15, p), None)]
+        # one ulp either side of the normalization edges 0.75 and 1.5
+        for edge in (Fraction(3, 4), Fraction(3, 2)):
+            for x in (edge - ulp, edge + ulp):
+                cases.append((FixedReal(int(x * 2**p), p), x))
+        assert cases[3][0].err_ulps > 0 and cases[4][0].err_ulps > 0
+        with mp.workprec(p + 128):
+            for x, exact in cases:
+                ref = mp.log(mp.sqrt(15) if exact is None else
+                             mp.mpf(exact.numerator) / exact.denominator)
+                assert_contains(_log_positive(x, p), ref)
+                if exact is None or exact > 1:
+                    assert_contains(log_fixed(x, p), ref)
+
+    @pytest.mark.parametrize("p", [64, 320, 1088])
+    def test_internal_bounds(self, monkeypatch, p):
+        # without guard bits the kernels publish their internal value and
+        # bound unrounded, so the bound tracked through the reduction is
+        # checked itself rather than through a 2**64 rounding gap
+        monkeypatch.setattr(numerics, "GUARD_BITS", 0)
+        rng = random.Random(p)
+        with mp.workprec(p + 128):
+            for _ in range(20):
+                m = rng.randrange(-16 << p, 16 << p)
+                assert_contains(exp_fixed(FixedReal(m, p), p),
+                                mp.exp(mp.ldexp(m, -p)))
+                m = rng.randrange(1 << p)
+                z = exp_cis(FixedReal(m, p), p)
+                angle = 2 * mp.pi * mp.ldexp(m, -p)
+                assert_contains(z.re, mp.cos(angle))
+                assert_contains(z.im, mp.sin(angle))
+                m = rng.randrange(1 << max(p - 64, 0), 1 << (p + 64))
+                assert_contains(_log_positive(FixedReal(m, p), p),
+                                mp.log(mp.ldexp(m, -p)))
+
+
+class TestKernelsMatchReference:
+    """The argument-reduced kernels return what the full-length series did.
+
+    Each kernel rounds its internal value through 64 guard bits, so the
+    reduction's different internal rounding reaches neither the published
+    mantissa nor err_ulps: both equal the reference's on the ranges the
+    pipeline calls them with, for exact and inexact inputs at two scales.
+    """
+
+    @staticmethod
+    def published(f, x, p):
+        try:
+            z = f(x, p)
+        except DomainError as exc:
+            return str(exc)
+        parts = (z.re, z.im) if isinstance(z, FixedComplex) else (z,)
+        return [(part.mantissa, part.scale_bits, part.err_ulps)
+                for part in parts]
+
+    def sweep(self, new, old, p, draw):
+        rng = random.Random(p)
+        for _ in range(60):
+            q = rng.choice([p, p + 64])
+            x = FixedReal(draw(rng, q), q, rng.choice([0, 1, 3, 1 << 20]))
+            assert self.published(new, x, p) == self.published(old, x, p), x
+
+    @pytest.mark.parametrize("p", [1, 64, 256, 512, 1024])
+    def test_exp_cis(self, p):
+        # theta in [0, 1)
+        self.sweep(exp_cis, exp_cis_reference, p,
+                   lambda rng, q: rng.randrange(1 << q))
+
+    @pytest.mark.parametrize("p", [1, 64, 256, 512, 1024])
+    def test_exp_fixed(self, p):
+        # |x| <= 16
+        self.sweep(exp_fixed, exp_fixed_reference, p,
+                   lambda rng, q: rng.randrange(-16 << q, (16 << q) + 1))
+
+    @pytest.mark.parametrize("p", [1, 64, 256, 512, 1024])
+    def test_log_positive(self, p):
+        # x in (2**-64, 2**64), log-uniform where the scale allows
+        def draw(rng, q):
+            lo = 1 << (q + rng.randrange(max(-64, -q), 64))
+            return max(rng.randrange(lo, 2 * lo), (1 << max(q - 64, 0)) + 1)
+        self.sweep(_log_positive, log_positive_reference, p, draw)
 
 
 class TestLogExp:

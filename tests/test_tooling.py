@@ -13,9 +13,12 @@ benchmark order on one shared cache, and of every symbolic suite's JSON;
 ``test_scan_reports_unchanged``, ``test_recognize_reports_unchanged`` and
 ``test_symbolic_reports_unchanged`` hold them to byte-identical reports,
 from the results of the one run of every case that
-``test_benchmark_outcomes`` checks. A change that alters a report on purpose
-rewrites that file with ``PYTHONPATH=src python tests/test_tooling.py`` and
-says why.
+``test_benchmark_outcomes`` checks. The same file pins every report of a
+recognition-off ``run_range(2, 30)`` in each direction at 256 and 1024
+bits, outside the benchmark's 512, and
+``test_range_reports_unchanged_at_other_precisions`` holds those too. A
+change that alters a report on purpose rewrites that file with
+``PYTHONPATH=src python tests/test_tooling.py`` and says why.
 The symbolic layer is exact rational arithmetic, so importing it must not
 load sympy. sympy is loaded only by ``IntegerPolynomial.factor_irreducible``,
 on its first call, and ``run_range`` loads the process pool only for a
@@ -41,6 +44,10 @@ from quadexp import _core, modular, pipeline, recognition
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DIGESTS = Path(__file__).resolve().parent / "data" / "scan_report_digests.json"
 SCANS = ("scan-real", "scan-imag")
+# {digest file key: (direction, bits)}: recognition-off run_range(2, 30)
+RANGES = {f"range:{direction}:p={bits}": (direction, bits)
+          for direction in ("real-to-imag", "imag-to-real")
+          for bits in (256, 1024)}
 
 
 def _load(name: str):
@@ -163,6 +170,25 @@ def test_symbolic_reports_unchanged(results):
     assert _digests(results, ["symbolic"]) == _pinned(["symbolic"])
 
 
+def _range_digests() -> dict:
+    """{range key: {case key: sha256 of its report without timing}}."""
+    workloads = _load("workloads")
+    digests = {}
+    for name, (direction, bits) in RANGES.items():
+        params = pipeline.CaseParams(precision_bits=bits,
+                                     conductor_direction=direction,
+                                     recognition=False)
+        digests[name] = {}
+        for report in pipeline.run_range(2, 30, params, workers=1).reports:
+            case = workloads.Case("run_range", report.d, direction, bits)
+            digests[name][case.key] = workloads.digest(case, report)
+    return digests
+
+
+def test_range_reports_unchanged_at_other_precisions():
+    assert _range_digests() == _pinned(RANGES)
+
+
 def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
     """``code`` run in a new interpreter that imports quadexp from here."""
     src = Path(quadexp.__file__).resolve().parents[1]
@@ -212,5 +238,6 @@ if __name__ == "__main__":  # rewrite the pinned report digests
     with tempfile.TemporaryDirectory() as cache_dir:
         digests = _digests(_run_cases(cache_dir),
                            ("recognize", "symbolic", *SCANS))
+    digests.update(_range_digests())
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
