@@ -5,20 +5,26 @@ tail folded into the error bound; class polynomial coefficients are only
 rounded to integers when the certified distance to the nearest integer
 is below the rounding-gap threshold, otherwise precision escalates.
 
-The class-field generator is built in exact integers. sympy is imported
-only by ``IntegerPolynomial.factor_irreducible``, on its first call, so
-importing this module, the scans, the symbolic runs and ``hcf_generator``
-never load it.
+The class-field generator is built in exact integers.
+``IntegerPolynomial.factor_irreducible`` first tries to prove its polynomial
+irreducible from the degrees of its factors modulo small primes, in plain
+ints; sympy is imported only to factor a polynomial that this test cannot
+prove irreducible, so importing this module, the scans, the symbolic runs,
+``hcf_generator`` and a recognition whose candidates are all proven never
+load it.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import sys
 import tempfile
+from array import array
 from dataclasses import dataclass
 from itertools import permutations
 from math import gcd
+from operator import mul
 
 from .classforms import class_group
 from .errors import DomainError, InsufficientPrecision
@@ -28,6 +34,12 @@ from .quadfield import OrderDescriptor
 
 ROUNDING_GAP_BITS = 32
 MAX_ESCALATIONS = 4  # attempts, at doubling precision, before giving up
+# the degree-pattern test of factor_irreducible tries these primes in turn,
+# skipping any that divides the leading coefficient or leaves a reduction
+# that is not squarefree, and gives up to sympy after _PATTERN_CAP usable ones
+_PATTERN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                   53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+_PATTERN_CAP = 12
 
 
 @dataclass
@@ -78,11 +90,18 @@ class IntegerPolynomial:
     def factor_irreducible(self) -> list["IntegerPolynomial"]:
         """Irreducible integer factors of positive degree (content dropped).
 
-        The program's one use of sympy, imported here on the first call.
+        A primitive part that ``_irreducible_by_degree_pattern`` proves
+        irreducible is returned as its own one factor, normalized as sympy
+        returns it. Any other goes to sympy's factorization: the program's
+        one use of sympy, imported only then.
         """
+        prim = self.primitive()
+        if prim.degree < 1:
+            return []
+        if _irreducible_by_degree_pattern(prim.coefficients):
+            return [prim.normalized()]
         import sympy
-        sym = sympy.Poly(list(reversed(self.primitive().coefficients)),
-                         sympy.Symbol("x"))
+        sym = sympy.Poly(list(reversed(prim.coefficients)), sympy.Symbol("x"))
         out = []
         for fac, mult in sym.factor_list()[1]:
             coeffs = [int(c) for c in reversed(fac.all_coeffs())]
@@ -107,6 +126,118 @@ class IntegerPolynomial:
             if c:
                 terms.append(f"{c}*x^{i}" if i else f"{c}")
         return " + ".join(reversed(terms)) or "0"
+
+
+def _irreducible_by_degree_pattern(coeffs: tuple[int, ...]) -> bool:
+    """True only if the integer polynomial coeffs, of degree n >= 1, is
+    irreducible over Q.
+
+    A factor of degree a has degree a modulo every prime q that does not
+    divide the leading coefficient, so a is a sum of the degrees of the
+    irreducible factors mod q. Once the sets of such sums, over the usable
+    primes, meet only in {0, n}, no proper factor exists (Musser, J. ACM 25,
+    1978). False proves nothing: the polynomial may be reducible, not
+    squarefree, or split modulo every prime, as x^4 + 1 does.
+    """
+    n = len(coeffs) - 1
+    proven = 1 | 1 << n
+    common = (1 << n + 1) - 1  # bit a set: a factor of degree a may exist
+    usable = 0
+    for q in _PATTERN_PRIMES:
+        degrees = _factor_degrees_mod(coeffs, q)
+        if degrees is None:
+            continue
+        sums = 1
+        for a in degrees:
+            sums |= sums << a
+        common &= sums
+        if common == proven:
+            return True
+        usable += 1
+        if usable == _PATTERN_CAP:
+            break
+    return False
+
+
+def _factor_degrees_mod(coeffs: tuple[int, ...], q: int) -> list[int] | None:
+    """Degrees of the irreducible factors of coeffs modulo the prime q.
+
+    Distinct-degree factorization (Cohen, GTM 138, Alg. 3.4.3): the factors
+    of degree dividing i are those of gcd(f, x^(q^i) - x). None when q
+    divides the leading coefficient or the reduction is not squarefree.
+    """
+    lead = coeffs[-1] % q
+    if lead == 0:
+        return None
+    inv = pow(lead, -1, q)
+    f = [c * inv % q for c in coeffs]  # monic
+    n = len(f) - 1
+    if _gcd_degree_mod(f, [i * f[i] % q for i in range(1, n + 1)], q):
+        return None
+    # shifted[k] = x^(q+k) mod f, so x^q r = sum_k r_k shifted[k] mod f
+    shifted, power = [], [1] + [0] * (n - 1)
+    for k in range(q + n - 1):
+        top = power[-1]
+        power = [(a - top * b) % q for a, b in zip([0] + power[:-1], f)]
+        if k >= q - 1:
+            shifted.append(_pack(power))
+    # rows[j] = x^(jq) mod f, so h^q = sum_j h_j rows[j] mod f
+    row = [1] + [0] * (n - 1)
+    rows = [_pack(row)]
+    while len(rows) < n:
+        row = _combine(row, shifted, q)
+        rows.append(_pack(row))
+    degrees = []
+    h = [0, 1] + [0] * (n - 2)  # x^(q^i) mod f; used only when n >= 2
+    i = 0
+    while n - sum(degrees) >= 2 * (i + 1):
+        i += 1
+        h = _combine(h, rows, q)
+        g = h[:]
+        g[1] = (g[1] - 1) % q
+        # deg gcd(f, x^(q^i) - x) sums the degrees d | i of f's factors
+        k = _gcd_degree_mod(f, g, q) - sum(d for d in degrees if i % d == 0)
+        degrees += [i] * (k // i)
+    if n > sum(degrees):
+        degrees.append(n - sum(degrees))
+    return degrees
+
+
+def _pack(row: list[int]) -> int:
+    """The entries of row in 64-bit slots of one int, lowest first."""
+    return int.from_bytes(array("Q", row).tobytes(), sys.byteorder)
+
+
+def _combine(vector: list[int], packed: list[int], q: int) -> list[int]:
+    """sum_j vector[j] * packed[j] mod q, for vector entries and packed
+    slots in [0, q): slot sums stay below len(vector) q^2, far from 2^64,
+    so one big-int sum adds every slot at once."""
+    total = sum(map(mul, vector, packed))
+    slots = array("Q", total.to_bytes(8 * len(vector), sys.byteorder))
+    return [s % q for s in slots]
+
+
+def _gcd_degree_mod(a: list[int], b: list[int], q: int) -> int:
+    """Degree of gcd(a, b) over GF(q), a nonzero; lowest degree first."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            # cancel a's top term; zip stops short of b's
+            c = a.pop() * inv % q
+            s = len(a) - len(b) + 1
+            a[s:] = [(x - c * y) % q for x, y in zip(a[s:], b)]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _trim(a: list[int]) -> list[int]:
+    n = len(a)
+    while n and a[n - 1] == 0:
+        n -= 1
+    return a[:n]
 
 
 def _sigma_table(k: int, n_max: int) -> list[int]:

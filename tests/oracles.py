@@ -36,10 +36,13 @@ moved into exact integers and the certified j embeddings.
 (with ``_exp_series_reference`` and ``_log_mantissa_reference``) are the
 numerics kernels as they stood before their series ran on reduced arguments:
 full-length series at the working precision, and exp_cis turning by eighths.
+``factor_irreducible_reference`` is ``IntegerPolynomial.factor_irreducible``
+as it stood before the degree-pattern test: sympy's ``factor_list`` of the
+primitive part, every factor repeated by its multiplicity.
 The helpers after them
 (``cf_reconstruct``, ``ring_class_polynomial``, ``is_irreducible``,
-``discriminant``, ``eval_int`` and ``is_reduced_definite``) are checks that
-only the tests use.
+``factor_degrees_mod``, ``discriminant``, ``eval_int`` and
+``is_reduced_definite``) are checks that only the tests use.
 """
 
 from __future__ import annotations
@@ -754,6 +757,18 @@ def exp_cis_reference(theta: FixedReal, p: int) -> FixedComplex:
     return z.rescale(p)
 
 
+def factor_irreducible_reference(poly) -> list:
+    """Irreducible factors of positive degree of an ``IntegerPolynomial``."""
+    from quadexp.modular import IntegerPolynomial
+
+    out = []
+    for fac, mult in _sympy_poly(poly.primitive()).factor_list()[1]:
+        factor = IntegerPolynomial(tuple(reversed(fac.all_coeffs())))
+        if factor.degree >= 1:
+            out.extend([factor] * mult)
+    return out
+
+
 def cf_reconstruct(expansion):
     """Exact value of a ``CFExpansion``; the inverse of ``cf_expand``."""
     from quadexp.quadfield import QuadraticIrrational, _convergent_matrix
@@ -787,6 +802,22 @@ def is_irreducible(poly) -> bool:
         return False
     factors = _sympy_poly(poly.normalized()).factor_list()[1]
     return len(factors) == 1 and factors[0][1] == 1
+
+
+def factor_degrees_mod(coeffs, q: int):
+    """Sorted degrees of the irreducible factors of coeffs mod the prime q,
+    each repeated by its multiplicity, by sympy's factorization over GF(q);
+    None when q divides the leading coefficient or the reduction is not
+    squarefree."""
+    import sympy
+
+    if coeffs[-1] % q == 0:
+        return None
+    reduced = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"), modulus=q)
+    if reduced.gcd(reduced.diff()).degree() > 0:
+        return None
+    return sorted(fac.degree() for fac, mult in reduced.factor_list()[1]
+                  for _ in range(mult))
 
 
 def discriminant(poly) -> int:

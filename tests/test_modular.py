@@ -1,12 +1,15 @@
 import math
 import os
+import random
 import re
 from dataclasses import fields
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import (discriminant, eval_int, hcf_generator_reference,
+from oracles import (discriminant, eval_int, factor_degrees_mod,
+                     factor_irreducible_reference, hcf_generator_reference,
                      is_irreducible, ring_class_polynomial)
 
 from quadexp import modular
@@ -305,3 +308,90 @@ class TestIntegerPolynomialType:
         assert eval_int(p, 5) == 23
         z = FixedComplex.from_int(3, 64)
         assert p.eval_complex(z).re.mantissa == 7 << 64
+
+
+def _times(a: IntegerPolynomial, b: IntegerPolynomial) -> IntegerPolynomial:
+    out = [0] * (a.degree + b.degree + 1)
+    for i, x in enumerate(a.coefficients):
+        for j, y in enumerate(b.coefficients):
+            out[i + j] += x * y
+    return IntegerPolynomial(tuple(out))
+
+
+def _random_poly(rng: random.Random, degree: int, bound: int) -> IntegerPolynomial:
+    lead = rng.choice((-1, 1)) * rng.randint(1, bound)
+    return IntegerPolynomial(
+        tuple(rng.randint(-bound, bound) for _ in range(degree)) + (lead,))
+
+
+NONCONSTANT = st.lists(st.integers(-60, 60), min_size=2, max_size=8).filter(
+    lambda c: c[-1] != 0).map(lambda c: IntegerPolynomial(tuple(c)))
+# irreducible over Q, yet split modulo every prime: the degree-pattern test
+# can never prove them, so they take sympy's path
+SPLIT_EVERYWHERE = [(1, 0, 0, 0, 1), (1, 0, -10, 0, 1)]  # x^4+1, x^4-10x^2+1
+
+
+class TestFactorIrreducible:
+    """``factor_irreducible`` against sympy's ``factor_list`` on both paths:
+    the degree-pattern certificate and the fallback to sympy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(NONCONSTANT, NONCONSTANT)
+    def test_products_never_certified(self, a, b):
+        product = _times(a, b).primitive()
+        assert not modular._irreducible_by_degree_pattern(product.coefficients)
+        assert product.factor_irreducible() == \
+            factor_irreducible_reference(product)
+
+    def test_certified_exactly_when_irreducible(self):
+        # mixed sign and content, a third of them reducible, degrees 1..12:
+        # a reducible one is never certified, and within _PATTERN_CAP
+        # primes every irreducible one of the sweep is
+        rng = random.Random(20261019)
+        paths = {True: 0, False: 0}
+        for _ in range(300):
+            poly = _random_poly(rng, rng.randint(1, 12), 40)
+            if rng.random() < 0.3:
+                poly = _times(poly, _random_poly(rng, rng.randint(1, 4), 9))
+            scale = rng.choice((1, -1, 2, -6, 35))
+            poly = IntegerPolynomial(tuple(scale * c for c in poly.coefficients))
+            reference = factor_irreducible_reference(poly)
+            certified = modular._irreducible_by_degree_pattern(
+                poly.primitive().coefficients)
+            assert certified == (reference == [poly.normalized()]), poly
+            paths[certified] += 1
+            assert poly.factor_irreducible() == reference, poly
+        assert min(paths.values()) >= 50, paths
+
+    @pytest.mark.parametrize("coeffs", SPLIT_EVERYWHERE)
+    def test_split_everywhere_falls_back(self, coeffs):
+        assert not modular._irreducible_by_degree_pattern(coeffs)
+        for scale in (1, -3):
+            poly = IntegerPolynomial(tuple(scale * c for c in coeffs))
+            assert poly.factor_irreducible() == \
+                factor_irreducible_reference(poly) == [IntegerPolynomial(coeffs)]
+
+    @pytest.mark.parametrize("coeffs,want", [
+        ((0,), []), ((7,), []), ((-12,), []), ((0, 0, 0), []),
+        ((0, 9), [(0, 1)]), ((3, 6), [(1, 2)]), ((4, -6), [(-2, 3)]),
+        ((-5, -10), [(1, 2)])])
+    def test_degree_zero_and_one(self, coeffs, want):
+        poly = IntegerPolynomial(coeffs)
+        got = poly.factor_irreducible()
+        assert [f.coefficients for f in got] == want
+        assert got == factor_irreducible_reference(poly)
+
+    def test_factor_degrees_match_sympy_mod_q(self):
+        # the distinct-degree factorization the certificate rests on, and
+        # its refusals: q | lc, and reductions that are not squarefree
+        rng = random.Random(7)
+        refused = 0
+        for _ in range(400):
+            coeffs = _random_poly(rng, rng.randint(1, 14), 30).coefficients
+            q = rng.choice(modular._PATTERN_PRIMES[:9])
+            want = factor_degrees_mod(coeffs, q)
+            got = modular._factor_degrees_mod(coeffs, q)
+            assert (None if got is None else sorted(got)) == want, (coeffs, q)
+            refused += want is None
+        assert 40 <= refused <= 360
+

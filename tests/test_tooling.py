@@ -21,10 +21,15 @@ change that alters a report on purpose rewrites that file with
 ``PYTHONPATH=src python tests/test_tooling.py`` and says why.
 The symbolic layer is exact rational arithmetic, so importing it must not
 load sympy. sympy is loaded only by ``IntegerPolynomial.factor_irreducible``,
-on its first call, and ``run_range`` loads the process pool only for a
-parallel range, so an import, a scan, a serial range, the symbolic suites
-and the class-field generator load neither;
+and only for a polynomial that its degree-pattern test cannot prove
+irreducible, and ``run_range`` loads the process pool only for a parallel
+range, so an import, a scan, a serial range, the symbolic suites and the
+class-field generator load neither;
 ``test_light_paths_load_neither_sympy_nor_the_pool`` holds them to that.
+Every candidate of the recognition runs of ``run_case(15)`` and of d = 13,
+14 and 15 imag-to-real, at 512 bits, is proven irreducible by that test,
+so those runs do not load sympy either;
+``test_recognition_proves_candidates_without_sympy`` holds them to that.
 """
 
 import importlib.util
@@ -231,6 +236,30 @@ def test_light_paths_load_neither_sympy_nor_the_pool():
     # the factorization at the end is the control: without it a guard that
     # looked for the wrong module name would pass whatever was loaded
     res = _fresh_interpreter(LIGHT_PATHS)
+    assert res.returncode == 0, res.stderr
+
+
+RECOGNITION = """
+import sys
+from quadexp.modular import IntegerPolynomial
+from quadexp.pipeline import CaseParams, run_case
+
+run_case(15, CaseParams(precision_bits=512))
+for d in (13, 14, 15):
+    run_case(d, CaseParams(precision_bits=512,
+                           conductor_direction="imag-to-real"))
+if "sympy" in sys.modules:
+    sys.exit("a recognition run loaded sympy")
+IntegerPolynomial((0, -2, 0, 1)).factor_irreducible()
+if "sympy" not in sys.modules:
+    sys.exit("a reducible factorization did not load sympy")
+"""
+
+
+def test_recognition_proves_candidates_without_sympy():
+    # x(x^2 - 2) is reducible, so the degree-pattern test cannot prove it
+    # and it must reach sympy: the control for the guard above
+    res = _fresh_interpreter(RECOGNITION)
     assert res.returncode == 0, res.stderr
 
 
