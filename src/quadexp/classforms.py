@@ -21,14 +21,16 @@ The real unit index is found by stepping the fundamental unit's coordinates
 in integers mod f. Since [O_K^*:O_f^*] divides the order of
 (O_K/f)^*/(Z/f)^*, h(O_K) divides every h(O_f), and a scan whose given
 class number h(O_K) does not divide ends at f = 1. Forms are enumerated
-only for h(O_K) and the given order; both summaries come back with the
-match, so a caller enumerates a matched order again only when its
-conductor is above 1.
+only for h(O_K) and the given order. ``class_group`` remembers the last
+few orders it enumerated, so a case, with recognition on or off,
+enumerates each of its orders (given, opposite maximal, matched) once,
+whichever layer asks for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import BoundExceeded, DomainError, NoMatchWithinBound
@@ -36,6 +38,7 @@ from .quadfield import (OrderDescriptor, QuadraticIrrational, _prime_powers,
                         fundamental_unit)
 
 DISC_LIMIT = 10**8  # largest |disc| enumerated or matched; read at call time
+_CACHED_ORDERS = 3  # a case's given, opposite maximal and matched orders
 
 
 @dataclass(frozen=True)
@@ -151,11 +154,11 @@ def _indefinite_cycles(forms, disc: int):
     return cycles, index
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassGroupSummary:
     order: OrderDescriptor
     h: int
-    representatives: list[BinaryQuadraticForm]
+    representatives: tuple[BinaryQuadraticForm, ...]
     h_proper: int  # form-class (proper/narrow) count; equals h when definite
 
     def to_json(self) -> dict:
@@ -180,9 +183,6 @@ class ConductorMatch:
     given_conductor: int
     matched_conductor: int
     h_common: int
-    # the two class groups the match enumerated; not part of the report
-    given_classes: ClassGroupSummary
-    opposite_maximal_classes: ClassGroupSummary
 
     def to_json(self) -> dict:
         return {"given_side": self.given_side,
@@ -204,16 +204,22 @@ def class_group(order: OrderDescriptor) -> ClassGroupSummary:
     h_proper counts the reduction cycles, and h counts the module (wide)
     classes, each a cycle paired with its negative (see ``_wide_classes``).
     Representatives come principal class first, then by (a, b, c).
-    ``BoundExceeded`` is raised when |disc| exceeds ``DISC_LIMIT``.
+    ``BoundExceeded`` is raised when |disc| exceeds ``DISC_LIMIT``, on every
+    call; the last ``_CACHED_ORDERS`` orders' summaries are shared.
     """
     _check_disc_limit(order)
+    return _enumerated_class_group(order)
+
+
+@lru_cache(maxsize=_CACHED_ORDERS)
+def _enumerated_class_group(order: OrderDescriptor) -> ClassGroupSummary:
     disc = order.discriminant
     if order.field_kind == "imaginary":
-        forms = _definite_reduced_forms(disc)
+        forms = tuple(_definite_reduced_forms(disc))
         return ClassGroupSummary(order, len(forms), forms, len(forms))
     cycles, index = _indefinite_cycles(_indefinite_reduced_forms(disc), disc)
-    reps = [BinaryQuadraticForm(*q)
-            for q in _wide_classes(cycles, index, disc)]
+    reps = tuple(BinaryQuadraticForm(*q)
+                 for q in _wide_classes(cycles, index, disc))
     return ClassGroupSummary(order, len(reps), reps, len(cycles))
 
 
@@ -356,25 +362,22 @@ def match_conductor(given: OrderDescriptor,
     """Least conductor on the opposite side with the same class number.
 
     Reduced forms are enumerated for the given order and the opposite
-    maximal order only, and both summaries are returned with the match;
-    every other candidate's class number comes from ``order_class_number``.
+    maximal order only (``class_group`` keeps both for the caller); every
+    other candidate's class number comes from ``order_class_number``.
     Pic(O_f) maps onto Pic(O_K), so h(O_K) divides every h(O_f): the
     formula's [O_K^*:O_f^*] divides its (O_K/f)^*/(Z/f)^* order. When h(O_K)
     does not divide the given h, no conductor matches and the scan ends at
-    f = 1. Without a match inside search_bound, ``NoMatchWithinBound``
-    carries the given order's summary. Every candidate order is held to
-    ``DISC_LIMIT`` (``BoundExceeded``), the first one beyond it found in
-    closed form when the scan ends early.
+    f = 1. Without a match inside search_bound, ``NoMatchWithinBound`` is
+    raised. Every candidate order is held to ``DISC_LIMIT``
+    (``BoundExceeded``), the first one beyond it found in closed form when
+    the scan ends early.
     """
-    given_classes = class_group(given)
-    h_given = given_classes.h
+    h_given = class_group(given).h
     if search_bound >= 1:
         maximal = given.opposite(1)
-        maximal_classes = class_group(maximal)
-        h_max = maximal_classes.h
+        h_max = class_group(maximal).h
         if h_max == h_given:
-            return ConductorMatch(given.field_kind, given.conductor, 1, h_given,
-                                  given_classes, maximal_classes)
+            return ConductorMatch(given.field_kind, given.conductor, 1, h_given)
         if h_given % h_max:
             # the scan would find no match and stop at the least f with
             # f^2 |d_K| > DISC_LIMIT, if that f is inside the bound
@@ -389,7 +392,6 @@ def match_conductor(given: OrderDescriptor,
                 _check_disc_limit(other)
                 if order_class_number(other, h_max, unit) == h_given:
                     return ConductorMatch(given.field_kind, given.conductor, f,
-                                          h_given, given_classes,
-                                          maximal_classes)
+                                          h_given)
     raise NoMatchWithinBound(
-        f"no conductor <= {search_bound} matches h={h_given}", given_classes)
+        f"no conductor <= {search_bound} matches h={h_given}")

@@ -22,11 +22,11 @@ class BoundExceeded(QuadexpError):
 
 
 class NoMatchWithinBound(QuadexpError):
-    """No conductor with matching class number inside the search range."""
+    """No conductor with matching class number inside the search range.
 
-    def __init__(self, message, given_classes):
-        super().__init__(message)
-        self.given_classes = given_classes
+    It carries only its message: a caller that goes on asks ``class_group``,
+    which still holds the given order's summary, so none is enumerated twice.
+    """
 
 
 class InsufficientPrecision(QuadexpError):

@@ -210,16 +210,14 @@ def _match(d: int, params: CaseParams, report: CaseReport):
             raise  # no real order to go on with; run_case records it
         report.errors.append(f"NoMatchWithinBound: {exc}")
         matched = h_common = None
-        known = [exc.given_classes]
     else:
         matched, h_common = match.matched_conductor, match.h_common
-        known = [match.given_classes, match.opposite_maximal_classes]
     if given.field_kind == "real":
         frak_f, f_imag = given.conductor, matched
     else:
         frak_f, f_imag = matched, given.conductor
-    real_summary = _summary(known, OrderDescriptor("real", d, frak_f))
-    imag_summary = (_summary(known, OrderDescriptor("imaginary", d, f_imag))
+    real_summary = class_group(OrderDescriptor("real", d, frak_f))
+    imag_summary = (class_group(OrderDescriptor("imaginary", d, f_imag))
                     if f_imag is not None else None)
     report.conductors = {"frak_f": frak_f, "f": f_imag,
                          "direction": params.conductor_direction}
@@ -232,14 +230,6 @@ def _match(d: int, params: CaseParams, report: CaseReport):
         "imag_representatives": ([q.to_json() for q in imag_summary.representatives]
                                  if imag_summary else None)}
     return f_imag, real_summary
-
-
-def _summary(known, order: OrderDescriptor):
-    """The order's ``class_group``, reused from the ``known`` summaries."""
-    for summary in known:
-        if summary.order == order:
-            return summary
-    return class_group(order)
 
 
 def _recognition_stage(d, f_imag, eps, jvals, params, report):

@@ -414,23 +414,20 @@ def match_conductor_reference(given, search_bound: int = 100):
     from quadexp.errors import NoMatchWithinBound
     from quadexp.quadfield import fundamental_unit
 
-    given_classes = classforms.class_group(given)
-    h_given = given_classes.h
+    h_given = classforms.class_group(given).h
     for f in range(1, search_bound + 1):
         other = given.opposite(f)
         if f == 1:
-            maximal_classes = classforms.class_group(other)
+            h_max = classforms.class_group(other).h
             unit = (fundamental_unit(other).value
                     if other.field_kind == "real" else None)
         else:
             classforms._check_disc_limit(other)
-        if classforms.order_class_number(other, maximal_classes.h,
-                                         unit) == h_given:
-            return classforms.ConductorMatch(
-                given.field_kind, given.conductor, f, h_given, given_classes,
-                maximal_classes)
+        if classforms.order_class_number(other, h_max, unit) == h_given:
+            return classforms.ConductorMatch(given.field_kind,
+                                             given.conductor, f, h_given)
     raise NoMatchWithinBound(
-        f"no conductor <= {search_bound} matches h={h_given}", given_classes)
+        f"no conductor <= {search_bound} matches h={h_given}")
 
 
 def evaluate_J_reference(theta, epsilon, p: int):
@@ -521,7 +518,7 @@ def class_group_reference(order):
     cycles = indefinite_cycles_reference(
         indefinite_reduced_forms_reference(disc))
     reps = wide_classes_gl2(cycles, disc)
-    return ClassGroupSummary(order, len(reps), reps, len(cycles))
+    return ClassGroupSummary(order, len(reps), tuple(reps), len(cycles))
 
 
 def expansion_states_reference(theta):

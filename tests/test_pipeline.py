@@ -108,26 +108,40 @@ class TestRunCase:
         with pytest.raises(DomainError, match="got 'sideways'"):
             CaseParams(conductor_direction="sideways")
 
-    @pytest.mark.parametrize("d,direction", [
-        pytest.param(15, "real-to-imag", id="real-to-imag"),
-        pytest.param(15, "imag-to-real", id="imag-to-real"),
-        # no conductor matches: the case goes on with the given order's
-        # summary that the search built
-        pytest.param(41, "real-to-imag", id="no-match")])
-    def test_each_order_enumerated_once(self, monkeypatch, d, direction):
+    @pytest.mark.parametrize("d,direction,bits,recognize,discs", [
+        pytest.param(15, "real-to-imag", 512, False, [-15, 60],
+                     id="real-to-imag"),
+        pytest.param(15, "imag-to-real", 512, False, [-15, 60],
+                     id="imag-to-real"),
+        # no conductor matches: the case goes on with the given order,
+        # which the search enumerated
+        pytest.param(41, "real-to-imag", 512, False, [-164, 41],
+                     id="no-match"),
+        # the class polynomial's order is the matched or given imaginary one
+        pytest.param(15, "real-to-imag", 256, True, [-15, 60],
+                     id="recognition-real-to-imag"),
+        pytest.param(14, "imag-to-real", 256, True, [-56, 56, 896],
+                     id="recognition-imag-to-real")])
+    def test_each_order_enumerated_once(self, monkeypatch, d, direction, bits,
+                                        recognize, discs):
         seen = []
-        original = classforms.class_group
 
-        def counting(order, *args, **kwargs):
-            seen.append((order.field_kind, order.d, order.conductor))
-            return original(order, *args, **kwargs)
+        def counting(enumerate_forms):
+            def wrapper(disc):
+                seen.append(disc)
+                return enumerate_forms(disc)
+            return wrapper
 
-        monkeypatch.setattr(classforms, "class_group", counting)
-        monkeypatch.setattr(pipeline, "class_group", counting)
-        r = run_case(d, CaseParams(recognition=False,
+        for name in ("_definite_reduced_forms", "_indefinite_reduced_forms"):
+            monkeypatch.setattr(classforms, name,
+                                counting(getattr(classforms, name)))
+        classforms._enumerated_class_group.cache_clear()
+        r = run_case(d, CaseParams(precision_bits=bits, recognition=recognize,
                                    conductor_direction=direction))
-        assert r.verdict() == ("no_match" if d == 41 else "arithmetic_only")
-        assert sorted(seen) == [("imaginary", d, 1), ("real", d, 1)]
+        assert r.verdict() == ("no_match" if d == 41 else
+                               "no_relation" if recognize else
+                               "arithmetic_only")
+        assert sorted(seen) == discs
 
     def test_lll_runs_at_reported_delta(self):
         # no LLL entry point takes a delta, so every reduction runs at the
