@@ -7,8 +7,10 @@ bounds), quadfield (quadratic irrationals, continued fractions, units),
 classforms (form class groups, pseudo-lattice representatives, conductor
 matching), modular (j-invariant, ring class polynomials, field
 generators), recognition (J evaluation and LLL-based algebraicity tests),
-sklyanin (symbolic relation-system checking), pipeline (case runner,
-range runner, symbolic suites), cli (the ``quadexp`` command line).
+sklyanin (symbolic relation-system checking), symbolic (the derivation
+suites over sklyanin), pipeline (case runner, range runner, loading
+symbolic and modular only for the runs that use them), cli (the
+``quadexp`` command line).
 """
 
 from .errors import QuadexpError

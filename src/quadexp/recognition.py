@@ -22,15 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
+from typing import TYPE_CHECKING
 
 from ._core import DELTA, FloatBreakdown, lll_reduce_rows, lll_reduce_rows_float
 from .errors import (DegenerateBasis, DomainError, InputRational,
                      InsufficientPrecision)
-from .modular import ClassFieldDescriptor, IntegerPolynomial
 from .numerics import (FixedComplex, FixedReal, GUARD_BITS, _ceil_div,
                        _log_positive, _rshift_round, exp_cis, exp_fixed,
                        log_fixed)
 from .quadfield import QuadraticIrrational, UnitElement
+
+if TYPE_CHECKING:
+    from .modular import ClassFieldDescriptor, IntegerPolynomial
 
 DEFAULT_DELTA = Fraction(*DELTA)
 DEFAULT_HEIGHT_BOUND = 10**40
@@ -365,6 +368,9 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
     certified as a basis of [I | X_s], as when the basis of ``start`` is
     not unimodular.
     """
+    # imported here so that J evaluation alone never loads modular
+    from .modular import IntegerPolynomial
+
     if deg_bound < 1:
         raise DomainError("deg_bound must be >= 1")
     w = p + GUARD_BITS
@@ -454,9 +460,9 @@ def member_of_field(z: FixedComplex, field_desc: ClassFieldDescriptor, p: int,
         combo = elements[0] * b
         for a, e in zip(vec[1:], elements[1:]):
             combo = combo + e * a
-        ulps = combo.abs_upper_ulps()
-        # need |combo| / |b| below the threshold
-        if _below_threshold(_ceil_div(ulps, abs(b)), w, threshold_digits):
+        # |combo| / |b| is tested against the threshold and reported
+        ulps = _ceil_div(combo.abs_upper_ulps(), abs(b))
+        if _below_threshold(ulps, w, threshold_digits):
             coords = [Fraction(-a, b) for a in vec[1:]]
             return Membership(coords, _residual_log10(ulps, w))
     return NotFound(height_bound, excl)

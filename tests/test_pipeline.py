@@ -5,7 +5,8 @@ from inspect import signature
 import pytest
 from click.testing import CliRunner
 
-from quadexp import _core, classforms, cli, pipeline, recognition, sklyanin
+from quadexp import (_core, classforms, cli, modular, pipeline, recognition,
+                     sklyanin, symbolic)
 from quadexp.cli import main
 from quadexp.errors import (DomainError, InsufficientPrecision, NotSquareFree,
                            QuadexpError)
@@ -166,7 +167,8 @@ class TestRunCase:
             return RecognitionResult(NoRelation(1), deg_bound, height_bound,
                                      p, [], 0)
 
-        monkeypatch.setattr(pipeline, "hcf_generator", no_descriptor)
+        # the pipeline imports it from modular when recognition starts
+        monkeypatch.setattr(modular, "hcf_generator", no_descriptor)
         monkeypatch.setattr(pipeline, "min_poly", recorder)
         r = run_case(14, CaseParams(precision_bits=256,
                                     conductor_direction="imag-to-real"))
@@ -439,14 +441,14 @@ class TestVerifySymbolic:
 
     def test_pole_detection_needs_pole_error(self, monkeypatch):
         # a crash at the pole is not a detected pole
-        original = pipeline.jacobi_coefficients
+        original = symbolic.jacobi_coefficients
 
         def crash_at_pole(alpha, beta, gamma):
             if beta == -1:
                 raise ZeroDivisionError("division by zero")
             return original(alpha, beta, gamma)
 
-        monkeypatch.setattr(pipeline, "jacobi_coefficients", crash_at_pole)
+        monkeypatch.setattr(symbolic, "jacobi_coefficients", crash_at_pole)
         with pytest.raises(ZeroDivisionError):
             verify_symbolic("jacobi")
 
@@ -489,7 +491,8 @@ class TestCLI:
         assert res.output.count("PASS") == 4
 
     def test_options_follow_case_params(self, tmp_path):
-        # every default comes from CaseParams, every suite from the pipeline
+        # every default comes from CaseParams, every suite from the pipeline,
+        # whose names are those of the suites the symbolic module runs
         out = tmp_path / "r.json"
         res = CliRunner().invoke(main, ["case", "15", "--skip-recognition",
                                         "--json", str(out)])
@@ -498,6 +501,7 @@ class TestCLI:
             CaseParams(recognition=False).to_json()
         suites = cli.symbolic.params[0].type.choices
         assert list(suites) == sorted(pipeline.SYMBOLIC_SUITES)
+        assert list(symbolic.SUITES) == list(pipeline.SYMBOLIC_SUITES)
 
     @pytest.mark.parametrize("bits", [0, -8])
     @pytest.mark.parametrize("command", [["case", "15"], ["range", "13", "15"]])

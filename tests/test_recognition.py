@@ -8,7 +8,7 @@ import pytest
 from oracles import (cold_relation_basis, evaluate_J_reference, is_basis_of,
                      lll_reference, lovasz_holds, matches_lll_reference,
                      shortest_vector_brute)
-from quadexp import recognition
+from quadexp import pipeline, recognition
 from quadexp._core import FloatBreakdown, lll_reduce_rows, lll_reduce_rows_float
 from quadexp.classforms import (class_group, match_conductor,
                                 pseudo_lattice_reps)
@@ -601,6 +601,33 @@ class TestMembership:
         assert isinstance(m, Membership)
         assert m.coordinates == [Fraction(1, 3), Fraction(1, 3),
                                  Fraction(0), Fraction(0)]
+
+    def test_found_reports_the_residual_it_tested(self, monkeypatch):
+        # a hit is accepted on the relation's residual divided by z's
+        # coefficient, and that quotient is the residual it reports, so it
+        # lies below the search's own threshold; run_case(15) at 256 bits
+        # finds both J values, with coefficients near 10^33
+        thresholds, found = [], []
+        search = recognition._relation_search
+
+        def recording_search(*args, **kwargs):
+            out = search(*args, **kwargs)
+            thresholds.append(out[1])
+            return out
+
+        def recording_member(*args, **kwargs):
+            m = member_of_field(*args, **kwargs)
+            if isinstance(m, Membership):
+                found.append((m.residual_log10, thresholds[-1]))
+            return m
+
+        monkeypatch.setattr(recognition, "_relation_search", recording_search)
+        monkeypatch.setattr(pipeline, "member_of_field", recording_member)
+        r = run_case(15, CaseParams(precision_bits=256))
+        assert [m["found"] for m in r.membership] == [True, True]
+        assert [m["residual_log10"] for m in r.membership] == \
+            [res for res, _ in found]
+        assert all(res < -digits for res, digits in found), found
 
 
 def double_last_row(rows):

@@ -30,6 +30,9 @@ Every candidate of the recognition runs of ``run_case(15)`` and of d = 13,
 14 and 15 imag-to-real, at 512 bits, is proven irreducible by that test,
 so those runs do not load sympy either;
 ``test_recognition_proves_candidates_without_sympy`` holds them to that.
+Case and range runs never load ``sklyanin``, which only the symbolic suites
+use, and a run with recognition off does not load ``modular`` either;
+``test_runs_load_only_the_layers_they_use`` holds them to that.
 """
 
 import importlib.util
@@ -260,6 +263,39 @@ def test_recognition_proves_candidates_without_sympy():
     # x(x^2 - 2) is reducible, so the degree-pattern test cannot prove it
     # and it must reach sympy: the control for the guard above
     res = _fresh_interpreter(RECOGNITION)
+    assert res.returncode == 0, res.stderr
+
+
+LAYERS = """
+import sys
+import quadexp.cli
+from quadexp.pipeline import CaseParams, run_case, run_range, verify_symbolic
+
+
+def loaded():
+    return [name for name in ("quadexp.sklyanin", "quadexp.modular")
+            if name in sys.modules]
+
+
+run_case(15, CaseParams(recognition=False))
+for direction in ("real-to-imag", "imag-to-real"):
+    run_range(13, 15, CaseParams(conductor_direction=direction,
+                                 recognition=False), workers=1)
+if loaded():
+    sys.exit(f"a run with recognition off loaded {loaded()}")
+run_case(15)
+if loaded() != ["quadexp.modular"]:
+    sys.exit(f"a recognition run loaded {loaded()}, not modular alone")
+verify_symbolic("jacobi")
+if "quadexp.sklyanin" not in sys.modules:
+    sys.exit("the symbolic suites did not load sklyanin")
+"""
+
+
+def test_runs_load_only_the_layers_they_use():
+    # the symbolic suite at the end is the control: without it a guard that
+    # looked for the wrong module name would pass whatever was loaded
+    res = _fresh_interpreter(LAYERS)
     assert res.returncode == 0, res.stderr
 
 
