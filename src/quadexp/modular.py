@@ -120,13 +120,6 @@ class IntegerPolynomial:
     def to_json(self) -> list[int]:
         return list(self.coefficients)
 
-    def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coefficients):
-            if c:
-                terms.append(f"{c}*x^{i}" if i else f"{c}")
-        return " + ".join(reversed(terms)) or "0"
-
 
 def _irreducible_by_degree_pattern(coeffs: tuple[int, ...]) -> bool:
     """True only if the integer polynomial coeffs, of degree n >= 1, is

@@ -117,9 +117,6 @@ class FixedReal:
     def __neg__(self):
         return FixedReal(-self.mantissa, self.scale_bits, self.err_ulps)
 
-    def __abs__(self):
-        return FixedReal(abs(self.mantissa), self.scale_bits, self.err_ulps)
-
     def __add__(self, other):
         if isinstance(other, int):
             other = FixedReal.from_int(other, self.scale_bits)
@@ -224,9 +221,6 @@ class FixedComplex:
 
     def __sub__(self, other):
         return FixedComplex(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return FixedComplex(-self.re, -self.im)
 
     def __mul__(self, other):
         if isinstance(other, (int, FixedReal)):

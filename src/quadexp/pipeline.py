@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -314,6 +313,7 @@ def _run_case_isolated(d: int, params: CaseParams) -> CaseReport:
     try:
         return run_case(d, params)
     except Exception as exc:
+        import traceback  # loaded on this path only
         traceback.print_exc()
         return CaseReport(d, d in EXCLUDED_D, params,
                           errors=[f"{type(exc).__name__}: {exc}"])

@@ -271,9 +271,6 @@ class QuadraticIrrational:
         x = (s * self.b + FixedReal.from_int(self.a, w)).div_int(self.c)
         return x.rescale(p)
 
-    def to_float(self) -> float:
-        return self.to_fixed(64).to_float()
-
 
 @dataclass(frozen=True)
 class OrderDescriptor:
@@ -414,13 +411,6 @@ class EquivalenceResult:
     gl2: bool
     witness: tuple[int, int, int, int] | None = None  # det +1 when sl2
     witness_gl2: tuple[int, int, int, int] | None = None
-
-    def __bool__(self):
-        return self.sl2
-
-    def to_json(self) -> dict:
-        return {"sl2": self.sl2, "gl2": self.gl2, "witness": self.witness,
-                "witness_gl2": self.witness_gl2}
 
 
 def _convergent_matrix(digits) -> tuple[int, int, int, int]:

@@ -262,10 +262,6 @@ class RewriteRule:
         """The rhs is supported on the empty word."""
         return all(len(w) == 0 for w in self.rhs.terms)
 
-    def to_json(self):
-        return {"lhs": word_str(self.lhs), "rhs": self.rhs.to_json(),
-                "name": self.name}
-
 
 @dataclass(frozen=True)
 class Relation:
@@ -292,11 +288,6 @@ class RelationSystem:
         for i, rel in enumerate(self.relations):
             out.extend(rel.rewrites(f"{self.name}.{i + 1}"))
         return sorted(out, key=lambda r: deglex_key(r.lhs), reverse=True)
-
-    def to_json(self):
-        return {"name": self.name,
-                "relations": [{"lhs": [word_str(w) for w in rel.lhs_words],
-                               "rhs": rel.rhs.to_json()} for rel in self.relations]}
 
 
 def _rel(lhs_words, rhs) -> Relation:
@@ -552,9 +543,6 @@ class DerivationResult:
     @property
     def ok(self) -> bool:
         return self.normal_form.is_zero()
-
-    def __bool__(self):
-        return self.ok
 
     def to_json(self):
         return {"ok": self.ok,

@@ -1,13 +1,13 @@
 import concurrent.futures
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from inspect import signature
 
 import pytest
-from click.testing import CliRunner
 
 from quadexp import (_core, classforms, cli, modular, pipeline, recognition,
                      sklyanin, symbolic)
-from quadexp.cli import main
 from quadexp.errors import (DomainError, InsufficientPrecision, NotSquareFree,
                            QuadexpError)
 from quadexp.modular import IntegerPolynomial
@@ -453,12 +453,23 @@ class TestVerifySymbolic:
             verify_symbolic("jacobi")
 
 
+def run_cli(*argv: str) -> tuple[int, str]:
+    """``cli.main(argv)`` in process: its exit code and stdout with stderr."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(out):
+        try:
+            cli.main(list(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue()
+    return 0, out.getvalue()
+
+
 class TestCLI:
     def test_case_json(self, tmp_path):
         out = tmp_path / "r.json"
-        res = CliRunner().invoke(main, ["case", "15", "--precision-bits", "256",
-                                        "--skip-recognition", "--json", str(out)])
-        assert res.exit_code == 0, res.output
+        code, output = run_cli("case", "15", "--precision-bits", "256",
+                               "--skip-recognition", "--json", str(out))
+        assert code == 0, output
         blob = json.loads(out.read_text())
         assert blob["schema"] == 1 and blob["d"] == 15
 
@@ -466,42 +477,106 @@ class TestCLI:
         # too few bits for the relation lattice is a typed failure of the
         # case, recorded in its report, not an input error
         out = tmp_path / "r.json"
-        res = CliRunner().invoke(main, ["case", "15", "--precision-bits", "40",
-                                        "--json", str(out)])
-        assert res.exit_code == 0, res.output
+        code, output = run_cli("case", "15", "--precision-bits", "40",
+                               "--json", str(out))
+        assert code == 0, output
         errors = json.loads(out.read_text())["errors"]
         assert errors and all(e.startswith("InsufficientPrecision: ")
                               for e in errors)
 
     def test_case_not_squarefree_exit1(self):
-        res = CliRunner().invoke(main, ["case", "12"])
-        assert res.exit_code == 1
+        code, output = run_cli("case", "12")
+        assert code == 1, output
+        assert "input error: 12 is not a square-free positive integer" \
+            in output
 
     def test_range_csv(self, tmp_path):
         out = tmp_path / "t.csv"
-        res = CliRunner().invoke(main, ["range", "13", "15", "--precision-bits",
-                                        "256", "--skip-recognition",
-                                        "--csv", str(out)])
-        assert res.exit_code == 0, res.output
+        code, output = run_cli("range", "13", "15", "--precision-bits", "256",
+                               "--skip-recognition", "--csv", str(out))
+        assert code == 0, output
         assert out.read_text().startswith(",".join(CSV_HEADER))
 
     def test_symbolic(self):
-        res = CliRunner().invoke(main, ["symbolic", "remark1"])
-        assert res.exit_code == 0
-        assert res.output.count("PASS") == 4
+        code, output = run_cli("symbolic", "remark1")
+        assert code == 0
+        assert output.count("PASS") == 4
+
+    def test_help_exit0(self):
+        for argv in (["--help"], ["case", "--help"], ["range", "--help"],
+                     ["symbolic", "--help"]):
+            code, output = run_cli(*argv)
+            assert code == 0, (argv, output)
+            assert output.startswith("usage: quadexp"), (argv, output)
 
     def test_options_follow_case_params(self, tmp_path):
         # every default comes from CaseParams, every suite from the pipeline,
         # whose names are those of the suites the symbolic module runs
         out = tmp_path / "r.json"
-        res = CliRunner().invoke(main, ["case", "15", "--skip-recognition",
-                                        "--json", str(out)])
-        assert res.exit_code == 0, res.output
+        code, output = run_cli("case", "15", "--skip-recognition",
+                               "--json", str(out))
+        assert code == 0, output
         assert json.loads(out.read_text())["params"] == \
             CaseParams(recognition=False).to_json()
-        suites = cli.symbolic.params[0].type.choices
-        assert list(suites) == sorted(pipeline.SYMBOLIC_SUITES)
+        suite, = (action for action in cli.COMMANDS.choices["symbolic"]._actions
+                  if action.dest == "suite")
+        assert list(suite.choices) == sorted(pipeline.SYMBOLIC_SUITES)
         assert list(symbolic.SUITES) == list(pipeline.SYMBOLIC_SUITES)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["case", "abc"], ["case", "15", "--bogus"],
+        ["case", "15", "--conductor-direction", "sideways"], ["range", "2"],
+        ["symbolic", "nosuch"], ["case", "15", "--prec", "256"],
+        ["case", "15", "-h"],
+    ])
+    def test_malformed_command_line_exit1(self, monkeypatch, argv):
+        # a command line the parser rejects is an input error, not a bug,
+        # and abbreviated or short options are not accepted
+        def crash(*args, **kwargs):
+            raise RuntimeError("ran a malformed command line")
+
+        monkeypatch.setattr(cli, "run_case", crash)
+        monkeypatch.setattr(cli, "run_range", crash)
+        monkeypatch.setattr(cli, "verify_symbolic", crash)
+        code, output = run_cli(*argv)
+        assert code == 1, output
+        assert "input error: " in output
+        assert "Traceback" not in output
+
+    @pytest.mark.parametrize("argv", [
+        ["case", "15", "--json"], ["range", "13", "15", "--json"],
+        ["range", "13", "15", "--csv"], ["symbolic", "jacobi", "--json"],
+    ])
+    def test_unwritable_output_exit1(self, monkeypatch, tmp_path, argv):
+        # an output path that cannot be written is an input error, found
+        # before any work, not after the run has been paid for
+        def crash(*args, **kwargs):
+            raise RuntimeError("ran with an unwritable output path")
+
+        monkeypatch.setattr(cli, "run_case", crash)
+        monkeypatch.setattr(cli, "run_range", crash)
+        monkeypatch.setattr(cli, "verify_symbolic", crash)
+        for path in (tmp_path / "missing" / "out", tmp_path):
+            code, output = run_cli(*argv, str(path))
+            assert code == 1, output
+            assert f"input error: argument {argv[-1]}: cannot write {path}" \
+                in output
+            assert "Traceback" not in output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_written_only_after_the_run(self, monkeypatch, tmp_path):
+        # the check before the run neither truncates an existing file nor
+        # leaves a new one behind when the run fails
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_case", crash)
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text("kept")
+        for path in (old, new):
+            code, output = run_cli("case", "15", "--json", str(path))
+            assert code == 2, output
+        assert old.read_text() == "kept" and not new.exists()
 
     @pytest.mark.parametrize("bits", [0, -8])
     @pytest.mark.parametrize("command", [["case", "15"], ["range", "13", "15"]])
@@ -512,10 +587,10 @@ class TestCLI:
 
         monkeypatch.setattr(cli, "run_case", crash)
         monkeypatch.setattr(cli, "run_range", crash)
-        res = CliRunner().invoke(main, [*command, "--precision-bits", str(bits),
-                                        "--skip-recognition"])
-        assert res.exit_code == 1, res.output
-        assert "input error: precision_bits must be positive" in res.output
+        code, output = run_cli(*command, "--precision-bits", str(bits),
+                               "--skip-recognition")
+        assert code == 1, output
+        assert "input error: precision_bits must be positive" in output
         with pytest.raises(QuadexpError):
             CaseParams(precision_bits=bits)
 
@@ -534,10 +609,10 @@ class TestCLI:
 
         monkeypatch.setattr(cli, "run_case", crash)
         monkeypatch.setattr(cli, "run_range", crash)
-        res = CliRunner().invoke(main, [*command, option, str(value),
-                                        "--skip-recognition"])
-        assert res.exit_code == 1, res.output
-        assert f"input error: {message}" in res.output
+        code, output = run_cli(*command, option, str(value),
+                               "--skip-recognition")
+        assert code == 1, output
+        assert f"input error: {message}" in output
         field = option[2:].replace("-", "_")
         with pytest.raises(QuadexpError):
             CaseParams(**{field: value})
@@ -550,11 +625,11 @@ class TestCLI:
             raise RuntimeError("ran with a bad worker count")
 
         monkeypatch.setattr(pipeline, "_run_case_isolated", crash)
-        res = CliRunner().invoke(main, ["range", "13", "15", "--workers",
-                                        str(workers), "--skip-recognition"])
-        assert res.exit_code == 1, res.output
+        code, output = run_cli("range", "13", "15", "--workers", str(workers),
+                               "--skip-recognition")
+        assert code == 1, output
         assert f"input error: workers must be positive, got {workers}" \
-            in res.output
+            in output
         with pytest.raises(QuadexpError):
             run_range(13, 15, FAST, workers=workers)
 
@@ -564,9 +639,9 @@ class TestCLI:
             raise ValueError("bad value")
 
         monkeypatch.setattr(pipeline, "fundamental_unit", crash)
-        res = CliRunner().invoke(main, ["case", "14"])
-        assert res.exit_code == 2, res.output
-        assert "internal error: ValueError: bad value" in res.output
+        code, output = run_cli("case", "14")
+        assert code == 2, output
+        assert "internal error: ValueError: bad value" in output
 
     def test_unexpected_exception_exit2(self, monkeypatch):
         def crash(*args, **kwargs):
@@ -577,7 +652,7 @@ class TestCLI:
         monkeypatch.setattr(cli, "verify_symbolic", crash)
         for args in (["case", "15"], ["range", "13", "15"],
                      ["symbolic", "jacobi"]):
-            res = CliRunner().invoke(main, args)
-            assert res.exit_code == 2, (args, res.output)
-            assert "internal error: RuntimeError: boom" in res.output
-            assert "Traceback" in res.output
+            code, output = run_cli(*args)
+            assert code == 2, (args, output)
+            assert "internal error: RuntimeError: boom" in output
+            assert "Traceback" in output

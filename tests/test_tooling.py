@@ -31,13 +31,20 @@ Every candidate of the recognition runs of ``run_case(15)`` and of d = 13,
 so those runs do not load sympy either;
 ``test_recognition_proves_candidates_without_sympy`` holds them to that.
 Case and range runs never load ``sklyanin``, which only the symbolic suites
-use, and a run with recognition off does not load ``modular`` either;
+use, and a run with recognition off does not load ``modular`` either; the
+command line module and such a run load no ``traceback``, which only the
+error paths import, and no third-party module;
 ``test_runs_load_only_the_layers_they_use`` holds them to that.
+``test_declared_dependencies_match_the_imports`` holds ``pyproject.toml``'s
+dependencies to the third-party modules ``src/quadexp`` imports, and its
+``test`` extra to those the tests import besides.
 """
 
+import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -49,7 +56,8 @@ import pytest
 import quadexp
 from quadexp import _core, modular, pipeline, recognition
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 DIGESTS = Path(__file__).resolve().parent / "data" / "scan_report_digests.json"
 SCANS = ("scan-real", "scan-imag")
 # {digest file key: (direction, bits)}: recognition-off run_range(2, 30)
@@ -268,6 +276,7 @@ def test_recognition_proves_candidates_without_sympy():
 
 LAYERS = """
 import sys
+at_start = set(sys.modules)
 import quadexp.cli
 from quadexp.pipeline import CaseParams, run_case, run_range, verify_symbolic
 
@@ -278,6 +287,11 @@ def loaded():
 
 
 run_case(15, CaseParams(recognition=False))
+tops = {name.split(".")[0] for name in set(sys.modules) - at_start}
+third_party = sorted(tops - set(sys.stdlib_module_names) - {"quadexp"})
+if third_party or "traceback" in sys.modules:
+    sys.exit(f"the CLI and a run with recognition off loaded traceback "
+             f"or the third-party {third_party}")
 for direction in ("real-to-imag", "imag-to-real"):
     run_range(13, 15, CaseParams(conductor_direction=direction,
                                  recognition=False), workers=1)
@@ -289,14 +303,52 @@ if loaded() != ["quadexp.modular"]:
 verify_symbolic("jacobi")
 if "quadexp.sklyanin" not in sys.modules:
     sys.exit("the symbolic suites did not load sklyanin")
+quadexp.cli.run_case = None  # calling it is a bug, so main prints a traceback
+try:
+    quadexp.cli.main(["case", "15"])
+except SystemExit:
+    pass
+if "traceback" not in sys.modules:
+    sys.exit("the internal-error path did not load traceback")
 """
 
 
 def test_runs_load_only_the_layers_they_use():
-    # the symbolic suite at the end is the control: without it a guard that
-    # looked for the wrong module name would pass whatever was loaded
+    # the symbolic suite and the internal error at the end are the controls:
+    # without them a guard that looked for the wrong module name would pass
+    # whatever was loaded
     res = _fresh_interpreter(LAYERS)
     assert res.returncode == 0, res.stderr
+
+
+def _third_party_imports(directory: Path) -> set[str]:
+    """Top-level modules the files in ``directory`` import from outside the
+    standard library and ``directory`` itself, function-local imports too."""
+    names = set()
+    for path in directory.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module)
+    local = {path.stem for path in directory.glob("*.py")} | {"quadexp"}
+    return {top for top in (name.split(".")[0] for name in names)
+            if top not in sys.stdlib_module_names and top not in local}
+
+
+def test_declared_dependencies_match_the_imports():
+    # a distribution's name is its module's name for every dependency here
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return {re.match(r"[\w.-]+", r).group().lower().replace("-", "_")
+                for r in requirements}
+
+    runtime = names(project["dependencies"])
+    assert _third_party_imports(ROOT / "src" / "quadexp") == runtime
+    test_extra = names(project["optional-dependencies"]["test"])
+    assert _third_party_imports(ROOT / "tests") <= runtime | test_extra
 
 
 if __name__ == "__main__":  # rewrite the pinned report digests
