@@ -11,8 +11,11 @@ exception is a bug and propagates.
 from __future__ import annotations
 
 import json
+import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .classforms import class_group, match_conductor, pseudo_lattice_reps
@@ -150,7 +153,13 @@ def _digits_for(p: int) -> int:
 
 
 def run_case(d: int, params: CaseParams = CaseParams()) -> CaseReport:
-    """Full experiment for one square-free d; see module docstring."""
+    """Full experiment for one square-free d; see module docstring.
+
+    With recognition on, the relation searches of the case's J values may
+    run in worker processes (see ``_recognition_stage``), all of which have
+    exited when it returns, also on error. The report, results and their
+    order do not depend on the number of workers.
+    """
     if not is_squarefree(d):
         raise NotSquareFree(f"{d} is not a square-free positive integer")
     t_start = time.perf_counter()
@@ -228,6 +237,16 @@ def _match(d: int, params: CaseParams, report: CaseReport):
 
 
 def _recognition_stage(d, f_imag, eps, jvals, params, report):
+    """Recognition, stability at 2p and membership of every J value.
+
+    Each stage runs one relation search per J value, in worker processes
+    when more than one CPU is usable (``_search_map``), and ends before the
+    next starts: the 2p values are evaluated in this process, and each 2p
+    search starts from its own p result. Results come back in J-value order,
+    so the report does not depend on the number of workers, and a
+    ``QuadexpError`` raised in a worker reaches the report as it would
+    serially.
+    """
     # imported here so that runs with recognition off never load modular
     from .modular import hcf_generator
 
@@ -244,44 +263,99 @@ def _recognition_stage(d, f_imag, eps, jvals, params, report):
     deg_bound = params.deg_bound
     if deg_bound is None:  # twice the class field's degree 2 h_imag
         deg_bound = 4 * report.class_numbers["h_imag"]
+    bounds = {"deg_bound": deg_bound, "height_bound": params.height_bound}
+    values = [jv.value for jv in jvals]
 
     t0 = time.perf_counter()
-    results = [min_poly(jv.value, deg_bound, params.height_bound, p)
-               for jv in jvals]
-    report.recognition_results = [r.to_json() for r in results]
-    report.conjugacy = _conjugacy(results)
-    report.timing["recognition_s"] = time.perf_counter() - t0
+    with _search_map(len(jvals)) as search_map:
+        results = list(search_map(partial(_search, p=p, **bounds), values))
+        report.recognition_results = [r.to_json() for r in results]
+        report.conjugacy = _conjugacy(results)
+        report.timing["recognition_s"] = time.perf_counter() - t0
 
-    # stability: redo each value at doubled precision and compare verdicts;
-    # the 2p search climbs from the basis and scale the p search reduced at
-    t0 = time.perf_counter()
-    stability = []
-    jvals2 = evaluate_J([jv.theta for jv in jvals], eps, 2 * p)
-    for jv2, res in zip(jvals2, results):
-        res2 = min_poly(jv2.value, deg_bound, params.height_bound, 2 * p,
-                        start=res)
-        entry = {"verdict_p": res.to_json()["verdict"],
-                 "verdict_2p": res2.to_json()["verdict"]}
-        if res.recognized and res2.recognized:
-            entry["same_minpoly"] = (res.verdict.minpoly.coefficients ==
-                                     res2.verdict.minpoly.coefficients)
-            entry["residual_log10_p"] = res.verdict.residual_log10
-            entry["residual_log10_2p"] = res2.verdict.residual_log10
-        # two recognized verdicts agree only on the same polynomial
-        entry["stable"] = (entry["verdict_p"] == entry["verdict_2p"]
-                           and entry.get("same_minpoly", True))
-        stability.append(entry)
-    report.stability = stability
-    report.timing["stability_s"] = time.perf_counter() - t0
-
-    if descriptor is not None:
+        # stability: redo each value at doubled precision and compare
+        # verdicts; the 2p search climbs from the basis and scale the p
+        # search reduced at
         t0 = time.perf_counter()
-        membership = []
-        for jv in jvals:
-            m = member_of_field(jv.value, descriptor, p, params.height_bound)
-            membership.append(m.to_json())
-        report.membership = membership
-        report.timing["membership_s"] = time.perf_counter() - t0
+        jvals2 = evaluate_J([jv.theta for jv in jvals], eps, 2 * p)
+        results2 = search_map(partial(_search, p=2 * p, **bounds),
+                              [jv2.value for jv2 in jvals2], results)
+        report.stability = [_stability(res, res2)
+                            for res, res2 in zip(results, results2)]
+        report.timing["stability_s"] = time.perf_counter() - t0
+
+        if descriptor is not None:
+            t0 = time.perf_counter()
+            report.membership = list(search_map(
+                partial(_membership, descriptor=descriptor, p=p,
+                        height_bound=params.height_bound), values))
+            report.timing["membership_s"] = time.perf_counter() - t0
+
+
+# False in a range's pool workers, whose cases then search serially
+_pool_searches = True
+
+
+def _serial_searches() -> None:
+    """Initializer of a range's pool workers: no pool inside a pool."""
+    global _pool_searches
+    _pool_searches = False
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _search_map(n_values: int):
+    """The ``map`` that runs one case's searches of ``n_values`` J values.
+
+    A process pool of one worker per usable CPU, at most one per value, or,
+    with a single worker, the built-in ``map`` in this process, which then
+    never loads the pool's modules. The pool is shut down on leaving, also
+    on error.
+    """
+    workers = min(_usable_cpus(), n_values) if _pool_searches else 1
+    if workers < 2:
+        yield map
+        return
+    # imported here so that serial runs never load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # the default start method, as run_range's: on Linux (to Python 3.13)
+    # fork, which starts a pool in milliseconds and leaves no process
+    # behind, where spawn and forkserver leave a resource tracker running
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _search(z, start=None, *, deg_bound, height_bound, p):
+    """One J value's relation search: a task of ``_search_map``."""
+    return min_poly(z, deg_bound, height_bound, p, start=start)
+
+
+def _membership(z, *, descriptor, p, height_bound) -> dict:
+    """One J value's membership test: a task of ``_search_map``."""
+    return member_of_field(z, descriptor, p, height_bound).to_json()
+
+
+def _stability(res, res2) -> dict:
+    """One J value's verdicts at p and 2p, and whether they agree."""
+    entry = {"verdict_p": res.to_json()["verdict"],
+             "verdict_2p": res2.to_json()["verdict"]}
+    if res.recognized and res2.recognized:
+        entry["same_minpoly"] = (res.verdict.minpoly.coefficients ==
+                                 res2.verdict.minpoly.coefficients)
+        entry["residual_log10_p"] = res.verdict.residual_log10
+        entry["residual_log10_2p"] = res2.verdict.residual_log10
+    # two recognized verdicts agree only on the same polynomial
+    entry["stable"] = (entry["verdict_p"] == entry["verdict_2p"]
+                       and entry.get("same_minpoly", True))
+    return entry
 
 
 def _conjugacy(results: list) -> dict:
@@ -342,7 +416,9 @@ def run_range(d_min: int, d_max: int, params: CaseParams = CaseParams(),
 
     An unexpected exception in one d becomes that d's ``error`` report.
     With ``workers > 1`` the cases run in a process pool of at most one
-    process per case; ``workers < 1`` raises ``DomainError``.
+    process per case, and each runs its relation searches serially, so the
+    range never holds more than ``workers`` processes; ``workers < 1``
+    raises ``DomainError``.
     """
     if workers < 1:
         raise DomainError(f"workers must be positive, got {workers}")
@@ -350,7 +426,8 @@ def run_range(d_min: int, d_max: int, params: CaseParams = CaseParams(),
     if workers > 1 and len(ds) > 1:
         # imported here so that serial runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, len(ds))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(ds)),
+                                 initializer=_serial_searches) as pool:
             reports = list(pool.map(_run_case_isolated, ds, [params] * len(ds)))
     else:
         reports = [_run_case_isolated(d, params) for d in ds]

@@ -1,6 +1,7 @@
 import concurrent.futures
 import io
 import json
+import multiprocessing
 from contextlib import redirect_stderr, redirect_stdout
 from inspect import signature
 
@@ -154,6 +155,7 @@ class TestRunCase:
                                (_core.lll_reduce_rows_float, ["rows"])):
             assert list(signature(kernel).parameters) == params
 
+    @pytest.mark.usefixtures("serial_searches")
     def test_default_deg_bound_without_field_descriptor(self, monkeypatch):
         # the default is 4 h_imag, twice the class field's degree, whether
         # or not the descriptor builds; d = 14 has h_imag = 4
@@ -176,6 +178,7 @@ class TestRunCase:
         assert r.field_descriptor is None and r.membership is None
         assert bounds == [16] * 2 * len(r.j_values)
 
+    @pytest.mark.usefixtures("serial_searches")
     def test_stability_search_starts_from_p_basis(self, monkeypatch):
         # every search climbs: each p search from the identity at scale 0,
         # each 2p search from the basis its p search returned; rung k reduces
@@ -267,6 +270,7 @@ class TestRunCase:
 
     @pytest.mark.parametrize("poly_2p,stable", [((-2, 0, 1), True),
                                                 ((-3, 0, 1), False)])
+    @pytest.mark.usefixtures("serial_searches")
     def test_stable_compares_polynomials(self, monkeypatch, poly_2p, stable):
         # two recognized verdicts are stable only with the same polynomial
         def recognizes(z, deg_bound, height_bound, p, **kwargs):
@@ -369,31 +373,124 @@ class TestRunRange:
         assert parallel["reports"] == serial["reports"]
         assert parallel["csv"] == serial["csv"]
 
-    def test_pool_sized_to_cases(self, monkeypatch):
+    def test_pool_sized_to_cases(self, serial_pool):
         # under fork a pool starts all max_workers processes at its first
         # submit, so it must hold no more processes than there are cases
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            SerialPool)
         summary = run_range(13, 15, FAST, workers=8)
         assert [r.d for r in summary.reports] == [13, 14, 15]
         run_range(2, 8, FAST, workers=2)  # d = 2, 3, 5, 6, 7
         run_range(15, 15, FAST, workers=8)  # one case: no pool
-        assert sizes == [3, 2]
+        assert serial_pool == [3, 2]
+
+    def test_range_never_nests_pools(self, serial_pool, monkeypatch):
+        # a range's workers run their cases' searches serially, so a range
+        # of N workers holds N processes whatever the machine's CPU count
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+        params = CaseParams(precision_bits=256)
+        run_case(15, params)  # the control: alone, its 2 searches pool
+        assert serial_pool == [2]
+        summary = run_range(13, 15, params, workers=2)
+        assert [r.verdict() for r in summary.reports] == \
+            ["no_match", "no_match", "no_relation"]
+        assert serial_pool == [2, 2]  # the range's pool alone
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Sizes of the pools built while the test runs, each a stand-in for
+    ``ProcessPoolExecutor`` that runs its tasks in this process; a range's
+    worker initializer is undone afterwards."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer=None):
+            sizes.append(max_workers)
+            if initializer is not None:
+                initializer()  # as each worker does when it starts
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(pipeline, "_pool_searches", True)
+    return sizes
+
+
+# the cases of the comparison below: two with every stage, and one whose p
+# searches raise InsufficientPrecision
+POOLED_CASES = [(14, 256, "imag-to-real"), (15, 384, "real-to-imag"),
+                (15, 64, "real-to-imag")]
+
+SERIAL_SEARCHES = f"""
+import json, os, sys
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+from quadexp.pipeline import CaseParams, run_case
+
+reports = [run_case(d, CaseParams(precision_bits=p, conductor_direction=c))
+           for d, p, c in {POOLED_CASES!r}]
+if "concurrent.futures.process" in sys.modules:
+    sys.exit("a recognition run on one CPU loaded the pool")
+print(json.dumps([r.dumps(with_timing=False) for r in reports]))
+"""
+
+
+class TestSearchPool:
+    def test_pooled_reports_match_serial(self, monkeypatch):
+        # the serial side runs on one CPU in a fresh interpreter, which
+        # then must not load the pool at all
+        res = _fresh_interpreter(SERIAL_SEARCHES)
+        assert res.returncode == 0, res.stderr
+        serial = json.loads(res.stdout)
+        sizes = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountedPool)
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        pooled = [run_case(d, CaseParams(precision_bits=p,
+                                         conductor_direction=c))
+                  for d, p, c in POOLED_CASES]
+        assert sizes == [2, 2, 2]
+        assert pooled[-1].errors == ["InsufficientPrecision: only 62 bits "
+                                     "trusted; the lattice needs at least 72"]
+        assert [r.dumps(with_timing=False) for r in pooled] == serial
+
+    def test_case_leaves_no_process(self, monkeypatch):
+        # the pool is shut down when run_case returns: normally, after a
+        # typed error raised in a worker, and after a bug raised between
+        # two stages
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        assert multiprocessing.active_children() == []
+        r = run_case(15, CaseParams(precision_bits=256))
+        assert r.verdict() == "no_relation" and not r.errors
+        assert multiprocessing.active_children() == []
+        r = run_case(15, CaseParams(precision_bits=64))
+        assert r.errors[0].startswith("InsufficientPrecision:")
+        assert multiprocessing.active_children() == []
+        evaluate_J = pipeline.evaluate_J
+
+        def fails_at_2p(thetas, eps, p):
+            if p == 512:
+                raise ZeroDivisionError("division by zero")
+            return evaluate_J(thetas, eps, p)
+
+        monkeypatch.setattr(pipeline, "evaluate_J", fails_at_2p)
+        with pytest.raises(ZeroDivisionError):
+            run_case(15, CaseParams(precision_bits=256))
+        assert multiprocessing.active_children() == []
 
 
 class TestCacheCoherence:

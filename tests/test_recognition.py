@@ -252,6 +252,7 @@ class TestFloatLLL:
         assert searches == {"searches": 1, "exact": len(rungs) + 1}
 
 
+@pytest.mark.usefixtures("serial_searches")
 class TestRungKernelInPipeline:
     def test_final_rows_meet_exact_lovasz(self, monkeypatch):
         # _exclusion_height reads ||b1|| <= 2^((n-1)/2) lambda_1, which needs
@@ -602,6 +603,7 @@ class TestMembership:
         assert m.coordinates == [Fraction(1, 3), Fraction(1, 3),
                                  Fraction(0), Fraction(0)]
 
+    @pytest.mark.usefixtures("serial_searches")
     def test_found_reports_the_residual_it_tested(self, monkeypatch):
         # a hit is accepted on the relation's residual divided by z's
         # coefficient, and that quotient is the residual it reports, so it

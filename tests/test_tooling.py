@@ -22,13 +22,15 @@ change that alters a report on purpose rewrites that file with
 The symbolic layer is exact rational arithmetic, so importing it must not
 load sympy. sympy is loaded only by ``IntegerPolynomial.factor_irreducible``,
 and only for a polynomial that its degree-pattern test cannot prove
-irreducible, and ``run_range`` loads the process pool only for a parallel
-range, so an import, a scan, a serial range, the symbolic suites and the
-class-field generator load neither;
+irreducible, and the process pool is loaded only by a parallel range and
+by the relation searches of a case on more than one usable CPU, so an
+import, a scan, a serial range with recognition off, the symbolic suites and
+the class-field generator load neither;
 ``test_light_paths_load_neither_sympy_nor_the_pool`` holds them to that.
 Every candidate of the recognition runs of ``run_case(15)`` and of d = 13,
 14 and 15 imag-to-real, at 512 bits, is proven irreducible by that test,
-so those runs do not load sympy either;
+so those runs, made on one CPU so that their searches run in the process
+that checks, do not load sympy either;
 ``test_recognition_proves_candidates_without_sympy`` holds them to that.
 Case and range runs never load ``sklyanin``, which only the symbolic suites
 use, and a run with recognition off does not load ``modular`` either; the
@@ -251,7 +253,9 @@ def test_light_paths_load_neither_sympy_nor_the_pool():
 
 
 RECOGNITION = """
-import sys
+import os, sys
+# one CPU, so the searches run here and this process sees what they load
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from quadexp.modular import IntegerPolynomial
 from quadexp.pipeline import CaseParams, run_case
 
@@ -275,7 +279,9 @@ def test_recognition_proves_candidates_without_sympy():
 
 
 LAYERS = """
-import sys
+import os, sys
+# one CPU, so the searches run here: the pool's modules load traceback
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 at_start = set(sys.modules)
 import quadexp.cli
 from quadexp.pipeline import CaseParams, run_case, run_range, verify_symbolic
