@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
@@ -155,10 +154,11 @@ def _digits_for(p: int) -> int:
 def run_case(d: int, params: CaseParams = CaseParams()) -> CaseReport:
     """Full experiment for one square-free d; see module docstring.
 
-    With recognition on, the relation searches of the case's J values may
-    run in worker processes (see ``_recognition_stage``), all of which have
-    exited when it returns, also on error. The report, results and their
-    order do not depend on the number of workers.
+    With recognition on, each J value's searches are one task, and the
+    tasks may run in worker processes (see ``_recognition_stage``), all of
+    which have exited when it returns, also on error; called in a pool's
+    worker, it runs them all there. The report, results and their order do
+    not depend on the number of workers.
     """
     if not is_squarefree(d):
         raise NotSquareFree(f"{d} is not a square-free positive integer")
@@ -239,13 +239,12 @@ def _match(d: int, params: CaseParams, report: CaseReport):
 def _recognition_stage(d, f_imag, eps, jvals, params, report):
     """Recognition, stability at 2p and membership of every J value.
 
-    Each stage runs one relation search per J value, in worker processes
-    when more than one CPU is usable (``_search_map``), and ends before the
-    next starts: the 2p values are evaluated in this process, and each 2p
-    search starts from its own p result. Results come back in J-value order,
-    so the report does not depend on the number of workers, and a
-    ``QuadexpError`` raised in a worker reaches the report as it would
-    serially.
+    The 2p values are evaluated here in one batch, then each J value is one
+    task, ``_recognize``, of ``_process_map`` over the usable CPUs; the
+    report does not depend on their number. A ``QuadexpError`` in any task
+    reaches the report as it would serially and leaves the recognition,
+    conjugacy, stability and membership blocks empty. A stage's time sums
+    its step over the tasks; ``stability_s`` also holds the 2p evaluation.
     """
     # imported here so that runs with recognition off never load modular
     from .modular import hcf_generator
@@ -263,43 +262,53 @@ def _recognition_stage(d, f_imag, eps, jvals, params, report):
     deg_bound = params.deg_bound
     if deg_bound is None:  # twice the class field's degree 2 h_imag
         deg_bound = 4 * report.class_numbers["h_imag"]
-    bounds = {"deg_bound": deg_bound, "height_bound": params.height_bound}
-    values = [jv.value for jv in jvals]
 
     t0 = time.perf_counter()
-    with _search_map(len(jvals)) as search_map:
-        results = list(search_map(partial(_search, p=p, **bounds), values))
-        report.recognition_results = [r.to_json() for r in results]
-        report.conjugacy = _conjugacy(results)
-        report.timing["recognition_s"] = time.perf_counter() - t0
-
-        # stability: redo each value at doubled precision and compare
-        # verdicts; the 2p search climbs from the basis and scale the p
-        # search reduced at
-        t0 = time.perf_counter()
-        jvals2 = evaluate_J([jv.theta for jv in jvals], eps, 2 * p)
-        results2 = search_map(partial(_search, p=2 * p, **bounds),
-                              [jv2.value for jv2 in jvals2], results)
-        report.stability = [_stability(res, res2)
-                            for res, res2 in zip(results, results2)]
-        report.timing["stability_s"] = time.perf_counter() - t0
-
-        if descriptor is not None:
-            t0 = time.perf_counter()
-            report.membership = list(search_map(
-                partial(_membership, descriptor=descriptor, p=p,
-                        height_bound=params.height_bound), values))
-            report.timing["membership_s"] = time.perf_counter() - t0
+    jvals2 = evaluate_J([jv.theta for jv in jvals], eps, 2 * p)
+    evaluate_2p_s = time.perf_counter() - t0
+    task = partial(_recognize, p=p, deg_bound=deg_bound,
+                   height_bound=params.height_bound, descriptor=descriptor)
+    entries = _process_map(task, [(jv.value, jv2.value) for jv, jv2
+                                  in zip(jvals, jvals2)], _usable_cpus())
+    recognized, stability, membership, seconds = map(list, zip(*entries))
+    seconds = [sum(column) for column in zip(*seconds)]
+    report.recognition_results = recognized
+    report.conjugacy = _conjugacy(recognized)
+    report.stability = stability
+    report.timing["recognition_s"] = seconds[0]
+    report.timing["stability_s"] = evaluate_2p_s + seconds[1]
+    if descriptor is not None:
+        report.membership = membership
+        report.timing["membership_s"] = seconds[2]
 
 
-# False in a range's pool workers, whose cases then search serially
-_pool_searches = True
-
-
-def _serial_searches() -> None:
-    """Initializer of a range's pool workers: no pool inside a pool."""
-    global _pool_searches
-    _pool_searches = False
+def _recognize(values, *, p, deg_bound, height_bound, descriptor):
+    """One J value's task: the search at p, the stability search at 2p,
+    which climbs from the p result, and, with a descriptor, the membership
+    test at p. ``values`` is the J value at p and at 2p. Returns the
+    recognition dict, stability entry, membership dict and step seconds.
+    """
+    z, z2 = values
+    t0 = time.perf_counter()
+    res = min_poly(z, deg_bound, height_bound, p)
+    t1 = time.perf_counter()
+    res2 = min_poly(z2, deg_bound, height_bound, 2 * p, start=res)
+    t2 = time.perf_counter()
+    membership = (member_of_field(z, descriptor, p, height_bound).to_json()
+                  if descriptor is not None else None)
+    seconds = (t1 - t0, t2 - t1, time.perf_counter() - t2)
+    recognition = res.to_json()
+    stability = {"verdict_p": recognition["verdict"],
+                 "verdict_2p": res2.to_json()["verdict"]}
+    if res.recognized and res2.recognized:
+        stability["same_minpoly"] = (res.verdict.minpoly.coefficients ==
+                                     res2.verdict.minpoly.coefficients)
+        stability["residual_log10_p"] = res.verdict.residual_log10
+        stability["residual_log10_2p"] = res2.verdict.residual_log10
+    # two recognized verdicts agree only on the same polynomial
+    stability["stable"] = (stability["verdict_p"] == stability["verdict_2p"]
+                           and stability.get("same_minpoly", True))
+    return recognition, stability, membership, seconds
 
 
 def _usable_cpus() -> int:
@@ -308,68 +317,40 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@contextmanager
-def _search_map(n_values: int):
-    """The ``map`` that runs one case's searches of ``n_values`` J values.
-
-    A process pool of one worker per usable CPU, at most one per value, or,
-    with a single worker, the built-in ``map`` in this process, which then
-    never loads the pool's modules. The pool is shut down on leaving, also
-    on error.
+def _process_map(fn, items: list, workers: int) -> list:
+    """``list(map(fn, items))`` in a pool of min(workers, len(items))
+    processes, or here when that is 1, which never loads multiprocessing,
+    or when this process is a pool's worker, so pools never nest. Results
+    keep the items' order, a task's exception is raised here, and the pool
+    has shut down when this returns.
     """
-    workers = min(_usable_cpus(), n_values) if _pool_searches else 1
-    if workers < 2:
-        yield map
-        return
-    # imported here so that serial runs never load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    # the default start method, as run_range's: on Linux (to Python 3.13)
-    # fork, which starts a pool in milliseconds and leaves no process
-    # behind, where spawn and forkserver leave a resource tracker running
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        yield pool.map
-    finally:
-        pool.shutdown(cancel_futures=True)
+    workers = min(workers, len(items))
+    if workers > 1:
+        import multiprocessing  # here, so that serial runs never load it
+        if multiprocessing.parent_process() is None:
+            from concurrent.futures import ProcessPoolExecutor
+            # the default start method: fork on Linux (to Python 3.13),
+            # which starts in milliseconds and leaves no process behind
+            pool = ProcessPoolExecutor(max_workers=workers)
+            try:
+                return list(pool.map(fn, items))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return list(map(fn, items))
 
 
-def _search(z, start=None, *, deg_bound, height_bound, p):
-    """One J value's relation search: a task of ``_search_map``."""
-    return min_poly(z, deg_bound, height_bound, p, start=start)
-
-
-def _membership(z, *, descriptor, p, height_bound) -> dict:
-    """One J value's membership test: a task of ``_search_map``."""
-    return member_of_field(z, descriptor, p, height_bound).to_json()
-
-
-def _stability(res, res2) -> dict:
-    """One J value's verdicts at p and 2p, and whether they agree."""
-    entry = {"verdict_p": res.to_json()["verdict"],
-             "verdict_2p": res2.to_json()["verdict"]}
-    if res.recognized and res2.recognized:
-        entry["same_minpoly"] = (res.verdict.minpoly.coefficients ==
-                                 res2.verdict.minpoly.coefficients)
-        entry["residual_log10_p"] = res.verdict.residual_log10
-        entry["residual_log10_2p"] = res2.verdict.residual_log10
-    # two recognized verdicts agree only on the same polynomial
-    entry["stable"] = (entry["verdict_p"] == entry["verdict_2p"]
-                       and entry.get("same_minpoly", True))
-    return entry
-
-
-def _conjugacy(results: list) -> dict:
+def _conjugacy(results: list[dict]) -> dict:
     """Values grouped by a shared recognized minimal polynomial.
 
-    ``classes`` lists each polynomial, in order of its coefficients, with
-    the indices of its values; ``unresolved`` indexes the values without a
-    relation.
+    ``results`` are the values' recognition dicts. ``classes`` lists each
+    polynomial, in order of its coefficients, with the indices of its
+    values; ``unresolved`` indexes the values without a relation.
     """
     buckets: dict[tuple, list[int]] = {}
     unresolved = []
     for i, r in enumerate(results):
-        if r.recognized:
-            buckets.setdefault(r.verdict.minpoly.coefficients, []).append(i)
+        if r["verdict"] == "recognized":
+            buckets.setdefault(tuple(r["minpoly"]), []).append(i)
         else:
             unresolved.append(i)
     return {"classes": [{"minpoly": list(k), "members": idx}
@@ -415,22 +396,16 @@ def run_range(d_min: int, d_max: int, params: CaseParams = CaseParams(),
     """All square-free d in [d_min, d_max]; non-square-free values skipped.
 
     An unexpected exception in one d becomes that d's ``error`` report.
-    With ``workers > 1`` the cases run in a process pool of at most one
-    process per case, and each runs its relation searches serially, so the
-    range never holds more than ``workers`` processes; ``workers < 1``
-    raises ``DomainError``.
+    With ``workers > 1`` the cases run in a pool of at most one process per
+    case (``_process_map``), whose workers run their cases' J-value tasks
+    serially, so the range never holds more than ``workers`` processes;
+    ``workers < 1`` raises ``DomainError``.
     """
     if workers < 1:
         raise DomainError(f"workers must be positive, got {workers}")
     ds = [d for d in range(max(1, d_min), d_max + 1) if is_squarefree(d)]
-    if workers > 1 and len(ds) > 1:
-        # imported here so that serial runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, len(ds)),
-                                 initializer=_serial_searches) as pool:
-            reports = list(pool.map(_run_case_isolated, ds, [params] * len(ds)))
-    else:
-        reports = [_run_case_isolated(d, params) for d in ds]
+    reports = _process_map(partial(_run_case_isolated, params=params), ds,
+                           workers)
     return RangeSummary(reports)
 
 

@@ -232,12 +232,12 @@ class TestRunCase:
         marks = [i for i, e in enumerate(events) if e[0] == "search"]
         searches = [(events[mark][1:], rungs(events[mark + 1:end]))
                     for mark, end in zip(marks, marks[1:] + [len(events)])]
-        # two J values: one search each at p, then one climb each at 2p
-        p_searches, climbs = searches[:2], searches[2:]
+        # two J values: each one's search at p, then its climb at 2p
+        p_searches, climbs = searches[0::2], searches[1::2]
         assert len(p_searches) == len(climbs) == 2
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
         for ((_, p_args), ladder), ((z, args), climb), result in zip(
-                p_searches, climbs, results):
+                p_searches, climbs, results[0::2]):
             # the p search climbs from the identity at scale RUNG_BITS up
             # to the p scale
             p_scales = [s for s, _, _, _ in ladder]
@@ -284,6 +284,25 @@ class TestRunCase:
             [("recognized", "recognized")] * 2
         assert [e["same_minpoly"] for e in r.stability] == [stable] * 2
         assert [e["stable"] for e in r.stability] == [stable] * 2
+
+    @pytest.mark.usefixtures("serial_searches")
+    def test_error_in_a_task_leaves_its_blocks_empty(self, monkeypatch):
+        # a J value's three steps are one task: a typed error at 2p drops
+        # the p results with it, and the case's arithmetic stays
+        min_poly = pipeline.min_poly
+
+        def fails_at_2p(z, deg_bound, height_bound, p, **kwargs):
+            if p == 512:
+                raise InsufficientPrecision("no search at 2p")
+            return min_poly(z, deg_bound, height_bound, p, **kwargs)
+
+        monkeypatch.setattr(pipeline, "min_poly", fails_at_2p)
+        r = run_case(15, CaseParams(precision_bits=256))
+        assert r.errors == ["InsufficientPrecision: no search at 2p"]
+        assert r.recognition_results is None and r.conjugacy is None
+        assert r.stability is None and r.membership is None
+        assert r.field_descriptor is not None and len(r.j_values) == 2
+        assert r.verdict() == "error"
 
     def test_no_match_recorded(self):
         r = run_case(15, CaseParams(precision_bits=256, recognition=False,
@@ -398,30 +417,23 @@ class TestRunRange:
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Sizes of the pools built while the test runs, each a stand-in for
-    ``ProcessPoolExecutor`` that runs its tasks in this process; a range's
-    worker initializer is undone afterwards."""
+    ``ProcessPoolExecutor`` that runs its tasks in this process as a worker
+    would: there ``multiprocessing.parent_process()`` is not None."""
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers, initializer=None):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            if initializer is not None:
-                initializer()  # as each worker does when it starts
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, iterable):
+            with monkeypatch.context() as worker:
+                worker.setattr(multiprocessing, "parent_process", object)
+                return list(map(fn, iterable))
 
         def shutdown(self, cancel_futures=False):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(pipeline, "_pool_searches", True)
     return sizes
 
 
@@ -437,8 +449,9 @@ from quadexp.pipeline import CaseParams, run_case
 
 reports = [run_case(d, CaseParams(precision_bits=p, conductor_direction=c))
            for d, p, c in {POOLED_CASES!r}]
-if "concurrent.futures.process" in sys.modules:
-    sys.exit("a recognition run on one CPU loaded the pool")
+for module in ("concurrent.futures.process", "multiprocessing"):
+    if module in sys.modules:
+        sys.exit(f"a recognition run on one CPU loaded {{module}}")
 print(json.dumps([r.dumps(with_timing=False) for r in reports]))
 """
 
@@ -470,8 +483,7 @@ class TestSearchPool:
 
     def test_case_leaves_no_process(self, monkeypatch):
         # the pool is shut down when run_case returns: normally, after a
-        # typed error raised in a worker, and after a bug raised between
-        # two stages
+        # typed error raised in a worker, and after a bug raised in one
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
         assert multiprocessing.active_children() == []
         r = run_case(15, CaseParams(precision_bits=256))
@@ -480,14 +492,15 @@ class TestSearchPool:
         r = run_case(15, CaseParams(precision_bits=64))
         assert r.errors[0].startswith("InsufficientPrecision:")
         assert multiprocessing.active_children() == []
-        evaluate_J = pipeline.evaluate_J
+        min_poly = pipeline.min_poly
 
-        def fails_at_2p(thetas, eps, p):
-            if p == 512:
+        def fails_at_2p_in_a_worker(z, deg_bound, height_bound, p, **kwargs):
+            # the forked workers inherit this stub; here it searches
+            if p == 512 and multiprocessing.parent_process() is not None:
                 raise ZeroDivisionError("division by zero")
-            return evaluate_J(thetas, eps, p)
+            return min_poly(z, deg_bound, height_bound, p, **kwargs)
 
-        monkeypatch.setattr(pipeline, "evaluate_J", fails_at_2p)
+        monkeypatch.setattr(pipeline, "min_poly", fails_at_2p_in_a_worker)
         with pytest.raises(ZeroDivisionError):
             run_case(15, CaseParams(precision_bits=256))
         assert multiprocessing.active_children() == []

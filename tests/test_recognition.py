@@ -522,26 +522,28 @@ class TestJEvaluation:
 
 
 class TestConjugacy:
-    # the pipeline groups its p searches' results by minimal polynomial
+    # the pipeline groups its p searches' recognition dicts by minimal
+    # polynomial
     def test_plus_minus_sqrt2(self):
         p = 512
         r2 = QuadraticIrrational.sqrt_of(2).to_fixed(p)
-        conj = _conjugacy([min_poly(FixedComplex.from_real(x), 4, 10**6, p)
-                           for x in (r2, -r2)])
+        conj = _conjugacy([min_poly(FixedComplex.from_real(x), 4, 10**6,
+                                    p).to_json() for x in (r2, -r2)])
         assert conj == {"classes": [{"minpoly": [-2, 0, 1], "members": [0, 1]}],
                         "unresolved": []}
 
     def test_sqrt2_sqrt3_distinct(self):
         p = 512
         results = [min_poly(FixedComplex.from_real(
-            QuadraticIrrational.sqrt_of(d).to_fixed(p)), 4, 10**6, p)
+            QuadraticIrrational.sqrt_of(d).to_fixed(p)), 4, 10**6, p).to_json()
             for d in (2, 3)]
         conj = _conjugacy(results)
         assert len(conj["classes"]) == 2 and not conj["unresolved"]
 
     def test_pi_unresolved(self):
         p = 499
-        conj = _conjugacy([min_poly(real_probe("pi", p, 150), 8, 10**12, p)])
+        conj = _conjugacy([min_poly(real_probe("pi", p, 150), 8, 10**12,
+                                    p).to_json()])
         assert conj == {"classes": [], "unresolved": [0]}
 
 
