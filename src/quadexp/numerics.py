@@ -93,13 +93,6 @@ class FixedReal:
         p = max(self.scale_bits, other.scale_bits)
         return self.rescale(p), other.rescale(p), p
 
-    def to_float(self) -> float:
-        p = self.scale_bits
-        if p <= 900:
-            return self.mantissa / (1 << p)
-        r = self.rescale(512)
-        return r.mantissa / (1 << 512)
-
     def to_decimal(self, digits: int = 30) -> str:
         """Decimal string with the given number of fractional digits."""
         scaled = self.mantissa * 10**digits

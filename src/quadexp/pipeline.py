@@ -154,11 +154,12 @@ def _digits_for(p: int) -> int:
 def run_case(d: int, params: CaseParams = CaseParams()) -> CaseReport:
     """Full experiment for one square-free d; see module docstring.
 
-    With recognition on, each J value's searches are one task, and the
-    tasks may run in worker processes (see ``_recognition_stage``), all of
-    which have exited when it returns, also on error; called in a pool's
-    worker, it runs them all there. The report, results and their order do
-    not depend on the number of workers.
+    Every theta is evaluated at p here, in one batch. With recognition on,
+    each J value's 2p evaluation and searches are one task, and the tasks
+    may run in worker processes (see ``_recognition_stage``), all of which
+    have exited when it returns, also on error; called in a pool's worker,
+    it runs them all there. The report, results and their order do not
+    depend on the number of workers.
     """
     if not is_squarefree(d):
         raise NotSquareFree(f"{d} is not a square-free positive integer")
@@ -189,7 +190,7 @@ def run_case(d: int, params: CaseParams = CaseParams()) -> CaseReport:
         report.timing["evaluate_s"] = time.perf_counter() - t0
 
         if params.recognition and f_imag is not None:
-            _recognition_stage(d, f_imag, eps, jvals, params, report)
+            _recognition_stage(d, f_imag, jvals, params, report)
     except QuadexpError as exc:
         report.errors.append(f"{type(exc).__name__}: {exc}")
     report.timing["total_s"] = time.perf_counter() - t_start
@@ -236,15 +237,14 @@ def _match(d: int, params: CaseParams, report: CaseReport):
     return f_imag, real_summary
 
 
-def _recognition_stage(d, f_imag, eps, jvals, params, report):
+def _recognition_stage(d, f_imag, jvals, params, report):
     """Recognition, stability at 2p and membership of every J value.
 
-    The 2p values are evaluated here in one batch, then each J value is one
-    task, ``_recognize``, of ``_process_map`` over the usable CPUs; the
-    report does not depend on their number. A ``QuadexpError`` in any task
-    reaches the report as it would serially and leaves the recognition,
-    conjugacy, stability and membership blocks empty. A stage's time sums
-    its step over the tasks; ``stability_s`` also holds the 2p evaluation.
+    Each J value is one task, ``_recognize``, of ``_process_map`` over the
+    usable CPUs; the report does not depend on their number. A
+    ``QuadexpError`` in any task reaches the report as it would serially
+    and leaves the recognition, conjugacy, stability and membership blocks
+    empty. A stage's time sums its step over the tasks.
     """
     # imported here so that runs with recognition off never load modular
     from .modular import hcf_generator
@@ -263,43 +263,42 @@ def _recognition_stage(d, f_imag, eps, jvals, params, report):
     if deg_bound is None:  # twice the class field's degree 2 h_imag
         deg_bound = 4 * report.class_numbers["h_imag"]
 
-    t0 = time.perf_counter()
-    jvals2 = evaluate_J([jv.theta for jv in jvals], eps, 2 * p)
-    evaluate_2p_s = time.perf_counter() - t0
     task = partial(_recognize, p=p, deg_bound=deg_bound,
                    height_bound=params.height_bound, descriptor=descriptor)
-    entries = _process_map(task, [(jv.value, jv2.value) for jv, jv2
-                                  in zip(jvals, jvals2)], _usable_cpus())
+    entries = _process_map(task, jvals, _usable_cpus())
     recognized, stability, membership, seconds = map(list, zip(*entries))
     seconds = [sum(column) for column in zip(*seconds)]
     report.recognition_results = recognized
     report.conjugacy = _conjugacy(recognized)
     report.stability = stability
     report.timing["recognition_s"] = seconds[0]
-    report.timing["stability_s"] = evaluate_2p_s + seconds[1]
+    report.timing["stability_s"] = seconds[1]
     if descriptor is not None:
         report.membership = membership
         report.timing["membership_s"] = seconds[2]
 
 
-def _recognize(values, *, p, deg_bound, height_bound, descriptor):
-    """One J value's task: the search at p, the stability search at 2p,
-    which climbs from the p result, and, with a descriptor, the membership
-    test at p. ``values`` is the J value at p and at 2p. Returns the
-    recognition dict, stability entry, membership dict and step seconds.
+def _recognize(jv, *, p, deg_bound, height_bound, descriptor):
+    """One J value's task: the search at p, then J evaluated afresh at 2p
+    and the stability search there, which climbs from the p result, and,
+    with a descriptor, the membership test at p. A failed p search raises
+    before any 2p work. Returns the recognition dict, stability entry,
+    membership dict and step seconds; the 2p step includes its evaluation.
     """
-    z, z2 = values
     t0 = time.perf_counter()
-    res = min_poly(z, deg_bound, height_bound, p)
+    res = min_poly(jv.value, deg_bound, height_bound, p)
     t1 = time.perf_counter()
+    z2 = evaluate_J([jv.theta], jv.epsilon, 2 * p)[0].value
     res2 = min_poly(z2, deg_bound, height_bound, 2 * p, start=res)
     t2 = time.perf_counter()
-    membership = (member_of_field(z, descriptor, p, height_bound).to_json()
+    membership = (member_of_field(jv.value, descriptor, p,
+                                  height_bound).to_json()
                   if descriptor is not None else None)
     seconds = (t1 - t0, t2 - t1, time.perf_counter() - t2)
     recognition = res.to_json()
     stability = {"verdict_p": recognition["verdict"],
-                 "verdict_2p": res2.to_json()["verdict"]}
+                 "verdict_2p": "recognized" if res2.recognized
+                 else "no_relation"}
     if res.recognized and res2.recognized:
         stability["same_minpoly"] = (res.verdict.minpoly.coefficients ==
                                      res2.verdict.minpoly.coefficients)

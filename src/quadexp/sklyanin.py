@@ -39,7 +39,7 @@ _CONJ_FIXED = {MU}
 
 
 def _conj_symbol(name: str) -> str:
-    if name in _CONJ_FIXED or name == ZETA:
+    if name in _CONJ_FIXED:
         return name
     return name[:-1] if name.endswith("~") else name + "~"
 
@@ -68,9 +68,6 @@ class _Sum:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other):
         return isinstance(other, type(self)) and self.terms == other.terms
@@ -167,7 +164,7 @@ class Coeff(_Sum):
         return out if len(out) != 1 else out[0]
 
     def __repr__(self):
-        if self.is_zero():
+        if not self:
             return "0"
         parts = []
         for m, r in sorted(self.terms.items()):
@@ -257,11 +254,6 @@ class RewriteRule:
                 raise DomainError(
                     f"rule {word_str(self.lhs)} -> {self.rhs!r} is not oriented")
 
-    @property
-    def is_unit_rule(self) -> bool:
-        """The rhs is supported on the empty word."""
-        return all(len(w) == 0 for w in self.rhs.terms)
-
 
 @dataclass(frozen=True)
 class Relation:
@@ -278,9 +270,6 @@ class Relation:
 class RelationSystem:
     name: str
     relations: list[Relation]
-
-    def __len__(self):
-        return len(self.relations)
 
     @property
     def rewrites(self) -> list[RewriteRule]:
@@ -406,7 +395,7 @@ def reduce(poly: NCPolynomial, rules,
         added = _apply_at(w, pos, rule, terms.pop(w))
         for u, c in added.items():
             terms[u] = terms.get(u, ZERO) + c
-            if terms[u].is_zero():
+            if not terms[u]:
                 del terms[u]
         if trace is not None:
             trace.append(TraceStep(rule.name, pos, word_str(w),
@@ -490,8 +479,6 @@ def complete(system: RelationSystem) -> CompletedSystem:
         # locate actual positions of both lhs inside w
         pos_a = _find_sub(w, ra.lhs)
         pos_b = _find_sub(w, rb.lhs, prefer_late=True)
-        if pos_a is None or pos_b is None:
-            continue
         nf1 = reduce(NCPolynomial(_apply_at(w, pos_a, ra, ONE)), rules)
         nf2 = reduce(NCPolynomial(_apply_at(w, pos_b, rb, ONE)), rules)
         if nf1 == nf2:
@@ -542,7 +529,7 @@ class DerivationResult:
 
     @property
     def ok(self) -> bool:
-        return self.normal_form.is_zero()
+        return not self.normal_form
 
     def to_json(self):
         return {"ok": self.ok,
@@ -607,9 +594,6 @@ class EquivalenceVerdict:
     @property
     def mod_unit_scale(self) -> bool:
         return not self.separators
-
-    def __bool__(self):
-        return self.mod_unit_scale
 
     def to_json(self):
         return {"system_a": self.system_a, "system_b": self.system_b,

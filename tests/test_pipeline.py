@@ -56,11 +56,13 @@ class TestRunCase:
         assert len(r.j_values) == 2
         assert not r.errors
 
-    @pytest.mark.parametrize("recognize, calls", [(False, 1), (True, 2)])
+    @pytest.mark.usefixtures("serial_searches")
+    @pytest.mark.parametrize("recognize, calls", [(False, 1), (True, 5)])
     def test_unit_side_once_per_precision(self, monkeypatch, recognize,
                                           calls):
         # d = 14's four J values share log epsilon and exp(log log epsilon):
-        # one evaluation at p, and one at 2p for the stability stage
+        # one evaluation for the case at p, and one in each J value's task
+        # at 2p for the stability search
         counts = {"log_fixed": 0, "exp_fixed": 0}
         for name in counts:
             def spy(*args, name=name, original=getattr(recognition, name)):
@@ -303,6 +305,22 @@ class TestRunCase:
         assert r.stability is None and r.membership is None
         assert r.field_descriptor is not None and len(r.j_values) == 2
         assert r.verdict() == "error"
+
+    @pytest.mark.usefixtures("serial_searches")
+    def test_no_2p_evaluation_after_a_failed_p_search(self, monkeypatch):
+        # each task evaluates its J value at 2p only after its p search:
+        # at 64 bits the p search fails, so J is never evaluated at 128
+        precisions = []
+        evaluate_J = pipeline.evaluate_J
+
+        def spy(thetas, epsilon, p):
+            precisions.append(p)
+            return evaluate_J(thetas, epsilon, p)
+
+        monkeypatch.setattr(pipeline, "evaluate_J", spy)
+        r = run_case(15, CaseParams(precision_bits=64))
+        assert r.verdict() == "error" and r.recognition_results is None
+        assert precisions == [64]
 
     def test_no_match_recorded(self):
         r = run_case(15, CaseParams(precision_bits=256, recognition=False,

@@ -73,7 +73,7 @@ class TestQuadraticIrrational:
         x = QuadraticIrrational(-3, 2, 7, 13)
         fx = x.to_fixed(128)
         approx = (-3 + 2 * 13**0.5) / 7
-        assert abs(fx.to_float() - approx) < 1e-12
+        assert abs(fx.mantissa / 2**fx.scale_bits - approx) < 1e-12
 
 
 class TestContinuedFractions:

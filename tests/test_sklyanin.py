@@ -79,7 +79,7 @@ class TestBuildSystems:
     def test_relation_counts(self):
         for kind in ("torus_eq2", "sklyanin_eq9", "generic_eq10", "torus_eq13",
                      "sklyanin_eq14", "scaled_eq17", "reduced_eq16", "reduced_eq18"):
-            assert len(build_system(kind)) == 6, kind
+            assert len(build_system(kind).relations) == 6, kind
 
     def test_eq13_first_rule(self):
         eq13 = build_system("torus_eq13")
@@ -94,7 +94,8 @@ class TestBuildSystems:
 
     def test_eq17_unit_rules(self):
         eq17 = build_system("scaled_eq17")
-        unit = [r for r in eq17.rewrites if r.is_unit_rule]
+        unit = [r for r in eq17.rewrites
+                if all(len(w) == 0 for w in r.rhs.terms)]
         assert len(unit) == 4
         assert all(r.rhs == NCPolynomial.unit(MU_INV) for r in unit)
 
@@ -178,7 +179,7 @@ class TestCheckDerivation:
     def test_derives_line3(self):
         res = check_derivation(self.premises, W((4, 1)), W((1, 4), ZETA_INV))
         assert res.ok
-        assert res.normal_form.is_zero()
+        assert not res.normal_form
 
     def test_derives_line2_and_line4(self):
         assert check_derivation(self.premises, W((4, 2)), W((2, 4), ZETA_C)).ok
@@ -194,7 +195,7 @@ class TestCheckDerivation:
         res = check_derivation(complete(eq14), W((2, 1)),
                                NCPolynomial.unit(MU_INV))
         assert not res.ok
-        assert not res.normal_form.is_zero()
+        assert res.normal_form
 
     def test_certificate_soundness(self):
         # every trace step rewrites an actual subword occurrence
@@ -211,7 +212,7 @@ def completed(kind):
 class TestSystemsEquivalent:
     def test_eq13_eq17_mod_unit_scale(self):
         v = systems_equivalent(completed("torus_eq13"), completed("scaled_eq17"))
-        assert v.mod_unit_scale and bool(v)
+        assert v.mod_unit_scale
         assert not v.strict  # mu-power discrepancies are real and reported
         assert all(c.mu_shift is not None for c in v.comparisons)
 
@@ -301,7 +302,7 @@ class TestCoeffRingAxioms:
         zero = Coeff.zero()
         assert a + (-a) == zero
         assert a + zero == a and zero + a == a
-        assert a * zero == zero and (a * zero).is_zero()
+        assert a * zero == zero and not a * zero
         assert a * ONE == a
 
     @settings(max_examples=60, deadline=None)
