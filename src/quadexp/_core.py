@@ -11,8 +11,9 @@ Comput. 39, 2009). The rows and their Gram matrix stay exact integers,
 updated in place; only the Gram-Schmidt data mu and r are doubles,
 recomputed from the Gram matrix. Each row carries its own exponent, as in
 fplll's ``MatGSO``, so the rows' scales may differ by far more than a
-double's range. It is faster on large entries, but its result meets the
-Lovász condition only up to rounding, and it may break down; it then raises
+double's range. Size reduction, the Lovász test and the swap run in one
+loop. It is faster on large entries, but its result meets the Lovász
+condition only up to rounding, and it may break down; it then raises
 ``FloatBreakdown`` and the caller reduces exactly instead.
 
 Both kernels climb the constant ``LADDER`` 3/4, 9/10 to the one Lovász
@@ -22,7 +23,7 @@ parameter ``DELTA`` = 99/100; the lower rungs only save swaps.
 from __future__ import annotations
 
 from math import frexp, ldexp, log2
-from operator import mul
+from operator import add, mul, sub
 
 # Read by the environment block of perfbench/run.py.
 BACKEND = "python"
@@ -150,6 +151,11 @@ def _swap(b, d, lam, k, kmax, d_num):
 # mu[i] and r[i] are lists holding a valid prefix of columns; r[i] ends in
 # the diagonal r[i][i] once row i is complete. Rows below the current row k
 # are complete, and rows above it hold at most the columns j < k.
+# gd[i] = G[i][i] 2**-(2 e[i]) is row i's scaled squared norm. It is set
+# where G[i][i] or e[i] changes and swapped with the rows, so the Lovász
+# test reads it instead of converting G[k][k] on every pass. A size-reduction
+# step b_k -= x b_j with x = +-1, most steps, subtracts or adds b_j and the
+# Gram row of b_j with no multiplication.
 
 
 def lll_reduce_rows_float(rows):
@@ -160,7 +166,8 @@ def lll_reduce_rows_float(rows):
     ``DELTA``, both up to rounding. Raises
     ``FloatBreakdown`` when the float data fail: a nonpositive squared
     Gram-Schmidt norm, a division by zero, an overflow, a non-finite
-    value, a zero row, or more swaps than an exact reduction could make.
+    value, a zero row, a size reduction that stalls, or more swaps than an
+    exact reduction could make.
     """
     b = _int_rows(rows)
     try:
@@ -195,9 +202,10 @@ def _float_lll(b):
         if G[i][i] == 0:
             raise FloatBreakdown("zero row")
     e = [_exponent(G[i][i]) for i in range(n)]
+    gd = [_scaled(G[i][i], 2 * e[i]) for i in range(n)]
     mu = [[] for _ in range(n)]
     r = [[] for _ in range(n)]
-    r[0].append(_scaled(G[0][0], 2 * e[0]))
+    r[0].append(gd[0])
     for num, den in LADDER:
         delta = num / den
         # each swap lowers the potential prod_i d_i, which is at most
@@ -210,12 +218,71 @@ def _float_lll(b):
         # row k is size-reduced already: it is the row just swapped down
         reduced = False
         while k < n:
-            if not reduced:
-                _size_reduce(b, G, e, mu, r, k)
             muk, rk = mu[k], r[k]
+            passes = G[k][k].bit_length() + 8
+            while not reduced:
+                # one size-reduction pass: complete row k's float data from
+                # the Gram matrix, then round each mu_kj with |mu_kj| > 1/2
+                # for j = k-1 down to 0, updating the mu_kj below j and
+                # stepping the exact row and Gram row as it goes
+                bk, Gk, ek = b[k], G[k], e[k]
+                for j in range(len(muk), k):
+                    rkj = _scaled(Gk[j], ek + e[j]) - sum(map(mul, mu[j], rk))
+                    rk.append(rkj)
+                    muk.append(rkj / r[j][j])
+                reduced = True
+                for j in range(k - 1, -1, -1):
+                    v = muk[j]
+                    m, ex = frexp(v)
+                    # |mu_kj| = |m| 2**ex with 1/2 <= |m| < 1, or mu_kj = m = 0
+                    t = ek - e[j]
+                    ex += t
+                    if ex < 0 or not m:
+                        continue
+                    if ex <= 53:
+                        x = round(ldexp(v, t))
+                        if not x:
+                            continue
+                        xs = ldexp(x, -t)
+                    else:
+                        x = int(ldexp(m, 53)) << (ex - 53)
+                        xs = v
+                    # mu_ki -= xs mu_ji for i < j
+                    muk[:j] = map(sub, muk, map(xs.__mul__, mu[j]))
+                    # b_k -= x b_j; G[j][k] is stale until the pass ends,
+                    # and the one entry it would feed, G[k][k], is gkk
+                    Gj = G[j]
+                    if x == 1 or x == -1:
+                        op = sub if x == 1 else add
+                        gkk = op(Gk[k], 2 * Gk[j]) + Gj[j]
+                        bk = list(map(op, bk, b[j]))
+                        Gk = list(map(op, Gk, Gj))
+                    else:
+                        gkk = Gk[k] - 2 * x * Gk[j] + x * x * Gj[j]
+                        bk = [a - x * c for a, c in zip(bk, b[j])]
+                        Gk = [a - x * c for a, c in zip(Gk, Gj)]
+                    Gk[k] = gkk
+                    reduced = False
+                if reduced:
+                    break
+                b[k], G[k] = bk, Gk
+                for row, g in zip(G, Gk):
+                    row[k] = g
+                if Gk[k] == 0:
+                    raise FloatBreakdown("zero row")
+                e[k] = _exponent(Gk[k])
+                gd[k] = _scaled(Gk[k], 2 * e[k])
+                # each pass shortens the unreduced part of b_k by the bits
+                # its mu were correct to; a pass gaining less than a bit on
+                # average (a mu near 1/2 rounded back and forth) means the
+                # float data are lost
+                passes -= 1
+                if passes < 0:
+                    raise FloatBreakdown(f"size reduction of row {k} stalls")
+                del muk[:], rk[:]
             # s = ||b_k*||^2 + mu_k,k-1^2 ||b_(k-1)*||^2, the squared norm
             # b_k* would have at k-1; r[k][k] alone cancels
-            s = _scaled(G[k][k], 2 * e[k]) - sum(map(mul, muk[:k - 1], rk))
+            s = gd[k] - sum(map(mul, muk[:k - 1], rk))
             if not 0 < s <= 2:
                 raise FloatBreakdown(f"squared norm {s} at row {k}")
             lhs = delta * r[k - 1][k - 1]
@@ -231,92 +298,19 @@ def _float_lll(b):
             swaps_left -= 1
             if swaps_left < 0:
                 raise FloatBreakdown("more swaps than an exact reduction")
-            _float_swap(b, G, e, mu, r, k, s)
+            # swap rows k-1 and k; s is the new squared norm of b_(k-1)*
+            b[k - 1], b[k] = b[k], b[k - 1]
+            G[k - 1], G[k] = G[k], G[k - 1]
+            for row in G:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            e[k - 1], e[k] = e[k], e[k - 1]
+            gd[k - 1], gd[k] = gd[k], gd[k - 1]
+            mu[k - 1], mu[k] = mu[k], mu[k - 1]
+            r[k - 1], r[k] = r[k], r[k - 1]
+            # both rows keep the columns j < k-1; so do the rows above them
+            for i in range(k - 1, n):
+                del mu[i][k - 1:], r[i][k - 1:]
+            r[k - 1].append(s)
             # b_k, now at k-1, stays reduced against the rows below k-1
             reduced = k > 1
             k = max(k - 1, 1)
-
-
-def _gso_row(G, e, mu, r, k):
-    """Complete the columns j < k of row k's float data from its prefix."""
-    Gk, ek, muk, rk = G[k], e[k], mu[k], r[k]
-    for j in range(len(muk), k):
-        rkj = _scaled(Gk[j], ek + e[j]) - sum(map(mul, mu[j], rk))
-        rk.append(rkj)
-        muk.append(rkj / r[j][j])
-
-
-def _size_reduce(b, G, e, mu, r, k):
-    """Size-reduce row k against the rows below it, as in L².
-
-    A pass recomputes row k's float data from the Gram matrix, then rounds
-    each mu_kj with |mu_kj| > 1/2, as the exact kernel does, for j = k-1
-    down to 0, updating the mu_kj below j as it goes, and applies the
-    rounded steps to the exact rows and Gram matrix. Passes repeat until
-    one rounds nothing. Each pass shortens the unreduced part of b_k by the
-    bits its mu were correct to, so a pass that gains less than a bit on
-    average (a mu near 1/2 rounded back and forth, say) means the float
-    data are lost.
-    """
-    passes = G[k][k].bit_length() + 8
-    while True:
-        _gso_row(G, e, mu, r, k)
-        muk, ek = mu[k], e[k]
-        steps = []
-        for j in range(k - 1, -1, -1):
-            v = muk[j]
-            m, ex = frexp(v)
-            # |mu_kj| = |m| 2**ex with 1/2 <= |m| < 1, or mu_kj = m = 0
-            ex += ek - e[j]
-            if ex < 0 or not m:
-                continue
-            if ex <= 53:
-                x = round(ldexp(v, ek - e[j]))
-                if not x:
-                    continue
-                xs = ldexp(x, e[j] - ek)
-            else:
-                x = int(ldexp(m, 53)) << (ex - 53)
-                xs = v
-            steps.append((j, x))
-            muk[:j] = [a - xs * c for a, c in zip(muk, mu[j])]
-        if not steps:
-            return
-        _apply_steps(b, G, k, steps)
-        if G[k][k] == 0:
-            raise FloatBreakdown("zero row")
-        e[k] = _exponent(G[k][k])
-        passes -= 1
-        if passes < 0:
-            raise FloatBreakdown(f"size reduction of row {k} stalls")
-        del muk[:], r[k][:]
-
-
-def _apply_steps(b, G, k, steps):
-    """b_k -= x b_j for each (j, x), keeping the Gram matrix exact."""
-    bk, Gk = b[k], G[k]
-    for j, x in steps:
-        Gj = G[j]
-        # Gj[k] is stale here; the entry it feeds is replaced by gkk
-        gkk = Gk[k] - 2 * x * Gk[j] + x * x * Gj[j]
-        bk = [a - x * c for a, c in zip(bk, b[j])]
-        Gk = [a - x * c for a, c in zip(Gk, Gj)]
-        Gk[k] = gkk
-    b[k], G[k] = bk, Gk
-    for i, row in enumerate(G):
-        row[k] = Gk[i]
-
-
-def _float_swap(b, G, e, mu, r, k, s):
-    """Swap rows k-1 and k; s is the new squared norm of b_(k-1)*."""
-    b[k - 1], b[k] = b[k], b[k - 1]
-    G[k - 1], G[k] = G[k], G[k - 1]
-    for row in G:
-        row[k - 1], row[k] = row[k], row[k - 1]
-    e[k - 1], e[k] = e[k], e[k - 1]
-    mu[k - 1], mu[k] = mu[k], mu[k - 1]
-    r[k - 1], r[k] = r[k], r[k - 1]
-    # both rows keep the columns j < k-1; so do the rows above them
-    for i in range(k - 1, len(b)):
-        del mu[i][k - 1:], r[i][k - 1:]
-    r[k - 1].append(s)

@@ -10,6 +10,8 @@ only its grouping of cycles into module classes (a pairwise GL2(Z) merge) is
 independent of ``class_group``'s. ``lll_reference`` is the library's exact
 LLL kernel as it stood before its swap reused the Lovász test's product,
 kept so that the kernel can be checked against it.
+``float_lll_reference`` is the float LLL kernel as it stood before its loop
+was fused, kept for the same check.
 ``cold_relation_basis`` is the relation search's lattice reduced in one jump
 at its full scale, with that kernel: the search as it stood before it
 climbed to the scale in rungs. ``reduce_reference`` is the symbolic layer's
@@ -49,7 +51,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import frexp, gcd, isqrt, ldexp
+from operator import mul
 
 
 def definite_class_number_orbit(disc: int) -> int:
@@ -315,6 +318,172 @@ def matches_lll_reference(rows, reduced, delta_num=99, delta_den=100) -> bool:
                for j in range(len(rows[0]))] for u in transform]
     return (reduced == basis == mapped
             and abs(sympy.Matrix(transform).det()) == 1)
+
+
+def float_lll_reference(rows):
+    """``quadexp._core.lll_reduce_rows_float`` as it stood before its loop
+    was fused: the float L² kernel run through ``_gso_row``,
+    ``_size_reduce``, ``_apply_steps`` and ``_float_swap``, converting the
+    Gram diagonal on every Lovász test and multiplying out every step.
+    Returns the reduced rows or raises ``FloatBreakdown``, as the kernel
+    does.
+    """
+    from quadexp._core import FloatBreakdown, _int_rows
+
+    b = _int_rows(rows)
+    try:
+        _float_lll(b)
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise FloatBreakdown(f"{type(exc).__name__}: {exc}") from exc
+    return b
+
+
+def _float_lll(b):
+    """Reduce the rows b in place at each Lovász parameter of ``LADDER``."""
+    from math import log2
+
+    from quadexp._core import (LADDER, FloatBreakdown, _dot, _exponent,
+                               _scaled)
+
+    n = len(b)
+    if n == 0:
+        return
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            G[i][j] = G[j][i] = _dot(b[i], b[j])
+        if G[i][i] == 0:
+            raise FloatBreakdown("zero row")
+    e = [_exponent(G[i][i]) for i in range(n)]
+    mu = [[] for _ in range(n)]
+    r = [[] for _ in range(n)]
+    r[0].append(_scaled(G[0][0], 2 * e[0]))
+    for num, den in LADDER:
+        delta = num / den
+        # each swap lowers the potential prod_i d_i, which is at most
+        # 2**(sum_i (n-1-i) log2 ||b_i||^2) and at least 1, by a factor
+        # below delta, or below (1 + delta) / 2 allowing for rounding in the
+        # test; more swaps than that allows mean the float data are lost
+        potential = sum((n - 1 - i) * G[i][i].bit_length() for i in range(n))
+        swaps_left = int(potential / -log2((1 + delta) / 2)) + 1
+        k = 1
+        # row k is size-reduced already: it is the row just swapped down
+        reduced = False
+        while k < n:
+            if not reduced:
+                _size_reduce(b, G, e, mu, r, k)
+            muk, rk = mu[k], r[k]
+            # s = ||b_k*||^2 + mu_k,k-1^2 ||b_(k-1)*||^2, the squared norm
+            # b_k* would have at k-1; r[k][k] alone cancels
+            s = _scaled(G[k][k], 2 * e[k]) - sum(map(mul, muk[:k - 1], rk))
+            if not 0 < s <= 2:
+                raise FloatBreakdown(f"squared norm {s} at row {k}")
+            lhs = delta * r[k - 1][k - 1]
+            t = 2 * (e[k - 1] - e[k])
+            if (lhs <= ldexp(s, -t)) if t >= 0 else (ldexp(lhs, t) <= s):
+                rkk = s - muk[k - 1] * rk[k - 1]
+                if not rkk > 0:
+                    raise FloatBreakdown(f"squared norm {rkk} at row {k}")
+                rk[k:] = [rkk]
+                k += 1
+                reduced = False
+                continue
+            swaps_left -= 1
+            if swaps_left < 0:
+                raise FloatBreakdown("more swaps than an exact reduction")
+            _float_swap(b, G, e, mu, r, k, s)
+            # b_k, now at k-1, stays reduced against the rows below k-1
+            reduced = k > 1
+            k = max(k - 1, 1)
+
+
+def _gso_row(G, e, mu, r, k):
+    """Complete the columns j < k of row k's float data from its prefix."""
+    from quadexp._core import _scaled
+
+    Gk, ek, muk, rk = G[k], e[k], mu[k], r[k]
+    for j in range(len(muk), k):
+        rkj = _scaled(Gk[j], ek + e[j]) - sum(map(mul, mu[j], rk))
+        rk.append(rkj)
+        muk.append(rkj / r[j][j])
+
+
+def _size_reduce(b, G, e, mu, r, k):
+    """Size-reduce row k against the rows below it, as in L².
+
+    A pass recomputes row k's float data from the Gram matrix, then rounds
+    each mu_kj with |mu_kj| > 1/2, as the exact kernel does, for j = k-1
+    down to 0, updating the mu_kj below j as it goes, and applies the
+    rounded steps to the exact rows and Gram matrix. Passes repeat until
+    one rounds nothing. Each pass shortens the unreduced part of b_k by the
+    bits its mu were correct to, so a pass that gains less than a bit on
+    average (a mu near 1/2 rounded back and forth, say) means the float
+    data are lost.
+    """
+    from quadexp._core import FloatBreakdown, _exponent
+
+    passes = G[k][k].bit_length() + 8
+    while True:
+        _gso_row(G, e, mu, r, k)
+        muk, ek = mu[k], e[k]
+        steps = []
+        for j in range(k - 1, -1, -1):
+            v = muk[j]
+            m, ex = frexp(v)
+            # |mu_kj| = |m| 2**ex with 1/2 <= |m| < 1, or mu_kj = m = 0
+            ex += ek - e[j]
+            if ex < 0 or not m:
+                continue
+            if ex <= 53:
+                x = round(ldexp(v, ek - e[j]))
+                if not x:
+                    continue
+                xs = ldexp(x, e[j] - ek)
+            else:
+                x = int(ldexp(m, 53)) << (ex - 53)
+                xs = v
+            steps.append((j, x))
+            muk[:j] = [a - xs * c for a, c in zip(muk, mu[j])]
+        if not steps:
+            return
+        _apply_steps(b, G, k, steps)
+        if G[k][k] == 0:
+            raise FloatBreakdown("zero row")
+        e[k] = _exponent(G[k][k])
+        passes -= 1
+        if passes < 0:
+            raise FloatBreakdown(f"size reduction of row {k} stalls")
+        del muk[:], r[k][:]
+
+
+def _apply_steps(b, G, k, steps):
+    """b_k -= x b_j for each (j, x), keeping the Gram matrix exact."""
+    bk, Gk = b[k], G[k]
+    for j, x in steps:
+        Gj = G[j]
+        # Gj[k] is stale here; the entry it feeds is replaced by gkk
+        gkk = Gk[k] - 2 * x * Gk[j] + x * x * Gj[j]
+        bk = [a - x * c for a, c in zip(bk, b[j])]
+        Gk = [a - x * c for a, c in zip(Gk, Gj)]
+        Gk[k] = gkk
+    b[k], G[k] = bk, Gk
+    for i, row in enumerate(G):
+        row[k] = Gk[i]
+
+
+def _float_swap(b, G, e, mu, r, k, s):
+    """Swap rows k-1 and k; s is the new squared norm of b_(k-1)*."""
+    b[k - 1], b[k] = b[k], b[k - 1]
+    G[k - 1], G[k] = G[k], G[k - 1]
+    for row in G:
+        row[k - 1], row[k] = row[k], row[k - 1]
+    e[k - 1], e[k] = e[k], e[k - 1]
+    mu[k - 1], mu[k] = mu[k], mu[k - 1]
+    r[k - 1], r[k] = r[k], r[k - 1]
+    # both rows keep the columns j < k-1; so do the rows above them
+    for i in range(k - 1, len(b)):
+        del mu[i][k - 1:], r[i][k - 1:]
+    r[k - 1].append(s)
 
 
 def cold_relation_basis(elements, s: int, delta_num=99, delta_den=100):

@@ -5,10 +5,11 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oracles import (cold_relation_basis, evaluate_J_reference, is_basis_of,
-                     lll_reference, lovasz_holds, matches_lll_reference,
+from oracles import (cold_relation_basis, evaluate_J_reference,
+                     float_lll_reference, is_basis_of, lll_reference,
+                     lovasz_holds, matches_lll_reference,
                      shortest_vector_brute)
-from quadexp import pipeline, recognition
+from quadexp import _core, pipeline, recognition
 from quadexp._core import FloatBreakdown, lll_reduce_rows, lll_reduce_rows_float
 from quadexp.classforms import (class_group, match_conductor,
                                 pseudo_lattice_reps)
@@ -177,6 +178,16 @@ def kernel_lattices(seed: int) -> list[list[list[int]]]:
     return lattices
 
 
+def far_apart_lattice(order: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(rows, tails) of [I | tails], tails near 2**(64 + 150 i), in
+    ascending (order 1) or descending (order -1) order."""
+    rng = random.Random(3)
+    n = 8
+    tails = [[rng.getrandbits(64 + 150 * i) | 1 << (63 + 150 * i)
+              for _ in range(2)] for i in range(n)][::order]
+    return [[int(i == j) for j in range(n)] + tails[i] for i in range(n)], tails
+
+
 @pytest.fixture
 def searches(monkeypatch):
     """Counts of relation searches and of exact reductions among them."""
@@ -218,24 +229,81 @@ class TestFloatLLL:
             assert lovasz_holds(reduced, Fraction(98, 100))
 
     def test_dependent_rows_break_down(self):
-        with pytest.raises(FloatBreakdown):
-            lll_reduce_rows_float([[1, 2], [2, 4]])
-        with pytest.raises(FloatBreakdown):
-            lll_reduce_rows_float([[0, 0], [1, 0]])
+        # a zero row at input, with and without other rows, and one that
+        # the size reduction makes
+        for rows in ([[1, 2], [2, 4]], [[0, 0], [1, 0]], [[0, 0]]):
+            with pytest.raises(FloatBreakdown, match="zero row"):
+                lll_reduce_rows_float(rows)
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_rows_far_apart_in_scale(self, order):
         # tails near 2**(64 + 150 i), in ascending or descending order: row
         # scales 2**1050 apart, far beyond a double's range, so only a
         # per-row exponent holds them
-        rng = random.Random(3)
-        n = 8
-        tails = [[rng.getrandbits(64 + 150 * i) | 1 << (63 + 150 * i)
-                  for _ in range(2)] for i in range(n)][::order]
-        rows = [[int(i == j) for j in range(n)] + tails[i] for i in range(n)]
+        rows, tails = far_apart_lattice(order)
         reduced = lll_reduce_rows_float(rows)
         assert _int_det(_certified(reduced, tails)) in (1, -1)
         assert lovasz_holds(reduced, Fraction(98, 100))
+
+    def test_kernel_matches_reference(self, monkeypatch):
+        # the one loop makes the reference's float operations in the same
+        # order, so the same decisions: the same rows, or both break down
+        def outcome(kernel, rows):
+            try:
+                return kernel(rows)
+            except FloatBreakdown:
+                return FloatBreakdown
+
+        def check(rows):
+            assert (outcome(lll_reduce_rows_float, rows)
+                    == outcome(float_lll_reference, rows))
+
+        for rows in (kernel_lattices(17) + kernel_lattices(29)
+                     + [far_apart_lattice(order)[0] for order in (1, -1)]):
+            check(rows)
+        # a climb of 17 powers of a 256-bit value from the identity, each
+        # rung from the previous rung's reduced rows, as a search makes it
+        kernel, climbed = recognition.lll_reduce_rows_float, []
+
+        def spy(rows):
+            check(rows)
+            climbed.append(len(rows))
+            return kernel(rows)
+
+        monkeypatch.setattr(recognition, "lll_reduce_rows_float", spy)
+        p = 256
+        min_poly(FixedComplex(real_probe("pi", p, 90).re,
+                              real_probe("e", p, 90).re), 16, 10**6, p)
+        assert climbed == [17] * 4  # scales 64, 128, 192 and 248
+
+    @pytest.mark.parametrize("rows,message", [
+        # b_2 - b_0 / 2 = (0, 0, 1): its squared norm is lost in b_2's 2**118
+        ([[2**60, 0, 0], [0, 2**61, 0], [2**59, 0, 1]], "squared norm 0.0"),
+        # nearly dependent rows, found by a random search: the mu of row 2
+        # are rounded back and forth
+        ([[2022458426427, 139344098507, -34085076515],
+          [1035579032391, -391189343209, 47896722277],
+          [493439697018, 265266720858, -40990899396]], "row 2 stalls"),
+    ])
+    def test_lost_float_data_break_down(self, rows, message):
+        with pytest.raises(FloatBreakdown, match=message):
+            lll_reduce_rows_float(rows)
+
+    @pytest.mark.parametrize("x", [1, -1])
+    def test_unit_step_reduces_in_one_pass(self, monkeypatch, x):
+        # b_1 = b_0 x + (0, 1): one pass steps b_1 -= x b_0 and sets row 1's
+        # exponent once more; a step of the wrong sign would leave mu_10 =
+        # 2 x for a second pass
+        exponents = []
+        exponent = _core._exponent
+
+        def spy(g):
+            exponents.append(g)
+            return exponent(g)
+
+        monkeypatch.setattr(_core, "_exponent", spy)
+        assert lll_reduce_rows_float([[1, 0], [x, 1]]) == [[1, 0], [0, 1]]
+        assert exponents == [1, 2, 1]  # both rows at input, then one pass
 
     def test_breakdown_falls_back_to_exact_kernel(self, monkeypatch, rungs,
                                                   searches):
@@ -269,7 +337,17 @@ class TestRungKernelInPipeline:
             checked.append(n)
             return found
 
+        # no rung breaks down, and the exact pass over each search's top
+        # rung leaves the float-reduced rows as they are
+        reduce = recognition.lll_reduce
+
+        def reduce_spy(basis):
+            reduced = reduce(basis)
+            assert reduced == basis
+            return reduced
+
         monkeypatch.setattr(recognition, "_relation_search", spy)
+        monkeypatch.setattr(recognition, "lll_reduce", reduce_spy)
         run_case(15, CaseParams(precision_bits=384))
         assert len(checked) == 6  # two J values at p and 2p, two memberships
 
