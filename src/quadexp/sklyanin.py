@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConstraintViolated, DomainError, PoleError, StepBoundExceeded
@@ -347,26 +347,48 @@ class TraceStep:
                 "before": self.before, "after": self.after}
 
 
-def _find_redex(word: Word, index: dict[Word, RewriteRule],
-                lengths: list[int]) -> tuple[int, RewriteRule] | None:
-    """Leftmost position; at it, the longest lhs (lengths run longest first).
+class _RuleIndex:
+    """The rules by left word, and the distinct left-word lengths.
 
-    A slice cut short by the end of word is the longest subword at pos, so
-    a rule it hits is the longest match there too.
+    Each left word keeps the first rule added with it; lengths run longest
+    first.
     """
-    for pos in range(len(word)):
-        for l in lengths:
-            rule = index.get(word[pos:pos + l])
-            if rule is not None:
-                return pos, rule
-    return None
+
+    __slots__ = ("by_lhs", "lengths")
+
+    def __init__(self, rules):
+        self.by_lhs: dict[Word, RewriteRule] = {}
+        self.lengths: list[int] = []
+        for rule in rules:
+            self.add(rule)
+
+    def add(self, rule: RewriteRule) -> None:
+        if rule.lhs in self.by_lhs:
+            return
+        self.by_lhs[rule.lhs] = rule
+        if len(rule.lhs) not in self.lengths:
+            self.lengths.append(len(rule.lhs))
+            self.lengths.sort(reverse=True)
+
+    def find_redex(self, word: Word) -> tuple[int, RewriteRule] | None:
+        """Leftmost position; at it, the longest lhs.
+
+        A slice cut short by the end of word is the longest subword at pos,
+        so a rule it hits is the longest match there too.
+        """
+        get, lengths = self.by_lhs.get, self.lengths
+        for pos in range(len(word)):
+            for l in lengths:
+                rule = get(word[pos:pos + l])
+                if rule is not None:
+                    return pos, rule
+        return None
 
 
-def _apply_at(word: Word, pos: int, rule: RewriteRule,
-              coeff: Coeff) -> dict[Word, Coeff]:
-    """The terms replacing coeff * word when rule rewrites word at pos."""
+def _apply_at(word: Word, pos: int, rule: RewriteRule) -> dict[Word, Coeff]:
+    """The terms replacing word when rule rewrites it at pos."""
     prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
-    return {prefix + u + suffix: c * coeff for u, c in rule.rhs.terms.items()}
+    return {prefix + u + suffix: c for u, c in rule.rhs.terms.items()}
 
 
 def reduce(poly: NCPolynomial, rules,
@@ -374,25 +396,30 @@ def reduce(poly: NCPolynomial, rules,
     """Normal form under the rules, leftmost-greatest strategy.
 
     rules is a rule sequence: a RelationSystem's ``rewrites`` or the rules
-    of ``complete()``. The greatest word with a redex is rewritten at its
-    leftmost redex by the longest lhs there, the first such rule on a tie.
-    Deterministic; raises StepBoundExceeded after STEP_BOUND rewrites rather
-    than spin.
+    of ``complete()``. Each call indexes the rules afresh; ``complete``,
+    ``check_derivation`` and ``systems_equivalent`` reduce through the
+    index a completion keeps instead. The greatest word with a redex is
+    rewritten at its leftmost redex by the longest lhs there, the first such
+    rule on a tie. Deterministic; raises StepBoundExceeded after STEP_BOUND
+    rewrites rather than spin.
     """
-    index: dict[Word, RewriteRule] = {}
-    for rule in rules:
-        index.setdefault(rule.lhs, rule)
-    lengths = sorted({len(lhs) for lhs in index}, reverse=True)
+    return _reduce(poly, _RuleIndex(rules), trace)
+
+
+def _reduce(poly: NCPolynomial, index: _RuleIndex,
+            trace: list | None = None) -> NCPolynomial:
+    """``reduce`` through an index already built."""
     terms = dict(poly.terms)
     for _ in range(STEP_BOUND):
         for w in sorted(terms, key=deglex_key, reverse=True):
-            hit = _find_redex(w, index, lengths)
+            hit = index.find_redex(w)
             if hit is not None:
                 break
         else:
             return NCPolynomial(terms)
         pos, rule = hit
-        added = _apply_at(w, pos, rule, terms.pop(w))
+        coeff = terms.pop(w)
+        added = {u: c * coeff for u, c in _apply_at(w, pos, rule).items()}
         for u, c in added.items():
             terms[u] = terms.get(u, ZERO) + c
             if not terms[u]:
@@ -421,9 +448,14 @@ class OverlapFinding:
 
 @dataclass
 class CompletedSystem:
+    """The rules ``complete`` returns, its findings, and the index of the
+    rules, which ``complete`` grows as it adds each rule and which
+    ``check_derivation`` and ``systems_equivalent`` reduce through."""
+
     system: RelationSystem
     rules: list[RewriteRule]
     findings: list[OverlapFinding]
+    index: _RuleIndex = field(repr=False, compare=False)
 
     @property
     def nonconfluent(self) -> list[OverlapFinding]:
@@ -454,9 +486,12 @@ def complete(system: RelationSystem) -> CompletedSystem:
     length at most DEGREE_BOUND; everything else becomes a reported
     finding. Every added rule is an exact consequence of the input ideal
     (each critical pair is formed from two rewrites of one word). More
-    than MAX_RULES rules raise StepBoundExceeded.
+    than MAX_RULES rules raise StepBoundExceeded. The rules are indexed
+    once, and each added rule joins the index, which both sides of every
+    critical pair reduce through and the result carries.
     """
     rules = list(system.rewrites)
+    index = _RuleIndex(rules)
     findings: list[OverlapFinding] = []
     queue: list[tuple[tuple[int, Word], int, int]] = []
 
@@ -479,8 +514,8 @@ def complete(system: RelationSystem) -> CompletedSystem:
         # locate actual positions of both lhs inside w
         pos_a = _find_sub(w, ra.lhs)
         pos_b = _find_sub(w, rb.lhs, prefer_late=True)
-        nf1 = reduce(NCPolynomial(_apply_at(w, pos_a, ra, ONE)), rules)
-        nf2 = reduce(NCPolynomial(_apply_at(w, pos_b, rb, ONE)), rules)
+        nf1 = _reduce(NCPolynomial(_apply_at(w, pos_a, ra)), index)
+        nf2 = _reduce(NCPolynomial(_apply_at(w, pos_b, rb)), index)
         if nf1 == nf2:
             findings.append(OverlapFinding(word_str(w), ra.name, rb.name, "joined"))
             continue
@@ -499,15 +534,19 @@ def complete(system: RelationSystem) -> CompletedSystem:
             continue
         rest = NCPolynomial({u: c for u, c in g.terms.items() if u != lead})
         rhs = (-rest).scale(lead_coeff.inverse())
-        rules.append(RewriteRule(lead, rhs, f"{system.name}.cp{len(rules) + 1}"))
+        rule = RewriteRule(lead, rhs, f"{system.name}.cp{len(rules) + 1}")
+        rules.append(rule)
+        index.add(rule)
         findings.append(OverlapFinding(word_str(w), ra.name, rb.name, "new_rule",
                                        f"{word_str(lead)} -> {rhs!r}"))
         if len(rules) > MAX_RULES:
             raise StepBoundExceeded(f"completion exceeded {MAX_RULES} rules")
         for j in range(len(rules)):
             enqueue(len(rules) - 1, j)
+    # a stable sort keeps the first rule of each left word first, so the
+    # index stays that of the sorted rules
     rules.sort(key=lambda r: deglex_key(r.lhs), reverse=True)
-    return CompletedSystem(system, rules, findings)
+    return CompletedSystem(system, rules, findings, index)
 
 
 def _find_sub(w: Word, sub: Word, prefer_late: bool = False):
@@ -547,7 +586,7 @@ def check_derivation(completed: CompletedSystem, lhs: NCPolynomial,
     completion findings form a machine-checkable certificate.
     """
     trace: list[TraceStep] = []
-    nf = reduce(lhs - rhs, completed.rules, trace=trace)
+    nf = _reduce(lhs - rhs, completed.index, trace)
     return DerivationResult(nf, trace, completed.findings)
 
 
@@ -606,7 +645,7 @@ def _compare_direction(sys_a: RelationSystem, comp_b: CompletedSystem):
     out = []
     for i, rel in enumerate(sys_a.relations):
         targets = [NCPolynomial.word(w) for w in rel.lhs_words] + [rel.rhs]
-        nfs = [reduce(t, comp_b.rules) for t in targets]
+        nfs = [_reduce(t, comp_b.index) for t in targets]
         base = nfs[-1]
         for w, nf in zip(rel.lhs_words, nfs[:-1]):
             out.append(RuleComparison(f"{sys_a.name}.{i + 1}[{word_str(w)}]",

@@ -15,7 +15,9 @@ was fused, kept for the same check.
 ``cold_relation_basis`` is the relation search's lattice reduced in one jump
 at its full scale, with that kernel: the search as it stood before it
 climbed to the scale in rungs. ``reduce_reference`` is the symbolic layer's
-normal form as it stood before its rules were indexed by left word.
+normal form as it stood before its rules were indexed by left word, and
+``complete_reference`` its completion, reducing through it, as it stood
+before one rule index served a whole completion.
 ``unit_index_reference`` and ``match_conductor_reference`` are the real unit
 index and the conductor scan as they stood before the index was stepped in
 integers mod f and the scan ended at f = 1 when h(O_K) does not divide the
@@ -551,6 +553,98 @@ def reduce_reference(poly, rules, trace=None):
             trace.append(TraceStep(rule.name, pos, word_str(w),
                                    replacement.to_json()))
     raise StepBoundExceeded(f"no normal form within {STEP_BOUND} steps")
+
+
+def complete_reference(system):
+    """Rules and findings of ``quadexp.sklyanin.complete``, each pair reduced
+    through ``reduce_reference``.
+
+    The completion as it stood before it kept one rule index: both sides
+    of a critical pair are built as prefix * rhs * suffix and reduced under
+    the rule list as it stands. Returns (rules, findings).
+    """
+    import heapq
+
+    from quadexp import sklyanin
+    from quadexp.errors import StepBoundExceeded
+    from quadexp.sklyanin import (NCPolynomial, OverlapFinding, RewriteRule,
+                                  deglex_key, word_str)
+
+    def find_sub(w, sub, prefer_late=False):
+        positions = [p for p in range(len(w) - len(sub) + 1)
+                     if w[p:p + len(sub)] == sub]
+        if not positions:
+            return None
+        return positions[-1] if prefer_late else positions[0]
+
+    def overlap_words(l1, l2):
+        out = set()
+        for k in range(1, min(len(l1), len(l2))):
+            if l1[-k:] == l2[:k]:
+                out.add(l1 + l2[k:])
+            if l2[-k:] == l1[:k]:
+                out.add(l2 + l1[k:])
+        short, long = sorted((l1, l2), key=len)
+        if len(short) < len(long) and find_sub(long, short) is not None:
+            out.add(long)
+        return sorted(out, key=deglex_key)
+
+    def rewritten(w, pos, rule):
+        prefix, suffix = w[:pos], w[pos + len(rule.lhs):]
+        return (NCPolynomial.word(prefix) * rule.rhs *
+                NCPolynomial.word(suffix))
+
+    rules = list(system.rewrites)
+    findings = []
+    queue = []
+
+    def enqueue(i, j):
+        for w in overlap_words(rules[i].lhs, rules[j].lhs):
+            heapq.heappush(queue, (deglex_key(w), i, j))
+
+    for i in range(len(rules)):
+        for j in range(i, len(rules)):
+            enqueue(i, j)
+
+    seen = set()
+    while queue:
+        (_, w), ia, ib = heapq.heappop(queue)
+        key = (w, rules[ia].lhs, rules[ib].lhs)
+        if key in seen:
+            continue
+        seen.add(key)
+        ra, rb = rules[ia], rules[ib]
+        nf1 = reduce_reference(rewritten(w, find_sub(w, ra.lhs), ra), rules)
+        nf2 = reduce_reference(
+            rewritten(w, find_sub(w, rb.lhs, prefer_late=True), rb), rules)
+        if nf1 == nf2:
+            findings.append(OverlapFinding(word_str(w), ra.name, rb.name, "joined"))
+            continue
+        g = nf1 - nf2
+        lead = g.lead_word()
+        lead_coeff = g.terms[lead]
+        if not lead_coeff.is_monomial():
+            findings.append(OverlapFinding(
+                word_str(w), ra.name, rb.name, "unorientable",
+                f"lead {word_str(lead)} has non-invertible coefficient {lead_coeff!r}"))
+            continue
+        if len(lead) > sklyanin.DEGREE_BOUND:
+            findings.append(OverlapFinding(
+                word_str(w), ra.name, rb.name, "over_degree",
+                f"lead {word_str(lead)} exceeds degree {sklyanin.DEGREE_BOUND}"))
+            continue
+        rest = NCPolynomial({u: c for u, c in g.terms.items() if u != lead})
+        rhs = (-rest).scale(lead_coeff.inverse())
+        rules.append(RewriteRule(lead, rhs, f"{system.name}.cp{len(rules) + 1}"))
+        findings.append(OverlapFinding(word_str(w), ra.name, rb.name, "new_rule",
+                                       f"{word_str(lead)} -> {rhs!r}"))
+        if len(rules) > sklyanin.MAX_RULES:
+            raise StepBoundExceeded(
+                f"completion exceeded {sklyanin.MAX_RULES} rules")
+        for j in range(len(rules)):
+            enqueue(len(rules) - 1, j)
+    rules.sort(key=lambda r: deglex_key(r.lhs), reverse=True)
+    return rules, findings
 
 
 def unit_index_reference(order, unit) -> int:

@@ -285,7 +285,21 @@ class TestFloatLLL:
           [1035579032391, -391189343209, 47896722277],
           [493439697018, 265266720858, -40990899396]], "row 2 stalls"),
     ])
-    def test_lost_float_data_break_down(self, rows, message):
+    def test_lost_float_data_break_down(self, monkeypatch, rows, message):
+        # the stall guard is the only bound on a row's size-reduction
+        # passes, and each pass with steps calls _exponent once: the spy
+        # fails a kernel that lost its guard instead of hanging (the
+        # stalling rows reach the guard in 92 calls)
+        calls = []
+        exponent = _core._exponent
+
+        def spy(g):
+            calls.append(g)
+            if len(calls) > 10_000:
+                raise AssertionError("no breakdown in 10,000 _exponent calls")
+            return exponent(g)
+
+        monkeypatch.setattr(_core, "_exponent", spy)
         with pytest.raises(FloatBreakdown, match=message):
             lll_reduce_rows_float(rows)
 

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadexp.errors import ConstraintViolated, DomainError, PoleError
+from quadexp import sklyanin
+from quadexp.errors import (ConstraintViolated, DomainError, PoleError,
+                            StepBoundExceeded)
 from quadexp.sklyanin import (Coeff, MU_C, MU_INV, NCPolynomial, ONE,
                               RelationSystem, ZETA_C, ZETA_INV, build_system,
                               check_derivation, complete, jacobi_coefficients,
@@ -13,7 +15,7 @@ from quadexp.sklyanin import (Coeff, MU_C, MU_INV, NCPolynomial, ONE,
                               substitute_coefficients, systems_equivalent,
                               systems_identical)
 
-from oracles import reduce_reference
+from oracles import complete_reference, reduce_reference
 
 W = NCPolynomial.word
 
@@ -143,16 +145,19 @@ _KINDS = ("torus_eq2", "sklyanin_eq9", "generic_eq10", "torus_eq13",
 _LEMMA2_KINDS = ("torus_eq13", "scaled_eq17", "reduced_eq18")
 
 
+def remark1_premises():
+    eq2 = build_system("torus_eq2")
+    return RelationSystem(
+        "eq2_lines_1_5_6", [eq2.relations[0], eq2.relations[4], eq2.relations[5]])
+
+
 @pytest.fixture(scope="module")
 def oracle_systems():
     """The rules of every built system, and the completed rules of the
     remark1 premises and of the lemma2 systems; "eq13+eq17" lists two rules
     for each left word, so the first of them must win."""
-    eq2 = build_system("torus_eq2")
-    premises = RelationSystem(
-        "eq2_lines_1_5_6", [eq2.relations[0], eq2.relations[4], eq2.relations[5]])
     return {**{kind: rules(kind) for kind in _KINDS},
-            "remark1": complete(premises).rules,
+            "remark1": complete(remark1_premises()).rules,
             **{f"lemma2.{kind}": completed(kind).rules for kind in _LEMMA2_KINDS},
             "eq13+eq17": rules("torus_eq13") + rules("scaled_eq17")}
 
@@ -168,6 +173,40 @@ class TestReduceOracle:
         trace, ref_trace = [], []
         assert reduce(p, rule_list, trace) == reduce_reference(p, rule_list, ref_trace)
         assert trace == ref_trace
+
+
+class TestCompleteOracle:
+    @pytest.mark.parametrize("kind", [*_KINDS, "remark1"])
+    def test_matches_reference(self, kind):
+        system = remark1_premises() if kind == "remark1" else build_system(kind)
+        comp = complete(system)
+        ref_rules, ref_findings = complete_reference(system)
+        assert [(r.lhs, r.rhs, r.name) for r in comp.rules] == \
+            [(r.lhs, r.rhs, r.name) for r in ref_rules]
+        assert [f.to_json() for f in comp.findings] == \
+            [f.to_json() for f in ref_findings]
+        # the index grown during completion is that of the sorted rules
+        fresh = sklyanin._RuleIndex(comp.rules)
+        assert comp.index.by_lhs == fresh.by_lhs
+        assert comp.index.lengths == fresh.lengths
+
+
+class TestBounds:
+    def test_step_bound(self, monkeypatch):
+        trace = []
+        reduce(W((3, 1, 4)), rules("scaled_eq17"), trace)
+        assert len(trace) == 2
+        monkeypatch.setattr(sklyanin, "STEP_BOUND", 1)
+        with pytest.raises(StepBoundExceeded, match="within 1 steps"):
+            reduce(W((3, 1, 4)), rules("scaled_eq17"))
+
+    def test_rule_bound(self, monkeypatch):
+        system = build_system("reduced_eq18")
+        assert len(system.rewrites) == 8
+        assert len(complete(system).rules) == 16
+        monkeypatch.setattr(sklyanin, "MAX_RULES", 10)
+        with pytest.raises(StepBoundExceeded, match="exceeded 10 rules"):
+            complete(system)
 
 
 class TestCheckDerivation:
