@@ -2,9 +2,10 @@
 
 Exit codes: 0 the run completed (whatever the verdicts); 1 input error,
 found before any work and printed as ``input error: ...`` under the usage
-line: a malformed command line, an unwritable ``--json`` or ``--csv`` path,
-d not square-free, or a bound or worker count out of its domain; 2 internal
-error, with the traceback of any exception that is not a ``QuadexpError``.
+line: a malformed command line, an unwritable ``--json`` or ``--csv`` path
+or ``--cache-dir`` directory, d not square-free, or a bound or worker count
+out of its domain; 2 internal error, with the traceback of any exception
+that is not a ``QuadexpError``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,18 @@ def _output_path(path: str) -> str:
     return path
 
 
+def _cache_directory(path: str) -> str:
+    """A writable directory, or a missing path whose nearest existing
+    parent is one (the first cache write makes it)."""
+    existing = os.path.abspath(path)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not (os.path.isdir(existing) and os.access(existing, os.W_OK)):
+        raise argparse.ArgumentTypeError(
+            f"cannot write {path}: {existing} is not a writable directory")
+    return path
+
+
 _DEFAULTS = CaseParams()  # each case option defaults to its field here
 _CASE_FIELDS = {  # field: (type, help); CaseParams rejects a bad value
     "precision_bits": (int, "(default: %(default)s)"),
@@ -54,7 +67,9 @@ _CASE_FIELDS = {  # field: (type, help); CaseParams rejects a bad value
     "conductor_direction": (str, f"{' or '.join(DIRECTIONS)} "
                                  "(default: %(default)s)"),
     "search_bound": (int, "(default: %(default)s)"),
-    "cache_dir": (str, "class polynomial cache directory"),
+    "cache_dir": (_cache_directory, "class polynomial cache directory, "
+                                    "made if missing; an entry sets only the "
+                                    "precision its build starts at"),
     "given_conductor": (int, "conductor of the given side of the match "
                              "(default: %(default)s)"),
 }

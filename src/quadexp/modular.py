@@ -323,31 +323,20 @@ def ring_class_polynomial_detailed(d: int, f: int, p: int,
 
     Rounding is certified: each coefficient (plus its error bound) must sit
     within 2**-ROUNDING_GAP_BITS of an integer or the computation retries at
-    doubled precision, at most ``MAX_ESCALATIONS`` attempts in all.
+    doubled precision, up to 2**(MAX_ESCALATIONS - 1) times the estimate's.
+    A cache entry's recorded precision, if not above that ceiling, only
+    raises where the attempts start; every certified build rewrites it.
     """
     order = OrderDescriptor("imaginary", d, f)
     summary = class_group(order)
     forms = summary.representatives
 
     work = max(p, _coefficient_bits_estimate(order.discriminant, forms) + 96)
-    cached = _cache_read(cache_dir, d, f, order.discriminant, summary.h)
-    # an entry certified above the most the miss loop reaches is a miss:
-    # its header alone would otherwise set the cost of the hit
-    if cached is not None and cached[1] <= work << (MAX_ESCALATIONS - 1):
-        # callers still want the embeddings: recompute them at the precision
-        # the entry was certified at, as a miss does (at p alone they can
-        # lose all their bits; j is large where |disc| is), and trust the
-        # entry only if the polynomial rebuilt from them is the file's; any
-        # other entry is a miss, which rewrites it
-        poly, certified_at = cached
-        try:
-            result = _class_poly_attempt(forms, max(work, certified_at), p)
-        except InsufficientPrecision:
-            result = None
-        if result is not None and result.polynomial == poly:
-            return result
-
-    for _ in range(MAX_ESCALATIONS):
+    ceiling = work << (MAX_ESCALATIONS - 1)
+    recorded = _cache_read(cache_dir, d, f)
+    if recorded is not None and recorded <= ceiling:
+        work = max(work, recorded)
+    while work <= ceiling:
         try:
             result = _class_poly_attempt(forms, work, p)
             _cache_write(cache_dir, d, f, order.discriminant, summary.h,
@@ -356,7 +345,7 @@ def ring_class_polynomial_detailed(d: int, f: int, p: int,
         except InsufficientPrecision:
             work *= 2
     raise InsufficientPrecision(
-        f"class polynomial for (d={d}, f={f}) did not certify at {work} bits")
+        f"class polynomial for (d={d}, f={f}) did not certify below {work} bits")
 
 
 def _coefficient_bits_estimate(disc: int, forms) -> int:
@@ -415,25 +404,20 @@ def _cache_path(cache_dir: str, d: int, f: int) -> str:
     return os.path.join(cache_dir, f"classpoly_d{d}_f{f}.txt")
 
 
-def _cache_read(cache_dir, d, f, disc, h):
-    """(polynomial, precision_bits) of a well-formed entry, else None."""
+def _cache_read(cache_dir, d, f):
+    """The precision in a well-formed entry's header, else None; the
+    coefficients under it are written for inspection and never read."""
     if cache_dir is None:
         return None
     path = _cache_path(cache_dir, d, f)
     if not os.path.exists(path):
         return None
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if len(lines) != h + 3:
-        return None
+    with open(path, "rb") as fh:
+        header = fh.readline()
     magic = re.fullmatch(
-        rf"quadexp-classpoly {CACHE_VERSION} precision=(\d+) gap=\d+",
-        lines[0])
-    if not magic or lines[1].split() != [f"disc={disc}", f"degree={h}"] \
-            or not all(re.fullmatch(r"-?\d+", v) for v in lines[2:]):
-        return None
-    coeffs = tuple(int(v) for v in lines[2:])
-    return IntegerPolynomial(coeffs), int(magic[1])
+        rb"quadexp-classpoly %d precision=(\d+) gap=\d+\s*" % CACHE_VERSION,
+        header)
+    return int(magic[1]) if magic else None
 
 
 def _cache_write(cache_dir, d, f, disc, h, result: ClassPolynomialResult):

@@ -46,14 +46,17 @@ primitive part, every factor repeated by its multiplicity.
 The helpers after them
 (``cf_reconstruct``, ``ring_class_polynomial``, ``is_irreducible``,
 ``factor_degrees_mod``, ``discriminant``, ``eval_int`` and
-``is_reduced_definite``) are checks that only the tests use.
+``is_reduced_definite``) are checks that only the tests use, and
+``control_value`` with ``control_minpoly`` builds positive controls for the
+relation search: values with a known minimal polynomial of chosen degree
+and height.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import frexp, gcd, isqrt, ldexp
+from math import comb, frexp, gcd, isqrt, ldexp
 from operator import mul
 
 
@@ -1109,3 +1112,28 @@ def is_reduced_definite(form) -> bool:
     if not (abs(b) <= a <= c):
         return False
     return not ((abs(b) == a or a == c) and b < 0)
+
+
+def control_value(a: int, c: int, m: int, p: int):
+    """z = a + c^(1/m) e^(i pi/m) at p bits with a certified error bound.
+
+    z is a root of (x - a)^m + c, irreducible for c prime (Eisenstein in
+    x - a) and not real, as a J value is not. It is built from the
+    library's certified kernels alone: c^(1/m) = exp(log(c)/m) and
+    e^(i pi/m) = exp_cis(1/(2m)).
+    """
+    from quadexp.numerics import (GUARD_BITS, FixedComplex, FixedReal,
+                                  exp_cis, exp_fixed, log_fixed)
+
+    w = p + GUARD_BITS
+    root = exp_fixed(log_fixed(FixedReal.from_int(c, w), w).div_int(m), w)
+    turn = exp_cis(FixedReal.from_ratio(1, 2 * m, w), w)
+    z = FixedComplex.from_int(a, w) + FixedComplex.from_real(root) * turn
+    return z.rescale(p)
+
+
+def control_minpoly(a: int, c: int, m: int) -> tuple[int, ...]:
+    """The coefficients of (x - a)^m + c, lowest degree first."""
+    coeffs = [comb(m, k) * (-a) ** (m - k) for k in range(m + 1)]
+    coeffs[0] += c
+    return tuple(coeffs)

@@ -121,6 +121,20 @@ def result_key(result: ClassPolynomialResult) -> dict:
     return key
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The precisions, in order, at which the j embeddings get built."""
+    works = []
+    embeddings = modular._j_embeddings
+
+    def spy(forms, work):
+        works.append(work)
+        return embeddings(forms, work)
+
+    monkeypatch.setattr(modular, "_j_embeddings", spy)
+    return works
+
+
 class TestCache:
     def test_roundtrip_and_coherence(self, tmp_path):
         cache = str(tmp_path)
@@ -152,29 +166,21 @@ class TestCache:
         assert miss.precision_bits > 256
         assert miss.gap_bits > ROUNDING_GAP_BITS
 
-    def test_header_precision_bounded(self, tmp_path, monkeypatch):
-        # a header naming more precision than the miss loop can reach is a
-        # miss: the file alone must not set the cost of a hit
-        works = []
-        embeddings = modular._j_embeddings
-
-        def spy(forms, work):
-            works.append(work)
-            return embeddings(forms, work)
-
-        monkeypatch.setattr(modular, "_j_embeddings", spy)
+    def test_header_precision_bounded(self, tmp_path, builds):
+        # a header naming more precision than the build loop can reach is
+        # ignored: the file alone must not set the cost of a build
         cache = str(tmp_path)
         miss = ring_class_polynomial_detailed(15, 1, 384, cache_dir=cache)
-        ceiling = works[0] << (modular.MAX_ESCALATIONS - 1)
+        ceiling = builds[0] << (modular.MAX_ESCALATIONS - 1)
         path = os.path.join(cache, "classpoly_d15_f1.txt")
         lines = open(path).read().splitlines()
         lines[0] = re.sub(r"precision=\d+", f"precision={ceiling + 1}",
                           lines[0])
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        works.clear()
+        builds.clear()
         again = ring_class_polynomial_detailed(15, 1, 384, cache_dir=cache)
-        assert works and max(works) <= ceiling
+        assert builds and max(builds) <= ceiling
         assert result_key(again) == result_key(miss)
 
     def test_corrupt_cache_ignored(self, tmp_path):
@@ -182,6 +188,15 @@ class TestCache:
         path = os.path.join(cache, "classpoly_d15_f1.txt")
         with open(path, "w") as fh:
             fh.write("garbage\n")
+        poly = ring_class_polynomial(15, 1, 384, cache_dir=cache)
+        assert poly.degree == 2
+
+    def test_non_ascii_cache_ignored(self, tmp_path):
+        # the header is matched as bytes: a file that is not text is a miss
+        cache = str(tmp_path)
+        path = os.path.join(cache, "classpoly_d15_f1.txt")
+        with open(path, "wb") as fh:
+            fh.write(b"\xff\xfe\n")
         poly = ring_class_polynomial(15, 1, 384, cache_dir=cache)
         assert poly.degree == 2
 
@@ -197,8 +212,8 @@ class TestCache:
         assert poly.coefficients == (-121287375, 191025, 1)
 
     def test_wrong_coefficient_rejected(self, tmp_path):
-        # a well-formed entry is trusted only if the embeddings rebuild it;
-        # a wrong one is a miss, which rewrites the file
+        # the coefficients of an entry are never read: the build certifies
+        # its own and rewrites the file
         cache = str(tmp_path)
         ring_class_polynomial(15, 1, 384, cache_dir=cache)
         path = os.path.join(cache, "classpoly_d15_f1.txt")
@@ -209,6 +224,22 @@ class TestCache:
         poly = ring_class_polynomial(15, 1, 384, cache_dir=cache)
         assert poly.coefficients == (-121287375, 191025, 1)
         assert open(path).read().splitlines()[2] == "-121287375"
+
+    def test_wrong_coefficient_costs_one_build(self, tmp_path, builds):
+        # an entry only sets the precision the build starts at: one build,
+        # at the precision it recorded, whatever its coefficients say
+        cache = str(tmp_path)
+        miss = ring_class_polynomial_detailed(15, 1, 512, cache_dir=cache)
+        path = os.path.join(cache, "classpoly_d15_f1.txt")
+        lines = open(path).read().splitlines()
+        lines[3] = str(int(lines[3]) + 1)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        builds.clear()
+        hit = ring_class_polynomial_detailed(15, 1, 384, cache_dir=cache)
+        assert builds == [miss.precision_bits] == [512]
+        assert hit.polynomial == miss.polynomial
+        assert hit.precision_bits == 512
 
 
 class TestPrecisionEscalation:

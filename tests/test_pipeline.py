@@ -722,6 +722,29 @@ class TestCLI:
         with pytest.raises(QuadexpError):
             CaseParams(precision_bits=bits)
 
+    @pytest.mark.parametrize("command", [["case", "15"], ["range", "13", "15"]])
+    def test_bad_cache_dir_exit1(self, monkeypatch, tmp_path, command):
+        # a cache directory that cannot be made or written is an input
+        # error, found before any work, not at the first cache write
+        def crash(*args, **kwargs):
+            raise RuntimeError("ran with a bad cache directory")
+
+        monkeypatch.setattr(cli, "run_case", crash)
+        monkeypatch.setattr(cli, "run_range", crash)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for path in (blocker, blocker / "sub"):
+            code, output = run_cli(*command, "--cache-dir", str(path),
+                                   "--precision-bits", "128")
+            assert code == 1, output
+            assert f"input error: argument --cache-dir: cannot write " \
+                f"{path}: {blocker} is not a writable directory" in output
+            assert "Traceback" not in output
+        missing = tmp_path / "made" / "later"
+        assert cli._cache_directory(str(missing)) == str(missing)
+        assert cli._cache_directory(str(tmp_path)) == str(tmp_path)
+        assert not missing.parent.exists()
+
     @pytest.mark.parametrize("option,value,least,message", [
         ("--search-bound", -5, 0, "search_bound must be nonnegative, got -5"),
         ("--given-conductor", 0, 1, "given_conductor must be positive, got 0"),

@@ -5,9 +5,9 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oracles import (cold_relation_basis, evaluate_J_reference,
-                     float_lll_reference, is_basis_of, lll_reference,
-                     lovasz_holds, matches_lll_reference,
+from oracles import (cold_relation_basis, control_minpoly, control_value,
+                     evaluate_J_reference, float_lll_reference, is_basis_of,
+                     lll_reference, lovasz_holds, matches_lll_reference,
                      shortest_vector_brute)
 from quadexp import _core, pipeline, recognition
 from quadexp._core import FloatBreakdown, lll_reduce_rows, lll_reduce_rows_float
@@ -515,6 +515,27 @@ class TestMinPoly:
         off = FixedReal(z.mantissa + (1 << (p - 85 * p // 100)), p, 0)
         r = min_poly(FixedComplex.from_real(off), 4, 10**6, p)
         assert not r.recognized
+
+    @pytest.mark.parametrize("c", [2**60 + 33, 2**80 + 13])
+    def test_degree_12_control_recognized(self, c):
+        # a positive control of a J value's kind: complex, certified, and of
+        # the searched degree, with c prime and height c
+        r = min_poly(control_value(3, c, 12, 512), 12, 10**40, 512)
+        assert r.recognized
+        assert r.verdict.minpoly.coefficients == control_minpoly(3, c, 12)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the residual threshold at 512 bits accepts an irreducible degree-24 "
+        "polynomial of height about 2^45 that is not the control's; a "
+        "significance gate on the lattice determinant (ROADMAP direction 2) "
+        "would reject it"))
+    def test_degree_24_control_not_misnamed(self):
+        # at 768 and 1024 bits, and in the 2p search warmed from this one,
+        # the search finds (x - 3)^24 + c itself
+        c = 2**40 + 15
+        r = min_poly(control_value(3, c, 24, 512), 24, 10**40, 512)
+        assert not r.recognized or \
+            r.verdict.minpoly.coefficients == control_minpoly(3, c, 24)
 
 
 class TestJEvaluation:
