@@ -6,6 +6,10 @@ line: a malformed command line, an unwritable ``--json`` or ``--csv`` path
 or ``--cache-dir`` directory, d not square-free, or a bound or worker count
 out of its domain; 2 internal error, with the traceback of any exception
 that is not a ``QuadexpError``.
+
+``--cache-dir`` receives each certified class polynomial, for inspection;
+no run reads it back. ``CaseParams`` checks it, so a path that is neither a
+writable directory nor missing under one is an input error before any work.
 """
 
 from __future__ import annotations
@@ -45,18 +49,6 @@ def _output_path(path: str) -> str:
     return path
 
 
-def _cache_directory(path: str) -> str:
-    """A writable directory, or a missing path whose nearest existing
-    parent is one (the first cache write makes it)."""
-    existing = os.path.abspath(path)
-    while not os.path.lexists(existing):
-        existing = os.path.dirname(existing)
-    if not (os.path.isdir(existing) and os.access(existing, os.W_OK)):
-        raise argparse.ArgumentTypeError(
-            f"cannot write {path}: {existing} is not a writable directory")
-    return path
-
-
 _DEFAULTS = CaseParams()  # each case option defaults to its field here
 _CASE_FIELDS = {  # field: (type, help); CaseParams rejects a bad value
     "precision_bits": (int, "(default: %(default)s)"),
@@ -67,9 +59,9 @@ _CASE_FIELDS = {  # field: (type, help); CaseParams rejects a bad value
     "conductor_direction": (str, f"{' or '.join(DIRECTIONS)} "
                                  "(default: %(default)s)"),
     "search_bound": (int, "(default: %(default)s)"),
-    "cache_dir": (_cache_directory, "class polynomial cache directory, "
-                                    "made if missing; an entry sets only the "
-                                    "precision its build starts at"),
+    "cache_dir": (str, "directory, made if missing, that receives each "
+                       "certified class polynomial for inspection; no run "
+                       "reads it back"),
     "given_conductor": (int, "conductor of the given side of the match "
                              "(default: %(default)s)"),
 }

@@ -4,6 +4,9 @@ j is evaluated from the Eisenstein q-series with a certified truncation
 tail folded into the error bound; class polynomial coefficients are only
 rounded to integers when the certified distance to the nearest integer
 is below the rounding-gap threshold, otherwise precision escalates.
+Every build starts from its own estimate; a cache directory receives each
+certified polynomial for inspection, and no run reads it back
+(``CaseParams`` rejects a directory that cannot be written before any work).
 
 The class-field generator is built in exact integers.
 ``IntegerPolynomial.factor_irreducible`` first tries to prove its polynomial
@@ -17,7 +20,6 @@ load it.
 from __future__ import annotations
 
 import os
-import re
 import sys
 import tempfile
 from array import array
@@ -324,8 +326,10 @@ def ring_class_polynomial_detailed(d: int, f: int, p: int,
     Rounding is certified: each coefficient (plus its error bound) must sit
     within 2**-ROUNDING_GAP_BITS of an integer or the computation retries at
     doubled precision, up to 2**(MAX_ESCALATIONS - 1) times the estimate's.
-    A cache entry's recorded precision, if not above that ceiling, only
-    raises where the attempts start; every certified build rewrites it.
+    With ``cache_dir``, every certified polynomial is written there for
+    inspection; no build reads an entry back. ``CaseParams`` rejects a
+    directory that cannot be written before any work; called directly with
+    one, the build raises ``OSError`` at its write.
     """
     order = OrderDescriptor("imaginary", d, f)
     summary = class_group(order)
@@ -333,9 +337,6 @@ def ring_class_polynomial_detailed(d: int, f: int, p: int,
 
     work = max(p, _coefficient_bits_estimate(order.discriminant, forms) + 96)
     ceiling = work << (MAX_ESCALATIONS - 1)
-    recorded = _cache_read(cache_dir, d, f)
-    if recorded is not None and recorded <= ceiling:
-        work = max(work, recorded)
     while work <= ceiling:
         try:
             result = _class_poly_attempt(forms, work, p)
@@ -402,22 +403,6 @@ CACHE_VERSION = 2
 
 def _cache_path(cache_dir: str, d: int, f: int) -> str:
     return os.path.join(cache_dir, f"classpoly_d{d}_f{f}.txt")
-
-
-def _cache_read(cache_dir, d, f):
-    """The precision in a well-formed entry's header, else None; the
-    coefficients under it are written for inspection and never read."""
-    if cache_dir is None:
-        return None
-    path = _cache_path(cache_dir, d, f)
-    if not os.path.exists(path):
-        return None
-    with open(path, "rb") as fh:
-        header = fh.readline()
-    magic = re.fullmatch(
-        rb"quadexp-classpoly %d precision=(\d+) gap=\d+\s*" % CACHE_VERSION,
-        header)
-    return int(magic[1]) if magic else None
 
 
 def _cache_write(cache_dir, d, f, disc, h, result: ClassPolynomialResult):

@@ -38,6 +38,9 @@ class CaseParams:
     height_bound: int = DEFAULT_HEIGHT_BOUND
     conductor_direction: str = "real-to-imag"
     search_bound: int = 100
+    # receives each certified class polynomial, for inspection; no run
+    # reads it back, and a path that is neither a writable directory nor
+    # missing under one is a DomainError here, before any work
     cache_dir: str | None = None
     given_conductor: int = 1
     recognition: bool = True
@@ -55,6 +58,15 @@ class CaseParams:
             raise DomainError(f"conductor_direction must be "
                               f"{' or '.join(DIRECTIONS)}, "
                               f"got {self.conductor_direction!r}")
+        if self.cache_dir == "":
+            raise DomainError("cache_dir must not be empty")
+        if self.cache_dir is not None:
+            existing = os.path.abspath(self.cache_dir)
+            while not os.path.lexists(existing):
+                existing = os.path.dirname(existing)
+            if not (os.path.isdir(existing) and os.access(existing, os.W_OK)):
+                raise DomainError(f"cannot write {self.cache_dir}: {existing} "
+                                  f"is not a writable directory")
 
     def to_json(self) -> dict:
         return {"precision_bits": self.precision_bits,

@@ -3,6 +3,7 @@ import os
 import random
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -135,13 +136,25 @@ def builds(monkeypatch):
     return works
 
 
+def _entry(cache: str) -> Path:
+    return Path(cache) / "classpoly_d15_f1.txt"
+
+
+def _edit_entry(cache, bits, line, edit):
+    """Write the d = 15 entry by a call at bits, then edit one line."""
+    ring_class_polynomial_detailed(15, 1, bits, cache_dir=cache)
+    lines = _entry(cache).read_text().splitlines()
+    lines[line] = edit(lines[line])
+    _entry(cache).write_text("\n".join(lines) + "\n")
+
+
 class TestCache:
     def test_roundtrip_and_coherence(self, tmp_path):
         cache = str(tmp_path)
         a = ring_class_polynomial(15, 1, 384, cache_dir=cache)
         files = os.listdir(cache)
         assert any(f.startswith("classpoly_d15_f1") for f in files)
-        b = ring_class_polynomial(15, 1, 384, cache_dir=cache)  # hit
+        b = ring_class_polynomial(15, 1, 384, cache_dir=cache)  # entry present
         c = ring_class_polynomial(15, 1, 384, cache_dir=None)  # bypass
         assert a.coefficients == b.coefficients == c.coefficients
 
@@ -157,7 +170,8 @@ class TestCache:
 
     def test_hit_matches_miss(self, tmp_path):
         # j is large at disc -776: evaluated at p + GUARD_BITS, a divisor in
-        # j is not separated from zero, so a hit must work where a miss does
+        # j is not separated from zero, so the build escalates, with an
+        # entry present as without one
         cache = str(tmp_path)
         miss = ring_class_polynomial_detailed(194, 2, 256, cache_dir=cache)
         hit = ring_class_polynomial_detailed(194, 2, 256, cache_dir=cache)
@@ -166,80 +180,41 @@ class TestCache:
         assert miss.precision_bits > 256
         assert miss.gap_bits > ROUNDING_GAP_BITS
 
-    def test_header_precision_bounded(self, tmp_path, builds):
-        # a header naming more precision than the build loop can reach is
-        # ignored: the file alone must not set the cost of a build
+    @pytest.mark.parametrize("entry", [
+        # the recognize benchmark's order: 512 bits, then 384 in one directory
+        pytest.param(lambda cache: ring_class_polynomial_detailed(
+            15, 1, 512, cache_dir=cache), id="written-at-512"),
+        pytest.param(lambda cache: _entry(cache).write_bytes(b"garbage\n"),
+                     id="garbage"),
+        pytest.param(lambda cache: _entry(cache).write_bytes(b"\xff\xfe\n"),
+                     id="non-ascii"),
+        # more precision than the build loop can reach from 384 bits
+        pytest.param(lambda cache: _edit_entry(
+            cache, 384, 0, lambda line: re.sub(
+                r"precision=\d+",
+                f"precision={(384 << (modular.MAX_ESCALATIONS - 1)) + 1}",
+                line)), id="header-above-ceiling"),
+        pytest.param(lambda cache: _edit_entry(
+            cache, 512, 3, lambda line: str(int(line) + 1)),
+            id="wrong-coefficient"),
+        pytest.param(lambda cache: _edit_entry(
+            cache, 384, 3, lambda line: "191025.0"),
+            id="non-integer-coefficient"),
+    ])
+    def test_entry_never_steers_a_build(self, tmp_path, builds, entry):
+        # whatever the directory holds, a build makes the same attempts at
+        # the same precisions as without one, and rewrites the entry
+        bypass = ring_class_polynomial_detailed(15, 1, 384)
+        bypass_builds = builds[:]
         cache = str(tmp_path)
-        miss = ring_class_polynomial_detailed(15, 1, 384, cache_dir=cache)
-        ceiling = builds[0] << (modular.MAX_ESCALATIONS - 1)
-        path = os.path.join(cache, "classpoly_d15_f1.txt")
-        lines = open(path).read().splitlines()
-        lines[0] = re.sub(r"precision=\d+", f"precision={ceiling + 1}",
-                          lines[0])
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        entry(cache)
         builds.clear()
-        again = ring_class_polynomial_detailed(15, 1, 384, cache_dir=cache)
-        assert builds and max(builds) <= ceiling
-        assert result_key(again) == result_key(miss)
-
-    def test_corrupt_cache_ignored(self, tmp_path):
-        cache = str(tmp_path)
-        path = os.path.join(cache, "classpoly_d15_f1.txt")
-        with open(path, "w") as fh:
-            fh.write("garbage\n")
-        poly = ring_class_polynomial(15, 1, 384, cache_dir=cache)
-        assert poly.degree == 2
-
-    def test_non_ascii_cache_ignored(self, tmp_path):
-        # the header is matched as bytes: a file that is not text is a miss
-        cache = str(tmp_path)
-        path = os.path.join(cache, "classpoly_d15_f1.txt")
-        with open(path, "wb") as fh:
-            fh.write(b"\xff\xfe\n")
-        poly = ring_class_polynomial(15, 1, 384, cache_dir=cache)
-        assert poly.degree == 2
-
-    def test_non_integer_coefficient_ignored(self, tmp_path):
-        cache = str(tmp_path)
-        ring_class_polynomial(15, 1, 384, cache_dir=cache)
-        path = os.path.join(cache, "classpoly_d15_f1.txt")
-        lines = open(path).read().splitlines()
-        lines[3] = "191025.0"
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        poly = ring_class_polynomial(15, 1, 384, cache_dir=cache)
-        assert poly.coefficients == (-121287375, 191025, 1)
-
-    def test_wrong_coefficient_rejected(self, tmp_path):
-        # the coefficients of an entry are never read: the build certifies
-        # its own and rewrites the file
-        cache = str(tmp_path)
-        ring_class_polynomial(15, 1, 384, cache_dir=cache)
-        path = os.path.join(cache, "classpoly_d15_f1.txt")
-        lines = open(path).read().splitlines()
-        lines[2] = "-121287374"
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        poly = ring_class_polynomial(15, 1, 384, cache_dir=cache)
-        assert poly.coefficients == (-121287375, 191025, 1)
-        assert open(path).read().splitlines()[2] == "-121287375"
-
-    def test_wrong_coefficient_costs_one_build(self, tmp_path, builds):
-        # an entry only sets the precision the build starts at: one build,
-        # at the precision it recorded, whatever its coefficients say
-        cache = str(tmp_path)
-        miss = ring_class_polynomial_detailed(15, 1, 512, cache_dir=cache)
-        path = os.path.join(cache, "classpoly_d15_f1.txt")
-        lines = open(path).read().splitlines()
-        lines[3] = str(int(lines[3]) + 1)
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        builds.clear()
-        hit = ring_class_polynomial_detailed(15, 1, 384, cache_dir=cache)
-        assert builds == [miss.precision_bits] == [512]
-        assert hit.polynomial == miss.polynomial
-        assert hit.precision_bits == 512
+        result = ring_class_polynomial_detailed(15, 1, 384, cache_dir=cache)
+        assert builds == bypass_builds == [384]
+        assert result_key(result) == result_key(bypass)
+        assert _entry(cache).read_text().splitlines() == [
+            f"quadexp-classpoly 2 precision=384 gap={bypass.gap_bits}",
+            "disc=-15 degree=2", "-121287375", "191025", "1"]
 
 
 class TestPrecisionEscalation:

@@ -2,6 +2,7 @@ import concurrent.futures
 import io
 import json
 import multiprocessing
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from inspect import signature
 
@@ -111,6 +112,23 @@ class TestRunCase:
         # an input error when the parameters are built, not a report per case
         with pytest.raises(DomainError, match="got 'sideways'"):
             CaseParams(conductor_direction="sideways")
+
+    def test_bad_cache_dir_rejected(self, tmp_path):
+        # a cache directory that cannot be written is an input error when the
+        # parameters are built, so run_case never starts; a missing one is
+        # made by the first cache write, not by the check
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for path in (blocker, blocker / "sub"):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"cannot write {path}: {blocker} is not a writable "
+                    f"directory")):
+                CaseParams(precision_bits=128, cache_dir=str(path))
+        with pytest.raises(DomainError, match="cache_dir must not be empty"):
+            CaseParams(cache_dir="")  # os.makedirs("") would fail at the write
+        missing = tmp_path / "made" / "later"
+        assert CaseParams(cache_dir=str(missing)).cache_dir == str(missing)
+        assert not missing.parent.exists()
 
     @pytest.mark.parametrize("d,direction,bits,recognize,discs", [
         pytest.param(15, "real-to-imag", 512, False, [-15, 60],
@@ -531,6 +549,13 @@ class TestCacheCoherence:
         warm = run_case(15, params).dumps(with_timing=False)
         bypass = run_case(15, CaseParams(precision_bits=320)).dumps(with_timing=False)
         assert cold == warm == bypass
+        # the recognize benchmark's order: a report never depends on what
+        # ran before in its directory
+        cache = str(tmp_path / "benchmark-order")
+        run_case(15, CaseParams(cache_dir=cache))
+        warm = run_case(15, CaseParams(precision_bits=384, cache_dir=cache))
+        bypass = run_case(15, CaseParams(precision_bits=384))
+        assert warm.dumps(with_timing=False) == bypass.dumps(with_timing=False)
 
 
 class TestVerifySymbolic:
@@ -737,12 +762,12 @@ class TestCLI:
             code, output = run_cli(*command, "--cache-dir", str(path),
                                    "--precision-bits", "128")
             assert code == 1, output
-            assert f"input error: argument --cache-dir: cannot write " \
+            assert f"input error: cannot write " \
                 f"{path}: {blocker} is not a writable directory" in output
             assert "Traceback" not in output
         missing = tmp_path / "made" / "later"
-        assert cli._cache_directory(str(missing)) == str(missing)
-        assert cli._cache_directory(str(tmp_path)) == str(tmp_path)
+        assert CaseParams(cache_dir=str(missing)).cache_dir == str(missing)
+        assert CaseParams(cache_dir=str(tmp_path)).cache_dir == str(tmp_path)
         assert not missing.parent.exists()
 
     @pytest.mark.parametrize("option,value,least,message", [

@@ -44,6 +44,10 @@ error paths import, and no third-party module;
 ``test_declared_dependencies_match_the_imports`` holds ``pyproject.toml``'s
 dependencies to the third-party modules ``src/quadexp`` imports, and its
 ``test`` extra to those the tests import besides.
+No module under ``src/quadexp`` opens a file for reading (the class
+polynomial cache is written for inspection only), so a file read arrives
+with the verification of what it reads;
+``test_no_module_reads_a_file`` holds them to that.
 """
 
 import ast
@@ -378,6 +382,38 @@ def test_declared_dependencies_match_the_imports():
     assert _third_party_imports(ROOT / "src" / "quadexp") == runtime
     test_extra = names(project["optional-dependencies"]["test"])
     assert _third_party_imports(ROOT / "tests") <= runtime | test_extra
+
+
+def _file_reads(source: str) -> list[int]:
+    """Lines of the ``open`` and ``os.fdopen`` calls in source whose mode
+    reads: no mode, a mode with "r" or "+", or one not spelled out."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if not (isinstance(func, ast.Name) and func.id == "open"
+                or isinstance(func, ast.Attribute) and func.attr == "fdopen"
+                and isinstance(func.value, ast.Name) and func.value.id == "os"):
+            continue
+        modes = node.args[1:2] + [k.value for k in node.keywords
+                                  if k.arg == "mode"]
+        mode = modes[0] if modes else ast.Constant("r")
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("r+")):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_reads_a_file():
+    # data read back from disk must be verified before use, so a module that
+    # reads a file arrives with that verification and an update of this test
+    control = ("open(a)\nopen(a, 'rb')\nos.fdopen(fd, mode='r+')\n"
+               "open(a, m)\nopen(a, 'w')\nos.fdopen(fd, 'a')\n")
+    assert _file_reads(control) == [1, 2, 3, 4]
+    reads = {path.name: _file_reads(path.read_text(encoding="utf-8"))
+             for path in (ROOT / "src" / "quadexp").glob("*.py")}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
 
 
 if __name__ == "__main__":  # rewrite the pinned report digests
