@@ -2,9 +2,11 @@
 
 Coefficients are formal Laurent polynomials over Q in the scale symbol mu,
 the phase symbol zeta (conjugation inverts it), and optionally the six
-generic coefficients q12..q34 with their formal conjugates. Working with
-formal coefficients makes every verified identity hold identically in the
-parameters, which is stronger than any numeric specialization. Coeff and
+generic coefficients q12..q34 with their formal conjugates. Their rational
+coefficients are exact: int when integral, Fraction otherwise, and floats
+are rejected. Working with formal coefficients makes every verified
+identity hold identically in the parameters, which is stronger than any
+numeric specialization. Coeff and
 NCPolynomial are both sparse sums over one private base, ``_Sum``, which
 holds their arithmetic; each adds only how its keys multiply (exponent
 addition for monomials, concatenation for words) and its own methods.
@@ -44,6 +46,19 @@ def _conj_symbol(name: str) -> str:
     return name[:-1] if name.endswith("~") else name + "~"
 
 
+def _rational(r) -> int | Fraction:
+    """r as an exact rational: int when integral, Fraction otherwise.
+
+    A float is rejected, because a binary float is not the rational it
+    was written as (0.1 is 3602879701896397/36028797018963968).
+    """
+    if isinstance(r, Fraction):
+        return r.numerator if r.denominator == 1 else r
+    if isinstance(r, int):
+        return int(r)
+    raise DomainError(f"{r!r} is not an exact rational (int or Fraction)")
+
+
 def _mono(exps: dict[str, int]) -> Mono:
     """The monomial of symbol exponents, in normal form: sorted, no zeros."""
     return tuple(sorted((s, e) for s, e in exps.items() if e != 0))
@@ -52,9 +67,11 @@ def _mono(exps: dict[str, int]) -> Mono:
 class _Sum:
     """A finite sum {key: coefficient} with zero coefficients dropped.
 
-    The arithmetic shared by Coeff (monomials over Fractions) and
-    NCPolynomial (words over Coeffs); a subclass gives ``_key_mul``, the
-    product of two keys.
+    The arithmetic shared by Coeff (monomials over exact rationals: int
+    when integral, Fraction otherwise) and NCPolynomial (words over Coeffs);
+    a subclass gives ``_key_mul``, the product of two keys. Neither ring has
+    zero divisors, so a negation or a product of one term by one term is
+    built without dropping zeros.
     """
 
     __slots__ = ("terms",)
@@ -65,6 +82,13 @@ class _Sum:
     @classmethod
     def zero(cls):
         return cls({})
+
+    @classmethod
+    def _nonzero(cls, terms: dict):
+        """The sum of terms, none of whose coefficients is zero."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     def __bool__(self):
         return bool(self.terms)
@@ -82,12 +106,16 @@ class _Sum:
         return type(self)(t)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return self._nonzero({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        if len(self.terms) == len(other.terms) == 1:
+            (k1, c1), = self.terms.items()
+            (k2, c2), = other.terms.items()
+            return self._nonzero({self._key_mul(k1, k2): c1 * c2})
         t = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -97,20 +125,30 @@ class _Sum:
 
 
 class Coeff(_Sum):
-    """Formal Laurent polynomial in the coefficient symbols, over Q."""
+    """Formal Laurent polynomial in the coefficient symbols, over Q.
+
+    Its rational coefficients are exact: int when integral, Fraction
+    otherwise, and floats are rejected (DomainError). ``rational``,
+    ``monomial`` and ``inverse`` store an integral value as an int, so
+    integral inputs never meet Fraction arithmetic; a sum or product of
+    Fractions that comes out integral stays a Fraction, which equals,
+    hashes and serializes as the int.
+    """
 
     __slots__ = ()
 
     @classmethod
     def rational(cls, r) -> "Coeff":
-        return cls({(): Fraction(r)})
+        return cls({(): _rational(r)})
 
     @classmethod
     def monomial(cls, r, exps: dict[str, int]) -> "Coeff":
-        return cls({_mono(exps): Fraction(r)})
+        return cls({_mono(exps): _rational(r)})
 
     @staticmethod
     def _key_mul(m1: Mono, m2: Mono) -> Mono:
+        if not m1 or not m2:
+            return m1 or m2
         d = dict(m1)
         for s, e in m2:
             d[s] = d.get(s, 0) + e
@@ -120,13 +158,15 @@ class Coeff(_Sum):
         return len(self.terms) == 1
 
     def inverse(self) -> "Coeff":
+        if not self.terms:
+            raise DomainError("the zero coefficient is not invertible")
         if len(self.terms) != 1:
             raise DomainError("only monomial coefficients are invertible")
         (mono, r), = self.terms.items()
-        return Coeff({tuple((s, -e) for s, e in mono): Fraction(1) / r})
+        return Coeff({tuple((s, -e) for s, e in mono): _rational(Fraction(1, r))})
 
     def conjugate(self) -> "Coeff":
-        t: dict[Mono, Fraction] = {}
+        t: dict[Mono, int | Fraction] = {}
         for m, r in self.terms.items():
             d: dict[str, int] = {}
             for s, e in m:
@@ -136,7 +176,7 @@ class Coeff(_Sum):
                     cs = _conj_symbol(s)
                     d[cs] = d.get(cs, 0) + e
             mono = _mono(d)
-            t[mono] = t.get(mono, Fraction(0)) + r
+            t[mono] = t.get(mono, 0) + r
         return Coeff(t)
 
     def mu_shift_from(self, other: "Coeff") -> int | None:
@@ -220,6 +260,8 @@ class NCPolynomial(_Sum):
         return NCPolynomial({w: c * coeff for w, c in self.terms.items()})
 
     def lead_word(self) -> Word:
+        if not self.terms:
+            raise DomainError("the zero polynomial has no lead word")
         return max(self.terms, key=deglex_key)
 
     def mu_shift_from(self, other: "NCPolynomial") -> int | None:
@@ -787,12 +829,12 @@ def jacobi_coefficients(alpha: Fraction, beta: Fraction,
                         gamma: Fraction) -> JacobiCoefficients:
     """Quadric coefficients A = (1-alpha)/(1+beta), B = (1+alpha)/(1-gamma).
 
-    Exact rational arithmetic on int or Fraction inputs; the surface
-    constraint alpha + beta + gamma + alpha*beta*gamma = 0 is checked and
-    reported, violating it only warns since the map itself stays well
-    defined.
+    Exact rational arithmetic on int or Fraction inputs, a float raising
+    DomainError; the surface constraint alpha + beta + gamma +
+    alpha*beta*gamma = 0 is checked and reported, violating it only warns
+    since the map itself stays well defined.
     """
-    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    alpha, beta, gamma = (Fraction(_rational(x)) for x in (alpha, beta, gamma))
     if beta == -1:
         raise PoleError("beta = -1 is a pole of the first coefficient")
     if gamma == 1:

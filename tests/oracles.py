@@ -17,7 +17,11 @@ at its full scale, with that kernel: the search as it stood before it
 climbed to the scale in rungs. ``reduce_reference`` is the symbolic layer's
 normal form as it stood before its rules were indexed by left word, and
 ``complete_reference`` its completion, reducing through it, as it stood
-before one rule index served a whole completion.
+before one rule index served a whole completion. ``laurent_add``,
+``laurent_neg``, ``laurent_mul``, ``laurent_inverse`` and
+``laurent_conjugate`` are the symbolic layer's coefficient arithmetic on
+plain {monomial: Fraction} dicts, with Fractions throughout, as it stood
+before integral coefficients were stored as ints.
 ``unit_index_reference`` and ``match_conductor_reference`` are the real unit
 index and the conductor scan as they stood before the index was stepped in
 integers mod f and the scan ended at f = 1 when h(O_K) does not divide the
@@ -648,6 +652,49 @@ def complete_reference(system):
             enqueue(len(rules) - 1, j)
     rules.sort(key=lambda r: deglex_key(r.lhs), reverse=True)
     return rules, findings
+
+
+def _laurent_collect(terms) -> dict:
+    """{monomial: Fraction} summing (exponent dict, rational) terms."""
+    out = {}
+    for exps, r in terms:
+        m = tuple(sorted((s, e) for s, e in exps.items() if e))
+        out[m] = out.get(m, Fraction(0)) + Fraction(r)
+    return {m: r for m, r in out.items() if r}
+
+
+def laurent_add(a: dict, b: dict) -> dict:
+    return _laurent_collect((dict(m), r) for m, r in [*a.items(), *b.items()])
+
+
+def laurent_neg(a: dict) -> dict:
+    return _laurent_collect((dict(m), -r) for m, r in a.items())
+
+
+def laurent_mul(a: dict, b: dict) -> dict:
+    def times(m1, m2):
+        exps = dict(m1)
+        for s, e in m2:
+            exps[s] = exps.get(s, 0) + e
+        return exps
+    return _laurent_collect((times(m1, m2), Fraction(r1) * r2)
+                            for m1, r1 in a.items() for m2, r2 in b.items())
+
+
+def laurent_inverse(a: dict) -> dict:
+    """The inverse of a one-term Laurent polynomial."""
+    (m, r), = a.items()
+    return _laurent_collect([({s: -e for s, e in m}, 1 / Fraction(r))])
+
+
+def laurent_conjugate(a: dict) -> dict:
+    """mu fixed, zeta inverted, every other symbol s swapped with s~."""
+    def conj(s, e):
+        if s == "zeta":
+            return s, -e
+        return (s if s == "mu" else s[:-1] if s.endswith("~") else s + "~"), e
+    return _laurent_collect((dict(conj(s, e) for s, e in m), r)
+                            for m, r in a.items())
 
 
 def unit_index_reference(order, unit) -> int:

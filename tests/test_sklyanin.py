@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadexp import sklyanin
+from quadexp import pipeline, sklyanin
 from quadexp.errors import (ConstraintViolated, DomainError, PoleError,
                             StepBoundExceeded)
 from quadexp.sklyanin import (Coeff, MU_C, MU_INV, NCPolynomial, ONE,
@@ -15,7 +15,9 @@ from quadexp.sklyanin import (Coeff, MU_C, MU_INV, NCPolynomial, ONE,
                               substitute_coefficients, systems_equivalent,
                               systems_identical)
 
-from oracles import complete_reference, reduce_reference
+from oracles import (complete_reference, laurent_add, laurent_conjugate,
+                     laurent_inverse, laurent_mul, laurent_neg,
+                     reduce_reference)
 
 W = NCPolynomial.word
 
@@ -68,6 +70,30 @@ class TestCoeff:
         assert not Coeff.zero() and not ONE - ONE and ONE and MU_C - ONE
         assert not NCPolynomial.zero() and W((1, 2)) and NCPolynomial.unit()
         assert NCPolynomial({(1,): ONE - ONE, (2,): ONE}).terms == {(2,): ONE}
+
+    def test_integral_values_stored_as_ints(self):
+        assert type(Coeff.rational(Fraction(4, 2)).terms[()]) is int
+        assert type(Coeff.monomial(Fraction(3, 7), {"mu": 1}).terms[(("mu", 1),)]) \
+            is Fraction
+        assert Coeff.monomial(2, {"mu": 1}).inverse().terms == \
+            {(("mu", -1),): Fraction(1, 2)}
+        (r,) = Coeff.monomial(Fraction(1, 3), {"mu": 1}).inverse().terms.values()
+        assert type(r) is int and r == 3
+
+    @pytest.mark.parametrize("make", [
+        lambda: Coeff.rational(0.1),
+        lambda: Coeff.monomial(0.5, {"mu": 1}),
+        lambda: jacobi_coefficients(0.5, 0, 0),
+    ], ids=["rational", "monomial", "jacobi"])
+    def test_floats_rejected(self, make):
+        with pytest.raises(DomainError, match="not an exact rational"):
+            make()
+
+    def test_zero_inputs_raise_typed_errors(self):
+        with pytest.raises(DomainError, match="zero polynomial has no lead word"):
+            NCPolynomial.zero().lead_word()
+        with pytest.raises(DomainError, match="zero coefficient is not invertible"):
+            Coeff.zero().inverse()
 
     def test_mu_shift_detection(self):
         a = MU_C * ZETA_C + Coeff.monomial(2, {"mu": 3})
@@ -350,6 +376,92 @@ class TestCoeffRingAxioms:
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
         assert (a + b).conjugate() == a.conjugate() + b.conjugate()
         assert a.conjugate().conjugate() == a
+
+
+def laurent_st(max_terms=3):
+    """{monomial: Fraction} in mu, zeta and a generic symbol with its
+    conjugate; integral and non-integral rationals, zeros included."""
+    mono = st.dictionaries(st.sampled_from(["mu", "zeta", "q13", "q13~"]),
+                           st.integers(-2, 2), max_size=3).map(
+        lambda d: tuple(sorted((s, e) for s, e in d.items() if e)))
+    return st.dictionaries(
+        mono, st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        max_size=max_terms).map(lambda d: laurent_add({}, d))
+
+
+def as_coeff(d):
+    return sum((Coeff.monomial(r, dict(m)) for m, r in d.items()), Coeff.zero())
+
+
+def assert_matches(c, ref):
+    """c equals the all-Fraction Laurent polynomial ref, and hashes,
+    serializes and prints as it."""
+    twin = Coeff(ref)
+    assert c == twin and hash(c) == hash(twin)
+    assert c.to_json() == twin.to_json() and repr(c) == repr(twin)
+
+
+class TestCoeffOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(laurent_st(), laurent_st())
+    def test_ring_operations(self, a, b):
+        ca, cb = as_coeff(a), as_coeff(b)
+        assert_matches(ca, a)
+        assert_matches(ca + cb, laurent_add(a, b))
+        assert_matches(ca - cb, laurent_add(a, laurent_neg(b)))
+        assert_matches(ca * cb, laurent_mul(a, b))
+        assert_matches(-ca, laurent_neg(a))
+        assert_matches(ca.conjugate(), laurent_conjugate(a))
+
+    @settings(max_examples=80, deadline=None)
+    @given(laurent_st(max_terms=1).filter(bool))
+    def test_monomial_inverse(self, a):
+        assert_matches(as_coeff(a).inverse(), laurent_inverse(a))
+
+
+@pytest.fixture(scope="module")
+def suite_round():
+    """One round of the four symbolic suites, counting the reductions and
+    rewrite placements it makes and keeping the completions it builds."""
+    calls = {"_reduce": 0, "_apply_at": 0}
+    completions = []
+
+    def counting(name):
+        inner = getattr(sklyanin, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return spy
+
+    def keeping(system):
+        completions.append(complete(system))
+        return completions[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(sklyanin, name, counting(name))
+        mp.setattr(sklyanin, "complete", keeping)
+        for suite in pipeline.SYMBOLIC_SUITES:
+            assert all(c.passed for c in pipeline.verify_symbolic(suite))
+    return calls, completions
+
+
+class TestSuiteWork:
+    def test_work_census(self, suite_round):
+        # the rewriting the suites do; a change to the arithmetic alone
+        # leaves these counts as they are
+        calls, _ = suite_round
+        assert calls == {"_reduce": 338, "_apply_at": 534}
+
+    def test_rule_coefficients_are_ints(self, suite_round):
+        # every coefficient the suites create is integral, so none of their
+        # arithmetic runs on Fractions
+        _, completions = suite_round
+        assert len(completions) == 4
+        rationals = [r for comp in completions for rule in comp.rules
+                     for c in rule.rhs.terms.values() for r in c.terms.values()]
+        assert rationals and all(type(r) is int for r in rationals)
 
 
 class TestScaledUnitCollapse:
