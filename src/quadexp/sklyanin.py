@@ -34,7 +34,9 @@ MU = "mu"
 ZETA = "zeta"
 
 DEGREE_BOUND = 6  # longest lead word of a rule that completion adds
-STEP_BOUND = 10**4  # rewrites one reduction may take
+# rewrites one reduction may perform, traced or not; a word whose normal
+# form is memoized costs an untraced reduction none
+STEP_BOUND = 10**4
 MAX_RULES = 300  # rules one completion may hold
 
 _CONJ_FIXED = {MU}
@@ -390,17 +392,21 @@ class TraceStep:
 
 
 class _RuleIndex:
-    """The rules by left word, and the distinct left-word lengths.
+    """The rules by left word, the distinct left-word lengths, and a memo
+    of word normal forms.
 
     Each left word keeps the first rule added with it; lengths run longest
-    first.
+    first. ``normal_forms`` maps each word an untraced reduction has
+    finished to its normal-form terms; a rule added to the index clears it,
+    since the new rule may rewrite words those normal forms hold.
     """
 
-    __slots__ = ("by_lhs", "lengths")
+    __slots__ = ("by_lhs", "lengths", "normal_forms")
 
     def __init__(self, rules):
         self.by_lhs: dict[Word, RewriteRule] = {}
         self.lengths: list[int] = []
+        self.normal_forms: dict[Word, dict[Word, Coeff]] = {}
         for rule in rules:
             self.add(rule)
 
@@ -408,6 +414,7 @@ class _RuleIndex:
         if rule.lhs in self.by_lhs:
             return
         self.by_lhs[rule.lhs] = rule
+        self.normal_forms.clear()
         if len(rule.lhs) not in self.lengths:
             self.lengths.append(len(rule.lhs))
             self.lengths.sort(reverse=True)
@@ -426,6 +433,71 @@ class _RuleIndex:
                     return pos, rule
         return None
 
+    def normal_form(self, poly: NCPolynomial) -> NCPolynomial:
+        """The sum of c*NF(w) over the terms c*w of poly, through the memo.
+
+        NF(w) is w when w has no redex, and otherwise the sum of c*NF(u)
+        over the terms c*u of the one rewrite ``find_redex`` gives w. Every
+        rewrite performed counts against STEP_BOUND; a memoized word costs
+        none.
+        """
+        memo = self.normal_forms
+        out: dict[Word, Coeff] = {}
+        steps = 0
+        for w, c in poly.terms.items():
+            if w not in memo:
+                steps = self._memoize(w, steps)
+            _add_scaled(out, memo[w], c)
+        return NCPolynomial(out)
+
+    def _memoize(self, word: Word, steps: int) -> int:
+        """Memoize NF(word) and NF of every word its rewrites reach; returns
+        steps plus the rewrites this performed.
+
+        An explicit stack, not recursion, so a chain of rewrites as long as
+        STEP_BOUND allows runs in constant Python stack depth.
+        """
+        memo = self.normal_forms
+        stack = []  # (word, rewrite terms not yet summed, their sum so far)
+        while True:
+            if word is not None:  # a word not in the memo: rewrite it once
+                hit = self.find_redex(word)
+                if hit is None:
+                    memo[word] = {word: ONE}
+                else:
+                    steps += 1
+                    if steps > STEP_BOUND:
+                        raise StepBoundExceeded(
+                            f"no normal form within {STEP_BOUND} steps")
+                    stack.append((word, list(_apply_at(word, *hit).items()), {}))
+            if not stack:
+                return steps
+            top, todo, acc = stack[-1]
+            word = None
+            while todo:
+                u, c = todo[-1]
+                if u not in memo:
+                    word = u
+                    break
+                todo.pop()
+                _add_scaled(acc, memo[u], c)
+            else:
+                stack.pop()
+                memo[top] = {u: c for u, c in acc.items() if c}
+
+
+def _add_scaled(acc: dict[Word, Coeff], terms: dict[Word, Coeff],
+                coeff: Coeff) -> None:
+    """acc += coeff * terms, zero sums kept for the caller to drop.
+
+    A factor that is the ONE object is skipped: most rule coefficients and
+    every irreducible word's normal form carry it.
+    """
+    for u, c in terms.items():
+        if coeff is not ONE:
+            c = coeff if c is ONE else c * coeff
+        acc[u] = acc[u] + c if u in acc else c
+
 
 def _apply_at(word: Word, pos: int, rule: RewriteRule) -> dict[Word, Coeff]:
     """The terms replacing word when rule rewrites it at pos."""
@@ -435,22 +507,32 @@ def _apply_at(word: Word, pos: int, rule: RewriteRule) -> dict[Word, Coeff]:
 
 def reduce(poly: NCPolynomial, rules,
            trace: list | None = None) -> NCPolynomial:
-    """Normal form under the rules, leftmost-greatest strategy.
+    """Normal form under the rules.
 
     rules is a rule sequence: a RelationSystem's ``rewrites`` or the rules
     of ``complete()``. Each call indexes the rules afresh; ``complete``,
     ``check_derivation`` and ``systems_equivalent`` reduce through the
-    index a completion keeps instead. The greatest word with a redex is
-    rewritten at its leftmost redex by the longest lhs there, the first such
-    rule on a tie. Deterministic; raises StepBoundExceeded after STEP_BOUND
-    rewrites rather than spin.
+    index a completion keeps instead. A word is rewritten at its leftmost
+    redex by the longest lhs there, the first such rule on a tie. Without a
+    trace, the word normal forms are memoized on the index and summed; with
+    one, the stepwise loop rewrites the greatest word with a redex at each
+    step and records the step. Both give the same normal form, because each
+    word has one rewrite. Deterministic; raises StepBoundExceeded when the
+    reduction needs more than STEP_BOUND rewrites rather than spin.
     """
     return _reduce(poly, _RuleIndex(rules), trace)
 
 
 def _reduce(poly: NCPolynomial, index: _RuleIndex,
             trace: list | None = None) -> NCPolynomial:
-    """``reduce`` through an index already built."""
+    """``reduce`` through an index already built.
+
+    Untraced, the sum of the memoized word normal forms
+    (``_RuleIndex.normal_form``); traced, the stepwise leftmost-greatest
+    loop, whose steps the trace receives.
+    """
+    if trace is None:
+        return index.normal_form(poly)
     terms = dict(poly.terms)
     for _ in range(STEP_BOUND):
         for w in sorted(terms, key=deglex_key, reverse=True):
@@ -466,9 +548,8 @@ def _reduce(poly: NCPolynomial, index: _RuleIndex,
             terms[u] = terms.get(u, ZERO) + c
             if not terms[u]:
                 del terms[u]
-        if trace is not None:
-            trace.append(TraceStep(rule.name, pos, word_str(w),
-                                   NCPolynomial(added).to_json()))
+        trace.append(TraceStep(rule.name, pos, word_str(w),
+                               NCPolynomial(added).to_json()))
     raise StepBoundExceeded(f"no normal form within {STEP_BOUND} steps")
 
 
@@ -492,7 +573,12 @@ class OverlapFinding:
 class CompletedSystem:
     """The rules ``complete`` returns, its findings, and the index of the
     rules, which ``complete`` grows as it adds each rule and which
-    ``check_derivation`` and ``systems_equivalent`` reduce through."""
+    ``check_derivation`` and ``systems_equivalent`` reduce through.
+
+    The index keeps the word normal forms that untraced reductions
+    memoized (the ones ``systems_equivalent`` makes add to them); every
+    rule ``complete`` added cleared them, so those left are of the final
+    rules."""
 
     system: RelationSystem
     rules: list[RewriteRule]
@@ -506,17 +592,20 @@ class CompletedSystem:
 
 
 def _overlap_words(l1: Word, l2: Word):
-    """Nontrivial overlaps: suffix-prefix gluings and full containments."""
+    """Nontrivial overlaps: suffix-prefix gluings and full containments.
+
+    Unordered: the critical-pair heap orders them.
+    """
     out = set()
     for k in range(1, min(len(l1), len(l2))):
         if l1[-k:] == l2[:k]:
             out.add(l1 + l2[k:])
         if l2[-k:] == l1[:k]:
             out.add(l2 + l1[k:])
-    short, long = sorted((l1, l2), key=len)
+    short, long = (l1, l2) if len(l1) <= len(l2) else (l2, l1)
     if len(short) < len(long) and _find_sub(long, short) is not None:
         out.add(long)
-    return sorted(out, key=deglex_key)
+    return out
 
 
 def complete(system: RelationSystem) -> CompletedSystem:
@@ -530,7 +619,10 @@ def complete(system: RelationSystem) -> CompletedSystem:
     (each critical pair is formed from two rewrites of one word). More
     than MAX_RULES rules raise StepBoundExceeded. The rules are indexed
     once, and each added rule joins the index, which both sides of every
-    critical pair reduce through and the result carries.
+    critical pair reduce through and the result carries. Those reductions
+    are untraced: they sum memoized word normal forms, so a rewrite that
+    several pairs share is performed once, and each added rule clears the
+    memo.
     """
     rules = list(system.rewrites)
     index = _RuleIndex(rules)
@@ -592,11 +684,14 @@ def complete(system: RelationSystem) -> CompletedSystem:
 
 
 def _find_sub(w: Word, sub: Word, prefer_late: bool = False):
-    positions = [p for p in range(len(w) - len(sub) + 1)
-                 if w[p:p + len(sub)] == sub]
-    if not positions:
-        return None
-    return positions[-1] if prefer_late else positions[0]
+    """The first position of sub in w, scanning from the right end if
+    prefer_late, or None."""
+    n = len(sub)
+    starts = range(len(w) - n, -1, -1) if prefer_late else range(len(w) - n + 1)
+    for p in starts:
+        if w[p:p + n] == sub:
+            return p
+    return None
 
 
 # -- derivation and equivalence checking ----------------------------------------
@@ -625,7 +720,10 @@ def check_derivation(completed: CompletedSystem, lhs: NCPolynomial,
 
     The premises come saturated by bounded critical pairs (``complete``);
     the target difference must then rewrite to zero. The trace plus the
-    completion findings form a machine-checkable certificate.
+    completion findings form a machine-checkable certificate. The
+    reduction is traced, so it runs the stepwise leftmost-greatest loop
+    and records every rewrite; its normal form is the one an untraced
+    reduction gives.
     """
     trace: list[TraceStep] = []
     nf = _reduce(lhs - rhs, completed.index, trace)
@@ -759,7 +857,11 @@ def star_invariance_constraints(system: RelationSystem) -> dict[str, Coeff]:
         own = rules.get(target)
         if own is None:
             raise DomainError(f"no rule with left side {word_str(target)}")
-        (own_word, own_coeff), = own.rhs.terms.items()
+        if len(own.rhs.terms) != 1:
+            raise DomainError(
+                f"rule {own.name} ({word_str(target)} -> {own.rhs!r}) has no "
+                "single-term right side to constrain")
+        (own_coeff,) = own.rhs.terms.values()
         constraints[_single_symbol(own_coeff)] = required
     return constraints
 
