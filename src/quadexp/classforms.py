@@ -17,11 +17,15 @@ Thm 7.24; Buchmann-Vollmer, *Binary Quadratic Forms*, for real orders):
 
     h(O_f) = h(O_K) f / [O_K^*:O_f^*] prod_{p | f} (1 - (d_K/p)/p).
 
-The real unit index is found by stepping the fundamental unit's coordinates
-in integers mod f. Since [O_K^*:O_f^*] divides the order of
-(O_K/f)^*/(Z/f)^*, h(O_K) divides every h(O_f), and a scan whose given
-class number h(O_K) does not divide ends at f = 1. Forms are enumerated
-only for h(O_K) and the given order. ``class_group`` remembers the last
+Here Q_f = f prod_{p | f} (1 - (d_K/p)/p) is the order of (O_K/f)^*/(Z/f)^*.
+The candidate loop runs on plain integers: d_K, the fundamental unit's
+coordinates and the symbols (d_K/p) are taken once per field, each f costs
+one Q_f, and the real unit index is found by stepping the unit's
+coordinates mod f at most Q_f times. Since [O_K^*:O_f^*] divides Q_f,
+h(O_K) divides every h(O_f), and a scan whose given class number h(O_K)
+does not divide ends at f = 1. Forms are enumerated only for h(O_K) and
+the given order, and ``DISC_LIMIT`` bounds that enumeration alone: no
+candidate of the formula is held to it. ``class_group`` remembers the last
 few orders it enumerated, so a case, with recognition on or off,
 enumerates each of its orders (given, opposite maximal, matched) once,
 whichever layer asks for it.
@@ -37,7 +41,7 @@ from .errors import BoundExceeded, DomainError, NoMatchWithinBound
 from .quadfield import (OrderDescriptor, QuadraticIrrational, _prime_powers,
                         fundamental_unit)
 
-DISC_LIMIT = 10**8  # largest |disc| enumerated or matched; read at call time
+DISC_LIMIT = 10**8  # largest |disc| enumerated; read at call time
 _CACHED_ORDERS = 3  # a case's given, opposite maximal and matched orders
 
 
@@ -285,6 +289,12 @@ def _prime_divisors(n: int) -> list[int]:
     return [p for p, _ in _prime_powers(n)]
 
 
+@lru_cache(maxsize=1024)  # each f of a scan, up to search bound 1024
+def _conductor_primes(f: int) -> tuple[int, ...]:
+    """The primes dividing f, factored once for every field's scan."""
+    return tuple(_prime_divisors(f))
+
+
 def _kronecker(disc: int, p: int) -> int:
     """Kronecker symbol (disc/p) for a prime p."""
     if p == 2:
@@ -295,13 +305,83 @@ def _kronecker(disc: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
-def _unit_group_quotient(order: OrderDescriptor) -> int:
-    """f prod_{p | f} (1 - (d_K/p)/p), the order of (O_K/f)^* / (Z/f)^*."""
-    f = order.conductor
+# [O_K^*:O_f^*] of an imaginary order at f > 1 by d_K; 1 for other d_K
+_IMAGINARY_UNIT_INDEX = {-3: 3, -4: 2}
+
+
+def _unit_group_quotient(f: int, disc: int, symbols: dict[int, int]) -> int:
+    """Q_f = f prod_{p | f} (1 - (d_K/p)/p), the order of (O_K/f)^* / (Z/f)^*.
+
+    ``disc`` is d_K, and ``symbols`` holds the Kronecker symbols (d_K/p)
+    found so far for it, so that a scan over f computes each one once.
+    """
     size = f
-    for p in _prime_divisors(f):
-        size = size // p * (p - _kronecker(order.fundamental_discriminant, p))
+    for p in _conductor_primes(f):
+        symbol = symbols.get(p)
+        if symbol is None:
+            symbol = symbols[p] = _kronecker(disc, p)
+        size = size // p * (p - symbol)
     return size
+
+
+class _FieldOrders:
+    """The class-number formula over the orders O_f of one field K.
+
+    What the formula needs of K is taken once: d_K, the symbols (d_K/p) and,
+    on the real side, the fundamental unit's integer coordinates x + y w in
+    the basis (1, w) of O_K, with w^2 = t w + n. Each conductor f then costs
+    one Q_f and at most Q_f steps of the unit mod f. ``OrderDescriptor``
+    objects are built only to word an error.
+    """
+
+    def __init__(self, order: OrderDescriptor,
+                 unit: QuadraticIrrational | None = None):
+        self.kind, self.d = order.field_kind, order.d
+        self.disc = order.fundamental_discriminant
+        self.symbols: dict[int, int] = {}
+        self.unit, self.coords = unit, None
+        if self.kind == "real" and unit is not None:
+            d, a, b, c = self.d, unit.a, unit.b, unit.c
+            if d % 4 == 1:  # w = (1 + sqrt d)/2: unit = (a - b)/c + (2b/c) w
+                num_x, num_y, t, n = a - b, 2 * b, 1, (d - 1) // 4
+            else:  # w = sqrt d: unit = a/c + (b/c) w
+                num_x, num_y, t, n = a, b, 0, d
+            # with x or y not an integer, coords stay None: no power is integral
+            if num_x % c == 0 and num_y % c == 0:
+                self.coords = (num_x // c, num_y // c, t, n)
+
+    def unit_index(self, f: int, quotient: int) -> int:
+        """[O_K^*:O_f^*], given Q_f; ``unit_index`` describes it."""
+        if f == 1:
+            return 1
+        if self.kind == "imaginary":
+            return _IMAGINARY_UNIT_INDEX.get(self.disc, 1)
+        if self.unit is None:
+            raise DomainError("a real order's unit index needs the fundamental "
+                              "unit of the maximal order")
+        if self.coords is not None:
+            x0, y0, t, n = self.coords
+            x0, y0 = x0 % f, y0 % f
+            x, y = x0, y0
+            for k in range(1, quotient + 1):
+                if not y:
+                    return k
+                # (x + y w)(x0 + y0 w) with w^2 = t w + n
+                x, y = ((x * x0 + n * y * y0) % f,
+                        (x * y0 + y * x0 + t * y * y0) % f)
+        order = OrderDescriptor(self.kind, self.d, f)
+        raise DomainError(f"no power of {self.unit!r} lies in the order "
+                          f"{order.to_json()}")
+
+    def class_number(self, f: int, h_max: int) -> int:
+        """h(O_f) from h_max = h(O_K); ``order_class_number`` describes it."""
+        quotient = _unit_group_quotient(f, self.disc, self.symbols)
+        h, rest = divmod(h_max * quotient, self.unit_index(f, quotient))
+        if rest:
+            order = OrderDescriptor(self.kind, self.d, f)
+            raise DomainError(f"class-number formula is not integral for "
+                              f"{order.to_json()} with h(O_K)={h_max}")
+        return h
 
 
 def unit_index(order: OrderDescriptor,
@@ -313,48 +393,24 @@ def unit_index(order: OrderDescriptor,
     unit must be the fundamental unit of O_K. Written x + y w in the basis
     (1, w) of O_K, with w^2 = d, or w^2 = w + (d-1)/4 when d = 1 mod 4, a
     power lies in O_f exactly when its y is 0 mod f, so the powers are
-    stepped in integers mod f. k divides the order of (O_K/f)^* / (Z/f)^*,
-    which bounds the search.
+    stepped in integers mod f. k divides Q_f, the order of
+    (O_K/f)^* / (Z/f)^*, which bounds the search.
     """
-    if order.conductor == 1:
-        return 1
-    if order.field_kind == "imaginary":
-        return {-3: 3, -4: 2}.get(order.fundamental_discriminant, 1)
-    if unit is None:
-        raise DomainError("a real order's unit index needs the fundamental "
-                          "unit of the maximal order")
-    d, f = order.d, order.conductor
-    if d % 4 == 1:  # w = (1 + sqrt d)/2: unit = (a - b)/c + (2b/c) w
-        num_x, num_y, t, n = unit.a - unit.b, 2 * unit.b, 1, (d - 1) // 4
-    else:  # w = sqrt d: unit = a/c + (b/c) w
-        num_x, num_y, t, n = unit.a, unit.b, 0, d
-    if num_x % unit.c == 0 and num_y % unit.c == 0:  # else no power is integral
-        x0, y0 = num_x // unit.c % f, num_y // unit.c % f
-        x, y = x0, y0
-        for k in range(1, _unit_group_quotient(order) + 1):
-            if not y:
-                return k
-            # (x + y w)(x0 + y0 w) with w^2 = t w + n
-            x, y = ((x * x0 + n * y * y0) % f,
-                    (x * y0 + y * x0 + t * y * y0) % f)
-    raise DomainError(f"no power of {unit!r} lies in the order {order.to_json()}")
+    field, f = _FieldOrders(order, unit), order.conductor
+    quotient = _unit_group_quotient(f, field.disc, field.symbols)
+    return field.unit_index(f, quotient)
 
 
 def order_class_number(order: OrderDescriptor, h_max: int,
                        unit: QuadraticIrrational | None = None) -> int:
     """h(O_f) from h_max = h(O_K) by the class-number formula for orders.
 
-    h(O_f) = h(O_K) f / [O_K^*:O_f^*] prod_{p | f} (1 - (d_K/p)/p); see
-    Cox, *Primes of the form x^2+ny^2*, Thm 7.24, and Buchmann-Vollmer,
+    h(O_f) = h(O_K) Q_f / [O_K^*:O_f^*], Q_f = f prod_{p | f} (1 - (d_K/p)/p);
+    see Cox, *Primes of the form x^2+ny^2*, Thm 7.24, and Buchmann-Vollmer,
     *Binary Quadratic Forms*, for real orders, where h is the wide count.
-    ``unit`` is passed on to ``unit_index``.
+    ``unit`` is passed on to ``unit_index``, and Q_f is computed once.
     """
-    h, rest = divmod(h_max * _unit_group_quotient(order),
-                     unit_index(order, unit))
-    if rest:
-        raise DomainError(f"class-number formula is not integral for "
-                          f"{order.to_json()} with h(O_K)={h_max}")
-    return h
+    return _FieldOrders(order, unit).class_number(order.conductor, h_max)
 
 
 def match_conductor(given: OrderDescriptor,
@@ -362,15 +418,17 @@ def match_conductor(given: OrderDescriptor,
     """Least conductor on the opposite side with the same class number.
 
     Reduced forms are enumerated for the given order and the opposite
-    maximal order only (``class_group`` keeps both for the caller); every
-    other candidate's class number comes from ``order_class_number``.
-    Pic(O_f) maps onto Pic(O_K), so h(O_K) divides every h(O_f): the
-    formula's [O_K^*:O_f^*] divides its (O_K/f)^*/(Z/f)^* order. When h(O_K)
-    does not divide the given h, no conductor matches and the scan ends at
+    maximal order only (``class_group`` keeps both for the caller, and holds
+    them to ``DISC_LIMIT``); every other candidate's class number comes from
+    the formula of ``order_class_number``, on plain integers: d_K, the
+    unit's coordinates and the symbols (d_K/p) are taken once per scan, and
+    each f costs one Q_f. Pic(O_f) maps onto Pic(O_K), so h(O_K) divides
+    every h(O_f): the formula's [O_K^*:O_f^*] divides Q_f. When h(O_K) does
+    not divide the given h, no conductor matches and the scan ends at
     f = 1. Without a match inside search_bound, ``NoMatchWithinBound`` is
-    raised. Every candidate order is held to ``DISC_LIMIT``
-    (``BoundExceeded``), the first one beyond it found in closed form when
-    the scan ends early.
+    raised. Candidates are not held to ``DISC_LIMIT``, since nothing is
+    enumerated for them; a matched order beyond it raises ``BoundExceeded``
+    when its representatives are enumerated.
     """
     h_given = class_group(given).h
     if search_bound >= 1:
@@ -378,19 +436,11 @@ def match_conductor(given: OrderDescriptor,
         h_max = class_group(maximal).h
         if h_max == h_given:
             return ConductorMatch(given.field_kind, given.conductor, 1, h_given)
-        if h_given % h_max:
-            # the scan would find no match and stop at the least f with
-            # f^2 |d_K| > DISC_LIMIT, if that f is inside the bound
-            f = isqrt(DISC_LIMIT // abs(maximal.discriminant)) + 1
-            if f <= search_bound:
-                _check_disc_limit(given.opposite(f))
-        else:
-            unit = (fundamental_unit(maximal).value
-                    if maximal.field_kind == "real" else None)
+        if h_given % h_max == 0:
+            field = _FieldOrders(maximal, fundamental_unit(maximal).value
+                                 if maximal.field_kind == "real" else None)
             for f in range(2, search_bound + 1):
-                other = given.opposite(f)
-                _check_disc_limit(other)
-                if order_class_number(other, h_max, unit) == h_given:
+                if field.class_number(f, h_max) == h_given:
                     return ConductorMatch(given.field_kind, given.conductor, f,
                                           h_given)
     raise NoMatchWithinBound(

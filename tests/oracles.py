@@ -707,10 +707,12 @@ def unit_index_reference(order, unit) -> int:
     from quadexp.errors import DomainError
     from quadexp.quadfield import _in_order
 
-    if order.conductor == 1:
+    f = order.conductor
+    if f == 1:
         return 1
     power = unit
-    for k in range(1, _unit_group_quotient(order) + 1):
+    for k in range(1, _unit_group_quotient(f, order.fundamental_discriminant,
+                                           {}) + 1):
         if _in_order(power, order):
             return k
         power = power * unit
@@ -720,8 +722,9 @@ def unit_index_reference(order, unit) -> int:
 def match_conductor_reference(given, search_bound: int = 100):
     """``quadexp.classforms.match_conductor`` by trying every f in turn.
 
-    Each f from 1 to search_bound is held to ``DISC_LIMIT`` and compared
-    by the class-number formula, with no divisibility exit.
+    Each f from 1 to search_bound is compared by the class-number formula,
+    with no divisibility exit. Only the given and the opposite maximal
+    orders are enumerated, so only they are held to ``DISC_LIMIT``.
     """
     from quadexp import classforms
     from quadexp.errors import NoMatchWithinBound
@@ -734,8 +737,6 @@ def match_conductor_reference(given, search_bound: int = 100):
             h_max = classforms.class_group(other).h
             unit = (fundamental_unit(other).value
                     if other.field_kind == "real" else None)
-        else:
-            classforms._check_disc_limit(other)
         if classforms.order_class_number(other, h_max, unit) == h_given:
             return classforms.ConductorMatch(given.field_kind,
                                              given.conductor, f, h_given)

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from math import isqrt
 
@@ -15,6 +16,7 @@ from quadexp.classforms import (BinaryQuadraticForm, ClassGroupSummary,
                                 unit_index)
 from quadexp.errors import (BoundExceeded, DomainError, NoMatchWithinBound,
                            QuadexpError)
+from quadexp.pipeline import EXCLUDED_D, CaseParams, run_case
 from quadexp.quadfield import (OrderDescriptor, QuadraticIrrational,
                                fundamental_unit, is_squarefree, sl2_equivalent)
 
@@ -364,15 +366,50 @@ class TestConductorMatch:
         m = match_conductor(OrderDescriptor("imaginary", 15, 1), 50)
         assert (m.matched_conductor, m.h_common) == (1, 2)
 
-    def test_disc_limit(self, monkeypatch):
-        # h(Q(sqrt5)) = 1 but h(-20 f^2) > 1: the scan reaches f = 6, where
-        # |disc| = 720 first exceeds the limit
-        monkeypatch.setattr(classforms, "DISC_LIMIT", 500)
-        with pytest.raises(BoundExceeded, match=r"\|disc\|=720 exceeds limit 500"):
-            match_conductor(OrderDescriptor("real", 5, 1), 100)
-        monkeypatch.setattr(classforms, "DISC_LIMIT", 10)
-        with pytest.raises(BoundExceeded, match=r"\|disc\|=20 exceeds limit 10"):
-            match_conductor(OrderDescriptor("real", 5, 1), 100)
+    def test_disc_limit_bounds_enumeration_only(self, monkeypatch):
+        # imag-to-real d=5 matches the real order of conductor 8, |disc| 320;
+        # the formula finds it beyond the limit, and run_case raises only
+        # when it enumerates that order
+        monkeypatch.setattr(classforms, "DISC_LIMIT", 100)
+        m = match_conductor(OrderDescriptor("imaginary", 5, 1), 100)
+        assert (m.matched_conductor, m.h_common) == (8, 2)
+        r = run_case(5, CaseParams(conductor_direction="imag-to-real",
+                                   recognition=False))
+        assert r.errors == ["BoundExceeded: |disc|=320 exceeds limit 100"]
+        assert r.conductors is None and r.j_values is None
+
+    def test_quotient_computed_once_per_candidate(self, monkeypatch):
+        # h(-23) = 3 and h(Q(sqrt23)) = 1: all 99 real candidates are scanned
+        calls = []
+        quotient = classforms._unit_group_quotient
+
+        def spy(f, disc, symbols):
+            calls.append(f)
+            return quotient(f, disc, symbols)
+
+        monkeypatch.setattr(classforms, "_unit_group_quotient", spy)
+        with pytest.raises(NoMatchWithinBound):
+            match_conductor(OrderDescriptor("imaginary", 23, 1), 100)
+        assert calls == list(range(2, 101))
+
+    def test_census_to_3000(self):
+        # every square-free d <= 3000 outside EXCLUDED_D at bound 100; no
+        # candidate is held to DISC_LIMIT, so nothing raises BoundExceeded
+        ds = [d for d in range(2, 3001)
+              if is_squarefree(d) and d not in EXCLUDED_D]
+        census = {}
+        for kind in ("real", "imaginary"):
+            outcomes = Counter()
+            for d in ds:
+                try:
+                    match_conductor(OrderDescriptor(kind, d, 1), 100)
+                    outcomes["match"] += 1
+                except QuadexpError as exc:
+                    outcomes[type(exc).__name__] += 1
+            census[kind] = dict(outcomes)
+        assert census == {
+            "real": {"match": 48, "NoMatchWithinBound": 1767},
+            "imaginary": {"match": 860, "NoMatchWithinBound": 955}}
 
     @pytest.mark.parametrize("limit", [10, 500, 10**4, None])
     def test_against_reference(self, monkeypatch, limit):
@@ -415,3 +452,23 @@ class TestConductorMatch:
                 assert class_group(OrderDescriptor("imaginary", d, f)).h != h, (d, f)
             assert class_group(
                 OrderDescriptor("imaginary", d, m.matched_conductor)).h == h
+
+    def test_minimality_rescan_imag_to_real(self):
+        # wide class numbers of the real orders counted by enumerating
+        # forms, never by the formula
+        unmatched = []
+        for d in range(2, 61):
+            if not is_squarefree(d) or d in EXCLUDED_D:
+                continue
+            h = class_group(OrderDescriptor("imaginary", d, 1)).h
+            try:
+                f_match = match_conductor(
+                    OrderDescriptor("imaginary", d, 1), 100).matched_conductor
+            except NoMatchWithinBound:
+                unmatched.append(d)
+                f_match = 101
+            for f in range(1, f_match):
+                assert class_group(OrderDescriptor("real", d, f)).h != h, (d, f)
+            if f_match <= 100:
+                assert class_group(OrderDescriptor("real", d, f_match)).h == h
+        assert unmatched == [23, 31, 47, 59]
