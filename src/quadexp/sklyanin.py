@@ -34,8 +34,8 @@ MU = "mu"
 ZETA = "zeta"
 
 DEGREE_BOUND = 6  # longest lead word of a rule that completion adds
-# rewrites one reduction may perform, traced or not; a word whose normal
-# form is memoized costs an untraced reduction none
+# rewrites one reduction may perform, and entries one certificate may
+# list; a word whose normal form is memoized costs a reduction none
 STEP_BOUND = 10**4
 MAX_RULES = 300  # rules one completion may hold
 
@@ -230,7 +230,6 @@ ZETA_INV = Coeff.monomial(1, {ZETA: -1})
 MU_C = Coeff.monomial(1, {MU: 1})
 MU_INV = Coeff.monomial(1, {MU: -1})
 ONE = Coeff.rational(1)
-ZERO = Coeff.zero()
 
 
 def word_str(w: Word) -> str:
@@ -396,9 +395,9 @@ class _RuleIndex:
     of word normal forms.
 
     Each left word keeps the first rule added with it; lengths run longest
-    first. ``normal_forms`` maps each word an untraced reduction has
-    finished to its normal-form terms; a rule added to the index clears it,
-    since the new rule may rewrite words those normal forms hold.
+    first. ``normal_forms`` maps each word a reduction has finished to its
+    normal-form terms; a rule added to the index clears it, since the new
+    rule may rewrite words those normal forms hold.
     """
 
     __slots__ = ("by_lhs", "lengths", "normal_forms")
@@ -485,6 +484,28 @@ class _RuleIndex:
                 stack.pop()
                 memo[top] = {u: c for u, c in acc.items() if c}
 
+    def certificate(self, poly: NCPolynomial) -> list[TraceStep]:
+        """The ``find_redex`` rewrite of each reducible word that poly's
+        words reach by rewrites, with unscaled replacement terms, the
+        deglex-greatest word first; more than STEP_BOUND such words raise
+        StepBoundExceeded. The walk reads the index, not the memo, so it
+        lists words that earlier reductions memoized too.
+        """
+        steps: dict[Word, TraceStep] = {}
+        todo = list(poly.terms)
+        while todo:
+            w = todo.pop()
+            hit = None if w in steps else self.find_redex(w)
+            if hit is None:
+                continue
+            if len(steps) == STEP_BOUND:
+                raise StepBoundExceeded(f"no normal form within {STEP_BOUND} steps")
+            after = _apply_at(w, *hit)
+            steps[w] = TraceStep(hit[1].name, hit[0], word_str(w),
+                                 NCPolynomial(after).to_json())
+            todo += after
+        return [steps[w] for w in sorted(steps, key=deglex_key, reverse=True)]
+
 
 def _add_scaled(acc: dict[Word, Coeff], terms: dict[Word, Coeff],
                 coeff: Coeff) -> None:
@@ -513,44 +534,22 @@ def reduce(poly: NCPolynomial, rules,
     of ``complete()``. Each call indexes the rules afresh; ``complete``,
     ``check_derivation`` and ``systems_equivalent`` reduce through the
     index a completion keeps instead. A word is rewritten at its leftmost
-    redex by the longest lhs there, the first such rule on a tie. Without a
-    trace, the word normal forms are memoized on the index and summed; with
-    one, the stepwise loop rewrites the greatest word with a redex at each
-    step and records the step. Both give the same normal form, because each
-    word has one rewrite. Deterministic; raises StepBoundExceeded when the
-    reduction needs more than STEP_BOUND rewrites rather than spin.
+    redex by the longest lhs there, the first such rule on a tie, so each
+    word has one normal form, memoized on the index. A trace list receives
+    the certificate of ``_RuleIndex.certificate``. Deterministic; raises
+    StepBoundExceeded when the reduction needs more than STEP_BOUND
+    rewrites rather than spin.
     """
     return _reduce(poly, _RuleIndex(rules), trace)
 
 
 def _reduce(poly: NCPolynomial, index: _RuleIndex,
             trace: list | None = None) -> NCPolynomial:
-    """``reduce`` through an index already built.
-
-    Untraced, the sum of the memoized word normal forms
-    (``_RuleIndex.normal_form``); traced, the stepwise leftmost-greatest
-    loop, whose steps the trace receives.
-    """
-    if trace is None:
-        return index.normal_form(poly)
-    terms = dict(poly.terms)
-    for _ in range(STEP_BOUND):
-        for w in sorted(terms, key=deglex_key, reverse=True):
-            hit = index.find_redex(w)
-            if hit is not None:
-                break
-        else:
-            return NCPolynomial(terms)
-        pos, rule = hit
-        coeff = terms.pop(w)
-        added = {u: c * coeff for u, c in _apply_at(w, pos, rule).items()}
-        for u, c in added.items():
-            terms[u] = terms.get(u, ZERO) + c
-            if not terms[u]:
-                del terms[u]
-        trace.append(TraceStep(rule.name, pos, word_str(w),
-                               NCPolynomial(added).to_json()))
-    raise StepBoundExceeded(f"no normal form within {STEP_BOUND} steps")
+    """``reduce`` through an index already built."""
+    nf = index.normal_form(poly)
+    if trace is not None:
+        trace.extend(index.certificate(poly))
+    return nf
 
 
 # -- bounded critical-pair saturation -------------------------------------------
@@ -575,10 +574,10 @@ class CompletedSystem:
     rules, which ``complete`` grows as it adds each rule and which
     ``check_derivation`` and ``systems_equivalent`` reduce through.
 
-    The index keeps the word normal forms that untraced reductions
-    memoized (the ones ``systems_equivalent`` makes add to them); every
-    rule ``complete`` added cleared them, so those left are of the final
-    rules."""
+    The index keeps the word normal forms that its reductions memoized
+    (the ones ``check_derivation`` and ``systems_equivalent`` make add to
+    them); every rule ``complete`` added cleared them, so those left are
+    of the final rules."""
 
     system: RelationSystem
     rules: list[RewriteRule]
@@ -620,9 +619,8 @@ def complete(system: RelationSystem) -> CompletedSystem:
     than MAX_RULES rules raise StepBoundExceeded. The rules are indexed
     once, and each added rule joins the index, which both sides of every
     critical pair reduce through and the result carries. Those reductions
-    are untraced: they sum memoized word normal forms, so a rewrite that
-    several pairs share is performed once, and each added rule clears the
-    memo.
+    sum memoized word normal forms, so a rewrite that several pairs share
+    is performed once, and each added rule clears the memo.
     """
     rules = list(system.rewrites)
     index = _RuleIndex(rules)
@@ -720,10 +718,9 @@ def check_derivation(completed: CompletedSystem, lhs: NCPolynomial,
 
     The premises come saturated by bounded critical pairs (``complete``);
     the target difference must then rewrite to zero. The trace plus the
-    completion findings form a machine-checkable certificate. The
-    reduction is traced, so it runs the stepwise leftmost-greatest loop
-    and records every rewrite; its normal form is the one an untraced
-    reduction gives.
+    completion findings form a machine-checkable certificate: the trace
+    lists the rewrite of every reducible word the difference reaches
+    (``_RuleIndex.certificate``), whatever the index had memoized before.
     """
     trace: list[TraceStep] = []
     nf = _reduce(lhs - rhs, completed.index, trace)
@@ -879,7 +876,7 @@ def substitute_coefficients(system: RelationSystem,
     """Replace coefficient symbols by concrete Coeff values."""
 
     def sub_coeff(c: Coeff) -> Coeff:
-        out = ZERO
+        out = Coeff.zero()
         for mono, r in c.terms.items():
             term = Coeff.rational(r)
             for s, e in mono:

@@ -17,8 +17,9 @@ at its full scale, with that kernel: the search as it stood before it
 climbed to the scale in rungs. ``reduce_reference`` is the symbolic layer's
 normal form as it stood before its rules were indexed by left word, and
 ``complete_reference`` its completion, reducing through it, as it stood
-before one rule index served a whole completion. ``laurent_add``,
-``laurent_neg``, ``laurent_mul``, ``laurent_inverse`` and
+before one rule index served a whole completion. ``check_certificate``
+checks a reduction's certificate by substituting its listed rewrites.
+``laurent_add``, ``laurent_neg``, ``laurent_mul``, ``laurent_inverse`` and
 ``laurent_conjugate`` are the symbolic layer's coefficient arithmetic on
 plain {monomial: Fraction} dicts, with Fractions throughout, as it stood
 before integral coefficients were stored as ints.
@@ -517,8 +518,8 @@ def cold_relation_basis(elements, s: int, delta_num=99, delta_den=100):
     return [row[:n] for row in reduced]
 
 
-def reduce_reference(poly, rules, trace=None):
-    """Normal form and trace of ``quadexp.sklyanin.reduce`` by scanning.
+def reduce_reference(poly, rules):
+    """Normal form of ``quadexp.sklyanin.reduce`` by scanning.
 
     Every rule is tried at every position of a word; the leftmost position
     with a match wins, and at it the longest lhs, the first rule on a tie.
@@ -526,8 +527,7 @@ def reduce_reference(poly, rules, trace=None):
     built as the product prefix * rhs * suffix.
     """
     from quadexp.errors import StepBoundExceeded
-    from quadexp.sklyanin import (STEP_BOUND, NCPolynomial, TraceStep,
-                                  deglex_key, word_str)
+    from quadexp.sklyanin import STEP_BOUND, NCPolynomial, deglex_key
 
     def find_redex(word):
         best = None
@@ -556,10 +556,55 @@ def reduce_reference(poly, rules, trace=None):
         replacement = (NCPolynomial.word(prefix) * rule.rhs *
                        NCPolynomial.word(suffix)).scale(coeff)
         current = current - NCPolynomial.word(w, coeff) + replacement
-        if trace is not None:
-            trace.append(TraceStep(rule.name, pos, word_str(w),
-                                   replacement.to_json()))
     raise StepBoundExceeded(f"no normal form within {STEP_BOUND} steps")
+
+
+def check_certificate(poly, rules, trace, normal_form):
+    """Raise AssertionError unless trace certifies that poly reduces to
+    normal_form under the rules.
+
+    Each step must name a rule whose left word is the subword of ``before``
+    at ``position``, with ``after`` the product prefix * rhs * suffix; the
+    steps must list distinct words, deglex-greatest first. Substituting the
+    listed rewrites into poly until no listed word is left must give
+    normal_form.
+    """
+    from quadexp.sklyanin import NCPolynomial, deglex_key
+
+    def parse(text):
+        return () if text == "e" else tuple(int(g[1:]) for g in text.split())
+
+    words = [parse(step.before) for step in trace]
+    assert words == sorted(set(words), key=deglex_key, reverse=True), \
+        "certificate words not distinct and deglex-descending"
+    replacement = {}
+    for w, step in zip(words, trace):
+        pos = step.position
+        for rule in rules:
+            end = pos + len(rule.lhs)
+            if rule.name == step.rule and 0 <= pos and w[pos:end] == rule.lhs:
+                after = (NCPolynomial.word(w[:pos]) * rule.rhs *
+                         NCPolynomial.word(w[end:]))
+                if after.to_json() == step.after:
+                    replacement[w] = after
+                    break
+        else:
+            raise AssertionError(f"no rule {step.rule} gives step {step}")
+    # every rewrite lowers its word, so taking the greatest listed word
+    # each time substitutes each at most once
+    current = poly
+    for _ in range(len(trace) + 1):
+        listed = [w for w in current.terms if w in replacement]
+        if not listed:
+            break
+        w = max(listed, key=deglex_key)
+        coeff = current.terms[w]
+        current = (current - NCPolynomial.word(w, coeff) +
+                   replacement[w].scale(coeff))
+    else:
+        raise AssertionError("a listed word came back after its substitution")
+    assert current == normal_form, \
+        f"substituted certificate gives {current!r}, not {normal_form!r}"
 
 
 def complete_reference(system):

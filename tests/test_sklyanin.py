@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadexp import pipeline, sklyanin
+from quadexp import pipeline, sklyanin, symbolic
 from quadexp.errors import (ConstraintViolated, DomainError, PoleError,
                             StepBoundExceeded)
 from quadexp.sklyanin import (Coeff, MU_C, MU_INV, NCPolynomial, ONE,
@@ -15,9 +16,9 @@ from quadexp.sklyanin import (Coeff, MU_C, MU_INV, NCPolynomial, ONE,
                               substitute_coefficients, systems_equivalent,
                               systems_identical)
 
-from oracles import (complete_reference, laurent_add, laurent_conjugate,
-                     laurent_inverse, laurent_mul, laurent_neg,
-                     reduce_reference)
+from oracles import (check_certificate, complete_reference, laurent_add,
+                     laurent_conjugate, laurent_inverse, laurent_mul,
+                     laurent_neg, reduce_reference)
 
 W = NCPolynomial.word
 
@@ -196,11 +197,11 @@ class TestReduceOracle:
     @given(p=poly_st(max_terms=4, max_len=5))
     def test_matches_scanning_reference(self, oracle_systems, name, p):
         rule_list = oracle_systems[name]
-        trace, ref_trace = [], []
-        assert reduce(p, rule_list, trace) == reduce_reference(p, rule_list, ref_trace)
-        assert trace == ref_trace
-        untraced, ref = reduce(p, rule_list), reduce_reference(p, rule_list, [])
-        assert untraced == ref and untraced.to_json() == ref.to_json()
+        trace = []
+        nf, ref = reduce(p, rule_list, trace), reduce_reference(p, rule_list)
+        assert nf == ref and nf.to_json() == ref.to_json()
+        assert reduce(p, rule_list) == ref
+        check_certificate(p, rule_list, trace, nf)
 
     def test_memo_does_not_outlive_a_rule(self):
         # x4 x1 -> x3 x1 is memoized; x3 x1 -> x1 x3 then rewrites a word
@@ -240,7 +241,16 @@ class TestBounds:
         with pytest.raises(StepBoundExceeded, match="within 1 steps"):
             reduce(W((3, 1, 4)), rules("scaled_eq17"))
 
-    @pytest.mark.parametrize("traced", [False, True], ids=["memo", "stepwise"])
+    def test_certificate_bound(self, monkeypatch):
+        # the words are memoized, so only the certificate's walk can meet
+        # the bound
+        index = sklyanin._RuleIndex(rules("scaled_eq17"))
+        sklyanin._reduce(W((3, 1, 4)), index)
+        monkeypatch.setattr(sklyanin, "STEP_BOUND", 1)
+        with pytest.raises(StepBoundExceeded, match="within 1 steps"):
+            sklyanin._reduce(W((3, 1, 4)), index, [])
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["memo", "traced"])
     def test_deep_chain(self, traced):
         # x4^n takes 3n rewrites, one word deep each: 900 reach x1^300, and
         # 12000 pass STEP_BOUND without exhausting the Python stack
@@ -249,10 +259,11 @@ class TestBounds:
                  sklyanin.RewriteRule((2,), W((1,)))]
         trace = [] if traced else None
         assert reduce(W((4,) * 300), chain, trace) == W((1,) * 300)
-        trace = [] if traced else None
+        if traced:
+            assert len(trace) == 900
+            check_certificate(W((4,) * 300), chain, trace, W((1,) * 300))
         with pytest.raises(StepBoundExceeded, match="within 10000 steps"):
-            reduce(W((4,) * 4000), chain, trace)
-        assert not traced or len(trace) == sklyanin.STEP_BOUND
+            reduce(W((4,) * 4000), chain, [] if traced else None)
 
     def test_rule_bound(self, monkeypatch):
         system = build_system("reduced_eq18")
@@ -291,11 +302,50 @@ class TestCheckDerivation:
         assert res.normal_form
 
     def test_certificate_soundness(self):
-        # every trace step rewrites an actual subword occurrence
-        res = check_derivation(self.premises, W((4, 1)), W((1, 4), ZETA_INV))
-        for step in res.trace:
-            assert step.before
-            assert step.position >= 0
+        lhs, rhs = W((4, 1)), W((1, 4), ZETA_INV)
+        res = check_derivation(self.premises, lhs, rhs)
+        assert res.trace
+        check_certificate(lhs - rhs, self.premises.rules, res.trace,
+                          res.normal_form)
+
+    @pytest.mark.parametrize("corrupt", ["position", "rule", "dropped"])
+    def test_corrupt_certificate_rejected(self, corrupt):
+        lhs, rhs = W((2, 3, 1, 4)), NCPolynomial.unit(ZETA_C)
+        res = check_derivation(self.premises, lhs, rhs)
+        assert len(res.trace) == 3
+        names = {r.name for r in self.premises.rules}
+        for i, step in enumerate(res.trace):
+            trace = list(res.trace)
+            if corrupt == "dropped":
+                del trace[i]
+            elif corrupt == "position":
+                trace[i] = dataclasses.replace(step, position=step.position + 1)
+            else:
+                other = min(names - {step.rule})
+                trace[i] = dataclasses.replace(step, rule=other)
+            with pytest.raises(AssertionError):
+                check_certificate(lhs - rhs, self.premises.rules, trace,
+                                  res.normal_form)
+
+    @pytest.mark.parametrize("earlier", ["reduce", "systems_equivalent"])
+    def test_certificate_of_memoized_words(self, earlier):
+        # the index already holds the target's word normal forms, so a
+        # reduction performs no rewrite; the certificate must list them
+        if earlier == "reduce":
+            comp = self.premises
+            lhs, rhs = W((2, 3, 1, 4)), NCPolynomial.unit(ZETA_C)
+            sklyanin._reduce(lhs - rhs, comp.index)
+        else:
+            comp = completed("scaled_eq17")
+            lhs, rhs = W((3, 1)), W((1, 3), MU_C * ZETA_C)
+            systems_equivalent(completed("torus_eq13"), comp)
+        assert (lhs - rhs).lead_word() in comp.index.normal_forms
+        res = check_derivation(comp, lhs, rhs)
+        assert res.ok and res.trace
+        check_certificate(lhs - rhs, comp.rules, res.trace, res.normal_form)
+        # the certificate an index that memoized none of the words gives
+        assert res.trace == check_derivation(complete(comp.system),
+                                             lhs, rhs).trace
 
 
 def completed(kind):
@@ -460,9 +510,12 @@ class TestCoeffOracle:
 @pytest.fixture(scope="module")
 def suite_round():
     """One round of the four symbolic suites, counting the reductions and
-    rewrite placements it makes and keeping the completions it builds."""
+    rewrite placements it makes and keeping the completions it builds and
+    the derivations it checks, each as (completion, target difference,
+    result)."""
     calls = {"_reduce": 0, "_apply_at": 0}
     completions = []
+    derivations = []
 
     def counting(name):
         inner = getattr(sklyanin, name)
@@ -476,31 +529,47 @@ def suite_round():
         completions.append(complete(system))
         return completions[-1]
 
+    def recording(comp, lhs, rhs):
+        derivations.append((comp, lhs - rhs, check_derivation(comp, lhs, rhs)))
+        return derivations[-1][2]
+
     with pytest.MonkeyPatch.context() as mp:
         for name in calls:
             mp.setattr(sklyanin, name, counting(name))
         mp.setattr(sklyanin, "complete", keeping)
+        mp.setattr(symbolic, "check_derivation", recording)
         for suite in pipeline.SYMBOLIC_SUITES:
             assert all(c.passed for c in pipeline.verify_symbolic(suite))
-    return calls, completions
+    return calls, completions, derivations
 
 
 class TestSuiteWork:
     def test_work_census(self, suite_round):
         # the reductions the suites make and the rewrites they place; a
         # change to the arithmetic alone leaves both counts as they are, and
-        # a rewrite that several critical pairs share is placed once
-        calls, _ = suite_round
-        assert calls == {"_reduce": 338, "_apply_at": 481}
+        # a rewrite that several critical pairs share is placed once; the
+        # four derivations' certificates place 6, and their normal forms
+        # the 4 rewrites the completion had not memoized
+        calls, _, _ = suite_round
+        assert calls == {"_reduce": 338, "_apply_at": 485}
 
     def test_rule_coefficients_are_ints(self, suite_round):
         # every coefficient the suites create is integral, so none of their
         # arithmetic runs on Fractions
-        _, completions = suite_round
+        _, completions, _ = suite_round
         assert len(completions) == 4
         rationals = [r for comp in completions for rule in comp.rules
                      for c in rule.rhs.terms.values() for r in c.terms.values()]
         assert rationals and all(type(r) is int for r in rationals)
+
+    def test_derivation_certificates(self, suite_round):
+        # every derivation the suites check carries a certificate that the
+        # oracle accepts
+        _, _, derivations = suite_round
+        assert len(derivations) == 4
+        for comp, target, res in derivations:
+            assert res.ok
+            check_certificate(target, comp.rules, res.trace, res.normal_form)
 
 
 class TestScaledUnitCollapse:
