@@ -20,22 +20,34 @@ Thm 7.24; Buchmann-Vollmer, *Binary Quadratic Forms*, for real orders):
 Here Q_f = f prod_{p | f} (1 - (d_K/p)/p) is the order of (O_K/f)^*/(Z/f)^*.
 The candidate loop runs on plain integers: d_K, the fundamental unit's
 coordinates and the symbols (d_K/p) are taken once per field, each f costs
-one Q_f, and the real unit index is found by stepping the unit's
-coordinates mod f at most Q_f times. Since [O_K^*:O_f^*] divides Q_f,
-h(O_K) divides every h(O_f), and a scan whose given class number h(O_K)
-does not divide ends at f = 1. Forms are enumerated only for h(O_K) and
-the given order, and ``DISC_LIMIT`` bounds that enumeration alone: no
-candidate of the formula is held to it. ``class_group`` remembers the last
-few orders it enumerated, so a case, with recognition on or off,
-enumerates each of its orders (given, opposite maximal, matched) once,
-whichever layer asks for it.
+one Q_f, and the real unit index is the lcm of the indices of the prime
+powers p^e exactly dividing f, each found once per field by stepping the
+unit's coordinates mod p^e at most Q_{p^e} times. Since [O_K^*:O_f^*]
+divides Q_f, h(O_K) divides every h(O_f), and a scan whose given class
+number h(O_K) does not divide ends at f = 1. Forms are enumerated only for
+h(O_K) and the given order, and ``DISC_LIMIT`` bounds that enumeration
+alone: no candidate of the formula is held to it. ``class_group``
+remembers the last few orders it enumerated, so a case, with recognition
+on or off, enumerates each of its orders (given, opposite maximal,
+matched) once, whichever layer asks for it.
+
+The same formula bounds the enumeration of a real order of conductor
+f > 1. It gives the wide h, and the cycle count: h when O_f has a unit of
+norm -1, 2h otherwise. The reduced forms are scanned with b descending
+from isqrt(D), where the divisor loop is shortest and the forms of small
+|a| lie, and every cycle met is walked; the scan stops once it holds that
+many cycles. The cycles of the orders matched in a scan each hold a form
+of small |a| (at most 75 for d = 6, f = 89, with D = 190,104), so a few
+values of b suffice. Forms running out first, or cycles that
+make another wide count, raise ``DomainError``. Maximal orders have no
+count and walk every form, through the same loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import BoundExceeded, DomainError, NoMatchWithinBound
 from .quadfield import (OrderDescriptor, QuadraticIrrational, _prime_powers,
@@ -109,26 +121,27 @@ def _definite_reduced_forms(disc: int) -> list[BinaryQuadraticForm]:
     return sorted(forms, key=lambda f: (f.a, f.b, f.c))
 
 
-def _indefinite_reduced_forms(disc: int) -> list[tuple[int, int, int]]:
-    """All primitive reduced (a, b, c) of non-square discriminant disc > 0.
+def _indefinite_reduced_forms(disc: int):
+    """Every primitive reduced (a, b, c) of non-square discriminant disc > 0,
+    yielded with b descending.
 
     A reduced form (a, b, c), s = isqrt(disc), has 0 < b <= s and
     s - b < 2|a| <= s + b, with |a| |c| = n = (disc - b^2)/4. Both |a| and
     |c| then exceed (s - b)/2: |c| >= 2n/(s + b) > (s - b)/2 because
-    disc > s^2. So the divisor loop over n starts above (s - b)/2.
+    disc > s^2. So the divisor loop over n starts above (s - b)/2, and it
+    is shortest for b near s, where the forms of small |a| lie.
     """
     s = isqrt(disc)
     if s * s == disc:
         raise DomainError("square discriminant")
-    forms = []
-    for b in range(2 - (disc & 1), s + 1, 2):
+    for b in range(s - ((s ^ disc) & 1), 0, -2):
         n = (disc - b * b) // 4
         for a in [a for a in range((s - b) // 2 + 1, isqrt(n) + 1)
                   if n % a == 0]:
             for aa in {a, n // a}:
                 if s - b < 2 * aa <= s + b and gcd(gcd(aa, b), n // aa) == 1:
-                    forms += [(aa, b, -(n // aa)), (-aa, b, n // aa)]
-    return sorted(forms)
+                    yield aa, b, -(n // aa)
+                    yield -aa, b, n // aa
 
 
 def _rho(form, disc: int, s: int) -> tuple[int, int, int]:
@@ -141,21 +154,33 @@ def _rho(form, disc: int, s: int) -> tuple[int, int, int]:
     return c, r, (r * r - disc) // (4 * c)
 
 
-def _indefinite_cycles(forms, disc: int):
+def _indefinite_cycles(forms, disc: int, count: int | None = None):
     """(cycles, index): the rho-cycles through ``forms`` in order of their
-    least member, and each form's cycle number."""
+    least member, and each form's cycle number.
+
+    With a ``count``, the walk stops once it holds that many cycles, and
+    ``forms`` running out first raises ``DomainError``.
+    """
     s = isqrt(disc)
-    cycles, index = [], {}
+    cycles, seen = [], set()
     for q in forms:
-        if q in index:
+        if q in seen:
             continue
         cycle = []
-        while q not in index:
-            index[q] = len(cycles)
+        while q not in seen:
+            seen.add(q)
             cycle.append(q)
             q = _rho(q, disc, s)
         cycles.append(cycle)
-    return cycles, index
+        if len(cycles) == count:
+            break
+    else:
+        if count is not None:
+            raise DomainError(f"the reduced forms of discriminant {disc} lie "
+                              f"on {len(cycles)} cycles, not the class-number "
+                              f"formula's {count}")
+    cycles.sort(key=min)
+    return cycles, {q: i for i, cycle in enumerate(cycles) for q in cycle}
 
 
 @dataclass(frozen=True)
@@ -221,10 +246,29 @@ def _enumerated_class_group(order: OrderDescriptor) -> ClassGroupSummary:
     if order.field_kind == "imaginary":
         forms = tuple(_definite_reduced_forms(disc))
         return ClassGroupSummary(order, len(forms), forms, len(forms))
-    cycles, index = _indefinite_cycles(_indefinite_reduced_forms(disc), disc)
+    h, count = (_formula_counts(order) if order.conductor > 1
+                else (None, None))
+    cycles, index = _indefinite_cycles(_indefinite_reduced_forms(disc), disc,
+                                       count)
     reps = tuple(BinaryQuadraticForm(*q)
                  for q in _wide_classes(cycles, index, disc))
+    if h is not None and len(reps) != h:
+        raise DomainError(f"the {count} cycles of {order.to_json()} make "
+                          f"{len(reps)} module classes, not the class-number "
+                          f"formula's {h}")
     return ClassGroupSummary(order, len(reps), reps, len(cycles))
+
+
+def _formula_counts(order: OrderDescriptor) -> tuple[int, int]:
+    """(h, cycles) of a real order of conductor f > 1 by the formula.
+
+    h = h(O_K) Q_f / [O_K^*:O_f^*]. The cycles are the form classes: h of
+    them when O_f has a unit of norm -1, and 2h otherwise.
+    """
+    maximal = OrderDescriptor("real", order.d, 1)
+    field, f = _field_orders(maximal), order.conductor
+    h = field.class_number(f, _enumerated_class_group(maximal).h)
+    return h, h if field.has_unit_of_norm_minus_one(f) else 2 * h
 
 
 def _wide_classes(cycles, index, disc) -> list[tuple[int, int, int]]:
@@ -290,9 +334,10 @@ def _prime_divisors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=1024)  # each f of a scan, up to search bound 1024
-def _conductor_primes(f: int) -> tuple[int, ...]:
-    """The primes dividing f, factored once for every field's scan."""
-    return tuple(_prime_divisors(f))
+def _conductor_prime_powers(f: int) -> tuple[tuple[int, int], ...]:
+    """(p, e) for each p**e exactly dividing f, factored once for every
+    field's scan."""
+    return tuple(_prime_powers(f))
 
 
 def _kronecker(disc: int, p: int) -> int:
@@ -316,7 +361,7 @@ def _unit_group_quotient(f: int, disc: int, symbols: dict[int, int]) -> int:
     found so far for it, so that a scan over f computes each one once.
     """
     size = f
-    for p in _conductor_primes(f):
+    for p, _ in _conductor_prime_powers(f):
         symbol = symbols.get(p)
         if symbol is None:
             symbol = symbols[p] = _kronecker(disc, p)
@@ -330,8 +375,9 @@ class _FieldOrders:
     What the formula needs of K is taken once: d_K, the symbols (d_K/p) and,
     on the real side, the fundamental unit's integer coordinates x + y w in
     the basis (1, w) of O_K, with w^2 = t w + n. Each conductor f then costs
-    one Q_f and at most Q_f steps of the unit mod f. ``OrderDescriptor``
-    objects are built only to word an error.
+    one Q_f, and the unit index of each prime power p^e exactly dividing f
+    is found once, in at most Q_{p^e} steps of the unit mod p^e.
+    ``OrderDescriptor`` objects are built only to word an error.
     """
 
     def __init__(self, order: OrderDescriptor,
@@ -339,6 +385,7 @@ class _FieldOrders:
         self.kind, self.d = order.field_kind, order.d
         self.disc = order.fundamental_discriminant
         self.symbols: dict[int, int] = {}
+        self.prime_power_indices: dict[int, int] = {}  # p^e: k, 0 for none
         self.unit, self.coords = unit, None
         if self.kind == "real" and unit is not None:
             d, a, b, c = self.d, unit.a, unit.b, unit.c
@@ -350,8 +397,8 @@ class _FieldOrders:
             if num_x % c == 0 and num_y % c == 0:
                 self.coords = (num_x // c, num_y // c, t, n)
 
-    def unit_index(self, f: int, quotient: int) -> int:
-        """[O_K^*:O_f^*], given Q_f; ``unit_index`` describes it."""
+    def unit_index(self, f: int) -> int:
+        """[O_K^*:O_f^*]; ``unit_index`` describes it."""
         if f == 1:
             return 1
         if self.kind == "imaginary":
@@ -359,29 +406,59 @@ class _FieldOrders:
         if self.unit is None:
             raise DomainError("a real order's unit index needs the fundamental "
                               "unit of the maximal order")
-        if self.coords is not None:
-            x0, y0, t, n = self.coords
-            x0, y0 = x0 % f, y0 % f
-            x, y = x0, y0
-            for k in range(1, quotient + 1):
-                if not y:
-                    return k
-                # (x + y w)(x0 + y0 w) with w^2 = t w + n
-                x, y = ((x * x0 + n * y * y0) % f,
-                        (x * y0 + y * x0 + t * y * y0) % f)
-        order = OrderDescriptor(self.kind, self.d, f)
-        raise DomainError(f"no power of {self.unit!r} lies in the order "
-                          f"{order.to_json()}")
+        index = 1
+        for p, e in _conductor_prime_powers(f):
+            q = p**e
+            k = self.prime_power_indices.get(q)
+            if k is None:
+                bound = q // p * (p - _kronecker(self.disc, p))  # Q_q
+                k = self.prime_power_indices[q] = self._power_index(q, bound)
+            if not k:
+                order = OrderDescriptor(self.kind, self.d, f)
+                raise DomainError(f"no power of {self.unit!r} lies in the "
+                                  f"order {order.to_json()}")
+            index = lcm(index, k)
+        return index
+
+    def _power_index(self, q: int, bound: int) -> int:
+        """Least k <= bound with y = 0 mod q in unit**k = x + y w, or 0."""
+        if self.coords is None:
+            return 0
+        x0, y0, t, n = self.coords
+        x0, y0 = x0 % q, y0 % q
+        x, y = x0, y0
+        for k in range(1, bound + 1):
+            if not y:
+                return k
+            # (x + y w)(x0 + y0 w) with w^2 = t w + n
+            x, y = ((x * x0 + n * y * y0) % q,
+                    (x * y0 + y * x0 + t * y * y0) % q)
+        return 0
+
+    def has_unit_of_norm_minus_one(self, f: int) -> bool:
+        """Whether O_f holds a unit of norm -1: the fundamental unit has
+        norm x^2 + t x y - n y^2 = -1, and its least power in O_f is odd."""
+        x, y, t, n = self.coords
+        return (x * x + t * x * y - n * y * y == -1
+                and self.unit_index(f) % 2 == 1)
 
     def class_number(self, f: int, h_max: int) -> int:
         """h(O_f) from h_max = h(O_K); ``order_class_number`` describes it."""
         quotient = _unit_group_quotient(f, self.disc, self.symbols)
-        h, rest = divmod(h_max * quotient, self.unit_index(f, quotient))
+        h, rest = divmod(h_max * quotient, self.unit_index(f))
         if rest:
             order = OrderDescriptor(self.kind, self.d, f)
             raise DomainError(f"class-number formula is not integral for "
                               f"{order.to_json()} with h(O_K)={h_max}")
         return h
+
+
+@lru_cache(maxsize=1)  # a case's conductor scan and its matched order
+def _field_orders(maximal: OrderDescriptor) -> _FieldOrders:
+    """``_FieldOrders`` of the field of ``maximal``, with its fundamental
+    unit on the real side."""
+    return _FieldOrders(maximal, fundamental_unit(maximal).value
+                        if maximal.field_kind == "real" else None)
 
 
 def unit_index(order: OrderDescriptor,
@@ -392,13 +469,13 @@ def unit_index(order: OrderDescriptor,
     f = 1). Real side: the least k with unit**k in O_f = Z + f O_K, where
     unit must be the fundamental unit of O_K. Written x + y w in the basis
     (1, w) of O_K, with w^2 = d, or w^2 = w + (d-1)/4 when d = 1 mod 4, a
-    power lies in O_f exactly when its y is 0 mod f, so the powers are
-    stepped in integers mod f. k divides Q_f, the order of
-    (O_K/f)^* / (Z/f)^*, which bounds the search.
+    power lies in O_f exactly when its y is 0 mod f, which holds exactly
+    when it holds mod every p^e exactly dividing f. The powers in O_f form
+    a subgroup, so k is the lcm of the prime powers' indices, each found by
+    stepping the powers in integers mod p^e. It divides Q_{p^e}, the order
+    of (O_K/p^e)^* / (Z/p^e)^*, which bounds that search.
     """
-    field, f = _FieldOrders(order, unit), order.conductor
-    quotient = _unit_group_quotient(f, field.disc, field.symbols)
-    return field.unit_index(f, quotient)
+    return _FieldOrders(order, unit).unit_index(order.conductor)
 
 
 def order_class_number(order: OrderDescriptor, h_max: int,
@@ -437,8 +514,7 @@ def match_conductor(given: OrderDescriptor,
         if h_max == h_given:
             return ConductorMatch(given.field_kind, given.conductor, 1, h_given)
         if h_given % h_max == 0:
-            field = _FieldOrders(maximal, fundamental_unit(maximal).value
-                                 if maximal.field_kind == "real" else None)
+            field = _field_orders(maximal)
             for f in range(2, search_bound + 1):
                 if field.class_number(f, h_max) == h_given:
                     return ConductorMatch(given.field_kind, given.conductor, f,

@@ -44,6 +44,14 @@ def _wide(cycles, disc):
     return _wide_classes(cycles, index, disc)
 
 
+def _enumerated_h(order):
+    """h from every reduced form: a real order's cycles are all walked,
+    with no count from the class-number formula."""
+    if order.field_kind == "imaginary":
+        return class_group(order).h
+    return len(_wide(_cycles(order.discriminant), order.discriminant))
+
+
 class TestClassGroup:
     def test_minus_15(self):
         cg = class_group(OrderDescriptor("imaginary", 15, 1))
@@ -123,6 +131,49 @@ class TestClassGroup:
         classforms._enumerated_class_group.cache_clear()
         cg = class_group(OrderDescriptor("real", 26, 67))
         assert len(built) <= len(cg.representatives) + 2
+
+    # real orders of up to 36 cycles whose least |a| on a cycle reaches 75
+    EARLY_STOP_ORDERS = [(26, 67), (6, 89), (79, 41), (10, 97), (94, 17),
+                         (46, 29), (1001, 3)]
+
+    @pytest.mark.parametrize("d,f", EARLY_STOP_ORDERS)
+    def test_early_stop_matches_reference(self, d, f):
+        # the scan stops at the class-number formula's cycle count
+        order = OrderDescriptor("real", d, f)
+        assert class_group(order).to_json() == \
+            class_group_reference(order).to_json()
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_wrong_cycle_count_raises(self, monkeypatch, shift):
+        # a count the forms cannot meet, or one that leaves a cycle's
+        # negative unwalked, raises instead of returning a short summary
+        counts = classforms._formula_counts
+
+        def shifted(order):
+            h, count = counts(order)
+            return h, count + shift
+
+        monkeypatch.setattr(classforms, "_formula_counts", shifted)
+        classforms._enumerated_class_group.cache_clear()
+        with pytest.raises(DomainError):
+            class_group(OrderDescriptor("real", 26, 67))
+
+    def test_early_stop_census(self, monkeypatch):
+        # the 12 cycles of disc 4 * 26 * 67^2 (s = 683) are all met within
+        # the first 4 of its 342 values of b
+        order, seen = OrderDescriptor("real", 26, 67), []
+        forms = classforms._indefinite_reduced_forms
+
+        def spy(disc):
+            for q in forms(disc):
+                if disc == order.discriminant:
+                    seen.append(q[1])
+                yield q
+
+        monkeypatch.setattr(classforms, "_indefinite_reduced_forms", spy)
+        classforms._enumerated_class_group.cache_clear()
+        assert class_group(order).h_proper == 12
+        assert sorted(set(seen), reverse=True) == [682, 680, 678, 676]
 
     def test_nonmaximal_orders(self):
         # direct enumeration handles conductor > 1 on both sides
@@ -212,7 +263,7 @@ class TestReducedForms:
         discs = [disc for disc in range(5, 6001) if disc % 4 in (0, 1)
                  and isqrt(disc) ** 2 != disc] + [4 * 26 * 67**2]
         for disc in discs:
-            assert _forms(_indefinite_reduced_forms(disc)) == \
+            assert _forms(sorted(_indefinite_reduced_forms(disc))) == \
                 indefinite_reduced_forms_reference(disc), disc
         assert len(discs) == 2924
 
@@ -271,6 +322,8 @@ def _maximal(kind, d):
 
 class TestClassNumberFormula:
     def test_agrees_with_enumeration(self):
+        # class_group stops a real order's scan at the formula's cycle
+        # count, so the formula is held to a scan that walks every cycle
         checked = 0
         for kind, first in (("imaginary", 1), ("real", 2)):
             for d in range(first, 80):
@@ -280,7 +333,7 @@ class TestClassNumberFormula:
                 for f in range(1, 16):
                     o = OrderDescriptor(kind, d, f)
                     assert order_class_number(o, h_max, unit) == \
-                        class_group(o).h, (kind, d, f)
+                        _enumerated_h(o), (kind, d, f)
                     checked += 1
         assert checked > 1400
 
@@ -320,6 +373,21 @@ class TestClassNumberFormula:
                 checked += 1
         assert checked == 2886
 
+    def test_real_unit_index_at_prime_powers(self):
+        # k_f is the lcm of the indices of the prime powers exactly dividing
+        # f; conductors with squares and several primes check the lcm
+        checked = 0
+        for d in range(2, 100):
+            if not is_squarefree(d):
+                continue
+            eps = fundamental_unit(OrderDescriptor("real", d, 1)).value
+            for f in (4, 8, 9, 12, 16, 27, 36, 48, 60, 64, 72, 81, 96, 100):
+                o = OrderDescriptor("real", d, f)
+                assert unit_index(o, eps) == unit_index_reference(o, eps), \
+                    (d, f)
+                checked += 1
+        assert checked == 14 * 60
+
     @pytest.mark.parametrize("d,f,unit", [
         (3, 5, QuadraticIrrational(1, 1, 2, 3)),  # (1 + sqrt3)/2 not integral
         (5, 5, QuadraticIrrational(1, 1, 4, 5)),  # (1 + sqrt5)/4 not integral
@@ -353,7 +421,7 @@ class TestPicardSurjection:
                     continue
                 h_max = class_group(OrderDescriptor(kind, d, 1)).h
                 for f in range(2, 16):
-                    h = class_group(OrderDescriptor(kind, d, f)).h
+                    h = _enumerated_h(OrderDescriptor(kind, d, f))
                     assert h % h_max == 0, (kind, d, f, h, h_max)
                     checked += 1
         assert checked == 1022
@@ -468,7 +536,7 @@ class TestConductorMatch:
                 unmatched.append(d)
                 f_match = 101
             for f in range(1, f_match):
-                assert class_group(OrderDescriptor("real", d, f)).h != h, (d, f)
+                assert _enumerated_h(OrderDescriptor("real", d, f)) != h, (d, f)
             if f_match <= 100:
-                assert class_group(OrderDescriptor("real", d, f_match)).h == h
+                assert _enumerated_h(OrderDescriptor("real", d, f_match)) == h
         assert unmatched == [23, 31, 47, 59]

@@ -15,7 +15,9 @@ benchmark order on one shared cache, and of every symbolic suite's JSON;
 from the results of the one run of every case that
 ``test_benchmark_outcomes`` checks. The same file pins every report of a
 recognition-off ``run_range(2, 30)`` in each direction at 256 and 1024
-bits, outside the benchmark's 512, and
+bits, outside the benchmark's 512, and of an imag-to-real
+``run_range(2900, 2950)`` at 512 bits, whose matched real orders reach
+conductor 96 (d = 2921, discriminant 26,919,936);
 ``test_range_reports_unchanged_at_other_precisions`` holds those too. A
 change that alters a report on purpose rewrites that file with
 ``PYTHONPATH=src python tests/test_tooling.py`` and says why.
@@ -70,10 +72,13 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 DIGESTS = Path(__file__).resolve().parent / "data" / "scan_report_digests.json"
 SCANS = ("scan-real", "scan-imag")
-# {digest file key: (direction, bits)}: recognition-off run_range(2, 30)
-RANGES = {f"range:{direction}:p={bits}": (direction, bits)
+# {digest file key: (direction, bits, lo, hi)}: recognition-off
+# run_range(lo, hi); d = 2900-2950 matches real orders up to frak_f = 96
+RANGES = {f"range:{direction}:p={bits}": (direction, bits, 2, 30)
           for direction in ("real-to-imag", "imag-to-real")
           for bits in (256, 1024)}
+RANGES["range:imag-to-real:p=512:d=2900-2950"] = ("imag-to-real", 512,
+                                                  2900, 2950)
 
 
 def _load(name: str):
@@ -219,12 +224,12 @@ def _range_digests() -> dict:
     """{range key: {case key: sha256 of its report without timing}}."""
     workloads = _load("workloads")
     digests = {}
-    for name, (direction, bits) in RANGES.items():
+    for name, (direction, bits, lo, hi) in RANGES.items():
         params = pipeline.CaseParams(precision_bits=bits,
                                      conductor_direction=direction,
                                      recognition=False)
         digests[name] = {}
-        for report in pipeline.run_range(2, 30, params, workers=1).reports:
+        for report in pipeline.run_range(lo, hi, params, workers=1).reports:
             case = workloads.Case("run_range", report.d, direction, bits)
             digests[name][case.key] = workloads.digest(case, report)
     return digests
