@@ -5,11 +5,13 @@ indefinite ones from cycles of reduced forms under the reduction step.
 For real orders the headline class number is the wide (module) count.
 The narrow-to-wide map has kernel {1, [-1]}, so a wide class is a
 reduction cycle C together with its negative -C, the cycle of the forms
-(-a, b, -c); C = -C exactly when a unit of norm -1 exists. The proper
-(form class / narrow) count, the number of cycles, is carried alongside.
-Reduced indefinite forms, the rho step and the cycles run on plain (a, b, c)
-int triples (Buchmann-Vollmer, ch. 6; Cohen, GTM 138, 5.7), and
-BinaryQuadraticForm objects are built only for the representatives returned.
+(-a, b, -c); C = -C exactly when a unit of norm -1 exists. As
+rho(-q) = -rho(q), the walk negates each cycle it walks into its partner,
+and yields the pairs. The proper (form class / narrow) count, the number
+of cycles, is carried alongside. Reduced indefinite forms, the rho step and
+the cycles run on plain (a, b, c) int triples (Buchmann-Vollmer, ch. 6;
+Cohen, GTM 138, 5.7), and BinaryQuadraticForm objects are built only for
+the representatives returned.
 
 Conductor matching needs only class numbers, and takes them from the
 class-number formula for orders (Cox, *Primes of the form x^2+ny^2*,
@@ -35,23 +37,24 @@ The same formula bounds the enumeration of a real order of conductor
 f > 1. It gives the wide h, and the cycle count: h when O_f has a unit of
 norm -1, 2h otherwise. The reduced forms are scanned with b descending
 from isqrt(D), where the divisor loop is shortest and the forms of small
-|a| lie, and every cycle met is walked; the scan stops once it holds that
-many cycles. The cycles of the orders matched in a scan each hold a form
-of small |a| (at most 75 for d = 6, f = 89, with D = 190,104), so a few
-values of b suffice. Forms running out first, or cycles that
-make another wide count, raise ``DomainError``. Maximal orders have no
-count and walk every form, through the same loop.
+|a| lie, and every cycle met is walked and taken with its negative; the
+scan stops once its pairs hold that many cycles. The cycles of the orders
+matched in a scan each hold a form of small |a| (at most 75 for d = 6,
+f = 89, with D = 190,104), so a few values of b suffice. Forms running out
+first, or cycles that make another wide count, raise ``DomainError``.
+Maximal orders have no count and walk every form, through the same loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt, lcm
 
 from .errors import BoundExceeded, DomainError, NoMatchWithinBound
-from .quadfield import (OrderDescriptor, QuadraticIrrational, _prime_powers,
-                        fundamental_unit)
+from .quadfield import (OrderDescriptor, QuadraticIrrational,
+                        _integral_coordinates, _prime_powers, fundamental_unit)
 
 DISC_LIMIT = 10**8  # largest |disc| enumerated; read at call time
 _CACHED_ORDERS = 3  # a case's given, opposite maximal and matched orders
@@ -132,8 +135,6 @@ def _indefinite_reduced_forms(disc: int):
     is shortest for b near s, where the forms of small |a| lie.
     """
     s = isqrt(disc)
-    if s * s == disc:
-        raise DomainError("square discriminant")
     for b in range(s - ((s ^ disc) & 1), 0, -2):
         n = (disc - b * b) // 4
         for a in [a for a in range((s - b) // 2 + 1, isqrt(n) + 1)
@@ -154,16 +155,22 @@ def _rho(form, disc: int, s: int) -> tuple[int, int, int]:
     return c, r, (r * r - disc) // (4 * c)
 
 
-def _indefinite_cycles(forms, disc: int, count: int | None = None):
-    """(cycles, index): the rho-cycles through ``forms`` in order of their
-    least member, and each form's cycle number.
+def _indefinite_cycles(disc: int, count: int | None = None):
+    """The rho-cycles of discriminant disc > 0 in pairs (C, -C), or (C,)
+    when C = -C, the principal cycle's pair first; -C negates C's forms.
 
-    With a ``count``, the walk stops once it holds that many cycles, and
-    ``forms`` running out first raises ``DomainError``.
+    The walk starts at the reduced principal form (1, b, c), b greatest,
+    then takes the forms of ``_indefinite_reduced_forms``. With a ``count``
+    it stops once its pairs hold that many cycles, and the forms running
+    out first raises ``DomainError``.
     """
     s = isqrt(disc)
-    cycles, seen = [], set()
-    for q in forms:
+    if s * s == disc:
+        raise DomainError("square discriminant")
+    b = s - ((s ^ disc) & 1)
+    principal = (1, b, (b * b - disc) // 4)
+    pairs, seen, cycles = [], set(), 0
+    for q in chain([principal], _indefinite_reduced_forms(disc)):
         if q in seen:
             continue
         cycle = []
@@ -171,16 +178,19 @@ def _indefinite_cycles(forms, disc: int, count: int | None = None):
             seen.add(q)
             cycle.append(q)
             q = _rho(q, disc, s)
-        cycles.append(cycle)
-        if len(cycles) == count:
+        negative = [(-a, b, -c) for a, b, c in cycle]
+        pair = (cycle,) if negative[0] in seen else (cycle, negative)
+        seen.update(negative)
+        pairs.append(pair)
+        cycles += len(pair)
+        if cycles == count:
             break
     else:
         if count is not None:
             raise DomainError(f"the reduced forms of discriminant {disc} lie "
-                              f"on {len(cycles)} cycles, not the class-number "
+                              f"on {cycles} cycles, not the class-number "
                               f"formula's {count}")
-    cycles.sort(key=min)
-    return cycles, {q: i for i, cycle in enumerate(cycles) for q in cycle}
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -248,15 +258,13 @@ def _enumerated_class_group(order: OrderDescriptor) -> ClassGroupSummary:
         return ClassGroupSummary(order, len(forms), forms, len(forms))
     h, count = (_formula_counts(order) if order.conductor > 1
                 else (None, None))
-    cycles, index = _indefinite_cycles(_indefinite_reduced_forms(disc), disc,
-                                       count)
-    reps = tuple(BinaryQuadraticForm(*q)
-                 for q in _wide_classes(cycles, index, disc))
+    pairs = _indefinite_cycles(disc, count)
+    reps = tuple(BinaryQuadraticForm(*q) for q in _wide_classes(pairs))
     if h is not None and len(reps) != h:
         raise DomainError(f"the {count} cycles of {order.to_json()} make "
                           f"{len(reps)} module classes, not the class-number "
                           f"formula's {h}")
-    return ClassGroupSummary(order, len(reps), reps, len(cycles))
+    return ClassGroupSummary(order, len(reps), reps, sum(map(len, pairs)))
 
 
 def _formula_counts(order: OrderDescriptor) -> tuple[int, int]:
@@ -271,39 +279,19 @@ def _formula_counts(order: OrderDescriptor) -> tuple[int, int]:
     return h, h if field.has_unit_of_norm_minus_one(f) else 2 * h
 
 
-def _wide_classes(cycles, index, disc) -> list[tuple[int, int, int]]:
-    """One representative per pair {C, -C} of cycles, principal pair first.
+def _wide_classes(pairs) -> list[tuple[int, int, int]]:
+    """One representative per pair {C, -C} of ``_indefinite_cycles``,
+    principal pair first.
 
-    ``index`` maps each form of ``cycles`` to its cycle number. The
-    narrow-to-wide map has kernel {1, [-1]} (Buchmann-Vollmer, *Binary
-    Quadratic Forms*), and [-1][f] is the class of -f = (-a, b, -c). Since
-    reduced-ness depends only on |a| and b, and rho(-f) = -rho(f), the
-    negatives of a cycle's forms make up a cycle again. A pair keeps the
-    principal cycle's representative when it holds that cycle, and the
-    lower-index cycle's otherwise.
+    The narrow-to-wide map has kernel {1, [-1]} (Buchmann-Vollmer, *Binary
+    Quadratic Forms*), and [-1][f] is the class of -f = (-a, b, -c), so each
+    pair is one module class. The principal pair keeps the principal
+    cycle's representative, every other pair that of its cycle of lesser
+    least member; those follow sorted.
     """
-    def cycle_of(q) -> int:
-        if q not in index:
-            raise DomainError(f"form {list(q)} lies on no reduced cycle "
-                              f"of discriminant {disc}")
-        return index[q]
-
-    principal = cycle_of(_reduced_principal_form(disc, index))
-    partner = [cycle_of((-a, b, -c)) for a, b, c in (cyc[0] for cyc in cycles)]
-    others = [_cycle_representative(cycles[i]) for i, j in enumerate(partner)
-              if principal not in (i, j) and i <= j]
-    return [_cycle_representative(cycles[principal])] + sorted(others)
-
-
-def _reduced_principal_form(disc, reduced) -> tuple[int, int, int]:
-    # the principal form may not be reduced; walk it into the reduced set
-    b, s = disc & 1, isqrt(disc)
-    q = (1, b, (b * b - disc) // 4)
-    for _ in range(4 * (s + 2)):
-        if q in reduced:
-            break
-        q = _rho(q, disc, s)
-    return q
+    principal, *others = pairs
+    return [_cycle_representative(principal[0])] + sorted(
+        _cycle_representative(min(pair, key=min)) for pair in others)
 
 
 def _cycle_representative(cycle) -> tuple[int, int, int]:
@@ -327,10 +315,6 @@ def pseudo_lattice_reps(summary: ClassGroupSummary) -> list[PseudoLatticeRep]:
             raise DomainError(f"theta of {form.to_json()} is not in (0, 1)")
         reps.append(PseudoLatticeRep(theta, form))
     return reps
-
-
-def _prime_divisors(n: int) -> list[int]:
-    return [p for p, _ in _prime_powers(n)]
 
 
 @lru_cache(maxsize=1024)  # each f of a scan, up to search bound 1024
@@ -386,16 +370,10 @@ class _FieldOrders:
         self.disc = order.fundamental_discriminant
         self.symbols: dict[int, int] = {}
         self.prime_power_indices: dict[int, int] = {}  # p^e: k, 0 for none
-        self.unit, self.coords = unit, None
-        if self.kind == "real" and unit is not None:
-            d, a, b, c = self.d, unit.a, unit.b, unit.c
-            if d % 4 == 1:  # w = (1 + sqrt d)/2: unit = (a - b)/c + (2b/c) w
-                num_x, num_y, t, n = a - b, 2 * b, 1, (d - 1) // 4
-            else:  # w = sqrt d: unit = a/c + (b/c) w
-                num_x, num_y, t, n = a, b, 0, d
-            # with x or y not an integer, coords stay None: no power is integral
-            if num_x % c == 0 and num_y % c == 0:
-                self.coords = (num_x // c, num_y // c, t, n)
+        self.unit = unit
+        # None when the unit is not integral: then no power lies in O_f
+        self.coords = (_integral_coordinates(unit, self.d)
+                       if self.kind == "real" and unit is not None else None)
 
     def unit_index(self, f: int) -> int:
         """[O_K^*:O_f^*]; ``unit_index`` describes it."""

@@ -373,19 +373,22 @@ def fundamental_unit(order: OrderDescriptor) -> UnitElement:
 
 def _in_order(x: QuadraticIrrational, order: OrderDescriptor) -> bool:
     """x in Z + f*O for the real order (exact integrality test)."""
-    f = order.conductor
-    d = order.d
-    # omega_1 = (1+sqrt d)/2 when d = 1 mod 4 else sqrt d
-    if d % 4 == 1:
-        y = Fraction(2 * x.b, x.c * f)
-        if y.denominator != 1:
-            return False
-        rest = Fraction(x.a, x.c) - y * Fraction(f, 2)
-        return rest.denominator == 1
-    y = Fraction(x.b, x.c * f)
-    if y.denominator != 1:
-        return False
-    return Fraction(x.a, x.c).denominator == 1
+    coords = _integral_coordinates(x, order.d)
+    return coords is not None and coords[1] % order.conductor == 0
+
+
+def _integral_coordinates(x: QuadraticIrrational, d: int):
+    """(u, v, t, n) with x = u + v w, w^2 = t w + n, in the basis (1, w) of
+    the maximal order of Q(sqrt d), or None when u or v is not an integer.
+    w = (1 + sqrt d)/2 when d = 1 mod 4, else sqrt d; x lies in Q(sqrt d)."""
+    a, b, c = x.a, x.b, x.c
+    if d % 4 == 1:  # x = (a - b)/c + (2b/c) w
+        u, v, t, n = a - b, 2 * b, 1, (d - 1) // 4
+    else:  # x = a/c + (b/c) w
+        u, v, t, n = a, b, 0, d
+    if u % c or v % c:
+        return None
+    return u // c, v // c, t, n
 
 
 def pell_min_solution(D: int, limit: int = 10**7) -> tuple[int, int]:

@@ -2,14 +2,17 @@
 
 Almost nothing here shares code paths with the library: class numbers come
 from union-find orbit closure under the elementary substitutions, units from
-a direct Pell scan, Lovasz conditions from rational Gram-Schmidt, bases of
-a lattice from a transform solved over Q, and short vectors from exhaustive
-enumeration. The exception is ``wide_classes_gl2``: it reuses the library's
-reduced forms, reduction cycles and continued-fraction equivalence test, and
-only its grouping of cycles into module classes (a pairwise GL2(Z) merge) is
-independent of ``class_group``'s. ``lll_reference`` is the library's exact
-LLL kernel as it stood before its swap reused the Lovász test's product,
-kept so that the kernel can be checked against it.
+a direct Pell scan, order membership from Fractions in
+``in_order_reference`` (``quadfield._in_order`` as it stood before it read
+the (1, w) coordinates of ``quadfield._integral_coordinates``), Lovasz
+conditions from rational Gram-Schmidt, bases of a lattice from a transform
+solved over Q, and short vectors from exhaustive enumeration. The exception
+is ``wide_classes_gl2``: it reuses the library's reduced forms, reduction
+cycles and continued-fraction equivalence test, and only its grouping of
+cycles into module classes (a pairwise GL2(Z) merge) is independent of
+``class_group``'s. ``lll_reference`` is the library's exact LLL kernel
+as it stood before its swap reused the Lovász test's product, kept so that
+the kernel can be checked against it.
 ``float_lll_reference`` is the float LLL kernel as it stood before its loop
 was fused, kept for the same check.
 ``cold_relation_basis`` is the relation search's lattice reduced in one jump
@@ -128,13 +131,28 @@ def definite_class_number_orbit(disc: int) -> int:
     return len({find(s) for s in seeds})
 
 
+def in_order_reference(x, order) -> bool:
+    """x in Z + f*O for the real order (exact integrality test)."""
+    f = order.conductor
+    d = order.d
+    # omega_1 = (1+sqrt d)/2 when d = 1 mod 4 else sqrt d
+    if d % 4 == 1:
+        y = Fraction(2 * x.b, x.c * f)
+        if y.denominator != 1:
+            return False
+        rest = Fraction(x.a, x.c) - y * Fraction(f, 2)
+        return rest.denominator == 1
+    y = Fraction(x.b, x.c * f)
+    if y.denominator != 1:
+        return False
+    return Fraction(x.a, x.c).denominator == 1
+
+
 def min_unit_power_in_suborder(eps1, order) -> object:
     """Least power of the maximal-order unit lying in the suborder."""
-    from quadexp.quadfield import _in_order
-
     value = eps1
     for k in range(1, 64):
-        if _in_order(value, order):
+        if in_order_reference(value, order):
             return value
         value = value * eps1
     raise AssertionError("no unit power landed in the suborder below 64")
@@ -750,7 +768,6 @@ def unit_index_reference(order, unit) -> int:
     """
     from quadexp.classforms import _unit_group_quotient
     from quadexp.errors import DomainError
-    from quadexp.quadfield import _in_order
 
     f = order.conductor
     if f == 1:
@@ -758,7 +775,7 @@ def unit_index_reference(order, unit) -> int:
     power = unit
     for k in range(1, _unit_group_quotient(f, order.fundamental_discriminant,
                                            {}) + 1):
-        if _in_order(power, order):
+        if in_order_reference(power, order):
             return k
         power = power * unit
     raise DomainError(f"no power of {unit!r} lies in the order {order.to_json()}")
@@ -926,7 +943,7 @@ def fundamental_unit_reference(order):
     """
     from quadexp.errors import DomainError
     from quadexp.quadfield import (QuadraticIrrational, UnitElement,
-                                   _convergent_matrix, _in_order)
+                                   _convergent_matrix)
 
     if order.field_kind != "real":
         raise DomainError("fundamental unit only for real quadratic orders")
@@ -942,7 +959,7 @@ def fundamental_unit_reference(order):
         raise DomainError(f"unit computation produced norm {n}")
     if eps.cmp(1) <= 0:
         raise DomainError("unit computation produced a value <= 1")
-    if not _in_order(eps, order):
+    if not in_order_reference(eps, order):
         raise DomainError("unit computation left the order")
     return UnitElement(eps, int(n))
 

@@ -5,6 +5,7 @@ from math import isqrt
 import pytest
 
 from oracles import (class_group_reference, definite_class_number_orbit,
+                     indefinite_cycles_reference,
                      indefinite_reduced_forms_reference, is_reduced_definite,
                      match_conductor_reference, min_unit_power_in_suborder,
                      unit_index_reference, wide_classes_gl2)
@@ -26,6 +27,12 @@ def _real_orders(d_max=60, f_max=10):
             if is_squarefree(d) for f in range(1, f_max + 1)]
 
 
+# every non-square discriminant 5 <= D <= 6000, and 4 * 26 * 67^2, the
+# real order that d = 26 matches in the scan
+INDEFINITE_DISCS = [disc for disc in range(5, 6001) if disc % 4 in (0, 1)
+                    and isqrt(disc) ** 2 != disc] + [4 * 26 * 67**2]
+
+
 def _negated(q):
     return BinaryQuadraticForm(-q.a, q.b, -q.c)
 
@@ -35,13 +42,14 @@ def _forms(triples):
 
 
 def _cycles(disc):
-    cycles, _ = _indefinite_cycles(_indefinite_reduced_forms(disc), disc)
-    return cycles
+    """Every cycle of the pairs, ordered by least member as the references
+    list them."""
+    pairs = _indefinite_cycles(disc)
+    return sorted((cycle for pair in pairs for cycle in pair), key=min)
 
 
-def _wide(cycles, disc):
-    index = {q: i for i, cycle in enumerate(cycles) for q in cycle}
-    return _wide_classes(cycles, index, disc)
+def _wide(disc):
+    return _wide_classes(_indefinite_cycles(disc))
 
 
 def _enumerated_h(order):
@@ -49,7 +57,7 @@ def _enumerated_h(order):
     with no count from the class-number formula."""
     if order.field_kind == "imaginary":
         return class_group(order).h
-    return len(_wide(_cycles(order.discriminant), order.discriminant))
+    return len(_wide(order.discriminant))
 
 
 class TestClassGroup:
@@ -94,18 +102,40 @@ class TestClassGroup:
             assert (cg.h, cg.h_proper, cg.representatives) == \
                 (len(reps), len(cycles), tuple(reps)), o
 
-    def test_missing_cycle_is_typed(self):
-        cycles = _cycles(60)
-        forms = [_forms(c) for c in cycles]
-        principal = next(i for i, cyc in enumerate(forms)
-                         if BinaryQuadraticForm(1, 6, -6) in cyc)
-        partner = next(i for i, cyc in enumerate(forms)
-                       if _negated(forms[principal][0]) in cyc)
-        assert partner != principal  # d = 15 has no unit of norm -1
-        with pytest.raises(DomainError, match="lies on no reduced cycle"):
-            _wide([c for i, c in enumerate(cycles) if i != principal], 60)
-        with pytest.raises(DomainError, match="lies on no reduced cycle"):
-            _wide([cycles[principal]], 60)
+    def test_cycles_come_paired_with_their_negatives(self):
+        # the pairs hold the reference's cycles, the principal pair first,
+        # and a pair's second cycle negates its first
+        for disc in INDEFINITE_DISCS:
+            pairs = _indefinite_cycles(disc)
+            cycles = [_forms(cycle) for pair in pairs for cycle in pair]
+            reference = indefinite_cycles_reference(
+                indefinite_reduced_forms_reference(disc))
+            assert {frozenset(c) for c in cycles} == \
+                {frozenset(c) for c in reference}, disc
+            assert len(cycles) == len(reference), disc
+            s = isqrt(disc)
+            b0 = s - ((s ^ disc) & 1)
+            assert (1, b0, (b0 * b0 - disc) // 4) in pairs[0][0], disc
+            for pair in pairs:
+                assert len(pair) == 1 or \
+                    pair[1] == [(-a, b, -c) for a, b, c in pair[0]], disc
+
+    def test_negative_cycles_take_no_rho_step(self, monkeypatch):
+        # each pair's second cycle is read off its first, so rho runs once
+        # per form of the first cycles only: 248 of the 496 forms of
+        # (26, 67), in 6 pairs, and the 8 of its maximal order (26, 1), in
+        # 2 cycles that are their own negatives
+        calls = []
+        rho = classforms._rho
+
+        def spy(*args):
+            calls.append(args)
+            return rho(*args)
+
+        monkeypatch.setattr(classforms, "_rho", spy)
+        classforms._enumerated_class_group.cache_clear()
+        assert class_group(OrderDescriptor("real", 26, 67)).h_proper == 12
+        assert len(calls) == 256
 
     def test_real_orders_match_object_reference(self):
         # every real order with square-free d < 400 and f <= 7, and the
@@ -145,8 +175,9 @@ class TestClassGroup:
 
     @pytest.mark.parametrize("shift", [1, -1])
     def test_wrong_cycle_count_raises(self, monkeypatch, shift):
-        # a count the forms cannot meet, or one that leaves a cycle's
-        # negative unwalked, raises instead of returning a short summary
+        # +1: the forms cannot meet the count; -1: a pair of cycles passes
+        # it, so the walk runs out of forms too. Either raises instead of
+        # returning a short summary
         counts = classforms._formula_counts
 
         def shifted(order):
@@ -259,13 +290,11 @@ class TestReducedForms:
 
     def test_enumeration_matches_unbounded_loop(self):
         # the divisor loop starts above (s - b)/2; the reference tries every
-        # a >= 1. 4 * 26 * 67^2 is the real order d = 26 matches in the scan
-        discs = [disc for disc in range(5, 6001) if disc % 4 in (0, 1)
-                 and isqrt(disc) ** 2 != disc] + [4 * 26 * 67**2]
-        for disc in discs:
+        # a >= 1
+        for disc in INDEFINITE_DISCS:
             assert _forms(sorted(_indefinite_reduced_forms(disc))) == \
                 indefinite_reduced_forms_reference(disc), disc
-        assert len(discs) == 2924
+        assert len(INDEFINITE_DISCS) == 2924
 
 
 class TestPseudoLattices:

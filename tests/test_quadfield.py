@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (cf_expand, cf_reconstruct, expansion_states_reference,
-                     fundamental_unit_reference)
+                     fundamental_unit_reference, in_order_reference)
 from quadexp import quadfield
-from quadexp.classforms import _prime_divisors
 from quadexp.errors import DomainError, InputRational
 from quadexp.quadfield import (OrderDescriptor, QuadraticIrrational,
-                               _expansion_states, _irrational_states,
+                               _expansion_states, _in_order,
+                               _irrational_states, _prime_powers,
                                _squarefree_split, fundamental_unit,
                                is_squarefree, pell_min_solution,
                                sl2_equivalent)
@@ -36,7 +36,7 @@ class TestTrialDivision:
                 s *= prime ** (e // 2)
                 r *= prime ** (e % 2)
             assert _squarefree_split(n) == (s, r), n
-            assert _prime_divisors(n) == sorted(powers), n
+            assert [p for p, _ in _prime_powers(n)] == sorted(powers), n
 
 
 class TestQuadraticIrrational:
@@ -157,7 +157,6 @@ class TestFundamentalUnit:
 
     def test_membership_and_norm_sweep(self):
         # module invariant: d <= 200, conductor <= 5, exact
-        from quadexp.quadfield import _in_order
         for d in SQUAREFREE_200:
             for f in range(1, 6):
                 o = OrderDescriptor("real", d, f)
@@ -166,6 +165,25 @@ class TestFundamentalUnit:
                 assert u.value.norm() == u.norm
                 assert u.value > 1
                 assert _in_order(u.value, o), (d, f)
+
+    def test_membership_matches_fraction_reference(self):
+        # x = (a + b sqrt d)/c, rational x included, in every real order
+        # with square-free d < 60 and f <= 6
+        checked = members = 0
+        for d in range(2, 60):
+            if not is_squarefree(d):
+                continue
+            orders = [OrderDescriptor("real", d, f) for f in range(1, 7)]
+            for a in range(-12, 13):
+                for b in range(-12, 13):
+                    for c in range(1, 9):
+                        x = QuadraticIrrational(a, b, c, d)
+                        for o in orders:
+                            member = _in_order(x, o)
+                            assert member == in_order_reference(x, o), (x, o)
+                            members += member
+                            checked += 1
+        assert checked == 36 * 6 * 25 * 25 * 8 and members > 0
 
     def test_suborder_units_are_powers(self):
         for d in (2, 3, 5, 10, 13, 15, 21, 35, 91):

@@ -50,6 +50,9 @@ No module under ``src/quadexp`` opens a file for reading (the class
 polynomial cache is written for inspection only), so a file read arrives
 with the verification of what it reads;
 ``test_no_module_reads_a_file`` holds them to that.
+Every module-level private name of ``src/quadexp`` is used inside the
+package, not only by the tests; ``test_no_unused_private_name`` holds
+them to that.
 """
 
 import ast
@@ -419,6 +422,53 @@ def test_no_module_reads_a_file():
     reads = {path.name: _file_reads(path.read_text(encoding="utf-8"))
              for path in (ROOT / "src" / "quadexp").glob("*.py")}
     assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def _unused_private_names(sources: dict[str, str]) -> set[str]:
+    """"module.name" for each module-level private name of ``sources``
+    (``def _x``, ``class _X``, ``_X = ...``; dunders aside) that no source
+    loads, reads as an attribute or imports."""
+    defined, used = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update((module, name) for name in names
+                           if name.startswith("_")
+                           and not (name.startswith("__")
+                                    and name.endswith("__")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return {f"{module}.{name}" for module, name in defined
+            if name not in used}
+
+
+def test_no_unused_private_name():
+    # a private helper that nothing in the package uses is dead code, kept
+    # alive only by its tests; test code does not count as a use
+    control = {"m": "def _dead(): pass\ndef _called(): pass\n_called()\n"
+                    "class _Read: pass\nm._Read\n_X = _Y = 1\n"
+                    "__all__ = []\n_Z: int = 0\n",
+               "n": "from m import _X\nprint(_Y)\n"}
+    assert _unused_private_names(control) == {"m._dead", "m._Z"}
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in (ROOT / "src" / "quadexp").glob("*.py")}
+    assert _unused_private_names(sources) == set()
 
 
 if __name__ == "__main__":  # rewrite the pinned report digests
