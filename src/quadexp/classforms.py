@@ -73,24 +73,6 @@ class BinaryQuadraticForm:
     def is_primitive(self) -> bool:
         return gcd(gcd(abs(self.a), abs(self.b)), abs(self.c)) == 1
 
-    def is_reduced_indefinite(self) -> bool:
-        # 0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b
-        disc = self.discriminant
-        if disc <= 0 or self.b <= 0 or self.b * self.b >= disc:
-            return False
-        aa = 2 * abs(self.a)
-        if disc >= (aa + self.b) ** 2:
-            return False
-        return aa <= self.b or (aa - self.b) ** 2 < disc
-
-    def rho(self) -> "BinaryQuadraticForm":
-        """Reduction step for indefinite forms; permutes the reduced forms."""
-        disc = self.discriminant
-        if disc <= 0:
-            raise DomainError("rho applies to indefinite forms")
-        return BinaryQuadraticForm(*_rho((self.a, self.b, self.c), disc,
-                                         isqrt(disc)))
-
     def theta(self) -> QuadraticIrrational:
         """Larger root of a x^2 + b x + c (a > 0 required)."""
         if self.a <= 0:
@@ -218,16 +200,8 @@ class PseudoLatticeRep:
 
 @dataclass
 class ConductorMatch:
-    given_side: str
-    given_conductor: int
     matched_conductor: int
     h_common: int
-
-    def to_json(self) -> dict:
-        return {"given_side": self.given_side,
-                "given_conductor": self.given_conductor,
-                "matched_conductor": self.matched_conductor,
-                "h_common": self.h_common}
 
 
 def _check_disc_limit(order: OrderDescriptor) -> None:
@@ -376,7 +350,17 @@ class _FieldOrders:
                        if self.kind == "real" and unit is not None else None)
 
     def unit_index(self, f: int) -> int:
-        """[O_K^*:O_f^*]; ``unit_index`` describes it."""
+        """[O_K^*:O_f^*] for the order O_f of conductor f in K.
+
+        Imaginary side: 3 for d_K = -3, 2 for d_K = -4, 1 otherwise (1 at
+        f = 1). Real side: the least k with unit**k in O_f = Z + f O_K, where
+        the unit is the fundamental unit of O_K. Written x + y w, a power
+        lies in O_f exactly when its y is 0 mod f, which holds exactly when
+        it holds mod every p^e exactly dividing f. The powers in O_f form a
+        subgroup, so k is the lcm of the prime powers' indices, each found
+        by stepping the powers in integers mod p^e. It divides Q_{p^e}, the
+        order of (O_K/p^e)^* / (Z/p^e)^*, which bounds that search.
+        """
         if f == 1:
             return 1
         if self.kind == "imaginary":
@@ -421,7 +405,13 @@ class _FieldOrders:
                 and self.unit_index(f) % 2 == 1)
 
     def class_number(self, f: int, h_max: int) -> int:
-        """h(O_f) from h_max = h(O_K); ``order_class_number`` describes it."""
+        """h(O_f) from h_max = h(O_K) by the class-number formula for orders.
+
+        h(O_f) = h(O_K) Q_f / [O_K^*:O_f^*], with Q_f as in the module
+        docstring; see Cox, *Primes of the form x^2+ny^2*, Thm 7.24, and
+        Buchmann-Vollmer, *Binary Quadratic Forms*, for real orders, where h
+        is the wide count.
+        """
         quotient = _unit_group_quotient(f, self.disc, self.symbols)
         h, rest = divmod(h_max * quotient, self.unit_index(f))
         if rest:
@@ -439,35 +429,6 @@ def _field_orders(maximal: OrderDescriptor) -> _FieldOrders:
                         if maximal.field_kind == "real" else None)
 
 
-def unit_index(order: OrderDescriptor,
-               unit: QuadraticIrrational | None = None) -> int:
-    """[O_K^*:O_f^*] for the order O_f of conductor f in K.
-
-    Imaginary side: 3 for d_K = -3, 2 for d_K = -4, 1 otherwise (1 at
-    f = 1). Real side: the least k with unit**k in O_f = Z + f O_K, where
-    unit must be the fundamental unit of O_K. Written x + y w in the basis
-    (1, w) of O_K, with w^2 = d, or w^2 = w + (d-1)/4 when d = 1 mod 4, a
-    power lies in O_f exactly when its y is 0 mod f, which holds exactly
-    when it holds mod every p^e exactly dividing f. The powers in O_f form
-    a subgroup, so k is the lcm of the prime powers' indices, each found by
-    stepping the powers in integers mod p^e. It divides Q_{p^e}, the order
-    of (O_K/p^e)^* / (Z/p^e)^*, which bounds that search.
-    """
-    return _FieldOrders(order, unit).unit_index(order.conductor)
-
-
-def order_class_number(order: OrderDescriptor, h_max: int,
-                       unit: QuadraticIrrational | None = None) -> int:
-    """h(O_f) from h_max = h(O_K) by the class-number formula for orders.
-
-    h(O_f) = h(O_K) Q_f / [O_K^*:O_f^*], Q_f = f prod_{p | f} (1 - (d_K/p)/p);
-    see Cox, *Primes of the form x^2+ny^2*, Thm 7.24, and Buchmann-Vollmer,
-    *Binary Quadratic Forms*, for real orders, where h is the wide count.
-    ``unit`` is passed on to ``unit_index``, and Q_f is computed once.
-    """
-    return _FieldOrders(order, unit).class_number(order.conductor, h_max)
-
-
 def match_conductor(given: OrderDescriptor,
                     search_bound: int = 100) -> ConductorMatch:
     """Least conductor on the opposite side with the same class number.
@@ -475,7 +436,7 @@ def match_conductor(given: OrderDescriptor,
     Reduced forms are enumerated for the given order and the opposite
     maximal order only (``class_group`` keeps both for the caller, and holds
     them to ``DISC_LIMIT``); every other candidate's class number comes from
-    the formula of ``order_class_number``, on plain integers: d_K, the
+    the formula of ``_FieldOrders.class_number``, on plain integers: d_K, the
     unit's coordinates and the symbols (d_K/p) are taken once per scan, and
     each f costs one Q_f. Pic(O_f) maps onto Pic(O_K), so h(O_K) divides
     every h(O_f): the formula's [O_K^*:O_f^*] divides Q_f. When h(O_K) does
@@ -490,12 +451,11 @@ def match_conductor(given: OrderDescriptor,
         maximal = given.opposite(1)
         h_max = class_group(maximal).h
         if h_max == h_given:
-            return ConductorMatch(given.field_kind, given.conductor, 1, h_given)
+            return ConductorMatch(1, h_given)
         if h_given % h_max == 0:
             field = _field_orders(maximal)
             for f in range(2, search_bound + 1):
                 if field.class_number(f, h_max) == h_given:
-                    return ConductorMatch(given.field_kind, given.conductor, f,
-                                          h_given)
+                    return ConductorMatch(f, h_given)
     raise NoMatchWithinBound(
         f"no conductor <= {search_bound} matches h={h_given}")

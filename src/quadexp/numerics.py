@@ -124,9 +124,6 @@ class FixedReal:
         a, b, p = self._aligned(other)
         return FixedReal(a.mantissa - b.mantissa, p, a.err_ulps + b.err_ulps)
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return FixedReal(self.mantissa * other, self.scale_bits,
@@ -197,10 +194,6 @@ class FixedComplex:
     def __init__(self, re: FixedReal, im: FixedReal):
         self.re = re
         self.im = im
-
-    @classmethod
-    def from_real(cls, x: FixedReal) -> "FixedComplex":
-        return cls(x, FixedReal.zero(x.scale_bits))
 
     @classmethod
     def from_int(cls, n: int, p: int) -> "FixedComplex":

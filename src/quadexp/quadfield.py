@@ -1,11 +1,14 @@
 """Exact arithmetic in real quadratic fields.
 
 QuadraticIrrational stores (a + b*sqrt(d))/c in lowest terms with d
-square-free, so equality and hashing are structural. Continued fractions
-run on plain integers instead: a complete quotient (P + sqrt D)/Q, with
-Q | D - P^2, is stepped by one integer recurrence. Fundamental units of
-orders and the SL2(Z)/GL2(Z) equivalence of quadratic irrationals are read
-off those expansions; states become QuadraticIrrationals only where
+square-free, so equality and hashing are structural. Its field arithmetic
+(+, -, *, /) serves ``sl2_equivalent``, which hashes expansion states and
+checks its witness matrix exactly; its exact comparisons and fixed-point
+image serve the rest of the package. Continued fractions run on plain
+integers instead: a complete quotient (P + sqrt D)/Q, with Q | D - P^2, is
+stepped by one integer recurrence. Fundamental units of orders and the
+SL2(Z)/GL2(Z) equivalence of quadratic irrationals are read off those
+expansions; states become QuadraticIrrationals only where
 ``sl2_equivalent`` compares two expansions.
 """
 
@@ -89,10 +92,6 @@ class QuadraticIrrational:
         q = Fraction(q)
         return cls(q.numerator, 0, q.denominator, 1)
 
-    @classmethod
-    def sqrt_of(cls, d: int) -> "QuadraticIrrational":
-        return cls(0, 1, 1, d)
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -142,16 +141,11 @@ class QuadraticIrrational:
                                    self.b * o.c + o.b * self.c,
                                    self.c * o.c, d)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.__add__(-o)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __neg__(self):
         return QuadraticIrrational(-self.a, -self.b, self.c, self.d)
@@ -164,8 +158,6 @@ class QuadraticIrrational:
         return QuadraticIrrational(self.a * o.a + self.b * o.b * d,
                                    self.a * o.b + self.b * o.a,
                                    self.c * o.c, d)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -180,36 +172,9 @@ class QuadraticIrrational:
         nc = self.c * (o.a * o.a - o.b * o.b * d)
         return QuadraticIrrational(na * o.c, nb * o.c, nc, d)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o.__truediv__(self)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return (QuadraticIrrational.from_rational(1) / self) ** (-n)
-        r = QuadraticIrrational.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                r = r * base
-            base = base * base
-            n >>= 1
-        return r
-
-    def conjugate(self) -> "QuadraticIrrational":
-        return QuadraticIrrational(self.a, -self.b, self.c, self.d)
-
     def norm(self) -> Fraction:
         return Fraction(self.a * self.a - self.b * self.b * self.d,
                         self.c * self.c)
-
-    def trace(self) -> Fraction:
-        return Fraction(2 * self.a, self.c)
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise InputRational("not rational")
-        return Fraction(self.a, self.c)
 
     # -- order and comparisons -------------------------------------------------
 
@@ -248,19 +213,6 @@ class QuadraticIrrational:
 
     def __ge__(self, other):
         return self.cmp(other) >= 0
-
-    def floor(self) -> int:
-        if self.b == 0:
-            return self.a // self.c
-        t = isqrt(self.b * self.b * self.d)
-        # floor(b*sqrt(d)) is t for b > 0 and -t-1 for b < 0 (never exact)
-        fl = t if self.b > 0 else -t - 1
-        n = (self.a + fl) // self.c
-        while self._cmp_fraction(n + 1, 1) >= 0:
-            n += 1
-        while self._cmp_fraction(n, 1) < 0:
-            n -= 1
-        return n
 
     def to_fixed(self, p: int) -> FixedReal:
         """Numeric image at p bits with a certified error bound."""

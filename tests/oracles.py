@@ -10,9 +10,13 @@ solved over Q, and short vectors from exhaustive enumeration. The exception
 is ``wide_classes_gl2``: it reuses the library's reduced forms, reduction
 cycles and continued-fraction equivalence test, and only its grouping of
 cycles into module classes (a pairwise GL2(Z) merge) is independent of
-``class_group``'s. ``lll_reference`` is the library's exact LLL kernel
-as it stood before its swap reused the Lovász test's product, kept so that
-the kernel can be checked against it.
+``class_group``'s. ``rho_reference`` and ``is_reduced_indefinite_reference``
+are the reduction step and the reduced-form test on (a, b, c) triples,
+written from their definitions: the cycle references walk with the first,
+and the tests hold ``classforms._rho`` to both.
+``lll_reference`` is the library's exact LLL kernel as it stood before its
+swap reused the Lovász test's product, kept so that the kernel can be
+checked against it.
 ``float_lll_reference`` is the float LLL kernel as it stood before its loop
 was fused, kept for the same check.
 ``cold_relation_basis`` is the relation search's lattice reduced in one jump
@@ -38,9 +42,9 @@ reduction cycles of ``BinaryQuadraticForm`` objects, and
 ``class_group_reference`` composes it with those forms and
 ``wide_classes_gl2``, as before the real class group ran on int triples.
 ``expansion_states_reference`` is the continued fraction stepped on
-``QuadraticIrrational`` objects, with ``cf_expand`` (and its
-``CFExpansion``) and ``fundamental_unit_reference`` built on it, as before
-the expansion ran as the integer (P, Q) recurrence.
+``QuadraticIrrational`` objects by ``floor_reference``, with ``cf_expand``
+(and its ``CFExpansion``) and ``fundamental_unit_reference`` built on it,
+as before the expansion ran as the integer (P, Q) recurrence.
 ``hcf_generator_reference`` builds the class-field generator with a sympy
 resultant and a squarefree test by gcd with the derivative, as before both
 moved into exact integers and the certified j embeddings.
@@ -54,7 +58,8 @@ primitive part, every factor repeated by its multiplicity.
 The helpers after them
 (``cf_reconstruct``, ``ring_class_polynomial``, ``is_irreducible``,
 ``factor_degrees_mod``, ``discriminant``, ``eval_int`` and
-``is_reduced_definite``) are checks that only the tests use, and
+``is_reduced_definite``) are checks that only the tests use,
+``complex_of_real`` puts a real probe on the complex side, and
 ``control_value`` with ``control_minpoly`` builds positive controls for the
 relation search: values with a known minimal polynomial of chosen degree
 and height.
@@ -168,7 +173,6 @@ def wide_classes_gl2(cycles, disc: int) -> list:
     lowest-index cycle otherwise; the principal class comes first, the rest
     sorted by (a, b, c).
     """
-    from quadexp.classforms import BinaryQuadraticForm
     from quadexp.quadfield import sl2_equivalent
 
     def key(form):
@@ -187,19 +191,46 @@ def wide_classes_gl2(cycles, disc: int) -> list:
         assigned.update(group)
         groups.append(group)
 
-    members = {form: i for i, cycle in enumerate(cycles) for form in cycle}
+    members = {key(form): i for i, cycle in enumerate(cycles)
+               for form in cycle}
     b = disc & 1
-    form = BinaryQuadraticForm(1, b, (b * b - disc) // 4)
+    q = (1, b, (b * b - disc) // 4)
     for _ in range(4 * (isqrt(disc) + 2)):
-        if form in members:
+        if q in members:
             break
-        form = form.rho()
-    principal = members[form]
+        q = rho_reference(q)
+    principal = members[q]
 
     reps = [representative(cycles[principal if principal in group else group[0]])
             for group in groups]
     first = next(k for k, group in enumerate(groups) if principal in group)
     return [reps[first]] + sorted(reps[:first] + reps[first + 1:], key=key)
+
+
+def rho_reference(q) -> tuple[int, int, int]:
+    """The reduction step on a triple (a, b, c) of discriminant D > 0.
+
+    rho(a, b, c) = (c, r, (r^2 - D)/(4c)), where r = -b mod 2|c| lies in
+    (sqrt D - 2|c|, sqrt D): r = s - ((s + b) mod 2|c|), s = isqrt(D).
+    """
+    a, b, c = q
+    disc = b * b - 4 * a * c
+    assert disc > 0
+    s = isqrt(disc)
+    r = s - (s + b) % (2 * abs(c))
+    return c, r, (r * r - disc) // (4 * c)
+
+
+def is_reduced_indefinite_reference(q) -> bool:
+    """0 < b < sqrt D and sqrt D - b < 2|a| < sqrt D + b for (a, b, c)."""
+    a, b, c = q
+    disc = b * b - 4 * a * c
+    if disc <= 0 or b <= 0 or b * b >= disc:
+        return False
+    aa = 2 * abs(a)
+    if disc >= (aa + b) ** 2:
+        return False
+    return aa <= b or (aa - b) ** 2 < disc
 
 
 def gram_schmidt_mu(rows):
@@ -764,7 +795,8 @@ def unit_index_reference(order, unit) -> int:
     """[O_K^*:O_f^*] of a real order by powering ``unit`` as an irrational.
 
     Each power is tested for membership in O_f exactly; the search stops at
-    the order of (O_K/f)^*/(Z/f)^*, as ``quadexp.classforms.unit_index`` does.
+    the order of (O_K/f)^*/(Z/f)^*, as ``_FieldOrders.unit_index`` in
+    ``quadexp.classforms`` does.
     """
     from quadexp.classforms import _unit_group_quotient
     from quadexp.errors import DomainError
@@ -794,14 +826,14 @@ def match_conductor_reference(given, search_bound: int = 100):
 
     h_given = classforms.class_group(given).h
     for f in range(1, search_bound + 1):
-        other = given.opposite(f)
         if f == 1:
-            h_max = classforms.class_group(other).h
-            unit = (fundamental_unit(other).value
-                    if other.field_kind == "real" else None)
-        if classforms.order_class_number(other, h_max, unit) == h_given:
-            return classforms.ConductorMatch(given.field_kind,
-                                             given.conductor, f, h_given)
+            maximal = given.opposite(1)
+            h_max = classforms.class_group(maximal).h
+            field = classforms._FieldOrders(
+                maximal, fundamental_unit(maximal).value
+                if maximal.field_kind == "real" else None)
+        if field.class_number(f, h_max) == h_given:
+            return classforms.ConductorMatch(f, h_given)
     raise NoMatchWithinBound(
         f"no conductor <= {search_bound} matches h={h_given}")
 
@@ -861,9 +893,11 @@ def indefinite_reduced_forms_reference(disc: int):
 def indefinite_cycles_reference(forms):
     """The rho-cycles through ``forms`` as ``BinaryQuadraticForm`` lists.
 
-    Each cycle is walked from its least form with ``BinaryQuadraticForm.rho``
-    until the walk comes back, in the order of ``forms``.
+    Each cycle is walked from its least form with ``rho_reference`` until
+    the walk comes back, in the order of ``forms``.
     """
+    from quadexp.classforms import BinaryQuadraticForm
+
     remaining = set(forms)
     cycles = []
     for start in forms:
@@ -873,7 +907,8 @@ def indefinite_cycles_reference(forms):
         while True:
             cycle.append(form)
             remaining.discard(form)
-            form = form.rho()
+            form = BinaryQuadraticForm(*rho_reference(
+                (form.a, form.b, form.c)))
             if form == start or (form not in remaining and form in cycle):
                 break
         cycles.append(cycle)
@@ -897,6 +932,20 @@ def class_group_reference(order):
     return ClassGroupSummary(order, len(reps), tuple(reps), len(cycles))
 
 
+def floor_reference(x) -> int:
+    """floor of the ``QuadraticIrrational`` x = (a + b sqrt d)/c, exactly."""
+    if x.b == 0:
+        return x.a // x.c
+    t = isqrt(x.b * x.b * x.d)
+    # floor(b*sqrt(d)) is t for b > 0 and -t-1 for b < 0 (never exact)
+    n = (x.a + (t if x.b > 0 else -t - 1)) // x.c
+    while x.cmp(n + 1) >= 0:
+        n += 1
+    while x.cmp(n) < 0:
+        n -= 1
+    return n
+
+
 def expansion_states_reference(theta):
     """(digits, states, k, ell) of the continued fraction of theta.
 
@@ -915,7 +964,7 @@ def expansion_states_reference(theta):
             return digits, states, k, i - k
         seen[x] = i
         states.append(x)
-        a = x.floor()
+        a = floor_reference(x)
         digits.append(a)
         x = QuadraticIrrational.from_rational(1) / (x - a)
     raise DomainError("continued fraction did not cycle within step bound")
@@ -1224,6 +1273,14 @@ def is_reduced_definite(form) -> bool:
     return not ((abs(b) == a or a == c) and b < 0)
 
 
+def complex_of_real(x):
+    """The ``FixedReal`` x as a ``FixedComplex`` with an exact zero
+    imaginary part."""
+    from quadexp.numerics import FixedComplex, FixedReal
+
+    return FixedComplex(x, FixedReal.zero(x.scale_bits))
+
+
 def control_value(a: int, c: int, m: int, p: int):
     """z = a + c^(1/m) e^(i pi/m) at p bits with a certified error bound.
 
@@ -1238,7 +1295,7 @@ def control_value(a: int, c: int, m: int, p: int):
     w = p + GUARD_BITS
     root = exp_fixed(log_fixed(FixedReal.from_int(c, w), w).div_int(m), w)
     turn = exp_cis(FixedReal.from_ratio(1, 2 * m, w), w)
-    z = FixedComplex.from_int(a, w) + FixedComplex.from_real(root) * turn
+    z = FixedComplex.from_int(a, w) + complex_of_real(root) * turn
     return z.rescale(p)
 
 

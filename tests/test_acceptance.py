@@ -11,8 +11,9 @@ from fractions import Fraction
 import mpmath as mp
 import sympy
 
-from oracles import (definite_class_number_orbit, discriminant, lovasz_holds,
-                     matches_lll_reference, min_unit_power_in_suborder)
+from oracles import (complex_of_real, definite_class_number_orbit,
+                     discriminant, lovasz_holds, matches_lll_reference,
+                     min_unit_power_in_suborder)
 from quadexp.classforms import _definite_reduced_forms, class_group
 from quadexp.errors import DegenerateBasis
 from quadexp.modular import (IntegerPolynomial, ROUNDING_GAP_BITS, j_invariant,
@@ -41,7 +42,7 @@ def test_criterion_1_worked_example_arithmetic():
     eps = r.epsilon["value"]
     assert (eps["a"], eps["b"], eps["c"], eps["d"]) == (4, 1, 1, 15)
     thetas = [QuadraticIrrational(**t["theta"]) for t in r.theta_list]
-    assert any(sl2_equivalent(t, QuadraticIrrational.sqrt_of(15)).sl2
+    assert any(sl2_equivalent(t, QuadraticIrrational(0, 1, 1, 15)).sl2
                for t in thetas)
     _report(1, "worked example arithmetic (d=15)", t0, 10)
 
@@ -142,7 +143,7 @@ def test_criterion_6_recognition_soundness_and_negative_control():
 
     p150 = 499  # 150 decimal digits
     man = int(mp.floor(mp.pi * (1 << p150)))
-    zpi = FixedComplex.from_real(FixedReal(man, p150, 0))
+    zpi = complex_of_real(FixedReal(man, p150, 0))
     res = min_poly(zpi, 8, 10**12, p150)
     assert not res.recognized
     assert res.verdict.exclusion_height > 0
@@ -217,7 +218,7 @@ def test_criterion_9_property_suites():
         return (theta * a + b) / (theta * c + d)
 
     for _ in range(30):
-        th = QuadraticIrrational.sqrt_of(rng.choice((2, 3, 5, 7, 13, 15)))
+        th = QuadraticIrrational(0, 1, 1, rng.choice((2, 3, 5, 7, 13, 15)))
         xx, yy, zz = rand_image(th), rand_image(th), rand_image(th)
         assert sl2_equivalent(xx, xx).sl2
         rxy, ryz, rxz = (sl2_equivalent(xx, yy), sl2_equivalent(yy, zz),
@@ -232,10 +233,12 @@ def test_criterion_9_property_suites():
     # Lemma 3 additivity restatement: mu(eps^n) = n mu(eps), n <= 10
     for d in (2, 5, 15):
         eps = fundamental_unit(OrderDescriptor("real", d, 1))
-        theta = QuadraticIrrational.sqrt_of(d)
+        theta = QuadraticIrrational(0, 1, 1, d)
         base = evaluate_J([theta], eps, 320)[0].mu
+        power = eps.value
         for n in range(1, 11):
-            pw = UnitElement(eps.value**n, eps.norm if n % 2 else 1)
+            pw = UnitElement(power, eps.norm if n % 2 else 1)
+            power = power * eps.value
             assert evaluate_J([theta], pw, 320)[0].mu.indistinguishable(base * n)
 
     # LLL unimodularity: the reference's basis, by a transform of

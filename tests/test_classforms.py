@@ -7,14 +7,15 @@ import pytest
 from oracles import (class_group_reference, definite_class_number_orbit,
                      indefinite_cycles_reference,
                      indefinite_reduced_forms_reference, is_reduced_definite,
+                     is_reduced_indefinite_reference,
                      match_conductor_reference, min_unit_power_in_suborder,
-                     unit_index_reference, wide_classes_gl2)
+                     rho_reference, unit_index_reference, wide_classes_gl2)
 from quadexp import classforms
 from quadexp.classforms import (BinaryQuadraticForm, ClassGroupSummary,
-                                _indefinite_cycles, _indefinite_reduced_forms,
-                                _wide_classes, class_group, match_conductor,
-                                order_class_number, pseudo_lattice_reps,
-                                unit_index)
+                                _FieldOrders, _indefinite_cycles,
+                                _indefinite_reduced_forms, _rho, _wide_classes,
+                                class_group, match_conductor,
+                                pseudo_lattice_reps)
 from quadexp.errors import (BoundExceeded, DomainError, NoMatchWithinBound,
                            QuadexpError)
 from quadexp.pipeline import EXCLUDED_D, CaseParams, run_case
@@ -31,10 +32,6 @@ def _real_orders(d_max=60, f_max=10):
 # real order that d = 26 matches in the scan
 INDEFINITE_DISCS = [disc for disc in range(5, 6001) if disc % 4 in (0, 1)
                     and isqrt(disc) ** 2 != disc] + [4 * 26 * 67**2]
-
-
-def _negated(q):
-    return BinaryQuadraticForm(-q.a, q.b, -q.c)
 
 
 def _forms(triples):
@@ -269,22 +266,28 @@ class TestReducedForms:
         assert not is_reduced_definite(BinaryQuadraticForm(4, 1, 1))
 
     def test_indefinite_rho_cycles(self):
-        f = BinaryQuadraticForm(1, 6, -6)  # disc 60
-        cycle = [f]
-        g = f.rho()
-        while g != f:
-            cycle.append(g)
-            g = g.rho()
-        assert all(h.is_reduced_indefinite() for h in cycle)
+        # the walk's step on triples, held to the step from its definition
+        q = (1, 6, -6)  # disc 60
+        cycle = [q]
+        r = _rho(q, 60, isqrt(60))
+        while r != q:
+            assert r == rho_reference(cycle[-1]), cycle
+            cycle.append(r)
+            r = _rho(r, 60, isqrt(60))
+        assert all(map(is_reduced_indefinite_reference, cycle))
         assert len(cycle) % 2 == 0
 
     def test_rho_commutes_with_negation(self):
         # rho(-q) = -rho(q), so the negatives of a cycle form a cycle
         checked = 0
         for o in _real_orders():
-            for q in _forms(_indefinite_reduced_forms(o.discriminant)):
-                assert _negated(q).is_reduced_indefinite(), q
-                assert _negated(q).rho() == _negated(q.rho()), q
+            disc = o.discriminant
+            s = isqrt(disc)
+            for a, b, c in _indefinite_reduced_forms(disc):
+                ra, rb, rc = _rho((a, b, c), disc, s)
+                assert (ra, rb, rc) == rho_reference((a, b, c)), (a, b, c)
+                assert is_reduced_indefinite_reference((-a, b, -c)), (a, b, c)
+                assert _rho((-a, b, -c), disc, s) == (-ra, rb, -rc), (a, b, c)
                 checked += 1
         assert checked > 16000
 
@@ -301,7 +304,7 @@ class TestPseudoLattices:
     def test_d15_two_reps_principal_sqrt15(self):
         reps = pseudo_lattice_reps(class_group(OrderDescriptor("real", 15, 1)))
         assert len(reps) == 2
-        r15 = QuadraticIrrational.sqrt_of(15)
+        r15 = QuadraticIrrational(0, 1, 1, 15)
         flags = [sl2_equivalent(r.theta, r15).sl2 for r in reps]
         assert flags[0] and not flags[1]
         assert not sl2_equivalent(reps[0].theta, reps[1].theta).gl2
@@ -309,7 +312,8 @@ class TestPseudoLattices:
     def test_d2_single(self):
         reps = pseudo_lattice_reps(class_group(OrderDescriptor("real", 2, 1)))
         assert len(reps) == 1
-        assert sl2_equivalent(reps[0].theta, QuadraticIrrational.sqrt_of(2)).sl2
+        assert sl2_equivalent(reps[0].theta,
+                              QuadraticIrrational(0, 1, 1, 2)).sl2
 
     def test_d5_golden(self):
         reps = pseudo_lattice_reps(class_group(OrderDescriptor("real", 5, 1)))
@@ -324,7 +328,7 @@ class TestPseudoLattices:
                 f = rep.source_form
                 th = rep.theta
                 val = th * th * f.a + th * f.b + f.c
-                assert val.is_rational and val.as_fraction() == 0
+                assert val == QuadraticIrrational(0, 0, 1, 1)
                 assert 0 < th < 1
 
     def test_count_matches_wide_h(self):
@@ -349,6 +353,16 @@ def _maximal(kind, d):
     return class_group(o).h, unit
 
 
+def _unit_index(order, unit=None):
+    """[O_K^*:O_f^*] of ``order`` through the formula's field object."""
+    return _FieldOrders(order, unit).unit_index(order.conductor)
+
+
+def _class_number(order, h_max, unit=None):
+    """h(O_f) of ``order`` from h(O_K) through the formula's field object."""
+    return _FieldOrders(order, unit).class_number(order.conductor, h_max)
+
+
 class TestClassNumberFormula:
     def test_agrees_with_enumeration(self):
         # class_group stops a real order's scan at the formula's cycle
@@ -361,22 +375,22 @@ class TestClassNumberFormula:
                 h_max, unit = _maximal(kind, d)
                 for f in range(1, 16):
                     o = OrderDescriptor(kind, d, f)
-                    assert order_class_number(o, h_max, unit) == \
+                    assert _class_number(o, h_max, unit) == \
                         _enumerated_h(o), (kind, d, f)
                     checked += 1
         assert checked > 1400
 
     def test_imaginary_unit_index(self):
         for d, index in ((1, 2), (3, 3), (15, 1)):
-            assert unit_index(OrderDescriptor("imaginary", d, 1)) == 1
+            assert _unit_index(OrderDescriptor("imaginary", d, 1)) == 1
             for f in (2, 3, 6):
-                assert unit_index(OrderDescriptor("imaginary", d, f)) == index
+                assert _unit_index(OrderDescriptor("imaginary", d, f)) == index
 
     def test_imaginary_against_orbit_oracle(self):
         for d, f in ((1, 5), (3, 7), (15, 4), (5, 6), (23, 3)):
             o = OrderDescriptor("imaginary", d, f)
             h_max, _ = _maximal("imaginary", d)
-            assert order_class_number(o, h_max) == \
+            assert _class_number(o, h_max) == \
                 definite_class_number_orbit(o.discriminant), (d, f)
 
     def test_real_unit_index_oracle(self):
@@ -384,10 +398,12 @@ class TestClassNumberFormula:
             eps = fundamental_unit(OrderDescriptor("real", d, 1)).value
             for f in (2, 3, 5, 7, 12):
                 o = OrderDescriptor("real", d, f)
-                k = unit_index(o, eps)
-                assert eps**k == min_unit_power_in_suborder(eps, o), (d, f)
+                power = eps
+                for _ in range(_unit_index(o, eps) - 1):
+                    power = power * eps
+                assert power == min_unit_power_in_suborder(eps, o), (d, f)
         with pytest.raises(DomainError):
-            unit_index(OrderDescriptor("real", 2, 3))  # no unit given
+            _unit_index(OrderDescriptor("real", 2, 3))  # no unit given
 
     def test_real_unit_index_against_reference(self):
         checked = 0
@@ -397,7 +413,7 @@ class TestClassNumberFormula:
             eps = fundamental_unit(OrderDescriptor("real", d, 1)).value
             for f in range(2, 41):
                 o = OrderDescriptor("real", d, f)
-                assert unit_index(o, eps) == unit_index_reference(o, eps), \
+                assert _unit_index(o, eps) == unit_index_reference(o, eps), \
                     (d, f)
                 checked += 1
         assert checked == 2886
@@ -412,7 +428,7 @@ class TestClassNumberFormula:
             eps = fundamental_unit(OrderDescriptor("real", d, 1)).value
             for f in (4, 8, 9, 12, 16, 27, 36, 48, 60, 64, 72, 81, 96, 100):
                 o = OrderDescriptor("real", d, f)
-                assert unit_index(o, eps) == unit_index_reference(o, eps), \
+                assert _unit_index(o, eps) == unit_index_reference(o, eps), \
                     (d, f)
                 checked += 1
         assert checked == 14 * 60
@@ -429,14 +445,14 @@ class TestClassNumberFormula:
         with pytest.raises(DomainError) as want:
             unit_index_reference(o, unit)
         with pytest.raises(DomainError) as got:
-            unit_index(o, unit)
+            _unit_index(o, unit)
         assert str(got.value) == str(want.value)
 
     def test_non_integral_result_is_typed(self):
         # sqrt(3) is no unit: its "index" 2 does not divide 3 = |(O_K/3)^*/(Z/3)^*|
         with pytest.raises(DomainError):
-            order_class_number(OrderDescriptor("real", 3, 3), 1,
-                               QuadraticIrrational.sqrt_of(3))
+            _class_number(OrderDescriptor("real", 3, 3), 1,
+                          QuadraticIrrational(0, 1, 1, 3))
 
 
 class TestPicardSurjection:
@@ -517,7 +533,7 @@ class TestConductorMatch:
 
         def outcome(search, given, bound):
             try:
-                return search(given, bound).to_json()
+                return search(given, bound)
             except QuadexpError as exc:
                 return type(exc).__name__, str(exc)
 

