@@ -8,10 +8,10 @@ reduction cycle C together with its negative -C, the cycle of the forms
 (-a, b, -c); C = -C exactly when a unit of norm -1 exists. As
 rho(-q) = -rho(q), the walk negates each cycle it walks into its partner,
 and yields the pairs. The proper (form class / narrow) count, the number
-of cycles, is carried alongside. Reduced indefinite forms, the rho step and
-the cycles run on plain (a, b, c) int triples (Buchmann-Vollmer, ch. 6;
-Cohen, GTM 138, 5.7), and BinaryQuadraticForm objects are built only for
-the representatives returned.
+of cycles, is carried alongside. Forms are plain (a, b, c) int triples
+from enumeration to report: the reduced forms of both signs, the rho step,
+the cycles (Buchmann-Vollmer, ch. 6; Cohen, GTM 138, 5.7) and the
+representatives a summary hands out.
 
 Conductor matching needs only class numbers, and takes them from the
 class-number formula for orders (Cox, *Primes of the form x^2+ny^2*,
@@ -60,50 +60,23 @@ DISC_LIMIT = 10**8  # largest |disc| enumerated; read at call time
 _CACHED_ORDERS = 3  # a case's given, opposite maximal and matched orders
 
 
-@dataclass(frozen=True)
-class BinaryQuadraticForm:
-    a: int
-    b: int
-    c: int
-
-    @property
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def is_primitive(self) -> bool:
-        return gcd(gcd(abs(self.a), abs(self.b)), abs(self.c)) == 1
-
-    def theta(self) -> QuadraticIrrational:
-        """Larger root of a x^2 + b x + c (a > 0 required)."""
-        if self.a <= 0:
-            raise DomainError("theta needs a > 0")
-        disc = self.discriminant
-        if disc <= 0:
-            raise DomainError("theta needs an indefinite form")
-        return QuadraticIrrational(-self.b, 1, 2 * self.a, disc)
-
-    def to_json(self):
-        return [self.a, self.b, self.c]
-
-
-def _definite_reduced_forms(disc: int) -> list[BinaryQuadraticForm]:
-    """All primitive reduced forms of discriminant disc < 0."""
+def _definite_reduced_forms(disc: int) -> list[tuple[int, int, int]]:
+    """All primitive reduced (a, b, c) of discriminant disc < 0, sorted."""
     forms = []
     b = disc & 1
     while b * b <= -disc // 3:
         m = (b * b - disc) // 4
         a = max(b, 1)
         while a * a <= m:
-            if a != 0 and m % a == 0:
+            if m % a == 0:
                 c = m // a
-                f = BinaryQuadraticForm(a, b, c)
-                if f.is_primitive():
-                    forms.append(f)
+                if gcd(gcd(a, b), c) == 1:
+                    forms.append((a, b, c))
                     if 0 < b < a < c:
-                        forms.append(BinaryQuadraticForm(a, -b, c))
+                        forms.append((a, -b, c))
             a += 1
         b += 2
-    return sorted(forms, key=lambda f: (f.a, f.b, f.c))
+    return sorted(forms)
 
 
 def _indefinite_reduced_forms(disc: int):
@@ -179,29 +152,23 @@ def _indefinite_cycles(disc: int, count: int | None = None):
 class ClassGroupSummary:
     order: OrderDescriptor
     h: int
-    representatives: tuple[BinaryQuadraticForm, ...]
+    representatives: tuple[tuple[int, int, int], ...]
     h_proper: int  # form-class (proper/narrow) count; equals h when definite
 
     def to_json(self) -> dict:
         return {"order": self.order.to_json(), "h": self.h,
                 "h_proper": self.h_proper,
-                "representatives": [f.to_json() for f in self.representatives]}
+                "representatives": [list(q) for q in self.representatives]}
 
 
 @dataclass
 class PseudoLatticeRep:
     theta: QuadraticIrrational
-    source_form: BinaryQuadraticForm
+    source_form: tuple[int, int, int]
 
     def to_json(self) -> dict:
         return {"theta": self.theta.to_json(),
-                "source_form": self.source_form.to_json()}
-
-
-@dataclass
-class ConductorMatch:
-    matched_conductor: int
-    h_common: int
+                "source_form": list(self.source_form)}
 
 
 def _check_disc_limit(order: OrderDescriptor) -> None:
@@ -233,7 +200,7 @@ def _enumerated_class_group(order: OrderDescriptor) -> ClassGroupSummary:
     h, count = (_formula_counts(order) if order.conductor > 1
                 else (None, None))
     pairs = _indefinite_cycles(disc, count)
-    reps = tuple(BinaryQuadraticForm(*q) for q in _wide_classes(pairs))
+    reps = tuple(_wide_classes(pairs))
     if h is not None and len(reps) != h:
         raise DomainError(f"the {count} cycles of {order.to_json()} make "
                           f"{len(reps)} module classes, not the class-number "
@@ -284,11 +251,22 @@ def pseudo_lattice_reps(summary: ClassGroupSummary) -> list[PseudoLatticeRep]:
         raise DomainError("pseudo-lattices live on the real side")
     reps = []
     for form in summary.representatives:
-        theta = form.theta()
+        theta = _theta(form)
         if not 0 < theta < 1:
-            raise DomainError(f"theta of {form.to_json()} is not in (0, 1)")
+            raise DomainError(f"theta of {list(form)} is not in (0, 1)")
         reps.append(PseudoLatticeRep(theta, form))
     return reps
+
+
+def _theta(form) -> QuadraticIrrational:
+    """Larger root of a x^2 + b x + c for the triple (a, b, c), a > 0."""
+    a, b, c = form
+    if a <= 0:
+        raise DomainError("theta needs a > 0")
+    disc = b * b - 4 * a * c
+    if disc <= 0:
+        raise DomainError("theta needs an indefinite form")
+    return QuadraticIrrational(-b, 1, 2 * a, disc)
 
 
 @lru_cache(maxsize=1024)  # each f of a scan, up to search bound 1024
@@ -430,8 +408,9 @@ def _field_orders(maximal: OrderDescriptor) -> _FieldOrders:
 
 
 def match_conductor(given: OrderDescriptor,
-                    search_bound: int = 100) -> ConductorMatch:
-    """Least conductor on the opposite side with the same class number.
+                    search_bound: int = 100) -> tuple[int, int]:
+    """(f, h): the least conductor f on the opposite side whose order has
+    the given order's class number h.
 
     Reduced forms are enumerated for the given order and the opposite
     maximal order only (``class_group`` keeps both for the caller, and holds
@@ -451,11 +430,11 @@ def match_conductor(given: OrderDescriptor,
         maximal = given.opposite(1)
         h_max = class_group(maximal).h
         if h_max == h_given:
-            return ConductorMatch(1, h_given)
+            return 1, h_given
         if h_given % h_max == 0:
             field = _field_orders(maximal)
             for f in range(2, search_bound + 1):
                 if field.class_number(f, h_max) == h_given:
-                    return ConductorMatch(f, h_given)
+                    return f, h_given
     raise NoMatchWithinBound(
         f"no conductor <= {search_bound} matches h={h_given}")

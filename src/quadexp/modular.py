@@ -351,13 +351,13 @@ def ring_class_polynomial_detailed(d: int, f: int, p: int,
 
 def _coefficient_bits_estimate(disc: int, forms) -> int:
     """Crude upper estimate of coefficient size: pi sqrt|disc| sum(1/a) nats."""
-    s = sum(1.0 / q.a for q in forms)
+    s = sum(1.0 / a for a, _, _ in forms)
     import math
     return int(math.pi * math.sqrt(abs(disc)) * s / math.log(2)) + 16 * len(forms)
 
 
 def _j_embeddings(forms, work: int) -> list[FixedComplex]:
-    return [j_invariant(tau_from_form(q.a, q.b, q.c, work + GUARD_BITS), work)
+    return [j_invariant(tau_from_form(*q, work + GUARD_BITS), work)
             for q in forms]
 
 

@@ -221,14 +221,12 @@ def _match(d: int, params: CaseParams, report: CaseReport):
         "real" if params.conductor_direction == "real-to-imag" else "imaginary",
         d, params.given_conductor)
     try:
-        match = match_conductor(given, params.search_bound)
+        matched, h_common = match_conductor(given, params.search_bound)
     except NoMatchWithinBound as exc:
         if given.field_kind == "imaginary":
             raise  # no real order to go on with; run_case records it
         report.errors.append(f"NoMatchWithinBound: {exc}")
         matched = h_common = None
-    else:
-        matched, h_common = match.matched_conductor, match.h_common
     if given.field_kind == "real":
         frak_f, f_imag = given.conductor, matched
     else:
@@ -243,8 +241,8 @@ def _match(d: int, params: CaseParams, report: CaseReport):
         "h_real_proper": real_summary.h_proper,
         "h_imag": imag_summary.h if imag_summary else None,
         "h_common": h_common,
-        "real_representatives": [q.to_json() for q in real_summary.representatives],
-        "imag_representatives": ([q.to_json() for q in imag_summary.representatives]
+        "real_representatives": [list(q) for q in real_summary.representatives],
+        "imag_representatives": ([list(q) for q in imag_summary.representatives]
                                  if imag_summary else None)}
     return f_imag, real_summary
 

@@ -5,8 +5,9 @@ from union-find orbit closure under the elementary substitutions, units from
 a direct Pell scan, order membership from Fractions in
 ``in_order_reference`` (``quadfield._in_order`` as it stood before it read
 the (1, w) coordinates of ``quadfield._integral_coordinates``), Lovasz
-conditions from rational Gram-Schmidt, bases of a lattice from a transform
-solved over Q, and short vectors from exhaustive enumeration. The exception
+conditions from rational Gram-Schmidt, determinants from elimination over
+Q (``det_reference``), bases of a lattice from a transform solved over Q,
+and short vectors from exhaustive enumeration. The exception
 is ``wide_classes_gl2``: it reuses the library's reduced forms, reduction
 cycles and continued-fraction equivalence test, and only its grouping of
 cycles into module classes (a pairwise GL2(Z) merge) is independent of
@@ -38,9 +39,11 @@ with the unit side recomputed, as ``evaluate_J`` did before it took every
 theta of a case in one call, and ``indefinite_reduced_forms_reference``
 enumerates reduced indefinite forms trying every divisor from 1, as before
 the loop started above (s - b)/2. ``indefinite_cycles_reference`` walks
-reduction cycles of ``BinaryQuadraticForm`` objects, and
+the reduction cycle of every form with ``rho_reference``, and
 ``class_group_reference`` composes it with those forms and
-``wide_classes_gl2``, as before the real class group ran on int triples.
+``wide_classes_gl2``: the real class group without the walk's pairing of
+each cycle with its negative or its stop at the formula's cycle count.
+Forms are (a, b, c) int triples throughout, as in the library.
 ``expansion_states_reference`` is the continued fraction stepped on
 ``QuadraticIrrational`` objects by ``floor_reference``, with ``cf_expand``
 (and its ``CFExpansion``) and ``fundamental_unit_reference`` built on it,
@@ -173,15 +176,16 @@ def wide_classes_gl2(cycles, disc: int) -> list:
     lowest-index cycle otherwise; the principal class comes first, the rest
     sorted by (a, b, c).
     """
-    from quadexp.quadfield import sl2_equivalent
-
-    def key(form):
-        return (form.a, form.b, form.c)
+    from quadexp.quadfield import QuadraticIrrational, sl2_equivalent
 
     def representative(cycle):
-        return min((form for form in cycle if form.a > 0), key=key)
+        return min(form for form in cycle if form[0] > 0)
 
-    thetas = [representative(cycle).theta() for cycle in cycles]
+    def larger_root(form):
+        a, b, c = form
+        return QuadraticIrrational(-b, 1, 2 * a, b * b - 4 * a * c)
+
+    thetas = [larger_root(representative(cycle)) for cycle in cycles]
     groups, assigned = [], set()
     for i in range(len(cycles)):
         if i in assigned:
@@ -191,8 +195,7 @@ def wide_classes_gl2(cycles, disc: int) -> list:
         assigned.update(group)
         groups.append(group)
 
-    members = {key(form): i for i, cycle in enumerate(cycles)
-               for form in cycle}
+    members = {form: i for i, cycle in enumerate(cycles) for form in cycle}
     b = disc & 1
     q = (1, b, (b * b - disc) // 4)
     for _ in range(4 * (isqrt(disc) + 2)):
@@ -204,7 +207,7 @@ def wide_classes_gl2(cycles, disc: int) -> list:
     reps = [representative(cycles[principal if principal in group else group[0]])
             for group in groups]
     first = next(k for k, group in enumerate(groups) if principal in group)
-    return [reps[first]] + sorted(reps[:first] + reps[first + 1:], key=key)
+    return [reps[first]] + sorted(reps[:first] + reps[first + 1:])
 
 
 def rho_reference(q) -> tuple[int, int, int]:
@@ -247,6 +250,26 @@ def gram_schmidt_mu(rows):
             v = [v[k] - mu[i][j] * bstar[j][k] for k in range(len(v))]
         bstar.append(v)
     return bstar, mu
+
+
+def det_reference(matrix) -> int:
+    """Determinant of a square integer matrix by Gaussian elimination over
+    Q, with Fractions and a swap for each zero pivot."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            ratio = m[i][k] / m[k][k]
+            m[i] = [x - ratio * y for x, y in zip(m[i], m[k])]
+    assert det.denominator == 1
+    return int(det)
 
 
 def is_basis_of(reduced, rows) -> bool:
@@ -833,7 +856,7 @@ def match_conductor_reference(given, search_bound: int = 100):
                 maximal, fundamental_unit(maximal).value
                 if maximal.field_kind == "real" else None)
         if field.class_number(f, h_max) == h_given:
-            return classforms.ConductorMatch(f, h_given)
+            return f, h_given
     raise NoMatchWithinBound(
         f"no conductor <= {search_bound} matches h={h_given}")
 
@@ -871,8 +894,6 @@ def indefinite_reduced_forms_reference(disc: int):
 
     Every divisor pair (a, n/a) of n = (disc - b^2)/4 is tried for each b.
     """
-    from quadexp.classforms import BinaryQuadraticForm
-
     s = isqrt(disc)
     assert s * s != disc
     forms = set()
@@ -882,22 +903,17 @@ def indefinite_reduced_forms_reference(disc: int):
             if n % a:
                 continue
             for aa in {a, n // a}:
-                if s - b < 2 * aa <= s + b:
-                    for f in (BinaryQuadraticForm(aa, b, -(n // aa)),
-                              BinaryQuadraticForm(-aa, b, n // aa)):
-                        if f.is_primitive():
-                            forms.add(f)
-    return sorted(forms, key=lambda f: (f.a, f.b, f.c))
+                if s - b < 2 * aa <= s + b and gcd(gcd(aa, b), n // aa) == 1:
+                    forms.update({(aa, b, -(n // aa)), (-aa, b, n // aa)})
+    return sorted(forms)
 
 
 def indefinite_cycles_reference(forms):
-    """The rho-cycles through ``forms`` as ``BinaryQuadraticForm`` lists.
+    """The rho-cycles through the triples ``forms``, as lists.
 
     Each cycle is walked from its least form with ``rho_reference`` until
     the walk comes back, in the order of ``forms``.
     """
-    from quadexp.classforms import BinaryQuadraticForm
-
     remaining = set(forms)
     cycles = []
     for start in forms:
@@ -907,8 +923,7 @@ def indefinite_cycles_reference(forms):
         while True:
             cycle.append(form)
             remaining.discard(form)
-            form = BinaryQuadraticForm(*rho_reference(
-                (form.a, form.b, form.c)))
+            form = rho_reference(form)
             if form == start or (form not in remaining and form in cycle):
                 break
         cycles.append(cycle)
@@ -1263,10 +1278,10 @@ def eval_int(poly, n: int) -> int:
 
 
 def is_reduced_definite(form) -> bool:
-    """A positive definite form with |b| <= a <= c, and b >= 0 when
+    """A positive definite (a, b, c) with |b| <= a <= c, and b >= 0 when
     |b| = a or a = c."""
-    a, b, c = form.a, form.b, form.c
-    if form.discriminant >= 0 or a <= 0:
+    a, b, c = form
+    if b * b - 4 * a * c >= 0 or a <= 0:
         return False
     if not (abs(b) <= a <= c):
         return False

@@ -11,11 +11,10 @@ from oracles import (class_group_reference, definite_class_number_orbit,
                      match_conductor_reference, min_unit_power_in_suborder,
                      rho_reference, unit_index_reference, wide_classes_gl2)
 from quadexp import classforms
-from quadexp.classforms import (BinaryQuadraticForm, ClassGroupSummary,
-                                _FieldOrders, _indefinite_cycles,
-                                _indefinite_reduced_forms, _rho, _wide_classes,
-                                class_group, match_conductor,
-                                pseudo_lattice_reps)
+from quadexp.classforms import (ClassGroupSummary, _FieldOrders,
+                                _indefinite_cycles, _indefinite_reduced_forms,
+                                _rho, _wide_classes, class_group,
+                                match_conductor, pseudo_lattice_reps)
 from quadexp.errors import (BoundExceeded, DomainError, NoMatchWithinBound,
                            QuadexpError)
 from quadexp.pipeline import EXCLUDED_D, CaseParams, run_case
@@ -32,10 +31,6 @@ def _real_orders(d_max=60, f_max=10):
 # real order that d = 26 matches in the scan
 INDEFINITE_DISCS = [disc for disc in range(5, 6001) if disc % 4 in (0, 1)
                     and isqrt(disc) ** 2 != disc] + [4 * 26 * 67**2]
-
-
-def _forms(triples):
-    return [BinaryQuadraticForm(*q) for q in triples]
 
 
 def _cycles(disc):
@@ -61,7 +56,7 @@ class TestClassGroup:
     def test_minus_15(self):
         cg = class_group(OrderDescriptor("imaginary", 15, 1))
         assert cg.h == 2
-        assert {(f.a, f.b, f.c) for f in cg.representatives} == {(1, 1, 4), (2, 1, 2)}
+        assert set(cg.representatives) == {(1, 1, 4), (2, 1, 2)}
 
     def test_plus_15(self):
         cg = class_group(OrderDescriptor("real", 15, 1))
@@ -74,7 +69,7 @@ class TestClassGroup:
     def test_d1_single_form(self):
         cg = class_group(OrderDescriptor("imaginary", 1, 1))
         assert cg.h == 1
-        assert [(f.a, f.b, f.c) for f in cg.representatives] == [(1, 0, 1)]
+        assert cg.representatives == ((1, 0, 1),)
 
     def test_exclusion_list_class_number_one(self):
         for d in (3, 7, 11, 19, 43, 67, 163):
@@ -93,7 +88,7 @@ class TestClassGroup:
         orders = _real_orders()
         assert len(orders) == 360
         for o in orders:
-            cycles = [_forms(c) for c in _cycles(o.discriminant)]
+            cycles = _cycles(o.discriminant)
             reps = wide_classes_gl2(cycles, o.discriminant)
             cg = class_group(o)
             assert (cg.h, cg.h_proper, cg.representatives) == \
@@ -104,7 +99,7 @@ class TestClassGroup:
         # and a pair's second cycle negates its first
         for disc in INDEFINITE_DISCS:
             pairs = _indefinite_cycles(disc)
-            cycles = [_forms(cycle) for pair in pairs for cycle in pair]
+            cycles = [cycle for pair in pairs for cycle in pair]
             reference = indefinite_cycles_reference(
                 indefinite_reduced_forms_reference(disc))
             assert {frozenset(c) for c in cycles} == \
@@ -142,22 +137,6 @@ class TestClassGroup:
         for o in orders:
             assert class_group(o).to_json() == \
                 class_group_reference(o).to_json(), o
-
-    def test_real_class_group_builds_representatives_only(self, monkeypatch):
-        # reduced forms and cycles are int triples; only the returned
-        # representatives become BinaryQuadraticForm objects
-        built = []
-        init = BinaryQuadraticForm.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(BinaryQuadraticForm, "__init__", counting_init)
-        # the sweep above ends on this order: enumerate it afresh
-        classforms._enumerated_class_group.cache_clear()
-        cg = class_group(OrderDescriptor("real", 26, 67))
-        assert len(built) <= len(cg.representatives) + 2
 
     # real orders of up to 36 cycles whose least |a| on a cycle reaches 75
     EARLY_STOP_ORDERS = [(26, 67), (6, 89), (79, 41), (10, 97), (94, 17),
@@ -228,6 +207,11 @@ class TestClassGroup:
         cg = class_group(order)
         assert class_group(order) is cg
         assert isinstance(cg.representatives, tuple)
+        # forms stay (a, b, c) int triples from enumeration to report
+        real = class_group(OrderDescriptor("real", 15, 1))
+        for q in cg.representatives + real.representatives:
+            assert type(q) is tuple and len(q) == 3, q
+            assert all(type(x) is int for x in q), q
         with pytest.raises(FrozenInstanceError):
             cg.h = 0
 
@@ -260,10 +244,10 @@ class TestClassGroup:
 
 class TestReducedForms:
     def test_definite_reduction_predicate(self):
-        assert is_reduced_definite(BinaryQuadraticForm(1, 1, 4))
-        assert is_reduced_definite(BinaryQuadraticForm(2, 1, 2))
-        assert not is_reduced_definite(BinaryQuadraticForm(2, -1, 2))
-        assert not is_reduced_definite(BinaryQuadraticForm(4, 1, 1))
+        assert is_reduced_definite((1, 1, 4))
+        assert is_reduced_definite((2, 1, 2))
+        assert not is_reduced_definite((2, -1, 2))
+        assert not is_reduced_definite((4, 1, 1))
 
     def test_indefinite_rho_cycles(self):
         # the walk's step on triples, held to the step from its definition
@@ -295,7 +279,7 @@ class TestReducedForms:
         # the divisor loop starts above (s - b)/2; the reference tries every
         # a >= 1
         for disc in INDEFINITE_DISCS:
-            assert _forms(sorted(_indefinite_reduced_forms(disc))) == \
+            assert sorted(_indefinite_reduced_forms(disc)) == \
                 indefinite_reduced_forms_reference(disc), disc
         assert len(INDEFINITE_DISCS) == 2924
 
@@ -325,9 +309,9 @@ class TestPseudoLattices:
         for d in (15, 79, 82):
             cg = class_group(OrderDescriptor("real", d, 1))
             for rep in pseudo_lattice_reps(cg):
-                f = rep.source_form
+                a, b, c = rep.source_form
                 th = rep.theta
-                val = th * th * f.a + th * f.b + f.c
+                val = th * th * a + th * b + c
                 assert val == QuadraticIrrational(0, 0, 1, 1)
                 assert 0 < th < 1
 
@@ -342,8 +326,8 @@ class TestPseudoLattices:
 
     def test_theta_outside_unit_interval_is_typed(self):
         order = OrderDescriptor("real", 5, 1)
-        bad = BinaryQuadraticForm(1, -3, 1)  # larger root (3+sqrt5)/2 > 1
-        with pytest.raises(DomainError):
+        bad = (1, -3, 1)  # larger root (3+sqrt5)/2 > 1
+        with pytest.raises(DomainError, match=r"theta of \[1, -3, 1\]"):
             pseudo_lattice_reps(ClassGroupSummary(order, 1, (bad,), 1))
 
 
@@ -474,18 +458,17 @@ class TestPicardSurjection:
 
 class TestConductorMatch:
     def test_d15_both_directions(self):
-        m = match_conductor(OrderDescriptor("real", 15, 1), 50)
-        assert (m.matched_conductor, m.h_common) == (1, 2)
-        m = match_conductor(OrderDescriptor("imaginary", 15, 1), 50)
-        assert (m.matched_conductor, m.h_common) == (1, 2)
+        assert match_conductor(OrderDescriptor("real", 15, 1), 50) == (1, 2)
+        assert match_conductor(OrderDescriptor("imaginary", 15, 1), 50) == \
+            (1, 2)
 
     def test_disc_limit_bounds_enumeration_only(self, monkeypatch):
         # imag-to-real d=5 matches the real order of conductor 8, |disc| 320;
         # the formula finds it beyond the limit, and run_case raises only
         # when it enumerates that order
         monkeypatch.setattr(classforms, "DISC_LIMIT", 100)
-        m = match_conductor(OrderDescriptor("imaginary", 5, 1), 100)
-        assert (m.matched_conductor, m.h_common) == (8, 2)
+        assert match_conductor(OrderDescriptor("imaginary", 5, 1), 100) == \
+            (8, 2)
         r = run_case(5, CaseParams(conductor_direction="imag-to-real",
                                    recognition=False))
         assert r.errors == ["BoundExceeded: |disc|=320 exceeds limit 100"]
@@ -557,14 +540,14 @@ class TestConductorMatch:
     def test_minimality_rescan(self):
         for d in (2, 10, 15, 26):
             try:
-                m = match_conductor(OrderDescriptor("real", d, 1), 60)
+                f_match, _ = match_conductor(OrderDescriptor("real", d, 1), 60)
             except NoMatchWithinBound:
                 continue
             h = class_group(OrderDescriptor("real", d, 1)).h
-            for f in range(1, m.matched_conductor):
+            for f in range(1, f_match):
                 assert class_group(OrderDescriptor("imaginary", d, f)).h != h, (d, f)
             assert class_group(
-                OrderDescriptor("imaginary", d, m.matched_conductor)).h == h
+                OrderDescriptor("imaginary", d, f_match)).h == h
 
     def test_minimality_rescan_imag_to_real(self):
         # wide class numbers of the real orders counted by enumerating
@@ -575,8 +558,8 @@ class TestConductorMatch:
                 continue
             h = class_group(OrderDescriptor("imaginary", d, 1)).h
             try:
-                f_match = match_conductor(
-                    OrderDescriptor("imaginary", d, 1), 100).matched_conductor
+                f_match, _ = match_conductor(
+                    OrderDescriptor("imaginary", d, 1), 100)
             except NoMatchWithinBound:
                 unmatched.append(d)
                 f_match = 101

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (cold_relation_basis, complex_of_real, control_minpoly,
-                     control_value, evaluate_J_reference, float_lll_reference,
-                     is_basis_of, lll_reference, lovasz_holds,
-                     matches_lll_reference, shortest_vector_brute)
+                     control_value, det_reference, evaluate_J_reference,
+                     float_lll_reference, is_basis_of, lll_reference,
+                     lovasz_holds, matches_lll_reference,
+                     shortest_vector_brute)
 from quadexp import _core, pipeline, recognition
 from quadexp._core import FloatBreakdown, lll_reduce_rows, lll_reduce_rows_float
 from quadexp.classforms import (class_group, match_conductor,
@@ -615,11 +617,11 @@ class TestJEvaluation:
         for d in (5, 14, 15, 21, 26, 29):
             for kind in ("real", "imaginary"):
                 try:
-                    m = match_conductor(OrderDescriptor(kind, d, 1))
+                    f_match, _ = match_conductor(OrderDescriptor(kind, d, 1))
                 except NoMatchWithinBound:
                     continue
                 order = OrderDescriptor(
-                    "real", d, 1 if kind == "real" else m.matched_conductor)
+                    "real", d, 1 if kind == "real" else f_match)
                 eps = fundamental_unit(order)
                 thetas = [r.theta for r in
                           pseudo_lattice_reps(class_group(order))]
@@ -767,6 +769,40 @@ def corrupt_kernel(request, monkeypatch):
         return reduced
 
     monkeypatch.setattr(recognition, "lll_reduce_rows", corrupted)
+
+
+@st.composite
+def _pivot_matrices(draw):
+    """Small square integer matrices, many with a zero leading pivot (a
+    zero top-left block) or a row that is a combination of two others."""
+    n = draw(st.integers(1, 5))
+    m = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+         for _ in range(n)]
+    block = draw(st.integers(0, n - 1))
+    for i in range(block):
+        m[i][:block] = [0] * block
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        x, y = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        m[k] = [x * u + y * v for u, v in zip(m[i], m[j])]
+    return m
+
+
+class TestIntDet:
+    # _certified accepts a top rung only when _int_det(C) = +-1, so the
+    # determinant decides whether an exclusion height is certified
+
+    @settings(max_examples=400, deadline=None)
+    @given(_pivot_matrices())
+    @example([[0, 1], [1, 0]])
+    @example([[0, 0, 1], [0, 2, 3], [4, 5, 6]])
+    @example([[1, 2, 3], [2, 4, 7], [1, 5, 2]])
+    @example([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
+    def test_matches_elimination_over_q(self, matrix):
+        assert _int_det(matrix) == det_reference(matrix)
+
+    def test_empty_matrix(self):
+        assert _int_det([]) == 1
 
 
 class TestCertificate:

@@ -46,6 +46,9 @@ error paths import, and no third-party module;
 ``test_declared_dependencies_match_the_imports`` holds ``pyproject.toml``'s
 dependencies to the third-party modules ``src/quadexp`` imports, and its
 ``test`` extra to those the tests import besides.
+``test_modules_parse_with_the_oldest_declared_grammar`` holds every module
+of ``src/quadexp`` to the Python 3.10 grammar that ``requires-python``
+admits; it checks the grammar only, not the runtime APIs.
 No module under ``src/quadexp`` opens a file for reading (the class
 polynomial cache is written for inspection only), so a file read arrives
 with the verification of what it reads;
@@ -392,6 +395,27 @@ def test_declared_dependencies_match_the_imports():
     assert _third_party_imports(ROOT / "src" / "quadexp") == runtime
     test_extra = names(project["optional-dependencies"]["test"])
     assert _third_party_imports(ROOT / "tests") <= runtime | test_extra
+
+
+def test_modules_parse_with_the_oldest_declared_grammar():
+    """Every module parses with the grammar of Python 3.10, the oldest
+    ``requires-python`` admits, where only 3.11 may be installed.
+
+    ``ast.parse`` with ``feature_version`` checks the grammar only: a call
+    to a standard-library API that 3.10 lacks still passes.
+    """
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["requires-python"] == ">=3.10"
+    paths = sorted((ROOT / "src" / "quadexp").glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path),
+                  feature_version=(3, 10))
+    # the control: a 3.11 construct must be rejected, or the guard is blind
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))
 
 
 def _file_reads(source: str) -> list[int]:
