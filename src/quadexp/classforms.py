@@ -155,11 +155,6 @@ class ClassGroupSummary:
     representatives: tuple[tuple[int, int, int], ...]
     h_proper: int  # form-class (proper/narrow) count; equals h when definite
 
-    def to_json(self) -> dict:
-        return {"order": self.order.to_json(), "h": self.h,
-                "h_proper": self.h_proper,
-                "representatives": [list(q) for q in self.representatives]}
-
 
 @dataclass
 class PseudoLatticeRep:

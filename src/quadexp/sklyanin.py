@@ -34,8 +34,8 @@ MU = "mu"
 ZETA = "zeta"
 
 DEGREE_BOUND = 6  # longest lead word of a rule that completion adds
-# rewrites one reduction may perform, and entries one certificate may
-# list; a word whose normal form is memoized costs a reduction none
+# rewrites one reduction's walk may perform; untraced, a word whose
+# normal form is memoized costs none
 STEP_BOUND = 10**4
 MAX_RULES = 300  # rules one completion may hold
 
@@ -181,19 +181,6 @@ class Coeff(_Sum):
             t[mono] = t.get(mono, 0) + r
         return Coeff(t)
 
-    def mu_shift_from(self, other: "Coeff") -> int | None:
-        """k with self == mu**k * other, or None."""
-        if len(self.terms) != len(other.terms):
-            return None
-
-        def strip(mono):
-            return tuple((s, e) for s, e in mono if s != MU), dict(mono).get(MU, 0)
-
-        mine = sorted((strip(m), r) for m, r in self.terms.items())
-        theirs = sorted((strip(m), r) for m, r in other.terms.items())
-        return _uniform_shift(me - te if (ms, mr) == (ts, tr) else None
-                              for ((ms, me), mr), ((ts, te), tr) in zip(mine, theirs))
-
     def to_json(self):
         out = []
         for m, r in sorted(self.terms.items()):
@@ -215,14 +202,6 @@ class Coeff(_Sum):
                 bits.append(s if e == 1 else f"{s}^{e}")
             parts.append("*".join(bits) or str(r))
         return " + ".join(parts)
-
-
-def _uniform_shift(shifts) -> int | None:
-    """The one value all shifts share (0 if there are none), else None."""
-    distinct = set(shifts)
-    if None in distinct or len(distinct) > 1:
-        return None
-    return distinct.pop() if distinct else 0
 
 
 ZETA_C = Coeff.monomial(1, {ZETA: 1})
@@ -266,11 +245,19 @@ class NCPolynomial(_Sum):
         return max(self.terms, key=deglex_key)
 
     def mu_shift_from(self, other: "NCPolynomial") -> int | None:
-        """k with self == mu**k * other term-by-term, or None."""
-        if set(self.terms) != set(other.terms):
-            return None
-        return _uniform_shift(c.mu_shift_from(other.terms[w])
-                              for w, c in self.terms.items())
+        """k with self == mu**k * other, or None; 0 when both are zero.
+
+        Multiplying by mu**k shifts every mu exponent by k, so k can only
+        be the gap between the least mu exponents of one word's two
+        coefficients.
+        """
+        w = next(iter(self.terms), None)
+        if w not in other.terms:
+            return None if self or other else 0
+        mine, theirs = (min(dict(m).get(MU, 0) for m in p.terms[w].terms)
+                        for p in (self, other))
+        k = mine - theirs
+        return k if self == other.scale(Coeff.monomial(1, {MU: k})) else None
 
     def to_json(self):
         return [{"word": word_str(w), "coeff": c.to_json()}
@@ -395,9 +382,9 @@ class _RuleIndex:
     of word normal forms.
 
     Each left word keeps the first rule added with it; lengths run longest
-    first. ``normal_forms`` maps each word a reduction has finished to its
-    normal-form terms; a rule added to the index clears it, since the new
-    rule may rewrite words those normal forms hold.
+    first. ``normal_forms`` maps each word a reduction's walk has finished
+    to its normal-form terms; a rule added to the index clears it, since
+    the new rule may rewrite words those normal forms hold.
     """
 
     __slots__ = ("by_lhs", "lengths", "normal_forms")
@@ -432,79 +419,56 @@ class _RuleIndex:
                     return pos, rule
         return None
 
-    def normal_form(self, poly: NCPolynomial) -> NCPolynomial:
-        """The sum of c*NF(w) over the terms c*w of poly, through the memo.
+    def normal_form(self, poly: NCPolynomial,
+                    trace: list | None = None) -> NCPolynomial:
+        """The sum of c*NF(w) over the terms c*w of poly, in one walk.
 
         NF(w) is w when w has no redex, and otherwise the sum of c*NF(u)
-        over the terms c*u of the one rewrite ``find_redex`` gives w. Every
-        rewrite performed counts against STEP_BOUND; a memoized word costs
-        none.
+        over the terms c*u of the one rewrite ``find_redex`` gives w. The
+        walk is depth-first with an explicit stack, so a chain of rewrites
+        as long as STEP_BOUND allows runs in constant Python stack depth: a
+        word goes on it with its rewrite and is memoized after the words of
+        that rewrite. It rewrites each word once: untraced, only the words
+        the memo lacks; traced, every reducible word poly reaches, and the
+        trace receives these rewrites as TraceSteps, deglex-greatest word
+        first. More than STEP_BOUND rewrites raise StepBoundExceeded.
         """
         memo = self.normal_forms
+        done = memo if trace is None else {}  # the words whose NF is found
         out: dict[Word, Coeff] = {}
-        steps = 0
-        for w, c in poly.terms.items():
-            if w not in memo:
-                steps = self._memoize(w, steps)
-            _add_scaled(out, memo[w], c)
-        return NCPolynomial(out)
-
-    def _memoize(self, word: Word, steps: int) -> int:
-        """Memoize NF(word) and NF of every word its rewrites reach; returns
-        steps plus the rewrites this performed.
-
-        An explicit stack, not recursion, so a chain of rewrites as long as
-        STEP_BOUND allows runs in constant Python stack depth.
-        """
-        memo = self.normal_forms
         stack = []  # (word, rewrite terms not yet summed, their sum so far)
-        while True:
-            if word is not None:  # a word not in the memo: rewrite it once
+        placed = []  # (word, redex, rewrite terms) of each rewrite
+        for w, c in poly.terms.items():
+            word = None if w in done else w
+            while word is not None:
                 hit = self.find_redex(word)
                 if hit is None:
-                    memo[word] = {word: ONE}
+                    memo[word] = done[word] = {word: ONE}
                 else:
-                    steps += 1
-                    if steps > STEP_BOUND:
+                    if len(placed) == STEP_BOUND:
                         raise StepBoundExceeded(
                             f"no normal form within {STEP_BOUND} steps")
-                    stack.append((word, list(_apply_at(word, *hit).items()), {}))
-            if not stack:
-                return steps
-            top, todo, acc = stack[-1]
-            word = None
-            while todo:
-                u, c = todo[-1]
-                if u not in memo:
-                    word = u
-                    break
-                todo.pop()
-                _add_scaled(acc, memo[u], c)
-            else:
-                stack.pop()
-                memo[top] = {u: c for u, c in acc.items() if c}
-
-    def certificate(self, poly: NCPolynomial) -> list[TraceStep]:
-        """The ``find_redex`` rewrite of each reducible word that poly's
-        words reach by rewrites, with unscaled replacement terms, the
-        deglex-greatest word first; more than STEP_BOUND such words raise
-        StepBoundExceeded. The walk reads the index, not the memo, so it
-        lists words that earlier reductions memoized too.
-        """
-        steps: dict[Word, TraceStep] = {}
-        todo = list(poly.terms)
-        while todo:
-            w = todo.pop()
-            hit = None if w in steps else self.find_redex(w)
-            if hit is None:
-                continue
-            if len(steps) == STEP_BOUND:
-                raise StepBoundExceeded(f"no normal form within {STEP_BOUND} steps")
-            after = _apply_at(w, *hit)
-            steps[w] = TraceStep(hit[1].name, hit[0], word_str(w),
-                                 NCPolynomial(after).to_json())
-            todo += after
-        return [steps[w] for w in sorted(steps, key=deglex_key, reverse=True)]
+                    after = _apply_at(word, *hit)
+                    placed.append((word, hit, after))
+                    stack.append((word, list(after.items()), {}))
+                word = None
+                while stack:
+                    top, todo, acc = stack[-1]
+                    while todo and todo[-1][0] in done:
+                        u, k = todo.pop()
+                        _add_scaled(acc, done[u], k)
+                    if todo:
+                        word = todo[-1][0]
+                        break
+                    stack.pop()
+                    memo[top] = done[top] = {u: k for u, k in acc.items() if k}
+            _add_scaled(out, done[w], c)
+        if trace is not None:
+            placed.sort(key=lambda p: deglex_key(p[0]), reverse=True)
+            trace.extend(TraceStep(rule.name, pos, word_str(word),
+                                   NCPolynomial(after).to_json())
+                         for word, (pos, rule), after in placed)
+        return NCPolynomial(out)
 
 
 def _add_scaled(acc: dict[Word, Coeff], terms: dict[Word, Coeff],
@@ -536,20 +500,12 @@ def reduce(poly: NCPolynomial, rules,
     index a completion keeps instead. A word is rewritten at its leftmost
     redex by the longest lhs there, the first such rule on a tie, so each
     word has one normal form, memoized on the index. A trace list receives
-    the certificate of ``_RuleIndex.certificate``. Deterministic; raises
+    the rewrite of every reducible word poly reaches, from the same walk
+    (``_RuleIndex.normal_form``). Deterministic; raises
     StepBoundExceeded when the reduction needs more than STEP_BOUND
     rewrites rather than spin.
     """
-    return _reduce(poly, _RuleIndex(rules), trace)
-
-
-def _reduce(poly: NCPolynomial, index: _RuleIndex,
-            trace: list | None = None) -> NCPolynomial:
-    """``reduce`` through an index already built."""
-    nf = index.normal_form(poly)
-    if trace is not None:
-        trace.extend(index.certificate(poly))
-    return nf
+    return _RuleIndex(rules).normal_form(poly, trace)
 
 
 # -- bounded critical-pair saturation -------------------------------------------
@@ -574,10 +530,11 @@ class CompletedSystem:
     rules, which ``complete`` grows as it adds each rule and which
     ``check_derivation`` and ``systems_equivalent`` reduce through.
 
-    The index keeps the word normal forms that its reductions memoized
-    (the ones ``check_derivation`` and ``systems_equivalent`` make add to
-    them); every rule ``complete`` added cleared them, so those left are
-    of the final rules."""
+    The index keeps the word normal forms that its reductions' walks
+    memoized (the ones ``check_derivation`` and ``systems_equivalent`` make
+    add to them); every rule ``complete`` added cleared them, so those left
+    are of the final rules. Only untraced walks read them: the traced walk
+    of ``check_derivation`` rewrites every word it reaches."""
 
     system: RelationSystem
     rules: list[RewriteRule]
@@ -646,8 +603,8 @@ def complete(system: RelationSystem) -> CompletedSystem:
         # locate actual positions of both lhs inside w
         pos_a = _find_sub(w, ra.lhs)
         pos_b = _find_sub(w, rb.lhs, prefer_late=True)
-        nf1 = _reduce(NCPolynomial(_apply_at(w, pos_a, ra)), index)
-        nf2 = _reduce(NCPolynomial(_apply_at(w, pos_b, rb)), index)
+        nf1 = index.normal_form(NCPolynomial(_apply_at(w, pos_a, ra)))
+        nf2 = index.normal_form(NCPolynomial(_apply_at(w, pos_b, rb)))
         if nf1 == nf2:
             findings.append(OverlapFinding(word_str(w), ra.name, rb.name, "joined"))
             continue
@@ -719,11 +676,12 @@ def check_derivation(completed: CompletedSystem, lhs: NCPolynomial,
     The premises come saturated by bounded critical pairs (``complete``);
     the target difference must then rewrite to zero. The trace plus the
     completion findings form a machine-checkable certificate: the trace
-    lists the rewrite of every reducible word the difference reaches
-    (``_RuleIndex.certificate``), whatever the index had memoized before.
+    lists the rewrite of every reducible word the difference reaches,
+    whatever the index had memoized before, since the traced walk that
+    gives the normal form rewrites each such word itself.
     """
     trace: list[TraceStep] = []
-    nf = _reduce(lhs - rhs, completed.index, trace)
+    nf = completed.index.normal_form(lhs - rhs, trace)
     return DerivationResult(nf, trace, completed.findings)
 
 
@@ -782,7 +740,7 @@ def _compare_direction(sys_a: RelationSystem, comp_b: CompletedSystem):
     out = []
     for i, rel in enumerate(sys_a.relations):
         targets = [NCPolynomial.word(w) for w in rel.lhs_words] + [rel.rhs]
-        nfs = [_reduce(t, comp_b.index) for t in targets]
+        nfs = [comp_b.index.normal_form(t) for t in targets]
         base = nfs[-1]
         for w, nf in zip(rel.lhs_words, nfs[:-1]):
             out.append(RuleComparison(f"{sys_a.name}.{i + 1}[{word_str(w)}]",

@@ -135,8 +135,7 @@ class TestClassGroup:
         orders = _real_orders(400, 7) + [OrderDescriptor("real", 26, 67)]
         assert len(orders) == 1695
         for o in orders:
-            assert class_group(o).to_json() == \
-                class_group_reference(o).to_json(), o
+            assert class_group(o) == class_group_reference(o), o
 
     # real orders of up to 36 cycles whose least |a| on a cycle reaches 75
     EARLY_STOP_ORDERS = [(26, 67), (6, 89), (79, 41), (10, 97), (94, 17),
@@ -146,8 +145,7 @@ class TestClassGroup:
     def test_early_stop_matches_reference(self, d, f):
         # the scan stops at the class-number formula's cycle count
         order = OrderDescriptor("real", d, f)
-        assert class_group(order).to_json() == \
-            class_group_reference(order).to_json()
+        assert class_group(order) == class_group_reference(order)
 
     @pytest.mark.parametrize("shift", [1, -1])
     def test_wrong_cycle_count_raises(self, monkeypatch, shift):

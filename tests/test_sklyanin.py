@@ -97,11 +97,20 @@ class TestCoeff:
             Coeff.zero().inverse()
 
     def test_mu_shift_detection(self):
-        a = MU_C * ZETA_C + Coeff.monomial(2, {"mu": 3})
-        b = ZETA_C + Coeff.monomial(2, {"mu": 2})
+        a = W((1, 2), MU_C * ZETA_C + Coeff.monomial(2, {"mu": 3})) + W((3,))
+        b = W((1, 2), ZETA_C + Coeff.monomial(2, {"mu": 2})) + W((3,), MU_INV)
         assert a.mu_shift_from(b) == 1
         assert b.mu_shift_from(a) == -1
-        assert a.mu_shift_from(a + ONE) is None
+        assert a.mu_shift_from(a + W((1, 2))) is None
+        assert a.mu_shift_from(a + W((4,))) is None
+        assert a.mu_shift_from(NCPolynomial.zero()) is None
+        assert NCPolynomial.zero().mu_shift_from(a) is None
+        assert NCPolynomial.zero().mu_shift_from(NCPolynomial.zero()) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=poly_st(max_terms=4).filter(bool), k=st.integers(-3, 3))
+    def test_mu_shift_of_a_scaled_polynomial(self, p, k):
+        assert p.scale(Coeff.monomial(1, {"mu": k})).mu_shift_from(p) == k
 
 
 class TestBuildSystems:
@@ -194,26 +203,35 @@ class TestReduceOracle:
                                       *(f"lemma2.{k}" for k in _LEMMA2_KINDS),
                                       "eq13+eq17"])
     @settings(max_examples=30, deadline=None)
-    @given(p=poly_st(max_terms=4, max_len=5))
-    def test_matches_scanning_reference(self, oracle_systems, name, p):
+    @given(p=poly_st(max_terms=4, max_len=5), q=poly_st(max_terms=4, max_len=5))
+    def test_matches_scanning_reference(self, oracle_systems, name, p, q):
         rule_list = oracle_systems[name]
         trace = []
         nf, ref = reduce(p, rule_list, trace), reduce_reference(p, rule_list)
         assert nf == ref and nf.to_json() == ref.to_json()
         assert reduce(p, rule_list) == ref
         check_certificate(p, rule_list, trace, nf)
+        # a traced walk through an index that memoized q's words, which
+        # may hold some of p's and not others
+        index = sklyanin._RuleIndex(rule_list)
+        index.normal_form(q)
+        warm_trace = []
+        warm = index.normal_form(p, warm_trace)
+        assert warm == ref and warm.to_json() == ref.to_json()
+        check_certificate(p, rule_list, warm_trace, warm)
+        assert warm_trace == trace
 
     def test_memo_does_not_outlive_a_rule(self):
         # x4 x1 -> x3 x1 is memoized; x3 x1 -> x1 x3 then rewrites a word
         # of that normal form, so the index must forget it
         index = sklyanin._RuleIndex([sklyanin.RewriteRule((4,), W((3,)))])
-        assert sklyanin._reduce(W((4, 1)), index) == W((3, 1))
+        assert index.normal_form(W((4, 1))) == W((3, 1))
         assert (4, 1) in index.normal_forms
         swap = sklyanin.RewriteRule((3, 1), W((1, 3), ZETA_C))
         index.add(swap)
         fresh = sklyanin._RuleIndex([sklyanin.RewriteRule((4,), W((3,))), swap])
-        assert sklyanin._reduce(W((4, 1)), index) == \
-            sklyanin._reduce(W((4, 1)), fresh) == W((1, 3), ZETA_C)
+        assert index.normal_form(W((4, 1))) == \
+            fresh.normal_form(W((4, 1))) == W((1, 3), ZETA_C)
 
 
 class TestCompleteOracle:
@@ -242,13 +260,14 @@ class TestBounds:
             reduce(W((3, 1, 4)), rules("scaled_eq17"))
 
     def test_certificate_bound(self, monkeypatch):
-        # the words are memoized, so only the certificate's walk can meet
-        # the bound
+        # the words are memoized, so an untraced walk performs no rewrite,
+        # but a traced one rewrites both and meets the bound
         index = sklyanin._RuleIndex(rules("scaled_eq17"))
-        sklyanin._reduce(W((3, 1, 4)), index)
+        nf = index.normal_form(W((3, 1, 4)))
         monkeypatch.setattr(sklyanin, "STEP_BOUND", 1)
+        assert index.normal_form(W((3, 1, 4))) == nf
         with pytest.raises(StepBoundExceeded, match="within 1 steps"):
-            sklyanin._reduce(W((3, 1, 4)), index, [])
+            index.normal_form(W((3, 1, 4)), [])
 
     @pytest.mark.parametrize("traced", [False, True], ids=["memo", "traced"])
     def test_deep_chain(self, traced):
@@ -334,7 +353,7 @@ class TestCheckDerivation:
         if earlier == "reduce":
             comp = self.premises
             lhs, rhs = W((2, 3, 1, 4)), NCPolynomial.unit(ZETA_C)
-            sklyanin._reduce(lhs - rhs, comp.index)
+            comp.index.normal_form(lhs - rhs)
         else:
             comp = completed("scaled_eq17")
             lhs, rhs = W((3, 1)), W((1, 3), MU_C * ZETA_C)
@@ -513,12 +532,12 @@ def suite_round():
     rewrite placements it makes and keeping the completions it builds and
     the derivations it checks, each as (completion, target difference,
     result)."""
-    calls = {"_reduce": 0, "_apply_at": 0}
+    calls = {"normal_form": 0, "_apply_at": 0}
     completions = []
     derivations = []
 
-    def counting(name):
-        inner = getattr(sklyanin, name)
+    def counting(owner, name):
+        inner = getattr(owner, name)
 
         def spy(*args, **kwargs):
             calls[name] += 1
@@ -534,8 +553,9 @@ def suite_round():
         return derivations[-1][2]
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in calls:
-            mp.setattr(sklyanin, name, counting(name))
+        for owner, name in ((sklyanin._RuleIndex, "normal_form"),
+                            (sklyanin, "_apply_at")):
+            mp.setattr(owner, name, counting(owner, name))
         mp.setattr(sklyanin, "complete", keeping)
         mp.setattr(symbolic, "check_derivation", recording)
         for suite in pipeline.SYMBOLIC_SUITES:
@@ -547,11 +567,11 @@ class TestSuiteWork:
     def test_work_census(self, suite_round):
         # the reductions the suites make and the rewrites they place; a
         # change to the arithmetic alone leaves both counts as they are, and
-        # a rewrite that several critical pairs share is placed once; the
-        # four derivations' certificates place 6, and their normal forms
-        # the 4 rewrites the completion had not memoized
+        # a rewrite that several critical pairs share is placed once, and
+        # the four derivations' traced walks place 6, each word's rewrite
+        # once for both its normal form and its certificate entry
         calls, _, _ = suite_round
-        assert calls == {"_reduce": 338, "_apply_at": 485}
+        assert calls == {"normal_form": 338, "_apply_at": 481}
 
     def test_rule_coefficients_are_ints(self, suite_round):
         # every coefficient the suites create is integral, so none of their
