@@ -110,7 +110,7 @@ def _rho(form, disc: int, s: int) -> tuple[int, int, int]:
     return c, r, (r * r - disc) // (4 * c)
 
 
-def _indefinite_cycles(disc: int, count: int | None = None):
+def _indefinite_cycles(disc: int, count: int | None):
     """The rho-cycles of discriminant disc > 0 in pairs (C, -C), or (C,)
     when C = -C, the principal cycle's pair first; -C negates C's forms.
 
@@ -312,7 +312,7 @@ class _FieldOrders:
     """
 
     def __init__(self, order: OrderDescriptor,
-                 unit: QuadraticIrrational | None = None):
+                 unit: QuadraticIrrational | None):
         self.kind, self.d = order.field_kind, order.d
         self.disc = order.fundamental_discriminant
         self.symbols: dict[int, int] = {}
@@ -403,7 +403,7 @@ def _field_orders(maximal: OrderDescriptor) -> _FieldOrders:
 
 
 def match_conductor(given: OrderDescriptor,
-                    search_bound: int = 100) -> tuple[int, int]:
+                    search_bound: int) -> tuple[int, int]:
     """(f, h): the least conductor f on the opposite side whose order has
     the given order's class number h.
 

@@ -5,7 +5,8 @@ found before any work and printed as ``input error: ...`` under the usage
 line: a malformed command line, an unwritable ``--json`` or ``--csv`` path
 or ``--cache-dir`` directory, d not square-free, or a bound or worker count
 out of its domain; 2 internal error, with the traceback of any exception
-that is not a ``QuadexpError``.
+that is not a ``QuadexpError``. A symbolic suite's only input is its name,
+which the parser checks, so any error it raises is internal.
 
 ``--cache-dir`` receives each certified class polynomial, for inspection;
 no run reads it back. ``CaseParams`` checks it, so a path that is neither a
@@ -130,10 +131,12 @@ PARSER = _Parser(prog="quadexp", description="Arithmetic verification runs "
 COMMANDS = PARSER.add_subparsers(dest="command", required=True)
 
 
-def _command(name, run, parents=()):
+def _command(name, run, parents=(),
+             input_errors=(DomainError, NotSquareFree)):
+    """A subcommand; the ``input_errors`` its run raises exit 1, not 2."""
     cmd = COMMANDS.add_parser(name, parents=parents, help=run.__doc__,
                               description=run.__doc__)
-    cmd.set_defaults(run=run)
+    cmd.set_defaults(run=run, input_errors=input_errors)
     return cmd
 
 
@@ -146,7 +149,7 @@ _cmd.add_argument("--workers", type=int, default=1,
                   help="processes to run the cases in (default: %(default)s)")
 _cmd.add_argument("--csv", dest="csv_path", type=_output_path,
                   help="write the summary table to this file")
-_cmd = _command("symbolic", _symbolic)
+_cmd = _command("symbolic", _symbolic, input_errors=())
 _cmd.add_argument("suite", choices=sorted(SYMBOLIC_SUITES))
 _cmd.add_argument("--json", dest="json_path", type=_output_path,
                   help="write the checks to this file")
@@ -156,7 +159,7 @@ def main(argv: list[str] | None = None) -> None:
     args = PARSER.parse_args(argv)
     try:
         args.run(args)
-    except (DomainError, NotSquareFree) as exc:  # a bound, --workers or d
+    except args.input_errors as exc:  # a bound, --workers or d
         PARSER.error(str(exc))
     except Exception as exc:
         if not isinstance(exc, QuadexpError):  # a bug: keep its traceback

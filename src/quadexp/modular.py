@@ -320,7 +320,7 @@ class ClassPolynomialResult:
 
 
 def ring_class_polynomial_detailed(d: int, f: int, p: int,
-                                   cache_dir: str | None = None) -> ClassPolynomialResult:
+                                   cache_dir: str | None) -> ClassPolynomialResult:
     """Monic integer polynomial with roots j(tau_Q) over the class forms.
 
     Rounding is certified: each coefficient (plus its error bound) must sit
@@ -456,7 +456,7 @@ class ClassFieldDescriptor:
 
 
 def hcf_generator(d: int, f: int, p: int,
-                  cache_dir: str | None = None) -> ClassFieldDescriptor:
+                  cache_dir: str | None) -> ClassFieldDescriptor:
     """gamma = j(tau_1) + t f sqrt(-d) with squarefree degree-2h minpoly.
 
     With s = t f sqrt(d), the minimal polynomial is the resultant

@@ -93,7 +93,7 @@ class FixedReal:
         p = max(self.scale_bits, other.scale_bits)
         return self.rescale(p), other.rescale(p), p
 
-    def to_decimal(self, digits: int = 30) -> str:
+    def to_decimal(self, digits: int) -> str:
         """Decimal string with the given number of fractional digits."""
         scaled = self.mantissa * 10**digits
         v = _rshift_round(scaled, self.scale_bits)
@@ -111,16 +111,10 @@ class FixedReal:
         return FixedReal(-self.mantissa, self.scale_bits, self.err_ulps)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = FixedReal.from_int(other, self.scale_bits)
         a, b, p = self._aligned(other)
         return FixedReal(a.mantissa + b.mantissa, p, a.err_ulps + b.err_ulps)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = FixedReal.from_int(other, self.scale_bits)
         a, b, p = self._aligned(other)
         return FixedReal(a.mantissa - b.mantissa, p, a.err_ulps + b.err_ulps)
 
@@ -135,8 +129,6 @@ class FixedReal:
             + a.err_ulps * b.err_ulps
         return FixedReal(m, p, _ceil_div(raw, 1 << p) + 1)
 
-    __rmul__ = __mul__
-
     def div_int(self, k: int) -> "FixedReal":
         if k == 0:
             raise ZeroDivisionError
@@ -149,8 +141,6 @@ class FixedReal:
         return FixedReal(q, self.scale_bits, e)
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            return self.div_int(other)
         a, b, p = self._aligned(other)
         mb = b.mantissa
         if abs(mb) <= 2 * b.err_ulps:
@@ -214,16 +204,12 @@ class FixedComplex:
         a, b, c, d = self.re, self.im, other.re, other.im
         return FixedComplex(a * c - b * d, a * d + b * c)
 
-    __rmul__ = __mul__
-
     def conj(self) -> "FixedComplex":
         return FixedComplex(self.re, -self.im)
 
     def __truediv__(self, other):
         if isinstance(other, int):
             return FixedComplex(self.re.div_int(other), self.im.div_int(other))
-        if isinstance(other, FixedReal):
-            return FixedComplex(self.re / other, self.im / other)
         n = self * other.conj()
         d = other.abs2()
         return FixedComplex(n.re / d, n.im / d)

@@ -1,13 +1,12 @@
 """Evaluation of the exponential map J and lattice-based algebraic recognition.
 
-J(x, y) = exp(2 pi i x + log log y) is evaluated along two independent
-routes (the product form (log y) e^{2 pi i x} and the exponential form)
-which must agree within their combined error bounds. The values of a case
-share y = epsilon, so ``evaluate_J`` takes all their x at once and
-evaluates the unit side (log y and exp(log log y)) once per call; the
-route check still runs for every x. Recognition builds
-an algdep-style integer lattice from scaled real and imaginary parts of
-the elements, reduces it in floating-point rungs and finally with the exact
+J(x, y) = exp(2 pi i x + log log y) is evaluated along one route, the
+product e^{2 pi i x} mu with mu = log y. The values of a case share
+y = epsilon, so ``evaluate_J`` takes all their x at once and evaluates mu
+once per call, checking once that exp(log mu) = mu within the combined
+error bounds; each value's |J|^2 = mu^2 check tests its phase. Recognition
+builds an algdep-style integer lattice from scaled real and imaginary parts
+of the elements, reduces it in floating-point rungs and finally with the exact
 kernel (see ``_relation_search``), and only accepts a candidate relation
 after it survives irreducibility, height, and a certified residual bound,
 evaluated on the same working-precision elements the lattice was built
@@ -45,38 +44,28 @@ RUNG_BITS = 64
 # -- J evaluation ----------------------------------------------------------------
 
 
-def _unit_side(y: FixedReal, w: int) -> tuple[FixedReal, FixedReal]:
-    """mu = log y and E = exp(log mu), both at scale w; y > 1 required.
+def _unit_side(y: FixedReal, w: int) -> FixedReal:
+    """mu = log y at scale w, checked once against exp(log mu); y > 1.
 
-    These are the factors of the two J routes that do not depend on x, so
-    values that share y share them.
+    Each J value is e^{2 pi i x} mu, so values that share y share mu and
+    this check. Disagreement beyond the combined bounds means a numerics
+    bug and raises; since |cos| and |sin| are at most 1, mu passing it
+    means e^{2 pi i x} mu and e^{2 pi i x} exp(log mu) agree for every x.
     """
     mu = log_fixed(y, w)
-    return mu, exp_fixed(_log_positive(mu, w), w)
-
-
-def _j_routes(x: FixedReal, mu: FixedReal, expmu: FixedReal,
-              w: int) -> FixedComplex:
-    """J in product form e^{2 pi i x} mu at scale w, from ``_unit_side``.
-
-    The exponential form e^{2 pi i x} E is computed too; disagreement beyond
-    the combined bounds means a numerics bug and raises.
-    """
-    phase = exp_cis(x, w)
-    product = phase * mu
-    if not product.indistinguishable(phase * expmu):
+    if not mu.indistinguishable(exp_fixed(_log_positive(mu, w), w)):
         raise DomainError("independent J evaluation routes disagree")
-    return product
+    return mu
 
 
 def j_function(x: FixedReal, y: FixedReal, p: int) -> FixedComplex:
     """Raw transcendental map for probe arguments; y > 1 required.
 
-    Both evaluation routes are computed and must agree (see ``_j_routes``).
+    One route, e^{2 pi i x} mu; mu = log y is checked against exp(log mu)
+    once (see ``_unit_side``).
     """
     w = p + GUARD_BITS
-    product = _j_routes(x.rescale(w), *_unit_side(y.rescale(w), w), w)
-    return product.rescale(p)
+    return (exp_cis(x.rescale(w), w) * _unit_side(y.rescale(w), w)).rescale(p)
 
 
 @dataclass
@@ -87,7 +76,7 @@ class JValue:
     value: FixedComplex
     precision: int
 
-    def to_json(self, digits: int = 40) -> dict:
+    def to_json(self, digits: int) -> dict:
         return {"theta": self.theta.to_json(),
                 "epsilon": self.epsilon.to_json(),
                 "mu": self.mu.to_decimal(digits),
@@ -99,26 +88,26 @@ class JValue:
 
 def evaluate_J(thetas: list[QuadraticIrrational], epsilon: UnitElement,
                p: int) -> list[JValue]:
-    """J(theta, epsilon) for each theta, with the dual-route check on each.
+    """J(theta, epsilon) = e^{2 pi i theta} mu, mu = log epsilon, per theta.
 
     Every theta must be a quadratic irrational (``InputRational``
     otherwise; probe arguments go through ``j_function``), and
-    epsilon.value > 1 so that log log is defined. The unit side (log
-    epsilon, exp(log log epsilon) and mu^2) is evaluated once per call, at
-    p + GUARD_BITS; each theta then costs one ``exp_cis``, the two routes
-    and the |J|^2 = mu^2 check.
+    epsilon.value > 1 so that log log is defined. The unit side (mu, its
+    exp(log mu) = mu check and mu^2) is evaluated once per call, at
+    p + GUARD_BITS; each theta then costs one ``exp_cis``, one product and
+    the |J|^2 = mu^2 check, which tests that theta's phase.
     """
     if epsilon.value.cmp(1) <= 0:
         raise DomainError("epsilon must exceed 1")
     if any(theta.is_rational for theta in thetas):
         raise InputRational("theta must be a quadratic irrational")
     w = p + GUARD_BITS
-    mu_w, expmu = _unit_side(epsilon.value.to_fixed(w), w)
+    mu_w = _unit_side(epsilon.value.to_fixed(w), w)
     mu = mu_w.rescale(p)
     mu2 = mu * mu
     out = []
     for theta in thetas:
-        value = _j_routes(theta.to_fixed(w), mu_w, expmu, w).rescale(p)
+        value = (exp_cis(theta.to_fixed(w), w) * mu_w).rescale(p)
         # |J| must match mu within bounds (modulus is derived, never stored)
         if not value.abs2().indistinguishable(mu2):
             raise DomainError("|J| does not match log epsilon within bounds")
@@ -423,7 +412,7 @@ class Membership:
 @dataclass
 class NotFound:
     height_bound: int
-    exclusion_height: int = 0
+    exclusion_height: int
 
     def to_json(self) -> dict:
         return {"found": False, "height_bound": self.height_bound,
@@ -431,8 +420,7 @@ class NotFound:
 
 
 def member_of_field(z: FixedComplex, field_desc: ClassFieldDescriptor, p: int,
-                    height_bound: int = DEFAULT_HEIGHT_BOUND
-                    ) -> Membership | NotFound:
+                    height_bound: int) -> Membership | NotFound:
     """Coordinates of z in the power basis of the field generator, if any.
 
     Searches an integer relation among {z, 1, gamma, ..., gamma^(m-1)},

@@ -276,7 +276,7 @@ class NCPolynomial(_Sum):
 class RewriteRule:
     lhs: Word
     rhs: NCPolynomial
-    name: str = ""
+    name: str
 
     def __post_init__(self):
         for w in self.rhs.terms:

@@ -864,8 +864,10 @@ def match_conductor_reference(given, search_bound: int = 100):
 def evaluate_J_reference(theta, epsilon, p: int):
     """One ``JValue`` of ``quadexp.recognition.evaluate_J``, from scratch.
 
-    log epsilon, log log epsilon and exp(log log epsilon) are recomputed
-    for this theta alone, with the same route and |J|^2 = mu^2 checks.
+    One route, e^{2 pi i theta} mu with mu = log epsilon. mu and its
+    exp(log mu) = mu check, which ``evaluate_J`` runs once per call, are
+    recomputed for this theta alone; the |J|^2 = mu^2 check runs on its
+    value, as on every value there.
     """
     from quadexp.errors import DomainError, InputRational
     from quadexp.numerics import (GUARD_BITS, _log_positive, exp_cis,
@@ -878,11 +880,9 @@ def evaluate_J_reference(theta, epsilon, p: int):
         raise InputRational("theta must be a quadratic irrational")
     w = p + GUARD_BITS
     mu = log_fixed(epsilon.value.to_fixed(w), w)
-    phase = exp_cis(theta.to_fixed(w), w)
-    product = phase * mu
-    expform = phase * exp_fixed(_log_positive(mu, w), w)
-    if not product.indistinguishable(expform):
+    if not mu.indistinguishable(exp_fixed(_log_positive(mu, w), w)):
         raise DomainError("independent J evaluation routes disagree")
+    product = exp_cis(theta.to_fixed(w), w) * mu
     jv = JValue(theta, epsilon, mu.rescale(p), product.rescale(p), p)
     if not jv.value.abs2().indistinguishable(jv.mu * jv.mu):
         raise DomainError("|J| does not match log epsilon within bounds")
@@ -1041,7 +1041,7 @@ def hcf_generator_reference(d: int, f: int, p: int):
     from quadexp import modular
     from quadexp.numerics import FixedComplex, sqrt_fixed
 
-    detail = modular.ring_class_polynomial_detailed(d, f, p)
+    detail = modular.ring_class_polynomial_detailed(d, f, p, cache_dir=None)
     hj = detail.polynomial
     x, y = sympy.symbols("x y")
     hj_expr = sympy.Poly(list(reversed(hj.coefficients)), y).as_expr()

@@ -101,7 +101,7 @@ def test_criterion_5_j_and_class_polynomial():
     assert abs(j0.re.mantissa) + j0.re.err_ulps < 1 << (p - 200)
     assert abs(j0.im.mantissa) + j0.im.err_ulps < 1 << (p - 200)
 
-    detail = ring_class_polynomial_detailed(15, 1, 512)
+    detail = ring_class_polynomial_detailed(15, 1, 512, cache_dir=None)
     poly = detail.polynomial
     assert poly.degree == 2 and poly.leading == 1
     assert detail.gap_bits >= ROUNDING_GAP_BITS == 32

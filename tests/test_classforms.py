@@ -36,12 +36,12 @@ INDEFINITE_DISCS = [disc for disc in range(5, 6001) if disc % 4 in (0, 1)
 def _cycles(disc):
     """Every cycle of the pairs, ordered by least member as the references
     list them."""
-    pairs = _indefinite_cycles(disc)
+    pairs = _indefinite_cycles(disc, None)
     return sorted((cycle for pair in pairs for cycle in pair), key=min)
 
 
 def _wide(disc):
-    return _wide_classes(_indefinite_cycles(disc))
+    return _wide_classes(_indefinite_cycles(disc, None))
 
 
 def _enumerated_h(order):
@@ -98,7 +98,7 @@ class TestClassGroup:
         # the pairs hold the reference's cycles, the principal pair first,
         # and a pair's second cycle negates its first
         for disc in INDEFINITE_DISCS:
-            pairs = _indefinite_cycles(disc)
+            pairs = _indefinite_cycles(disc, None)
             cycles = [cycle for pair in pairs for cycle in pair]
             reference = indefinite_cycles_reference(
                 indefinite_reduced_forms_reference(disc))

@@ -49,7 +49,7 @@ class TestJInvariant:
     def test_translation_invariance_exact(self):
         p = 192
         tau = tau_from_form(1, 1, 4, p + 64)  # disc -15 principal form
-        shifted = FixedComplex(tau.re + 1, tau.im)
+        shifted = FixedComplex(tau.re + FixedReal.from_int(1, p + 64), tau.im)
         a = j_invariant(tau, p)
         b = j_invariant(shifted, p)
         assert a.re.mantissa == b.re.mantissa
@@ -77,7 +77,7 @@ class TestRingClassPolynomial:
         assert poly.coefficients == (0, 1)
 
     def test_d15_classical_polynomial(self):
-        detail = ring_class_polynomial_detailed(15, 1, 512)
+        detail = ring_class_polynomial_detailed(15, 1, 512, cache_dir=None)
         poly = detail.polynomial
         assert poly.degree == 2
         assert poly.leading == 1
@@ -102,7 +102,7 @@ class TestRingClassPolynomial:
             assert poly.degree == h, (d, f)
 
     def test_roots_are_j_embeddings(self):
-        detail = ring_class_polynomial_detailed(15, 1, 384)
+        detail = ring_class_polynomial_detailed(15, 1, 384, cache_dir=None)
         for emb in detail.j_embeddings:
             val = detail.polynomial.eval_complex(emb.rescale(384))
             assert val.re.abs_upper_ulps() < 1 << (384 - 150)
@@ -204,7 +204,7 @@ class TestCache:
     def test_entry_never_steers_a_build(self, tmp_path, builds, entry):
         # whatever the directory holds, a build makes the same attempts at
         # the same precisions as without one, and rewrites the entry
-        bypass = ring_class_polynomial_detailed(15, 1, 384)
+        bypass = ring_class_polynomial_detailed(15, 1, 384, cache_dir=None)
         bypass_builds = builds[:]
         cache = str(tmp_path)
         entry(cache)
@@ -230,20 +230,20 @@ class TestPrecisionEscalation:
 
 class TestGenerator:
     def test_d3_gives_sqrt_minus_3(self):
-        desc = hcf_generator(3, 1, 256)
+        desc = hcf_generator(3, 1, 256, cache_dir=None)
         assert desc.generator_minpoly.coefficients == (3, 0, 1)
         assert desc.degree == 2
         assert desc.translate == 1
 
     def test_embedding_beyond_precision_is_typed(self):
         # the modular layer raises the same precision error as recognition
-        desc = hcf_generator(3, 1, 256)
+        desc = hcf_generator(3, 1, 256, cache_dir=None)
         assert desc.embedding_at(128).re.scale_bits == 128
         with pytest.raises(InsufficientPrecision):
             desc.embedding_at(512)
 
     def test_d15_degree_four(self):
-        desc = hcf_generator(15, 1, 512)
+        desc = hcf_generator(15, 1, 512, cache_dir=None)
         assert desc.degree == 4
         assert desc.generator_minpoly.degree == 4
         assert discriminant(desc.generator_minpoly) != 0  # squarefree
@@ -252,7 +252,7 @@ class TestGenerator:
         assert val.im.abs_upper_ulps() < 1 << (512 - 256)
 
     def test_d163_degree_two(self):
-        desc = hcf_generator(163, 1, 512)
+        desc = hcf_generator(163, 1, 512, cache_dir=None)
         assert desc.degree == 2
         assert desc.generator_minpoly.degree == 2
 
@@ -264,7 +264,7 @@ class TestGenerator:
             if not is_squarefree(d):
                 continue
             for f in (1, 2, 3):
-                desc = hcf_generator(d, f, 256)
+                desc = hcf_generator(d, f, 256, cache_dir=None)
                 poly, t, gamma = hcf_generator_reference(d, f, 256)
                 assert desc.generator_minpoly == poly, (d, f)
                 assert desc.translate == t, (d, f)
@@ -290,7 +290,7 @@ class TestGenerator:
 
         monkeypatch.setattr(modular, "ring_class_polynomial_detailed",
                             colliding)
-        desc = hcf_generator(15, 1, p)
+        desc = hcf_generator(15, 1, p, cache_dir=None)
         poly, t, _ = hcf_generator_reference(15, 1, p)
         assert desc.translate == t == 2
         assert desc.generator_minpoly == poly

@@ -82,7 +82,7 @@ class TestExpCis:
         # theta and theta + 7 give bit-identical results
         t = FixedReal.from_ratio(3, 7, 192)
         a = exp_cis(t, 192)
-        b = exp_cis(t + 7, 192)
+        b = exp_cis(t + FixedReal.from_int(7, 192), 192)
         assert a.re.mantissa == b.re.mantissa
         assert a.im.mantissa == b.im.mantissa
 

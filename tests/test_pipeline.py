@@ -819,6 +819,18 @@ class TestCLI:
         assert code == 2, output
         assert "internal error: ValueError: bad value" in output
 
+    def test_error_in_a_symbolic_suite_exit2(self, monkeypatch):
+        # the suite name is the command's only input, and the parser checks
+        # it, so a typed error raised inside a suite is internal
+        def crash(*args, **kwargs):
+            raise DomainError("boom")
+
+        monkeypatch.setattr(sklyanin, "complete", crash)
+        code, output = run_cli("symbolic", "remark1")
+        assert code == 2, output
+        assert "internal error: DomainError: boom" in output
+        assert "input error" not in output
+
     def test_unexpected_exception_exit2(self, monkeypatch):
         def crash(*args, **kwargs):
             raise RuntimeError("boom")

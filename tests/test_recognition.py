@@ -21,10 +21,11 @@ from quadexp.modular import IntegerPolynomial, hcf_generator
 from quadexp.numerics import FixedComplex, FixedReal, log_fixed, sqrt_fixed
 from quadexp.pipeline import CaseParams, _conjugacy, run_case
 from quadexp.quadfield import OrderDescriptor, QuadraticIrrational, fundamental_unit
-from quadexp.recognition import (DEFAULT_DELTA, LOG10_2, RUNG_BITS,
-                                 Membership, NotFound, _certified, _int_det,
-                                 _tails, evaluate_J, j_function, lll_reduce,
-                                 member_of_field, min_poly)
+from quadexp.recognition import (DEFAULT_DELTA, DEFAULT_HEIGHT_BOUND,
+                                 LOG10_2, RUNG_BITS, Membership, NotFound,
+                                 _certified, _int_det, _tails, evaluate_J,
+                                 j_function, lll_reduce, member_of_field,
+                                 min_poly)
 
 
 def real_probe(value_str: str, p: int, digits: int) -> FixedComplex:
@@ -335,6 +336,29 @@ class TestFloatLLL:
         # every rung reduced exactly, then the top rung once more
         assert searches == {"searches": 1, "exact": len(rungs) + 1}
 
+    def test_real_breakdown_recognized_through_exact_kernel(self,
+                                                            monkeypatch):
+        # a rung of this rational's search breaks down in the float kernel;
+        # the relation is found only because the exact kernel reduces that
+        # rung in its place
+        breakdowns = []
+        reduce_float = recognition.lll_reduce_rows_float
+
+        def spy(rows):
+            try:
+                return reduce_float(rows)
+            except FloatBreakdown as exc:
+                breakdowns.append(str(exc))
+                raise
+
+        monkeypatch.setattr(recognition, "lll_reduce_rows_float", spy)
+        p = 512
+        z = complex_of_real(FixedReal.from_ratio(-353454, 310483, p))
+        r = min_poly(z, 8, 10**6, p)
+        assert breakdowns == ["squared norm 0.0 at row 2"]
+        assert r.recognized
+        assert r.verdict.minpoly.coefficients == (353454, 310483)
+
 
 @pytest.mark.usefixtures("serial_searches")
 class TestRungKernelInPipeline:
@@ -585,13 +609,45 @@ class TestJEvaluation:
         assert abs(float(jv.value.im.to_decimal(40)) - float(ref.imag)) < 1e-35
 
     def test_dual_route_agreement_sample(self):
-        # the two formulas agree within combined bounds on random probes
+        # exp(log mu) = mu within combined bounds for mu = log y of random
+        # probes, and so e^{2 pi i x} mu = e^{2 pi i x} exp(log mu)
         rng = random.Random(2024)
         p = 256
         for _ in range(100):
             x = FixedReal.from_ratio(rng.randrange(-10**6, 10**6), 10**6 + 3, p)
             y = FixedReal.from_ratio(rng.randrange(10**6 + 1, 10**9), 10**6, p)
             j_function(x, y, p)  # raises if the routes disagree
+
+    def test_shifted_exp_fails_the_route_check(self, monkeypatch):
+        # exp(log mu) moved past both error bounds: a numerics bug that the
+        # once-per-call check must catch in both entry points
+        exp_fixed = recognition.exp_fixed
+
+        def shifted(x, p):
+            e = exp_fixed(x, p)
+            return FixedReal(e.mantissa + 2 * (e.err_ulps + 1), e.scale_bits,
+                             e.err_ulps)
+
+        monkeypatch.setattr(recognition, "exp_fixed", shifted)
+        p = 256
+        eps = fundamental_unit(OrderDescriptor("real", 15, 1))
+        with pytest.raises(DomainError, match="routes disagree"):
+            evaluate_J([QuadraticIrrational(0, 1, 1, 15)], eps, p)
+        with pytest.raises(DomainError, match="routes disagree"):
+            j_function(FixedReal.zero(p), FixedReal.from_int(3, p), p)
+
+    def test_scaled_phase_fails_the_modulus_check(self, monkeypatch):
+        # a phase of modulus 1 + 2**-100: the exp(log mu) check cannot see
+        # it, and the per-value |J|^2 = mu^2 check must
+        exp_cis = recognition.exp_cis
+
+        def scaled(x, p):
+            return exp_cis(x, p) * FixedReal((1 << 100) + 1, 100)
+
+        monkeypatch.setattr(recognition, "exp_cis", scaled)
+        eps = fundamental_unit(OrderDescriptor("real", 15, 1))
+        with pytest.raises(DomainError, match="does not match log epsilon"):
+            evaluate_J([QuadraticIrrational(0, 1, 1, 15)], eps, 256)
 
     def test_mu_additivity(self):
         # log(eps^n) = n log(eps) within bounds, n <= 10
@@ -617,7 +673,8 @@ class TestJEvaluation:
         for d in (5, 14, 15, 21, 26, 29):
             for kind in ("real", "imaginary"):
                 try:
-                    f_match, _ = match_conductor(OrderDescriptor(kind, d, 1))
+                    f_match, _ = match_conductor(
+                        OrderDescriptor(kind, d, 1), 100)
                 except NoMatchWithinBound:
                     continue
                 order = OrderDescriptor(
@@ -665,13 +722,14 @@ class TestConjugacy:
 
 @pytest.fixture(scope="module")
 def field15():
-    return hcf_generator(15, 1, 512)
+    return hcf_generator(15, 1, 512, cache_dir=None)
 
 
 class TestMembership:
 
     def test_gamma_itself(self, field15):
-        m = member_of_field(field15.generator_embedding, field15, 512)
+        m = member_of_field(field15.generator_embedding, field15, 512,
+                            DEFAULT_HEIGHT_BOUND)
         assert isinstance(m, Membership)
         assert m.coordinates == [Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
         assert_certified(m.residual_log10, 512)
@@ -679,7 +737,7 @@ class TestMembership:
     def test_synthesized_combination(self, field15):
         g = field15.generator_embedding
         z = FixedComplex.from_int(3, 512) - (g * g) * 2
-        m = member_of_field(z, field15, 512)
+        m = member_of_field(z, field15, 512, DEFAULT_HEIGHT_BOUND)
         assert isinstance(m, Membership)
         assert m.coordinates == [Fraction(3), Fraction(0), Fraction(-2), Fraction(0)]
         assert_certified(m.residual_log10, 512)
@@ -697,7 +755,8 @@ class TestMembership:
         z, power = FixedComplex.from_int(0, 512), FixedComplex.from_int(1, 512)
         for a in numerators:
             z, power = z + power * a, power * g
-        m = member_of_field(z / denominator, field15, 512)
+        m = member_of_field(z / denominator, field15, 512,
+                            DEFAULT_HEIGHT_BOUND)
         assert isinstance(m, Membership)
         assert m.coordinates == [Fraction(a, denominator) for a in numerators]
         assert_identity_ladder(rungs)
@@ -716,7 +775,7 @@ class TestMembership:
     def test_rational_coordinates(self, field15):
         g = field15.generator_embedding
         z = (FixedComplex.from_int(1, 512) + g) / 3
-        m = member_of_field(z, field15, 512)
+        m = member_of_field(z, field15, 512, DEFAULT_HEIGHT_BOUND)
         assert isinstance(m, Membership)
         assert m.coordinates == [Fraction(1, 3), Fraction(1, 3),
                                  Fraction(0), Fraction(0)]
@@ -818,4 +877,5 @@ class TestCertificate:
 
     def test_member_of_field(self, field15, corrupt_kernel):
         with pytest.raises(DegenerateBasis):
-            member_of_field(field15.generator_embedding, field15, 512)
+            member_of_field(field15.generator_embedding, field15, 512,
+                            DEFAULT_HEIGHT_BOUND)

@@ -140,7 +140,7 @@ class TestBuildSystems:
     def test_orientation_enforced(self):
         from quadexp.sklyanin import RewriteRule
         with pytest.raises(DomainError):
-            RewriteRule((1,), W((1, 2)))
+            RewriteRule((1,), W((1, 2)), "x1")
 
 
 class TestReduce:
@@ -224,12 +224,14 @@ class TestReduceOracle:
     def test_memo_does_not_outlive_a_rule(self):
         # x4 x1 -> x3 x1 is memoized; x3 x1 -> x1 x3 then rewrites a word
         # of that normal form, so the index must forget it
-        index = sklyanin._RuleIndex([sklyanin.RewriteRule((4,), W((3,)))])
+        index = sklyanin._RuleIndex(
+            [sklyanin.RewriteRule((4,), W((3,)), "x4")])
         assert index.normal_form(W((4, 1))) == W((3, 1))
         assert (4, 1) in index.normal_forms
-        swap = sklyanin.RewriteRule((3, 1), W((1, 3), ZETA_C))
+        swap = sklyanin.RewriteRule((3, 1), W((1, 3), ZETA_C), "x3x1")
         index.add(swap)
-        fresh = sklyanin._RuleIndex([sklyanin.RewriteRule((4,), W((3,))), swap])
+        fresh = sklyanin._RuleIndex(
+            [sklyanin.RewriteRule((4,), W((3,)), "x4"), swap])
         assert index.normal_form(W((4, 1))) == \
             fresh.normal_form(W((4, 1))) == W((1, 3), ZETA_C)
 
@@ -273,9 +275,9 @@ class TestBounds:
     def test_deep_chain(self, traced):
         # x4^n takes 3n rewrites, one word deep each: 900 reach x1^300, and
         # 12000 pass STEP_BOUND without exhausting the Python stack
-        chain = [sklyanin.RewriteRule((4,), W((3,))),
-                 sklyanin.RewriteRule((3,), W((2,))),
-                 sklyanin.RewriteRule((2,), W((1,)))]
+        chain = [sklyanin.RewriteRule((4,), W((3,)), "x4"),
+                 sklyanin.RewriteRule((3,), W((2,)), "x3"),
+                 sklyanin.RewriteRule((2,), W((1,)), "x2")]
         trace = [] if traced else None
         assert reduce(W((4,) * 300), chain, trace) == W((1,) * 300)
         if traced:

@@ -274,7 +274,7 @@ for direction in ("real-to-imag", "imag-to-real"):
                                  recognition=False), workers=1)
 for suite in SYMBOLIC_SUITES:
     verify_symbolic(suite)
-hcf_generator(15, 1, 512)
+hcf_generator(15, 1, 512, cache_dir=None)
 loaded = [name for name in ("sympy", "concurrent.futures.process")
           if name in sys.modules]
 if loaded:
