@@ -20,9 +20,7 @@ load it.
 from __future__ import annotations
 
 import os
-import sys
 import tempfile
-from array import array
 from dataclasses import dataclass
 from itertools import permutations
 from math import gcd
@@ -36,12 +34,11 @@ from .quadfield import OrderDescriptor
 
 ROUNDING_GAP_BITS = 32
 MAX_ESCALATIONS = 4  # attempts, at doubling precision, before giving up
-# the degree-pattern test of factor_irreducible tries these primes in turn,
-# skipping any that divides the leading coefficient or leaves a reduction
-# that is not squarefree, and gives up to sympy after _PATTERN_CAP usable ones
+# the degree-pattern test of factor_irreducible tries every one of these
+# primes in turn, skipping any that divides the leading coefficient or leaves
+# a reduction that is not squarefree, and gives up to sympy after the last
 _PATTERN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                    53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-_PATTERN_CAP = 12
 
 
 @dataclass
@@ -90,12 +87,14 @@ class IntegerPolynomial:
         return p
 
     def factor_irreducible(self) -> list["IntegerPolynomial"]:
-        """Irreducible integer factors of positive degree (content dropped).
+        """Irreducible integer factors of positive degree (content dropped),
+        each primitive with a positive leading coefficient.
 
         A primitive part that ``_irreducible_by_degree_pattern`` proves
         irreducible is returned as its own one factor, normalized as sympy
         returns it. Any other goes to sympy's factorization: the program's
-        one use of sympy, imported only then.
+        one use of sympy, imported only then; its ``factor_list`` moves the
+        sign into the content.
         """
         prim = self.primitive()
         if prim.degree < 1:
@@ -137,7 +136,6 @@ def _irreducible_by_degree_pattern(coeffs: tuple[int, ...]) -> bool:
     n = len(coeffs) - 1
     proven = 1 | 1 << n
     common = (1 << n + 1) - 1  # bit a set: a factor of degree a may exist
-    usable = 0
     for q in _PATTERN_PRIMES:
         degrees = _factor_degrees_mod(coeffs, q)
         if degrees is None:
@@ -148,9 +146,6 @@ def _irreducible_by_degree_pattern(coeffs: tuple[int, ...]) -> bool:
         common &= sums
         if common == proven:
             return True
-        usable += 1
-        if usable == _PATTERN_CAP:
-            break
     return False
 
 
@@ -158,8 +153,10 @@ def _factor_degrees_mod(coeffs: tuple[int, ...], q: int) -> list[int] | None:
     """Degrees of the irreducible factors of coeffs modulo the prime q.
 
     Distinct-degree factorization (Cohen, GTM 138, Alg. 3.4.3): the factors
-    of degree dividing i are those of gcd(f, x^(q^i) - x). None when q
-    divides the leading coefficient or the reduction is not squarefree.
+    of degree dividing i are those of gcd(f, x^(q^i) - x). Both q-th power
+    maps mod f are linear over GF(q), so each is applied as a matrix of
+    residues in plain lists, through its columns. None when q divides the
+    leading coefficient or the reduction is not squarefree.
     """
     lead = coeffs[-1] % q
     if lead == 0:
@@ -175,19 +172,19 @@ def _factor_degrees_mod(coeffs: tuple[int, ...], q: int) -> list[int] | None:
         top = power[-1]
         power = [(a - top * b) % q for a, b in zip([0] + power[:-1], f)]
         if k >= q - 1:
-            shifted.append(_pack(power))
+            shifted.append(power)
     # rows[j] = x^(jq) mod f, so h^q = sum_j h_j rows[j] mod f
-    row = [1] + [0] * (n - 1)
-    rows = [_pack(row)]
+    cols = list(zip(*shifted))
+    rows = [[1] + [0] * (n - 1)]
     while len(rows) < n:
-        row = _combine(row, shifted, q)
-        rows.append(_pack(row))
+        rows.append([sum(map(mul, rows[-1], c)) % q for c in cols])
+    cols = list(zip(*rows))
     degrees = []
     h = [0, 1] + [0] * (n - 2)  # x^(q^i) mod f; used only when n >= 2
     i = 0
     while n - sum(degrees) >= 2 * (i + 1):
         i += 1
-        h = _combine(h, rows, q)
+        h = [sum(map(mul, h, c)) % q for c in cols]
         g = h[:]
         g[1] = (g[1] - 1) % q
         # deg gcd(f, x^(q^i) - x) sums the degrees d | i of f's factors
@@ -196,20 +193,6 @@ def _factor_degrees_mod(coeffs: tuple[int, ...], q: int) -> list[int] | None:
     if n > sum(degrees):
         degrees.append(n - sum(degrees))
     return degrees
-
-
-def _pack(row: list[int]) -> int:
-    """The entries of row in 64-bit slots of one int, lowest first."""
-    return int.from_bytes(array("Q", row).tobytes(), sys.byteorder)
-
-
-def _combine(vector: list[int], packed: list[int], q: int) -> list[int]:
-    """sum_j vector[j] * packed[j] mod q, for vector entries and packed
-    slots in [0, q): slot sums stay below len(vector) q^2, far from 2^64,
-    so one big-int sum adds every slot at once."""
-    total = sum(map(mul, vector, packed))
-    slots = array("Q", total.to_bytes(8 * len(vector), sys.byteorder))
-    return [s % q for s in slots]
 
 
 def _gcd_degree_mod(a: list[int], b: list[int], q: int) -> int:

@@ -374,8 +374,7 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
         if not any(coeffs):
             continue
         candidate = IntegerPolynomial(tuple(coeffs))
-        for fac in _unique(candidate.factor_irreducible()):
-            poly = fac.normalized() if fac.leading < 0 else fac
+        for poly in _unique(candidate.factor_irreducible()):
             if poly.height > height_bound:
                 continue
             ulps = poly.eval_complex(zw).abs_upper_ulps()

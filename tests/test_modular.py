@@ -346,13 +346,14 @@ class TestFactorIrreducible:
     def test_products_never_certified(self, a, b):
         product = _times(a, b).primitive()
         assert not modular._irreducible_by_degree_pattern(product.coefficients)
-        assert product.factor_irreducible() == \
-            factor_irreducible_reference(product)
+        factors = product.factor_irreducible()
+        assert factors == factor_irreducible_reference(product)
+        assert all(f.leading > 0 for f in factors), factors
 
     def test_certified_exactly_when_irreducible(self):
         # mixed sign and content, a third of them reducible, degrees 1..12:
-        # a reducible one is never certified, and within _PATTERN_CAP
-        # primes every irreducible one of the sweep is
+        # a reducible one is never certified, and over the primes of
+        # _PATTERN_PRIMES every irreducible one of the sweep is
         rng = random.Random(20261019)
         paths = {True: 0, False: 0}
         for _ in range(300):
@@ -366,7 +367,9 @@ class TestFactorIrreducible:
                 poly.primitive().coefficients)
             assert certified == (reference == [poly.normalized()]), poly
             paths[certified] += 1
-            assert poly.factor_irreducible() == reference, poly
+            factors = poly.factor_irreducible()
+            assert factors == reference, poly
+            assert all(f.leading > 0 for f in factors), poly
         assert min(paths.values()) >= 50, paths
 
     @pytest.mark.parametrize("coeffs", SPLIT_EVERYWHERE)
@@ -400,4 +403,11 @@ class TestFactorIrreducible:
             assert (None if got is None else sorted(got)) == want, (coeffs, q)
             refused += want is None
         assert 40 <= refused <= 360
+        # the primes 29..97, whose x^(q+k) rows take the most steps
+        for _ in range(200):
+            coeffs = _random_poly(rng, rng.randint(1, 14), 30).coefficients
+            q = rng.choice(modular._PATTERN_PRIMES[9:])
+            want = factor_degrees_mod(coeffs, q)
+            got = modular._factor_degrees_mod(coeffs, q)
+            assert (None if got is None else sorted(got)) == want, (coeffs, q)
 

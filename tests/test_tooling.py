@@ -55,8 +55,9 @@ with the verification of what it reads;
 ``test_no_module_reads_a_file`` holds them to that.
 Every module-level private name of ``src/quadexp`` is used inside the
 package, not only by the tests; ``test_no_unused_private_name`` holds
-them to that. Every public name and every method is reached from the
-package or ``perfbench/``, save the two library entry points of
+them to that, and ``test_no_unused_import`` holds every module to using
+each name it imports. Every public name and every method is reached from
+the package or ``perfbench/``, save the two library entry points of
 ``ENTRY_POINTS``; ``test_no_unused_public_name`` holds them to that.
 """
 
@@ -470,9 +471,11 @@ def _module_names(tree: ast.Module) -> list[str]:
     return names
 
 
-def _used_names(sources, strings: bool = False) -> set[str]:
-    """Every name that ``sources`` load, read as an attribute or import,
-    and with ``strings`` every dotted part of a string constant."""
+def _used_names(sources, strings: bool = False,
+                imports: bool = True) -> set[str]:
+    """Every name that ``sources`` load, read as an attribute or, with
+    ``imports``, import, and with ``strings`` every dotted part of a string
+    constant."""
     used = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
@@ -481,7 +484,7 @@ def _used_names(sources, strings: bool = False) -> set[str]:
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
                 used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
+            elif imports and isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
             elif (strings and isinstance(node, ast.Constant)
                   and isinstance(node.value, str)):
@@ -511,6 +514,43 @@ def test_no_unused_private_name():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in (ROOT / "src" / "quadexp").glob("*.py")}
     assert _unused_private_names(sources) == set()
+
+
+def _unused_imports(sources: dict[str, str]) -> set[str]:
+    """"module.name" for each name that an import of a module of
+    ``sources``, at any depth, binds and the module neither loads nor reads
+    as an attribute; ``from __future__`` imports and the names listed in
+    ``__all__`` aside."""
+    unused = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        used = _used_names([source], imports=False)
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and
+                    [ast.unparse(t) for t in node.targets] == ["__all__"]):
+                used.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                names = (alias.asname or alias.name.partition(".")[0]
+                         for alias in node.names)
+                unused.update(f"{module}.{name}" for name in names
+                              if name not in used)
+    return unused
+
+
+def test_no_unused_import():
+    # an import that its module never uses is a leftover of removed code
+    control = {"m": "from __future__ import annotations\nimport sys\n"
+                    "import os.path\nfrom math import gcd, pi as PI\n"
+                    "from .x import kept\n__all__ = ['kept']\n"
+                    "def f():\n    import json\n    return os.sep, PI\n",
+               "n": "from m import gcd\nprint(gcd)\n"}
+    assert _unused_imports(control) == {"m.sys", "m.gcd", "m.json"}
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in (ROOT / "src" / "quadexp").glob("*.py")}
+    assert _unused_imports(sources) == set()
 
 
 def _unused_public_names(sources: dict[str, str], users) -> set[str]:
