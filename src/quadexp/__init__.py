@@ -10,7 +10,8 @@ generators), recognition (J evaluation and LLL-based algebraicity tests),
 sklyanin (symbolic relation-system checking), symbolic (the derivation
 suites over sklyanin), pipeline (case runner, range runner, loading
 symbolic and modular only for the runs that use them), cli (the
-``quadexp`` command line).
+``quadexp`` command line). Every layer raises from errors (the exception
+hierarchy under ``QuadexpError``).
 """
 
 from .errors import QuadexpError

@@ -87,14 +87,17 @@ class IntegerPolynomial:
         return p
 
     def factor_irreducible(self) -> list["IntegerPolynomial"]:
-        """Irreducible integer factors of positive degree (content dropped),
-        each primitive with a positive leading coefficient.
+        """The distinct irreducible integer factors of positive degree
+        (content and multiplicities dropped), each once, primitive with a
+        positive leading coefficient.
 
         A primitive part that ``_irreducible_by_degree_pattern`` proves
         irreducible is returned as its own one factor, normalized as sympy
         returns it. Any other goes to sympy's factorization: the program's
-        one use of sympy, imported only then; its ``factor_list`` moves the
-        sign into the content.
+        one use of sympy, imported only then. Its ``factor_list`` lists each
+        distinct factor once, in its own order, and moves the sign into the
+        content; every factor it lists has positive degree, since the
+        primitive part has degree at least 1.
         """
         prim = self.primitive()
         if prim.degree < 1:
@@ -103,13 +106,8 @@ class IntegerPolynomial:
             return [prim.normalized()]
         import sympy
         sym = sympy.Poly(list(reversed(prim.coefficients)), sympy.Symbol("x"))
-        out = []
-        for fac, mult in sym.factor_list()[1]:
-            coeffs = [int(c) for c in reversed(fac.all_coeffs())]
-            poly = IntegerPolynomial(tuple(coeffs))
-            if poly.degree >= 1:
-                out.extend([poly] * mult)
-        return out
+        return [IntegerPolynomial(tuple(map(int, reversed(fac.all_coeffs()))))
+                for fac, _ in sym.factor_list()[1]]
 
     def eval_complex(self, z: FixedComplex) -> FixedComplex:
         p = z.re.scale_bits

@@ -27,8 +27,7 @@ from ._core import DELTA, FloatBreakdown, lll_reduce_rows, lll_reduce_rows_float
 from .errors import (DegenerateBasis, DomainError, InputRational,
                      InsufficientPrecision)
 from .numerics import (FixedComplex, FixedReal, GUARD_BITS, _ceil_div,
-                       _log_positive, _rshift_round, exp_cis, exp_fixed,
-                       log_fixed)
+                       _log_positive, exp_cis, exp_fixed, log_fixed)
 from .quadfield import QuadraticIrrational, UnitElement
 
 if TYPE_CHECKING:
@@ -223,8 +222,7 @@ def _scale_for(deg_bound: int, height_bound: int, trusted: int) -> int:
 def _power_rows(elements: list[FixedComplex], s: int) -> list[list[int]]:
     """The rows of X_s: each element's real and imaginary part times 2**s,
     rounded to integers."""
-    return [[_rshift_round(z.re.mantissa, z.re.scale_bits - s),
-             _rshift_round(z.im.mantissa, z.im.scale_bits - s)]
+    return [[z.re.rescale(s).mantissa, z.im.rescale(s).mantissa]
             for z in elements]
 
 
@@ -318,8 +316,6 @@ def _certified(basis: list[list[int]], scaled: list[list[int]]):
 
 def _below_threshold(ulps: int, scale: int, digits10: int) -> bool:
     """ulps * 2**-scale < 10**-digits10, decided in exact integer arithmetic."""
-    if ulps == 0:
-        return True
     return ulps * 10**digits10 < 1 << scale
 
 
@@ -371,10 +367,7 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
         z, p, powers, height_bound, start)
 
     for coeffs in basis[:6]:
-        if not any(coeffs):
-            continue
-        candidate = IntegerPolynomial(tuple(coeffs))
-        for poly in _unique(candidate.factor_irreducible()):
+        for poly in IntegerPolynomial(tuple(coeffs)).factor_irreducible():
             if poly.height > height_bound:
                 continue
             ulps = poly.eval_complex(zw).abs_upper_ulps()
@@ -384,16 +377,6 @@ def min_poly(z: FixedComplex, deg_bound: int, height_bound: int, p: int,
                     deg_bound, height_bound, p, basis, scale)
     return RecognitionResult(NoRelation(excl),
                              deg_bound, height_bound, p, basis, scale)
-
-
-def _unique(polys):
-    seen = set()
-    out = []
-    for f in polys:
-        if f.coefficients not in seen:
-            seen.add(f.coefficients)
-            out.append(f)
-    return out
 
 
 @dataclass

@@ -27,6 +27,9 @@ normal form as it stood before its rules were indexed by left word, and
 ``complete_reference`` its completion, reducing through it, as it stood
 before one rule index served a whole completion. ``check_certificate``
 checks a reduction's certificate by substituting its listed rewrites.
+``unjoined_overlaps`` lists the critical pairs of a completion's final
+rules that its index does not join, each overlap built with the positions
+of both left words, for the critical-pair lemma's check of ``complete``.
 ``laurent_add``, ``laurent_neg``, ``laurent_mul``, ``laurent_inverse`` and
 ``laurent_conjugate`` are the symbolic layer's coefficient arithmetic on
 plain {monomial: Fraction} dicts, with Fractions throughout, as it stood
@@ -769,6 +772,45 @@ def complete_reference(system):
             enqueue(len(rules) - 1, j)
     rules.sort(key=lambda r: deglex_key(r.lhs), reverse=True)
     return rules, findings
+
+
+def unjoined_overlaps(completed) -> list:
+    """The critical pairs of a completion's final rules that its index does
+    not join, as (word, {name of a, name of b}).
+
+    For every ordered pair (a, b) of ``completed.rules``, each overlap of
+    their left words (a suffix of one glued to a prefix of the other, in
+    both orders, and each position where the shorter lies inside the
+    longer) is rewritten by a at a's position and by b at b's, and both
+    sides are reduced through ``completed.index``. By the critical-pair
+    lemma, rules whose every such pair joins are locally confluent.
+    """
+    from quadexp.sklyanin import NCPolynomial
+
+    def rewritten(w, pos, rule):
+        prefix, suffix = w[:pos], w[pos + len(rule.lhs):]
+        return completed.index.normal_form(NCPolynomial(
+            {prefix + u + suffix: c for u, c in rule.rhs.terms.items()}))
+
+    out = []
+    for a in completed.rules:
+        for b in completed.rules:
+            la, lb = a.lhs, b.lhs
+            overlaps = []  # (word, position of la, position of lb)
+            for k in range(1, min(len(la), len(lb))):
+                if la[-k:] == lb[:k]:
+                    overlaps.append((la + lb[k:], 0, len(la) - k))
+                if lb[-k:] == la[:k]:
+                    overlaps.append((lb + la[k:], len(lb) - k, 0))
+            if len(la) < len(lb):
+                overlaps += [(lb, p, 0) for p in range(len(lb) - len(la) + 1)
+                             if lb[p:p + len(la)] == la]
+            elif len(lb) < len(la):
+                overlaps += [(la, 0, p) for p in range(len(la) - len(lb) + 1)
+                             if la[p:p + len(lb)] == lb]
+            out += [(w, {a.name, b.name}) for w, pa, pb in overlaps
+                    if rewritten(w, pa, a) != rewritten(w, pb, b)]
+    return out
 
 
 def _laurent_collect(terms) -> dict:

@@ -337,9 +337,20 @@ NONCONSTANT = st.lists(st.integers(-60, 60), min_size=2, max_size=8).filter(
 SPLIT_EVERYWHERE = [(1, 0, 0, 0, 1), (1, 0, -10, 0, 1)]  # x^4+1, x^4-10x^2+1
 
 
+def _distinct(factors: list) -> list:
+    """The first occurrence of each factor, in order."""
+    out = []
+    for f in factors:
+        if f not in out:
+            out.append(f)
+    return out
+
+
 class TestFactorIrreducible:
     """``factor_irreducible`` against sympy's ``factor_list`` on both paths:
-    the degree-pattern certificate and the fallback to sympy."""
+    the degree-pattern certificate and the fallback to sympy. The reference
+    repeats each factor by its multiplicity; ``factor_irreducible`` returns
+    each distinct factor once, in the reference's order."""
 
     @settings(max_examples=300, deadline=None)
     @given(NONCONSTANT, NONCONSTANT)
@@ -347,7 +358,7 @@ class TestFactorIrreducible:
         product = _times(a, b).primitive()
         assert not modular._irreducible_by_degree_pattern(product.coefficients)
         factors = product.factor_irreducible()
-        assert factors == factor_irreducible_reference(product)
+        assert factors == _distinct(factor_irreducible_reference(product))
         assert all(f.leading > 0 for f in factors), factors
 
     def test_certified_exactly_when_irreducible(self):
@@ -368,9 +379,16 @@ class TestFactorIrreducible:
             assert certified == (reference == [poly.normalized()]), poly
             paths[certified] += 1
             factors = poly.factor_irreducible()
-            assert factors == reference, poly
+            assert factors == _distinct(reference), poly
             assert all(f.leading > 0 for f in factors), poly
         assert min(paths.values()) >= 50, paths
+
+    def test_repeated_factor_returned_once(self):
+        # x (x^2 - 2)^2 is not squarefree, so it takes sympy's path
+        poly = IntegerPolynomial((0, 4, 0, -4, 0, 1))
+        assert not modular._irreducible_by_degree_pattern(poly.coefficients)
+        assert poly.factor_irreducible() == [IntegerPolynomial((0, 1)),
+                                             IntegerPolynomial((-2, 0, 1))]
 
     @pytest.mark.parametrize("coeffs", SPLIT_EVERYWHERE)
     def test_split_everywhere_falls_back(self, coeffs):

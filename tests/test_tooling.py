@@ -59,6 +59,9 @@ them to that, and ``test_no_unused_import`` holds every module to using
 each name it imports. Every public name and every method is reached from
 the package or ``perfbench/``, save the two library entry points of
 ``ENTRY_POINTS``; ``test_no_unused_public_name`` holds them to that.
+README's "Layout" block and the package docstring name every module of
+``src/quadexp`` and no other;
+``test_layout_and_docstring_name_every_module`` holds them to that.
 """
 
 import ast
@@ -417,6 +420,31 @@ def test_modules_parse_with_the_oldest_declared_grammar():
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
                   feature_version=(3, 10))
+
+
+def _unnamed_modules(modules: set[str], readme: str, docstring: str):
+    """Two sets: the names that ``modules`` and README's "Layout" block do
+    not share, and those that ``modules`` and the package docstring do not
+    share. A Layout line starts with ``name.py``; the docstring names a
+    module as ``name (``."""
+    layout = re.search(r"^## Layout\n\n```\n(.*?)```", readme,
+                       re.M | re.S).group(1)
+    listed = set(re.findall(r"^  (\w+)\.py\b", layout, re.M))
+    named = set(re.findall(r"(\w+) \(", docstring))
+    return modules ^ listed, modules ^ named
+
+
+def test_layout_and_docstring_name_every_module():
+    modules = {path.stem for path in (ROOT / "src" / "quadexp").glob("*.py")
+               if path.stem != "__init__"}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _unnamed_modules(modules, readme, quadexp.__doc__) == \
+        (set(), set())
+    # the control: a module list with one name removed must report that
+    # name from both texts, or the texts were not read
+    for name in modules:
+        assert _unnamed_modules(modules - {name}, readme, quadexp.__doc__) \
+            == ({name}, {name})
 
 
 def _file_reads(source: str) -> list[int]:
