@@ -516,7 +516,8 @@ class OverlapFinding:
     word: str
     rule_a: str
     rule_b: str
-    status: str  # "joined" | "new_rule" | "unorientable" | "over_degree"
+    status: str  # "joined" | "new_rule" | "unorientable" | "over_degree" | "unit_ideal"
+    # (unit_ideal: the resolvent is an invertible constant, so 1 = 0; completion stops)
     detail: str = ""
 
     def to_json(self):
@@ -544,34 +545,42 @@ class CompletedSystem:
     @property
     def nonconfluent(self) -> list[OverlapFinding]:
         return [f for f in self.findings
-                if f.status in ("unorientable", "over_degree")]
+                if f.status in ("unorientable", "over_degree", "unit_ideal")]
 
 
-def _overlap_words(l1: Word, l2: Word):
-    """Nontrivial overlaps: suffix-prefix gluings and full containments.
+def _overlap_words(l1: Word, l2: Word, one_rule: bool):
+    """The critical pairs of two rules with left words l1 and l2, as
+    (word, position of l1, position of l2).
 
-    Unordered: the critical-pair heap orders them.
+    Each suffix of one glued to a prefix of the other, in both orders, and
+    each position where one lies inside the other, equal left words at
+    (0, 0) included. A rule paired with itself (one_rule) has each gluing
+    once, not also mirrored, and no inclusion. Unordered: the critical-pair
+    heap orders them.
     """
-    out = set()
-    for k in range(1, min(len(l1), len(l2))):
-        if l1[-k:] == l2[:k]:
-            out.add(l1 + l2[k:])
-        if l2[-k:] == l1[:k]:
-            out.add(l2 + l1[k:])
-    short, long = (l1, l2) if len(l1) <= len(l2) else (l2, l1)
-    if len(short) < len(long) and _find_sub(long, short) is not None:
-        out.add(long)
-    return out
+    n1, n2 = len(l1), len(l2)
+    out = [(l1 + l2[k:], 0, n1 - k) for k in range(1, min(n1, n2))
+           if l1[-k:] == l2[:k]]
+    if one_rule:
+        return out
+    out += [(l2 + l1[k:], n2 - k, 0) for k in range(1, min(n1, n2))
+            if l2[-k:] == l1[:k]]
+    if n2 <= n1:
+        return out + [(l1, 0, p) for p in range(n1 - n2 + 1) if l1[p:p + n2] == l2]
+    return out + [(l2, p, 0) for p in range(n2 - n1 + 1) if l2[p:p + n1] == l1]
 
 
 def complete(system: RelationSystem) -> CompletedSystem:
     """Bounded Knuth-Bendix style saturation of the oriented rules.
 
-    Critical pairs are resolved in deglex order of their overlap word, then
-    by the indices of the two rules. New rules only join critical pairs
-    whose resolvent has monomial leading coefficient and lead word of
-    length at most DEGREE_BOUND; everything else becomes a reported
-    finding. Every added rule is an exact consequence of the input ideal
+    Both rules of each critical pair from ``_overlap_words`` rewrite its
+    word at their own positions. Pairs are resolved in deglex order of
+    their overlap word, then by the rule indices and positions; each pair of
+    rules is enqueued once. New rules only join critical pairs whose
+    resolvent has monomial leading coefficient and lead word of length at
+    most DEGREE_BOUND; everything else becomes a reported finding, and an
+    invertible constant resolvent (1 = 0) a ``unit_ideal`` one that stops
+    completion. Every added rule is an exact consequence of the input ideal
     (each critical pair is formed from two rewrites of one word). More
     than MAX_RULES rules raise StepBoundExceeded. The rules are indexed
     once, and each added rule joins the index, which both sides of every
@@ -582,27 +591,19 @@ def complete(system: RelationSystem) -> CompletedSystem:
     rules = list(system.rewrites)
     index = _RuleIndex(rules)
     findings: list[OverlapFinding] = []
-    queue: list[tuple[tuple[int, Word], int, int]] = []
+    queue: list[tuple[tuple[int, Word], int, int, int, int]] = []
 
     def enqueue(i, j):
-        for w in _overlap_words(rules[i].lhs, rules[j].lhs):
-            heapq.heappush(queue, (deglex_key(w), i, j))
+        for w, pos_a, pos_b in _overlap_words(rules[i].lhs, rules[j].lhs, i == j):
+            heapq.heappush(queue, (deglex_key(w), i, j, pos_a, pos_b))
 
     for i in range(len(rules)):
         for j in range(i, len(rules)):
             enqueue(i, j)
 
-    seen = set()
     while queue:
-        (_, w), ia, ib = heapq.heappop(queue)
-        key = (w, rules[ia].lhs, rules[ib].lhs)
-        if key in seen:
-            continue
-        seen.add(key)
+        (_, w), ia, ib, pos_a, pos_b = heapq.heappop(queue)
         ra, rb = rules[ia], rules[ib]
-        # locate actual positions of both lhs inside w
-        pos_a = _find_sub(w, ra.lhs)
-        pos_b = _find_sub(w, rb.lhs, prefer_late=True)
         nf1 = index.normal_form(NCPolynomial(_apply_at(w, pos_a, ra)))
         nf2 = index.normal_form(NCPolynomial(_apply_at(w, pos_b, rb)))
         if nf1 == nf2:
@@ -616,6 +617,11 @@ def complete(system: RelationSystem) -> CompletedSystem:
                 word_str(w), ra.name, rb.name, "unorientable",
                 f"lead {word_str(lead)} has non-invertible coefficient {lead_coeff!r}"))
             continue
+        if not lead:
+            findings.append(OverlapFinding(
+                word_str(w), ra.name, rb.name, "unit_ideal",
+                f"resolvent {g!r} is an invertible constant, so 1 = 0"))
+            break
         if len(lead) > DEGREE_BOUND:
             findings.append(OverlapFinding(
                 word_str(w), ra.name, rb.name, "over_degree",
@@ -636,17 +642,6 @@ def complete(system: RelationSystem) -> CompletedSystem:
     # index stays that of the sorted rules
     rules.sort(key=lambda r: deglex_key(r.lhs), reverse=True)
     return CompletedSystem(system, rules, findings, index)
-
-
-def _find_sub(w: Word, sub: Word, prefer_late: bool = False):
-    """The first position of sub in w, scanning from the right end if
-    prefer_late, or None."""
-    n = len(sub)
-    starts = range(len(w) - n, -1, -1) if prefer_late else range(len(w) - n + 1)
-    for p in starts:
-        if w[p:p + n] == sub:
-            return p
-    return None
 
 
 # -- derivation and equivalence checking ----------------------------------------

@@ -29,7 +29,8 @@ before one rule index served a whole completion. ``check_certificate``
 checks a reduction's certificate by substituting its listed rewrites.
 ``unjoined_overlaps`` lists the critical pairs of a completion's final
 rules that its index does not join, each overlap built with the positions
-of both left words, for the critical-pair lemma's check of ``complete``.
+of both left words by ``overlaps_reference``, for the critical-pair
+lemma's check of ``complete``.
 ``laurent_add``, ``laurent_neg``, ``laurent_mul``, ``laurent_inverse`` and
 ``laurent_conjugate`` are the symbolic layer's coefficient arithmetic on
 plain {monomial: Fraction} dicts, with Fractions throughout, as it stood
@@ -686,9 +687,13 @@ def complete_reference(system):
     """Rules and findings of ``quadexp.sklyanin.complete``, each pair reduced
     through ``reduce_reference``.
 
-    The completion as it stood before it kept one rule index: both sides
-    of a critical pair are built as prefix * rhs * suffix and reduced under
-    the rule list as it stands. Returns (rules, findings).
+    The completion as it stood before it kept one rule index or carried
+    each pair's positions: both sides of a critical pair are built as
+    prefix * rhs * suffix, at the leftmost position of the first rule's
+    left word and the rightmost of the second's, and reduced under the rule
+    list as it stands. So it agrees with ``complete`` where each left word
+    occurs once in its overlap word, as in every suite. Returns (rules,
+    findings).
     """
     import heapq
 
@@ -774,16 +779,41 @@ def complete_reference(system):
     return rules, findings
 
 
+def overlaps_reference(la, lb, same_rule: bool) -> list:
+    """The overlaps of the left words la and lb of an ordered pair of rules,
+    as (word, position of la, position of lb).
+
+    A suffix of one glued to a prefix of the other, in both orders, and
+    each position where the shorter lies inside the longer. Two distinct
+    rules with equal left words also overlap at (0, 0); a rule paired with
+    itself does not, and has each gluing in both orders.
+    """
+    overlaps = []
+    for k in range(1, min(len(la), len(lb))):
+        if la[-k:] == lb[:k]:
+            overlaps.append((la + lb[k:], 0, len(la) - k))
+        if lb[-k:] == la[:k]:
+            overlaps.append((lb + la[k:], len(lb) - k, 0))
+    if len(la) < len(lb):
+        overlaps += [(lb, p, 0) for p in range(len(lb) - len(la) + 1)
+                     if lb[p:p + len(la)] == la]
+    elif len(lb) < len(la):
+        overlaps += [(la, 0, p) for p in range(len(la) - len(lb) + 1)
+                     if la[p:p + len(lb)] == lb]
+    elif la == lb and not same_rule:
+        overlaps.append((la, 0, 0))
+    return overlaps
+
+
 def unjoined_overlaps(completed) -> list:
     """The critical pairs of a completion's final rules that its index does
     not join, as (word, {name of a, name of b}).
 
     For every ordered pair (a, b) of ``completed.rules``, each overlap of
-    their left words (a suffix of one glued to a prefix of the other, in
-    both orders, and each position where the shorter lies inside the
-    longer) is rewritten by a at a's position and by b at b's, and both
-    sides are reduced through ``completed.index``. By the critical-pair
-    lemma, rules whose every such pair joins are locally confluent.
+    their left words (``overlaps_reference``) is rewritten by a at a's
+    position and by b at b's, and both sides are reduced through
+    ``completed.index``. By the critical-pair lemma, rules whose every such
+    pair joins are locally confluent.
     """
     from quadexp.sklyanin import NCPolynomial
 
@@ -793,22 +823,10 @@ def unjoined_overlaps(completed) -> list:
             {prefix + u + suffix: c for u, c in rule.rhs.terms.items()}))
 
     out = []
-    for a in completed.rules:
-        for b in completed.rules:
-            la, lb = a.lhs, b.lhs
-            overlaps = []  # (word, position of la, position of lb)
-            for k in range(1, min(len(la), len(lb))):
-                if la[-k:] == lb[:k]:
-                    overlaps.append((la + lb[k:], 0, len(la) - k))
-                if lb[-k:] == la[:k]:
-                    overlaps.append((lb + la[k:], len(lb) - k, 0))
-            if len(la) < len(lb):
-                overlaps += [(lb, p, 0) for p in range(len(lb) - len(la) + 1)
-                             if lb[p:p + len(la)] == la]
-            elif len(lb) < len(la):
-                overlaps += [(la, 0, p) for p in range(len(la) - len(lb) + 1)
-                             if la[p:p + len(lb)] == lb]
-            out += [(w, {a.name, b.name}) for w, pa, pb in overlaps
+    for i, a in enumerate(completed.rules):
+        for j, b in enumerate(completed.rules):
+            out += [(w, {a.name, b.name})
+                    for w, pa, pb in overlaps_reference(a.lhs, b.lhs, i == j)
                     if rewritten(w, pa, a) != rewritten(w, pb, b)]
     return out
 

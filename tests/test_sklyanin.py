@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 import warnings
 from fractions import Fraction
 
@@ -11,14 +12,16 @@ from quadexp.errors import (ConstraintViolated, DomainError, PoleError,
                             StepBoundExceeded)
 from quadexp.sklyanin import (Coeff, MU_C, MU_INV, NCPolynomial, ONE,
                               RelationSystem, ZETA_C, ZETA_INV, build_system,
-                              check_derivation, complete, jacobi_coefficients,
-                              reduce, star, star_invariance_constraints,
+                              check_derivation, complete, deglex_key,
+                              jacobi_coefficients, reduce, star,
+                              star_invariance_constraints,
                               substitute_coefficients, systems_equivalent,
                               systems_identical)
 
 from oracles import (check_certificate, complete_reference, laurent_add,
                      laurent_conjugate, laurent_inverse, laurent_mul,
-                     laurent_neg, reduce_reference, unjoined_overlaps)
+                     laurent_neg, overlaps_reference, reduce_reference,
+                     unjoined_overlaps)
 
 W = NCPolynomial.word
 
@@ -261,6 +264,11 @@ def _unnamed_overlaps(comp) -> list:
             if (sklyanin.word_str(w), frozenset(names)) not in named]
 
 
+def _system(rels) -> RelationSystem:
+    """One relation per (left word, right side) pair."""
+    return RelationSystem("s", [sklyanin.Relation((lhs,), rhs) for lhs, rhs in rels])
+
+
 # ordered overlaps of the final rules that the completion leaves unjoined
 _UNJOINED = {"scaled_eq17": 8, "reduced_eq18": 66}
 
@@ -283,6 +291,66 @@ class TestCriticalPairs:
         raw = sklyanin.CompletedSystem(system, rules, [],
                                        sklyanin._RuleIndex(rules))
         assert len(_unnamed_overlaps(raw)) == len(unjoined_overlaps(raw)) == 20
+
+    def test_overlap_words_match_reference(self):
+        # every ordered pair of words of length 1-4 over x1..x3: the same
+        # (word, position, position) triples, each once; a rule paired with
+        # itself has each mirrored gluing once and no inclusion
+        words = [w for n in range(1, 5)
+                 for w in itertools.product((1, 2, 3), repeat=n)]
+        distinct = 0
+        for l1 in words:
+            for l2 in words:
+                ref = overlaps_reference(l1, l2, False)
+                assert sorted(sklyanin._overlap_words(l1, l2, False)) == sorted(ref)
+                distinct += len(ref) if l1 != l2 else 0
+            mirrored = {(w, min(pa, pb), max(pa, pb))
+                        for w, pa, pb in overlaps_reference(l1, l1, True)}
+            assert sorted(sklyanin._overlap_words(l1, l1, True)) == sorted(mirrored)
+        assert distinct == 13860
+
+    def test_equal_left_words_are_a_critical_pair(self):
+        # x2x1 -> 1 and x2x1 -> x1x3 give x1x3 -> 1; the index keeps only
+        # the first rule for x2x1, so a completion that skips the pair
+        # leaves it unjoined
+        comp = complete(_system([((2, 1), NCPolynomial.unit()),
+                                 ((2, 1), W((1, 3)))]))
+        assert len(comp.rules) == 5
+        assert not comp.nonconfluent
+        assert unjoined_overlaps(comp) == []
+        assert reduce(W((1, 3)), comp.rules) == NCPolynomial.unit()
+
+    def test_invertible_constant_resolvent_is_unit_ideal(self):
+        # x2x1 -> 1 and x1x1 -> 0 give x1 -> 0, so 1 = x2x1 = 0
+        comp = complete(_system([((2, 1), NCPolynomial.unit()),
+                                 ((1, 1), NCPolynomial.zero())]))
+        assert [f.status for f in comp.nonconfluent] == ["unit_ideal"]
+        assert comp.findings[-1].status == "unit_ideal"
+        assert all(r.lhs for r in comp.rules)
+
+    def test_census_claims_no_false_confluence(self):
+        # 300 seeded systems of 2-3 rules over x1..x3 with left words of
+        # length 2-3; each right side is 0 or one deglex-smaller word (the
+        # empty word included) with coefficient +-1. Right sides of one
+        # word keep normal forms small: two-word right sides make them grow
+        # without bound, which this census does not cover.
+        rng = random.Random(1)
+        words = [w for n in range(4) for w in itertools.product((1, 2, 3), repeat=n)]
+        claims = 0
+        for _ in range(300):
+            rels = []
+            for _ in range(rng.randint(2, 3)):
+                lhs = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(2, 3)))
+                smaller = [w for w in words if deglex_key(w) < deglex_key(lhs)]
+                rhs = (W(rng.choice(smaller), Coeff.rational(rng.choice((1, -1))))
+                       if rng.randint(0, 1) else NCPolynomial.zero())
+                rels.append((lhs, rhs))
+            comp = complete(_system(rels))
+            if not comp.nonconfluent:
+                claims += 1
+                assert unjoined_overlaps(comp) == [], comp.system.relations
+        assert claims == 245
+
 
 
 class TestBounds:
