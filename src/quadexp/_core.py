@@ -3,7 +3,8 @@
 ``lll_reduce_rows`` is the exact kernel: the integral variant maintaining
 the Gram determinants d[i] and scaled Gram-Schmidt coefficients
 lam[i][j] = d[j] * mu_ij, so every division is exact and no floating point
-is involved. Its result meets the Lovász condition exactly.
+is involved. It computes them once, with ``_gram_schmidt``, and reduces at
+``DELTA`` directly; its result meets the Lovász condition exactly.
 
 ``lll_reduce_rows_float`` is the floating-point kernel, shaped after L²
 (Nguyen–Stehlé, "An LLL algorithm with quadratic complexity", SIAM J.
@@ -16,8 +17,10 @@ loop. It is faster on large entries, but its result meets the Lovász
 condition only up to rounding, and it may break down; it then raises
 ``FloatBreakdown`` and the caller reduces exactly instead.
 
-Both kernels climb the constant ``LADDER`` 3/4, 9/10 to the one Lovász
-parameter ``DELTA`` = 99/100; the lower rungs only save swaps.
+Both end at the one Lovász parameter ``DELTA`` = 99/100. The float kernel
+climbs to it by ``LADDER`` 3/4, 9/10; its rungs are part of the pinned
+output (without them d = 14's fourth exclusion height moves from 5261354 to
+5861935, and a serial recognize pass takes 1.67-1.95 s, not 1.40-1.55 s).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from operator import add, mul, sub
 # Read by the environment block of perfbench/run.py.
 BACKEND = "python"
 
-# the Lovász parameter (num, den) of every reduction, and the rungs to it
+# the one Lovász parameter (num, den), and the float kernel's rungs to it
 DELTA = (99, 100)
 LADDER = ((3, 4), (9, 10), DELTA)
 
@@ -55,48 +58,46 @@ def lll_reduce_rows(rows):
     """
     b = _int_rows(rows)
     n = len(b)
-    if n == 0:
-        return []
-
-    # d[0..n], lam[i][j] valid for 1 <= j < i <= n (1-based like the
-    # classical description; row i of the basis is b[i-1]).
-    d = [0] * (n + 1)
-    d[0] = 1
-    lam = [[0] * (n + 1) for _ in range(n + 1)]
-
-    d[1] = _dot(b[0], b[0])
-    if d[1] == 0:
-        raise ValueError("dependent rows (zero vector)")
-    kmax = 1
-
-    for num, den in LADDER:
-        k = 2
-        while k <= n:
-            if k > kmax:
-                kmax = k
-                for j in range(1, k + 1):
-                    s = _dot(b[k - 1], b[j - 1])
-                    for i in range(1, j):
-                        s = (d[i] * s - lam[k][i] * lam[j][i]) // d[i - 1]
-                    if j < k:
-                        lam[k][j] = s
-                    else:
-                        if s == 0:
-                            raise ValueError("dependent rows")
-                        d[k] = s
-            while True:
-                _red(b, d, lam, k, k - 1)
-                # a swap would make d[k-1] = d_num // d[k-1]; _swap reuses it
-                d_num = d[k] * d[k - 2] + lam[k][k - 1] ** 2
-                if den * d_num < num * d[k - 1] ** 2:
-                    _swap(b, d, lam, k, kmax, d_num)
-                    k = max(2, k - 1)
-                else:
-                    for l in range(k - 2, 0, -1):
-                        _red(b, d, lam, k, l)
-                    k += 1
-                    break
+    d, lam = _gram_schmidt(b)
+    if 0 in d:
+        raise ValueError("dependent rows")
+    num, den = DELTA
+    k = 2
+    while k <= n:
+        _red(b, d, lam, k, k - 1)
+        # a swap would make d[k-1] = d_num // d[k-1]; _swap reuses it
+        d_num = d[k] * d[k - 2] + lam[k][k - 1] ** 2
+        if den * d_num < num * d[k - 1] ** 2:
+            _swap(b, d, lam, k, d_num)
+            k = max(2, k - 1)
+        else:
+            for l in range(k - 2, 0, -1):
+                _red(b, d, lam, k, l)
+            k += 1
     return b
+
+
+def _gram_schmidt(rows):
+    """1-based integral Gram-Schmidt data (d, lam) of the rows (row i is
+    rows[i-1]): the Gram determinant d[k] of the first k rows, d[0] = 1, and
+    lam[i][j] = d[j] mu_ij (Cohen, GTM 138, Alg. 2.6.7). d is 0 from the
+    first row dependent on those before it, and rows below it get no lam."""
+    n = len(rows)
+    d = [1] + [0] * n
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+    for k in range(1, n + 1):
+        lamk = lam[k]
+        for j in range(1, k + 1):
+            s = _dot(rows[k - 1], rows[j - 1])
+            for i in range(1, j):
+                s = (d[i] * s - lamk[i] * lam[j][i]) // d[i - 1]
+            if j < k:
+                lamk[j] = s
+            else:
+                d[k] = s
+        if d[k] == 0:
+            break
+    return d, lam
 
 
 def _dot(x, y):
@@ -123,7 +124,7 @@ def _red(b, d, lam, k, l):
         lamk[i] -= q * laml[i]
 
 
-def _swap(b, d, lam, k, kmax, d_num):
+def _swap(b, d, lam, k, d_num):
     # d_num = d[k-2] d[k] + lam[k][k-1]**2, from the Lovász test
     b[k - 1], b[k - 2] = b[k - 2], b[k - 1]
     lamk = lam[k]
@@ -132,7 +133,7 @@ def _swap(b, d, lam, k, kmax, d_num):
         lamk[j], lamk1[j] = lamk1[j], lamk[j]
     lab = lamk[k - 1]
     bness = d_num // d[k - 1]
-    for i in range(k + 1, kmax + 1):
+    for i in range(k + 1, len(d)):
         lami = lam[i]
         t = lami[k]
         lami[k] = (d[k] * lami[k - 1] - lab * t) // d[k - 1]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -338,9 +339,13 @@ def _process_map(fn, items: list, workers: int) -> list:
         import multiprocessing  # here, so that serial runs never load it
         if multiprocessing.parent_process() is None:
             from concurrent.futures import ProcessPoolExecutor
-            # the default start method: fork on Linux (to Python 3.13),
-            # which starts in milliseconds and leaves no process behind
-            pool = ProcessPoolExecutor(max_workers=workers)
+            # fork on Linux, which starts in milliseconds, re-imports
+            # nothing and leaves no process behind; Python 3.14 defaults
+            # to forkserver there. Elsewhere the platform's default.
+            context = (multiprocessing.get_context("fork")
+                       if sys.platform == "linux" else None)
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       mp_context=context)
             try:
                 return list(pool.map(fn, items))
             finally:

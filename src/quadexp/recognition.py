@@ -23,7 +23,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import TYPE_CHECKING
 
-from ._core import DELTA, FloatBreakdown, lll_reduce_rows, lll_reduce_rows_float
+from ._core import (DELTA, FloatBreakdown, _gram_schmidt, lll_reduce_rows,
+                    lll_reduce_rows_float)
 from .errors import (DegenerateBasis, DomainError, InputRational,
                      InsufficientPrecision)
 from .numerics import (FixedComplex, FixedReal, GUARD_BITS, _ceil_div,
@@ -115,31 +116,6 @@ def evaluate_J(thetas: list[QuadraticIrrational], epsilon: UnitElement,
 
 
 # -- LLL wrapper -----------------------------------------------------------------
-
-
-def _int_det(matrix: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
 
 
 def lll_reduce(basis) -> list[list[int]]:
@@ -300,17 +276,18 @@ def _certified(basis: list[list[int]], scaled: list[list[int]]):
     """The coefficient parts C of rows proven a basis of [I | X].
 
     X is given by the tail columns ``scaled``: the rows must be C [I | X],
-    with det C = +-1. ``DegenerateBasis`` is raised otherwise.
+    with det C = +-1, read as the Gram determinant det(C C^T) = 1 of
+    ``_gram_schmidt``. ``DegenerateBasis`` is raised otherwise.
     """
     n = len(scaled)
     coeffs = [row[:n] for row in basis]
     if len(basis) != n or any(row[n:] != _tails(c, scaled)
                               for row, c in zip(basis, coeffs)):
         raise DegenerateBasis("reduced rows are not C [I | X_s]")
-    det = _int_det(coeffs)
-    if det not in (1, -1):
-        raise DegenerateBasis(f"reduced coefficient determinant {det}, "
-                              "expected +-1")
+    gram_det = _gram_schmidt(coeffs)[0][n]
+    if gram_det != 1:
+        raise DegenerateBasis(f"reduced coefficient Gram determinant "
+                              f"{gram_det}, expected 1 (det C = +-1)")
     return coeffs
 
 

@@ -16,8 +16,8 @@ are the reduction step and the reduced-form test on (a, b, c) triples,
 written from their definitions: the cycle references walk with the first,
 and the tests hold ``classforms._rho`` to both.
 ``lll_reference`` is the library's exact LLL kernel as it stood before its
-swap reused the Lovász test's product, kept so that the kernel can be
-checked against it.
+swap reused the Lovász test's product and its Gram-Schmidt data were
+computed up front, kept so that the kernel can be checked against it.
 ``float_lll_reference`` is the float LLL kernel as it stood before its loop
 was fused, kept for the same check.
 ``cold_relation_basis`` is the relation search's lattice reduced in one jump
@@ -327,11 +327,15 @@ def shortest_vector_brute(rows, coeff_bound: int = 4) -> int:
 def lll_reference(rows, delta_num=99, delta_den=100):
     """(reduced_rows, transform) of exact integer LLL on independent rows.
 
-    The integral Gram-determinant recurrences and delta ladder of
-    ``quadexp._core.lll_reduce_rows``, with the swap recomputing
-    d[k-2] d[k] + lam[k][k-1]**2 instead of taking it from the Lovász test,
-    and with the transform (transform @ rows == reduced_rows) that the
-    kernel does not track.
+    The integral Gram-determinant recurrences of
+    ``quadexp._core.lll_reduce_rows``, reducing at delta directly as it
+    does, but in a second formulation: the Gram-Schmidt data of row k are
+    computed lazily, when k first exceeds every row reached before
+    (``kmax``), where the kernel computes all of them up front with
+    ``_gram_schmidt``; the swap recomputes d[k-2] d[k] + lam[k][k-1]**2
+    instead of taking it from the Lovász test; and the transform
+    (transform @ rows == reduced_rows), which the kernel does not track, is
+    kept.
     """
     n = len(rows)
     b = [list(map(int, r)) for r in rows]
@@ -366,31 +370,27 @@ def lll_reference(rows, delta_num=99, delta_den=100):
             lam[i][k - 1] = (bness * t + lab * lam[i][k]) // d[k]
         d[k - 1] = bness
 
-    ladder = [(a, c) for a, c in ((3, 4), (9, 10)) if a * delta_den < delta_num * c]
-    ladder.append((delta_num, delta_den))
-    for num, den in ladder:
-        k = 2
-        while k <= n:
-            if k > kmax:
-                kmax = k
-                for j in range(1, k + 1):
-                    s = sum(x * y for x, y in zip(b[k - 1], b[j - 1]))
-                    for i in range(1, j):
-                        s = (d[i] * s - lam[k][i] * lam[j][i]) // d[i - 1]
-                    if j < k:
-                        lam[k][j] = s
-                    else:
-                        d[k] = s
-            while True:
-                red(k, k - 1)
-                if den * (d[k] * d[k - 2] + lam[k][k - 1] ** 2) < num * d[k - 1] ** 2:
-                    swap(k)
-                    k = max(2, k - 1)
+    k = 2
+    while k <= n:
+        if k > kmax:
+            kmax = k
+            for j in range(1, k + 1):
+                s = sum(x * y for x, y in zip(b[k - 1], b[j - 1]))
+                for i in range(1, j):
+                    s = (d[i] * s - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = s
                 else:
-                    for l in range(k - 2, 0, -1):
-                        red(k, l)
-                    k += 1
-                    break
+                    d[k] = s
+        red(k, k - 1)
+        if (delta_den * (d[k] * d[k - 2] + lam[k][k - 1] ** 2)
+                < delta_num * d[k - 1] ** 2):
+            swap(k)
+            k = max(2, k - 1)
+        else:
+            for l in range(k - 2, 0, -1):
+                red(k, l)
+            k += 1
     return b, u
 
 

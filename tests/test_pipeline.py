@@ -454,12 +454,19 @@ class TestRunRange:
 def serial_pool(monkeypatch):
     """Sizes of the pools built while the test runs, each a stand-in for
     ``ProcessPoolExecutor`` that runs its tasks in this process as a worker
-    would: there ``multiprocessing.parent_process()`` is not None."""
-    sizes = []
+    would: there ``multiprocessing.parent_process()`` is not None. The
+    pools' ``mp_context`` arguments are listed in its ``contexts``."""
+
+    class Sizes(list):
+        pass
+
+    sizes = Sizes()
+    sizes.contexts = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             sizes.append(max_workers)
+            sizes.contexts.append(mp_context)
 
         def map(self, fn, iterable):
             with monkeypatch.context() as worker:
@@ -493,6 +500,20 @@ print(json.dumps([r.dumps(with_timing=False) for r in reports]))
 
 
 class TestSearchPool:
+    @pytest.mark.parametrize("platform", ["linux", "darwin"])
+    def test_pool_forks_on_linux(self, serial_pool, monkeypatch, platform):
+        # fork on Linux, where Python 3.14 defaults to forkserver, which
+        # would re-import quadexp in every worker and leave a server
+        # process; elsewhere the platform's default start method
+        monkeypatch.setattr(pipeline.sys, "platform", platform)
+        assert pipeline._process_map(abs, [1, -2], 2) == [1, 2]
+        assert serial_pool == [2]
+        context, = serial_pool.contexts
+        if platform == "linux":
+            assert context.get_start_method() == "fork"
+        else:
+            assert context is None
+
     def test_pooled_reports_match_serial(self, monkeypatch):
         # the serial side runs on one CPU in a fresh interpreter, which
         # then must not load the pool at all

@@ -1,4 +1,5 @@
 import random
+from operator import mul
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,11 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (cold_relation_basis, complex_of_real, control_minpoly,
                      control_value, det_reference, evaluate_J_reference,
-                     float_lll_reference, is_basis_of, lll_reference,
-                     lovasz_holds, matches_lll_reference,
+                     float_lll_reference, gram_schmidt_mu, is_basis_of,
+                     lll_reference, lovasz_holds, matches_lll_reference,
                      shortest_vector_brute)
 from quadexp import _core, pipeline, recognition
-from quadexp._core import FloatBreakdown, lll_reduce_rows, lll_reduce_rows_float
+from quadexp._core import (FloatBreakdown, _gram_schmidt, lll_reduce_rows,
+                          lll_reduce_rows_float)
 from quadexp.classforms import (class_group, match_conductor,
                                 pseudo_lattice_reps)
 from quadexp.errors import (DegenerateBasis, DomainError, InputRational,
@@ -23,7 +25,7 @@ from quadexp.pipeline import CaseParams, _conjugacy, run_case
 from quadexp.quadfield import OrderDescriptor, QuadraticIrrational, fundamental_unit
 from quadexp.recognition import (DEFAULT_DELTA, DEFAULT_HEIGHT_BOUND,
                                  LOG10_2, RUNG_BITS, Membership, NotFound,
-                                 _certified, _int_det, _tails, evaluate_J,
+                                 _certified, _tails, evaluate_J,
                                  j_function, lll_reduce, member_of_field,
                                  min_poly)
 
@@ -193,8 +195,9 @@ def far_apart_lattice(order: int) -> tuple[list[list[int]], list[list[int]]]:
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Counts of relation searches and of exact reductions among them."""
-    counts = {"searches": 0, "exact": 0}
+    """Counts of relation searches, of exact reductions among them and of
+    those whose output differs from their input."""
+    counts = {"searches": 0, "exact": 0, "changed": 0}
     search, reduce = recognition._relation_search, recognition.lll_reduce
 
     def search_spy(*args, **kwargs):
@@ -203,7 +206,9 @@ def searches(monkeypatch):
 
     def reduce_spy(basis):
         counts["exact"] += 1
-        return reduce(basis)
+        reduced = reduce(basis)
+        counts["changed"] += reduced != basis
+        return reduced
 
     monkeypatch.setattr(recognition, "_relation_search", search_spy)
     monkeypatch.setattr(recognition, "lll_reduce", reduce_spy)
@@ -217,7 +222,7 @@ class TestFloatLLL:
     def test_output_is_basis_of_input_lattice(self):
         checked = 0
         for rows in kernel_lattices(17):
-            if _int_det([row[:len(rows)] for row in rows]) == 0:
+            if det_reference([row[:len(rows)] for row in rows]) == 0:
                 continue
             reduced = lll_reduce_rows_float(rows)
             assert is_basis_of(reduced, rows)
@@ -226,7 +231,7 @@ class TestFloatLLL:
 
     def test_lovasz_holds(self):
         for rows in kernel_lattices(29):
-            if _int_det([row[:len(rows)] for row in rows]) == 0:
+            if det_reference([row[:len(rows)] for row in rows]) == 0:
                 continue
             reduced = lll_reduce_rows_float(rows)
             assert lovasz_holds(reduced, Fraction(98, 100))
@@ -245,7 +250,7 @@ class TestFloatLLL:
         # per-row exponent holds them
         rows, tails = far_apart_lattice(order)
         reduced = lll_reduce_rows_float(rows)
-        assert _int_det(_certified(reduced, tails)) in (1, -1)
+        assert det_reference(_certified(reduced, tails)) in (1, -1)
         assert lovasz_holds(reduced, Fraction(98, 100))
 
     def test_kernel_matches_reference(self, monkeypatch):
@@ -332,9 +337,10 @@ class TestFloatLLL:
         r = min_poly(probe_value("sqrt2+sqrt3", p), 6, 10**6, p)
         assert r.recognized
         assert r.verdict.minpoly.coefficients == (1, 0, -10, 0, 1)
-        assert _int_det(r.coefficient_basis) in (1, -1)
+        assert det_reference(r.coefficient_basis) in (1, -1)
         # every rung reduced exactly, then the top rung once more
-        assert searches == {"searches": 1, "exact": len(rungs) + 1}
+        assert searches["searches"] == 1
+        assert searches["exact"] == len(rungs) + 1
 
     def test_real_breakdown_recognized_through_exact_kernel(self,
                                                             monkeypatch):
@@ -397,11 +403,13 @@ class TestRungKernelInPipeline:
     def test_no_rung_falls_back(self, searches, d, p, direction):
         # the benchmark's recognize cases and the 1024-bit case: the float
         # kernel holds on every rung, so the one exact reduction of each
-        # search is the final one
+        # search is the final one, and it leaves the float-reduced rows as
+        # they are
         run_case(d, CaseParams(precision_bits=p,
                                conductor_direction=direction))
         assert searches["searches"] > 0
         assert searches["exact"] == searches["searches"]
+        assert searches["changed"] == 0
 
 
 class TestMinPoly:
@@ -505,7 +513,7 @@ class TestMinPoly:
         # of the 2p search from the identity, with the same certified residual
         p = 384
         r1 = min_poly(probe_value(name, p), 6, 10**6, p)
-        assert _int_det(r1.coefficient_basis) in (1, -1)
+        assert det_reference(r1.coefficient_basis) in (1, -1)
         cold = min_poly(probe_value(name, 2 * p), 6, 10**6, 2 * p)
         warm = min_poly(probe_value(name, 2 * p), 6, 10**6, 2 * p, start=r1)
         for r in (r1, cold, warm):
@@ -847,9 +855,27 @@ def _pivot_matrices(draw):
     return m
 
 
-class TestIntDet:
-    # _certified accepts a top rung only when _int_det(C) = +-1, so the
-    # determinant decides whether an exclusion height is certified
+def gram_prefix_reference(rows):
+    """(d, lam) of ``_gram_schmidt`` from rational Gram-Schmidt data: the
+    Gram determinants of the first k rows by ``det_reference`` and
+    lam[i][j] = d[j] mu_ij, up to the first dependent row."""
+    n = len(rows)
+    d = [1] + [0] * n
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+    for k in range(1, n + 1):
+        d[k] = det_reference([[sum(map(mul, x, y)) for y in rows[:k]]
+                              for x in rows[:k]])
+        _, mu = gram_schmidt_mu(rows[:k])
+        lam[k][1:k] = [d[j] * mu[k - 1][j - 1] for j in range(1, k)]
+        if d[k] == 0:
+            break
+    return d, lam
+
+
+class TestGramSchmidt:
+    # the exact kernel's Gram-Schmidt data; _certified accepts a top rung
+    # only when the Gram determinant of C, det(C)^2, is 1, so d decides
+    # whether an exclusion height is certified
 
     @settings(max_examples=400, deadline=None)
     @given(_pivot_matrices())
@@ -857,17 +883,35 @@ class TestIntDet:
     @example([[0, 0, 1], [0, 2, 3], [4, 5, 6]])
     @example([[1, 2, 3], [2, 4, 7], [1, 5, 2]])
     @example([[0, 1, 2], [0, 3, 4], [0, 5, 6]])
-    def test_matches_elimination_over_q(self, matrix):
-        assert _int_det(matrix) == det_reference(matrix)
+    @example([[0, 0], [1, 2]])
+    def test_matches_rational_gram_schmidt(self, matrix):
+        assert _gram_schmidt(matrix) == gram_prefix_reference(matrix)
+        assert _gram_schmidt(matrix)[0][-1] == det_reference(matrix) ** 2
 
-    def test_empty_matrix(self):
-        assert _int_det([]) == 1
+    def test_rectangular_lattices(self):
+        for rows in kernel_lattices(17) + kernel_lattices(29):
+            assert _gram_schmidt(rows) == gram_prefix_reference(rows)
+
+    def test_empty_rows(self):
+        assert _gram_schmidt([]) == ([1], [[0]])
 
 
 class TestCertificate:
     # every search certifies its top rung as a basis of [I | X_s]: a doubled
     # row spans a sublattice (det C = +-2), a shifted residual entry is no
     # lattice vector; either would make the exclusion height unsound
+
+    def test_determinant_sign_is_free(self):
+        # det C = -1 (an odd row permutation) is a basis as much as +1, and
+        # both have Gram determinant 1; a doubled row's is 4
+        tails = [[3, 5], [7, 11], [13, 17]]
+        swapped = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+        assert det_reference(swapped) == -1
+        assert _certified([c + _tails(c, tails) for c in swapped],
+                          tails) == swapped
+        doubled = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
+        with pytest.raises(DegenerateBasis, match="Gram determinant 4"):
+            _certified([c + _tails(c, tails) for c in doubled], tails)
 
     def test_min_poly(self, corrupt_kernel):
         p = 256
