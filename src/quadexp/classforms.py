@@ -20,18 +20,19 @@ Thm 7.24; Buchmann-Vollmer, *Binary Quadratic Forms*, for real orders):
     h(O_f) = h(O_K) f / [O_K^*:O_f^*] prod_{p | f} (1 - (d_K/p)/p).
 
 Here Q_f = f prod_{p | f} (1 - (d_K/p)/p) is the order of (O_K/f)^*/(Z/f)^*.
-The candidate loop runs on plain integers: d_K, the fundamental unit's
-coordinates and the symbols (d_K/p) are taken once per field, each f costs
-one Q_f, and the real unit index is the lcm of the indices of the prime
-powers p^e exactly dividing f, each found once per field by stepping the
-unit's coordinates mod p^e at most Q_{p^e} times. Since [O_K^*:O_f^*]
-divides Q_f, h(O_K) divides every h(O_f), and a scan whose given class
-number h(O_K) does not divide ends at f = 1. Forms are enumerated only for
-h(O_K) and the given order, and ``DISC_LIMIT`` bounds that enumeration
-alone: no candidate of the formula is held to it. ``class_group``
-remembers the last few orders it enumerated, so a case, with recognition
-on or off, enumerates each of its orders (given, opposite maximal,
-matched) once, whichever layer asks for it.
+The candidate loop runs on plain integers, taken once per field from the
+maximal order: d_K, h(O_K), the fundamental unit's norm and coordinates,
+and one memo of the symbols (d_K/p). Each f costs one Q_f, and the real
+unit index is the lcm of the indices of the prime powers p^e exactly
+dividing f, each found once per field by stepping the unit's coordinates
+mod p^e at most Q_{p^e} times; that bound reads the same memo. Since
+[O_K^*:O_f^*] divides Q_f, h(O_K) divides every h(O_f), and a scan whose
+given class number h(O_K) does not divide ends at f = 1. Forms are
+enumerated only for h(O_K) and the given order, and ``DISC_LIMIT`` bounds
+that enumeration alone: no candidate of the formula is held to it.
+``class_group`` remembers the last few orders it enumerated, so a case,
+with recognition on or off, enumerates each of its orders (given, opposite
+maximal, matched) once, whichever layer asks for it.
 
 The same formula bounds the enumeration of a real order of conductor
 f > 1. It gives the wide h, and the cycle count: h when O_f has a unit of
@@ -209,10 +210,9 @@ def _formula_counts(order: OrderDescriptor) -> tuple[int, int]:
     h = h(O_K) Q_f / [O_K^*:O_f^*]. The cycles are the form classes: h of
     them when O_f has a unit of norm -1, and 2h otherwise.
     """
-    maximal = OrderDescriptor("real", order.d, 1)
-    field, f = _field_orders(maximal), order.conductor
-    h = field.class_number(f, _enumerated_class_group(maximal).h)
-    return h, h if field.has_unit_of_norm_minus_one(f) else 2 * h
+    field = _field_orders(OrderDescriptor("real", order.d, 1))
+    h = field.class_number(order.conductor)
+    return h, h if field.has_unit_of_norm_minus_one(order.conductor) else 2 * h
 
 
 def _wide_classes(pairs) -> list[tuple[int, int, int]]:
@@ -285,42 +285,41 @@ def _kronecker(disc: int, p: int) -> int:
 _IMAGINARY_UNIT_INDEX = {-3: 3, -4: 2}
 
 
-def _unit_group_quotient(f: int, disc: int, symbols: dict[int, int]) -> int:
-    """Q_f = f prod_{p | f} (1 - (d_K/p)/p), the order of (O_K/f)^* / (Z/f)^*.
-
-    ``disc`` is d_K, and ``symbols`` holds the Kronecker symbols (d_K/p)
-    found so far for it, so that a scan over f computes each one once.
-    """
-    size = f
-    for p, _ in _conductor_prime_powers(f):
-        symbol = symbols.get(p)
-        if symbol is None:
-            symbol = symbols[p] = _kronecker(disc, p)
-        size = size // p * (p - symbol)
-    return size
-
-
 class _FieldOrders:
     """The class-number formula over the orders O_f of one field K.
 
-    What the formula needs of K is taken once: d_K, the symbols (d_K/p) and,
-    on the real side, the fundamental unit's integer coordinates x + y w in
-    the basis (1, w) of O_K, with w^2 = t w + n. Each conductor f then costs
-    one Q_f, and the unit index of each prime power p^e exactly dividing f
-    is found once, in at most Q_{p^e} steps of the unit mod p^e.
-    ``OrderDescriptor`` objects are built only to word an error.
+    Built from the maximal order O_K alone, it takes what the formula needs
+    of K once: d_K, h(O_K) and, on the real side, the fundamental unit's
+    norm and integer coordinates x + y w in the basis (1, w) of O_K, with
+    w^2 = t w + n. One memo of the symbols (d_K/p) serves every Q_f, both a
+    conductor's and the bound of a prime power's unit-index search. Each
+    conductor f then costs one Q_f, and the unit index of each prime power
+    p^e exactly dividing f is found once, in at most Q_{p^e} steps of the
+    unit mod p^e. ``OrderDescriptor`` objects are built only to word an
+    error.
     """
 
-    def __init__(self, order: OrderDescriptor,
-                 unit: QuadraticIrrational | None):
-        self.kind, self.d = order.field_kind, order.d
-        self.disc = order.fundamental_discriminant
+    def __init__(self, maximal: OrderDescriptor):
+        self.kind, self.d = maximal.field_kind, maximal.d
+        self.disc = maximal.fundamental_discriminant
+        self.h = _enumerated_class_group(maximal).h
         self.symbols: dict[int, int] = {}
         self.prime_power_indices: dict[int, int] = {}  # p^e: k, 0 for none
-        self.unit = unit
-        # None when the unit is not integral: then no power lies in O_f
-        self.coords = (_integral_coordinates(unit, self.d)
-                       if self.kind == "real" and unit is not None else None)
+        if self.kind == "real":
+            unit = fundamental_unit(maximal)
+            self.unit, self.unit_norm = unit.value, unit.norm
+            self.coords = _integral_coordinates(self.unit, self.d)
+
+    def quotient(self, f: int) -> int:
+        """Q_f = f prod_{p | f} (1 - (d_K/p)/p), the order of
+        (O_K/f)^* / (Z/f)^*, with each symbol (d_K/p) computed once."""
+        size = f
+        for p, _ in _conductor_prime_powers(f):
+            symbol = self.symbols.get(p)
+            if symbol is None:
+                symbol = self.symbols[p] = _kronecker(self.disc, p)
+            size = size // p * (p - symbol)
+        return size
 
     def unit_index(self, f: int) -> int:
         """[O_K^*:O_f^*] for the order O_f of conductor f in K.
@@ -338,16 +337,13 @@ class _FieldOrders:
             return 1
         if self.kind == "imaginary":
             return _IMAGINARY_UNIT_INDEX.get(self.disc, 1)
-        if self.unit is None:
-            raise DomainError("a real order's unit index needs the fundamental "
-                              "unit of the maximal order")
         index = 1
         for p, e in _conductor_prime_powers(f):
             q = p**e
             k = self.prime_power_indices.get(q)
             if k is None:
-                bound = q // p * (p - _kronecker(self.disc, p))  # Q_q
-                k = self.prime_power_indices[q] = self._power_index(q, bound)
+                k = self.prime_power_indices[q] = self._power_index(
+                    q, self.quotient(q))
             if not k:
                 order = OrderDescriptor(self.kind, self.d, f)
                 raise DomainError(f"no power of {self.unit!r} lies in the "
@@ -357,8 +353,6 @@ class _FieldOrders:
 
     def _power_index(self, q: int, bound: int) -> int:
         """Least k <= bound with y = 0 mod q in unit**k = x + y w, or 0."""
-        if self.coords is None:
-            return 0
         x0, y0, t, n = self.coords
         x0, y0 = x0 % q, y0 % q
         x, y = x0, y0
@@ -372,34 +366,27 @@ class _FieldOrders:
 
     def has_unit_of_norm_minus_one(self, f: int) -> bool:
         """Whether O_f holds a unit of norm -1: the fundamental unit has
-        norm x^2 + t x y - n y^2 = -1, and its least power in O_f is odd."""
-        x, y, t, n = self.coords
-        return (x * x + t * x * y - n * y * y == -1
-                and self.unit_index(f) % 2 == 1)
+        norm -1, and its least power in O_f is odd."""
+        return self.unit_norm == -1 and self.unit_index(f) % 2 == 1
 
-    def class_number(self, f: int, h_max: int) -> int:
-        """h(O_f) from h_max = h(O_K) by the class-number formula for orders.
+    def class_number(self, f: int) -> int:
+        """h(O_f) by the class-number formula for orders.
 
         h(O_f) = h(O_K) Q_f / [O_K^*:O_f^*], with Q_f as in the module
         docstring; see Cox, *Primes of the form x^2+ny^2*, Thm 7.24, and
         Buchmann-Vollmer, *Binary Quadratic Forms*, for real orders, where h
         is the wide count.
         """
-        quotient = _unit_group_quotient(f, self.disc, self.symbols)
-        h, rest = divmod(h_max * quotient, self.unit_index(f))
+        h, rest = divmod(self.h * self.quotient(f), self.unit_index(f))
         if rest:
             order = OrderDescriptor(self.kind, self.d, f)
             raise DomainError(f"class-number formula is not integral for "
-                              f"{order.to_json()} with h(O_K)={h_max}")
+                              f"{order.to_json()} with h(O_K)={self.h}")
         return h
 
 
-@lru_cache(maxsize=1)  # a case's conductor scan and its matched order
-def _field_orders(maximal: OrderDescriptor) -> _FieldOrders:
-    """``_FieldOrders`` of the field of ``maximal``, with its fundamental
-    unit on the real side."""
-    return _FieldOrders(maximal, fundamental_unit(maximal).value
-                        if maximal.field_kind == "real" else None)
+# a case's conductor scan and its matched order
+_field_orders = lru_cache(maxsize=1)(_FieldOrders)
 
 
 def match_conductor(given: OrderDescriptor,
@@ -410,15 +397,15 @@ def match_conductor(given: OrderDescriptor,
     Reduced forms are enumerated for the given order and the opposite
     maximal order only (``class_group`` keeps both for the caller, and holds
     them to ``DISC_LIMIT``); every other candidate's class number comes from
-    the formula of ``_FieldOrders.class_number``, on plain integers: d_K, the
-    unit's coordinates and the symbols (d_K/p) are taken once per scan, and
-    each f costs one Q_f. Pic(O_f) maps onto Pic(O_K), so h(O_K) divides
-    every h(O_f): the formula's [O_K^*:O_f^*] divides Q_f. When h(O_K) does
-    not divide the given h, no conductor matches and the scan ends at
-    f = 1. Without a match inside search_bound, ``NoMatchWithinBound`` is
-    raised. Candidates are not held to ``DISC_LIMIT``, since nothing is
-    enumerated for them; a matched order beyond it raises ``BoundExceeded``
-    when its representatives are enumerated.
+    the formula of ``_FieldOrders.class_number``, on plain integers taken
+    once per scan from the maximal order, and each f costs one Q_f.
+    Pic(O_f) maps onto Pic(O_K), so h(O_K) divides every h(O_f): the
+    formula's [O_K^*:O_f^*] divides Q_f. When h(O_K) does not divide the
+    given h, no conductor matches and the scan ends at f = 1. Without a
+    match inside search_bound, ``NoMatchWithinBound`` is raised. Candidates
+    are not held to ``DISC_LIMIT``, since nothing is enumerated for them; a
+    matched order beyond it raises ``BoundExceeded`` when its
+    representatives are enumerated.
     """
     h_given = class_group(given).h
     if search_bound >= 1:
@@ -429,7 +416,7 @@ def match_conductor(given: OrderDescriptor,
         if h_given % h_max == 0:
             field = _field_orders(maximal)
             for f in range(2, search_bound + 1):
-                if field.class_number(f, h_max) == h_given:
+                if field.class_number(f) == h_given:
                     return f, h_given
     raise NoMatchWithinBound(
         f"no conductor <= {search_bound} matches h={h_given}")

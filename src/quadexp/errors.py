@@ -36,7 +36,11 @@ class InsufficientPrecision(QuadexpError):
 
 
 class DegenerateBasis(QuadexpError):
-    """Lattice basis rows are linearly dependent."""
+    """A relation search's lattice basis is unusable, for one of three causes:
+    the exact LLL kernel found its rows linearly dependent; the top rung's
+    reduced rows failed ``recognition._certified`` (they are not C [I | X_s],
+    or their Gram determinant det(C C^T) is not 1); or a warm start's
+    coefficient basis is not n x n."""
 
 
 class StepBoundExceeded(QuadexpError):

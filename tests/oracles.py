@@ -38,11 +38,16 @@ before integral coefficients were stored as ints.
 ``unit_index_reference`` and ``match_conductor_reference`` are the real unit
 index and the conductor scan as they stood before the index was stepped in
 integers mod f and the scan ended at f = 1 when h(O_K) does not divide the
-given class number. ``evaluate_J_reference`` evaluates J for one theta
-with the unit side recomputed, as ``evaluate_J`` did before it took every
-theta of a case in one call, and ``indefinite_reduced_forms_reference``
-enumerates reduced indefinite forms trying every divisor from 1, as before
-the loop started above (s - b)/2. ``indefinite_cycles_reference`` walks
+given class number; neither imports ``quadexp.classforms``' formula. Q_f
+comes from ``unit_group_quotient_reference`` in Fractions, with the
+Kronecker symbols of ``kronecker_reference`` (sympy's Legendre symbol, the
+mod-8 rule at 2), and the scan compares the ``class_number_reference`` of
+each f, built from those parts and the imaginary unit indices 3, 2, 1.
+``evaluate_J_reference`` evaluates J for one theta with the unit side
+recomputed, as ``evaluate_J`` did before it took every theta of a case in
+one call, and ``indefinite_reduced_forms_reference`` enumerates reduced
+indefinite forms trying every divisor from 1, as before the loop started
+above (s - b)/2. ``indefinite_cycles_reference`` walks
 the reduction cycle of every form with ``rho_reference``, and
 ``class_group_reference`` composes it with those forms and
 ``wide_classes_gl2``: the real class group without the walk's pairing of
@@ -874,48 +879,92 @@ def laurent_conjugate(a: dict) -> dict:
                             for m, r in a.items())
 
 
+def kronecker_reference(disc: int, p: int) -> int:
+    """Kronecker symbol (disc/p) for a prime p: sympy's Legendre symbol for
+    odd p, and the mod-8 rule at 2."""
+    from sympy import legendre_symbol
+
+    if p == 2:
+        return 0 if disc % 2 == 0 else 1 if disc % 8 in (1, 7) else -1
+    return legendre_symbol(disc % p, p)
+
+
+def unit_group_quotient_reference(f: int, disc: int) -> int:
+    """Q_f = f prod_{p | f} (1 - (disc/p)/p) in Fractions, the primes p
+    from sympy."""
+    from sympy import primefactors
+
+    q = Fraction(f)
+    for p in primefactors(f):
+        q *= 1 - Fraction(kronecker_reference(disc, p), p)
+    return int(q)
+
+
 def unit_index_reference(order, unit) -> int:
     """[O_K^*:O_f^*] of a real order by powering ``unit`` as an irrational.
 
     Each power is tested for membership in O_f exactly; the search stops at
-    the order of (O_K/f)^*/(Z/f)^*, as ``_FieldOrders.unit_index`` in
+    Q_f, the order of (O_K/f)^*/(Z/f)^*, as ``_FieldOrders.unit_index`` in
     ``quadexp.classforms`` does.
     """
-    from quadexp.classforms import _unit_group_quotient
     from quadexp.errors import DomainError
 
     f = order.conductor
     if f == 1:
         return 1
     power = unit
-    for k in range(1, _unit_group_quotient(f, order.fundamental_discriminant,
-                                           {}) + 1):
+    for k in range(1, unit_group_quotient_reference(
+            f, order.fundamental_discriminant) + 1):
         if in_order_reference(power, order):
             return k
         power = power * unit
     raise DomainError(f"no power of {unit!r} lies in the order {order.to_json()}")
 
 
+_REAL_UNIT_INDICES: dict = {}  # (d, f): unit_index_reference of that order
+
+
+def class_number_reference(order, h_max: int) -> int:
+    """h(O_f) = h(O_K) Q_f / [O_K^*:O_f^*] from h_max = h(O_K) and this
+    module's parts: Q_f from ``unit_group_quotient_reference``, the index
+    from the table 3, 2, 1 for imaginary d_K = -3, -4, other (1 at f = 1)
+    and, on the real side, from ``unit_index_reference`` of the fundamental
+    unit, remembered per (d, f).
+    """
+    from quadexp.errors import DomainError
+    from quadexp.quadfield import OrderDescriptor, fundamental_unit
+
+    f, disc = order.conductor, order.fundamental_discriminant
+    if order.field_kind == "imaginary":
+        index = {-3: 3, -4: 2}.get(disc, 1) if f > 1 else 1
+    else:
+        index = _REAL_UNIT_INDICES.get((order.d, f))
+        if index is None:
+            unit = fundamental_unit(OrderDescriptor("real", order.d, 1)).value
+            index = _REAL_UNIT_INDICES[order.d, f] = unit_index_reference(
+                order, unit)
+    h, rest = divmod(h_max * unit_group_quotient_reference(f, disc), index)
+    if rest:
+        raise DomainError(f"class-number formula is not integral for "
+                          f"{order.to_json()} with h(O_K)={h_max}")
+    return h
+
+
 def match_conductor_reference(given, search_bound: int = 100):
     """``quadexp.classforms.match_conductor`` by trying every f in turn.
 
-    Each f from 1 to search_bound is compared by the class-number formula,
+    Each f from 1 to search_bound is compared by ``class_number_reference``,
     with no divisibility exit. Only the given and the opposite maximal
     orders are enumerated, so only they are held to ``DISC_LIMIT``.
     """
     from quadexp import classforms
     from quadexp.errors import NoMatchWithinBound
-    from quadexp.quadfield import fundamental_unit
 
     h_given = classforms.class_group(given).h
     for f in range(1, search_bound + 1):
         if f == 1:
-            maximal = given.opposite(1)
-            h_max = classforms.class_group(maximal).h
-            field = classforms._FieldOrders(
-                maximal, fundamental_unit(maximal).value
-                if maximal.field_kind == "real" else None)
-        if field.class_number(f, h_max) == h_given:
+            h_max = classforms.class_group(given.opposite(1)).h
+        if class_number_reference(given.opposite(f), h_max) == h_given:
             return f, h_given
     raise NoMatchWithinBound(
         f"no conductor <= {search_bound} matches h={h_given}")

@@ -1,10 +1,13 @@
+import hashlib
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from math import isqrt
 
 import pytest
 
-from oracles import (class_group_reference, definite_class_number_orbit,
+import oracles
+from oracles import (class_group_reference, class_number_reference,
+                     definite_class_number_orbit,
                      indefinite_cycles_reference,
                      indefinite_reduced_forms_reference, is_reduced_definite,
                      is_reduced_indefinite_reference,
@@ -19,7 +22,8 @@ from quadexp.errors import (BoundExceeded, DomainError, NoMatchWithinBound,
                            QuadexpError)
 from quadexp.pipeline import EXCLUDED_D, CaseParams, run_case
 from quadexp.quadfield import (OrderDescriptor, QuadraticIrrational,
-                               fundamental_unit, is_squarefree, sl2_equivalent)
+                               UnitElement, _prime_powers, fundamental_unit,
+                               is_squarefree, sl2_equivalent)
 
 
 def _real_orders(d_max=60, f_max=10):
@@ -329,20 +333,26 @@ class TestPseudoLattices:
             pseudo_lattice_reps(ClassGroupSummary(order, 1, (bad,), 1))
 
 
-def _maximal(kind, d):
-    o = OrderDescriptor(kind, d, 1)
-    unit = fundamental_unit(o).value if kind == "real" else None
-    return class_group(o).h, unit
+def _field(order):
+    """The formula's field object of ``order``, built from its maximal
+    order outside the ``_field_orders`` cache."""
+    return _FieldOrders(OrderDescriptor(order.field_kind, order.d, 1))
 
 
-def _unit_index(order, unit=None):
+def _unit_index(order):
     """[O_K^*:O_f^*] of ``order`` through the formula's field object."""
-    return _FieldOrders(order, unit).unit_index(order.conductor)
+    return _field(order).unit_index(order.conductor)
 
 
-def _class_number(order, h_max, unit=None):
-    """h(O_f) of ``order`` from h(O_K) through the formula's field object."""
-    return _FieldOrders(order, unit).class_number(order.conductor, h_max)
+def _class_number(order):
+    """h(O_f) of ``order`` through the formula's field object."""
+    return _field(order).class_number(order.conductor)
+
+
+def _patch_unit(monkeypatch, unit):
+    """Hand ``unit`` to ``_FieldOrders`` as its field's fundamental unit."""
+    monkeypatch.setattr(classforms, "fundamental_unit",
+                        lambda order: UnitElement(unit, int(unit.norm())))
 
 
 class TestClassNumberFormula:
@@ -354,11 +364,11 @@ class TestClassNumberFormula:
             for d in range(first, 80):
                 if not is_squarefree(d):
                     continue
-                h_max, unit = _maximal(kind, d)
+                field = _field(OrderDescriptor(kind, d, 1))
                 for f in range(1, 16):
                     o = OrderDescriptor(kind, d, f)
-                    assert _class_number(o, h_max, unit) == \
-                        _enumerated_h(o), (kind, d, f)
+                    assert field.class_number(f) == _enumerated_h(o), \
+                        (kind, d, f)
                     checked += 1
         assert checked > 1400
 
@@ -371,8 +381,7 @@ class TestClassNumberFormula:
     def test_imaginary_against_orbit_oracle(self):
         for d, f in ((1, 5), (3, 7), (15, 4), (5, 6), (23, 3)):
             o = OrderDescriptor("imaginary", d, f)
-            h_max, _ = _maximal("imaginary", d)
-            assert _class_number(o, h_max) == \
+            assert _class_number(o) == \
                 definite_class_number_orbit(o.discriminant), (d, f)
 
     def test_real_unit_index_oracle(self):
@@ -381,22 +390,20 @@ class TestClassNumberFormula:
             for f in (2, 3, 5, 7, 12):
                 o = OrderDescriptor("real", d, f)
                 power = eps
-                for _ in range(_unit_index(o, eps) - 1):
+                for _ in range(_unit_index(o) - 1):
                     power = power * eps
                 assert power == min_unit_power_in_suborder(eps, o), (d, f)
-        with pytest.raises(DomainError):
-            _unit_index(OrderDescriptor("real", 2, 3))  # no unit given
 
     def test_real_unit_index_against_reference(self):
         checked = 0
         for d in range(2, 120):
             if not is_squarefree(d):
                 continue
-            eps = fundamental_unit(OrderDescriptor("real", d, 1)).value
+            field = _field(OrderDescriptor("real", d, 1))
             for f in range(2, 41):
                 o = OrderDescriptor("real", d, f)
-                assert _unit_index(o, eps) == unit_index_reference(o, eps), \
-                    (d, f)
+                assert field.unit_index(f) == \
+                    unit_index_reference(o, field.unit), (d, f)
                 checked += 1
         assert checked == 2886
 
@@ -407,34 +414,41 @@ class TestClassNumberFormula:
         for d in range(2, 100):
             if not is_squarefree(d):
                 continue
-            eps = fundamental_unit(OrderDescriptor("real", d, 1)).value
+            field = _field(OrderDescriptor("real", d, 1))
             for f in (4, 8, 9, 12, 16, 27, 36, 48, 60, 64, 72, 81, 96, 100):
                 o = OrderDescriptor("real", d, f)
-                assert _unit_index(o, eps) == unit_index_reference(o, eps), \
-                    (d, f)
+                assert field.unit_index(f) == \
+                    unit_index_reference(o, field.unit), (d, f)
                 checked += 1
         assert checked == 14 * 60
 
-    @pytest.mark.parametrize("d,f,unit", [
-        (3, 5, QuadraticIrrational(1, 1, 2, 3)),  # (1 + sqrt3)/2 not integral
-        (5, 5, QuadraticIrrational(1, 1, 4, 5)),  # (1 + sqrt5)/4 not integral
+    def test_no_power_in_order_is_typed(self, monkeypatch):
         # 7 splits in Q(sqrt2) and 3 + sqrt2 has norm 7: every power is 0
         # mod one prime over 7 and a unit mod the other, so never in Z + 7 O
-        (2, 7, QuadraticIrrational(3, 1, 1, 2)),
-    ])
-    def test_no_power_in_order_is_typed(self, d, f, unit):
-        o = OrderDescriptor("real", d, f)
+        unit = QuadraticIrrational(3, 1, 1, 2)
+        o = OrderDescriptor("real", 2, 7)
         with pytest.raises(DomainError) as want:
             unit_index_reference(o, unit)
+        _patch_unit(monkeypatch, unit)
         with pytest.raises(DomainError) as got:
-            _unit_index(o, unit)
+            _unit_index(o)
         assert str(got.value) == str(want.value)
 
-    def test_non_integral_result_is_typed(self):
+    def test_non_integral_result_is_typed(self, monkeypatch):
         # sqrt(3) is no unit: its "index" 2 does not divide 3 = |(O_K/3)^*/(Z/3)^*|
-        with pytest.raises(DomainError):
-            _class_number(OrderDescriptor("real", 3, 3), 1,
-                          QuadraticIrrational(0, 1, 1, 3))
+        unit = QuadraticIrrational(0, 1, 1, 3)
+        o = OrderDescriptor("real", 3, 3)
+        h_max = class_group(OrderDescriptor("real", 3, 1)).h
+        _patch_unit(monkeypatch, unit)
+        with pytest.raises(DomainError) as got:
+            _class_number(o)
+        # the oracle reads its unit indices from its memo: seed it with the
+        # injected unit's
+        monkeypatch.setattr(oracles, "_REAL_UNIT_INDICES",
+                            {(3, 3): unit_index_reference(o, unit)})
+        with pytest.raises(DomainError) as want:
+            class_number_reference(o, h_max)
+        assert str(got.value) == str(want.value)
 
 
 class TestPicardSurjection:
@@ -473,37 +487,74 @@ class TestConductorMatch:
         assert r.conductors is None and r.j_values is None
 
     def test_quotient_computed_once_per_candidate(self, monkeypatch):
-        # h(-23) = 3 and h(Q(sqrt23)) = 1: all 99 real candidates are scanned
+        # h(-23) = 3 and h(Q(sqrt23)) = 1: all 99 real candidates are scanned.
+        # Each f's class number takes one Q_f, and each prime power's first
+        # unit-index search takes one more, as its bound
         calls = []
-        quotient = classforms._unit_group_quotient
+        quotient = _FieldOrders.quotient
 
-        def spy(f, disc, symbols):
+        def spy(self, f):
             calls.append(f)
-            return quotient(f, disc, symbols)
+            return quotient(self, f)
 
-        monkeypatch.setattr(classforms, "_unit_group_quotient", spy)
+        monkeypatch.setattr(_FieldOrders, "quotient", spy)
+        classforms._field_orders.cache_clear()
         with pytest.raises(NoMatchWithinBound):
             match_conductor(OrderDescriptor("imaginary", 23, 1), 100)
-        assert calls == list(range(2, 101))
+        expected, bounded = [], set()
+        for f in range(2, 101):
+            expected.append(f)
+            for p, e in _prime_powers(f):
+                if p**e not in bounded:
+                    bounded.add(p**e)
+                    expected.append(p**e)
+        assert calls == expected
+        assert len(bounded) == 35
+
+    def test_one_kronecker_symbol_per_prime(self, monkeypatch):
+        # the same scan needs (d_K/p) for the 25 primes p <= 100, once each
+        # for the candidates' Q_f and the unit-index bounds together
+        calls = []
+        kronecker = classforms._kronecker
+
+        def spy(disc, p):
+            calls.append(p)
+            return kronecker(disc, p)
+
+        monkeypatch.setattr(classforms, "_kronecker", spy)
+        classforms._field_orders.cache_clear()
+        with pytest.raises(NoMatchWithinBound):
+            match_conductor(OrderDescriptor("imaginary", 23, 1), 100)
+        assert sorted(calls) == [p for p in range(2, 101)
+                                 if all(p % q for q in range(2, p))]
+        assert len(calls) == 25
 
     def test_census_to_3000(self):
         # every square-free d <= 3000 outside EXCLUDED_D at bound 100; no
-        # candidate is held to DISC_LIMIT, so nothing raises BoundExceeded
+        # candidate is held to DISC_LIMIT, so nothing raises BoundExceeded.
+        # Every outcome is pinned: a line "kind d f h" per match, and
+        # "kind d ExceptionName: message" per miss
         ds = [d for d in range(2, 3001)
               if is_squarefree(d) and d not in EXCLUDED_D]
-        census = {}
+        census, lines = {}, []
         for kind in ("real", "imaginary"):
             outcomes = Counter()
             for d in ds:
                 try:
-                    match_conductor(OrderDescriptor(kind, d, 1), 100)
+                    f, h = match_conductor(OrderDescriptor(kind, d, 1), 100)
                     outcomes["match"] += 1
+                    lines.append(f"{kind} {d} {f} {h}")
                 except QuadexpError as exc:
                     outcomes[type(exc).__name__] += 1
+                    lines.append(f"{kind} {d} {type(exc).__name__}: {exc}")
             census[kind] = dict(outcomes)
         assert census == {
             "real": {"match": 48, "NoMatchWithinBound": 1767},
             "imaginary": {"match": 860, "NoMatchWithinBound": 955}}
+        text = "\n".join(sorted(lines))
+        assert len(lines) == 3630
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "1ceb9aa4c5b5b90dccc99509bd37a54b8766ca718a813360bee193454914a40e")
 
     @pytest.mark.parametrize("limit", [10, 500, 10**4, None])
     def test_against_reference(self, monkeypatch, limit):
