@@ -370,14 +370,8 @@ def _log_mantissa(m: int, w: int) -> tuple[int, int]:
     against 139 without the roots.
     """
     k = m.bit_length() - 1 - w
-    norm_err = 0
-    if k > 0:
-        y = _rshift_round(m, k)
-        norm_err = 1
-    elif k < 0:
-        y = m << (-k)
-    else:
-        y = m
+    y = _rshift_round(m, k)
+    norm_err = int(k > 0)
     # y/2**w in [1, 2]; pull into [0.75, 1.5) so |t| stays below 1/5
     if 2 * y >= 3 << w:
         y = _rshift_round(y, 1)

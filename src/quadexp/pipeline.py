@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
 
+from ._core import DELTA
 from .classforms import class_group, match_conductor, pseudo_lattice_reps
 from .errors import DomainError, NoMatchWithinBound, NotSquareFree, QuadexpError
 from .quadfield import OrderDescriptor, fundamental_unit, is_squarefree
-from .recognition import (DEFAULT_DELTA, DEFAULT_HEIGHT_BOUND, evaluate_J,
-                          member_of_field, min_poly)
+from .recognition import (DEFAULT_HEIGHT_BOUND, evaluate_J, member_of_field,
+                          min_poly)
 
 if TYPE_CHECKING:
     from .symbolic import SymbolicCheck
@@ -77,7 +78,7 @@ class CaseParams:
                 "search_bound": self.search_bound,
                 "given_conductor": self.given_conductor,
                 "recognition": self.recognition,
-                "delta": [DEFAULT_DELTA.numerator, DEFAULT_DELTA.denominator]}
+                "delta": list(DELTA)}
 
 
 @dataclass

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import TYPE_CHECKING
 
-from ._core import (DELTA, FloatBreakdown, _gram_schmidt, lll_reduce_rows,
+from ._core import (FloatBreakdown, _gram_schmidt, lll_reduce_rows,
                     lll_reduce_rows_float)
 from .errors import (DegenerateBasis, DomainError, InputRational,
                      InsufficientPrecision)
@@ -34,7 +34,6 @@ from .quadfield import QuadraticIrrational, UnitElement
 if TYPE_CHECKING:
     from .modular import ClassFieldDescriptor, IntegerPolynomial
 
-DEFAULT_DELTA = Fraction(*DELTA)
 DEFAULT_HEIGHT_BOUND = 10**40
 LOG10_2 = 0.30102999566398119
 # scale step between the rungs of a relation search
@@ -119,7 +118,7 @@ def evaluate_J(thetas: list[QuadraticIrrational], epsilon: UnitElement,
 
 
 def lll_reduce(basis) -> list[list[int]]:
-    """Exact integer LLL at ``DEFAULT_DELTA``; returns the reduced rows.
+    """Exact integer LLL at ``DELTA``; returns the reduced rows.
 
     The rows are integer combinations of the input rows; a search that
     needs the combination reads it from its lattice's coefficient columns.
@@ -217,7 +216,7 @@ def _tails(c: list[int], scaled: list[list[int]]) -> list[int]:
 def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
                      height_bound: int,
                      start: RecognitionResult | None = None):
-    """LLL at ``DEFAULT_DELTA`` on the scaled lattice of elements.
+    """LLL at ``DELTA`` on the scaled lattice of elements.
 
     The trusted bits of the p-bit input z set the lattice scale s and the
     acceptance threshold. The lattice has the rows [I | X_s], with X_s
@@ -234,7 +233,7 @@ def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
     breaks down (``FloatBreakdown``) is reduced by the exact kernel
     instead. The exact kernel, ``lll_reduce``, then reduces the top rung's
     rows once more, so the final basis meets the Lovász condition at
-    ``DEFAULT_DELTA`` exactly, as ``_exclusion_height`` assumes. On a
+    ``DELTA`` exactly, as ``_exclusion_height`` assumes. On a
     float-reduced basis that pass makes few or no swaps.
 
     The top rung is certified on every search: its reduced rows must be

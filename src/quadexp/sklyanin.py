@@ -292,9 +292,6 @@ class Relation:
     lhs_words: tuple[Word, ...]
     rhs: NCPolynomial
 
-    def rewrites(self, name: str) -> list[RewriteRule]:
-        return [RewriteRule(w, self.rhs, name) for w in self.lhs_words]
-
 
 @dataclass
 class RelationSystem:
@@ -303,9 +300,8 @@ class RelationSystem:
 
     @property
     def rewrites(self) -> list[RewriteRule]:
-        out = []
-        for i, rel in enumerate(self.relations):
-            out.extend(rel.rewrites(f"{self.name}.{i + 1}"))
+        out = [RewriteRule(w, rel.rhs, f"{self.name}.{i}")
+               for i, rel in enumerate(self.relations, 1) for w in rel.lhs_words]
         return sorted(out, key=lambda r: deglex_key(r.lhs), reverse=True)
 
 
@@ -381,10 +377,12 @@ class _RuleIndex:
     """The rules by left word, the distinct left-word lengths, and a memo
     of word normal forms.
 
-    Each left word keeps the first rule added with it; lengths run longest
-    first. ``normal_forms`` maps each word a reduction's walk has finished
-    to its normal-form terms; a rule added to the index clears it, since
-    the new rule may rewrite words those normal forms hold.
+    Each left word keeps the first rule added with it: every reduction,
+    completion and star constraint reads that one choice, so each word has
+    one normal form. Lengths run longest first. ``normal_forms`` maps each
+    word a reduction's walk has finished to its normal-form terms; a rule
+    added to the index clears it, since the new rule may rewrite words
+    those normal forms hold.
     """
 
     __slots__ = ("by_lhs", "lengths", "normal_forms")
@@ -488,24 +486,6 @@ def _apply_at(word: Word, pos: int, rule: RewriteRule) -> dict[Word, Coeff]:
     """The terms replacing word when rule rewrites it at pos."""
     prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
     return {prefix + u + suffix: c for u, c in rule.rhs.terms.items()}
-
-
-def reduce(poly: NCPolynomial, rules,
-           trace: list | None = None) -> NCPolynomial:
-    """Normal form under the rules.
-
-    rules is a rule sequence: a RelationSystem's ``rewrites`` or the rules
-    of ``complete()``. Each call indexes the rules afresh; ``complete``,
-    ``check_derivation`` and ``systems_equivalent`` reduce through the
-    index a completion keeps instead. A word is rewritten at its leftmost
-    redex by the longest lhs there, the first such rule on a tie, so each
-    word has one normal form, memoized on the index. A trace list receives
-    the rewrite of every reducible word poly reaches, from the same walk
-    (``_RuleIndex.normal_form``). Deterministic; raises
-    StepBoundExceeded when the reduction needs more than STEP_BOUND
-    rewrites rather than spin.
-    """
-    return _RuleIndex(rules).normal_form(poly, trace)
 
 
 # -- bounded critical-pair saturation -------------------------------------------
@@ -783,14 +763,15 @@ def star(poly: NCPolynomial) -> NCPolynomial:
 def star_invariance_constraints(system: RelationSystem) -> dict[str, Coeff]:
     """Conditions on the coefficients making the relations star-invariant.
 
-    Each rule x_i x_j = c x_j x_i is starred and re-oriented; the resulting
-    coefficient must agree with the system's own rule for that left side.
-    Returns {symbol: required}: the coefficient the involution forces on
-    the symbol of that rule.
+    Each rule x_i x_j = c x_j x_i that ``_RuleIndex`` keeps (the first for
+    its left word, as in every reduction) is starred and re-oriented; the
+    resulting coefficient must agree with the index's rule for that left
+    side. Returns {symbol: required}: the coefficient the involution
+    forces on the symbol of that rule.
     """
-    rules = {r.lhs: r for r in system.rewrites}
+    rules = _RuleIndex(system.rewrites).by_lhs
     constraints = {}
-    for rule in system.rewrites:
+    for rule in rules.values():
         if len(rule.lhs) != 2 or len(rule.rhs.terms) != 1:
             continue
         (rhs_word, coeff), = rule.rhs.terms.items()

@@ -600,7 +600,7 @@ def cold_relation_basis(elements, s: int, delta_num=99, delta_den=100):
 
 
 def reduce_reference(poly, rules):
-    """Normal form of ``quadexp.sklyanin.reduce`` by scanning.
+    """The normal form ``quadexp.sklyanin._RuleIndex`` gives, by scanning.
 
     Every rule is tried at every position of a word; the leftmost position
     with a match wins, and at it the longest lhs, the first rule on a tie.

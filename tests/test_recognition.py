@@ -13,8 +13,8 @@ from oracles import (cold_relation_basis, complex_of_real, control_minpoly,
                      lll_reference, lovasz_holds, matches_lll_reference,
                      shortest_vector_brute)
 from quadexp import _core, pipeline, recognition
-from quadexp._core import (FloatBreakdown, _gram_schmidt, lll_reduce_rows,
-                          lll_reduce_rows_float)
+from quadexp._core import (DELTA, FloatBreakdown, _gram_schmidt,
+                          lll_reduce_rows, lll_reduce_rows_float)
 from quadexp.classforms import (class_group, match_conductor,
                                 pseudo_lattice_reps)
 from quadexp.errors import (DegenerateBasis, DomainError, InputRational,
@@ -23,11 +23,10 @@ from quadexp.modular import IntegerPolynomial, hcf_generator
 from quadexp.numerics import FixedComplex, FixedReal, log_fixed, sqrt_fixed
 from quadexp.pipeline import CaseParams, _conjugacy, run_case
 from quadexp.quadfield import OrderDescriptor, QuadraticIrrational, fundamental_unit
-from quadexp.recognition import (DEFAULT_DELTA, DEFAULT_HEIGHT_BOUND,
-                                 LOG10_2, RUNG_BITS, Membership, NotFound,
-                                 _certified, _tails, evaluate_J,
-                                 j_function, lll_reduce, member_of_field,
-                                 min_poly)
+from quadexp.recognition import (DEFAULT_HEIGHT_BOUND, LOG10_2, RUNG_BITS,
+                                 Membership, NotFound, _certified, _tails,
+                                 evaluate_J, j_function, lll_reduce,
+                                 member_of_field, min_poly)
 
 
 def real_probe(value_str: str, p: int, digits: int) -> FixedComplex:
@@ -108,7 +107,7 @@ class TestLLL:
                 reduced = lll_reduce(rows)
             except DegenerateBasis:
                 continue
-            assert lovasz_holds(reduced, DEFAULT_DELTA)
+            assert lovasz_holds(reduced, Fraction(*DELTA))
 
     def test_shortest_vector_quality(self):
         rng = random.Random(11)
@@ -370,7 +369,7 @@ class TestFloatLLL:
 class TestRungKernelInPipeline:
     def test_final_rows_meet_exact_lovasz(self, monkeypatch):
         # _exclusion_height reads ||b1|| <= 2^((n-1)/2) lambda_1, which needs
-        # the exact Lovász condition at DEFAULT_DELTA on the final rows
+        # the exact Lovász condition at DELTA on the final rows
         search = recognition._relation_search
         checked = []
 
@@ -379,7 +378,7 @@ class TestRungKernelInPipeline:
             coeffs, s, n = found[0], found[3], len(elements)
             scaled = recognition._power_rows(elements, s)
             rows = [c + _tails(c, scaled) for c in coeffs]
-            assert lovasz_holds(rows, DEFAULT_DELTA)
+            assert lovasz_holds(rows, Fraction(*DELTA))
             checked.append(n)
             return found
 

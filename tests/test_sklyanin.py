@@ -13,7 +13,7 @@ from quadexp.errors import (ConstraintViolated, DomainError, PoleError,
 from quadexp.sklyanin import (Coeff, MU_C, MU_INV, NCPolynomial, ONE,
                               RelationSystem, ZETA_C, ZETA_INV, build_system,
                               check_derivation, complete, deglex_key,
-                              jacobi_coefficients, reduce, star,
+                              jacobi_coefficients, star,
                               star_invariance_constraints,
                               substitute_coefficients, systems_equivalent,
                               systems_identical)
@@ -48,6 +48,11 @@ def coeff_sum_st(max_terms=3):
 
 def rules(kind):
     return build_system(kind).rewrites
+
+
+def reduce(poly, rule_list, trace=None):
+    """poly's normal form under rule_list, through a fresh rule index."""
+    return sklyanin._RuleIndex(rule_list).normal_form(poly, trace)
 
 
 def poly_st(max_terms=3, max_len=3):
@@ -519,6 +524,19 @@ class TestInvolution:
         assert by["q12"] == Coeff.monomial(1, {"q12~": 1})
         assert by["q34"] == Coeff.monomial(1, {"q34~": 1})
         assert len(by) == 6
+
+    def test_duplicate_left_word_constrains_the_first_rule(self):
+        # two rules for x3 x1: the constraints are those of the first,
+        # the rule that the index keeps and every reduction uses
+        q = {name: Coeff.monomial(1, {name: 1}) for name in ("q13", "q24", "q99")}
+        system = RelationSystem("x", [
+            sklyanin._rel([(3, 1)], W((1, 3), q["q13"])),
+            sklyanin._rel([(4, 2)], W((2, 4), q["q24"])),
+            sklyanin._rel([(3, 1)], W((1, 3), q["q99"]))])
+        assert reduce(W((3, 1)), system.rewrites) == W((1, 3), q["q13"])
+        assert star_invariance_constraints(system) == {
+            "q13": Coeff.monomial(1, {"q24~": -1}),
+            "q24": Coeff.monomial(1, {"q13~": -1})}
 
     def test_multi_term_rule_raises_typed_error(self):
         # x3 x1 -> zeta x1 x3 stars to a constraint on the rule for x4 x2,

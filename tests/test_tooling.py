@@ -57,8 +57,9 @@ Every module-level private name of ``src/quadexp`` is used inside the
 package, not only by the tests; ``test_no_unused_private_name`` holds
 them to that, and ``test_no_unused_import`` holds every module to using
 each name it imports. Every public name and every method is reached from
-the package or ``perfbench/``, save the two library entry points of
-``ENTRY_POINTS``; ``test_no_unused_public_name`` holds them to that.
+the package or ``perfbench/``, save the library entry point of
+``ENTRY_POINTS``, which README's "Layout" paragraph names, and no other;
+``test_no_unused_public_name`` holds them to that.
 README's "Layout" block and the package docstring name every module of
 ``src/quadexp`` and no other;
 ``test_layout_and_docstring_name_every_module`` holds them to that.
@@ -602,8 +603,16 @@ def _unused_public_names(sources: dict[str, str], users) -> set[str]:
 
 
 # library functions that no run calls and the tests drive on purpose: the
-# paper's map at probe arguments, and reduction over a rule sequence
-ENTRY_POINTS = {"recognition.j_function", "sklyanin.reduce"}
+# paper's map at probe arguments
+ENTRY_POINTS = {"recognition.j_function"}
+
+
+def _readme_entry_points(readme: str) -> set[str]:
+    """The names ``module.name`` in backquotes in the paragraph that
+    follows README's "Layout" block."""
+    paragraph = re.search(r"^## Layout\n\n```\n.*?```\n\n(.*?)\n\n", readme,
+                          re.M | re.S).group(1)
+    return set(re.findall(r"`(\w+\.\w+)`", paragraph))
 
 
 def test_no_unused_public_name():
@@ -624,6 +633,13 @@ def test_no_unused_public_name():
     users = [*sources.values(), *(path.read_text(encoding="utf-8")
                                   for path in PERFBENCH.glob("*.py"))]
     assert _unused_public_names(sources, users) == ENTRY_POINTS
+    # README names the entry points, and no other; the control, a Layout
+    # paragraph naming one more, must read as more than ENTRY_POINTS
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _readme_entry_points(readme) == ENTRY_POINTS
+    extra = ("## Layout\n\n```\n  m.py  x\n```\n\nEvery name in `src/m` is "
+             "used, save `recognition.j_function` and `m.dead`.\n\n`m.X`\n")
+    assert _readme_entry_points(extra) == ENTRY_POINTS | {"m.dead"}
 
 
 if __name__ == "__main__":  # rewrite the pinned report digests
