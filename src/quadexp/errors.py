@@ -47,6 +47,11 @@ class StepBoundExceeded(QuadexpError):
     """A rewriting computation hit its step bound before reaching normal form."""
 
 
+class WorkerLost(QuadexpError):
+    """A forked process running some of a case's J-value tasks ended
+    without reporting their results (killed, out of memory, ``os._exit``)."""
+
+
 class PoleError(QuadexpError):
     """Evaluation at a declared pole of the coefficient map."""
 

@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING
 
 from ._core import DELTA
 from .classforms import class_group, match_conductor, pseudo_lattice_reps
-from .errors import DomainError, NoMatchWithinBound, NotSquareFree, QuadexpError
+from .errors import (DomainError, NoMatchWithinBound, NotSquareFree,
+                     QuadexpError, WorkerLost)
 from .quadfield import OrderDescriptor, fundamental_unit, is_squarefree
 from .recognition import (DEFAULT_HEIGHT_BOUND, evaluate_J, member_of_field,
                           min_poly)
@@ -169,11 +170,13 @@ def run_case(d: int, params: CaseParams = CaseParams()) -> CaseReport:
     """Full experiment for one square-free d; see module docstring.
 
     Every theta is evaluated at p here, in one batch. With recognition on,
-    each J value's 2p evaluation and searches are one task, and the tasks
-    may run in worker processes (see ``_recognition_stage``), all of which
-    have exited when it returns, also on error; called in a pool's worker,
-    it runs them all there. The report, results and their order do not
-    depend on the number of workers.
+    each J value's 2p evaluation and searches are one task. With more than
+    one usable CPU the tasks fan out (see ``_recognition_stage``): on Linux
+    to forked children while this process runs one stripe of them, and
+    elsewhere to a process pool. Every child has exited when it returns,
+    also on error; called in a ``multiprocessing`` worker, it runs them all
+    there. The report, results and their order do not depend on the number
+    of processes.
     """
     if not is_squarefree(d):
         raise NotSquareFree(f"{d} is not a square-free positive integer")
@@ -252,11 +255,15 @@ def _match(d: int, params: CaseParams, report: CaseReport):
 def _recognition_stage(d, f_imag, jvals, params, report):
     """Recognition, stability at 2p and membership of every J value.
 
-    Each J value is one task, ``_recognize``, of ``_process_map`` over the
-    usable CPUs; the report does not depend on their number. A
-    ``QuadexpError`` in any task reaches the report as it would serially
-    and leaves the recognition, conjugacy, stability and membership blocks
-    empty. A stage's time sums its step over the tasks.
+    Each J value is one task, ``_recognize``, of ``_fork_map`` over the
+    usable CPUs: a case has a few tasks of near-equal cost, so on Linux
+    this process runs one stripe of them and forked children the others,
+    which loads no pool machinery; other platforms use ``_process_map``.
+    The report does not depend on the number of processes. A
+    ``QuadexpError`` in any task, or ``WorkerLost`` for a child that died,
+    reaches the report as it would serially and leaves the recognition,
+    conjugacy, stability and membership blocks empty. A stage's time sums
+    its step over the tasks.
     """
     # imported here so that runs with recognition off never load modular
     from .modular import hcf_generator
@@ -277,7 +284,7 @@ def _recognition_stage(d, f_imag, jvals, params, report):
 
     task = partial(_recognize, p=p, deg_bound=deg_bound,
                    height_bound=params.height_bound, descriptor=descriptor)
-    entries = _process_map(task, jvals, _usable_cpus())
+    entries = _fork_map(task, jvals, _usable_cpus())
     recognized, stability, membership, seconds = map(list, zip(*entries))
     seconds = [sum(column) for column in zip(*seconds)]
     report.recognition_results = recognized
@@ -328,29 +335,140 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _in_pool_worker() -> bool:
+    """Whether this process is a ``multiprocessing`` worker, asked without
+    loading ``multiprocessing``: a process that has not loaded it is none."""
+    multiprocessing = sys.modules.get("multiprocessing")
+    return multiprocessing is not None and \
+        multiprocessing.parent_process() is not None
+
+
+def _fork_map(fn, items: list, workers: int) -> list:
+    """``list(map(fn, items))`` for a case's J-value tasks, over
+    w = min(workers, len(items)) processes.
+
+    With w ≥ 2 on Linux, this process runs tasks 0, w, 2w, … and each of
+    w − 1 forked children runs one other stripe, then pickles its outcomes
+    into a pipe. On a 2-CPU host with sympy loaded, two trivial tasks took
+    2.2–2.5 ms so and 9.7–10.4 ms in a process pool, and this loads only
+    ``pickle`` (0.2 MB resident) where the pool loads 23 more modules
+    (1.1 MB). A case's few tasks cost nearly the same, so fixed
+    stripes lose nothing to the pool's dynamic assignment; ranges keep the
+    pool (``_process_map``), and so do other platforms. With w = 1, or in
+    a ``multiprocessing`` worker, the tasks run here, so processes never
+    nest and the serial path imports nothing.
+
+    Results keep the items' order, and the first failing task in that
+    order raises its own exception; a child that ends without reporting
+    counts as failing at its first task, with ``WorkerLost``. Every child
+    has been reaped when this returns, and on an abnormal exit, such as
+    ``KeyboardInterrupt``, killed first.
+    """
+    workers = min(workers, len(items))
+    if workers < 2 or _in_pool_worker():
+        return list(map(fn, items))
+    if sys.platform != "linux":
+        return _process_map(fn, items, workers)
+    import pickle  # here, so that serial runs never load it
+    import signal
+
+    stripes = [range(k, len(items), workers) for k in range(workers)]
+    children = {}  # pid -> (read end of its pipe, its stripe), until reaped
+    try:
+        for stripe in stripes[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the child: it never returns into the caller
+                status = 1
+                try:
+                    os.close(read)
+                    data = memoryview(pickle.dumps(
+                        _run_stripe(fn, items, stripe)))
+                    while data:
+                        data = data[os.write(write, data):]
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[pid] = (read, stripe)
+            os.close(write)
+        outcomes = [(stripes[0], _run_stripe(fn, items, stripes[0]))]
+        for pid, (read, stripe) in list(children.items()):
+            chunks = []
+            while chunk := os.read(read, 1 << 16):
+                chunks.append(chunk)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            os.close(read)
+            if code == 0:
+                outcomes.append((stripe, pickle.loads(b"".join(chunks))))
+            else:
+                outcomes.append((stripe, ([], WorkerLost(
+                    f"the process running tasks {list(stripe)} ended with "
+                    f"exit code {code} before reporting"))))
+    finally:
+        for pid, (read, _) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+
+    results = [None] * len(items)
+    failures = []
+    for stripe, (values, error) in outcomes:
+        for i, value in zip(stripe, values):
+            results[i] = value
+        if error is not None:
+            failures.append((stripe[len(values)], error))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
+
+
+def _run_stripe(fn, items: list,
+                stripe: range) -> tuple[list, Exception | None]:
+    """``fn`` over ``items[i]`` for i in ``stripe`` up to the first task
+    that raises: the values before it and its exception (None if none)."""
+    values = []
+    for i in stripe:
+        try:
+            values.append(fn(items[i]))
+        except Exception as exc:
+            return values, exc
+    return values, None
+
+
 def _process_map(fn, items: list, workers: int) -> list:
     """``list(map(fn, items))`` in a pool of min(workers, len(items))
     processes, or here when that is 1, which never loads multiprocessing,
     or when this process is a pool's worker, so pools never nest. Results
     keep the items' order, a task's exception is raised here, and the pool
     has shut down when this returns.
+
+    A range's cases go through here, and a case's J-value tasks do off
+    Linux. A range has many cases of unequal cost, which the pool hands
+    out as workers come free: ``run_range(2, 30)`` imag-to-real at 512
+    bits on 2 workers took 22.4 s and 24.7 s so, against 25.9 s and
+    25.1 s with the cases striped round-robin as ``_fork_map`` stripes a
+    case's tasks.
     """
     workers = min(workers, len(items))
-    if workers > 1:
+    if workers > 1 and not _in_pool_worker():
         import multiprocessing  # here, so that serial runs never load it
-        if multiprocessing.parent_process() is None:
-            from concurrent.futures import ProcessPoolExecutor
-            # fork on Linux, which starts in milliseconds, re-imports
-            # nothing and leaves no process behind; Python 3.14 defaults
-            # to forkserver there. Elsewhere the platform's default.
-            context = (multiprocessing.get_context("fork")
-                       if sys.platform == "linux" else None)
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=context)
-            try:
-                return list(pool.map(fn, items))
-            finally:
-                pool.shutdown(cancel_futures=True)
+        from concurrent.futures import ProcessPoolExecutor
+        # fork on Linux, which starts in milliseconds, re-imports
+        # nothing and leaves no process behind; Python 3.14 defaults
+        # to forkserver there. Elsewhere the platform's default.
+        context = (multiprocessing.get_context("fork")
+                   if sys.platform == "linux" else None)
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        try:
+            return list(pool.map(fn, items))
+        finally:
+            pool.shutdown(cancel_futures=True)
     return list(map(fn, items))
 
 

@@ -2,7 +2,9 @@ import concurrent.futures
 import io
 import json
 import multiprocessing
+import os
 import re
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from inspect import signature
 
@@ -437,17 +439,19 @@ class TestRunRange:
         run_range(15, 15, FAST, workers=8)  # one case: no pool
         assert serial_pool == [3, 2]
 
-    def test_range_never_nests_pools(self, serial_pool, monkeypatch):
+    def test_range_never_nests_pools(self, serial_pool, counted_forks,
+                                     monkeypatch):
         # a range's workers run their cases' searches serially, so a range
         # of N workers holds N processes whatever the machine's CPU count
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
         params = CaseParams(precision_bits=256)
-        run_case(15, params)  # the control: alone, its 2 searches pool
-        assert serial_pool == [2]
+        run_case(15, params)  # the control: alone, its 2 searches fan out
+        assert len(counted_forks) == 1 and serial_pool == []
         summary = run_range(13, 15, params, workers=2)
         assert [r.verdict() for r in summary.reports] == \
             ["no_match", "no_match", "no_relation"]
-        assert serial_pool == [2, 2]  # the range's pool alone
+        assert serial_pool == [2]  # the range's pool alone
+        assert len(counted_forks) == 1
 
 
 @pytest.fixture
@@ -480,6 +484,30 @@ def serial_pool(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def counted_forks(monkeypatch):
+    """The pids of the children that ``os.fork`` starts while the test
+    runs, as seen from this process."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _assert_no_child():
+    # waitpid(-1) raises ChildProcessError only when no child, running or
+    # exited and unreaped, is left
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # the cases of the comparison below: two with every stage, and one whose p
 # searches raise InsufficientPrecision
 POOLED_CASES = [(14, 256, "imag-to-real"), (15, 384, "real-to-imag"),
@@ -492,10 +520,37 @@ from quadexp.pipeline import CaseParams, run_case
 
 reports = [run_case(d, CaseParams(precision_bits=p, conductor_direction=c))
            for d, p, c in {POOLED_CASES!r}]
-for module in ("concurrent.futures.process", "multiprocessing"):
+for module in ("concurrent.futures", "multiprocessing"):
     if module in sys.modules:
         sys.exit(f"a recognition run on one CPU loaded {{module}}")
 print(json.dumps([r.dumps(with_timing=False) for r in reports]))
+"""
+
+# a case's searches on one CPU, then fanned out over two
+FORKED_SEARCHES = """
+import json, os, sys
+from quadexp import pipeline
+from quadexp.pipeline import CaseParams, run_case
+
+params = CaseParams(precision_bits=256)
+pipeline._usable_cpus = lambda: 1
+serial = run_case(15, params).dumps(with_timing=False)
+forks = []
+fork = os.fork
+
+def counted_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+os.fork = counted_fork
+pipeline._usable_cpus = lambda: 2
+forked = run_case(15, params).dumps(with_timing=False)
+print(json.dumps({"forks": len(forks), "same": forked == serial,
+                  "loaded": [m for m in ("concurrent.futures",
+                                         "multiprocessing")
+                             if m in sys.modules]}))
 """
 
 
@@ -514,53 +569,104 @@ class TestSearchPool:
         else:
             assert context is None
 
-    def test_pooled_reports_match_serial(self, monkeypatch):
+    def test_case_tasks_pool_off_linux(self, serial_pool, counted_forks,
+                                       monkeypatch):
+        monkeypatch.setattr(pipeline.sys, "platform", "darwin")
+        assert pipeline._fork_map(abs, [1, -2], 2) == [1, 2]
+        assert serial_pool == [2] and counted_forks == []
+
+    def test_fan_out_keeps_order_and_first_failure(self, counted_forks):
+        assert pipeline._fork_map(abs, [-1, 2, -3, 4, -5], 3) == \
+            [1, 2, 3, 4, 5]
+        assert len(counted_forks) == 2  # this process runs tasks 0 and 3
+
+        def fails_at_1_and_2(i):
+            if i in (1, 2):  # 1 in the child, 2 here
+                raise (ValueError if i == 1 else KeyError)(i)
+            return i
+
+        with pytest.raises(ValueError):
+            pipeline._fork_map(fails_at_1_and_2, [0, 1, 2, 3], 2)
+        _assert_no_child()
+
+    def test_interrupt_kills_children(self):
+        def interrupted_here(i):
+            if i == 0:
+                raise KeyboardInterrupt
+            time.sleep(60)  # in the child, until it is killed
+
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            pipeline._fork_map(interrupted_here, [0, 1], 2)
+        assert time.monotonic() - t0 < 30
+        _assert_no_child()
+
+    def test_pooled_reports_match_serial(self, counted_forks, monkeypatch):
         # the serial side runs on one CPU in a fresh interpreter, which
         # then must not load the pool at all
         res = _fresh_interpreter(SERIAL_SEARCHES)
         assert res.returncode == 0, res.stderr
         serial = json.loads(res.stdout)
-        sizes = []
-
-        class CountedPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            CountedPool)
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
         pooled = [run_case(d, CaseParams(precision_bits=p,
                                          conductor_direction=c))
                   for d, p, c in POOLED_CASES]
-        assert sizes == [2, 2, 2]
+        assert len(counted_forks) == 3  # one child per case, beside us
         assert pooled[-1].errors == ["InsufficientPrecision: only 62 bits "
                                      "trusted; the lattice needs at least 72"]
         assert [r.dumps(with_timing=False) for r in pooled] == serial
 
+    def test_fan_out_loads_no_pool(self):
+        # forked in a fresh interpreter, which has not loaded the pool's
+        # modules for collecting these tests
+        res = _fresh_interpreter(FORKED_SEARCHES)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == {"forks": 1, "same": True,
+                                          "loaded": []}
+
     def test_case_leaves_no_process(self, monkeypatch):
-        # the pool is shut down when run_case returns: normally, after a
-        # typed error raised in a worker, and after a bug raised in one
+        # every child is reaped when run_case returns: normally, after a
+        # typed error raised in a child, and after a bug raised in one
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
         r = run_case(15, CaseParams(precision_bits=256))
         assert r.verdict() == "no_relation" and not r.errors
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
         r = run_case(15, CaseParams(precision_bits=64))
         assert r.errors[0].startswith("InsufficientPrecision:")
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
         min_poly = pipeline.min_poly
+        parent = os.getpid()
 
-        def fails_at_2p_in_a_worker(z, deg_bound, height_bound, p, **kwargs):
-            # the forked workers inherit this stub; here it searches
-            if p == 512 and multiprocessing.parent_process() is not None:
+        def fails_at_2p_in_a_child(z, deg_bound, height_bound, p, **kwargs):
+            # the forked children inherit this stub; here it searches
+            if p == 512 and os.getpid() != parent:
                 raise ZeroDivisionError("division by zero")
             return min_poly(z, deg_bound, height_bound, p, **kwargs)
 
-        monkeypatch.setattr(pipeline, "min_poly", fails_at_2p_in_a_worker)
+        monkeypatch.setattr(pipeline, "min_poly", fails_at_2p_in_a_child)
         with pytest.raises(ZeroDivisionError):
             run_case(15, CaseParams(precision_bits=256))
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
+
+    def test_dead_child_is_a_typed_error(self, monkeypatch):
+        # a child that ends without reporting, as an out-of-memory kill
+        # would end it, costs its case's searches, not the run
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        min_poly = pipeline.min_poly
+        parent = os.getpid()
+
+        def dies_in_a_child(z, deg_bound, height_bound, p, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return min_poly(z, deg_bound, height_bound, p, **kwargs)
+
+        monkeypatch.setattr(pipeline, "min_poly", dies_in_a_child)
+        r = run_case(15, CaseParams(precision_bits=256))
+        assert r.errors == ["WorkerLost: the process running tasks [1] "
+                            "ended with exit code 1 before reporting"]
+        assert r.recognition_results is None and r.stability is None
+        _assert_no_child()
 
 
 class TestCacheCoherence:
