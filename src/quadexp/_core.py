@@ -21,6 +21,8 @@ Both end at the one Lovász parameter ``DELTA`` = 99/100. The float kernel
 climbs to it by ``LADDER`` 3/4, 9/10; its rungs are part of the pinned
 output (without them d = 14's fourth exclusion height moves from 5261354 to
 5861935, and a serial recognize pass takes 1.67-1.95 s, not 1.40-1.55 s).
+Integer sums go through ``sum``, exact in any order; float sums add left to
+right from 0.0, as ``sum`` did before 3.12, the pinned reports' order.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def _gram_schmidt(rows):
     for k in range(1, n + 1):
         lamk = lam[k]
         for j in range(1, k + 1):
-            s = _dot(rows[k - 1], rows[j - 1])
+            s = sum(map(mul, rows[k - 1], rows[j - 1]))
             for i in range(1, j):
                 s = (d[i] * s - lamk[i] * lam[j][i]) // d[i - 1]
             if j < k:
@@ -98,13 +100,6 @@ def _gram_schmidt(rows):
         if d[k] == 0:
             break
     return d, lam
-
-
-def _dot(x, y):
-    s = 0
-    for a, c in zip(x, y):
-        s += a * c
-    return s
 
 
 def _red(b, d, lam, k, l):
@@ -199,7 +194,7 @@ def _float_lll(b):
     G = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            G[i][j] = G[j][i] = _dot(b[i], b[j])
+            G[i][j] = G[j][i] = sum(map(mul, b[i], b[j]))
         if G[i][i] == 0:
             raise FloatBreakdown("zero row")
     e = [_exponent(G[i][i]) for i in range(n)]
@@ -228,7 +223,10 @@ def _float_lll(b):
                 # stepping the exact row and Gram row as it goes
                 bk, Gk, ek = b[k], G[k], e[k]
                 for j in range(len(muk), k):
-                    rkj = _scaled(Gk[j], ek + e[j]) - sum(map(mul, mu[j], rk))
+                    acc = 0.0
+                    for t in map(mul, mu[j], rk):
+                        acc += t
+                    rkj = _scaled(Gk[j], ek + e[j]) - acc
                     rk.append(rkj)
                     muk.append(rkj / r[j][j])
                 reduced = True
@@ -283,7 +281,10 @@ def _float_lll(b):
                 del muk[:], rk[:]
             # s = ||b_k*||^2 + mu_k,k-1^2 ||b_(k-1)*||^2, the squared norm
             # b_k* would have at k-1; r[k][k] alone cancels
-            s = gd[k] - sum(map(mul, muk[:k - 1], rk))
+            acc = 0.0
+            for t in map(mul, muk[:k - 1], rk):
+                acc += t
+            s = gd[k] - acc
             if not 0 < s <= 2:
                 raise FloatBreakdown(f"squared norm {s} at row {k}")
             lhs = delta * r[k - 1][k - 1]

@@ -23,7 +23,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from itertools import permutations
-from math import gcd
+from math import gcd, log, pi, sqrt
 from operator import mul
 
 from .classforms import class_group
@@ -332,9 +332,10 @@ def ring_class_polynomial_detailed(d: int, f: int, p: int,
 
 def _coefficient_bits_estimate(disc: int, forms) -> int:
     """Crude upper estimate of coefficient size: pi sqrt|disc| sum(1/a) nats."""
-    s = sum(1.0 / a for a, _, _ in forms)
-    import math
-    return int(math.pi * math.sqrt(abs(disc)) * s / math.log(2)) + 16 * len(forms)
+    s = 0.0  # left to right, not sum(): 3.12's float sum() compensates
+    for a, _, _ in forms:
+        s += 1.0 / a
+    return int(pi * sqrt(abs(disc)) * s / log(2)) + 16 * len(forms)
 
 
 def _j_embeddings(forms, work: int) -> list[FixedComplex]:

@@ -19,7 +19,9 @@ and the tests hold ``classforms._rho`` to both.
 swap reused the Lovász test's product and its Gram-Schmidt data were
 computed up front, kept so that the kernel can be checked against it.
 ``float_lll_reference`` is the float LLL kernel as it stood before its loop
-was fused, kept for the same check.
+was fused, kept for the same check; it adds its float dot products left to
+right from 0.0, as the kernel does, so the two agree bit for bit on every
+Python.
 ``cold_relation_basis`` is the relation search's lattice reduced in one jump
 at its full scale, with that kernel: the search as it stood before it
 climbed to the scale in rungs. ``reduce_reference`` is the symbolic layer's
@@ -433,8 +435,7 @@ def _float_lll(b):
     """Reduce the rows b in place at each Lovász parameter of ``LADDER``."""
     from math import log2
 
-    from quadexp._core import (LADDER, FloatBreakdown, _dot, _exponent,
-                               _scaled)
+    from quadexp._core import LADDER, FloatBreakdown, _exponent, _scaled
 
     n = len(b)
     if n == 0:
@@ -442,7 +443,7 @@ def _float_lll(b):
     G = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            G[i][j] = G[j][i] = _dot(b[i], b[j])
+            G[i][j] = G[j][i] = sum(map(mul, b[i], b[j]))
         if G[i][i] == 0:
             raise FloatBreakdown("zero row")
     e = [_exponent(G[i][i]) for i in range(n)]
@@ -466,7 +467,10 @@ def _float_lll(b):
             muk, rk = mu[k], r[k]
             # s = ||b_k*||^2 + mu_k,k-1^2 ||b_(k-1)*||^2, the squared norm
             # b_k* would have at k-1; r[k][k] alone cancels
-            s = _scaled(G[k][k], 2 * e[k]) - sum(map(mul, muk[:k - 1], rk))
+            acc = 0.0
+            for t in map(mul, muk[:k - 1], rk):
+                acc += t
+            s = _scaled(G[k][k], 2 * e[k]) - acc
             if not 0 < s <= 2:
                 raise FloatBreakdown(f"squared norm {s} at row {k}")
             lhs = delta * r[k - 1][k - 1]
@@ -494,7 +498,10 @@ def _gso_row(G, e, mu, r, k):
 
     Gk, ek, muk, rk = G[k], e[k], mu[k], r[k]
     for j in range(len(muk), k):
-        rkj = _scaled(Gk[j], ek + e[j]) - sum(map(mul, mu[j], rk))
+        acc = 0.0
+        for t in map(mul, mu[j], rk):
+            acc += t
+        rkj = _scaled(Gk[j], ek + e[j]) - acc
         rk.append(rkj)
         muk.append(rkj / r[j][j])
 

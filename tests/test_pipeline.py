@@ -178,6 +178,32 @@ class TestRunCase:
             assert list(signature(kernel).parameters) == params
 
     @pytest.mark.usefixtures("serial_searches")
+    def test_no_float_reaches_sum(self, monkeypatch):
+        # float sum() is compensated from Python 3.12 on, so a report resting
+        # on one would differ between interpreters: the float kernel and the
+        # class polynomial's precision estimate add floats left to right
+        # themselves, and sum() sees integers only, exact in any order
+        params = CaseParams(precision_bits=256)
+        expected = run_case(15, params).dumps(with_timing=False)
+        called = set()
+
+        def integer_sum(module):
+            def spy(items, start=0):
+                items = list(items)
+                floats = [x for x in items if isinstance(x, float)]
+                if floats:
+                    raise AssertionError(f"{module}: float sum() of {floats}")
+                called.add(module)
+                return sum(items, start)
+            return spy
+
+        for module in (_core, modular):
+            monkeypatch.setattr(module, "sum", integer_sum(module.__name__),
+                                raising=False)
+        assert run_case(15, params).dumps(with_timing=False) == expected
+        assert called == {"quadexp._core", "quadexp.modular"}
+
+    @pytest.mark.usefixtures("serial_searches")
     def test_default_deg_bound_without_field_descriptor(self, monkeypatch):
         # the default is 4 h_imag, twice the class field's degree, whether
         # or not the descriptor builds; d = 14 has h_imag = 4
