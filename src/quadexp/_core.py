@@ -3,8 +3,8 @@
 ``lll_reduce_rows`` is the exact kernel: the integral variant maintaining
 the Gram determinants d[i] and scaled Gram-Schmidt coefficients
 lam[i][j] = d[j] * mu_ij, so every division is exact and no floating point
-is involved. It computes them once, with ``_gram_schmidt``, and reduces at
-``DELTA`` directly; its result meets the Lovász condition exactly.
+is involved. It takes them from one ``_gram_schmidt``, the caller's if
+given, and reduces at ``DELTA`` to rows meeting the Lovász condition exactly.
 
 ``lll_reduce_rows_float`` is the floating-point kernel, shaped after L²
 (Nguyen–Stehlé, "An LLL algorithm with quadratic complexity", SIAM J.
@@ -49,18 +49,18 @@ def _int_rows(rows):
     return b
 
 
-def lll_reduce_rows(rows):
+def lll_reduce_rows(rows, gso=None):
     """LLL-reduced copy of the integer basis rows (the input is not changed).
 
     Returns the reduced rows only; they are integer combinations of the
     input rows, and a caller that needs the combination keeps coefficient
     columns in its lattice. Raises ValueError when the rows are linearly
     dependent. The final basis meets the Lovász condition at ``DELTA``
-    exactly.
+    exactly. ``gso`` is ``_gram_schmidt(rows)`` if given; it is changed.
     """
     b = _int_rows(rows)
     n = len(b)
-    d, lam = _gram_schmidt(b)
+    d, lam = _gram_schmidt(b) if gso is None else gso
     if 0 in d:
         raise ValueError("dependent rows")
     num, den = DELTA

@@ -37,10 +37,10 @@ class InsufficientPrecision(QuadexpError):
 
 class DegenerateBasis(QuadexpError):
     """A relation search's lattice basis is unusable, for one of three causes:
-    the exact LLL kernel found its rows linearly dependent; the top rung's
-    reduced rows failed ``recognition._certified`` (they are not C [I | X_s],
-    or their Gram determinant det(C C^T) is not 1); or a warm start's
-    coefficient basis is not n x n."""
+    the exact kernel, run on a rung after a float breakdown, found its rows
+    linearly dependent; the top rung's rows failed ``recognition._certified``
+    (not C [I | X_s], or det(C C^T) is not 1: dependent rows give 0); or a
+    warm start's coefficient basis is not n x n."""
 
 
 class StepBoundExceeded(QuadexpError):

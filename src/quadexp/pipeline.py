@@ -54,6 +54,11 @@ class CaseParams:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise DomainError(f"{name} must be positive, got {value}")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+        if limit and _digits_for(self.precision_bits) > limit:
+            raise DomainError(f"precision_bits {self.precision_bits} needs "
+                              "more report digits than the interpreter's "
+                              f"int-to-str limit of {limit}")
         if self.search_bound < 0:
             raise DomainError(f"search_bound must be nonnegative, "
                               f"got {self.search_bound}")

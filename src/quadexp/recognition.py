@@ -117,14 +117,15 @@ def evaluate_J(thetas: list[QuadraticIrrational], epsilon: UnitElement,
 # -- LLL wrapper -----------------------------------------------------------------
 
 
-def lll_reduce(basis) -> list[list[int]]:
+def lll_reduce(basis, gso=None) -> list[list[int]]:
     """Exact integer LLL at ``DELTA``; returns the reduced rows.
 
     The rows are integer combinations of the input rows; a search that
     needs the combination reads it from its lattice's coefficient columns.
+    ``gso`` is the basis's ``_gram_schmidt`` data, if the caller holds it.
     """
     try:
-        return lll_reduce_rows(basis)
+        return lll_reduce_rows(basis, gso)
     except ValueError as exc:
         raise DegenerateBasis(str(exc)) from exc
 
@@ -231,15 +232,15 @@ def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
     Every rung is reduced by the float kernel ``lll_reduce_rows_float``,
     which keeps the rows and their Gram matrix exact; a rung on which it
     breaks down (``FloatBreakdown``) is reduced by the exact kernel
-    instead. The exact kernel, ``lll_reduce``, then reduces the top rung's
-    rows once more, so the final basis meets the Lovász condition at
-    ``DELTA`` exactly, as ``_exclusion_height`` assumes. On a
-    float-reduced basis that pass makes few or no swaps.
+    instead. One ``_gram_schmidt`` of the top rung's rows gives their
+    certificate its determinant and ``lll_reduce`` its data for a last
+    exact pass (few swaps or none), after which the rows meet the Lovász
+    condition at ``DELTA`` exactly, as ``_exclusion_height`` assumes.
 
-    The top rung is certified on every search: its reduced rows must be
-    C [I | X_s] for their coefficient parts C, with det C = +-1, so they
-    are a basis of the cold lattice [I | X_s]. Each C_(k+1) is U_k C_k for
-    an integer U_k, so this also proves the start and every rung
+    The top rung is certified, and again if the exact pass changes it: its
+    rows must be C [I | X_s] for their coefficient parts C, det C = +-1, so
+    they are a basis of the cold lattice [I | X_s]. Each C_(k+1) is U_k C_k
+    for an integer U_k, so this also proves the start and every rung
     unimodular. Any other C spans a sublattice, whose reduction would
     overstate the exclusion height; ``DegenerateBasis`` is raised instead.
 
@@ -266,27 +267,32 @@ def _relation_search(z: FixedComplex, p: int, elements: list[FixedComplex],
         except FloatBreakdown:
             basis = lll_reduce(rows)
         coeffs = [row[:n] for row in basis]
-    basis = lll_reduce(basis)
-    return (_certified(basis, scaled), threshold_digits,
-            _exclusion_height(basis[0], n), s)
+    gso = _gram_schmidt(basis)
+    coeffs = _certified(basis, scaled, gso[0][n])
+    reduced = lll_reduce(basis, gso)
+    if reduced != basis:
+        coeffs = _certified(reduced, scaled, _gram_schmidt(reduced)[0][n])
+    return coeffs, threshold_digits, _exclusion_height(reduced[0], n), s
 
 
-def _certified(basis: list[list[int]], scaled: list[list[int]]):
+def _certified(basis: list[list[int]], scaled: list[list[int]],
+               gram_det: int):
     """The coefficient parts C of rows proven a basis of [I | X].
 
     X is given by the tail columns ``scaled``: the rows must be C [I | X],
-    with det C = +-1, read as the Gram determinant det(C C^T) = 1 of
-    ``_gram_schmidt``. ``DegenerateBasis`` is raised otherwise.
+    and their Gram determinant ``gram_det``, det(C)^2 det(I_2 + X^T X) by
+    Sylvester's identity, must be det(I_2 + X^T X); else ``DegenerateBasis``.
     """
     n = len(scaled)
     coeffs = [row[:n] for row in basis]
     if len(basis) != n or any(row[n:] != _tails(c, scaled)
                               for row, c in zip(basis, coeffs)):
         raise DegenerateBasis("reduced rows are not C [I | X_s]")
-    gram_det = _gram_schmidt(coeffs)[0][n]
-    if gram_det != 1:
+    g00, g11, g01 = map(sum, zip(*((x * x, y * y, x * y) for x, y in scaled)))
+    x_det = (1 + g00) * (1 + g11) - g01 * g01  # det(I_2 + X^T X)
+    if gram_det != x_det:
         raise DegenerateBasis(f"reduced coefficient Gram determinant "
-                              f"{gram_det}, expected 1 (det C = +-1)")
+                              f"{gram_det // x_det}, expected 1 (det C = +-1)")
     return coeffs
 
 

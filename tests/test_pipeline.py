@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from inspect import signature
@@ -115,6 +116,21 @@ class TestRunCase:
         with pytest.raises(DomainError, match="got 'sideways'"):
             CaseParams(conductor_direction="sideways")
 
+    def test_precision_past_int_str_limit_rejected(self, monkeypatch):
+        # a report writes _digits_for(p) digits of each J value, which the
+        # interpreter's int-to-str limit bounds (from Python 3.10.7; 4300
+        # digits by default, 0 for none): the last precision within the
+        # default runs, and the next is an input error when the parameters
+        # are built, not a ValueError when the report is written
+        run_case(15, CaseParams(precision_bits=14289, recognition=False))
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300,
+                            raising=False)
+        assert CaseParams(precision_bits=14289).precision_bits == 14289
+        with pytest.raises(DomainError, match="int-to-str limit of 4300"):
+            CaseParams(precision_bits=14290)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert CaseParams(precision_bits=14290).precision_bits == 14290
+
     def test_bad_cache_dir_rejected(self, tmp_path):
         # a cache directory that cannot be written is an input error when the
         # parameters are built, so run_case never starts; a missing one is
@@ -172,8 +188,8 @@ class TestRunCase:
         # kernels' constant, which the report states
         r = run_case(15, FAST)
         assert tuple(r.to_json()["params"]["delta"]) == _core.DELTA
-        for kernel, params in ((recognition.lll_reduce, ["basis"]),
-                               (_core.lll_reduce_rows, ["rows"]),
+        for kernel, params in ((recognition.lll_reduce, ["basis", "gso"]),
+                               (_core.lll_reduce_rows, ["rows", "gso"]),
                                (_core.lll_reduce_rows_float, ["rows"])):
             assert list(signature(kernel).parameters) == params
 
@@ -884,19 +900,24 @@ class TestCLI:
             assert code == 2, output
         assert old.read_text() == "kept" and not new.exists()
 
-    @pytest.mark.parametrize("bits", [0, -8])
+    @pytest.mark.parametrize("bits", [0, -8, 14290])
     @pytest.mark.parametrize("command", [["case", "15"], ["range", "13", "15"]])
     def test_bad_precision_exit1(self, monkeypatch, command, bits):
-        # a nonpositive precision is an input error, found before any work
+        # a nonpositive precision, or one whose report digits pass the
+        # default int-to-str limit, is an input error, found before any work
         def crash(*args, **kwargs):
             raise RuntimeError("ran with a bad precision")
 
         monkeypatch.setattr(cli, "run_case", crash)
         monkeypatch.setattr(cli, "run_range", crash)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300,
+                            raising=False)
         code, output = run_cli(*command, "--precision-bits", str(bits),
                                "--skip-recognition")
         assert code == 1, output
-        assert "input error: precision_bits must be positive" in output
+        assert "input error: precision_bits " + (
+            "must be positive" if bits < 1 else
+            "14290 needs more report digits") in output
         with pytest.raises(QuadexpError):
             CaseParams(precision_bits=bits)
 

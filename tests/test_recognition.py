@@ -194,23 +194,30 @@ def far_apart_lattice(order: int) -> tuple[list[list[int]], list[list[int]]]:
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Counts of relation searches, of exact reductions among them and of
-    those whose output differs from their input."""
-    counts = {"searches": 0, "exact": 0, "changed": 0}
+    """Counts of relation searches, of exact reductions among them, of
+    those whose output differs from their input and of integral
+    Gram-Schmidt runs, through ``_core``'s binding and ``recognition``'s."""
+    counts = {"searches": 0, "exact": 0, "changed": 0, "gram_schmidt": 0}
     search, reduce = recognition._relation_search, recognition.lll_reduce
 
     def search_spy(*args, **kwargs):
         counts["searches"] += 1
         return search(*args, **kwargs)
 
-    def reduce_spy(basis):
+    def reduce_spy(basis, *args):
         counts["exact"] += 1
-        reduced = reduce(basis)
+        reduced = reduce(basis, *args)
         counts["changed"] += reduced != basis
         return reduced
 
+    def gram_schmidt_spy(rows):
+        counts["gram_schmidt"] += 1
+        return _gram_schmidt(rows)
+
     monkeypatch.setattr(recognition, "_relation_search", search_spy)
     monkeypatch.setattr(recognition, "lll_reduce", reduce_spy)
+    for module in (_core, recognition):
+        monkeypatch.setattr(module, "_gram_schmidt", gram_schmidt_spy)
     return counts
 
 
@@ -249,7 +256,8 @@ class TestFloatLLL:
         # per-row exponent holds them
         rows, tails = far_apart_lattice(order)
         reduced = lll_reduce_rows_float(rows)
-        assert det_reference(_certified(reduced, tails)) in (1, -1)
+        gram_det = _gram_schmidt(reduced)[0][len(rows)]
+        assert det_reference(_certified(reduced, tails, gram_det)) in (1, -1)
         assert lovasz_holds(reduced, Fraction(98, 100))
 
     def test_kernel_matches_reference(self, monkeypatch):
@@ -386,8 +394,8 @@ class TestRungKernelInPipeline:
         # rung leaves the float-reduced rows as they are
         reduce = recognition.lll_reduce
 
-        def reduce_spy(basis):
-            reduced = reduce(basis)
+        def reduce_spy(basis, *args):
+            reduced = reduce(basis, *args)
             assert reduced == basis
             return reduced
 
@@ -403,12 +411,14 @@ class TestRungKernelInPipeline:
         # the benchmark's recognize cases and the 1024-bit case: the float
         # kernel holds on every rung, so the one exact reduction of each
         # search is the final one, and it leaves the float-reduced rows as
-        # they are
+        # they are; their one Gram-Schmidt serves the certificate and that
+        # reduction both
         run_case(d, CaseParams(precision_bits=p,
                                conductor_direction=direction))
         assert searches["searches"] > 0
         assert searches["exact"] == searches["searches"]
         assert searches["changed"] == 0
+        assert searches["gram_schmidt"] == searches["searches"]
 
 
 class TestMinPoly:
@@ -824,17 +834,26 @@ def shift_last_tail(rows):
     rows[-1][-1] += 1
 
 
-@pytest.fixture(params=[double_last_row, shift_last_tail])
-def corrupt_kernel(request, monkeypatch):
-    """recognition's LLL kernel, each of its results corrupted one way."""
+def swap_first_rows(rows):
+    rows[0], rows[1] = rows[1], rows[0]
+
+
+def corrupt_exact_kernel(monkeypatch, corrupt):
+    """Apply corrupt to each result of recognition's exact LLL kernel."""
     kernel = recognition.lll_reduce_rows
 
-    def corrupted(rows):
-        reduced = kernel(rows)
-        request.param(reduced)
+    def corrupted(rows, *args):
+        reduced = kernel(rows, *args)
+        corrupt(reduced)
         return reduced
 
     monkeypatch.setattr(recognition, "lll_reduce_rows", corrupted)
+
+
+@pytest.fixture(params=[double_last_row, shift_last_tail])
+def corrupt_kernel(request, monkeypatch):
+    """recognition's LLL kernel, each of its results corrupted one way."""
+    corrupt_exact_kernel(monkeypatch, request.param)
 
 
 @st.composite
@@ -872,8 +891,9 @@ def gram_prefix_reference(rows):
 
 
 class TestGramSchmidt:
-    # the exact kernel's Gram-Schmidt data; _certified accepts a top rung
-    # only when the Gram determinant of C, det(C)^2, is 1, so d decides
+    # the Gram-Schmidt data of a search's top rung, which the exact kernel
+    # reduces from; their last d is det(C)^2 det(I_2 + X^T X), and
+    # _certified accepts the rung only when det(C)^2 is 1, so d decides
     # whether an exclusion height is certified
 
     @settings(max_examples=400, deadline=None)
@@ -906,11 +926,53 @@ class TestCertificate:
         tails = [[3, 5], [7, 11], [13, 17]]
         swapped = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
         assert det_reference(swapped) == -1
-        assert _certified([c + _tails(c, tails) for c in swapped],
-                          tails) == swapped
+        rows = [c + _tails(c, tails) for c in swapped]
+        assert _certified(rows, tails, _gram_schmidt(rows)[0][3]) == swapped
         doubled = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
+        rows = [c + _tails(c, tails) for c in doubled]
         with pytest.raises(DegenerateBasis, match="Gram determinant 4"):
-            _certified([c + _tails(c, tails) for c in doubled], tails)
+            _certified(rows, tails, _gram_schmidt(rows)[0][3])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pivot_matrices(), st.data())
+    def test_gram_determinant_factors(self, coeffs, data):
+        # Sylvester's identity, which the certificate reads: the rows
+        # C [I | X] have Gram determinant det(C)^2 det(I_2 + X^T X), for
+        # singular C too; so the certificate accepts exactly det C = +-1
+        n = len(coeffs)
+        x = data.draw(st.lists(st.lists(st.integers(-10**6, 10**6),
+                                        min_size=2, max_size=2),
+                               min_size=n, max_size=n))
+        rows = [c + _tails(c, x) for c in coeffs]
+        gram_det = _gram_schmidt(rows)[0][n]
+        x_gram = [[int(i == j) + sum(t[i] * t[j] for t in x) for j in (0, 1)]
+                  for i in (0, 1)]
+        det_c = det_reference(coeffs)
+        assert gram_det == det_c ** 2 * det_reference(x_gram)
+        if det_c in (1, -1):
+            assert _certified(rows, x, gram_det) == coeffs
+        else:
+            with pytest.raises(DegenerateBasis):
+                _certified(rows, x, gram_det)
+
+    def test_unimodular_change_is_recertified(self, monkeypatch):
+        # no real search's exact pass changes its rows; one that does, here
+        # by a row swap (det -1), has its rows certified anew and kept
+        p = 256
+        z = complex_of_real(QuadraticIrrational(0, 1, 1, 7).to_fixed(p))
+        plain = min_poly(z, 4, 10**6, p).coefficient_basis
+        corrupt_exact_kernel(monkeypatch, swap_first_rows)
+        certified = recognition._certified
+        calls = []
+
+        def certified_spy(*args):
+            calls.append(args)
+            return certified(*args)
+
+        monkeypatch.setattr(recognition, "_certified", certified_spy)
+        r = min_poly(z, 4, 10**6, p)
+        assert len(calls) == 2
+        assert r.coefficient_basis == [plain[1], plain[0], *plain[2:]]
 
     def test_min_poly(self, corrupt_kernel):
         p = 256
